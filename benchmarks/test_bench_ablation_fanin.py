@@ -12,7 +12,7 @@ from repro.workloads.oneliners import get_one_liner
 
 
 def _config(width, fan_in):
-    return PashConfig(width=width, split=SplitMode.GENERAL, aggregation_fan_in=fan_in).parallelization()
+    return PashConfig(width=width, split=SplitMode.GENERAL, aggregation_fan_in=fan_in)
 
 
 def test_bench_ablation_aggregation_fan_in(benchmark):

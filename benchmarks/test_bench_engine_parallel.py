@@ -15,9 +15,8 @@ discrete-event simulator; this one runs the same dataflow graphs for real on
   printed.
 * *spawn-bound* — a batch of short Table-2-style pipelines run back to back
   through one session.  This is where the persistent worker pool, stage
-  fusion, relay elision, and direct (pump-free) edges pay: the same
-  workload is also run on the legacy configuration (one fork per node per
-  run, one pump per edge, no fusion) and the ratio is asserted ≥ 1.5x.
+  fusion, relay elision, and direct (pump-free) edges pay; the per-run
+  time is recorded and the runs must reuse the warm pool (zero spawns).
 
 Run with ``--bench-json`` to persist the measurements (see conftest).
 """
@@ -30,7 +29,6 @@ from conftest import print_header
 from repro import api
 from repro.api import Pash, PashConfig
 from repro.commands import standard_registry
-from repro.engine.scheduler import SchedulerOptions
 from repro.evaluation.harness import measured_speedup
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
@@ -174,15 +172,11 @@ def test_bench_engine_cpu_bound_sort(benchmark, bench_record):
 
 
 # ---------------------------------------------------------------------------
-# Spawn-bound: many short pipelines through one session (PR-4 vs PR-3 path)
+# Spawn-bound: many short pipelines through the pooled, fused engine path
 # ---------------------------------------------------------------------------
 
 SHORT_RUNS = 8
 SHORT_SCRIPT = "cat in0.txt in1.txt in2.txt in3.txt | grep the | tr A-Z a-z > out.txt"
-
-#: The engine exactly as PR 3 left it: one fresh fork per node per run, an
-#: eager pump (thread + copy hop) on every channel, every relay a process.
-LEGACY_OPTIONS = SchedulerOptions(use_pool=False, pump_policy="all", elide_relays=False)
 
 
 def _short_environment():
@@ -190,84 +184,56 @@ def _short_environment():
     return ExecutionEnvironment(filesystem=VirtualFileSystem(files))
 
 
-def _run_batch(compiled, runs, **backend_options):
-    """Execute the compiled script ``runs`` times; returns (seconds, results)."""
-    environments = [_short_environment() for _ in range(runs)]
-    started = time.perf_counter()
-    results = [
-        compiled.execute(backend="parallel", environment=environment, **backend_options)
-        for environment in environments
-    ]
-    return time.perf_counter() - started, results
-
-
 def _run_spawn_workload():
-    fused = Pash(PashConfig.paper_default(WIDTH)).compile(SHORT_SCRIPT)
-    legacy = Pash(
-        PashConfig.paper_default(WIDTH, fuse_stages=False)
-    ).compile(SHORT_SCRIPT)
-
+    compiled = Pash(PashConfig.paper_default(WIDTH)).compile(SHORT_SCRIPT)
     expected = api.run(SHORT_SCRIPT, backend="interpreter", environment=_short_environment())
 
-    # Warm-up: pay the pool's startup once, outside the timed window (the
-    # legacy path has no warm-up to pay — that asymmetry is the feature).
-    fused.execute(backend="parallel", environment=_short_environment())
+    # Warm-up: pay the pool's startup once, outside the timed window.
+    compiled.execute(backend="parallel", environment=_short_environment())
 
-    new_seconds, new_results = _run_batch(fused, SHORT_RUNS)
-    legacy_seconds, legacy_results = _run_batch(legacy, SHORT_RUNS, options=LEGACY_OPTIONS)
-    return expected, new_seconds, new_results, legacy_seconds, legacy_results
+    environments = [_short_environment() for _ in range(SHORT_RUNS)]
+    started = time.perf_counter()
+    results = [
+        compiled.execute(backend="parallel", environment=environment)
+        for environment in environments
+    ]
+    return expected, time.perf_counter() - started, results
 
 
 def test_bench_engine_short_pipeline_batch(benchmark, bench_record):
-    """Persistent pool + fused stages vs the PR-3 fork-per-node hot path."""
-    expected, new_seconds, new_results, legacy_seconds, legacy_results = benchmark.pedantic(
+    """Per-run time of short pipelines on the persistent pool with fused stages."""
+    expected, seconds, results = benchmark.pedantic(
         _run_spawn_workload, rounds=1, iterations=1
     )
-    ratio = legacy_seconds / new_seconds
-    new_spawned = sum(result.metrics.processes_spawned for result in new_results)
-    new_reused = sum(result.metrics.processes_reused for result in new_results)
-    legacy_spawned = sum(result.metrics.processes_spawned for result in legacy_results)
-    new_metrics = new_results[-1].metrics
+    spawned = sum(result.metrics.processes_spawned for result in results)
+    reused = sum(result.metrics.processes_reused for result in results)
+    metrics = results[-1].metrics
 
-    print_header("Engine — spawn-bound short pipelines, pooled+fused vs PR-3 path")
-    print(f"{'configuration':<22}{'seconds':<10}{'spawned':<9}{'reused':<8}{'per-run ms'}")
+    print_header("Engine — spawn-bound short pipelines, pooled + fused")
+    print(f"{'seconds':<10}{'spawned':<9}{'reused':<8}{'per-run ms'}")
+    print(f"{seconds:<10.3f}{spawned:<9}{reused:<8}{seconds / SHORT_RUNS * 1000:.1f}")
     print(
-        f"{'pool+fuse+direct':<22}{new_seconds:<10.3f}{new_spawned:<9}"
-        f"{new_reused:<8}{new_seconds / SHORT_RUNS * 1000:.1f}"
-    )
-    print(
-        f"{'fork-per-node (PR-3)':<22}{legacy_seconds:<10.3f}{legacy_spawned:<9}"
-        f"{0:<8}{legacy_seconds / SHORT_RUNS * 1000:.1f}"
-    )
-    print(
-        f"speedup vs PR-3 path: {ratio:.2f}x over {SHORT_RUNS} runs "
-        f"(fused {new_metrics.commands_fused} commands into "
-        f"{new_metrics.stages_fused} stages, elided {new_metrics.relays_elided} "
-        f"relays, {new_metrics.edges_direct} direct edges)"
+        f"fused {metrics.commands_fused} commands into {metrics.stages_fused} stages, "
+        f"elided {metrics.relays_elided} relays, {metrics.edges_direct} direct edges"
     )
 
     bench_record(
         "engine_short_pipeline_batch",
         width=WIDTH,
         runs=SHORT_RUNS,
-        pooled_seconds=round(new_seconds, 4),
-        legacy_seconds=round(legacy_seconds, 4),
-        speedup_vs_pr3=round(ratio, 3),
-        processes_spawned=new_spawned,
-        processes_reused=new_reused,
-        legacy_processes_spawned=legacy_spawned,
-        stages_fused=new_metrics.stages_fused,
-        commands_fused=new_metrics.commands_fused,
-        relays_elided=new_metrics.relays_elided,
-        edges_direct=new_metrics.edges_direct,
+        pooled_seconds=round(seconds, 4),
+        per_run_ms=round(seconds / SHORT_RUNS * 1000, 2),
+        processes_spawned=spawned,
+        processes_reused=reused,
+        stages_fused=metrics.stages_fused,
+        commands_fused=metrics.commands_fused,
+        relays_elided=metrics.relays_elided,
+        edges_direct=metrics.edges_direct,
     )
 
-    # Cross-path and cross-backend byte-identity first, speed second.
-    for result in new_results + legacy_results:
+    for result in results:
         assert result.output_of("out.txt") == expected.output_of("out.txt")
     # Stage fusion must be doing real work on this shape (grep|tr chains)...
-    assert new_metrics.stages_fused >= WIDTH
+    assert metrics.stages_fused >= WIDTH
     # ...and the pooled runs must not be re-forking the graph every time.
-    assert new_spawned < legacy_spawned
-    # The acceptance bar: ≥ 1.5x lower wall clock than the PR-3 engine path.
-    assert ratio >= 1.5
+    assert spawned == 0 and reused > 0

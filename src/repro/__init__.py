@@ -30,23 +30,20 @@ Quick start::
     print(compiled.text)                       # the parallel shell script
     result = compiled.execute(backend="parallel")
 
-``repro.compile_script`` and ``repro.ParallelizationConfig`` remain importable
-for older code; ``compile_script`` emits a :class:`DeprecationWarning`.
+:class:`~repro.api.PashConfig` is the only configuration object on the run
+path; see the "Configuration" section of ``docs/API.md``.
 """
 
 from repro.api import CompiledScript, Pash, PashConfig
-from repro.backend.compiler import compile_script
-from repro.transform.pipeline import EagerMode, ParallelizationConfig, SplitMode
+from repro.transform.pipeline import EagerMode, SplitMode
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "CompiledScript",
     "EagerMode",
-    "ParallelizationConfig",
     "Pash",
     "PashConfig",
     "SplitMode",
-    "compile_script",
     "__version__",
 ]

@@ -110,6 +110,9 @@ tr {
 | otherwise => (S, [stdin], [stdout])
 }
 uniq {
+| -d => (N, [stdin], [stdout])
+| -u => (N, [stdin], [stdout])
+| -D => (N, [stdin], [stdout])
 | -c => (P, [stdin], [stdout])
 | otherwise => (P, [stdin], [stdout])
 }

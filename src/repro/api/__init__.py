@@ -16,8 +16,9 @@ The pieces, and where they live:
 
 * :class:`PashConfig` (:mod:`repro.api.config`) — one frozen object carrying
   every knob: optimizer width/eager/split/fan-in, pass toggling, backend
-  selection, scheduler options, and emitter options.  Round-trips through
-  ``to_dict``/``from_dict`` so future caching layers can key on it.
+  selection, engine streaming knobs, and emission settings; the passes, the
+  JIT driver and the parallel scheduler read it directly.  Round-trips
+  through ``to_dict``/``from_dict`` so caching layers can key on it.
 * :class:`Pash` / :func:`compile` (:mod:`repro.api.pash`) — parse + region
   discovery, then the named pass pipeline per region
   (``split-insertion → parallelize → aggregation-lowering → eager-relays →
@@ -28,9 +29,6 @@ The pieces, and where they live:
   ``.execute()`` for any engine backend.
 * :func:`run` — script-in, result-out execution (the harness's measuring
   entry point); :func:`optimize` — the pass pipeline over one graph.
-
-The legacy entry points (``repro.compile_script``, ``repro.engine.run_script``)
-remain importable but are deprecation shims over this package.
 """
 
 from repro.api.artifact import CompilationStats, CompiledScript

@@ -1,15 +1,16 @@
 """``PashConfig`` — every knob of a compilation in one frozen object.
 
 The paper's pitch is *light-touch*: a script plus one knob (the width).
-Internally, though, a compilation touches four layers — the optimizer
-(:class:`~repro.transform.pipeline.ParallelizationConfig`), the shell
-back-end (:class:`~repro.backend.shell_emitter.EmitterOptions`), the
-execution engine (:class:`~repro.engine.scheduler.SchedulerOptions`), and
-backend selection.  :class:`PashConfig` subsumes all four, so the CLI, the
-evaluation harness, the benchmarks, and library users assemble exactly one
-object and every layer derives its own options from it
-(:meth:`PashConfig.parallelization`, :meth:`PashConfig.emitter_options`,
-:meth:`PashConfig.scheduler_options`).
+:class:`PashConfig` is the only configuration object on the run path: the
+pass pipeline, the JIT driver, the evaluation harness and the parallel
+scheduler read it directly.  Three tier option types remain because they
+hold deployment settings (FIFO paths, listen addresses, interpreter
+executables, executor counts) rather than compilation knobs:
+:class:`~repro.backend.shell_emitter.EmitterOptions`
+(:meth:`PashConfig.emitter_options`),
+:class:`~repro.cluster.coordinator.ClusterOptions`
+(:meth:`PashConfig.cluster_options`) and
+:class:`~repro.service.daemon.ServiceOptions`.
 
 The object is frozen (hashable, safe to share across regions and threads)
 and round-trips through plain JSON-able dicts (:meth:`to_dict` /
@@ -24,12 +25,11 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.resilience.fault import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
-from repro.transform.pipeline import EagerMode, ParallelizationConfig, SplitMode
+from repro.transform.pipeline import EagerMode, SplitMode
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay deferred so that
     # compile-only users of `import repro` never load the engine stack.
     from repro.backend.shell_emitter import EmitterOptions
-    from repro.engine.scheduler import SchedulerOptions
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,15 @@ class StreamingConfig:
     The parallel engine moves data in framed byte chunks and buffers each
     edge in a spill-to-disk eager relay (dgsh-tee behaviour, §5.2): at most
     ``spill_threshold`` bytes of a stream sit in memory per buffer; anything
-    beyond spills to a temp file and is restored in order.  ``None`` fields
-    defer to the engine defaults (64 KiB chunks, 8 MiB buffers, the system
-    temp directory).
+    beyond spills to a temp file and is restored in order.
     """
 
     #: Framing-chunk size in bytes: the granularity of channel writes,
     #: incremental reads, and stateless batch evaluation.
-    chunk_size: Optional[int] = None
+    chunk_size: int = 64 * 1024
     #: In-memory buffer size in bytes per stream buffer (eager-pump window /
     #: graph-output accumulator) — the spill high-water mark.
-    spill_threshold: Optional[int] = None
+    spill_threshold: int = 8 * 1024 * 1024
     #: Directory for spill files (None = the system temp directory).
     spill_directory: Optional[str] = None
 
@@ -301,7 +299,7 @@ class ObsConfig:
 class PashConfig:
     """One configuration object for the whole compile-and-run pipeline."""
 
-    # -- optimizer knobs (subsume ParallelizationConfig) --------------------
+    # -- optimizer knobs ------------------------------------------------------
     #: Parallelism width: how many copies each parallelizable command becomes.
     width: int = 2
     #: How relay nodes buffer data (t3).
@@ -337,9 +335,6 @@ class PashConfig:
     backend: str = "interpreter"
     #: Exec real host binaries in the parallel backend's workers when possible.
     use_host_commands: bool = False
-    #: Channel framing-chunk size in bytes (None = engine default).
-    #: Deprecated alias for ``streaming.chunk_size``, which wins when set.
-    chunk_size: Optional[int] = None
     #: How long the parallel scheduler waits for a worker report.
     report_timeout_seconds: float = 120.0
     #: Persistent worker-pool size hint for the parallel backend (the CLI's
@@ -447,32 +442,13 @@ class PashConfig:
         )
 
     @classmethod
-    def from_parallelization(
-        cls, config: ParallelizationConfig, **overrides: Any
-    ) -> "PashConfig":
-        """Lift a legacy :class:`ParallelizationConfig` into a full config."""
-        return cls(
-            width=config.width,
-            eager=config.eager,
-            split=config.split,
-            aggregation_fan_in=config.aggregation_fan_in,
-            minimum_copies=config.minimum_copies,
-            fuse_stages=config.fuse_stages,
-            **overrides,
-        )
-
-    @classmethod
-    def coerce(cls, config: Any = None) -> "PashConfig":
-        """Accept ``None``, a :class:`PashConfig`, or a legacy config."""
+    def coerce(cls, config: Optional["PashConfig"] = None) -> "PashConfig":
+        """``None`` means the defaults; anything else must be a :class:`PashConfig`."""
         if config is None:
             return cls()
         if isinstance(config, cls):
             return config
-        if isinstance(config, ParallelizationConfig):
-            return cls.from_parallelization(config)
-        raise TypeError(
-            f"expected PashConfig or ParallelizationConfig, got {type(config).__name__}"
-        )
+        raise TypeError(f"expected PashConfig, got {type(config).__name__}")
 
     # ------------------------------------------------------------------
     # Derived per-layer options
@@ -502,20 +478,6 @@ class PashConfig:
             return max(local, max(1, self.cluster.workers) * per_worker)
         return local
 
-    def parallelization(self) -> ParallelizationConfig:
-        """The optimizer's view of this configuration."""
-        return ParallelizationConfig(
-            width=self.width,
-            eager=self.eager,
-            split=self.split,
-            aggregation_fan_in=self.aggregation_fan_in,
-            minimum_copies=self.minimum_copies,
-            fuse_stages=self.fuse_stages,
-            available_cores=(
-                self.available_cores_estimate() if self.adaptive_width else None
-            ),
-        )
-
     def pipeline(self):
         """The pass manager this configuration selects."""
         from repro.transform.passes import build_pipeline
@@ -536,34 +498,6 @@ class PashConfig:
         options.update(overrides)
         return EmitterOptions(**options)
 
-    def scheduler_options(self) -> "SchedulerOptions":
-        """The parallel engine's view of this configuration."""
-        from repro.engine.scheduler import SchedulerOptions
-
-        options = SchedulerOptions(
-            use_host_commands=self.use_host_commands,
-            report_timeout_seconds=self.report_timeout_seconds,
-        )
-        if self.jobs is not None:
-            if self.jobs <= 0:
-                options.use_pool = False
-            else:
-                options.pool_size = self.jobs
-        chunk_size = (
-            self.streaming.chunk_size
-            if self.streaming.chunk_size is not None
-            else self.chunk_size
-        )
-        if chunk_size is not None:
-            options.chunk_size = chunk_size
-        if self.streaming.spill_threshold is not None:
-            options.spill_threshold = self.streaming.spill_threshold
-        if self.streaming.spill_directory is not None:
-            options.spill_directory = self.streaming.spill_directory
-        if self.resilience.faults:
-            options.fault_plan = self.resilience.fault_plan()
-        return options
-
     def cluster_options(self):
         """The cluster coordinator's view of this configuration."""
         from repro.cluster.coordinator import ClusterOptions
@@ -573,34 +507,23 @@ class PashConfig:
             connect=self.cluster.connect,
             report_timeout_seconds=self.report_timeout_seconds,
             use_host_commands=self.use_host_commands,
+            chunk_size=self.streaming.chunk_size,
+            spill_threshold=self.streaming.spill_threshold,
+            spill_directory=self.streaming.spill_directory,
+            fault_plan=self.resilience.fault_plan(),
         )
         if self.cluster.heartbeat_interval is not None:
             options.heartbeat_interval = self.cluster.heartbeat_interval
         if self.cluster.heartbeat_timeout is not None:
             options.heartbeat_timeout = self.cluster.heartbeat_timeout
-        chunk_size = (
-            self.streaming.chunk_size
-            if self.streaming.chunk_size is not None
-            else self.chunk_size
-        )
-        if chunk_size is not None:
-            options.chunk_size = chunk_size
-        if self.streaming.spill_threshold is not None:
-            options.spill_threshold = self.streaming.spill_threshold
-        if self.streaming.spill_directory is not None:
-            options.spill_directory = self.streaming.spill_directory
-        if self.resilience.faults:
-            options.fault_plan = self.resilience.fault_plan()
         return options
 
     def backend_options(self, backend: Optional[str] = None) -> Dict[str, Any]:
         """Constructor keywords for :func:`repro.engine.create_backend`."""
         resolved = backend or self.backend
-        if resolved == "parallel":
-            return {"options": self.scheduler_options()}
         if resolved == "cluster":
             return {"options": self.cluster_options()}
-        if resolved == "jit":
+        if resolved in ("parallel", "jit"):
             return {"config": self}
         return {}
 

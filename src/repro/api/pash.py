@@ -104,10 +104,7 @@ class Pash:
         if self._pool is None or self._pool.closed:
             from repro.engine.pool import WorkerPool
 
-            options = self.config.scheduler_options()
-            self._pool = WorkerPool(
-                start_method=options.start_method, size=options.pool_size
-            )
+            self._pool = WorkerPool(size=self.config.jobs)
         return self._pool
 
     def _compile(
@@ -144,12 +141,11 @@ class Pash:
 
         # Stage 2: the pass pipeline, once per region.
         pipeline = pash_config.pipeline()
-        parallelization = pash_config.parallelization()
         optimized_graphs = []
         reports = []
         for region in translation.regions:
             graph = region.dfg
-            report = pipeline.run(graph, parallelization, tracer=tracer)
+            report = pipeline.run(graph, pash_config, tracer=tracer)
             stats.record_report(report)
             optimized_graphs.append(graph)
             reports.append(report)
@@ -204,9 +200,6 @@ class Pash:
             backend=backend, environment=environment, **backend_options
         )
 
-    #: ``run_script`` is the historical name (mirrors ``engine.run_script``).
-    run_script = run
-
 
 def compile(  # noqa: A001 - deliberate: the API's verb is `compile`
     source: str,
@@ -221,12 +214,11 @@ def compile(  # noqa: A001 - deliberate: the API's verb is `compile`
 def optimize(graph, config: Optional[Any] = None, tracer: Optional[Tracer] = None):
     """Run the configured pass pipeline over one translated graph, in place.
 
-    Accepts a :class:`PashConfig`, a legacy
-    :class:`~repro.transform.pipeline.ParallelizationConfig`, or ``None``
-    (defaults); returns the :class:`~repro.transform.pipeline.OptimizationReport`.
+    ``config`` is a :class:`PashConfig` or ``None`` (defaults); returns the
+    :class:`~repro.transform.pipeline.OptimizationReport`.
     """
     pash_config = PashConfig.coerce(config)
-    return pash_config.pipeline().run(graph, pash_config.parallelization(), tracer=tracer)
+    return pash_config.pipeline().run(graph, pash_config, tracer=tracer)
 
 
 def run(

@@ -2,19 +2,15 @@
 
 :mod:`repro.backend.shell_emitter` instantiates a dataflow graph as POSIX
 shell text — named pipes, background jobs, and the cleanup logic that keeps
-early-exiting consumers (``head``) from deadlocking their producers.
-:mod:`repro.backend.compiler` drives the whole compilation: find regions,
-optimize their DFGs, and splice the emitted parallel fragments back into the
-surrounding script.
+early-exiting consumers (``head``) from deadlocking their producers.  The
+whole compilation (find regions, optimize their DFGs, splice the emitted
+parallel fragments back into the surrounding script) is driven by
+:class:`repro.api.Pash`.
 """
 
-from repro.backend.compiler import CompilationStats, CompiledScript, compile_script
 from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
 
 __all__ = [
-    "CompilationStats",
-    "CompiledScript",
     "EmitterOptions",
-    "compile_script",
     "emit_parallel_script",
 ]

@@ -67,7 +67,6 @@ from repro.cluster.protocol import (
 )
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
-from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import DFGNode
 from repro.engine.api import EngineResult, ExecutionBackend
@@ -90,6 +89,7 @@ from repro.runtime.executor import (
     deliver_output,
     evaluate_node,
     node_streams_statelessly,
+    resolve_graph_input,
 )
 
 _worker_ids = itertools.count(1)
@@ -513,17 +513,6 @@ class ClusterCoordinator:
         metrics.elapsed_seconds = time.perf_counter() - started
         return result, metrics
 
-    def _resolve_input(self, edge: Edge, environment: ExecutionEnvironment) -> Stream:
-        """Materialize a graph-input edge from the environment."""
-        if edge.kind is EdgeKind.STDIN:
-            return list(environment.stdin)
-        if edge.kind is EdgeKind.FILE:
-            try:
-                return environment.filesystem.read(edge.name or "")
-            except FileNotFoundError as exc:
-                raise ExecutionError(str(exc)) from exc
-        return []
-
     def _deliver(
         self,
         graph: DataflowGraph,
@@ -540,7 +529,7 @@ class ClusterCoordinator:
             else:
                 stream = None
             if stream is None:
-                stream = self._resolve_input(edge, environment) if edge.source is None else []
+                stream = resolve_graph_input(edge, environment) if edge.source is None else []
             deliver_output(edge, stream, result, environment.filesystem)
 
 
@@ -581,7 +570,7 @@ class _GraphRun:
     def _seed(self) -> None:
         for edge in self.graph.input_edges():
             self.store.put_lines(
-                edge.edge_id, self.coordinator._resolve_input(edge, self.environment)
+                edge.edge_id, resolve_graph_input(edge, self.environment)
             )
         for node_id, node in self.graph.nodes.items():
             self.waiting[node_id] = {
@@ -805,7 +794,7 @@ class _GraphRun:
             task.abandon()
             raise ExecutionError(
                 f"cluster worker {handle.worker_id} failed on "
-                f"{report.get('label', task.node.label())}: {report['error']}"
+                f"{task.node.label()}: {report['error']}"
             )
         for sink in task.sinks.values():
             sink.commit()
@@ -817,24 +806,7 @@ class _GraphRun:
             span.set(cluster_worker=handle.worker_id)
             self.tracer.record(span)
         self.metrics.remote_tasks += 1
-        self.metrics.nodes.append(
-            NodeMetrics(
-                node_id=report["node_id"],
-                label=report["label"],
-                kind=report["kind"],
-                pid=report["pid"],
-                wall_seconds=report["wall_seconds"],
-                compute_seconds=report.get("compute_seconds", 0.0),
-                bytes_in=report["bytes_in"],
-                bytes_out=report["bytes_out"],
-                lines_in=report["lines_in"],
-                lines_out=report["lines_out"],
-                host_command=report["host_command"],
-                peak_buffered_bytes=report.get("peak_buffered_bytes", 0),
-                spilled_bytes=report.get("spilled_bytes", 0),
-                spill_events=report.get("spill_events", 0),
-            )
-        )
+        self.metrics.nodes.append(NodeMetrics.from_dict(report["metrics"]))
         self._complete(node_id)
 
     # -- completion ----------------------------------------------------------

@@ -37,7 +37,7 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Dict, Iterable, Iterator, Optional
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional
 
 #: Bumped on any incompatible message-shape change; checked at registration.
 PROTOCOL_VERSION = 1
@@ -65,9 +65,22 @@ class ProtocolError(RuntimeError):
     """Raised on malformed or oversized frames."""
 
 
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Write one length-prefixed pickled message."""
-    payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+class Codec(NamedTuple):
+    """How one tier serializes a frame body (the framing itself is shared)."""
+
+    encode: Callable[[Dict[str, Any]], bytes]
+    decode: Callable[[bytes], Any]
+
+
+PICKLE_CODEC = Codec(
+    encode=lambda message: pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL),
+    decode=pickle.loads,
+)
+
+
+def send_frame(sock: socket.socket, message: Dict[str, Any], codec: Codec) -> None:
+    """Write one length-prefixed message, its body encoded by ``codec``."""
+    payload = codec.encode(message)
     if len(payload) > MAX_MESSAGE_BYTES:
         raise ProtocolError(
             f"message of {len(payload)} bytes exceeds the {MAX_MESSAGE_BYTES}-byte cap"
@@ -90,7 +103,7 @@ def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
     return b"".join(pieces)
 
 
-def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
+def recv_frame(sock: socket.socket, codec: Codec) -> Optional[Dict[str, Any]]:
     """Read one message; None on clean EOF (the peer closed the connection)."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
@@ -103,10 +116,20 @@ def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     payload = _recv_exact(sock, length)
     if payload is None:
         raise ProtocolError("connection closed mid-frame")
-    message = pickle.loads(payload)
+    message = codec.decode(payload)
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(f"malformed message: {type(message).__name__}")
     return message
+
+
+def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+    """Write one length-prefixed pickled message."""
+    send_frame(sock, message, PICKLE_CODEC)
+
+
+def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
+    """Read one pickled message; None on clean EOF."""
+    return recv_frame(sock, PICKLE_CODEC)
 
 
 class MessageSocket:

@@ -174,6 +174,10 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
             squeezed.append(char)
             previous = char
         text = "".join(squeezed)
+        if "\n" in squeeze_set and text.endswith("\n"):
+            # The stream's implicit final newline extends this trailing run,
+            # so the run squeezes into it instead of leaving an empty line.
+            text = text[:-1]
 
     if not had_input:
         return []

@@ -29,7 +29,6 @@ from repro.engine.api import (
     create_backend,
     register_backend,
     run,
-    run_script,
 )
 from repro.engine.channels import (
     DEFAULT_CHUNK_SIZE,
@@ -41,7 +40,7 @@ from repro.engine.channels import (
 )
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, shared_pool
-from repro.engine.scheduler import ParallelScheduler, SchedulerOptions, execute_graph_parallel
+from repro.engine.scheduler import ParallelScheduler, execute_graph_parallel
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -57,7 +56,6 @@ __all__ = [
     "NodeMetrics",
     "ParallelBackend",
     "ParallelScheduler",
-    "SchedulerOptions",
     "ShellBackend",
     "WorkerPool",
     "shared_pool",
@@ -66,5 +64,4 @@ __all__ = [
     "execute_graph_parallel",
     "register_backend",
     "run",
-    "run_script",
 ]

@@ -8,8 +8,8 @@ registry:
 * ``parallel`` — the multiprocess scheduler with OS-pipe channels
   (:class:`repro.engine.scheduler.ParallelScheduler`); its data plane
   streams chunk-by-chunk in bounded memory, spilling eager buffers to disk
-  past :class:`~repro.engine.scheduler.SchedulerOptions`'s
-  ``spill_threshold`` (see :mod:`repro.engine.channels`),
+  past the config's ``streaming.spill_threshold`` (see
+  :mod:`repro.engine.channels`),
 * ``shell`` — emit the Fig. 3-style script and run it under a real POSIX
   shell, then fold the results back into the virtual filesystem.
 
@@ -17,12 +17,10 @@ The CLI, the evaluation harness, benchmarks, and tests all select backends
 through the ``repro.api`` front door (``CompiledScript.execute`` /
 ``repro.api.run``), which resolves names against this registry — so adding a
 backend (e.g. a distributed one) is one ``register_backend`` call.
-:func:`run_script` remains as a deprecated shim over ``repro.api.run``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import subprocess
@@ -31,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.api.config import PashConfig
 from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
 from repro.commands.base import Stream
 from repro.dfg.edges import EdgeKind
@@ -38,7 +37,7 @@ from repro.dfg.graph import DataflowGraph
 from repro.engine.channels import decode_lines
 from repro.engine.metrics import EngineMetrics
 from repro.engine.pool import WorkerPool
-from repro.engine.scheduler import ParallelScheduler, SchedulerOptions
+from repro.engine.scheduler import ParallelScheduler
 from repro.obs.tracer import SpanRecord, Tracer
 from repro.runtime.executor import (
     DFGExecutor,
@@ -46,7 +45,6 @@ from repro.runtime.executor import (
     ExecutionError,
     ExecutionResult,
 )
-from repro.transform.pipeline import ParallelizationConfig
 
 
 @dataclass
@@ -110,10 +108,9 @@ class InterpreterBackend(ExecutionBackend):
 class ParallelBackend(ExecutionBackend):
     """The multiprocess scheduler: one (pooled) worker process per node.
 
-    Constructor keywords become :class:`SchedulerOptions` fields, so
-    ``engine.run(graph, backend="parallel", spill_threshold=1 << 20)``
-    bounds every stream buffer at 1 MiB (excess spills to disk) and
-    ``chunk_size=...`` sets the framing granularity.  ``pool`` pins the
+    ``config`` is the run's :class:`PashConfig` (``None`` = defaults); its
+    ``streaming`` section bounds every stream buffer (excess spills to disk)
+    and sets the framing granularity.  ``pool`` pins the
     backend to a specific :class:`~repro.engine.pool.WorkerPool` (a ``with
     Pash(...)`` session passes its private pool here); without one the
     scheduler uses the process-wide shared pool, so process startup is
@@ -127,26 +124,18 @@ class ParallelBackend(ExecutionBackend):
 
     def __init__(
         self,
-        options: Optional[SchedulerOptions] = None,
+        config: Optional[PashConfig] = None,
         pool: Optional["WorkerPool"] = None,
         tracer: Optional[Tracer] = None,
-        **overrides,
     ) -> None:
-        if options is None:
-            options = SchedulerOptions(**overrides)
-        elif overrides:
-            # A config-derived options object plus loose keywords (e.g.
-            # ``spill_threshold=...`` on CompiledScript.execute): the
-            # explicit keywords win field-by-field.
-            options = dataclasses.replace(options, **overrides)
-        self.options = options
+        self.config = config
         self.pool = pool
         self.tracer = tracer
 
     def execute(self, graph: DataflowGraph, environment: ExecutionEnvironment) -> EngineResult:
         started = time.perf_counter()
         scheduler = ParallelScheduler(
-            environment, self.options, pool=self.pool, tracer=self.tracer
+            environment, self.config, pool=self.pool, tracer=self.tracer
         )
         mark = scheduler.tracer.mark()
         result, metrics = scheduler.execute(graph)
@@ -377,32 +366,9 @@ def run(
     """Execute one dataflow graph on the named backend.
 
     ``options`` are forwarded to the backend constructor (e.g.
-    ``use_host_commands=True`` for the parallel backend).  The environment's
-    filesystem is updated with whatever the graph writes, so successive runs
-    can share state exactly like the executor.
+    ``config=PashConfig(use_host_commands=True)`` for the parallel backend).
+    The environment's filesystem is updated with whatever the graph writes,
+    so successive runs can share state exactly like the executor.
     """
     environment = environment or ExecutionEnvironment()
     return create_backend(backend, **options).execute(graph, environment)
-
-
-def run_script(
-    source: str,
-    backend: str = "interpreter",
-    environment: Optional[ExecutionEnvironment] = None,
-    config: Optional[ParallelizationConfig] = None,
-    **options,
-) -> EngineResult:
-    """Deprecated: use :func:`repro.api.run` (same semantics, one front door)."""
-    import warnings
-
-    warnings.warn(
-        "repro.engine.run_script is deprecated; use repro.api.run(source, "
-        "config=..., backend=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.pash import run as api_run
-
-    return api_run(
-        source, config=config, backend=backend, environment=environment, **options
-    )

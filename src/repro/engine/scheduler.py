@@ -36,20 +36,15 @@ import shutil
 import tempfile
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.api.config import PashConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import FusedStage, RelayNode
-from repro.engine.channels import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_SPILL_THRESHOLD,
-    Channel,
-    iter_decoded_lines,
-)
+from repro.engine.channels import Channel, iter_decoded_lines
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
 from repro.engine.workers import (
@@ -61,70 +56,41 @@ from repro.engine.workers import (
 )
 from repro.obs.metrics import record_engine_run
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
     ExecutionResult,
     deliver_output,
+    resolve_graph_input,
 )
 
 #: Distinguishes runs on a shared (pool) report queue.
 _run_tokens = itertools.count(1)
 
 
-@dataclass
-class SchedulerOptions:
-    """Knobs of the parallel scheduler."""
-
-    #: Exec real host binaries for eligible command nodes instead of the
-    #: Python implementations (see workers.host_command_available).
-    use_host_commands: bool = False
-    #: Channel framing-chunk size in bytes.
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: In-memory high-water mark (bytes) of each stream buffer — eager-pump
-    #: windows and graph-output accumulators — beyond which data spills to a
-    #: temp file (the dgsh-tee eager-relay behaviour, §5.2).
-    spill_threshold: int = DEFAULT_SPILL_THRESHOLD
-    #: Directory for spill files (None = the system temp directory).
-    spill_directory: Optional[str] = None
-    #: How long to wait for any single worker report before declaring the
-    #: run wedged.
-    report_timeout_seconds: float = 120.0
-    #: Preferred multiprocessing start method.  ``fork`` is cheapest; on
-    #: spawn-only platforms the pool still works (descriptors are passed
-    #: explicitly and the command registry is re-created in the child).
-    start_method: str = "fork"
-    #: Serve nodes from a persistent worker pool instead of forking one
-    #: fresh process per node per run.
-    use_pool: bool = True
-    #: Pre-warm the pool to this many workers (None = grow lazily).
-    pool_size: Optional[int] = None
-    #: When to drain channel inputs through eager-pump threads: ``"fan-in"``
-    #: pumps only deadlock-relevant edges, ``"all"`` pumps every edge (the
-    #: pre-rationalization behaviour, kept for ablations).
-    pump_policy: str = "fan-in"
-    #: Bridge non-blocking identity relays pipe-to-pipe instead of running
-    #: them as forwarder processes.
-    elide_relays: bool = True
-    #: Fault-injection plan shipped to every worker of this scheduler's runs
-    #: (chaos testing; None = no injection).  Workers receive a pristine
-    #: copy per dispatch — fault state is per-process.
-    fault_plan: Optional["FaultPlan"] = None
-
-
 class ParallelScheduler:
-    """Executes dataflow graphs with one (pooled) worker process per node."""
+    """Executes dataflow graphs with one (pooled) worker process per node.
+
+    The engine's knobs come straight from the :class:`PashConfig`:
+    ``streaming`` (chunk size, spill threshold and directory),
+    ``use_host_commands``, ``report_timeout_seconds``, ``jobs`` (``0`` = one
+    dedicated fork per node instead of the pool, ``N`` = pre-warm the pool
+    to N workers) and the ``resilience`` fault plan shipped to every worker.
+    The multiprocessing start method is the pool's.
+    """
 
     def __init__(
         self,
         environment: Optional[ExecutionEnvironment] = None,
-        options: Optional[SchedulerOptions] = None,
+        config: Optional[PashConfig] = None,
         pool: Optional[WorkerPool] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.environment = environment or ExecutionEnvironment()
-        self.options = options or SchedulerOptions()
+        self.config = PashConfig.coerce(config)
+        #: Shipped to every worker; each receives a pristine copy per
+        #: dispatch — fault state is per-process.
+        self._faults = self.config.resilience.fault_plan()
         self._pool = pool
         self.tracer = tracer or NULL_TRACER
 
@@ -146,14 +112,13 @@ class ParallelScheduler:
             metrics.elapsed_seconds = time.perf_counter() - started
             return result, metrics
 
-        context = resolve_context(self.options.start_method)
-        pool = self._resolve_pool(context)
+        pool = self._resolve_pool()
+        context = pool.context if pool is not None else resolve_context("fork")
         if pool is None and context.get_start_method() != "fork":
             raise ExecutionError(
-                "the parallel backend needs the worker pool under the "
-                f"{context.get_start_method()!r} start method (channel "
-                "descriptors cannot be inherited without fork); re-enable "
-                "use_pool or switch to start_method='fork'"
+                "the parallel backend needs the worker pool on platforms "
+                "without the 'fork' start method (channel descriptors cannot "
+                "be inherited otherwise); do not set jobs=0 here"
             )
 
         skipped, heads, tails = self._plan_elisions(graph)
@@ -196,10 +161,11 @@ class ParallelScheduler:
         # outputs) live in one run-scoped directory, removed unconditionally
         # on the way out — so even a worker killed before reporting cannot
         # leak its spill file.
-        if self.options.spill_directory:
-            os.makedirs(self.options.spill_directory, exist_ok=True)
+        spill_directory = self.config.streaming.spill_directory
+        if spill_directory:
+            os.makedirs(spill_directory, exist_ok=True)
         run_spill_directory = tempfile.mkdtemp(
-            prefix="pash-run-spill-", dir=self.options.spill_directory
+            prefix="pash-run-spill-", dir=spill_directory
         )
         token = next(_run_tokens)
         pooled: Dict[int, object] = {}  # node_id -> PoolWorker
@@ -236,7 +202,8 @@ class ParallelScheduler:
                                 processes.append((plan.node, worker.process))
                                 continue
                         # Dedicated fork: the plan cannot travel to a persistent
-                        # worker (unpicklable custom registry) or pooling is off.
+                        # worker (unpicklable custom registry) or pooling is off
+                        # (``jobs=0``).
                         # The child inherits every channel fd and closes the ones
                         # it does not own.
                         if context.get_start_method() != "fork":
@@ -270,14 +237,14 @@ class ParallelScheduler:
             for node, process in processes:
                 if node.node_id in pooled:
                     continue  # pool workers stay alive by design
-                process.join(timeout=self.options.report_timeout_seconds)
+                process.join(timeout=self.config.report_timeout_seconds)
                 if process.is_alive():  # pragma: no cover - defensive
                     process.terminate()
 
             failures = [report for report in reports.values() if report["error"]]
             if failures:
                 detail = "; ".join(
-                    f"{report['label']}: {report['error']}" for report in failures
+                    f"{report['metrics']['label']}: {report['error']}" for report in failures
                 )
                 raise ExecutionError(f"{len(failures)} worker(s) failed: {detail}")
 
@@ -291,25 +258,9 @@ class ParallelScheduler:
                     # or a pool reuse, so attribution lands here.
                     span.set(reused_worker=report["node_id"] in pooled)
                     self.tracer.record(span)
-                metrics.nodes.append(
-                    NodeMetrics(
-                        node_id=report["node_id"],
-                        label=report["label"],
-                        kind=report["kind"],
-                        pid=report["pid"],
-                        wall_seconds=report["wall_seconds"],
-                        compute_seconds=report.get("compute_seconds", 0.0),
-                        bytes_in=report["bytes_in"],
-                        bytes_out=report["bytes_out"],
-                        lines_in=report["lines_in"],
-                        lines_out=report["lines_out"],
-                        host_command=report["host_command"],
-                        reused_worker=report["node_id"] in pooled,
-                        peak_buffered_bytes=report.get("peak_buffered_bytes", 0),
-                        spilled_bytes=report.get("spilled_bytes", 0),
-                        spill_events=report.get("spill_events", 0),
-                    )
-                )
+                node_metrics = NodeMetrics.from_dict(report["metrics"])
+                node_metrics.reused_worker = report["node_id"] in pooled
+                metrics.nodes.append(node_metrics)
             metrics.nodes.sort(key=lambda node: node.node_id)
         except Exception:
             for channel in channels.values():
@@ -338,14 +289,15 @@ class ParallelScheduler:
 
     # ------------------------------------------------------------------
 
-    def _resolve_pool(self, context) -> Optional[WorkerPool]:
-        if not self.options.use_pool:
+    def _resolve_pool(self) -> Optional[WorkerPool]:
+        jobs = self.config.jobs
+        if jobs is not None and jobs <= 0:
             return None
         pool = self._pool
         if pool is None or pool.closed:
-            pool = shared_pool(context.get_start_method())
-        if self.options.pool_size:
-            pool.prewarm(self.options.pool_size)
+            pool = shared_pool()
+        if jobs:
+            pool.prewarm(jobs)
         return pool
 
     @staticmethod
@@ -375,9 +327,6 @@ class ParallelScheduler:
         skipped: Dict[int, RelayNode] = {}
         heads: Dict[int, int] = {}
         tails: Dict[int, int] = {}
-        if not self.options.elide_relays:
-            return skipped, heads, tails
-
         for node_id in sorted(graph.nodes):
             node = graph.nodes[node_id]
             if not isinstance(node, RelayNode) or node.blocking:
@@ -419,7 +368,7 @@ class ParallelScheduler:
             tail = graph.edge(self._follow(tails, edge_id))
             if tail.target is None:
                 continue
-            channels[edge_id] = Channel(edge_id, chunk_size=self.options.chunk_size)
+            channels[edge_id] = Channel(edge_id, chunk_size=self.config.streaming.chunk_size)
         return channels
 
     # -- planning ------------------------------------------------------------
@@ -463,15 +412,14 @@ class ParallelScheduler:
             inputs=inputs,
             outputs=outputs,
             registry=registry,
-            use_host_commands=self.options.use_host_commands,
-            chunk_size=self.options.chunk_size,
-            spill_threshold=self.options.spill_threshold,
+            use_host_commands=self.config.use_host_commands,
+            chunk_size=self.config.streaming.chunk_size,
+            spill_threshold=self.config.streaming.spill_threshold,
             spill_directory=spill_directory,
             close_fds=all_fds,
-            pump_policy=self.options.pump_policy,
             run_token=token,
             trace=trace,
-            faults=self.options.fault_plan,
+            faults=self._faults,
         )
 
     @staticmethod
@@ -480,22 +428,10 @@ class ParallelScheduler:
             channel_inputs = sum(1 for port in plan.inputs if port.fd is not None)
             if channel_inputs == 0:
                 continue
-            if plan.pump_policy == "all" or channel_inputs >= 2:
+            if channel_inputs >= 2:
                 metrics.edges_buffered += channel_inputs
             else:
                 metrics.edges_direct += channel_inputs
-
-    def _resolve_input(self, edge: Edge) -> Stream:
-        """Materialize a graph-input edge from the environment."""
-        if edge.kind is EdgeKind.STDIN:
-            return list(self.environment.stdin)
-        if edge.kind is EdgeKind.FILE:
-            try:
-                return self.environment.filesystem.read(edge.name or "")
-            except FileNotFoundError as exc:
-                raise ExecutionError(str(exc)) from exc
-        # A dangling pipe input (should not occur in valid graphs).
-        return []
 
     def _input_port(self, edge_id: int, edge: Edge) -> InputPort:
         """A graph-input port: a streamable on-disk path when possible.
@@ -510,7 +446,7 @@ class ParallelScheduler:
                 # Resolved here, against *this* process's cwd: a persistent
                 # pool worker may have been spawned under a different one.
                 return InputPort(edge_id, path=os.path.abspath(path))
-        return InputPort(edge_id, data=self._resolve_input(edge))
+        return InputPort(edge_id, data=resolve_graph_input(edge, self.environment))
 
     def _restore_output(self, value) -> Stream:
         """Inline report outputs pass through; spilled ones stream off disk."""
@@ -520,7 +456,7 @@ class ParallelScheduler:
                 with open(path, "rb") as handle:
                     return list(
                         iter_decoded_lines(
-                            iter(lambda: handle.read(self.options.chunk_size), b"")
+                            iter(lambda: handle.read(self.config.streaming.chunk_size), b"")
                         )
                     )
             finally:
@@ -545,7 +481,7 @@ class ParallelScheduler:
         abandoned earlier run on a shared pool queue and are dropped.
         """
         reports: Dict[int, dict] = {}
-        deadline = time.monotonic() + self.options.report_timeout_seconds
+        deadline = time.monotonic() + self.config.report_timeout_seconds
 
         def take(block_seconds: float) -> bool:
             report = report_queue.get(timeout=block_seconds)
@@ -590,7 +526,7 @@ class ParallelScheduler:
                 missing = expected - len(reports)
                 raise ExecutionError(
                     f"parallel execution wedged: {missing} worker(s) never reported "
-                    f"(timeout {self.options.report_timeout_seconds}s)"
+                    f"(timeout {self.config.report_timeout_seconds}s)"
                 )
         return reports
 
@@ -612,16 +548,16 @@ class ParallelScheduler:
         for edge in graph.output_edges():
             stream = edge_values.get(edge.edge_id)
             if stream is None:
-                stream = self._resolve_input(edge) if edge.source is None else []
+                stream = resolve_graph_input(edge, self.environment) if edge.source is None else []
             deliver_output(edge, stream, result, self.environment.filesystem)
 
 
 def execute_graph_parallel(
     graph: DataflowGraph,
     environment: Optional[ExecutionEnvironment] = None,
-    options: Optional[SchedulerOptions] = None,
+    config: Optional[PashConfig] = None,
     pool: Optional[WorkerPool] = None,
     tracer: Optional[Tracer] = None,
 ) -> Tuple[ExecutionResult, EngineMetrics]:
     """Convenience wrapper: execute ``graph`` on the parallel scheduler."""
-    return ParallelScheduler(environment, options, pool=pool, tracer=tracer).execute(graph)
+    return ParallelScheduler(environment, config, pool=pool, tracer=tracer).execute(graph)

@@ -58,6 +58,7 @@ from repro.engine.channels import (
     iter_decoded_batches,
     iter_encoded_chunks,
 )
+from repro.engine.metrics import NodeMetrics
 from repro.obs.tracer import TraceContext, record_worker_span
 from repro.resilience import fault as fault_injection
 from repro.resilience.errors import wrap_capacity_error
@@ -119,11 +120,6 @@ class WorkerPlan:
     #: own so that EOF propagates correctly after the fork.  Empty for pool
     #: workers, which only ever receive their own descriptors.
     close_fds: List[int] = field(default_factory=list)
-    #: When to drain channel inputs through an eager-pump thread:
-    #: ``"fan-in"`` pumps only nodes with two or more channel inputs (the
-    #: edges the order-aware analysis marks deadlock-relevant); ``"all"``
-    #: reproduces the pump-every-edge behaviour of earlier revisions.
-    pump_policy: str = "fan-in"
     #: Identifies the scheduler run this plan belongs to; echoed in the
     #: report so a shared (pool) report queue never mixes runs up.
     run_token: int = 0
@@ -352,12 +348,11 @@ def _open_sources(plan: WorkerPlan) -> List[InputSource]:
     several channels *sequentially*: starting one pump per channel before
     any consumption guarantees no producer blocks on an input this worker
     has not reached yet.  A node with a single channel input is itself a
-    continuous consumer, so (under the default ``"fan-in"`` policy) it reads
-    the pipe directly — zero extra threads, zero extra copies on every
-    straight-line edge.
+    continuous consumer, so it reads the pipe directly — zero extra threads,
+    zero extra copies on every straight-line edge.
     """
     channel_ports = sum(1 for port in plan.inputs if port.fd is not None)
-    pump_channels = plan.pump_policy == "all" or channel_ports >= 2
+    pump_channels = channel_ports >= 2
     sources: List[InputSource] = []
     for port in plan.inputs:
         if port.fd is not None:
@@ -614,7 +609,7 @@ def _run_chunk_mode(
 
 def _run_batch_mode(
     plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
-    registry: CommandRegistry, report: Dict[str, object],
+    registry: CommandRegistry, metrics: NodeMetrics,
 ) -> None:
     """Evaluate a stateless command (or fused chain) one line batch at a time."""
     node = plan.node
@@ -635,23 +630,23 @@ def _run_batch_mode(
         compute += time.perf_counter() - started
         for sink in sinks:
             sink.write_lines(output)
-    report["compute_seconds"] = compute
+    metrics.compute_seconds = compute
 
 
 def _run_materialize_mode(
     plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
-    registry: CommandRegistry, report: Dict[str, object],
+    registry: CommandRegistry, metrics: NodeMetrics,
 ) -> None:
     """Whole-stream evaluation for nodes that need all their input at once."""
     node = plan.node
     inputs: List[Stream] = [source.lines() for source in sources]
     started = time.perf_counter()
     if host_command_available(node, plan.use_host_commands):
-        report["host_command"] = True
+        metrics.host_command = True
         outputs = [_run_host_command(node, inputs)]
     else:
         outputs = evaluate_node(node, inputs, registry)
-    report["compute_seconds"] = time.perf_counter() - started
+    metrics.compute_seconds = time.perf_counter() - started
     # Mirror the interpreter's arity check: a mismatch must be a loud
     # error, not silently-empty downstream edges.
     if len(outputs) != len(plan.outputs):
@@ -671,29 +666,20 @@ def _run_materialize_mode(
 def execute_plan(plan: WorkerPlan, report_queue) -> None:
     """Process body: evaluate one node and report the outcome.
 
-    The report always reaches the queue, carrying either the node's metrics
-    (and any graph-output streams, inline or as spill-file references) or an
-    error string.
+    The report always reaches the queue, carrying the node's
+    :class:`~repro.engine.metrics.NodeMetrics` (as ``to_dict()`` under
+    ``"metrics"``) plus either the graph-output streams (inline or as
+    spill-file references) or an error string.
     """
     node = plan.node
+    metrics = NodeMetrics(
+        node_id=node.node_id, label=node.label(), kind=node.kind, pid=os.getpid()
+    )
     report: Dict[str, object] = {
         "node_id": node.node_id,
-        "label": node.label(),
-        "kind": node.kind,
-        "pid": os.getpid(),
         "token": plan.run_token,
         "error": None,
         "outputs": {},
-        "wall_seconds": 0.0,
-        "compute_seconds": 0.0,
-        "bytes_in": 0,
-        "bytes_out": 0,
-        "lines_in": 0,
-        "lines_out": 0,
-        "host_command": False,
-        "peak_buffered_bytes": 0,
-        "spilled_bytes": 0,
-        "spill_events": 0,
     }
     started = time.perf_counter()
     trace_start_us = time.time_ns() // 1_000 if plan.trace is not None else 0
@@ -724,9 +710,9 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
         if mode == "chunks":
             staging = _run_chunk_mode(plan, sources, sinks)
         elif mode == "batches":
-            _run_batch_mode(plan, sources, sinks, registry, report)
+            _run_batch_mode(plan, sources, sinks, registry, metrics)
         else:
-            _run_materialize_mode(plan, sources, sinks, registry, report)
+            _run_materialize_mode(plan, sources, sinks, registry, metrics)
 
         for sink in sinks:
             sink.finish()
@@ -748,22 +734,23 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
             except OSError:
                 pass
         for source in sources:
-            report["bytes_in"] += source.bytes_in
-            report["lines_in"] += source.lines_in
+            metrics.bytes_in += source.bytes_in
+            metrics.lines_in += source.lines_in
         for sink in sinks:
-            report["bytes_out"] += sink.bytes_out
-            report["lines_out"] += sink.lines_out
+            metrics.bytes_out += sink.bytes_out
+            metrics.lines_out += sink.lines_out
         buffers = [
             *(source for source in sources),
             *(sink for sink in sinks if isinstance(sink, ReportSink)),
             *staging,
         ]
-        report["peak_buffered_bytes"] = max(
+        metrics.peak_buffered_bytes = max(
             (buffer.peak_buffered_bytes for buffer in buffers), default=0
         )
-        report["spilled_bytes"] = sum(buffer.spilled_bytes for buffer in buffers)
-        report["spill_events"] = sum(buffer.spill_events for buffer in buffers)
-        report["wall_seconds"] = time.perf_counter() - started
+        metrics.spilled_bytes = sum(buffer.spilled_bytes for buffer in buffers)
+        metrics.spill_events = sum(buffer.spill_events for buffer in buffers)
+        metrics.wall_seconds = time.perf_counter() - started
+        report["metrics"] = metrics.to_dict()
         if plan.trace is not None:
             # The span carries the node's full counter set as attributes, so
             # byte/line/spill flow is queryable per span in any exporter.  It
@@ -771,25 +758,11 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
             # pickle) — no extra channel, no cost when tracing is off.
             span = record_worker_span(
                 plan.trace,
-                name=f"node:{report['label']}",
+                name=f"node:{metrics.label}",
                 category="worker",
                 start_us=trace_start_us,
-                duration_us=int(report["wall_seconds"] * 1e6),  # type: ignore[operator]
-                attributes={
-                    "node_id": report["node_id"],
-                    "kind": report["kind"],
-                    "error": report["error"],
-                    "wall_seconds": report["wall_seconds"],
-                    "compute_seconds": report["compute_seconds"],
-                    "bytes_in": report["bytes_in"],
-                    "bytes_out": report["bytes_out"],
-                    "lines_in": report["lines_in"],
-                    "lines_out": report["lines_out"],
-                    "host_command": report["host_command"],
-                    "peak_buffered_bytes": report["peak_buffered_bytes"],
-                    "spilled_bytes": report["spilled_bytes"],
-                    "spill_events": report["spill_events"],
-                },
+                duration_us=int(metrics.wall_seconds * 1e6),
+                attributes={"error": report["error"], **report["metrics"]},
             )
             report["spans"] = [span]
         report_queue.put(report)

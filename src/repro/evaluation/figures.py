@@ -6,7 +6,6 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.api import PashConfig
 from repro.simulator.machine import MachineModel
-from repro.transform.pipeline import ParallelizationConfig, relevant_configurations
 from repro.evaluation.harness import simulate_benchmark, simulate_script
 from repro.workloads.base import BenchmarkScript
 from repro.workloads.oneliners import ONE_LINERS
@@ -26,9 +25,9 @@ def figure7_series(
     machine = machine or MachineModel.paper_testbed()
     series: Dict[str, Dict[int, float]] = {}
     for width in widths:
-        named_configs = configurations or relevant_configurations(width)
+        named_configs = configurations or PashConfig.named_configurations(width)
         for name, config in named_configs.items():
-            if not isinstance(config, ParallelizationConfig):
+            if not isinstance(config, PashConfig):
                 continue
             run = simulate_benchmark(
                 benchmark, width, config, configuration_name=name, machine=machine
@@ -84,7 +83,7 @@ def figure8_point(
     input_lines = pipeline.input_line_counts(width)
 
     sequential, parallel, _ = simulate_script(
-        script, input_lines, PashConfig.paper_default(width).parallelization(), machine=machine
+        script, input_lines, PashConfig.paper_default(width), machine=machine
     )
     speedup = sequential.total_seconds / parallel.total_seconds if parallel.total_seconds else 0.0
     return {

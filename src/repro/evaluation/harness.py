@@ -11,7 +11,6 @@ Two kinds of performance numbers coexist here:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,7 +30,6 @@ from repro.shell.parser import parse
 from repro.simulator.costs import CostModel
 from repro.simulator.machine import MachineModel
 from repro.simulator.simulate import SimulationResult, simulate_script_graphs
-from repro.transform.pipeline import ParallelizationConfig
 from repro.workloads.base import BenchmarkScript
 
 
@@ -61,7 +59,7 @@ class ScriptGraphs:
     rejected_statements: int = 0
 
 
-def script_graphs(script: str, config: ParallelizationConfig) -> ScriptGraphs:
+def script_graphs(script: str, config: PashConfig) -> ScriptGraphs:
     """Build the sequential and PaSh-parallel graph sets for ``script``.
 
     Every statement is translated with the lenient timing library for the
@@ -73,7 +71,7 @@ def script_graphs(script: str, config: ParallelizationConfig) -> ScriptGraphs:
     # The discrete-event simulator models the paper's one-process-per-node
     # runtime; our post-paper stage fusion would misrepresent it, so the
     # simulated graph shapes pin it off (the engine's measured runs keep it).
-    config = dataclasses.replace(PashConfig.coerce(config).parallelization(), fuse_stages=False)
+    config = config.replace(fuse_stages=False)
 
     ast = parse(script)
     standard_builder = DFGBuilder(standard_library())
@@ -123,7 +121,7 @@ class BenchmarkRun:
 def simulate_script(
     script: str,
     input_lines: Dict[str, int],
-    config: ParallelizationConfig,
+    config: PashConfig,
     machine: Optional[MachineModel] = None,
     cost_model: Optional[CostModel] = None,
 ) -> Tuple[SimulationResult, SimulationResult, ScriptGraphs]:
@@ -145,7 +143,7 @@ def simulate_script(
 def simulate_benchmark(
     benchmark: BenchmarkScript,
     width: int,
-    config: Optional[ParallelizationConfig] = None,
+    config: Optional[PashConfig] = None,
     configuration_name: str = "Par + Split",
     machine: Optional[MachineModel] = None,
     cost_model: Optional[CostModel] = None,
@@ -153,7 +151,7 @@ def simulate_benchmark(
     """Simulate one benchmark at one width under one configuration."""
     machine = machine or MachineModel.paper_testbed()
     cost_model = cost_model or benchmark.cost_model()
-    config = config or ParallelizationConfig.paper_default(width)
+    config = config or PashConfig.paper_default(width)
 
     script = benchmark.script_for_width(width)
     input_lines = benchmark.input_line_counts(width)
@@ -176,7 +174,7 @@ def simulate_benchmark(
 def speedup_for_width(
     benchmark: BenchmarkScript,
     width: int,
-    config: Optional[ParallelizationConfig] = None,
+    config: Optional[PashConfig] = None,
     **kwargs,
 ) -> float:
     """Convenience wrapper returning only the speedup."""
@@ -206,14 +204,14 @@ def measure_benchmark(
     width: int,
     backend: str = "parallel",
     lines: int = 2400,
-    config: Optional[ParallelizationConfig] = None,
+    config: Optional[PashConfig] = None,
     environment: Optional[ExecutionEnvironment] = None,
     **backend_options,
 ) -> MeasuredRun:
     """Execute one benchmark for real and report measured wall-clock time.
 
     ``config=None`` runs the unoptimized graphs (the sequential shape);
-    passing a :class:`ParallelizationConfig` measures the parallelized
+    passing a :class:`PashConfig` measures the parallelized
     graphs on the chosen backend.
     """
     if environment is None:
@@ -245,7 +243,7 @@ def measured_speedup(
     benchmark: BenchmarkScript,
     width: int,
     lines: int = 2400,
-    config: Optional[ParallelizationConfig] = None,
+    config: Optional[PashConfig] = None,
     backend: str = "parallel",
     **backend_options,
 ) -> Tuple[MeasuredRun, MeasuredRun, float]:
@@ -287,7 +285,7 @@ def check_benchmark_correctness(
     benchmark: BenchmarkScript,
     width: int = 4,
     lines: int = 1200,
-    config: Optional[ParallelizationConfig] = None,
+    config: Optional[PashConfig] = None,
     backend: str = "interpreter",
 ) -> CorrectnessReport:
     """Execute a benchmark sequentially and in parallel over a small dataset.
@@ -341,7 +339,7 @@ def _run_sequential(script: str, dataset: Dict[str, List[str]]):
 def _run_parallel(
     script: str,
     dataset: Dict[str, List[str]],
-    config: ParallelizationConfig,
+    config: PashConfig,
     backend: str = "interpreter",
 ):
     environment = ExecutionEnvironment(filesystem=VirtualFileSystem(dict(dataset)))

@@ -29,7 +29,7 @@ def _simulate_script(
     sequential, parallel, _ = simulate_script(
         script,
         input_lines,
-        PashConfig.paper_default(width).parallelization(),
+        PashConfig.paper_default(width),
         machine=machine,
         cost_model=cost_model,
     )

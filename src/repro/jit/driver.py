@@ -139,7 +139,6 @@ class JitDriver(ShellInterpreter):
         self.metrics = EngineMetrics(backend="jit")
         self._config_digest = config_digest(self.config)
         self._pipeline = self.config.pipeline()
-        self._parallelization = self.config.parallelization()
         self._engine: Optional[ExecutionBackend] = None
         self._in_region = False
         self._active_memo: Optional[Dict[str, str]] = None
@@ -338,7 +337,7 @@ class JitDriver(ShellInterpreter):
         builder = DFGBuilder(self.library, context=context, filesystem=self._fs)
         graph = builder.build_from_node(node)
         graph.validate()
-        opt_report = self._pipeline.run(graph, self._parallelization, tracer=self.tracer)
+        opt_report = self._pipeline.run(graph, self.config, tracer=self.tracer)
         return graph, opt_report, builder.saw_glob
 
     def _bindings_for(self, names) -> Tuple[Tuple[str, Optional[str]], ...]:

@@ -288,6 +288,22 @@ class Tracer:
             start = max(0, mark - self._evicted)
             return list(self.spans[start:])
 
+    def descendants(self, root_id: str, mark: int = 0) -> List[SpanRecord]:
+        """Retained spans since ``mark`` whose ancestor chain reaches ``root_id``.
+
+        The per-job view on a tracer shared by concurrent jobs: positional
+        :meth:`since` slices interleave there, ancestry does not.
+        """
+        window = self.since(mark)
+        parents = {span.span_id: span.parent_id for span in window}
+
+        def under_root(span_id: Optional[str]) -> bool:
+            while span_id is not None and span_id != root_id:
+                span_id = parents.get(span_id)
+            return span_id == root_id
+
+        return [span for span in window if under_root(span.parent_id)]
+
     @property
     def dropped_spans(self) -> int:
         """Spans evicted by the :attr:`max_spans` ring buffer (0 = none)."""

@@ -189,21 +189,30 @@ class DFGExecutor:
             return edge_values[edge.edge_id]
         if edge.source is not None:
             raise ExecutionError(f"edge {edge.edge_id} read before being produced")
-        if edge.kind is EdgeKind.STDIN:
-            return list(self.environment.stdin)
-        if edge.kind is EdgeKind.FILE:
-            try:
-                return self.environment.filesystem.read(edge.name or "")
-            except FileNotFoundError as exc:
-                raise ExecutionError(str(exc)) from exc
-        # A dangling pipe input (should not occur in valid graphs).
-        return []
+        return resolve_graph_input(edge, self.environment)
 
     def _run_node(self, node: DFGNode, inputs: List[Stream]) -> List[Stream]:
         return evaluate_node(node, inputs, self.environment.registry)
 
     def _deliver_output(self, edge: Edge, stream: Stream, result: ExecutionResult) -> None:
         deliver_output(edge, stream, result, self.environment.filesystem)
+
+
+def resolve_graph_input(edge: Edge, environment: ExecutionEnvironment) -> Stream:
+    """Materialize a graph-input edge (stdin or an input file) from the environment.
+
+    Shared by every backend that resolves inputs up front (the in-process
+    executor, the parallel scheduler, the cluster coordinator).
+    """
+    if edge.kind is EdgeKind.STDIN:
+        return list(environment.stdin)
+    if edge.kind is EdgeKind.FILE:
+        try:
+            return environment.filesystem.read(edge.name or "")
+        except FileNotFoundError as exc:
+            raise ExecutionError(str(exc)) from exc
+    # A dangling pipe input (should not occur in valid graphs).
+    return []
 
 
 def deliver_output(

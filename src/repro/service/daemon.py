@@ -252,14 +252,10 @@ class PashServiceDaemon:
             executors=self.options.executors,
             pid=os.getpid(),
         )
-        scheduler = self.config.scheduler_options()
-        if getattr(scheduler, "use_pool", True):
+        if self.config.jobs != 0:
             from repro.engine.pool import WorkerPool
 
-            self.pool = WorkerPool(
-                start_method=getattr(scheduler, "start_method", "fork"),
-                size=getattr(scheduler, "pool_size", None),
-            )
+            self.pool = WorkerPool(size=self.config.jobs)
         for index in range(max(0, self.options.executors)):
             thread = threading.Thread(
                 target=self._executor_loop, name=f"pash-serve-exec-{index}", daemon=True
@@ -608,9 +604,15 @@ class PashServiceDaemon:
                     job_id=job.job_id,
                     tenant=job.tenant,
                     backend=job.backend,
-                ):
+                ) as job_span:
+                    mark = tracer.mark()
                     result, compiled = self._execute_supervised(job, config, tracer)
-                report = RunReport.from_run(result, compiled).to_dict()
+                # The tracer is shared by every executor: slice this job's
+                # spans by ancestry, not by position.
+                spans = (
+                    tracer.descendants(job_span.span_id, mark) if tracer.enabled else None
+                )
+                report = RunReport.from_run(result, compiled, spans=spans).to_dict()
             finally:
                 # Before the job turns terminal: a waiter that observes
                 # "done" must never still see the job's spill directory.

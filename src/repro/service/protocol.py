@@ -1,8 +1,8 @@
 """The client/daemon wire protocol of the service tier.
 
-Framing shares the *shape* of :mod:`repro.cluster.protocol` — a 4-byte
-big-endian length prefix and one frame — but the body is **UTF-8 JSON, not
-pickle**.  The cluster tier can justify pickle because both endpoints are
+Framing is :mod:`repro.cluster.protocol`'s — a 4-byte big-endian length
+prefix and one size-capped frame (``send_frame``/``recv_frame``) — but the
+body codec is **UTF-8 JSON, not pickle**.  The cluster tier can justify pickle because both endpoints are
 the same codebase started by the same user (an internal process boundary);
 ``pash-serve`` is a *tenant-facing* service with an advertised isolation
 model, and unpickling client bytes would hand any connecting client
@@ -43,13 +43,15 @@ from __future__ import annotations
 import ipaddress
 import json
 import socket
-import struct
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cluster.protocol import (
     MAX_MESSAGE_BYTES,
+    Codec,
     ProtocolError,
     parse_address,
+    recv_frame,
+    send_frame,
 )
 from repro.service.admission import ServiceBusy, ServiceError
 
@@ -110,8 +112,6 @@ BUSY_CODES = frozenset({ERR_BUSY, ERR_QUOTA})
 
 Address = Union[str, Tuple[str, int]]
 
-_HEADER = struct.Struct(">I")
-
 
 def resolve_address(address: Address) -> Tuple[str, int]:
     """Accept ``"HOST:PORT"`` or an ``(host, port)`` pair."""
@@ -139,32 +139,26 @@ def is_loopback_host(host: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def send_json_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Write one length-prefixed UTF-8 JSON message."""
+def _encode_json(message: Dict[str, Any]) -> bytes:
     try:
-        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        return json.dumps(message, separators=(",", ":")).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"message is not JSON-serializable: {exc}") from exc
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(payload)} bytes exceeds the {MAX_MESSAGE_BYTES}-byte cap"
-        )
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; None on EOF before the first byte."""
-    pieces = []
-    remaining = count
-    while remaining:
-        piece = sock.recv(remaining)
-        if not piece:
-            if remaining == count:
-                return None  # clean EOF at a frame boundary
-            raise ProtocolError("connection closed mid-frame")
-        pieces.append(piece)
-        remaining -= len(piece)
-    return b"".join(pieces)
+def _decode_json(payload: bytes) -> Any:
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+
+
+_JSON_CODEC = Codec(encode=_encode_json, decode=_decode_json)
+
+
+def send_json_message(sock: socket.socket, message: Dict[str, Any]) -> None:
+    """Write one length-prefixed UTF-8 JSON message."""
+    send_frame(sock, message, _JSON_CODEC)
 
 
 def recv_json_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
@@ -174,24 +168,7 @@ def recv_json_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
     example a pickle, or random bytes) raises :class:`ProtocolError` and is
     never evaluated.
     """
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the {MAX_MESSAGE_BYTES}-byte cap"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError(f"malformed message: {type(message).__name__}")
-    return message
+    return recv_frame(sock, _JSON_CODEC)
 
 
 # ---------------------------------------------------------------------------

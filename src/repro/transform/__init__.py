@@ -27,10 +27,7 @@ from repro.transform.passes import (
 from repro.transform.pipeline import (
     EagerMode,
     OptimizationReport,
-    ParallelizationConfig,
     SplitMode,
-    optimize_graph,
-    relevant_configurations,
 )
 
 __all__ = [
@@ -39,7 +36,6 @@ __all__ = [
     "EagerRelayPass",
     "GraphPass",
     "OptimizationReport",
-    "ParallelizationConfig",
     "ParallelizePass",
     "PassContext",
     "PassManager",
@@ -52,10 +48,8 @@ __all__ = [
     "insert_relay",
     "insert_split_before",
     "is_parallelizable_node",
-    "optimize_graph",
     "parallelize_node",
     "register_pass",
-    "relevant_configurations",
     "preceding_concatenation",
     "unregister_pass",
 ]

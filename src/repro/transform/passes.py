@@ -1,7 +1,7 @@
 """The optimization pass manager: named, ordered, individually-toggleable passes.
 
-The monolithic ``optimize_graph`` body is decomposed into four named
-:class:`GraphPass` objects that run in a fixed order over one
+The optimizer is an ordered list of named :class:`GraphPass` objects that
+run in a fixed order over one
 :class:`~repro.dfg.graph.DataflowGraph`:
 
 1. ``split-insertion`` — contributes the t2 rule (§4.2).  Split insertion is
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CommandNode, DFGNode, FusedStage
@@ -50,10 +50,12 @@ from repro.transform.parallelize import (
 from repro.transform.pipeline import (
     EagerMode,
     OptimizationReport,
-    ParallelizationConfig,
     SplitMode,
     effective_width,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - repro.api.config imports this package
+    from repro.api.config import PashConfig
 
 
 @dataclass
@@ -65,7 +67,7 @@ class PassContext:
     """
 
     graph: DataflowGraph
-    config: ParallelizationConfig
+    config: "PashConfig"
     report: OptimizationReport
     state: Dict[str, object] = field(default_factory=dict)
 
@@ -155,9 +157,13 @@ class ParallelizePass(GraphPass):
                         concatenation = split_rule(graph, node)
                         if concatenation is not None:
                             report.inserted_splits += 1
-                if concatenation is None or self._below_minimum_copies(
-                    concatenation, config
+                if (
+                    concatenation is None
+                    or min(len(concatenation.inputs), width) < config.minimum_copies
                 ):
+                    # T would create fewer copies than the configured minimum
+                    # (with the default of 2 this only excludes degenerate
+                    # single-stream concatenations, which T skips anyway).
                     if node.label() not in report.skipped_commands:
                         report.skipped_commands.append(node.label())
                     continue
@@ -175,17 +181,6 @@ class ParallelizePass(GraphPass):
                     report.parallelized_commands.append(node.label())
                     progress = True
                     break  # Topological order changed; restart the scan.
-
-    @staticmethod
-    def _below_minimum_copies(concatenation, config: ParallelizationConfig) -> bool:
-        """True when T would create fewer copies than the configured minimum.
-
-        The copy count is the concatenation's stream count capped by the
-        effective width; with the default ``minimum_copies=2`` this only
-        excludes degenerate single-stream concatenations, which T skips
-        anyway.
-        """
-        return min(len(concatenation.inputs), effective_width(config)) < config.minimum_copies
 
 
 class AggregationLoweringPass(GraphPass):
@@ -260,7 +255,7 @@ class FuseStagesPass(GraphPass):
     description = "collapse linear stateless chains into single-worker stages"
 
     def run(self, context: PassContext) -> None:
-        if not getattr(context.config, "fuse_stages", False):
+        if not context.config.fuse_stages:
             return
         graph = context.graph
         for node in list(graph.topological_order()):
@@ -410,7 +405,7 @@ class PassManager:
     def run(
         self,
         graph: DataflowGraph,
-        config: Optional[ParallelizationConfig] = None,
+        config: "PashConfig",
         report: Optional[OptimizationReport] = None,
         tracer: Optional["Tracer"] = None,
     ) -> OptimizationReport:
@@ -423,7 +418,6 @@ class PassManager:
             from repro.obs.tracer import NULL_TRACER
 
             tracer = NULL_TRACER
-        config = config or ParallelizationConfig()
         report = report or OptimizationReport()
         context = PassContext(graph=graph, config=config, report=report)
         started = time.perf_counter()

@@ -1,7 +1,8 @@
-"""Optimization knobs and the legacy single-call driver.
+"""Optimization knob enums and the per-graph optimization report.
 
-:class:`ParallelizationConfig` names the §4.2 knobs matching the
-configurations evaluated in Fig. 7:
+:class:`EagerMode` and :class:`SplitMode` name the §4.2 knobs that
+:class:`repro.api.PashConfig` combines into the configurations evaluated in
+Fig. 7:
 
 * ``Par + Split`` — eager relays and the general (counting) split,
 * ``Par + B.Split`` — eager relays and the input-aware (blocking-free) split,
@@ -11,10 +12,8 @@ configurations evaluated in Fig. 7:
 * ``No Eager`` — neither relays nor split.
 
 The transformations themselves live in :mod:`repro.transform.passes` as an
-ordered pipeline of named passes; :func:`optimize_graph` is kept as the
-one-call wrapper that runs the default pipeline.  New code should prefer the
-``repro.api`` front door (``Pash.compile`` / ``repro.api.optimize``), which
-also exposes per-pass toggling.
+ordered pipeline of named passes, driven through the ``repro.api`` front door
+(``Pash.compile`` / ``repro.api.optimize``).
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.dfg.graph import DataflowGraph
+if TYPE_CHECKING:  # pragma: no cover - repro.api.config imports this module
+    from repro.api.config import PashConfig
 
 
 class EagerMode(enum.Enum):
@@ -43,63 +43,17 @@ class SplitMode(enum.Enum):
     INPUT_AWARE = "input-aware"
 
 
-@dataclass
-class ParallelizationConfig:
-    """Knobs controlling the optimization passes."""
-
-    width: int = 2
-    eager: EagerMode = EagerMode.EAGER
-    split: SplitMode = SplitMode.GENERAL
-    #: Fan-in of the aggregation tree for pure commands (2 = binary tree).
-    aggregation_fan_in: int = 2
-    #: Never parallelize commands whose estimated benefit is below this many
-    #: input streams (kept at 2: a single stream cannot be parallelized
-    #: without split).
-    minimum_copies: int = 2
-    #: Collapse linear stateless chains into single-worker fused stages
-    #: (the ``fuse-stages`` pass).  Off by default in this *legacy* config so
-    #: that paper-faithful graph shapes (Table 2 process counts, simulated
-    #: figures) are reproduced unchanged; the ``repro.api.PashConfig`` front
-    #: door defaults it on for the execution engine's hot path.
-    fuse_stages: bool = False
-    #: Cores the target backend can keep busy, or ``None`` for "trust the
-    #: width".  When set, the parallelize/split passes clamp the effective
-    #: width to it (``PashConfig.adaptive_width`` feeds it): CPU-bound stages
-    #: gain nothing from more copies than cores, they only pay splitting and
-    #: aggregation overhead.
-    available_cores: Optional[int] = None
-
-    @classmethod
-    def paper_default(cls, width: int) -> "ParallelizationConfig":
-        """The `Par + Split` configuration used for the headline results."""
-        return cls(width=width, eager=EagerMode.EAGER, split=SplitMode.GENERAL)
-
-    @classmethod
-    def no_eager(cls, width: int) -> "ParallelizationConfig":
-        return cls(width=width, eager=EagerMode.NONE, split=SplitMode.NONE)
-
-    @classmethod
-    def blocking_eager(cls, width: int) -> "ParallelizationConfig":
-        return cls(width=width, eager=EagerMode.BLOCKING, split=SplitMode.NONE)
-
-    @classmethod
-    def parallel_only(cls, width: int) -> "ParallelizationConfig":
-        return cls(width=width, eager=EagerMode.EAGER, split=SplitMode.NONE)
-
-    @classmethod
-    def blocking_split(cls, width: int) -> "ParallelizationConfig":
-        return cls(width=width, eager=EagerMode.EAGER, split=SplitMode.INPUT_AWARE)
-
-
-def effective_width(config: ParallelizationConfig) -> int:
+def effective_width(config: "PashConfig") -> int:
     """The width the passes actually fan out to.
 
-    The configured width, clamped to ``available_cores`` when the config
-    carries a core budget (never below 1).
+    The configured width, clamped to the cores the selected backend can keep
+    busy when ``config.adaptive_width`` is set (never below 1): CPU-bound
+    stages gain nothing from more copies than cores, they only pay splitting
+    and aggregation overhead.
     """
-    if config.available_cores is None:
+    if not config.adaptive_width:
         return config.width
-    return max(1, min(config.width, config.available_cores))
+    return max(1, min(config.width, config.available_cores_estimate()))
 
 
 @dataclass
@@ -134,35 +88,3 @@ class OptimizationReport:
         payload["pass_seconds"] = dict(self.pass_seconds)
         payload["parallelized_count"] = self.parallelized_count
         return payload
-
-
-def optimize_graph(
-    graph: DataflowGraph,
-    config: Optional[ParallelizationConfig] = None,
-) -> OptimizationReport:
-    """Apply the parallelization and auxiliary transformations in place.
-
-    Runs the default pass pipeline (see :mod:`repro.transform.passes`).  The
-    ``repro.api`` front door is the preferred entry point; this wrapper stays
-    for callers that already hold a single translated graph.
-    """
-    from repro.transform.passes import build_pipeline  # deferred: cyclic module
-
-    return build_pipeline().run(graph, config or ParallelizationConfig())
-
-
-def relevant_configurations(width: int) -> dict:
-    """The named configurations plotted in Fig. 7 for a given width.
-
-    Delegates to :meth:`repro.api.PashConfig.named_configurations` — the
-    single source of truth for the Fig. 7 ablation names — projected down to
-    the optimizer's view.
-    """
-    from repro.api.config import PashConfig  # deferred: cyclic module
-
-    # The Fig. 7 ablations model the paper's one-process-per-node runtime, so
-    # the simulator-facing projection pins our post-paper stage fusion off.
-    return {
-        name: config.replace(fuse_stages=False).parallelization()
-        for name, config in PashConfig.named_configurations(width).items()
-    }

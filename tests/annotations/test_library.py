@@ -38,6 +38,10 @@ def test_flags_change_class():
     assert library.classify("grep", ["-n", "foo"]) is N
     assert library.classify("sed", ["s/a/b/"]) is S
     assert library.classify("sed", ["-n", "1p"]) is E
+    # Partial `uniq -d/-u/-D` outputs cannot be boundary-merged by merge_uniq.
+    assert library.classify("uniq", []) is P
+    for flag in ("-d", "-u", "-D", "-cd"):
+        assert library.classify("uniq", [flag]) is N
 
 
 def test_non_parallelizable_and_side_effectful():

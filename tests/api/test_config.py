@@ -1,24 +1,23 @@
-"""PashConfig: one config object, four derived views, round-trippable."""
+"""PashConfig: the one run-path config object, round-trippable."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.api import EagerMode, PashConfig, SplitMode
+from repro.api import EagerMode, PashConfig, SplitMode, StreamingConfig
 from repro.cli import build_parser
-from repro.engine.scheduler import SchedulerOptions
-from repro.transform.pipeline import ParallelizationConfig
+from repro.engine.channels import DEFAULT_CHUNK_SIZE, DEFAULT_SPILL_THRESHOLD
 
 
-def test_defaults_match_legacy_parallelization_config():
+def test_defaults():
     config = PashConfig()
-    legacy = ParallelizationConfig()
-    assert config.width == legacy.width
-    assert config.eager is legacy.eager
-    assert config.split is legacy.split
-    assert config.aggregation_fan_in == legacy.aggregation_fan_in
-    assert config.minimum_copies == legacy.minimum_copies
+    assert config.width == 2
+    assert config.eager is EagerMode.EAGER
+    assert config.split is SplitMode.GENERAL
+    assert config.aggregation_fan_in == 2
+    assert config.minimum_copies == 2
+    assert config.fuse_stages is True
     assert config.backend == "interpreter"
 
 
@@ -60,7 +59,7 @@ def test_named_constructors_mirror_the_fig7_configurations():
             disabled_passes=("eager-relays",),
             backend="parallel",
             use_host_commands=True,
-            chunk_size=4096,
+            streaming=StreamingConfig(chunk_size=4096),
             fifo_directory="/dev/shm",
             fifo_prefix="edge",
             emit_header=True,
@@ -71,6 +70,23 @@ def test_to_dict_from_dict_round_trips(config):
     payload = config.to_dict()
     json.dumps(payload)  # must be plain JSON-able data (the future cache key)
     assert PashConfig.from_dict(payload) == config
+
+
+def test_streaming_defaults_are_the_engine_defaults_and_round_trip():
+    # The config package may not import the engine, so the section spells the
+    # engine's defaults out; this pins the two declarations together.
+    streaming = StreamingConfig()
+    assert streaming.chunk_size == DEFAULT_CHUNK_SIZE == 64 * 1024
+    assert streaming.spill_threshold == DEFAULT_SPILL_THRESHOLD == 8 * 1024 * 1024
+    assert streaming.spill_directory is None
+    payload = PashConfig().to_dict()
+    assert payload["streaming"] == {
+        "chunk_size": 65536,
+        "spill_threshold": 8388608,
+        "spill_directory": None,
+    }
+    assert "chunk_size" not in payload  # the deprecated top-level alias is gone
+    assert PashConfig.from_dict(json.loads(json.dumps(payload))) == PashConfig()
 
 
 def test_from_dict_rejects_unknown_fields():
@@ -84,22 +100,12 @@ def test_from_dict_accepts_enum_strings():
     assert config.split is SplitMode.NONE
 
 
-def test_coerce_lifts_legacy_config_and_rejects_junk():
-    legacy = ParallelizationConfig(width=5, eager=EagerMode.NONE, aggregation_fan_in=3)
-    lifted = PashConfig.coerce(legacy)
-    assert (lifted.width, lifted.eager, lifted.aggregation_fan_in) == (5, EagerMode.NONE, 3)
+def test_coerce_accepts_none_or_a_config_and_rejects_junk():
     assert PashConfig.coerce(None) == PashConfig()
     config = PashConfig.paper_default(2)
     assert PashConfig.coerce(config) is config
     with pytest.raises(TypeError):
         PashConfig.coerce(42)
-
-
-def test_parallelization_view_round_trips():
-    config = PashConfig.blocking_split(6, aggregation_fan_in=4, minimum_copies=3)
-    legacy = config.parallelization()
-    assert isinstance(legacy, ParallelizationConfig)
-    assert PashConfig.from_parallelization(legacy) == config
 
 
 def test_emitter_options_view():
@@ -115,20 +121,10 @@ def test_emitter_options_view():
     assert first != second
 
 
-def test_scheduler_options_view():
-    config = PashConfig(use_host_commands=True, chunk_size=1024, report_timeout_seconds=5.0)
-    options = config.scheduler_options()
-    assert isinstance(options, SchedulerOptions)
-    assert options.use_host_commands is True
-    assert options.chunk_size == 1024
-    assert options.report_timeout_seconds == 5.0
-    # Engine default chunk size is preserved when unset.
-    assert PashConfig().scheduler_options().chunk_size == SchedulerOptions().chunk_size
-
-
-def test_backend_options_only_parallel_gets_scheduler_options():
+def test_backend_options_hand_the_config_itself_to_the_parallel_backend():
     config = PashConfig(backend="parallel", use_host_commands=True)
-    assert config.backend_options()["options"].use_host_commands is True
+    assert config.backend_options() == {"config": config}
+    assert config.backend_options("jit") == {"config": config}
     assert PashConfig(backend="interpreter").backend_options() == {}
     assert config.backend_options("shell") == {}
 

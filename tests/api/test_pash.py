@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import api, engine
+from repro import api
 from repro.api import CompiledScript, Pash, PashConfig
 from repro.backend.shell_emitter import EmitterOptions
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
@@ -99,33 +99,30 @@ def test_module_level_compile_convenience():
     assert compiled.text.count("grep x") == 2
 
 
-def test_legacy_compile_script_is_a_warning_shim():
-    from repro.backend.compiler import compile_script
-
-    with pytest.warns(DeprecationWarning, match="Pash.compile"):
-        compiled = compile_script(SCRIPT)
-    assert isinstance(compiled, CompiledScript)
-    assert "mkfifo" in compiled.text
-
-
-def test_legacy_compile_script_matches_new_front_door_bit_for_bit():
-    config = PashConfig.paper_default(4, fifo_prefix="fifo")
-    with pytest.warns(DeprecationWarning):
-        from repro.backend.compiler import compile_script
-
-        legacy = compile_script(SCRIPT, config)
-    assert legacy.text == Pash.compile(SCRIPT, config).text
-
-
-def test_legacy_engine_run_script_is_a_warning_shim():
-    with pytest.warns(DeprecationWarning, match="repro.api.run"):
-        result = engine.run_script(SCRIPT, environment=env())
-    assert result.files["out.txt"]
-
-
-def test_legacy_names_still_importable_from_package_root():
+def test_front_door_names_importable_from_package_root():
     import repro
 
-    assert repro.compile_script is not None
     assert repro.CompiledScript is CompiledScript
     assert repro.PashConfig is PashConfig
+
+
+def test_importing_the_front_door_does_not_load_the_engine_stack():
+    """Compile-only users must not pay for engine/cluster/service imports."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.api; "
+        "loaded = [m for m in sys.modules if m.startswith("
+        "('repro.engine', 'repro.cluster', 'repro.service'))]; "
+        "assert not loaded, loaded"
+    )
+    package_dir = os.path.dirname(os.path.dirname(os.path.abspath(api.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(package_dir)),
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -1,12 +1,11 @@
 """Tests for the end-to-end compiler."""
 
-from repro.backend.compiler import compile_and_report, compile_script
-from repro.transform.pipeline import ParallelizationConfig
+from repro.api import Pash, PashConfig
 
 
 def test_single_pipeline_is_replaced():
-    compiled = compile_script(
-        "cat a.txt b.txt | grep x > out.txt", ParallelizationConfig.paper_default(2)
+    compiled = Pash.compile(
+        "cat a.txt b.txt | grep x > out.txt", PashConfig.paper_default(2, fuse_stages=False)
     )
     assert "mkfifo" in compiled.text
     assert compiled.stats.regions_parallelized == 1
@@ -16,7 +15,7 @@ def test_single_pipeline_is_replaced():
 
 def test_untouched_fragments_are_preserved():
     source = "cat a.txt b.txt | grep x > f3 && sort f3"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(2))
+    compiled = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
     # The && structure survives; the right-hand side is also parallelized (via
     # split) or left as plain `sort f3`.
     assert "&&" in compiled.text
@@ -24,7 +23,7 @@ def test_untouched_fragments_are_preserved():
 
 def test_rejected_statements_appear_verbatim():
     source = "cat a.txt | awk '{print $1}'\ncat b.txt c.txt | grep x > out.txt"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(2))
+    compiled = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
     assert "awk" in compiled.text
     assert compiled.stats.regions_rejected == 1
     assert compiled.stats.regions_parallelized == 1
@@ -32,39 +31,32 @@ def test_rejected_statements_appear_verbatim():
 
 def test_for_loop_with_dynamic_variable_is_preserved():
     source = "for y in 2015 2016; do\ncat $y.txt | grep x\ndone"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(2))
+    compiled = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
     assert compiled.text.startswith("for y in 2015 2016; do")
     assert "done" in compiled.text
 
 
 def test_assignments_are_preserved_and_used():
     source = "IN=data_a.txt\ncat $IN | grep x > out.txt"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(2))
+    compiled = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
     assert compiled.text.splitlines()[0] == "IN=data_a.txt"
     assert "data_a.txt" in compiled.text
 
 
 def test_width_increases_node_count():
     source = "cat " + " ".join(f"c{i}.txt" for i in range(8)) + " | grep x | sort > out.txt"
-    narrow = compile_script(source, ParallelizationConfig.paper_default(2))
-    wide = compile_script(source, ParallelizationConfig.paper_default(8))
+    narrow = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
+    wide = Pash.compile(source, PashConfig.paper_default(8, fuse_stages=False))
     assert wide.node_count > narrow.node_count
 
 
 def test_compile_time_recorded():
-    compiled = compile_script("cat a.txt b.txt | sort > out.txt")
+    compiled = Pash.compile("cat a.txt b.txt | sort > out.txt")
     assert compiled.stats.compile_time_seconds > 0.0
-
-
-def test_compile_and_report_multiple_widths():
-    source = "cat a.txt b.txt | grep x > out.txt"
-    results = compile_and_report(source, widths=(2, 4))
-    assert set(results) == {2, 4}
-    assert results[4].node_count >= results[2].node_count
 
 
 def test_no_parallelization_returns_original_script_text():
     source = "cat a.txt | awk '{print $1}'"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(4))
+    compiled = Pash.compile(source, PashConfig.paper_default(4, fuse_stages=False))
     assert "mkfifo" not in compiled.text
     assert compiled.stats.regions_parallelized == 0

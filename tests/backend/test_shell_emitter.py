@@ -5,14 +5,14 @@ import subprocess
 
 import pytest
 
+from repro.api import PashConfig, optimize
 from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
 from repro.dfg.builder import DFGBuilder
-from repro.transform.pipeline import ParallelizationConfig, optimize_graph
 
 
 def emitted(script, width=2, config=None, options=None):
     graph = DFGBuilder().build_from_script(script)
-    optimize_graph(graph, config or ParallelizationConfig.paper_default(width))
+    optimize(graph, config or PashConfig.paper_default(width, fuse_stages=False))
     return emit_parallel_script(graph, options or EmitterOptions())
 
 
@@ -103,7 +103,7 @@ def test_emitted_script_runs_under_real_shell(tmp_path):
     script = f"cat {a} {b} | grep foo | sort > {tmp_path}/out.txt"
 
     graph = DFGBuilder().build_from_script(script)
-    optimize_graph(graph, ParallelizationConfig.paper_default(2))
+    optimize(graph, PashConfig.paper_default(2, fuse_stages=False))
     options = EmitterOptions(fifo_directory=str(tmp_path))
     text = emit_parallel_script(graph, options)
     completed = subprocess.run(

@@ -1,9 +1,14 @@
 """Tests for grep, tr, cut, sed, awk, and friends."""
 
+import os
+import subprocess
+
 import pytest
 
 from repro.commands import textproc
 from repro.commands.base import CommandError
+from repro.dfg.nodes import CommandNode
+from repro.engine.workers import host_command_available
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +95,28 @@ def test_tr_space_to_newline_splits_lines():
 def test_tr_complement_squeeze_word_split():
     out = textproc.tr(["-cs", "A-Za-z", "\\n"], [["one two,three"]])
     assert out == ["one", "two", "three"]
+
+
+def test_tr_squeeze_absorbs_the_final_newline_into_a_trailing_run():
+    """A stream ending in squeezed characters must not grow an empty line:
+    the implicit final newline belongs to the squeeze run (GNU behaviour)."""
+    arguments = ["-cs", "A-Za-z", "\\n"]
+    lines = ["hello world!!", "...", "x y?"]
+    expected = ["hello", "world", "x", "y"]
+    assert textproc.tr(arguments, [["hello world!!"]]) == ["hello", "world"]
+    assert textproc.tr(arguments, [lines]) == expected
+    assert textproc.tr(arguments, [["!!"]]) == [""]
+    assert textproc.tr(["-s", "\\n"], [["a", "", "", "b", ""]]) == ["a", "b"]
+
+    if host_command_available(CommandNode(name="tr", arguments=arguments), True):
+        completed = subprocess.run(
+            ["tr", "-cs", "A-Za-z", "\\n"],
+            input="".join(line + "\n" for line in lines).encode(),
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, LC_ALL="C"),
+            check=True,
+        )
+        assert completed.stdout.decode().splitlines() == expected
 
 
 def test_tr_punct_class_delete():

@@ -4,11 +4,11 @@ import shutil
 
 import pytest
 
-from repro import engine
+from repro import api, engine
+from repro.api import PashConfig, StreamingConfig
 from repro.dfg.builder import DFGBuilder
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import ParallelizationConfig
 
 
 FILES = {"a.txt": ["banana", "apple foo"], "b.txt": ["cherry foo", "date"]}
@@ -63,11 +63,11 @@ def test_run_graph_on_interpreter_and_parallel():
 
 
 def test_run_script_optimizes_and_executes():
-    result = engine.run_script(
+    result = api.run(
         SCRIPT,
         backend="parallel",
         environment=env(),
-        config=ParallelizationConfig.paper_default(2),
+        config=PashConfig.paper_default(2, fuse_stages=False),
     )
     assert result.output_of("out.txt") == ["apple foo", "cherry foo"]
     # The optimized graph has parallel grep copies plus runtime helpers.
@@ -76,7 +76,7 @@ def test_run_script_optimizes_and_executes():
 
 def test_run_script_multi_statement_shares_environment():
     script = "cat a.txt b.txt | sort > sorted.txt\ncat sorted.txt | head -n 1 > out.txt"
-    result = engine.run_script(script, backend="parallel", environment=env())
+    result = api.run(script, backend="parallel", environment=env())
     assert result.output_of("sorted.txt") == ["apple foo", "banana", "cherry foo", "date"]
     assert result.output_of("out.txt") == ["apple foo"]
 
@@ -90,7 +90,8 @@ def test_run_updates_environment_filesystem():
 
 def test_parallel_backend_options_forwarded():
     graph = DFGBuilder().build_from_script(SCRIPT)
-    result = engine.run(graph, backend="parallel", environment=env(), chunk_size=32)
+    config = PashConfig(streaming=StreamingConfig(chunk_size=32))
+    result = engine.run(graph, backend="parallel", environment=env(), config=config)
     assert result.output_of("out.txt") == ["apple foo", "cherry foo"]
 
 
@@ -99,7 +100,7 @@ def test_shell_backend_missing_input_raises_instead_of_hanging():
     from repro.runtime.executor import ExecutionError
 
     with pytest.raises(ExecutionError):
-        engine.run_script(
+        api.run(
             "cat not-there.txt | sort > out.txt",
             backend="shell",
             environment=ExecutionEnvironment(filesystem=VirtualFileSystem()),
@@ -108,11 +109,11 @@ def test_shell_backend_missing_input_raises_instead_of_hanging():
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="requires a POSIX shell")
 def test_shell_backend_round_trip():
-    result = engine.run_script(
+    result = api.run(
         SCRIPT,
         backend="shell",
         environment=env(),
-        config=ParallelizationConfig.paper_default(2),
+        config=PashConfig.paper_default(2, fuse_stages=False),
     )
     assert result.output_of("out.txt") == ["apple foo", "cherry foo"]
 
@@ -125,7 +126,7 @@ def test_shell_backend_round_trip():
 def test_stdin_fed_pipeline_on_every_backend(backend):
     """Background jobs get /dev/null stdin under sh; the engine must not."""
     environment = ExecutionEnvironment(stdin=["banana foo", "zebra", "apple foo"])
-    result = engine.run_script("grep foo | sort", backend=backend, environment=environment)
+    result = api.run("grep foo | sort", backend=backend, environment=environment)
     assert result.stdout == ["apple foo", "banana foo"]
 
 
@@ -139,7 +140,7 @@ def test_append_preserves_real_file_content(backend, tmp_path, monkeypatch):
     (tmp_path / "log.txt").write_text("old line\n")
     (tmp_path / "in.txt").write_text("beta\nalpha\n")
     environment = ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True))
-    result = engine.run_script("sort in.txt >> log.txt", backend=backend, environment=environment)
+    result = api.run("sort in.txt >> log.txt", backend=backend, environment=environment)
     assert result.output_of("log.txt") == ["old line", "alpha", "beta"]
 
 
@@ -149,7 +150,7 @@ def test_run_script_refuses_partially_translatable_scripts():
 
     script = "cat a.txt | grep foo > g.txt\ncat a.txt | awk '{print}' > w.txt"
     with pytest.raises(ExecutionError) as excinfo:
-        engine.run_script(script, backend="interpreter", environment=env())
+        api.run(script, backend="interpreter", environment=env())
     assert "cannot be translated" in str(excinfo.value)
 
 
@@ -162,7 +163,7 @@ def test_shell_backend_refuses_absolute_output_paths(tmp_path):
         filesystem=VirtualFileSystem({"a.txt": ["apple foo"]})
     )
     with pytest.raises(ExecutionError) as excinfo:
-        engine.run_script(
+        api.run(
             f"cat a.txt | sort > {target}", backend="shell", environment=environment
         )
     assert "absolute output path" in str(excinfo.value)
@@ -179,14 +180,14 @@ def test_shell_backend_never_writes_absolute_vfs_names(tmp_path):
             {str(precious): ["vfs content"], "a.txt": ["apple foo"], "b.txt": ["banana"]}
         )
     )
-    engine.run_script(SCRIPT, backend="shell", environment=environment)
+    api.run(SCRIPT, backend="shell", environment=environment)
     assert precious.read_text() == "real content\n"
 
 
 def test_engine_result_absorb_merges_metrics():
-    first = engine.run_script(SCRIPT, backend="parallel", environment=env())
+    first = api.run(SCRIPT, backend="parallel", environment=env())
     nodes_before = len(first.metrics.nodes)
-    second = engine.run_script(SCRIPT, backend="parallel", environment=env())
+    second = api.run(SCRIPT, backend="parallel", environment=env())
     first.absorb(second)
     assert len(first.metrics.nodes) == nodes_before + len(second.metrics.nodes)
     assert first.elapsed_seconds >= second.elapsed_seconds

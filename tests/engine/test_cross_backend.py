@@ -9,7 +9,7 @@ is faithful to coreutils — the emitted shell script.
 The shell leg is restricted to benchmarks whose commands behave identically
 under real coreutils: the remaining five hit known substrate-fidelity gaps,
 not engine bugs (the Python ``tr -cs`` emits an empty token GNU tr does not
-— top-n, wf, bi-grams; GNU ``diff``'s output format differs from the Python
+when a batch or split chunk ends in a squeezed character — top-n, wf, bi-grams; GNU ``diff``'s output format differs from the Python
 stand-in — diff; and the custom annotated commands like ``bigrams`` have no
 host binary — bi-grams-opt).
 """
@@ -18,8 +18,10 @@ import shutil
 
 import pytest
 
+from repro import api
 from repro.api import Pash, PashConfig
 from repro.runtime.executor import ExecutionEnvironment
+from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 from repro.workloads.oneliners import ONE_LINERS, get_one_liner
 
@@ -182,8 +184,6 @@ def test_reassignment_orders_correctly_at_compile_time():
 
 @pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit", "cluster"])
 def test_assignment_visibility_across_backends(backend):
-    from repro.runtime.interpreter import ShellInterpreter
-
     oracle = ShellInterpreter(
         filesystem=VirtualFileSystem(
             {name: list(lines) for name, lines in ASSIGNMENT_FILES.items()}
@@ -199,3 +199,20 @@ def test_assignment_visibility_on_shell_backend():
     if shutil.which("mkfifo") is None or shutil.which("grep") is None:
         pytest.skip("missing coreutils")
     assert run_assignment_script("shell") == ["light a", "light b", "dark c", "dark d"]
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
+@pytest.mark.parametrize("letters", ["abbc", "bacb", "aabb"])
+def test_sort_uniq_d_keeps_duplicates_split_across_the_width(letters, backend):
+    """Regression (unix50 #28): `uniq -d` partial outputs cannot be merged at
+    the split boundary, so the invocation must stay sequential at width 2."""
+    script = "cat in.txt | sort | uniq -d"
+    expected = ShellInterpreter(
+        filesystem=VirtualFileSystem({"in.txt": list(letters)})
+    ).run_script(script)
+    assert expected == sorted({c for c in letters if letters.count(c) > 1})
+    environment = ExecutionEnvironment(filesystem=VirtualFileSystem({"in.txt": list(letters)}))
+    result = api.run(
+        script, config=PashConfig.paper_default(2, backend=backend), environment=environment
+    )
+    assert result.stdout == expected

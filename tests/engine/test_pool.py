@@ -9,11 +9,7 @@ from repro import api
 from repro.api import Pash, PashConfig
 from repro.dfg.builder import DFGBuilder
 from repro.engine.pool import WorkerPool, resolve_context
-from repro.engine.scheduler import (
-    ParallelScheduler,
-    SchedulerOptions,
-    execute_graph_parallel,
-)
+from repro.engine.scheduler import ParallelScheduler, execute_graph_parallel
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
 
@@ -48,7 +44,7 @@ def pool():
 
 
 def test_second_run_reuses_worker_processes(pool):
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     scheduler = ParallelScheduler(environment(), options, pool=pool)
     _, first = scheduler.execute(build())
     assert first.processes_spawned == len(first.nodes)
@@ -75,7 +71,7 @@ def test_warm_pool_attribution_and_span_pids_stay_consistent(pool):
     """
     from repro.obs.tracer import Tracer
 
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     tracer = Tracer()
     scheduler = ParallelScheduler(environment(), options, pool=pool, tracer=tracer)
     _, first = scheduler.execute(build())
@@ -108,7 +104,7 @@ def test_warm_pool_attribution_and_span_pids_stay_consistent(pool):
 
 
 def test_pool_grows_for_wider_graphs_and_keeps_workers(pool):
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     ParallelScheduler(environment(), options, pool=pool).execute(build())
     small = pool.worker_count
     wide = build("cat a.txt b.txt | grep foo | tr a-z A-Z | sort > out.txt")
@@ -121,7 +117,7 @@ def test_pool_grows_for_wider_graphs_and_keeps_workers(pool):
 
 
 def test_disabling_the_pool_forks_per_node():
-    options = SchedulerOptions(use_pool=False, report_timeout_seconds=30)
+    options = PashConfig(jobs=0, report_timeout_seconds=30)
     _, metrics = execute_graph_parallel(build(), environment(), options)
     assert metrics.processes_spawned == len(metrics.nodes)
     assert metrics.processes_reused == 0
@@ -142,7 +138,7 @@ def test_unpicklable_registry_falls_back_to_dedicated_forks(pool):
         return real_grep(arguments, inputs)
 
     env.registry.register_function("grep", closure_grep, "unpicklable grep")
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     result, metrics = ParallelScheduler(env, options, pool=pool).execute(build())
     assert result.files["out.txt"] == ["apple foo", "date foo", "fig foo"]
     # Every node ran in a dedicated fork; the pool served none of them.
@@ -170,7 +166,7 @@ def test_worker_pids_stay_distinct_after_a_failed_run(pool):
         graph.attach_output(failing, sink)
         return graph
 
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     for _ in range(2):
         with pytest.raises(ExecutionError):
             ParallelScheduler(environment(), options, pool=pool).execute(bad_graph())
@@ -207,7 +203,7 @@ def test_pool_executes_under_spawn_start_method():
     """SCM_RIGHTS fd passing + registry re-registration: no fork needed."""
     pool = WorkerPool(start_method="spawn")
     try:
-        options = SchedulerOptions(start_method="spawn", report_timeout_seconds=60)
+        options = PashConfig(report_timeout_seconds=60)  # start method: the pool's
         result, metrics = ParallelScheduler(environment(), options, pool=pool).execute(
             build()
         )
@@ -217,10 +213,16 @@ def test_pool_executes_under_spawn_start_method():
         pool.shutdown()
 
 
-def test_spawn_without_pool_is_a_loud_error():
-    options = SchedulerOptions(
-        start_method="spawn", use_pool=False, report_timeout_seconds=30
+def test_poolless_run_without_fork_is_a_loud_error(monkeypatch):
+    """jobs=0 forks per node; on a spawn-only platform that cannot work."""
+    from repro.engine import scheduler as scheduler_module
+
+    monkeypatch.setattr(
+        scheduler_module,
+        "resolve_context",
+        lambda preferred: multiprocessing.get_context("spawn"),
     )
+    options = PashConfig(jobs=0, report_timeout_seconds=30)
     with pytest.raises(ExecutionError, match="worker pool"):
         execute_graph_parallel(build(), environment(), options)
 
@@ -287,27 +289,14 @@ def test_concurrent_runs_on_the_shared_pool_serialize_safely():
     assert outcomes == {index: ["apple foo", "date foo", "fig foo"] for index in range(3)}
 
 
-def test_explicit_scalar_overrides_survive_config_derived_options():
-    """Regression: execute(..., spill_threshold=N) must win over the
-    config-derived SchedulerOptions instead of being silently dropped."""
-    compiled = Pash(PashConfig.paper_default(2)).compile(SCRIPT)
-    from repro.engine.api import ParallelBackend
-
-    backend = ParallelBackend(
-        options=PashConfig.paper_default(2).scheduler_options(), spill_threshold=123
-    )
-    assert backend.options.spill_threshold == 123
-    result = compiled.execute(
-        backend="parallel", environment=environment(), spill_threshold=1 << 20
-    )
-    assert result.output_of("out.txt") == ["apple foo", "date foo", "fig foo"]
-
-
-def test_jobs_config_prewarms_and_zero_disables():
-    options = PashConfig(jobs=3).scheduler_options()
-    assert options.pool_size == 3 and options.use_pool
-    options = PashConfig(jobs=0).scheduler_options()
-    assert not options.use_pool
+def test_jobs_config_prewarms_and_zero_disables(pool):
+    warm = PashConfig(jobs=12, report_timeout_seconds=30)
+    ParallelScheduler(environment(), warm, pool=pool).execute(build())
+    assert pool.worker_count >= 12
+    poolless = PashConfig(jobs=0, report_timeout_seconds=30)
+    _, metrics = execute_graph_parallel(build(), environment(), poolless, pool=pool)
+    assert metrics.processes_reused == 0  # the warm pool was bypassed
+    assert metrics.processes_spawned == len(metrics.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +309,7 @@ def test_relays_elided_and_edges_classified(pool):
     from repro.api import optimize  # noqa: PLC0415 - test-local import
 
     optimize(graph, PashConfig.paper_default(2))
-    options = SchedulerOptions(report_timeout_seconds=30)
+    options = PashConfig(report_timeout_seconds=30)
     result, metrics = ParallelScheduler(environment(), options, pool=pool).execute(graph)
     expected = ["APPLE FOO", "DATE FOO", "FIG FOO"]
     assert result.files["out.txt"] == expected
@@ -329,12 +318,3 @@ def test_relays_elided_and_edges_classified(pool):
     # Elided relays report no per-node metrics: every entry is a real worker.
     assert len(metrics.nodes) == len(graph.nodes) - metrics.relays_elided
     assert os.getpid() not in {node.pid for node in metrics.nodes}
-
-
-def test_pump_policy_all_reproduces_buffered_edges(pool):
-    graph = build()
-    options = SchedulerOptions(pump_policy="all", report_timeout_seconds=30)
-    result, metrics = ParallelScheduler(environment(), options, pool=pool).execute(graph)
-    assert result.files["out.txt"] == ["apple foo", "date foo", "fig foo"]
-    assert metrics.edges_direct == 0
-    assert metrics.edges_buffered > 0

@@ -6,20 +6,20 @@ import shutil
 import pytest
 
 from repro.dfg.builder import DFGBuilder
-from repro.engine.scheduler import ParallelScheduler, SchedulerOptions, execute_graph_parallel
+from repro.engine.scheduler import ParallelScheduler, execute_graph_parallel
 from repro.runtime.executor import (
     DFGExecutor,
     ExecutionEnvironment,
     ExecutionError,
 )
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import ParallelizationConfig, optimize_graph
+from repro.api import PashConfig, optimize
 
 
 def build(script, width=None):
     graph = DFGBuilder().build_from_script(script)
     if width:
-        optimize_graph(graph, ParallelizationConfig.paper_default(width))
+        optimize(graph, PashConfig.paper_default(width, fuse_stages=False))
     return graph
 
 
@@ -120,7 +120,7 @@ def test_worker_failure_propagates_with_label():
 
 def test_failure_does_not_wedge_downstream():
     """A dying node must deliver EOF, not a hang, to its consumers."""
-    scheduler = ParallelScheduler(environment(FILES), SchedulerOptions(report_timeout_seconds=30))
+    scheduler = ParallelScheduler(environment(FILES), PashConfig(report_timeout_seconds=30))
     with pytest.raises(ExecutionError):
         scheduler.execute(_graph_with_failing_node(downstream=True))
 
@@ -134,12 +134,13 @@ def test_killed_worker_fails_fast_with_exit_code():
     """
     import time as time_module
 
-    from repro.resilience.fault import POOL_WORKER_EXEC, FaultPlan, FaultSpec
+    from repro.api import ResilienceConfig
+    from repro.resilience.fault import POOL_WORKER_EXEC, FaultSpec
 
-    plan = FaultPlan([FaultSpec(point=POOL_WORKER_EXEC, mode="kill", max_fires=0)])
+    faults = (FaultSpec(point=POOL_WORKER_EXEC, mode="kill", max_fires=0),)
     scheduler = ParallelScheduler(
         environment(FILES),
-        SchedulerOptions(report_timeout_seconds=60, fault_plan=plan),
+        PashConfig(report_timeout_seconds=60, resilience=ResilienceConfig(faults=faults)),
     )
     started = time_module.perf_counter()
     with pytest.raises(ExecutionError) as excinfo:
@@ -206,7 +207,7 @@ def test_host_command_mode():
     script = "cat a.txt b.txt | grep foo | sort > out.txt"
     expected = DFGExecutor(environment(FILES)).execute(build(script))
     result, metrics = execute_graph_parallel(
-        build(script), environment(FILES), SchedulerOptions(use_host_commands=True)
+        build(script), environment(FILES), PashConfig(use_host_commands=True)
     )
     assert result.files["out.txt"] == expected.files["out.txt"]
     assert any(node.host_command for node in metrics.nodes)

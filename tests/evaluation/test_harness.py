@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import PashConfig
 from repro.evaluation.harness import (
     check_benchmark_correctness,
     measure_benchmark,
@@ -13,13 +14,12 @@ from repro.evaluation.harness import (
     timing_library,
 )
 from repro.simulator.machine import MachineModel
-from repro.transform.pipeline import ParallelizationConfig
 from repro.workloads.oneliners import ONE_LINERS, get_one_liner
 
 
 def test_timing_library_translates_awk():
     graphs = script_graphs(
-        "cat a.txt | awk '{print $1}' | sort", ParallelizationConfig.paper_default(4)
+        "cat a.txt | awk '{print $1}' | sort", PashConfig.paper_default(4, fuse_stages=False)
     )
     assert len(graphs.sequential) == 1
     assert graphs.rejected_statements == 1
@@ -30,7 +30,7 @@ def test_timing_library_translates_awk():
 
 def test_script_graphs_optimizes_accepted_statements():
     graphs = script_graphs(
-        "cat a.txt b.txt | grep x > out.txt", ParallelizationConfig.paper_default(2)
+        "cat a.txt b.txt | grep x > out.txt", PashConfig.paper_default(2, fuse_stages=False)
     )
     assert graphs.rejected_statements == 0
     assert len(graphs.parallel[0].nodes) > len(graphs.sequential[0].nodes)
@@ -41,7 +41,7 @@ def test_simulate_script_returns_consistent_results():
     sequential, parallel, graphs = simulate_script(
         "cat in0.txt in1.txt | grep light | sort > out.txt",
         {"in0.txt": 2_000_000, "in1.txt": 2_000_000},
-        ParallelizationConfig.paper_default(2),
+        PashConfig.paper_default(2, fuse_stages=False),
         machine=MachineModel.paper_testbed(),
     )
     assert sequential.total_seconds > 0
@@ -90,7 +90,7 @@ def test_measure_benchmark_reports_wall_clock_and_metrics():
         width=2,
         backend="parallel",
         lines=200,
-        config=ParallelizationConfig.paper_default(2),
+        config=PashConfig.paper_default(2, fuse_stages=False),
     )
     assert run.backend == "parallel"
     assert run.elapsed_seconds > 0

@@ -25,6 +25,26 @@ def test_table2_row_for_sort_matches_paper_node_count():
     assert row["compile_time_16"] < 1.0
 
 
+def test_table2_node_counts_are_the_unfused_paper_shapes():
+    """The harness pins ``fuse_stages=False`` itself, so Table 2 keeps the
+    paper's one-process-per-command graph shapes whatever the config default."""
+    rows = {row["script"]: (row["nodes_16"], row["nodes_64"]) for row in table2_rows(widths=(16, 64))}
+    assert rows == {
+        "grep": (32, 128),
+        "sort": (77, 317),
+        "top-n": (308, 1268),
+        "wf": (231, 951),
+        "grep-light": (32, 128),
+        "spell": (155, 635),
+        "shortest-scripts": (154, 634),
+        "diff": (152, 632),
+        "bi-grams": (265, 1081),
+        "bi-grams-opt": (231, 951),
+        "set-diff": (152, 632),
+        "sort-sort": (154, 634),
+    }
+
+
 def test_table2_row_node_count_grows_with_width():
     row = table2_row(get_one_liner("grep"), widths=(16, 64))
     assert row["nodes_64"] > row["nodes_16"]

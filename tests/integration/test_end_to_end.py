@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro import ParallelizationConfig, compile_script
+from repro.api import Pash, PashConfig, optimize
 from repro.dfg.builder import translate_script
 from repro.evaluation.harness import check_benchmark_correctness
 from repro.evaluation.usecases import noaa_correctness, wikipedia_correctness
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import optimize_graph
 from repro.workloads import text
 from repro.workloads.oneliners import ONE_LINERS
 from repro.workloads.unix50 import UNIX50_PIPELINES
@@ -17,14 +16,14 @@ from repro.workloads.unix50 import UNIX50_PIPELINES
 
 def run_both_ways(script, files, width=4, config=None):
     """Run sequentially (interpreter) and in parallel (optimized DFGs)."""
-    config = config or ParallelizationConfig.paper_default(width)
+    config = config or PashConfig.paper_default(width, fuse_stages=False)
     interpreter = ShellInterpreter(filesystem=VirtualFileSystem(dict(files)))
     sequential = interpreter.run_script(script)
 
     environment = ExecutionEnvironment(filesystem=VirtualFileSystem(dict(files)))
     parallel = []
     for region in translate_script(script).regions:
-        optimize_graph(region.dfg, config)
+        optimize(region.dfg, config)
         parallel.extend(DFGExecutor(environment).execute(region.dfg).stdout)
     return sequential, parallel
 
@@ -61,12 +60,10 @@ def test_multi_statement_script_with_intermediate_files():
 
 
 def test_every_configuration_preserves_output():
-    from repro.transform.pipeline import relevant_configurations
-
     files = {f"x{i}.txt": text.text_lines(150, seed=10 + i) for i in range(4)}
     script = "cat x0.txt x1.txt x2.txt x3.txt | grep the | sort | uniq -c | sort -rn | head -n 5"
     baseline = None
-    for name, config in relevant_configurations(4).items():
+    for name, config in PashConfig.named_configurations(4).items():
         sequential, parallel = run_both_ways(script, files, config=config)
         baseline = baseline or sequential
         assert parallel == baseline, name
@@ -74,7 +71,7 @@ def test_every_configuration_preserves_output():
 
 def test_compiled_script_text_is_reparseable():
     source = "cat a.txt b.txt | grep x | sort > out.txt"
-    compiled = compile_script(source, ParallelizationConfig.paper_default(2))
+    compiled = Pash.compile(source, PashConfig.paper_default(2, fuse_stages=False))
     from repro.shell.parser import parse
 
     parse(compiled.text)  # the emitted script is itself valid input

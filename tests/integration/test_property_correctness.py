@@ -12,11 +12,11 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.api import EagerMode, PashConfig, SplitMode, optimize
 from repro.dfg.builder import translate_script
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import EagerMode, ParallelizationConfig, SplitMode, optimize_graph
 
 # Stages are chosen so any composition is a valid pipeline over text lines.
 STATELESS_STAGES = [
@@ -49,7 +49,7 @@ def execute(script, files, config=None):
     stdout = []
     for region in translate_script(script).regions:
         if config is not None:
-            optimize_graph(region.dfg, config)
+            optimize(region.dfg, config)
         stdout.extend(DFGExecutor(environment).execute(region.dfg).stdout)
     return stdout
 
@@ -64,7 +64,7 @@ def test_random_pipelines_preserve_output(data, stages, width):
     files = {f"chunk{i}.txt": chunk for i, chunk in enumerate(data)}
     script = "cat " + " ".join(files) + " | " + " | ".join(stages)
     baseline = execute(script, files)
-    parallel = execute(script, files, ParallelizationConfig.paper_default(width))
+    parallel = execute(script, files, PashConfig.paper_default(width, fuse_stages=False))
     assert parallel == baseline
 
 
@@ -80,7 +80,7 @@ def test_single_file_split_configurations_preserve_output(data, stateless, pure,
     files = {"single.txt": data}
     script = f"cat single.txt | {stateless} | {pure}"
     baseline = execute(script, files)
-    config = ParallelizationConfig(width=3, eager=eager, split=split)
+    config = PashConfig(width=3, eager=eager, split=split, fuse_stages=False)
     parallel = execute(script, files, config)
     assert parallel == baseline
 
@@ -91,7 +91,7 @@ def test_stateless_only_pipelines_any_width(data, width):
     files = {f"f{i}.txt": chunk for i, chunk in enumerate(data)}
     script = "cat " + " ".join(files) + " | grep a | tr a b | cut -c 1-4"
     baseline = execute(script, files)
-    parallel = execute(script, files, ParallelizationConfig.paper_default(width))
+    parallel = execute(script, files, PashConfig.paper_default(width, fuse_stages=False))
     assert parallel == baseline
 
 

@@ -218,7 +218,7 @@ def test_pash_session_routes_jit_with_pool():
         environment = ExecutionEnvironment(
             filesystem=VirtualFileSystem({k: list(v) for k, v in files.items()})
         )
-        result = pash.run_script(script, environment=environment)
+        result = pash.run(script, environment=environment)
     assert result.stdout == baseline(script)
     assert result.jit.regions_compiled == 1
     assert result.jit.cache_hits == 2

@@ -73,13 +73,15 @@ def test_fault_plans_are_fresh_per_call():
 
 
 def test_scheduler_and_cluster_options_carry_the_plan():
+    from repro.engine.scheduler import ParallelScheduler
+
     config = PashConfig(
         resilience=ResilienceConfig(faults=(FaultSpec(point=SPILL_WRITE),))
     )
-    assert config.scheduler_options().fault_plan is not None
+    assert ParallelScheduler(config=config)._faults is not None
     assert config.cluster_options().fault_plan is not None
     bare = PashConfig()
-    assert bare.scheduler_options().fault_plan is None
+    assert ParallelScheduler(config=bare)._faults is None
     assert bare.cluster_options().fault_plan is None
 
 

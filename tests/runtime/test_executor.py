@@ -2,16 +2,16 @@
 
 import pytest
 
+from repro.api import PashConfig, optimize
 from repro.dfg.builder import DFGBuilder
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import ParallelizationConfig, optimize_graph
 
 
 def run(script, files, stdin=None, config=None):
     graph = DFGBuilder().build_from_script(script)
     if config is not None:
-        optimize_graph(graph, config)
+        optimize(graph, config)
     environment = ExecutionEnvironment(
         filesystem=VirtualFileSystem(files), stdin=list(stdin or [])
     )
@@ -61,7 +61,7 @@ def test_optimized_graph_produces_identical_output():
     files = {f"in{i}.txt": [f"line{j}-{i}" for j in range(50)] for i in range(4)}
     script = "cat in0.txt in1.txt in2.txt in3.txt | grep line | sort | uniq -c | head -n 7"
     baseline, _ = run(script, files)
-    parallel, _ = run(script, files, config=ParallelizationConfig.paper_default(4))
+    parallel, _ = run(script, files, config=PashConfig.paper_default(4, fuse_stages=False))
     assert baseline.stdout == parallel.stdout
 
 
@@ -69,7 +69,7 @@ def test_optimized_graph_with_split_produces_identical_output():
     files = {"big.txt": [f"{i % 7} payload" for i in range(200)]}
     script = "cat big.txt | grep payload | sort | uniq -c | sort -rn"
     baseline, _ = run(script, files)
-    parallel, _ = run(script, files, config=ParallelizationConfig.paper_default(8))
+    parallel, _ = run(script, files, config=PashConfig.paper_default(8, fuse_stages=False))
     assert baseline.stdout == parallel.stdout
 
 

@@ -339,3 +339,54 @@ def test_service_job_spans_are_recorded(client_for, run_with_deadline):
         assert children, "service:job has no nested spans"
     finally:
         run_with_deadline(daemon.shutdown, name="traced daemon shutdown")
+
+
+def test_overlapping_jobs_report_only_their_own_spans(client_for, run_with_deadline):
+    """Two executors share one tracer; a job's report must hold exactly the
+    descendants of its own ``service:job`` span, never its neighbour's."""
+    tracer = Tracer()
+    daemon = PashServiceDaemon(
+        ServiceOptions(
+            listen="127.0.0.1:0",
+            executors=2,
+            config=PashConfig.paper_default(2, backend="jit", tracing=True),
+        ),
+        tracer=tracer,
+    )
+    daemon.start()
+    try:
+        client = client_for(daemon)
+        script = "for round in 1 2 3 4 5 6; do\n  cat in0.txt in1.txt | grep the | sort\ndone"
+        files = dataset(lines=3000)
+        submitted = [
+            client.submit(script, tenant=tenant, files=files, wait=False)
+            for tenant in ("left", "right")
+        ]
+        jobs = [client.result(job["job_id"], timeout=60.0) for job in submitted]
+        assert [job["state"] for job in jobs] == ["done", "done"]
+
+        parents = {span.span_id: span.parent_id for span in tracer.spans}
+        roots = {
+            span.attributes["job_id"]: span
+            for span in tracer.spans
+            if span.name == "service:job"
+        }
+        first, second = (roots[job["job_id"]] for job in jobs)
+        assert first.start_us < second.end_us and second.start_us < first.end_us, (
+            "the two jobs did not overlap; the test exercised nothing"
+        )
+
+        def root_of(span_id):
+            while parents.get(span_id) is not None:
+                span_id = parents[span_id]
+            return span_id
+
+        reported = []
+        for job in jobs:
+            ids = {row["span_id"] for row in job["report"]["span_records"]}
+            assert ids, "a traced job reported no spans"
+            assert {root_of(span_id) for span_id in ids} == {roots[job["job_id"]].span_id}
+            reported.append(ids)
+        assert reported[0].isdisjoint(reported[1])
+    finally:
+        run_with_deadline(daemon.shutdown, name="traced daemon shutdown")

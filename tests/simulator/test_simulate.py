@@ -1,10 +1,10 @@
 """Tests for the performance simulator: speedup shapes, not absolute numbers."""
 
+from repro.api import PashConfig, optimize
 from repro.dfg.builder import DFGBuilder, translate_script
 from repro.simulator.costs import default_cost_model
 from repro.simulator.machine import MachineModel
 from repro.simulator.simulate import simulate_graph, simulate_script_graphs
-from repro.transform.pipeline import ParallelizationConfig, optimize_graph
 
 MACHINE = MachineModel.paper_testbed()
 
@@ -21,7 +21,7 @@ def build(script):
 def simulated_speedup(script, files, width, config=None, cost_model=None):
     baseline = simulate_graph(build(script), files, MACHINE, cost_model=cost_model)
     graph = build(script)
-    optimize_graph(graph, config or ParallelizationConfig.paper_default(width))
+    optimize(graph, config or PashConfig.paper_default(width, fuse_stages=False))
     parallel = simulate_graph(graph, files, MACHINE, cost_model=cost_model, include_setup=True)
     return baseline.total_seconds / parallel.total_seconds
 
@@ -64,8 +64,8 @@ def test_eager_beats_no_eager_for_sort():
     total = 96_000_000
     files = chunked(total, 16)
     script = "cat " + " ".join(files) + " | sort > out.txt"
-    eager = simulated_speedup(script, files, 16, ParallelizationConfig.parallel_only(16))
-    lazy = simulated_speedup(script, files, 16, ParallelizationConfig.no_eager(16))
+    eager = simulated_speedup(script, files, 16, PashConfig.parallel_only(16, fuse_stages=False))
+    lazy = simulated_speedup(script, files, 16, PashConfig.no_eager(16, fuse_stages=False))
     assert eager > lazy
 
 
@@ -73,8 +73,8 @@ def test_eager_beats_blocking_eager():
     total = 96_000_000
     files = chunked(total, 16)
     script = "cat " + " ".join(files) + " | sort > out.txt"
-    eager = simulated_speedup(script, files, 16, ParallelizationConfig.parallel_only(16))
-    blocking = simulated_speedup(script, files, 16, ParallelizationConfig.blocking_eager(16))
+    eager = simulated_speedup(script, files, 16, PashConfig.parallel_only(16, fuse_stages=False))
+    blocking = simulated_speedup(script, files, 16, PashConfig.blocking_eager(16, fuse_stages=False))
     assert eager >= blocking
 
 
@@ -84,8 +84,8 @@ def test_split_helps_pipelines_with_pure_prefix():
     script = (
         "cat " + " ".join(files) + " | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 10 > o.txt"
     )
-    with_split = simulated_speedup(script, files, 16, ParallelizationConfig.paper_default(16))
-    without_split = simulated_speedup(script, files, 16, ParallelizationConfig.parallel_only(16))
+    with_split = simulated_speedup(script, files, 16, PashConfig.paper_default(16, fuse_stages=False))
+    without_split = simulated_speedup(script, files, 16, PashConfig.parallel_only(16, fuse_stages=False))
     assert with_split > without_split
 
 
@@ -109,9 +109,9 @@ def test_more_processes_cost_more_spawn_time():
     files = chunked(1_000_000, 4)
     script = "cat " + " ".join(files) + " | grep x > out.txt"
     narrow = build(script)
-    optimize_graph(narrow, ParallelizationConfig.paper_default(4))
+    optimize(narrow, PashConfig.paper_default(4, fuse_stages=False))
     wide = build(script)
-    optimize_graph(wide, ParallelizationConfig.paper_default(4))
+    optimize(wide, PashConfig.paper_default(4, fuse_stages=False))
     result = simulate_graph(narrow, files, MACHINE, include_setup=True)
     assert result.process_count == len(narrow.nodes)
 
@@ -134,6 +134,6 @@ def test_speedup_over_helper():
     script = "cat " + " ".join(files) + " | grep light > out.txt"
     baseline = simulate_graph(build(script), files, MACHINE)
     graph = build(script)
-    optimize_graph(graph, ParallelizationConfig.paper_default(8))
+    optimize(graph, PashConfig.paper_default(8, fuse_stages=False))
     parallel = simulate_graph(graph, files, MACHINE, include_setup=True)
     assert parallel.speedup_over(baseline) == baseline.total_seconds / parallel.total_seconds

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import api
-from repro.api import Pash, PashConfig
+from repro.api import EagerMode, Pash, PashConfig, optimize
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.nodes import (
     AggregatorNode,
@@ -15,7 +15,6 @@ from repro.dfg.nodes import (
 )
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.transform.pipeline import EagerMode, ParallelizationConfig, optimize_graph
 from repro.workloads.oneliners import ONE_LINERS
 
 WIDTH = 4
@@ -107,7 +106,7 @@ def test_single_commands_are_not_wrapped():
 
 def test_legacy_parallelization_config_defaults_to_unfused():
     graph = DFGBuilder().build_from_script(CHAIN_SCRIPT)
-    optimize_graph(graph, ParallelizationConfig.paper_default(WIDTH))
+    optimize(graph, PashConfig.paper_default(WIDTH, fuse_stages=False))
     assert fused_nodes(graph) == []
 
 

@@ -14,7 +14,7 @@ from repro.transform.passes import (
     register_pass,
     unregister_pass,
 )
-from repro.transform.pipeline import OptimizationReport, ParallelizationConfig
+from repro.transform.pipeline import OptimizationReport
 
 EXPECTED_ORDER = [
     "split-insertion",
@@ -53,7 +53,7 @@ def test_default_pipeline_order_is_stable():
 
 def test_report_carries_per_pass_timings_in_pipeline_order():
     graph = build("cat a b | grep x | sort > out.txt")
-    report = build_pipeline().run(graph, ParallelizationConfig.paper_default(2))
+    report = build_pipeline().run(graph, PashConfig.paper_default(2, fuse_stages=False))
     assert list(report.pass_seconds) == EXPECTED_ORDER
     assert all(seconds >= 0.0 for seconds in report.pass_seconds.values())
     assert report.compile_time_seconds >= sum(report.pass_seconds.values()) * 0.5
@@ -225,7 +225,7 @@ def test_minimum_copies_suppresses_pointless_splits():
 
 def test_custom_pipeline_runs_standalone():
     graph = build("cat a b | grep x > out.txt")
-    report = PassManager([]).run(graph, ParallelizationConfig.paper_default(2))
+    report = PassManager([]).run(graph, PashConfig.paper_default(2, fuse_stages=False))
     assert isinstance(report, OptimizationReport)
     assert report.parallelized_count == 0
     assert not any(isinstance(node, RelayNode) for node in graph.nodes.values())

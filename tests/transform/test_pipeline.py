@@ -1,14 +1,8 @@
 """Tests for the optimization pass driver and its configurations."""
 
+from repro.api import PashConfig, SplitMode, optimize
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.nodes import AggregatorNode, CommandNode, RelayNode, SplitNode
-from repro.transform.pipeline import (
-    EagerMode,
-    ParallelizationConfig,
-    SplitMode,
-    optimize_graph,
-    relevant_configurations,
-)
 
 
 def build(script):
@@ -19,36 +13,15 @@ def names(graph):
     return [node.name for node in graph.nodes.values() if isinstance(node, CommandNode)]
 
 
-def test_default_config_values():
-    config = ParallelizationConfig()
-    assert config.width == 2
-    assert config.eager is EagerMode.EAGER
-    assert config.split is SplitMode.GENERAL
-
-
-def test_named_configurations():
-    configs = relevant_configurations(8)
-    assert set(configs) == {
-        "Par + Split",
-        "Par + B. Split",
-        "Parallel",
-        "Blocking Eager",
-        "No Eager",
-    }
-    assert configs["No Eager"].eager is EagerMode.NONE
-    assert configs["Parallel"].split is SplitMode.NONE
-    assert configs["Par + B. Split"].split is SplitMode.INPUT_AWARE
-
-
 def test_width_one_does_not_parallelize():
     graph = build("cat a.txt b.txt | grep x")
-    report = optimize_graph(graph, ParallelizationConfig(width=1))
+    report = optimize(graph, PashConfig(width=1, fuse_stages=False))
     assert report.parallelized_count == 0
 
 
 def test_existing_concatenation_is_commuted():
     graph = build("cat a.txt b.txt c.txt d.txt | grep x > out.txt")
-    report = optimize_graph(graph, ParallelizationConfig.parallel_only(4))
+    report = optimize(graph, PashConfig.parallel_only(4, fuse_stages=False))
     assert report.parallelized_count == 1
     assert names(graph).count("grep") == 4
     assert names(graph).count("cat") == 0
@@ -57,7 +30,7 @@ def test_existing_concatenation_is_commuted():
 
 def test_split_enables_single_input_parallelization():
     graph = build("cat big.txt | grep x > out.txt")
-    report = optimize_graph(graph, ParallelizationConfig.paper_default(4))
+    report = optimize(graph, PashConfig.paper_default(4, fuse_stages=False))
     assert report.inserted_splits >= 1
     assert names(graph).count("grep") == 4
     assert len(graph.nodes_of_kind("split")) >= 1
@@ -66,14 +39,14 @@ def test_split_enables_single_input_parallelization():
 
 def test_no_split_single_input_is_left_alone():
     graph = build("cat big.txt | grep x > out.txt")
-    report = optimize_graph(graph, ParallelizationConfig.parallel_only(4))
+    report = optimize(graph, PashConfig.parallel_only(4, fuse_stages=False))
     assert names(graph).count("grep") == 1
     assert report.parallelized_count == 0
 
 
 def test_consecutive_stages_share_the_parallel_structure():
     graph = build("cat a b c d | grep x | tr A-Z a-z | sort > out.txt")
-    optimize_graph(graph, ParallelizationConfig.parallel_only(4))
+    optimize(graph, PashConfig.parallel_only(4, fuse_stages=False))
     node_names = names(graph)
     assert node_names.count("grep") == 4
     assert node_names.count("tr") == 4
@@ -85,19 +58,19 @@ def test_consecutive_stages_share_the_parallel_structure():
 
 def test_width_caps_copies_when_more_chunks_than_width():
     graph = build("cat a b c d e f g h | grep x > out.txt")
-    optimize_graph(graph, ParallelizationConfig.parallel_only(2))
+    optimize(graph, PashConfig.parallel_only(2, fuse_stages=False))
     assert names(graph).count("grep") == 2
     graph.validate()
 
 
 def test_eager_modes_control_relays():
     for mode, expect_relays, expect_blocking in (
-        (ParallelizationConfig.paper_default(4), True, False),
-        (ParallelizationConfig.blocking_eager(4), True, True),
-        (ParallelizationConfig.no_eager(4), False, False),
+        (PashConfig.paper_default(4, fuse_stages=False), True, False),
+        (PashConfig.blocking_eager(4, fuse_stages=False), True, True),
+        (PashConfig.no_eager(4, fuse_stages=False), False, False),
     ):
         graph = build("cat a b c d | sort > out.txt")
-        optimize_graph(graph, mode)
+        optimize(graph, mode)
         relays = [n for n in graph.nodes.values() if isinstance(n, RelayNode)]
         assert bool(relays) == expect_relays
         if relays:
@@ -106,7 +79,7 @@ def test_eager_modes_control_relays():
 
 def test_report_contents():
     graph = build("cat a b | grep x | sort > out.txt")
-    report = optimize_graph(graph, ParallelizationConfig.paper_default(2))
+    report = optimize(graph, PashConfig.paper_default(2, fuse_stages=False))
     assert "grep x" in report.parallelized_commands
     assert report.inserted_relays > 0
     assert report.compile_time_seconds >= 0.0
@@ -114,25 +87,25 @@ def test_report_contents():
 
 def test_aggregation_fan_in_controls_tree_shape():
     flat = build("cat a b c d e f g h | sort > out.txt")
-    optimize_graph(flat, ParallelizationConfig(width=8, aggregation_fan_in=0, split=SplitMode.NONE))
+    optimize(flat, PashConfig(width=8, aggregation_fan_in=0, split=SplitMode.NONE, fuse_stages=False))
     flat_aggs = [n for n in flat.nodes.values() if isinstance(n, AggregatorNode)]
     assert len(flat_aggs) == 1
 
     tree = build("cat a b c d e f g h | sort > out.txt")
-    optimize_graph(tree, ParallelizationConfig(width=8, aggregation_fan_in=2, split=SplitMode.NONE))
+    optimize(tree, PashConfig(width=8, aggregation_fan_in=2, split=SplitMode.NONE, fuse_stages=False))
     tree_aggs = [n for n in tree.nodes.values() if isinstance(n, AggregatorNode)]
     assert len(tree_aggs) == 7
 
 
 def test_positional_tail_is_not_parallelized():
     graph = build("tail -n+2 words.txt | sort > out.txt")
-    optimize_graph(graph, ParallelizationConfig.paper_default(4))
+    optimize(graph, PashConfig.paper_default(4, fuse_stages=False))
     assert names(graph).count("tail") == 1
 
 
 def test_non_parallelizable_commands_survive_untouched():
     graph = build("cat a b | sha1sum")
-    report = optimize_graph(graph, ParallelizationConfig.paper_default(4))
+    report = optimize(graph, PashConfig.paper_default(4, fuse_stages=False))
     assert names(graph).count("sha1sum") == 1
     assert "sha1sum" not in " ".join(report.parallelized_commands)
 
@@ -141,13 +114,13 @@ def test_table2_sort_node_count_at_16():
     """The paper reports 77 processes for the Sort script at width 16."""
     chunks = " ".join(f"in{i}.txt" for i in range(16))
     graph = build(f"cat {chunks} | tr A-Z a-z | sort > out.txt")
-    optimize_graph(graph, ParallelizationConfig.paper_default(16))
+    optimize(graph, PashConfig.paper_default(16, fuse_stages=False))
     assert len(graph.nodes) == 77
 
 
 def test_split_strategy_propagated_to_split_nodes():
     graph = build("cat big.txt | grep x > out.txt")
-    optimize_graph(graph, ParallelizationConfig.blocking_split(4))
+    optimize(graph, PashConfig.blocking_split(4, fuse_stages=False))
     split = graph.nodes_of_kind("split")[0]
     assert isinstance(split, SplitNode)
     assert split.strategy == "input-aware"

@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Track the size of the system as first-class numbers (ROADMAP aim 2).
+
+Measures, from the source tree alone (``ast``, nothing is imported):
+
+* ``src_lines`` — total lines of every ``*.py`` under ``src/``;
+* ``public_names`` — the length of ``__all__`` in ``repro``, ``repro.api``,
+  ``repro.engine``, ``repro.transform`` and ``repro.backend``;
+* ``option_fields`` — the number of fields of every dataclass under
+  ``src/repro`` whose name ends in ``Config`` or ``Options``.
+
+The numbers are compared with the committed baseline ``tools/surface.json``:
+the check fails when any of them *grows* (or a new options class appears)
+without the baseline being updated in the same commit, so growth is always a
+reviewed decision.  Shrinking passes; refresh the baseline with ``--update``.
+
+Usage: ``python tools/check_surface.py [--update]`` (exit 0 = within baseline).
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import sys
+from pathlib import Path
+from typing import Any, Dict, List
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src"
+BASELINE = Path(__file__).resolve().with_name("surface.json")
+PUBLIC_PACKAGES = ("repro", "repro.api", "repro.engine", "repro.transform", "repro.backend")
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _all_names(package: str) -> int:
+    init = SOURCE.joinpath(*package.split("."), "__init__.py")
+    for node in ast.parse(init.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return len(ast.literal_eval(node.value))
+    raise SystemExit(f"{init}: no literal __all__")
+
+
+def measure() -> Dict[str, Any]:
+    src_lines = 0
+    option_fields: Dict[str, int] = {}
+    for path in sorted(SOURCE.rglob("*.py")):
+        text = path.read_text()
+        src_lines += len(text.splitlines())
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.ClassDef)
+                and node.name.endswith(("Config", "Options"))
+                and _is_dataclass(node)
+            ):
+                fields = sum(isinstance(statement, ast.AnnAssign) for statement in node.body)
+                if fields:  # field-less name matches (a `NoOptions` predicate) are not options
+                    option_fields[node.name] = fields
+    return {
+        "src_lines": src_lines,
+        "public_names": {package: _all_names(package) for package in PUBLIC_PACKAGES},
+        "option_fields": dict(sorted(option_fields.items())),
+    }
+
+
+def growth(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
+    """Every number that exceeds its baseline (missing baseline entries count)."""
+    problems = []
+    if current["src_lines"] > baseline.get("src_lines", 0):
+        problems.append(f"src_lines: {baseline.get('src_lines', 0)} -> {current['src_lines']}")
+    for section in ("public_names", "option_fields"):
+        allowed = baseline.get(section, {})
+        for name, count in current[section].items():
+            if count > allowed.get(name, 0):
+                problems.append(f"{section}[{name}]: {allowed.get(name, 0)} -> {count}")
+    return problems
+
+
+def main(argv: List[str]) -> int:
+    current = measure()
+    print(json.dumps(current, indent=2))
+    if argv[1:] == ["--update"]:
+        BASELINE.write_text(json.dumps(current, indent=2) + "\n")
+        return 0
+    if argv[1:]:
+        print(__doc__, file=sys.stderr)
+        return 2
+    problems = growth(current, json.loads(BASELINE.read_text()))
+    for problem in problems:
+        print(f"surface grew past tools/surface.json: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
