@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 
 class CommandError(ValueError):
@@ -12,6 +13,31 @@ class CommandError(ValueError):
 
 #: A stream is a list of lines without trailing newlines.
 Stream = List[str]
+
+#: The same stream as bytes: an iterable of *line blocks*, each a ``bytes``
+#: object of whole, ``\\n``-terminated lines.  A block kernel maps the input
+#: streams to the produced streams (which may be lazy: a sort emits slices).
+BlockStream = Iterable[bytes]
+BlockKernel = Callable[[List[BlockStream]], List[BlockStream]]
+
+#: Lines per encoded or re-joined slice: enough that the per-slice Python
+#: overhead vanishes, few enough that memory stays at one chunk plus slack.
+BLOCK_LINES = 4096
+
+
+def lines_of_blocks(streams: Iterable[BlockStream]) -> List[bytes]:
+    """Every line (without its newline) of the streams, concatenated in order."""
+    lines: List[bytes] = []
+    for block in chain.from_iterable(streams):
+        lines += block.split(b"\n")
+        lines.pop()  # the empty tail after the block's final newline
+    return lines
+
+
+def blocks_of_lines(lines: List[bytes]) -> Iterator[bytes]:
+    """Re-frame lines as line blocks, lazily: a whole stream never exists twice."""
+    for start in range(0, len(lines), BLOCK_LINES):
+        yield b"\n".join(lines[start : start + BLOCK_LINES] + [b""])
 
 
 @dataclass
@@ -26,9 +52,18 @@ class CommandImplementation:
     name: str
     function: Callable[[List[str], List[Stream]], Stream]
     description: str = ""
+    #: Optional bytes twin of ``function``: given the argument vector, returns
+    #: a :data:`BlockKernel` with the same semantics, or None when these
+    #: flags need ``str`` lines.  The parallel engine uses it to skip the
+    #: decode → list → encode round trip.
+    block: Optional[Callable[[List[str]], Optional[BlockKernel]]] = None
 
     def run(self, arguments: Sequence[str], inputs: Sequence[Stream]) -> Stream:
-        """Execute the command over ``inputs`` and return its output lines."""
+        """Execute the command over ``inputs`` and return its output lines.
+
+        Each input is copied once, here: a command may mutate (or return)
+        what it is handed without touching a stream someone else holds.
+        """
         return self.function(list(arguments), [list(stream) for stream in inputs])
 
 
@@ -134,8 +169,12 @@ def has_flag(arguments: Sequence[str], *flags: str) -> bool:
 
 
 def concat_streams(streams: Sequence[Stream]) -> Stream:
-    """Concatenate input streams in order (the shell's ``cat`` semantics)."""
-    combined: Stream = []
-    for stream in streams:
-        combined.extend(stream)
-    return combined
+    """Concatenate input streams in order (the shell's ``cat`` semantics).
+
+    A single stream is returned as is, not copied: treat the result as
+    read-only unless the inputs are yours (``CommandImplementation.run``
+    hands every command its own).
+    """
+    if len(streams) == 1:
+        return streams[0]
+    return list(chain.from_iterable(streams))

@@ -13,7 +13,9 @@ def _implementations():
     yield CommandImplementation("grep", textproc.grep, "filter lines matching a pattern")
     yield CommandImplementation("egrep", textproc.grep, "grep with extended regexes")
     yield CommandImplementation("fgrep", textproc.grep, "grep with fixed strings")
-    yield CommandImplementation("tr", textproc.tr, "transliterate or delete characters")
+    yield CommandImplementation(
+        "tr", textproc.tr, "transliterate or delete characters", block=textproc.tr_block
+    )
     yield CommandImplementation("cut", textproc.cut, "select fields or character ranges")
     yield CommandImplementation("sed", textproc.sed, "stream editor (substitution subset)")
     yield CommandImplementation("awk", textproc.awk, "awk print subset")
@@ -27,7 +29,7 @@ def _implementations():
     yield CommandImplementation("zcat", textproc.gunzip, "decompression stand-in")
     yield CommandImplementation("xargs", textproc.xargs, "build and run command lines")
 
-    yield CommandImplementation("sort", sorting.sort_command, "sort lines")
+    yield CommandImplementation("sort", sorting.sort_command, "sort lines", block=sorting.sort_block)
     yield CommandImplementation("uniq", sorting.uniq, "collapse adjacent duplicates")
     yield CommandImplementation("comm", sorting.comm, "compare two sorted streams")
     yield CommandImplementation("join", sorting.join, "relational join of sorted streams")

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-import functools
 import re
+from itertools import groupby
 from typing import List, Tuple
 
 from repro.commands.base import (
+    BlockStream,
     CommandError,
     Stream,
+    blocks_of_lines,
     concat_streams,
     flag_value,
     has_flag,
+    lines_of_blocks,
     split_flags,
 )
 
@@ -31,11 +34,13 @@ def _numeric_key(text: str) -> float:
 
 
 def _sort_key_function(arguments: List[str]):
-    """Build the key function implied by sort's flags."""
+    """Build the key function implied by sort's flags (None: compare lines)."""
     numeric = has_flag(arguments, "-n")
     ignore_case = has_flag(arguments, "-f")
     dictionary = has_flag(arguments, "-d")
     key_spec = flag_value(arguments, "-k")
+    if not (numeric or ignore_case or dictionary or key_spec):
+        return None  # sorted() then compares in C, with no key call per line
     field_index = None
     key_numeric = numeric
     if key_spec:
@@ -69,48 +74,45 @@ def _sort_key_function(arguments: List[str]):
     return key
 
 
-def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``."""
-    reverse = has_flag(arguments, "-r")
-    unique = has_flag(arguments, "-u")
-    key = _sort_key_function(arguments)
+def _sorted_lines(lines, key, reverse: bool, unique: bool):
+    """Sort ``str`` or ``bytes`` lines; ``unique`` keeps the first of each key.
 
-    if has_flag(arguments, "-m"):
-        merged = merge_sorted_streams(inputs, key=key, reverse=reverse)
-    else:
-        merged = sorted(concat_streams(inputs), key=key, reverse=reverse)
-
+    Also the merge: Timsort finds the pre-sorted runs of concatenated sorted
+    inputs and merges them in C, stably in both directions, so on sorted
+    inputs this equals a k-way ``heapq.merge`` — the precondition POSIX lets
+    ``sort -m`` assume and the ``merge_sort`` aggregator has by construction.
+    """
+    merged = sorted(lines, key=key, reverse=reverse)
     if unique:
-        deduplicated: Stream = []
-        previous_key = object()
-        for line in merged:
-            current = key(line)
-            if current != previous_key:
-                deduplicated.append(line)
-                previous_key = current
-        return deduplicated
+        return [next(group) for _, group in groupby(merged, key)]
     return merged
 
 
-def merge_sorted_streams(inputs: List[Stream], key, reverse: bool = False) -> Stream:
-    """Merge already-sorted streams (the ``sort -m`` aggregation)."""
-    import heapq
+def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``."""
+    return _sorted_lines(
+        concat_streams(inputs),
+        _sort_key_function(arguments),
+        has_flag(arguments, "-r"),
+        has_flag(arguments, "-u"),
+    )
 
-    class _Wrapper:
-        __slots__ = ("value", "key")
 
-        def __init__(self, value: str) -> None:
-            self.value = value
-            self.key = key(value)
+def sort_block(arguments: List[str]):
+    """Block kernel of :func:`sort_command` for ``-r``/``-u``/``-m`` only.
 
-        def __lt__(self, other: "_Wrapper") -> bool:
-            if reverse:
-                return self.key > other.key
-            return self.key < other.key
+    Without a key-affecting flag the lines compare as a whole, and UTF-8 byte
+    order is code-point order, so sorting the ``bytes`` lines is the ``str``
+    sort.  Anything else (``-n -f -d -k``, operands, unknown flags) refuses.
+    """
+    if any(len(arg) < 2 or arg[0] != "-" or set(arg[1:]) - set("rum") for arg in arguments):
+        return None
+    reverse, unique = has_flag(arguments, "-r"), has_flag(arguments, "-u")
 
-    iterators = [iter([_Wrapper(line) for line in stream]) for stream in inputs]
-    merged = heapq.merge(*iterators)
-    return [wrapper.value for wrapper in merged]
+    def kernel(streams: List[BlockStream]) -> List[BlockStream]:
+        return [blocks_of_lines(_sorted_lines(lines_of_blocks(streams), None, reverse, unique))]
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import List
+from itertools import chain
+from typing import List, Tuple
 
 from repro.commands.base import (
     CommandError,
@@ -116,11 +117,15 @@ def _expand_tr_set(text: str) -> str:
     return "".join(expanded)
 
 
+def _tr_padded_set2(set1: str, set2: str) -> str:
+    """SET2 cut or extended with its last character to SET1's length."""
+    return (set2 + set2[-1] * max(0, len(set1) - len(set2)))[: len(set1)]
+
+
 @lru_cache(maxsize=256)
 def _tr_translate_table(set1: str, set2: str):
     """The (cached) str.translate table for ``tr SET1 SET2``."""
-    padded = set2 + set2[-1] * max(0, len(set1) - len(set2))
-    return str.maketrans(set1, padded[: len(set1)])
+    return str.maketrans(set1, _tr_padded_set2(set1, set2))
 
 
 @lru_cache(maxsize=256)
@@ -186,27 +191,62 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
     return text.split("\n")
 
 
+def tr_block(arguments: List[str]):
+    """Block kernel of :func:`tr`: plain translate or ``-d`` over ASCII sets.
+
+    ``bytes.translate`` equals ``str.translate`` when both sets are ASCII
+    (other bytes pass through untouched) and neither holds a newline (the
+    line structure cannot change).  ``-c``, ``-s``, a non-ASCII set or a
+    newline in a set refuse: those need characters or re-splitting.
+    """
+    options, operands = split_flags(arguments)
+    delete = options == ["-d"]
+    if (options and not delete) or len(operands) != (1 if delete else 2):
+        return None
+    sets = [_expand_tr_set(operand) for operand in operands]
+    if not all(chars and chars.isascii() and "\n" not in chars for chars in sets):
+        return None
+    if delete:
+        table, dropped = None, sets[0].encode()
+    else:
+        set1, set2 = sets
+        table = bytes.maketrans(set1.encode(), _tr_padded_set2(set1, set2).encode())
+        dropped = b""
+    return lambda streams: [
+        (block.translate(table, dropped) for block in chain.from_iterable(streams))
+    ]
+
+
 # ---------------------------------------------------------------------------
 # cut
 # ---------------------------------------------------------------------------
 
 
-def _parse_ranges(spec: str) -> List[range]:
-    """Parse a cut range list such as ``1,3-5`` or ``89-92`` (1-based)."""
-    ranges: List[range] = []
+@lru_cache(maxsize=256)
+def _cut_slices(spec: str) -> Tuple[Tuple[int, int], ...]:
+    """A cut LIST such as ``1,3-5`` or ``2-`` as sorted, disjoint 0-based slices.
+
+    cut prints every selected position once, in input order, whatever the
+    order of the list — so overlapping and adjacent ranges merge.
+    """
+    spans = []
     for piece in spec.split(","):
         piece = piece.strip()
         if not piece:
             continue
-        if "-" in piece:
-            start_text, _, end_text = piece.partition("-")
-            start = int(start_text) if start_text else 1
-            end = int(end_text) if end_text else 10 ** 9
-            ranges.append(range(start, end + 1))
+        start_text, dash, end_text = piece.partition("-")
+        start = int(start_text) if start_text else 1
+        end = (int(end_text) if end_text else 10 ** 9) if dash else start
+        spans.append((max(start, 1) - 1, end))
+    slices: List[Tuple[int, int]] = []
+    for low, high in sorted(spans):
+        if high <= low:
+            continue
+        if slices and low <= slices[-1][1]:
+            slices[-1] = (slices[-1][0], max(high, slices[-1][1]))
         else:
-            value = int(piece)
-            ranges.append(range(value, value + 1))
-    return ranges
+            slices.append((low, high))
+    return tuple(slices)
 
 
 def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
@@ -217,35 +257,32 @@ def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
     delimiter = flag_value(arguments, "-d", "\t") or "\t"
     if delimiter.startswith('"') and delimiter.endswith('"') and len(delimiter) >= 2:
         delimiter = delimiter[1:-1]
+    if not (char_spec or field_spec):
+        raise CommandError("cut requires -c or -f")
 
+    slices = _cut_slices(char_spec or field_spec)
     if char_spec:
-        ranges = _parse_ranges(char_spec)
-        out: Stream = []
-        for line in data:
-            selected = []
-            for position, char in enumerate(line, start=1):
-                if any(position in r for r in ranges):
-                    selected.append(char)
-            out.append("".join(selected))
-        return out
+        if len(slices) == 1:
+            ((low, high),) = slices
+            return [line[low:high] for line in data]
+        return ["".join([line[low:high] for low, high in slices]) for line in data]
 
-    if field_spec:
-        ranges = _parse_ranges(field_spec)
-        out = []
-        for line in data:
-            if delimiter not in line:
-                out.append(line)
-                continue
-            fields = line.split(delimiter)
-            selected = [
-                fields[index - 1]
-                for index in range(1, len(fields) + 1)
-                if any(index in r for r in ranges)
-            ]
-            out.append(delimiter.join(selected))
-        return out
-
-    raise CommandError("cut requires -c or -f")
+    # A line without the delimiter passes whole; nothing past the last
+    # selected field needs splitting.
+    limit = slices[-1][1] if slices else 1
+    join = delimiter.join
+    if len(slices) == 1:
+        ((low, high),) = slices
+        return [
+            join(fields[low:high]) if len(fields := line.split(delimiter, limit)) > 1 else line
+            for line in data
+        ]
+    return [
+        join([field for low, high in slices for field in fields[low:high]])
+        if len(fields := line.split(delimiter, limit)) > 1
+        else line
+        for line in data
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
 from repro.commands.base import Stream
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
-from repro.engine.channels import decode_lines
+from repro.engine.channels import decode_block
 from repro.engine.metrics import EngineMetrics
 from repro.engine.pool import WorkerPool
 from repro.engine.scheduler import ParallelScheduler
@@ -177,7 +177,7 @@ class ShellBackend(ExecutionBackend):
             stdout, returncode, stderr = self._run_shell(script, scratch)
             if returncode != 0:
                 raise ExecutionError(f"emitted script exited {returncode}: {stderr.strip()}")
-            result.stdout.extend(decode_lines(stdout.encode("utf-8")))
+            result.stdout.extend(decode_block(stdout.encode("utf-8")))
             self._read_back(graph, environment, scratch, result)
         elapsed = time.perf_counter() - started
         return self._wrap(result, elapsed, EngineMetrics())
@@ -292,7 +292,7 @@ class ShellBackend(ExecutionBackend):
             path = self._path(scratch, edge.name)
             try:
                 with open(path) as handle:
-                    lines = decode_lines(handle.read().encode("utf-8"))
+                    lines = decode_block(handle.read().encode("utf-8"))
             except FileNotFoundError:
                 lines = []
             # The script itself applied any `>>` append against the

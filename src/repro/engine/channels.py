@@ -1,8 +1,10 @@
 """OS-pipe channels: the streams of the parallel execution engine.
 
 A :class:`Channel` wraps one ``os.pipe`` — the engine's realization of a DFG
-edge.  Framing is newline-delimited UTF-8 with writes batched into
-``chunk_size`` blocks, so tiny lines do not cost one syscall each.
+edge.  Framing is newline-delimited UTF-8 and the unit that moves is the
+*line block* — a ``bytes`` object of whole, ``\\n``-terminated lines
+(:func:`iter_line_blocks`, :func:`encode_block`, :func:`decode_block`) — so
+framing costs one C call per block, never one Python iteration per line.
 Backpressure is the kernel's: a producer that outruns its consumer blocks in
 ``write(2)`` exactly like a process writing to a full FIFO, which is the
 behaviour PaSh's eager relays exist to mitigate (§5.2).
@@ -24,8 +26,10 @@ import os
 import tempfile
 import threading
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain, islice
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.commands.base import BLOCK_LINES
 from repro.resilience import fault as fault_injection
 from repro.resilience.errors import wrap_capacity_error
 
@@ -40,73 +44,88 @@ class ChannelError(RuntimeError):
     """Raised on invalid channel operations (e.g. writing after close)."""
 
 
-def encode_lines(lines: Iterable[str]) -> bytes:
-    """Frame a stream as newline-terminated UTF-8 bytes."""
-    text = "".join(line + "\n" for line in lines)
-    return text.encode("utf-8")
+def encode_block(lines: Sequence[str]) -> bytes:
+    """Frame lines as one *line block*: whole, ``\\n``-terminated UTF-8 lines."""
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
 
 
-def iter_encoded_chunks(lines: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
-    """Frame a stream as newline-terminated UTF-8 byte chunks.
+def decode_block(block: bytes) -> List[str]:
+    """Inverse of :func:`encode_block` (tolerates a missing final newline).
 
-    The bounded-memory counterpart of :func:`encode_lines`: at most one
-    chunk (plus one line) is materialized at a time.
+    Splitting after the decode equals splitting the bytes — UTF-8 never
+    holds ``0x0A`` inside a sequence — and the strict decode raises on
+    invalid input.
     """
-    chunk_size = max(1, chunk_size)
-    buffer = bytearray()
-    for line in lines:
-        buffer += (line + "\n").encode("utf-8")
-        if len(buffer) >= chunk_size:
-            yield bytes(buffer)
-            buffer.clear()
-    if buffer:
-        yield bytes(buffer)
-
-
-def decode_lines(data: bytes) -> List[str]:
-    """Inverse of :func:`encode_lines` (tolerates a missing final newline)."""
-    if not data:
-        return []
-    text = data.decode("utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+    lines = block.decode("utf-8").split("\n")
+    if not lines[-1]:
         lines.pop()
     return lines
 
 
-def iter_decoded_batches(chunks: Iterable[bytes]) -> Iterator[List[str]]:
-    """Decode framed chunks into per-chunk line batches, incrementally.
+def iter_line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """Re-cut arbitrary byte chunks into line blocks, incrementally.
 
-    Splitting happens at the *byte* level on ``\\n`` — which can never occur
-    inside a multi-byte UTF-8 sequence — so only complete lines are ever
-    decoded and a sequence split across a chunk boundary round-trips
-    correctly.  A final line without a trailing newline is still yielded.
-    This is the single copy of the split/carry algorithm; the line-wise
-    iterators and the workers' batch evaluation all build on it.
+    Each chunk is cut at its last ``\\n`` and the tail carried into the next,
+    so a block never ends inside a line (or inside a multi-byte sequence); a
+    final line without its newline is given one.  This is the single copy of
+    the split/carry algorithm: every decoder and every block kernel consumes
+    its output.
     """
-    remainder = b""
+    carry: List[bytes] = []
     for chunk in chunks:
-        if not chunk:
-            continue
-        data = remainder + chunk
-        pieces = data.split(b"\n")
-        remainder = pieces.pop()
-        if pieces:
-            yield [piece.decode("utf-8") for piece in pieces]
-    if remainder:
-        yield [remainder.decode("utf-8")]
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            carry.append(chunk[:cut])
+            yield b"".join(carry)
+            carry.clear()
+        if cut < len(chunk):
+            carry.append(chunk[cut:])
+    if carry:
+        carry.append(b"\n")
+        yield b"".join(carry)
+
+
+def iter_line_slices(lines: Iterable[str]) -> Iterator[List[str]]:
+    """Cut a stream into lists of at most ``BLOCK_LINES`` lines."""
+    iterator = iter(lines)
+    return iter(lambda: list(islice(iterator, BLOCK_LINES)), [])
+
+
+def encode_lines(lines: Iterable[str]) -> bytes:
+    """Frame a whole stream as newline-terminated UTF-8 bytes."""
+    return b"".join(map(encode_block, iter_line_slices(lines)))
+
+
+def iter_encoded_chunks(lines: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
+    """Frame a stream as line blocks of about ``chunk_size`` bytes.
+
+    The bounded-memory counterpart of :func:`encode_lines`: lines are encoded
+    a slice at a time, and a chunk ends at the first newline at or past
+    ``chunk_size`` bytes — it overhangs by at most a line, and only the last
+    one is shorter.
+    """
+    chunk_size = max(1, chunk_size)
+    tail = b""
+    for block in map(encode_block, iter_line_slices(lines)):
+        block = tail + block
+        start = 0
+        while len(block) - start >= chunk_size:
+            end = block.find(b"\n", start + chunk_size - 1) + 1
+            yield block[start:end]
+            start = end
+        tail = block[start:]
+    if tail:
+        yield tail
+
+
+def iter_decoded_batches(chunks: Iterable[bytes]) -> Iterator[List[str]]:
+    """Decode framed chunks into one line batch per line block."""
+    return map(decode_block, iter_line_blocks(chunks))
 
 
 def iter_decoded_lines(chunks: Iterable[bytes]) -> Iterator[str]:
     """Decode framed chunks into lines, incrementally (UTF-8-safe)."""
-    for batch in iter_decoded_batches(chunks):
-        for line in batch:
-            yield line
-
-
-def count_framed_lines(chunk: bytes) -> int:
-    """Number of newline-terminated lines contained in a framed chunk."""
-    return chunk.count(b"\n")
+    return chain.from_iterable(iter_decoded_batches(chunks))
 
 
 class Channel:
@@ -153,32 +172,36 @@ class ChannelWriter:
         self._buffer = bytearray()
         self._closed = False
 
-    def write_line(self, line: str) -> None:
-        if self._closed:
-            raise ChannelError("cannot write to a closed channel")
-        self._buffer += (line + "\n").encode("utf-8")
-        self.lines_written += 1
-        if len(self._buffer) >= self.chunk_size:
-            self.flush()
-
     def write_lines(self, lines: Iterable[str]) -> None:
-        for line in lines:
-            self.write_line(line)
+        for batch in iter_line_slices(lines):
+            self.write_chunk(encode_block(batch), len(batch))
 
-    def write_chunk(self, data: bytes) -> None:
-        """Forward an already-framed byte chunk (the pass-through hot path)."""
+    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
+        """Forward an already-framed line block (the pass-through hot path).
+
+        ``lines`` is the block's line count when the caller knows it; counting
+        newlines costs about as much as encoding the block did.
+        """
         if self._closed:
             raise ChannelError("cannot write to a closed channel")
-        if not data:
+        self.lines_written += data.count(b"\n") if lines is None else lines
+        if len(data) >= self.chunk_size:
+            # A full block goes straight to the pipe: no staging copy.
+            self.flush()
+            self._write(data)
             return
         self._buffer += data
-        self.lines_written += count_framed_lines(data)
         if len(self._buffer) >= self.chunk_size:
             self.flush()
 
     def flush(self) -> None:
-        view = memoryview(bytes(self._buffer))
-        self._buffer.clear()
+        if self._buffer:
+            data = bytes(self._buffer)
+            self._buffer.clear()
+            self._write(data)
+
+    def _write(self, data: bytes) -> None:
+        view = memoryview(data)
         while view:
             written = os.write(self.fd, view)
             self.bytes_written += written
@@ -234,13 +257,15 @@ class ChannelReader:
 
     def iter_lines(self) -> Iterator[str]:
         """Yield decoded lines incrementally (UTF-8-safe across chunks)."""
-        for line in iter_decoded_lines(self.iter_chunks()):
-            self.lines_read += 1
-            yield line
+        for batch in iter_decoded_batches(self.iter_chunks()):
+            self.lines_read += len(batch)
+            yield from batch
 
     def read_lines(self) -> List[str]:
         """Drain the channel to EOF and return the framed lines."""
-        return list(self.iter_lines())
+        lines = decode_block(b"".join(self.iter_chunks()))
+        self.lines_read += len(lines)
+        return lines
 
     def close(self) -> None:
         if self._closed:
@@ -417,7 +442,7 @@ class EagerPump(threading.Thread):
         self.buffer = SpillBuffer(spill_threshold, directory=spill_directory)
         self._error: Optional[BaseException] = None
 
-    def run(self) -> None:  # pragma: no cover - exercised via result()
+    def run(self) -> None:  # pragma: no cover - runs on the pump thread
         try:
             for chunk in self.reader.iter_chunks():
                 self.buffer.append(chunk)
@@ -435,17 +460,6 @@ class EagerPump(threading.Thread):
         self.join()
         if self._error is not None:
             raise self._error
-
-    def iter_lines(self) -> Iterator[str]:
-        """Consume decoded lines as they arrive (UTF-8-safe across chunks)."""
-        return iter_decoded_lines(self.iter_chunks())
-
-    def result(self) -> List[str]:
-        """Join the pump and return the full (remaining) stream as lines."""
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return list(iter_decoded_lines(self.buffer))
 
     # -- accounting ----------------------------------------------------------
 

@@ -8,23 +8,31 @@ Command nodes either exec the real host binary (when enabled and available)
 or run the registry's pure-Python implementation — either way in a separate
 process, so parallel branches genuinely overlap.
 
-The data plane is *streaming*, not materialize-then-forward.  Each node runs
-in one of three modes, picked by :func:`execution_mode`:
+The data plane is *streaming*, not materialize-then-forward, and its unit is
+the *line block* — ``bytes`` holding whole ``\\n``-terminated lines, re-cut
+from whatever the file or pipe delivered by
+:func:`repro.engine.channels.iter_line_blocks`.  No loop here touches a line.
+Each node runs in one of three modes, picked by :func:`execution_mode`:
 
-* ``chunks`` — pure pass-through nodes (relays, concatenations) forward raw
-  framed byte chunks from their inputs to their outputs without ever
-  decoding a line; memory use is one chunk.
+* ``chunks`` — pure pass-through nodes (relays, concatenations) forward each
+  block from their inputs to their outputs without decoding it; memory use
+  is one block.
 * ``batches`` — stateless commands and fused stateless chains (per the
   Table-1 annotation classes; see
   :func:`repro.runtime.executor.node_streams_statelessly`) are evaluated one
-  line batch at a time, which is bit-identical to whole-stream evaluation by
-  the same property that makes them parallelizable; memory use is one batch.
+  block at a time, which is bit-identical to whole-stream evaluation by the
+  same property that makes them parallelizable; memory use is one block.
   A :class:`~repro.dfg.nodes.FusedStage` runs its whole command chain over
-  each batch in-process — no pipe, pump, or re-framing between members.
+  each block in-process — no pipe, pump, or re-framing between members.
 * ``materialize`` — everything else (sort-likes, aggregators, splits, host
   commands) still needs the whole stream; the eager pumps that feed it
   buffer at most ``spill_threshold`` bytes in memory and spill the rest to
   disk, so the *channel* layer stays bounded even here.
+
+In the last two modes the node's kernel receives the blocks themselves when
+:func:`repro.runtime.executor.block_kernel` finds a bytes kernel for its
+command and flags, and the decoded ``List[str]`` otherwise — the path is
+chosen by what the node is, never by a setting.
 
 Workers never raise: every outcome, including failure, is delivered to the
 scheduler as a report on the shared queue, and all owned file descriptors are
@@ -41,7 +49,8 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from itertools import chain
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.commands.base import CommandRegistry, Stream
 from repro.dfg.nodes import CatNode, CommandNode, DFGNode, FusedStage, RelayNode
@@ -52,11 +61,12 @@ from repro.engine.channels import (
     ChannelWriter,
     EagerPump,
     SpillBuffer,
-    count_framed_lines,
-    decode_lines,
+    decode_block,
+    encode_block,
     encode_lines,
-    iter_decoded_batches,
     iter_encoded_chunks,
+    iter_line_blocks,
+    iter_line_slices,
 )
 from repro.engine.metrics import NodeMetrics
 from repro.obs.tracer import TraceContext, record_worker_span
@@ -64,6 +74,7 @@ from repro.resilience import fault as fault_injection
 from repro.resilience.errors import wrap_capacity_error
 from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
+    block_kernel,
     evaluate_node,
     evaluate_stateless_batch,
     node_streams_statelessly,
@@ -182,7 +193,7 @@ def _run_host_command(node: CommandNode, inputs: List[Stream]) -> Stream:
     if completed.returncode != 0:
         detail = completed.stderr.decode("utf-8", "replace").strip()
         raise RuntimeError(f"host command {node.name!r} exited {completed.returncode}: {detail}")
-    return decode_lines(completed.stdout)
+    return decode_block(completed.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +216,12 @@ class InputSource:
     def _raw_chunks(self) -> Iterator[bytes]:
         raise NotImplementedError
 
-    def iter_chunks(self) -> Iterator[bytes]:
-        """Framed byte chunks, counted (pass-through consumption)."""
-        last = b""
-        for chunk in self._raw_chunks():
-            if not chunk:
-                continue
-            self.bytes_in += len(chunk)
-            self.lines_in += count_framed_lines(chunk)
-            last = chunk[-1:]
-            yield chunk
-        if last and last != b"\n":
-            # A final line without its newline is still a line.
-            self.lines_in += 1
+    def iter_blocks(self) -> Iterator[bytes]:
+        """The stream as line blocks, counted — the unit every mode consumes.
 
-    def iter_batches(self) -> Iterator[List[str]]:
-        """Decoded line batches (one per arriving chunk), counted.
-
-        Built on :func:`repro.engine.channels.iter_decoded_batches`, so the
-        byte-level split (UTF-8-safe across chunk boundaries) lives in one
-        place.
+        Built on :func:`repro.engine.channels.iter_line_blocks`, so the
+        split/carry (UTF-8-safe across chunk boundaries, final newline
+        supplied) lives in one place.
         """
 
         def counted() -> Iterator[bytes]:
@@ -232,16 +229,13 @@ class InputSource:
                 self.bytes_in += len(chunk)
                 yield chunk
 
-        for batch in iter_decoded_batches(counted()):
-            self.lines_in += len(batch)
-            yield batch
+        for block in iter_line_blocks(counted()):
+            self.lines_in += block.count(b"\n")
+            yield block
 
     def lines(self) -> List[str]:
-        """Materialize the whole stream (counted)."""
-        collected: List[str] = []
-        for batch in self.iter_batches():
-            collected.extend(batch)
-        return collected
+        """Materialize the whole stream as decoded lines (counted)."""
+        return list(chain.from_iterable(map(decode_block, self.iter_blocks())))
 
     # -- spill accounting (overridden by pump-backed sources) ---------------
 
@@ -335,10 +329,10 @@ class InlineSource(InputSource):
         return iter_encoded_chunks(self.data, self.chunk_size)
 
     def lines(self) -> List[str]:
-        stream = list(self.data)
-        self.lines_in += len(stream)
-        self.bytes_in += sum(len(line) + 1 for line in stream)
-        return stream
+        # Already decoded: skip the round trip, count what it would have moved.
+        self.lines_in += len(self.data)
+        self.bytes_in += len(encode_lines(self.data))
+        return self.data
 
 
 def _open_sources(plan: WorkerPlan) -> List[InputSource]:
@@ -370,7 +364,7 @@ def _open_sources(plan: WorkerPlan) -> List[InputSource]:
         elif port.path is not None:
             sources.append(FileSource(port.path, plan.chunk_size))
         else:
-            sources.append(InlineSource(list(port.data or []), plan.chunk_size))
+            sources.append(InlineSource(port.data or [], plan.chunk_size))
     return sources
 
 
@@ -385,11 +379,17 @@ class OutputSink:
     bytes_out = 0
     lines_out = 0
 
-    def write_chunk(self, data: bytes) -> None:
+    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
+        """Write one line block (``lines`` = its line count, when known)."""
         raise NotImplementedError
 
-    def write_lines(self, lines: List[str]) -> None:
-        raise NotImplementedError
+    def write(self, output: Union[bytes, List[str]]) -> None:
+        """Write a kernel's output: a line block as is, a line list encoded."""
+        if isinstance(output, bytes):
+            self.write_chunk(output)
+        else:
+            for batch in iter_line_slices(output):
+                self.write_chunk(encode_block(batch), len(batch))
 
     def finish(self) -> None:
         """Flush and close the destination (EOF downstream)."""
@@ -418,20 +418,11 @@ class ChannelSink(OutputSink):
     def lines_out(self) -> int:  # type: ignore[override]
         return self.writer.lines_written
 
-    def write_chunk(self, data: bytes) -> None:
+    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
         if self.dead:
             return
         try:
-            self.writer.write_chunk(data)
-        except BrokenPipeError:
-            self.dead = True
-            self.writer.abandon()
-
-    def write_lines(self, lines: List[str]) -> None:
-        if self.dead:
-            return
-        try:
-            self.writer.write_lines(lines)
+            self.writer.write_chunk(data, lines)
         except BrokenPipeError:
             self.dead = True
             self.writer.abandon()
@@ -464,12 +455,10 @@ class ReportSink(OutputSink):
         edge_id: int,
         spill_threshold: int,
         directory: Optional[str],
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> None:
         self.edge_id = edge_id
         self.spill_threshold = max(0, spill_threshold)
         self.directory = directory
-        self.chunk_size = chunk_size
         self._buffer = bytearray()
         self._file = None
         self._path: Optional[str] = None
@@ -479,9 +468,11 @@ class ReportSink(OutputSink):
         self.spilled_bytes = 0
         self.spill_events = 0
 
-    def _append(self, data: bytes) -> None:
+    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
+        if not data:
+            return
         self.bytes_out += len(data)
-        self.lines_out += count_framed_lines(data)
+        self.lines_out += data.count(b"\n") if lines is None else lines
         if self._file is None and len(self._buffer) + len(data) <= self.spill_threshold:
             self._buffer += data
             if len(self._buffer) > self.peak_buffered_bytes:
@@ -509,19 +500,11 @@ class ReportSink(OutputSink):
         self.spilled_bytes += len(data)
         self.spill_events += 1
 
-    def write_chunk(self, data: bytes) -> None:
-        if data:
-            self._append(data)
-
-    def write_lines(self, lines: List[str]) -> None:
-        for chunk in iter_encoded_chunks(lines, self.chunk_size):
-            self._append(chunk)
-
     def entry(self):
         """The report-queue representation of this output."""
         if self._file is not None:
             return {SPILL_PATH_KEY: self._path, "lines": self.lines_out}
-        return decode_lines(bytes(self._buffer))
+        return decode_block(bytes(self._buffer))
 
     def finish(self) -> None:
         if self._file is not None:
@@ -548,11 +531,7 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
         if port.fd is not None:
             sinks.append(ChannelSink(port.fd, plan.chunk_size))
         else:
-            sinks.append(
-                ReportSink(
-                    port.edge_id, plan.spill_threshold, plan.spill_directory, plan.chunk_size
-                )
-            )
+            sinks.append(ReportSink(port.edge_id, plan.spill_threshold, plan.spill_directory))
     return sinks
 
 
@@ -561,21 +540,13 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_chunks(sources: List[InputSource]) -> Iterator[bytes]:
-    """Concatenate the sources' framed streams, chunk-granular.
+def _concatenated_blocks(sources: List[InputSource]) -> Iterator[bytes]:
+    """Concatenate the sources' streams, block-granular.
 
-    A stream whose final line lacks a newline gets one appended before the
-    next stream starts, matching the line-level concatenation the
-    interpreter performs (`cat a b` must not merge a's last line with b's
-    first).
+    Every block ends in a newline, so `cat a b` never merges a's last line
+    with b's first — the line-level concatenation the interpreter performs.
     """
-    for source in sources:
-        last = b""
-        for chunk in source.iter_chunks():
-            last = chunk[-1:]
-            yield chunk
-        if last and last != b"\n":
-            yield b"\n"
+    return chain.from_iterable(source.iter_blocks() for source in sources)
 
 
 def _run_chunk_mode(
@@ -594,43 +565,58 @@ def _run_chunk_mode(
         # Blocking-eager semantics (Fig. 6): absorb the whole stream before
         # forwarding anything — through a bounded buffer, not a list.
         stage = SpillBuffer(plan.spill_threshold, directory=plan.spill_directory)
-        for chunk in _normalized_chunks(sources):
+        for chunk in _concatenated_blocks(sources):
             stage.append(chunk)
         stage.close()
         for chunk in stage:
             for sink in sinks:
                 sink.write_chunk(chunk)
         return [stage]
-    for chunk in _normalized_chunks(sources):
+    for chunk in _concatenated_blocks(sources):
         for sink in sinks:
             sink.write_chunk(chunk)
     return []
+
+
+def _valid_block(block: bytes) -> bytes:
+    """A block no kernel will decode still raises here on invalid UTF-8."""
+    if not block.isascii():
+        block.decode("utf-8")
+    return block
 
 
 def _run_batch_mode(
     plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
     registry: CommandRegistry, metrics: NodeMetrics,
 ) -> None:
-    """Evaluate a stateless command (or fused chain) one line batch at a time."""
+    """Evaluate a stateless command (or fused chain) one line block at a time.
+
+    The unit handed to the kernel is the block itself when the node has a
+    block kernel (every member of a fused chain must), else its decoded lines.
+    """
     node = plan.node
-    compute = 0.0
-    saw_input = False
-    for batch in sources[0].iter_batches():
-        saw_input = True
+    kernel = block_kernel(node, registry)
+
+    def evaluate(block: bytes) -> None:
+        batch = [[_valid_block(block)]] if kernel else decode_block(block)
         started = time.perf_counter()
-        output = evaluate_stateless_batch(node, batch, registry)
-        compute += time.perf_counter() - started
-        for sink in sinks:
-            sink.write_lines(output)
+        if kernel:
+            pieces = list(kernel(batch)[0])  # a kernel may be lazy: force it here
+        else:
+            pieces = [evaluate_stateless_batch(node, batch, registry)]
+        metrics.compute_seconds += time.perf_counter() - started
+        for piece in pieces:
+            for sink in sinks:
+                sink.write(piece)
+
+    saw_input = False
+    for block in sources[0].iter_blocks():
+        saw_input = True
+        evaluate(block)
     if not saw_input:
         # Preserve exact interpreter behaviour for empty streams even if a
         # command's annotation overstates its statelessness.
-        started = time.perf_counter()
-        output = evaluate_stateless_batch(node, [], registry)
-        compute += time.perf_counter() - started
-        for sink in sinks:
-            sink.write_lines(output)
-    metrics.compute_seconds = compute
+        evaluate(b"")
 
 
 def _run_materialize_mode(
@@ -639,13 +625,24 @@ def _run_materialize_mode(
 ) -> None:
     """Whole-stream evaluation for nodes that need all their input at once."""
     node = plan.node
-    inputs: List[Stream] = [source.lines() for source in sources]
-    started = time.perf_counter()
-    if host_command_available(node, plan.use_host_commands):
-        metrics.host_command = True
-        outputs = [_run_host_command(node, inputs)]
+    host = host_command_available(node, plan.use_host_commands)
+    kernel = None if host else block_kernel(node, registry)
+    if kernel:
+        streams = [list(map(_valid_block, source.iter_blocks())) for source in sources]
+        started = time.perf_counter()
+        outputs = kernel(streams)
+        if isinstance(node, (CommandNode, FusedStage)) and len(sinks) > 1:
+            # A command's one stream is replicated over its output edges.
+            outputs = [list(outputs[0])] * len(sinks)
     else:
-        outputs = evaluate_node(node, inputs, registry)
+        inputs: List[Stream] = [source.lines() for source in sources]
+        started = time.perf_counter()
+        if host:
+            metrics.host_command = True
+            outputs = [_run_host_command(node, inputs)]
+        else:
+            outputs = evaluate_node(node, inputs, registry)
+        outputs = [[lines] for lines in outputs]
     metrics.compute_seconds = time.perf_counter() - started
     # Mirror the interpreter's arity check: a mismatch must be a loud
     # error, not silently-empty downstream edges.
@@ -655,7 +652,8 @@ def _run_materialize_mode(
             f"{len(plan.outputs)} output edges"
         )
     for sink, stream in zip(sinks, outputs):
-        sink.write_lines(stream)
+        for piece in stream:
+            sink.write(piece)
 
 
 # ---------------------------------------------------------------------------

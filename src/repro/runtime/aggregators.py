@@ -26,9 +26,13 @@ def concat(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
 
 
 def merge_sort(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
-    """Merge sorted runs — equivalent to ``sort -m`` with the original flags."""
-    merge_arguments = [arg for arg in arguments if arg != "-m"] + ["-m"]
-    return sorting.sort_command(list(merge_arguments), [list(s) for s in streams])
+    """Merge sorted runs — ``sort -m`` with the original flags (a run-merge)."""
+    return sorting.sort_command(list(arguments), list(streams))
+
+
+#: Block kernels of the aggregators that have one, beside their ``str`` twins:
+#: ``name -> factory(arguments) -> BlockKernel or None``.
+BLOCK_AGGREGATORS = {"merge_sort": sorting.sort_block}
 
 
 _UNIQ_COUNT_RE = re.compile(r"^\s*(\d+) (.*)$", re.DOTALL)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.commands import CommandRegistry, standard_registry
-from repro.commands.base import Stream
+from repro.commands.base import BlockKernel, BlockStream, Stream
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
@@ -25,9 +25,9 @@ from repro.dfg.nodes import (
     RelayNode,
     SplitNode,
 )
-from repro.runtime.aggregators import apply_aggregator
+from repro.runtime.aggregators import BLOCK_AGGREGATORS, apply_aggregator
 from repro.runtime.eager import relay
-from repro.runtime.split import split_stream
+from repro.runtime.split import split_block, split_stream
 from repro.runtime.streams import VirtualFileSystem
 
 
@@ -46,14 +46,14 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
     This is the single node-semantics kernel shared by the in-process
     executor and the parallel engine's worker processes.
     """
-    if isinstance(node, CommandNode):
-        output = registry.run(node.name, node.arguments, inputs)
-        count = max(1, len(node.outputs))
-        return [list(output) for _ in range(count)]
-    if isinstance(node, FusedStage):
-        output = evaluate_stateless_batch(node, inputs[0] if inputs else [], registry)
-        count = max(1, len(node.outputs))
-        return [list(output) for _ in range(count)]
+    if isinstance(node, (CommandNode, FusedStage)):
+        if isinstance(node, CommandNode):
+            output = registry.run(node.name, node.arguments, inputs)
+        else:
+            output = evaluate_stateless_batch(node, inputs[0] if inputs else [], registry)
+        # ``run`` hands back a list nobody else holds: only the extra edges
+        # of a multi-output node need copies of their own.
+        return [output] + [list(output) for _ in node.outputs[1:]]
     if isinstance(node, AggregatorNode):
         output = apply_aggregator(node.aggregator, inputs, node.command_arguments)
         return [output]
@@ -89,6 +89,39 @@ def evaluate_stateless_batch(node: DFGNode, batch: Stream, registry: CommandRegi
         return stream
     assert isinstance(node, CommandNode)
     return registry.run(node.name, node.arguments, [batch])
+
+
+def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKernel]:
+    """The node's bytes kernel, or None when evaluating it needs ``str`` lines.
+
+    A kernel maps the input streams, each an iterable of line blocks, to the
+    produced streams — one for a command or aggregator (the caller
+    replicates it over output edges as :func:`evaluate_node` does),
+    ``len(outputs)`` for a split.  It is looked up on the registry's
+    implementation object, so a replacement registered without ``block``
+    takes the ``str`` path by itself; a fused stage has one only when every
+    member does.
+    """
+    if isinstance(node, FusedStage):
+        kernels = [block_kernel(member, registry) for member in node.nodes]
+        if not all(kernels):
+            return None
+
+        def fused(streams: List[BlockStream]) -> List[BlockStream]:
+            for kernel in kernels:
+                streams = kernel(streams)
+            return streams
+
+        return fused
+    if isinstance(node, CommandNode):
+        factory = registry.lookup(node.name).block
+        return factory(list(node.arguments)) if factory else None
+    if isinstance(node, AggregatorNode):
+        factory = BLOCK_AGGREGATORS.get(node.aggregator)
+        return factory(list(node.command_arguments)) if factory else None
+    if isinstance(node, SplitNode) and len(node.inputs) == 1:
+        return split_block(max(1, len(node.outputs)))
+    return None
 
 
 def node_streams_statelessly(node: DFGNode) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.commands.base import Stream
+from repro.commands.base import BlockKernel, Stream, blocks_of_lines, lines_of_blocks
 
 
 def split_stream(
@@ -50,6 +50,13 @@ def split_stream(
     if start < len(data):
         chunks[-1].extend(data[start:])
     return chunks
+
+
+def split_block(parts: int) -> BlockKernel:
+    """Block kernel of :func:`split_stream`: the same partition, over bytes lines."""
+    return lambda streams: [
+        blocks_of_lines(chunk) for chunk in split_stream(lines_of_blocks(streams), parts)
+    ]
 
 
 def round_robin_split(lines: Sequence[str], parts: int) -> List[Stream]:

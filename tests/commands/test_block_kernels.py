@@ -1,0 +1,180 @@
+"""Generated tests pinning every block kernel to its ``str`` twin.
+
+The rule for adding a block kernel (docs/ARCHITECTURE.md, "Data plane") is
+that it ships with its row in ``KERNELS`` below: the flag sets it accepts —
+on which it must equal the ``str`` function on adversarial inputs — and the
+flag sets it must refuse.  The sort/merge combiner law
+``merge_sort(sort(x1), sort(x2)) == sort(x1 ++ x2)`` (KumQuat's oracle) is
+what makes the run-merge a legal replacement for the k-way heap merge.
+
+Seeds are fixed; ``PASH_TEST_SEED`` widens coverage and every failure prints
+the seed that reproduces it.
+"""
+
+import os
+import random
+
+import pytest
+
+from repro.commands import sorting, standard_registry, textproc
+from repro.commands.base import CommandImplementation
+from repro.dfg.nodes import AggregatorNode, CommandNode, FusedStage, SplitNode
+from repro.engine.channels import decode_block, iter_encoded_chunks
+from repro.runtime import aggregators
+from repro.runtime.executor import block_kernel, evaluate_node
+from repro.runtime.split import split_block, split_stream
+
+BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
+SEEDS = [BASE_SEED + offset for offset in range(6)]
+WORDS = ["apple", "Apple", "APPLE", "b", "B", "10", "9", "-3", "2.5", "é", "É", "日本", "z z", ""]
+
+
+def random_lines(rng: random.Random, count: int):
+    """Lines with heavy key ties, mixed case, numbers and multibyte text."""
+    return [
+        " ".join(rng.choice(WORDS) for _ in range(rng.choice([0, 1, 1, 2, 3])))
+        for _ in range(count)
+    ]
+
+
+def inputs_for(seed: int):
+    rng = random.Random(seed)
+    return {
+        "empty stream": [],
+        "empty lines": ["", "", ""],
+        "ties": random_lines(rng, 400),
+        "one long line": ["x" * (1 << 20)],
+        "multibyte": ["é", "e", "z", "É", "日本", "ÿ", "Ā", "~"],
+    }
+
+
+def run_kernel(kernel, streams, chunk_size=64):
+    """Feed ``str`` streams to a block kernel; decode what it produces."""
+    blocks = [list(iter_encoded_chunks(stream, chunk_size)) for stream in streams]
+    return [decode_block(b"".join(produced)) for produced in kernel(blocks)]
+
+
+#: command -> (factory, str function, accepted flag sets, refused flag sets)
+KERNELS = {
+    "tr": (
+        textproc.tr_block,
+        textproc.tr,
+        [["A-Z", "a-z"], ["a-z", "A-Z"], ["-d", "aeiou"], ["[:upper:]", "[:lower:]"],
+         ["abc", "x"], ["aab", "xyz"], ["-d", "[:punct:]"], [" ", "_"]],
+        [["-s", "a"], ["-c", "a", "b"], ["-cs", "A-Za-z", "\\n"], [" ", "\\n"],
+         ["-d", "\\n"], ["é", "e"], ["a", "é"], ["-d", "é"], ["a-z"], ["-d", "[:space:]"]],
+    ),
+    "sort": (
+        sorting.sort_block,
+        sorting.sort_command,
+        [[], ["-r"], ["-u"], ["-ru"], ["-r", "-u"], ["-m"]],
+        [["-n"], ["-k2"], ["-k", "2"], ["-f"], ["-d"], ["-rn"], ["-b"], ["-t", ","], ["file"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("command", sorted(KERNELS))
+def test_block_kernel_equals_its_str_twin(command, seed):
+    factory, function, accepted, refused = KERNELS[command]
+    for arguments in refused:
+        assert factory(list(arguments)) is None, f"{command} {arguments} must refuse"
+    for arguments in accepted:
+        kernel = factory(list(arguments))
+        assert kernel is not None, f"{command} {arguments} must have a block kernel"
+        for name, lines in inputs_for(seed).items():
+            context = f"seed={seed} {command} {arguments} input={name}"
+            assert run_kernel(kernel, [lines]) == [function(list(arguments), [list(lines)])], context
+            halves = [lines[: len(lines) // 2], lines[len(lines) // 2 :]]
+            expected = function(list(arguments), [list(half) for half in halves])
+            assert run_kernel(kernel, halves) == [expected], context
+
+
+def test_every_registered_block_kernel_has_a_row():
+    registry = standard_registry()
+    with_kernel = {
+        name for name in registry.names() if registry.lookup(name).block is not None
+    }
+    assert with_kernel == set(KERNELS)
+    assert set(aggregators.BLOCK_AGGREGATORS) == {"merge_sort"}  # covered by the law below
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("parts", [1, 2, 3, 7])
+def test_split_block_equals_split_stream(parts, seed):
+    for name, lines in inputs_for(seed).items():
+        context = f"seed={seed} parts={parts} input={name}"
+        assert run_kernel(split_block(parts), [lines]) == split_stream(lines, parts), context
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "arguments", [[], ["-r"], ["-u"], ["-n"], ["-k2"], ["-f"], ["-rn"], ["-fu"], ["-k2", "-r"]]
+)
+@pytest.mark.parametrize("runs", [1, 2, 5])
+def test_merge_sort_combiner_law(runs, arguments, seed):
+    """merge_sort(sort(x1), ..., sort(xk)) == sort(x1 ++ ... ++ xk), stably."""
+    rng = random.Random(seed * 31 + runs)
+    lines = random_lines(rng, 300)
+    cuts = sorted(rng.randrange(len(lines) + 1) for _ in range(runs - 1))
+    parts = [lines[low:high] for low, high in zip([0] + cuts, cuts + [len(lines)])]
+    context = f"seed={seed} runs={runs} sort {arguments}"
+
+    whole = sorting.sort_command(list(arguments), [list(lines)])
+    sorted_parts = [sorting.sort_command(list(arguments), [list(part)]) for part in parts]
+    assert aggregators.merge_sort(sorted_parts, list(arguments)) == whole, context
+    # A user-written `sort -m` takes the same path as the aggregator.
+    assert sorting.sort_command(list(arguments) + ["-m"], sorted_parts) == whole, context
+
+    kernel = aggregators.BLOCK_AGGREGATORS["merge_sort"](list(arguments))
+    if kernel is not None:
+        assert run_kernel(kernel, sorted_parts) == [whole], context
+    else:
+        assert set("".join(arguments)) & set("nkfd"), context
+
+
+def test_block_kernel_lookup_follows_the_node_and_the_registry():
+    registry = standard_registry()
+    tr = CommandNode(name="tr", arguments=["A-Z", "a-z"])
+    grep = CommandNode(name="grep", arguments=["x"])
+    assert block_kernel(tr, registry) is not None
+    assert block_kernel(grep, registry) is None
+    assert block_kernel(FusedStage(nodes=[tr, tr]), registry) is not None
+    assert block_kernel(FusedStage(nodes=[tr, grep]), registry) is None  # every member
+    assert block_kernel(AggregatorNode(aggregator="merge_sort"), registry) is not None
+    assert block_kernel(AggregatorNode(aggregator="merge_sort", command_arguments=["-n"]), registry) is None
+    assert block_kernel(AggregatorNode(aggregator="merge_uniq"), registry) is None
+    assert block_kernel(SplitNode(inputs=[0], outputs=[1, 2]), registry) is not None
+    assert block_kernel(SplitNode(inputs=[0, 3], outputs=[1, 2]), registry) is None  # str path raises
+
+    # A user-registered replacement without ``block`` takes the str path by itself.
+    custom = registry.copy()
+    custom.register(CommandImplementation("tr", lambda arguments, inputs: ["custom"]))
+    assert block_kernel(tr, custom) is None
+
+    fused = block_kernel(FusedStage(nodes=[tr, CommandNode(name="tr", arguments=["-d", "l"])]), registry)
+    assert run_kernel(fused, [["HeLLo", "World"]]) == [["heo", "word"]]
+
+
+def test_a_command_mutating_its_input_cannot_corrupt_a_sibling_edge():
+    """One defensive copy per call, in ``CommandImplementation.run``."""
+
+    def mutator(arguments, inputs):
+        inputs[0].sort()
+        inputs[0].append("mutated")
+        return inputs[0]
+
+    registry = standard_registry().copy()
+    registry.register(CommandImplementation("mutator", mutator))
+    upstream = ["b", "a", "c"]
+    assert registry.run("mutator", [], [upstream]) == ["a", "b", "c", "mutated"]
+    assert upstream == ["b", "a", "c"]
+
+    # A two-output command hands each edge its own list …
+    tee = CommandNode(name="cat", outputs=[1, 2])
+    first, second = evaluate_node(tee, [upstream], registry)
+    assert first == second == upstream and first is not second and first is not upstream
+    # … so a mutating consumer of one edge leaves its sibling (and the producer) alone.
+    consumer = CommandNode(name="mutator", outputs=[3])
+    assert evaluate_node(consumer, [first], registry) == [["a", "b", "c", "mutated"]]
+    assert first == second == upstream == ["b", "a", "c"]

@@ -153,6 +153,43 @@ def test_cut_requires_spec():
         textproc.cut([], [["abc"]])
 
 
+CUT_LINES = [
+    "a b c d e f g h i j",
+    "no-delimiter-here",  # printed whole with -f
+    "one two",  # fields 3.. are out of range
+    " leading and  double  spaces ",
+    "",
+    "x",
+]
+
+
+@pytest.mark.parametrize(
+    "arguments,expected_first",
+    [
+        (["-d", " ", "-f", "1-4"], "a b c d"),
+        (["-d", " ", "-f", "2,5-"], "b e f g h i j"),
+        (["-d", " ", "-f", "-3"], "a b c"),
+        (["-d", " ", "-f", "9"], "i"),  # out of range on every other line
+        (["-d", " ", "-f", "5-,2,2-3"], "b c e f g h i j"),  # unordered, overlapping
+        (["-c", "2-5,9"], " b ce"),
+        (["-c", "3-"], "b c d e f g h i j"),
+    ],
+)
+def test_cut_selection_plan_matches_host_cut(arguments, expected_first):
+    output = textproc.cut(arguments, [CUT_LINES])
+    assert output[0] == expected_first
+    assert len(output) == len(CUT_LINES)
+    if host_command_available(CommandNode(name="cut", arguments=arguments), True):
+        completed = subprocess.run(
+            ["cut"] + arguments,
+            input="".join(line + "\n" for line in CUT_LINES).encode(),
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, LC_ALL="C"),
+            check=True,
+        )
+        assert completed.stdout.decode().split("\n")[:-1] == output
+
+
 # ---------------------------------------------------------------------------
 # sed
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from repro.engine.channels import (
     ChannelReader,
     ChannelWriter,
     EagerPump,
-    decode_lines,
+    decode_block,
     encode_lines,
+    iter_decoded_lines,
 )
 
 
@@ -75,15 +76,15 @@ def test_write_after_close_raises():
     channel_reader = channel.reader()
     writer.close()
     with pytest.raises(ChannelError):
-        writer.write_line("late")
+        writer.write_lines(["late"])
     assert channel_reader.read_lines() == []
 
 
 def test_encode_decode_inverse():
     lines = ["a", "", "b c", "déjà"]
-    assert decode_lines(encode_lines(lines)) == lines
-    assert decode_lines(b"") == []
-    assert decode_lines(b"no-trailing-newline") == ["no-trailing-newline"]
+    assert decode_block(encode_lines(lines)) == lines
+    assert decode_block(b"") == []
+    assert decode_block(b"no-trailing-newline") == ["no-trailing-newline"]
 
 
 def test_eager_pump_drains_concurrently():
@@ -96,7 +97,7 @@ def test_eager_pump_drains_concurrently():
     # Without the pump this write would block forever on the full pipe.
     writer.write_lines(lines)
     writer.close()
-    assert pump.result() == lines
+    assert list(iter_decoded_lines(pump.iter_chunks())) == lines
 
 
 def test_channel_close_is_idempotent():

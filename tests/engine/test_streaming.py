@@ -23,7 +23,7 @@ from repro.engine.channels import (
     Channel,
     EagerPump,
     SpillBuffer,
-    decode_lines,
+    decode_block,
     encode_lines,
     iter_decoded_lines,
     iter_encoded_chunks,
@@ -150,13 +150,13 @@ def test_eager_pump_spills_past_threshold_and_restores():
     # and with an unbounded pump it would all sit in memory.
     writer.write_lines(lines)
     writer.close()
-    assert pump.result() == lines
+    assert list(iter_decoded_lines(pump.iter_chunks())) == lines
     assert pump.peak_buffered_bytes <= 4096
     assert pump.spilled_bytes > 0
 
 
 def test_eager_pump_streaming_consumption():
-    """iter_lines consumes concurrently with the pump thread."""
+    """iter_chunks consumes concurrently with the pump thread."""
     lines = [f"row {i} é" for i in range(2_000)]
     channel = Channel(chunk_size=128)
     pump = EagerPump(channel.reader(), spill_threshold=512)
@@ -164,7 +164,7 @@ def test_eager_pump_streaming_consumption():
     writer = channel.writer()
     writer.write_lines(lines)
     writer.close()
-    assert list(pump.iter_lines()) == lines
+    assert list(iter_decoded_lines(pump.iter_chunks())) == lines
 
 
 # ---------------------------------------------------------------------------
@@ -335,4 +335,4 @@ def test_streaming_config_rejects_unknown_fields():
 
 
 def test_encode_decode_inverse_still_holds():
-    assert decode_lines(encode_lines(UNICODE_LINES)) == UNICODE_LINES
+    assert decode_block(encode_lines(UNICODE_LINES)) == UNICODE_LINES
