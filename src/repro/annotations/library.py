@@ -9,7 +9,8 @@ example for ``comm``) or are built programmatically for the simple cases.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+import dataclasses
+from typing import Dict, Iterable, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.annotations.dsl import parse_annotations
@@ -280,9 +281,24 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     return records
 
 
+#: The standard records, parsed from the DSL once per process.
+_STANDARD_RECORDS: List[AnnotationRecord] = []
+
+
 def standard_library() -> AnnotationLibrary:
-    """Return a fresh copy of the standard annotation library."""
-    return AnnotationLibrary(_build_records().values())
+    """Return a fresh copy of the standard annotation library.
+
+    Every shell interpreter, JIT driver and DFG builder constructs one, so
+    the DSL is tokenised and parsed on the first call only; each call hands
+    out its own record objects (and clause lists), so registering or editing
+    a record in one library never shows in the next.
+    """
+    if not _STANDARD_RECORDS:
+        _STANDARD_RECORDS.extend(_build_records().values())
+    return AnnotationLibrary(
+        dataclasses.replace(record, clauses=list(record.clauses))
+        for record in _STANDARD_RECORDS
+    )
 
 
 #: Aggregator names known to the runtime (see repro.runtime.aggregators).

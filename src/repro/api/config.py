@@ -348,10 +348,14 @@ class PashConfig:
     cluster: ClusterConfig = ClusterConfig()
     #: Supervised retry/degrade + fault injection (inactive by default).
     resilience: ResilienceConfig = ResilienceConfig()
-    #: Engine backend the JIT driver executes compiled regions on
-    #: (``backend="jit"`` orchestrates the script; this picks what runs each
-    #: compiled plan — normally the parallel scheduler).
-    jit_inner_backend: str = "parallel"
+    #: What the JIT driver executes compiled regions on (``backend="jit"``
+    #: orchestrates the script; this picks what runs each compiled plan).
+    #: ``"auto"``: the region planner sizes every region *execution* from its
+    #: live input — width 1 runs the sequential graph on the in-process
+    #: executor, any other width (up to ``width``) on the worker pool.
+    #: ``"parallel"``: exactly ``width``, always on the pool.  Any other
+    #: engine backend name runs the ``width``-wide plan there.
+    jit_inner_backend: str = "auto"
 
     # -- observability --------------------------------------------------------
     #: Record spans for the whole compile-and-run pipeline (parse, passes,
@@ -434,7 +438,7 @@ class PashConfig:
             jobs=getattr(arguments, "jobs", None),
             cluster=cluster,
             resilience=resilience,
-            jit_inner_backend=getattr(arguments, "jit_backend", None) or "parallel",
+            jit_inner_backend=getattr(arguments, "jit_backend", None) or "auto",
             tracing=bool(
                 getattr(arguments, "trace", None)
                 or getattr(arguments, "metrics_json", None)

@@ -24,7 +24,12 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-from repro.api.artifact import CompilationStats, CompiledScript, render_script
+from repro.api.artifact import (
+    CompilationStats,
+    CompiledScript,
+    execute_jit,
+    render_script,
+)
 from repro.api.config import PashConfig
 from repro.dfg.builder import translate_script
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -178,24 +183,28 @@ class Pash:
     ):
         """Compile ``source`` and execute it immediately (one-call form).
 
-        With ``backend="jit"`` the compiled artifact's AST is driven by a
-        :class:`~repro.jit.driver.JitDriver` instead (control flow executes
-        in-process; each region compiles with live bindings); a session's
-        private worker pool is shared with the driver's inner parallel
-        engine, so worker processes persist across regions *and* scripts.
+        With ``backend="jit"`` nothing is compiled ahead of time: the source
+        is parsed once and driven by a :class:`~repro.jit.driver.JitDriver`
+        (control flow executes in-process; each region compiles with live
+        bindings when it is reached); a session's private worker pool is
+        shared with the driver's inner parallel engine, so worker processes
+        persist across regions *and* scripts.
         """
         resolved = backend or self.config.backend
         uses_parallel = resolved == "parallel" or (
             resolved == "jit"
             and backend_options.get("inner_backend", self.config.jit_inner_backend)
-            == "parallel"
+            in ("auto", "parallel")
         )
         if uses_parallel and "pool" not in backend_options:
             pool = self._session_pool()
             if pool is not None:
                 backend_options["pool"] = pool
-        if resolved == "jit" and self.library is not None:
-            backend_options.setdefault("library", self.library)
+        if resolved == "jit":
+            if self.library is not None:
+                backend_options.setdefault("library", self.library)
+            backend_options.setdefault("tracer", self.tracer)
+            return execute_jit(source, self.config, environment, backend_options)
         return self._compile(source).execute(
             backend=backend, environment=environment, **backend_options
         )

@@ -118,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jit-backend",
         default=None,
         metavar="BACKEND",
-        help="engine backend the JIT driver executes compiled regions on "
-        "when '--execute jit' is used (default: parallel)",
+        help="what the JIT driver executes compiled regions on when "
+        "'--execute jit' is used: 'auto' (default) sizes every region from "
+        "its live input and keeps small ones in-process, 'parallel' runs "
+        "exactly --width on the pool, or any engine backend name",
     )
     parser.add_argument(
         "--cluster-workers",
@@ -288,6 +290,8 @@ def _emit_report(compiled: CompiledScript, result: Optional[object]) -> None:
     jit_report = getattr(result, "jit", None)
     if jit_report is not None:
         _report_line(jit_report.summary())
+        for line in jit_report.decisions():
+            _report_line(f"  {line}")
 
 
 def _export_artifacts(

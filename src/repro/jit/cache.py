@@ -1,14 +1,18 @@
 """``PlanCache`` — compiled dataflow plans keyed on runtime state.
 
-A plan is reusable exactly when three things match:
+A plan is reusable exactly when four things match:
 
 1. the region's structural **fingerprint** (its shell text),
 2. the **values of every parameter the region references** at the moment it
    is reached (a loop body that does not mention the loop variable hashes
    identically on every iteration; one that does recompiles whenever the
    value changes), and
-3. the **configuration digest** (width, passes, streaming knobs… — anything
-   that changes what the pass pipeline produces).
+3. the **configuration digest** (passes, streaming knobs… — anything
+   that changes what the pass pipeline produces), and
+4. the **width** the plan was compiled at.  With ``jit_inner_backend="auto"``
+   the region planner picks it per execution, so one region over inputs of
+   mixed sizes holds one plan per width it ever ran at (width 1 is the
+   sequential graph, straight from the builder).
 
 Compilation *failures* are cached too (negative entries), so a loop body the
 compiler refuses once is refused from the cache on later iterations instead
@@ -45,11 +49,12 @@ from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.obs.metrics import counter_inc
 
-#: (fingerprint, referenced-binding values, config digest)
-PlanKey = Tuple[str, Tuple[Tuple[str, Optional[str]], ...], str]
+#: (fingerprint, referenced-binding values, config digest, width)
+PlanKey = Tuple[str, Tuple[Tuple[str, Optional[str]], ...], str, int]
 
-#: Bumped on any incompatible change to the pickled disk-entry layout.
-PLAN_FORMAT_VERSION = 1
+#: Bumped on any incompatible change to the pickled disk-entry layout
+#: (2: the key gained the width).
+PLAN_FORMAT_VERSION = 2
 
 
 def cache_version() -> str:
@@ -74,6 +79,10 @@ class CompiledPlan:
     compile_seconds: float = 0.0
     #: How many times this plan has been executed (1 = compile run only).
     executions: int = 0
+    #: On a sequential (width 1) plan: the region planner's latest decision
+    #: and the line counts it was made for, so a loop over inputs of one
+    #: size plans once.  One slot: a growing input never grows this.
+    decided: Optional[Tuple[Any, Any]] = None
 
 
 @dataclass

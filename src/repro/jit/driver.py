@@ -36,12 +36,14 @@ Semantics notes (beyond the interpreter's, which the driver inherits):
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.api.config import PashConfig
 from repro.dfg.builder import DFGBuilder, UntranslatableRegion
+from repro.dfg.edges import EdgeKind
 from repro.dfg.regions import referenced_parameters, region_fingerprint
 from repro.engine.api import EngineResult, ExecutionBackend, create_backend
 from repro.engine.metrics import EngineMetrics
@@ -49,19 +51,22 @@ from repro.jit.cache import (
     CompiledPlan,
     FailedPlan,
     PlanCache,
-    PlanKey,
+    PlanEntry,
     config_digest,
 )
 from repro.jit.report import JitReport, RegionOutcome
+from repro.obs.metrics import counter_inc
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience.supervisor import Supervisor
-from repro.runtime.executor import ExecutionEnvironment
+from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import BUILTIN_COMMANDS, ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 from repro.shell.ast_nodes import Command, Node, Pipeline
 from repro.shell.expansion import ExpansionContext, ExpansionError
 from repro.shell.parser import parse
 from repro.shell.unparser import unparse
+from repro.transform.pipeline import OptimizationReport
+from repro.transform.planner import RegionPlan, plan_region
 
 
 @dataclass
@@ -69,6 +74,23 @@ class JitResult(EngineResult):
     """An :class:`~repro.engine.api.EngineResult` plus the JIT report."""
 
     jit: JitReport = field(default_factory=JitReport)
+
+
+@dataclass
+class _Occurrence:
+    """One region occurrence on its way through :meth:`JitDriver._try_jit`."""
+
+    node: Node
+    fingerprint: str
+    #: The plan key minus its width: (fingerprint, bindings, config digest).
+    key: Tuple[Any, ...]
+    cacheable: bool
+    saw_glob: bool = False
+    compile_seconds: float = 0.0
+    #: The plans this occurrence looked up or compiled, by width.
+    plans: Dict[int, CompiledPlan] = field(default_factory=dict)
+    #: Widths compiled (not served from the cache) during this occurrence.
+    fresh: Set[int] = field(default_factory=set)
 
 
 class _RecordingFileSystem(VirtualFileSystem):
@@ -139,7 +161,7 @@ class JitDriver(ShellInterpreter):
         self.metrics = EngineMetrics(backend="jit")
         self._config_digest = config_digest(self.config)
         self._pipeline = self.config.pipeline()
-        self._engine: Optional[ExecutionBackend] = None
+        self._engines: Dict[str, ExecutionBackend] = {}
         self._in_region = False
         self._active_memo: Optional[Dict[str, str]] = None
 
@@ -154,12 +176,15 @@ class JitDriver(ShellInterpreter):
         sequence of ``run`` invocations behaves like one long-lived shell
         session with a warm cache; the report and metrics are per-call.
         """
-        ast = parse(source_or_ast) if isinstance(source_or_ast, str) else source_or_ast
         self.report = JitReport()
         self.metrics = EngineMetrics(backend="jit")
         self._fs.written = set()  # files are reported per call, like the report
         mark = self.tracer.mark()
         started = time.perf_counter()
+        ast = source_or_ast
+        if isinstance(source_or_ast, str):
+            with self.tracer.span("parse", "parse", source_bytes=len(source_or_ast)):
+                ast = parse(source_or_ast)
         with self.tracer.span("jit:script", "jit"):
             stdout = self.run_node(ast)
         elapsed = time.perf_counter() - started
@@ -222,13 +247,24 @@ class JitDriver(ShellInterpreter):
 
         Returns ``(True, stdout)`` when the region ran as a dataflow graph,
         ``(False, None)`` when the caller must fall back to the interpreter.
+
+        With ``inner_backend="auto"`` the plan a region starts from is its
+        sequential graph; the region planner then sizes this *execution* from
+        the live input, and the region runs either as it stands on the
+        in-process executor or at the chosen width on the pool.  Any other
+        inner backend compiles at exactly ``config.width`` and runs there.
         """
         fingerprint = region_fingerprint(node)
         names, has_substitution = referenced_parameters(node)
-        key: PlanKey = (fingerprint, self._bindings_for(names), self._config_digest)
-        cacheable = not has_substitution
-
-        entry = self.cache.get(key) if cacheable else None
+        auto = self.inner_backend == "auto"
+        occurrence = _Occurrence(
+            node=node,
+            fingerprint=fingerprint,
+            key=(fingerprint, self._bindings_for(names), self._config_digest),
+            cacheable=not has_substitution,
+        )
+        width = 1 if auto else self.config.width
+        entry = self._lookup(occurrence, width)
         if isinstance(entry, FailedPlan):
             with self.tracer.span(
                 "jit:fallback", "jit", fingerprint=fingerprint, cached_failure=True
@@ -236,39 +272,41 @@ class JitDriver(ShellInterpreter):
                 span.set(reason=entry.reason)
             self._record(node, fingerprint, "fallback", entry.reason, cached_failure=True)
             return False, None
-
-        compile_seconds = 0.0
-        action = "cached"
         if entry is None:
-            compile_started = time.perf_counter()
-            compile_span = self.tracer.span("jit:compile", "jit", fingerprint=fingerprint)
             try:
-                with compile_span as span:
-                    graph, opt_report, saw_glob = self._compile(node)
-                    span.set(nodes=len(graph.nodes))
+                entry = self._compile_plan(
+                    occurrence,
+                    width,
+                    lambda: self._build(occurrence) if auto else self._compile(occurrence),
+                )
             except (UntranslatableRegion, ExpansionError) as exc:
                 reason = str(exc)
-                if cacheable:
-                    self.cache.put(key, FailedPlan(reason=reason, fingerprint=fingerprint))
+                if occurrence.cacheable:
+                    self.cache.put(
+                        occurrence.key + (width,),
+                        FailedPlan(reason=reason, fingerprint=fingerprint),
+                    )
                 with self.tracer.span(
                     "jit:fallback", "jit", fingerprint=fingerprint
                 ) as span:
                     span.set(reason=reason)
                 self._record(node, fingerprint, "fallback", reason)
                 return False, None
-            compile_seconds = time.perf_counter() - compile_started
-            entry = CompiledPlan(
-                graph=graph,
-                report=opt_report,
-                fingerprint=fingerprint,
-                compile_seconds=compile_seconds,
-            )
-            # Glob-dependent plans resolve against filesystem state that is
-            # not part of the key, so they are compiled fresh every time.
-            if cacheable and not saw_glob:
-                self.cache.put(key, entry)
-            action = "compiled"
-        else:
+
+        backend = self.inner_backend
+        #: What the report row and the span say about the shape that ran.
+        planned: Dict[str, Any] = {"width": width}
+        if auto:
+            decision = self._decide(occurrence, entry)
+            if decision is None:
+                planned = {"width": self.config.width}
+            else:
+                planned = dataclasses.asdict(decision)
+            width = planned["width"]
+            entry = occurrence.plans[width]
+            backend = "interpreter" if width == 1 else "parallel"
+        action = "compiled" if width in occurrence.fresh else "cached"
+        if action == "cached":
             with self.tracer.span(
                 "jit:cache-hit", "jit", fingerprint=fingerprint
             ) as span:
@@ -278,12 +316,24 @@ class JitDriver(ShellInterpreter):
 
         def run_region() -> EngineResult:
             with self.tracer.span(
-                "jit:region-execute", "jit", fingerprint=fingerprint, action=action
+                "jit:region-execute",
+                "jit",
+                fingerprint=fingerprint,
+                action=action,
+                **planned,
             ):
-                return self._engine_backend().execute(entry.graph, self.environment)
+                try:
+                    return self._engine_backend(backend).execute(entry.graph, self.environment)
+                except ValueError as exc:
+                    if not auto:
+                        raise
+                    # A kernel refusing its arguments or its input (bad
+                    # flags, invalid UTF-8) is an ExecutionError on the
+                    # pool; the planner's choice must not change the error.
+                    raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
 
         resilience = self.config.resilience
-        if resilience.active and self.inner_backend != "interpreter":
+        if resilience.active and backend != "interpreter":
             # Retry-then-degrade ladder around the inner engine.  The
             # degrade rung returns ``(False, None)`` so the region re-runs
             # on the driver's inherited interpreter path — the same
@@ -306,6 +356,12 @@ class JitDriver(ShellInterpreter):
             result = run_region()
         elapsed = time.perf_counter() - started
         entry.executions += 1
+        if auto and width == 1:
+            counter_inc(
+                "pash_jit_regions_inline_total",
+                1,
+                "JIT regions the planner kept in-process (width 1).",
+            )
         self.metrics.merge(result.metrics)
         self.state.last_status = 0
         self._record(
@@ -313,12 +369,88 @@ class JitDriver(ShellInterpreter):
             fingerprint,
             action,
             elapsed_seconds=elapsed,
-            compile_seconds=compile_seconds,
+            compile_seconds=occurrence.compile_seconds,
+            **planned,
         )
         return True, list(result.stdout)
 
-    def _compile(self, node: Node):
-        """Run the existing pass pipeline over the region, with live bindings.
+    def _lookup(self, occurrence: "_Occurrence", width: int) -> Optional[PlanEntry]:
+        """The cached plan (or refusal) of this region at ``width``."""
+        entry = self.cache.get(occurrence.key + (width,)) if occurrence.cacheable else None
+        if isinstance(entry, CompiledPlan):
+            occurrence.plans[width] = entry
+        return entry
+
+    def _compile_plan(self, occurrence: "_Occurrence", width: int, compile_graph) -> CompiledPlan:
+        """The region's plan at ``width``, its graph made by ``compile_graph()``."""
+        started = time.perf_counter()
+        with self.tracer.span(
+            "jit:compile", "jit", fingerprint=occurrence.fingerprint, width=width
+        ) as span:
+            graph, opt_report = compile_graph()
+            span.set(nodes=len(graph.nodes))
+        seconds = time.perf_counter() - started
+        entry = CompiledPlan(
+            graph=graph,
+            report=opt_report,
+            fingerprint=occurrence.fingerprint,
+            compile_seconds=seconds,
+        )
+        occurrence.compile_seconds += seconds
+        occurrence.plans[width] = entry
+        occurrence.fresh.add(width)
+        # Glob-dependent plans resolve against filesystem state that is
+        # not part of the key, so they are compiled fresh every time.
+        if occurrence.cacheable and not occurrence.saw_glob:
+            self.cache.put(occurrence.key + (width,), entry)
+        return entry
+
+    def _decide(self, occurrence: "_Occurrence", sequential: CompiledPlan) -> Optional[RegionPlan]:
+        """Size this execution from the live input; ``occurrence.plans`` holds
+        the plan of the chosen width afterwards.
+
+        A line count nobody can know (a file that does not exist yet) means
+        no decision: the region runs at ``config.width`` on the pool, which
+        reports the missing input as it always did.
+        """
+
+        def candidate(width: int):
+            if not isinstance(self._lookup(occurrence, width), CompiledPlan):
+                self._compile_plan(
+                    occurrence, width, lambda: self._optimize(sequential.graph.copy(), width)
+                )
+            return occurrence.plans[width].graph
+
+        input_lines: Dict[str, int] = {}
+        in_memory = []
+        for edge in sequential.graph.input_edges():
+            if edge.kind is EdgeKind.FILE and edge.name:
+                count = self._fs.line_count(edge.name)
+                if count is None:
+                    candidate(self.config.width)
+                    return None
+                input_lines[edge.name] = count
+                if self._fs.real_path(edge.name) is None:
+                    in_memory.append(edge.name)
+        stdin_lines = len(self.environment.stdin)
+        sizes = (stdin_lines, *sorted(input_lines.items()), *in_memory)
+        if sequential.decided is None or sequential.decided[0] != sizes:
+            decision = plan_region(
+                sequential.graph,
+                input_lines,
+                self.config,
+                stdin_lines=stdin_lines,
+                compile_candidate=candidate,
+                in_memory=in_memory,
+            )
+            sequential.decided = (sizes, decision)
+        decision = sequential.decided[1]
+        if decision.width not in occurrence.plans:
+            candidate(decision.width)
+        return decision
+
+    def _build(self, occurrence: "_Occurrence"):
+        """Translate the region into its sequential graph, with live bindings.
 
         The context is ``strict`` (anything unresolvable refuses, per PaSh)
         but ``complete``: the driver's state holds *every* set variable, so
@@ -335,10 +467,20 @@ class JitDriver(ShellInterpreter):
             complete=True,
         )
         builder = DFGBuilder(self.library, context=context, filesystem=self._fs)
-        graph = builder.build_from_node(node)
+        graph = builder.build_from_node(occurrence.node)
         graph.validate()
-        opt_report = self._pipeline.run(graph, self.config, tracer=self.tracer)
-        return graph, opt_report, builder.saw_glob
+        occurrence.saw_glob = builder.saw_glob
+        return graph, OptimizationReport()
+
+    def _optimize(self, graph, width: int):
+        """Run the pass pipeline over ``graph`` (in place) at ``width``."""
+        config = self.config if width == self.config.width else self.config.replace(width=width)
+        return graph, self._pipeline.run(graph, config, tracer=self.tracer)
+
+    def _compile(self, occurrence: "_Occurrence"):
+        """Build the region and run the existing pass pipeline over it."""
+        graph, _ = self._build(occurrence)
+        return self._optimize(graph, self.config.width)
 
     def _bindings_for(self, names) -> Tuple[Tuple[str, Optional[str]], ...]:
         """The referenced parameters' current values (the cache key's state part)."""
@@ -363,16 +505,17 @@ class JitDriver(ShellInterpreter):
             entries.append((name, value))
         return tuple(entries)
 
-    def _engine_backend(self) -> ExecutionBackend:
-        """The inner engine backend, created once and reused across regions."""
-        if self._engine is None:
-            options = dict(self.config.backend_options(self.inner_backend))
-            if self.inner_backend == "parallel":
+    def _engine_backend(self, name: str) -> ExecutionBackend:
+        """The named engine backend, created once and reused across regions."""
+        engine = self._engines.get(name)
+        if engine is None:
+            options = dict(self.config.backend_options(name))
+            if name == "parallel":
                 if self.pool is not None:
                     options["pool"] = self.pool
                 options["tracer"] = self.tracer
-            self._engine = create_backend(self.inner_backend, **options)
-        return self._engine
+            engine = self._engines[name] = create_backend(name, **options)
+        return engine
 
     def _record(
         self,
@@ -383,6 +526,7 @@ class JitDriver(ShellInterpreter):
         elapsed_seconds: float = 0.0,
         compile_seconds: float = 0.0,
         cached_failure: bool = False,
+        **planned: Any,
     ) -> None:
         self.report.record(
             RegionOutcome(
@@ -393,6 +537,7 @@ class JitDriver(ShellInterpreter):
                 elapsed_seconds=elapsed_seconds,
                 compile_seconds=compile_seconds,
                 cached_failure=cached_failure,
+                **planned,
             )
         )
 
@@ -442,11 +587,13 @@ class JitBackend(ExecutionBackend):
         self.inner_options = inner_options
 
     def execute(self, graph, environment) -> EngineResult:
-        options = dict(self.config.backend_options(self.inner_backend))
+        # A pre-built graph has no live region left to size: "auto" is the pool.
+        inner = "parallel" if self.inner_backend == "auto" else self.inner_backend
+        options = dict(self.config.backend_options(inner))
         options.update(self.inner_options)
-        if self.inner_backend == "parallel" and self.pool is not None:
+        if inner == "parallel" and self.pool is not None:
             options["pool"] = self.pool
-        result = create_backend(self.inner_backend, **options).execute(graph, environment)
+        result = create_backend(inner, **options).execute(graph, environment)
         result.backend = self.name
         result.metrics.backend = self.name
         return result

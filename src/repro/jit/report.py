@@ -32,6 +32,14 @@ class RegionOutcome:
     compile_seconds: float = 0.0
     #: True when the fallback decision itself came from the negative cache.
     cached_failure: bool = False
+    #: The width the region ran at: 1 = its sequential graph on the
+    #: in-process executor, N = N-wide on the pool, 0 = it fell back.
+    width: int = 0
+    #: What the region planner sized this execution from, and its two
+    #: predictions (all zero unless ``jit_inner_backend="auto"`` planned it).
+    input_lines: int = 0
+    predicted_sequential_seconds: float = 0.0
+    predicted_parallel_seconds: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable flat-JSON schema: exactly the dataclass fields."""
@@ -70,6 +78,11 @@ class JitReport:
         return sum(1 for outcome in self.outcomes if outcome.action == "fallback")
 
     @property
+    def regions_inline(self) -> int:
+        """Occurrences that ran at width 1, in-process."""
+        return sum(1 for outcome in self.outcomes if outcome.width == 1)
+
+    @property
     def compile_seconds(self) -> float:
         """Total wall time spent compiling across the run."""
         return sum(outcome.compile_seconds for outcome in self.outcomes)
@@ -95,9 +108,27 @@ class JitReport:
             "regions_compiled": self.regions_compiled,
             "cache_hits": self.cache_hits,
             "fallbacks": self.fallbacks,
+            "regions_inline": self.regions_inline,
             "compile_seconds": self.compile_seconds,
             "fallback_reasons": self.fallback_reasons(),
         }
+
+    def decisions(self, limit: int = 20) -> List[str]:
+        """One line per planned region: the width and the two predictions."""
+        planned = [
+            (index, outcome)
+            for index, outcome in enumerate(self.outcomes)
+            if outcome.predicted_sequential_seconds
+        ]
+        lines = [
+            f"region {index} width {outcome.width}: {outcome.input_lines} lines, predicted "
+            f"{outcome.predicted_sequential_seconds * 1000:.1f} ms in-process vs "
+            f"{outcome.predicted_parallel_seconds * 1000:.1f} ms on the pool"
+            for index, outcome in planned[:limit]
+        ]
+        if len(planned) > limit:
+            lines.append(f"... and {len(planned) - limit} more planned regions")
+        return lines
 
     def summary(self) -> str:
         """One-line digest (used by the CLI's ``--report``)."""
@@ -105,7 +136,8 @@ class JitReport:
             f"jit: {self.regions_seen} regions seen, "
             f"{self.regions_compiled} compiled, "
             f"{self.cache_hits} cache hits, "
-            f"{self.fallbacks} fell back"
+            f"{self.fallbacks} fell back, "
+            f"{self.regions_inline} inline"
         )
         if self.compile_seconds:
             digest += f" (compile {self.compile_seconds * 1000:.1f} ms)"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -86,6 +87,28 @@ class VirtualFileSystem:
         if path.is_file():
             return str(path)
         return None
+
+    def line_count(self, name: str) -> Optional[int]:
+        """Lines behind ``name`` without reading it through, or None if unknown.
+
+        Exact for an in-memory file; for a real file, its size divided by
+        the line length sampled from its first 64 KiB (the region planner
+        sizes a region from this before anything runs).
+        """
+        if name in self._files:
+            return len(self._files[name])
+        path = self.real_path(name)
+        if path is None:
+            return None
+        try:
+            size = os.path.getsize(path)
+            with open(path, "rb") as handle:
+                sample = handle.read(64 * 1024)
+        except OSError:
+            return None
+        if not sample:
+            return 0
+        return max(1, round(size * sample.count(b"\n") / len(sample)))
 
     def exists(self, name: str) -> bool:
         if name in self._files:

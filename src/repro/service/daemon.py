@@ -774,7 +774,7 @@ class PashServiceDaemon:
                 "tracer": tracer,
                 "inner_backend": config.jit_inner_backend,
             }
-            if self.pool is not None and config.jit_inner_backend == "parallel":
+            if self.pool is not None:  # the driver takes from it only for pool runs
                 options["pool"] = self.pool
             driver = JitDriver(config=config, environment=environment, **options)
             return driver.run(job.script), None
@@ -865,7 +865,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="default backend for submissions (jit | parallel | interpreter | ...)",
     )
     parser.add_argument(
-        "--jit-backend", default="parallel", help="engine behind JIT-compiled regions"
+        "--jit-backend",
+        default="auto",
+        help="engine behind JIT-compiled regions: 'auto' sizes each region "
+        "from its live input and keeps small ones in-process, 'parallel' "
+        "always runs --width on the pool",
     )
     parser.add_argument(
         "--jobs", type=int, default=None, help="pre-warm the worker pool to N processes"

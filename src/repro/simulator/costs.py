@@ -132,16 +132,34 @@ _AGGREGATOR_COSTS: Dict[str, CommandCost] = {
 }
 
 
+#: The paper-shape cost of the helper nodes the passes insert.
+_HELPER_COSTS: Dict[str, CommandCost] = {
+    "cat": CommandCost(seconds_per_line=5e-8),
+    "relay": CommandCost(seconds_per_line=3e-8),
+    "split": CommandCost(seconds_per_line=6e-8),
+}
+
+
 class CostModel:
-    """Maps DFG nodes to :class:`CommandCost` entries."""
+    """Maps DFG nodes to :class:`CommandCost` entries.
+
+    Two tables exist.  The default one is GNU-shaped: relative costs of the
+    real binaries on the paper's testbed, which the figures reproduce.
+    :func:`python_cost_model` holds the measured rates of *our* Python
+    kernels, which the region planner predicts real runs from.
+    """
 
     def __init__(
         self,
         command_costs: Optional[Dict[str, CommandCost]] = None,
         default: Optional[CommandCost] = None,
+        aggregator_costs: Optional[Dict[str, CommandCost]] = None,
+        helper_costs: Optional[Dict[str, CommandCost]] = None,
     ) -> None:
         self.command_costs = dict(command_costs or _default_costs())
         self.default = default or CommandCost(seconds_per_line=_MEDIUM)
+        self.aggregator_costs = aggregator_costs or _AGGREGATOR_COSTS
+        self.helper_costs = helper_costs or _HELPER_COSTS
 
     # ------------------------------------------------------------------
 
@@ -149,18 +167,20 @@ class CostModel:
         """Return a new model with the named command's cost fields replaced."""
         updated = dict(self.command_costs)
         updated[name] = replace(updated.get(name, self.default), **changes)
-        return CostModel(updated, self.default)
+        return CostModel(updated, self.default, self.aggregator_costs, self.helper_costs)
 
     def cost_for(self, node: DFGNode) -> CommandCost:
         """The cost entry for a node, taking flags into account."""
         if isinstance(node, AggregatorNode):
-            return _AGGREGATOR_COSTS.get(node.aggregator, CommandCost(seconds_per_line=1.5e-7))
+            return self.aggregator_costs.get(
+                node.aggregator, CommandCost(seconds_per_line=1.5e-7)
+            )
         if isinstance(node, CatNode):
-            return CommandCost(seconds_per_line=5e-8)
+            return self.helper_costs["cat"]
         if isinstance(node, RelayNode):
-            return CommandCost(seconds_per_line=3e-8)
+            return self.helper_costs["relay"]
         if isinstance(node, SplitNode):
-            return CommandCost(seconds_per_line=6e-8, blocking=node.strategy == "general")
+            return replace(self.helper_costs["split"], blocking=node.strategy == "general")
         if isinstance(node, FusedStage):
             return self._compose(node)
         if isinstance(node, CommandNode):
@@ -260,3 +280,108 @@ def _numeric_flag(arguments, flag: str, default: int) -> int:
 def default_cost_model() -> CostModel:
     """A fresh copy of the default cost model."""
     return CostModel()
+
+
+# ---------------------------------------------------------------------------
+# The second table: our own Python kernels, as measured
+# ---------------------------------------------------------------------------
+
+#: Input size the rates below were measured at (``tools/calibrate_costs.py``).
+CALIBRATION_LINES = 100_000
+
+#: Million lines per second of ``CommandRegistry.run`` over ~55-byte text
+#: lines on the ``str`` path, one typical invocation per command.  The first
+#: five are pash-bench's ``commands.*_mlines_s`` probes.
+PYTHON_KERNEL_MLINES_S: Dict[str, float] = {
+    "sort": 4.2,
+    "grep": 10.1,
+    "tr": 5.9,
+    "cut": 2.6,
+    "uniq": 6.8,
+    "sed": 3.6,
+    "awk": 1.2,
+    "wc": 2.8,
+    "rev": 8.0,
+    "fold": 3.0,
+    "cat": 120.0,
+    "head": 120.0,
+    "tail": 130.0,
+    # ``tr`` with ``-c`` or ``-s`` walks the text character by character.
+    "tr -cs": 0.18,
+}
+
+#: The same for the helper nodes and aggregators the passes insert.
+PYTHON_HELPER_MLINES_S: Dict[str, float] = {
+    "split": 60.0,
+    "concat": 75.0,
+    "merge_sort": 18.0,
+    "merge_uniq": 10.0,
+    "merge_uniq_count": 1.8,
+}
+
+#: Rate assumed for a kernel nobody measured (a per-line Python loop).
+_UNMEASURED_MLINES_S = 2.0
+#: Entering a Python kernel costs a call, not an exec.
+_PYTHON_STARTUP_SECONDS = 5e-6
+#: Output lines per input line of a ``tr`` that translates into newlines
+#: (one word per line): the words of a line of English text.
+_WORDS_PER_LINE = 8.0
+
+
+def _per_line(mlines_per_second: float, complexity: str = "linear") -> float:
+    """``seconds_per_line`` that reproduces a rate at the calibration size."""
+    seconds = 1.0 / (mlines_per_second * 1e6)
+    if complexity == "nlogn":
+        seconds /= math.log2(CALIBRATION_LINES)
+    return seconds
+
+
+class _PythonCostModel(CostModel):
+    """The second table's flag refinements, on top of the shared ones."""
+
+    def _refine(self, node: CommandNode, base: CommandCost) -> CommandCost:
+        if node.name == "tr":
+            arguments = node.arguments
+            if any(set("cs") & set(a[1:]) for a in arguments if _short_flag(a)):
+                base = self.command_costs["tr -cs"]
+            if arguments and arguments[-1] in ("\n", "\\n"):
+                base = replace(base, selectivity=_WORDS_PER_LINE)
+            return base
+        return super()._refine(node, base)
+
+
+def python_cost_model() -> CostModel:
+    """The cost table of our Python kernels (what the region planner reads).
+
+    Shapes (selectivity, blocking, complexity, the flag refinements) are the
+    GNU table's: they describe what a command does to a stream, whoever
+    implements it.  Rates are the measured ones above.
+    """
+
+    def measured(cost: CommandCost, rate: float) -> CommandCost:
+        return replace(
+            cost,
+            seconds_per_line=_per_line(rate, cost.complexity),
+            startup_seconds=_PYTHON_STARTUP_SECONDS,
+        )
+
+    commands = {
+        name: measured(cost, PYTHON_KERNEL_MLINES_S.get(name, _UNMEASURED_MLINES_S))
+        for name, cost in _default_costs().items()
+    }
+    commands["tr -cs"] = measured(commands["tr"], PYTHON_KERNEL_MLINES_S["tr -cs"])
+    aggregators = {
+        name: measured(cost, PYTHON_HELPER_MLINES_S.get(name, PYTHON_HELPER_MLINES_S["concat"]))
+        for name, cost in _AGGREGATOR_COSTS.items()
+    }
+    helpers = {
+        "cat": measured(_HELPER_COSTS["cat"], PYTHON_HELPER_MLINES_S["concat"]),
+        "relay": measured(_HELPER_COSTS["relay"], PYTHON_HELPER_MLINES_S["concat"]),
+        "split": measured(_HELPER_COSTS["split"], PYTHON_HELPER_MLINES_S["split"]),
+    }
+    return _PythonCostModel(
+        commands,
+        measured(CommandCost(), _UNMEASURED_MLINES_S),
+        aggregator_costs=aggregators,
+        helper_costs=helpers,
+    )

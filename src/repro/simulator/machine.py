@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 
 @dataclass
@@ -30,6 +31,20 @@ class MachineModel:
     disk_lines_per_second: float = 12_500_000.0
     #: Aggregate read throughput when many processes stream from disk at once.
     disk_parallel_scaling: float = 4.0
+    #: Lines per second one inter-process edge carries, producer's encode
+    #: plus consumer's decode.  0 = free: the paper's runtime joins real
+    #: binaries by kernel pipes, so the figures never charge for it.
+    channel_lines_per_second: float = 0.0
+    #: Lines per second the driver ships an in-memory input to a pool worker
+    #: at (pickled into the worker's plan, before the run starts); 0 = free.
+    feed_lines_per_second: float = 0.0
+    #: Whether a non-blocking relay is a process of its own (the paper's
+    #: ``eager`` binary) or bridged out of the plan (our scheduler).
+    relays_are_processes: bool = True
+    #: Lines the in-process executor may hold at once, summed over a
+    #: region's edges (it keeps every edge's list until the region ends,
+    #: where the pool streams in bounded memory); 0 = no limit.
+    in_process_lines: int = 0
 
     def disk_seconds(self, lines: int, readers: int = 1) -> float:
         """Time to pull ``lines`` from storage with ``readers`` concurrent readers."""
@@ -37,6 +52,18 @@ class MachineModel:
             float(max(readers, 1)), self.disk_parallel_scaling
         )
         return lines / effective
+
+    def channel_seconds(self, lines: int) -> float:
+        """CPU time to move ``lines`` across one inter-process edge."""
+        if self.channel_lines_per_second <= 0:
+            return 0.0
+        return lines / self.channel_lines_per_second
+
+    def feed_seconds(self, lines: int) -> float:
+        """Time to hand ``lines`` the driver holds in memory to pool workers."""
+        if self.feed_lines_per_second <= 0:
+            return 0.0
+        return lines / self.feed_lines_per_second
 
     def spawn_seconds(self, processes: int) -> float:
         """Total time spent creating ``processes`` (spawns are serialized)."""
@@ -46,6 +73,50 @@ class MachineModel:
     def paper_testbed(cls) -> "MachineModel":
         """The default 64-core configuration used throughout the evaluation."""
         return cls()
+
+    @classmethod
+    def this_host(cls) -> "MachineModel":
+        """This machine running *our* engine on its warm worker pool.
+
+        The constants are measured, not the paper's: ``tools/calibrate_costs.py``
+        re-measures them and prints the difference.  A node costs one pool
+        dispatch and one report instead of a fork/exec, a run costs its plan,
+        pipes and collection once, inputs are read at page-cache speed, and
+        every edge between two workers pays an encode and a decode (the
+        committed channel rate is lower than the probe's: it also stands for
+        the parent feeding in-memory inputs and decoding the outputs).
+        """
+        try:
+            cores = len(os.sched_getaffinity(0))
+        except AttributeError:  # pragma: no cover - non-Linux
+            cores = os.cpu_count() or 1
+        return cls(
+            cores=cores,
+            process_spawn_seconds=0.00045,
+            setup_seconds=0.0005,
+            sequential_setup_seconds=0.00005,
+            disk_lines_per_second=20_000_000.0,
+            disk_parallel_scaling=1.0,
+            channel_lines_per_second=3_500_000.0,
+            feed_lines_per_second=2_400_000.0,
+            relays_are_processes=False,
+            in_process_lines=8_000_000,  # roughly 1 GB of Python str objects
+        )
+
+    def in_process(self) -> "MachineModel":
+        """The same host evaluating a graph on the in-process executor.
+
+        One thread runs the nodes one after another over Python lists: no
+        worker is dispatched, no stage overlaps another (the makespan is the
+        sum of the nodes' work), and an edge costs one list copy, not an
+        encode and a decode.
+        """
+        return replace(
+            self,
+            cores=1,
+            process_spawn_seconds=0.00001,
+            channel_lines_per_second=25_000_000.0,
+        )
 
     @classmethod
     def laptop(cls) -> "MachineModel":

@@ -106,6 +106,7 @@ def simulate_graph(
 
     node_timings: Dict[int, NodeTiming] = {}
     total_work = 0.0
+    process_count = 0
 
     for node in graph.topological_order():
         cost = cost_model.cost_for(node)
@@ -116,14 +117,25 @@ def simulate_graph(
             graph, node, edge_available, edge_finish, edge_emit_duration
         )
 
-        work = cost.work_seconds(total_in)
+        out_lines = _output_lines(node, cost, total_in, in_lines)
+        if isinstance(node, RelayNode) and not node.blocking and not machine.relays_are_processes:
+            work = 0.0  # bridged out of the plan: its edges are one stream
+        else:
+            # Each edge is billed once, to its consumer; the stream a graph
+            # output carries has no consuming node, so its producer pays.
+            delivered = sum(
+                lines
+                for edge_id, lines in zip(node.outputs, out_lines)
+                if graph.edge(edge_id).is_graph_output
+            )
+            work = cost.work_seconds(total_in) + machine.channel_seconds(total_in + delivered)
+            process_count += 1
         total_work += work
 
         finish = max(input_complete, start + work + extra_busy)
         blocking = cost.blocking or isinstance(node, SplitNode) and node.strategy == "general"
         available = finish if blocking else start + cost.startup_seconds
 
-        out_lines = _output_lines(node, cost, total_in, in_lines)
         fifo_drain = sum(out_lines) * _EMIT_SECONDS_PER_LINE
         emit_duration = fifo_drain if blocking else max(finish - start, fifo_drain)
 
@@ -147,8 +159,6 @@ def simulate_graph(
     critical_path = max(
         (timing.finish for timing in node_timings.values()), default=0.0
     )
-    process_count = len(graph.nodes)
-
     total = max(critical_path, total_work / max(machine.cores, 1))
     total += machine.spawn_seconds(process_count)
     if include_setup:

@@ -108,3 +108,35 @@ def test_value_flags_present_for_head_and_cut():
     library = standard_library()
     assert "-n" in library.lookup("head").value_flags
     assert "-f" in library.lookup("cut").value_flags
+
+
+def test_standard_library_parses_the_dsl_once_per_process(monkeypatch):
+    from repro.annotations import library as library_module
+
+    standard_library()  # whoever ran first has paid for the parse
+    monkeypatch.setattr(
+        library_module,
+        "parse_annotations",
+        lambda text: (_ for _ in ()).throw(AssertionError("the DSL was parsed again")),
+    )
+    assert standard_library().classify("grep", ["-c", "x"]) is P
+
+
+def test_mutating_one_standard_library_does_not_leak_into_the_next():
+    first = standard_library()
+    grep = first.lookup("grep")
+    grep.aggregator = "concat"
+    grep.configuration_operands = ()
+    grep.value_flags = ()
+    grep.clauses.clear()
+    first.register(simple_record("sort", E))
+    first.register(simple_record("mytool", P))
+
+    second = standard_library()
+    assert second.lookup("grep") is not grep
+    assert second.lookup("grep").aggregator == "sum"
+    assert second.lookup("grep").configuration_operands == (0,)
+    assert "-e" in second.lookup("grep").value_flags
+    assert second.classify("grep", ["-c", "x"]) is P
+    assert second.classify("sort", []) is P
+    assert "mytool" not in second

@@ -112,7 +112,11 @@ def service_daemon():
             executors=4,
             queue_limit=64,
             tenant_quota=64,
-            config=PashConfig.paper_default(2, backend="jit"),
+            # Pinned to the pool: the property below is about jobs sharing
+            # it, and "auto" would keep these small regions in-process.
+            config=PashConfig.paper_default(
+                2, backend="jit", jit_inner_backend="parallel"
+            ),
         )
     )
     daemon.start()

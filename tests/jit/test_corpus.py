@@ -130,7 +130,7 @@ def files_snapshot(filesystem):
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-@pytest.mark.parametrize("inner_backend", ["interpreter", "parallel"])
+@pytest.mark.parametrize("inner_backend", ["interpreter", "parallel", "auto"])
 def test_corpus_is_byte_identical(name, inner_backend):
     script = CORPUS[name]
     expected_stdout, expected_fs = run_baseline(script)

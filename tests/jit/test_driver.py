@@ -214,7 +214,9 @@ def test_shared_cache_across_drivers():
 def test_pash_session_routes_jit_with_pool():
     files = dataset()
     script = "for r in 1 2 3; do grep light in.txt | sort | head -n 3; done"
-    with Pash(PashConfig.paper_default(2, backend="jit")) as pash:
+    # Pinned to the pool: "auto" keeps a 120-line region in-process.
+    config = PashConfig.paper_default(2, backend="jit", jit_inner_backend="parallel")
+    with Pash(config) as pash:
         environment = ExecutionEnvironment(
             filesystem=VirtualFileSystem({k: list(v) for k, v in files.items()})
         )

@@ -53,7 +53,10 @@ def test_from_run_merges_result_compiled_and_spans():
 
 
 def test_from_run_with_jit_result_includes_jit_section():
-    config = PashConfig.paper_default(2, backend="jit", tracing=True)
+    # Worker and scheduler spans need the pool: "auto" would stay in-process.
+    config = PashConfig.paper_default(
+        2, backend="jit", tracing=True, jit_inner_backend="parallel"
+    )
     with Pash(config) as pash:
         compiled = pash.compile("cat a.txt b.txt | grep foo | sort > out.txt")
         result = compiled.execute(environment=environment())

@@ -81,7 +81,11 @@ def armed_config(*specs, **overrides):
     overrides.setdefault("retry_base_seconds", 0.0)
     overrides.setdefault("retry_jitter", 0.0)
     resilience = ResilienceConfig(faults=tuple(specs), **overrides)
-    return PashConfig.paper_default(WIDTH, resilience=resilience)
+    # The jit cells inject faults into pool workers, so they pin the pool:
+    # "auto" would keep this dataset's regions in-process, out of reach.
+    return PashConfig.paper_default(
+        WIDTH, resilience=resilience, jit_inner_backend="parallel"
+    )
 
 
 def run_supervised(config, backend, **options):

@@ -152,3 +152,20 @@ def test_vfs_delete():
     vfs = VirtualFileSystem({"a.txt": ["1"]})
     vfs.delete("a.txt")
     assert "a.txt" not in vfs
+
+
+def test_vfs_line_count_is_exact_in_memory_and_sampled_on_disk(tmp_path):
+    path = tmp_path / "big.txt"
+    lines = [f"line number {index:07d} of the file" for index in range(20_000)]
+    path.write_text("\n".join(lines) + "\n")
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "oneline.txt").write_text("no newline at all")
+    vfs = VirtualFileSystem({"mem.txt": ["a", "b", "c"]}, allow_real_files=True)
+    assert vfs.line_count("mem.txt") == 3
+    # Uniform lines: size / sampled line length is exact.
+    assert vfs.line_count(str(path)) == 20_000
+    assert vfs.line_count(str(tmp_path / "empty.txt")) == 0
+    assert vfs.line_count(str(tmp_path / "oneline.txt")) == 1
+    assert vfs.line_count(str(tmp_path / "missing.txt")) is None
+    # Without the fallback a name that is not in memory is unknown.
+    assert VirtualFileSystem().line_count(str(path)) is None

@@ -52,6 +52,10 @@ CORPUS = [
 #: The statically-compilable subset (used by the warm-cache restart test).
 STATIC_CORPUS = CORPUS[:3]
 
+#: For the tests about the shared worker pool: ``"auto"`` would keep these
+#: 160-line regions in-process and never touch it.
+POOLED = PashConfig.paper_default(2, backend="jit", jit_inner_backend="parallel")
+
 
 def oracle(script, files):
     """Sequential interpreter run: (stdout, written files)."""
@@ -73,7 +77,7 @@ def oracle(script, files):
 
 
 def test_eight_concurrent_submissions_byte_identical(make_daemon, client_for, run_with_deadline):
-    daemon = make_daemon(executors=4, queue_limit=32, tenant_quota=32)
+    daemon = make_daemon(executors=4, queue_limit=32, tenant_quota=32, config=POOLED)
     files = dataset()
     expected = [oracle(script, files) for script in CORPUS]
     results = [None] * 8
@@ -115,7 +119,7 @@ def test_eight_concurrent_submissions_byte_identical(make_daemon, client_for, ru
 
 
 def test_shared_pool_amortizes_processes(make_daemon, client_for):
-    daemon = make_daemon(executors=2, queue_limit=16, tenant_quota=16)
+    daemon = make_daemon(executors=2, queue_limit=16, tenant_quota=16, config=POOLED)
     client = client_for(daemon)
     files = dataset()
     client.submit(CORPUS[0], files=files)
@@ -349,7 +353,9 @@ def test_overlapping_jobs_report_only_their_own_spans(client_for, run_with_deadl
         ServiceOptions(
             listen="127.0.0.1:0",
             executors=2,
-            config=PashConfig.paper_default(2, backend="jit", tracing=True),
+            # Pinned to the pool: worker spans cross processes, and the
+            # pool's run lock is what makes the two jobs overlap.
+            config=POOLED.replace(tracing=True),
         ),
         tracer=tracer,
     )

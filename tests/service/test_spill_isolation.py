@@ -24,9 +24,12 @@ def bulk_lines(tag, count=4000):
 
 def spilling_config(spill_dir, width=2):
     # An 8-byte window forces every buffered edge to spill immediately.
+    # Spilling is the pool's business, so the jit tier is pinned to it
+    # ("auto" would keep these 4000-line regions in-process).
     return PashConfig.paper_default(
         width,
         backend="jit",
+        jit_inner_backend="parallel",
         streaming=StreamingConfig(spill_threshold=8, spill_directory=spill_dir),
     )
 

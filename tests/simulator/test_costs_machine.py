@@ -102,3 +102,75 @@ def test_machine_disk_and_spawn_costs():
 def test_machine_presets():
     assert MachineModel.paper_testbed().cores == 64
     assert MachineModel.laptop().cores < 64
+
+
+# ---------------------------------------------------------------------------
+# The second pair of tables: this host, our kernels (what the planner reads)
+# ---------------------------------------------------------------------------
+
+
+def test_this_host_counts_the_usable_cores(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 5}, raising=False)
+    host = MachineModel.this_host()
+    assert host.cores == 3
+    assert host.process_spawn_seconds < MachineModel.paper_testbed().process_spawn_seconds
+    assert host.channel_lines_per_second > 0 and not host.relays_are_processes
+
+
+def test_in_process_is_one_thread_with_cheap_edges_and_no_dispatch():
+    host = MachineModel.this_host()
+    inline = host.in_process()
+    assert inline.cores == 1
+    assert inline.process_spawn_seconds < host.process_spawn_seconds / 10
+    assert inline.channel_seconds(10**6) < host.channel_seconds(10**6) / 5
+
+
+def test_the_paper_machine_charges_nothing_new():
+    paper = MachineModel.paper_testbed()
+    assert paper.channel_seconds(10**9) == 0.0
+    assert paper.feed_seconds(10**9) == 0.0
+    assert paper.relays_are_processes and paper.in_process_lines == 0
+
+
+def test_python_cost_model_holds_the_measured_rates():
+    import math
+
+    from repro.simulator.costs import (
+        CALIBRATION_LINES,
+        PYTHON_KERNEL_MLINES_S,
+        python_cost_model,
+    )
+
+    model = python_cost_model()
+    for name in ("grep", "tr", "cut", "uniq"):
+        cost = model.command_costs[name]
+        measured = CALIBRATION_LINES / (PYTHON_KERNEL_MLINES_S[name] * 1e6)
+        assert math.isclose(cost.work_seconds(CALIBRATION_LINES) - cost.startup_seconds, measured)
+    sort = model.command_costs["sort"]
+    assert sort.complexity == "nlogn" and sort.blocking
+    assert math.isclose(
+        sort.work_seconds(CALIBRATION_LINES) - sort.startup_seconds,
+        CALIBRATION_LINES / (PYTHON_KERNEL_MLINES_S["sort"] * 1e6),
+    )
+    # Shapes are the GNU table's; only the rates differ.
+    gnu = default_cost_model()
+    assert model.command_costs["grep"].selectivity == gnu.command_costs["grep"].selectivity
+    assert model.command_costs["grep"].startup_seconds < gnu.command_costs["grep"].startup_seconds
+    assert set(model.command_costs) - {"tr -cs"} == set(gnu.command_costs)
+
+
+def test_python_cost_model_knows_the_slow_tr_and_the_tokenizer():
+    from repro.simulator.costs import python_cost_model
+
+    model = python_cost_model()
+    plain = model.cost_for(CommandNode(name="tr", arguments=["A-Z", "a-z"]))
+    squeeze = model.cost_for(CommandNode(name="tr", arguments=["-cs", "A-Za-z", "\\n"]))
+    assert squeeze.seconds_per_line > 10 * plain.seconds_per_line
+    assert plain.selectivity == 1.0 and squeeze.selectivity > 1.0
+    # The GNU-shaped table the figures use is untouched by either rule.
+    gnu = default_cost_model()
+    assert gnu.cost_for(CommandNode(name="tr", arguments=["-cs", "A-Za-z", "\\n"])) == gnu.cost_for(
+        CommandNode(name="tr", arguments=["A-Z", "a-z"])
+    )

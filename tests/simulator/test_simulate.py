@@ -1,5 +1,9 @@
 """Tests for the performance simulator: speedup shapes, not absolute numbers."""
 
+import dataclasses
+
+import pytest
+
 from repro.api import PashConfig, optimize
 from repro.dfg.builder import DFGBuilder, translate_script
 from repro.simulator.costs import default_cost_model
@@ -137,3 +141,35 @@ def test_speedup_over_helper():
     optimize(graph, PashConfig.paper_default(8, fuse_stages=False))
     parallel = simulate_graph(graph, files, MACHINE, include_setup=True)
     assert parallel.speedup_over(baseline) == baseline.total_seconds / parallel.total_seconds
+
+
+def test_this_host_bills_each_edge_once_and_skips_eager_relays():
+    """The pool's relays are bridged out of the plan: no process, no work;
+    every other edge costs its consumer one channel crossing."""
+    from repro.simulator.costs import python_cost_model
+
+    graph = translate_script("cat in.txt | sort > out.txt").regions[0].dfg
+    config = PashConfig.paper_default(2)
+    config.pipeline().run(graph, config)
+    relays = [node for node in graph.nodes.values() if node.kind == "relay"]
+    assert relays, "the eager-relays pass inserted nothing; the test exercises nothing"
+
+    host = MachineModel.this_host()
+    counts = {"in.txt": 100_000}
+    billed = simulate_graph(graph, counts, machine=host, cost_model=python_cost_model())
+    assert billed.process_count == len(graph.nodes) - len(relays)
+    assert all(billed.node_timings[relay.node_id].work == 0.0 for relay in relays)
+
+    free = dataclasses.replace(host, channel_lines_per_second=0.0)
+    unbilled = simulate_graph(graph, counts, machine=free, cost_model=python_cost_model())
+    relay_ids = {relay.node_id for relay in relays}
+    edges = 0
+    for edge_id, lines in billed.edge_lines.items():
+        edge = graph.edge(edge_id)
+        payer = edge.source if edge.is_graph_output else edge.target
+        if payer not in relay_ids:
+            edges += lines
+    assert billed.work_seconds - unbilled.work_seconds == pytest.approx(host.channel_seconds(edges))
+
+    paper = simulate_graph(graph, counts, machine=MachineModel.paper_testbed())
+    assert paper.process_count == len(graph.nodes)

@@ -237,10 +237,12 @@ def _load_trace(path):
 
 def test_trace_export_covers_every_layer(loop_workspace, tmp_path, capsys):
     trace = tmp_path / "out.json"
+    # Pinned to the pool: "auto" keeps these small regions in-process, and
+    # the scheduler and worker layers would have nothing to record.
     assert (
         main(
             [str(loop_workspace), "--width", "2", "--execute", "jit",
-             "--trace", str(trace)]
+             "--jit-backend", "parallel", "--trace", str(trace)]
         )
         == 0
     )
