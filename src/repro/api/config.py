@@ -471,12 +471,9 @@ class PashConfig:
         otherwise), floored at the local count since the coordinator also
         executes nodes.
         """
-        import os
+        from repro.simulator.machine import usable_cores
 
-        try:
-            local = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            local = os.cpu_count() or 1
+        local = usable_cores()
         if self.backend == "cluster":
             per_worker = self.cluster.worker_cores or local
             return max(local, max(1, self.cluster.workers) * per_worker)
@@ -511,9 +508,7 @@ class PashConfig:
             connect=self.cluster.connect,
             report_timeout_seconds=self.report_timeout_seconds,
             use_host_commands=self.use_host_commands,
-            chunk_size=self.streaming.chunk_size,
-            spill_threshold=self.streaming.spill_threshold,
-            spill_directory=self.streaming.spill_directory,
+            streaming=self.streaming,
             fault_plan=self.resilience.fault_plan(),
         )
         if self.cluster.heartbeat_interval is not None:

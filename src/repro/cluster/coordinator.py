@@ -15,10 +15,13 @@ Sharding policy (the location-independence argument, §4.2 of the paper):
   here, so keeping them local avoids a round trip that buys nothing.
 
 Execution materializes every edge in a coordinator-side :class:`EdgeStore`
-(spilling oversized streams to disk) and walks the graph as a ready-set task
-queue: local nodes evaluate inline through
-:func:`repro.runtime.executor.evaluate_node`, remote-eligible nodes are
-pickled to an idle worker with their input streams as chunk frames.  Because
+as a :class:`~repro.engine.channels.StoredStream` (bytes, or past the spill
+threshold a file) and walks the graph as a ready-set task queue: local nodes
+run inline through the engine's node runner,
+:func:`repro.engine.workers.run_node`, over those stored streams — the same
+modes, block kernels and counters as a pool worker — and remote-eligible
+nodes are pickled to an idle worker with their input streams as chunk
+frames.  Nothing is decoded between the seed and the delivery.  Because
 a task's inputs are fully materialized *before* dispatch, tasks are
 idempotent: when a worker dies (socket EOF or heartbeat timeout) its
 in-flight task is requeued to another worker and produces the same bytes.
@@ -46,7 +49,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.protocol import (
     MSG_ACK,
@@ -61,33 +64,27 @@ from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     MessageSocket,
     ProtocolError,
-    iter_file_frames,
     parse_address,
     recv_message,
+    send_edge_stream,
 )
+from repro.api.config import StreamingConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import DFGNode
 from repro.engine.api import EngineResult, ExecutionBackend
-from repro.engine.channels import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_SPILL_THRESHOLD,
-    iter_decoded_lines,
-    iter_encoded_chunks,
-)
+from repro.engine.channels import SpillBuffer, StoredStream
 from repro.engine.metrics import EngineMetrics, NodeMetrics
+from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
 from repro.obs.metrics import counter_inc, gauge_set, record_engine_run
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience import fault as fault_injection
-from repro.resilience.errors import wrap_capacity_error
 from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
     ExecutionResult,
     deliver_output,
-    evaluate_node,
     node_streams_statelessly,
     resolve_graph_input,
 )
@@ -131,12 +128,10 @@ class ClusterOptions:
     #: Exec real host binaries in workers when possible (remote tasks only
     #: run them on single-input single-output command nodes, like the pool).
     use_host_commands: bool = False
-    #: Chunk size for socket edge frames and store encoding.
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: Bytes beyond which a coordinator-side edge value spills to disk.
-    spill_threshold: int = DEFAULT_SPILL_THRESHOLD
-    #: Directory for coordinator spill files (None = system temp).
-    spill_directory: Optional[str] = None
+    #: Chunk size of socket edge frames, bytes beyond which an edge spills
+    #: to disk (on either side of the socket), and where the coordinator's
+    #: run directories go.
+    streaming: StreamingConfig = StreamingConfig()
     #: Interpreter for locally-spawned workers (None = ``sys.executable``).
     python_executable: Optional[str] = None
     #: Fault-injection plan shipped with every task message (chaos testing;
@@ -145,133 +140,49 @@ class ClusterOptions:
 
 
 # ---------------------------------------------------------------------------
-# Edge storage with spill fallback
+# Edge storage
 # ---------------------------------------------------------------------------
 
 
-class _EdgeSink:
-    """Accumulates one remote edge's incoming chunk frames, spilling when big.
-
-    Nothing is visible to consumers until :meth:`commit` — the at-most-once
-    half of the requeue story: a lost worker's partial stream is abandoned,
-    never merged.
-    """
-
-    def __init__(self, store: "EdgeStore", edge_id: int) -> None:
-        self.store = store
-        self.edge_id = edge_id
-        self._buffer = bytearray()
-        self._file = None
-        self._path: Optional[str] = None
-
-    def write(self, frame: bytes) -> None:
-        if self._file is None and len(self._buffer) + len(frame) <= self.store.spill_threshold:
-            self._buffer += frame
-            return
-        fault_injection.fire(fault_injection.SPILL_WRITE, len(frame))
-        try:
-            if self._file is None:
-                handle, self._path = tempfile.mkstemp(
-                    prefix="pash-edge-", suffix=".spill", dir=self.store.directory
-                )
-                self._file = os.fdopen(handle, "wb")
-                if self._buffer:
-                    self._file.write(self._buffer)
-                    self._buffer.clear()
-            self._file.write(frame)
-        except OSError as exc:
-            raise wrap_capacity_error(
-                exc, "spill:write", self._path or self.store.directory, len(frame)
-            ) from exc
-
-    def commit(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self.store.put_spilled(self.edge_id, self._path)
-            self._file = None
-            self._path = None
-            return
-        self.store.put_lines(
-            self.edge_id, list(iter_decoded_lines(iter([bytes(self._buffer)])))
-        )
-
-    def abandon(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            finally:
-                self._file = None
-                if self._path is not None:
-                    try:
-                        os.unlink(self._path)
-                    except OSError:
-                        pass
-                    self._path = None
-        self._buffer.clear()
-
-
 class EdgeStore:
-    """Every materialized edge value of one graph run, memory- or disk-backed.
+    """Every materialized edge of one graph run, as stored streams.
 
-    Small streams live as line lists; anything beyond ``spill_threshold``
-    estimated bytes lives as an engine-framed file in a run-scoped directory
-    that is removed unconditionally when the run ends.
+    An edge larger than ``spill_threshold`` bytes lives in a file of a
+    run-scoped directory that is removed unconditionally when the run ends.
+    An edge enters the store whole or not at all: a remote task's streams
+    accumulate in a :meth:`buffer` each and are :meth:`put` on the
+    first RESULT, or abandoned with the worker that was sending them.
     """
 
-    def __init__(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        spill_threshold: int = DEFAULT_SPILL_THRESHOLD,
-        directory: Optional[str] = None,
-    ) -> None:
-        self.chunk_size = max(1, chunk_size)
-        self.spill_threshold = max(0, spill_threshold)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self.directory = tempfile.mkdtemp(prefix="pash-cluster-run-", dir=directory)
-        self._memory: Dict[int, List[str]] = {}
-        self._spilled: Dict[int, str] = {}
+    def __init__(self, streaming: StreamingConfig = StreamingConfig()) -> None:
+        self.streaming = streaming
+        if streaming.spill_directory:
+            os.makedirs(streaming.spill_directory, exist_ok=True)
+        self.directory = tempfile.mkdtemp(
+            prefix="pash-cluster-run-", dir=streaming.spill_directory
+        )
+        self._streams: Dict[int, StoredStream] = {}
 
     def has(self, edge_id: int) -> bool:
-        return edge_id in self._memory or edge_id in self._spilled
+        return edge_id in self._streams
+
+    def buffer(self) -> SpillBuffer:
+        """A buffer for one edge still streaming in (spills into the run's directory)."""
+        return SpillBuffer(self.streaming.spill_threshold, self.directory)
+
+    def put(self, edge_id: int, stream: StoredStream) -> None:
+        self._streams[edge_id] = stream
 
     def put_lines(self, edge_id: int, lines: List[str]) -> None:
-        estimated = sum(len(line) + 1 for line in lines)
-        if estimated > self.spill_threshold:
-            fault_injection.fire(fault_injection.SPILL_WRITE, estimated)
-            path = None
-            try:
-                handle, path = tempfile.mkstemp(
-                    prefix="pash-edge-", suffix=".spill", dir=self.directory
-                )
-                with os.fdopen(handle, "wb") as spill:
-                    for frame in iter_encoded_chunks(lines, self.chunk_size):
-                        spill.write(frame)
-            except OSError as exc:
-                raise wrap_capacity_error(
-                    exc, "spill:write", path or self.directory, estimated
-                ) from exc
-            self._spilled[edge_id] = path
-            return
-        self._memory[edge_id] = list(lines)
+        buffer = self.buffer()
+        buffer.append_lines(lines)
+        self.put(edge_id, buffer.store())
 
-    def put_spilled(self, edge_id: int, path: str) -> None:
-        self._spilled[edge_id] = path
-
-    def sink(self, edge_id: int) -> _EdgeSink:
-        return _EdgeSink(self, edge_id)
+    def get(self, edge_id: int) -> StoredStream:
+        return self._streams[edge_id]
 
     def lines(self, edge_id: int) -> List[str]:
-        if edge_id in self._memory:
-            return list(self._memory[edge_id])
-        path = self._spilled[edge_id]
-        return list(iter_decoded_lines(iter_file_frames(path, self.chunk_size)))
-
-    def frames(self, edge_id: int) -> Iterator[bytes]:
-        """Engine-framed byte chunks (what travels over a task's socket)."""
-        if edge_id in self._memory:
-            return iter_encoded_chunks(self._memory[edge_id], self.chunk_size)
-        return iter_file_frames(self._spilled[edge_id], self.chunk_size)
+        return self._streams[edge_id].lines(self.streaming.chunk_size)
 
     def close(self) -> None:
         shutil.rmtree(self.directory, ignore_errors=True)
@@ -297,9 +208,9 @@ class ClusterWorkerHandle:
 
 
 class _RemoteTask:
-    """One dispatched task: its node, owner, and uncommitted output sinks."""
+    """One dispatched task: its node, owner, and uncommitted output buffers."""
 
-    def __init__(self, node: DFGNode, handle: ClusterWorkerHandle, sinks: Dict[int, _EdgeSink]):
+    def __init__(self, node: DFGNode, handle: ClusterWorkerHandle, sinks: Dict[int, SpillBuffer]):
         self.node = node
         self.handle = handle
         self.sinks = sinks
@@ -505,8 +416,14 @@ class ClusterCoordinator:
                 # home through RESULT reports) parent under it, like the pool.
                 worker_trace = self.tracer.context()
                 run.run(worker_trace)
-            self._deliver(graph, run.store, environment, result)
-            result.edge_values.update(run.output_values)
+            # The one decode of the run: graph outputs, for deliver_output.
+            values = {
+                edge.edge_id: run.store.lines(edge.edge_id)
+                for edge in graph.output_edges()
+                if run.store.has(edge.edge_id)
+            }
+            self._deliver(graph, values, environment, result)
+            result.edge_values.update(values)
         finally:
             run.close()
         metrics.nodes.sort(key=lambda node: node.node_id)
@@ -516,18 +433,12 @@ class ClusterCoordinator:
     def _deliver(
         self,
         graph: DataflowGraph,
-        store: "EdgeStore | Dict[int, Stream]",
+        values: Dict[int, Stream],
         environment: ExecutionEnvironment,
         result: ExecutionResult,
     ) -> None:
-        values = store if isinstance(store, dict) else None
         for edge in graph.output_edges():
-            if values is not None:
-                stream = values.get(edge.edge_id)
-            elif store.has(edge.edge_id):
-                stream = store.lines(edge.edge_id)
-            else:
-                stream = None
+            stream = values.get(edge.edge_id)
             if stream is None:
                 stream = resolve_graph_input(edge, environment) if edge.source is None else []
             deliver_output(edge, stream, result, environment.filesystem)
@@ -549,11 +460,7 @@ class _GraphRun:
         self.graph = graph
         self.environment = environment
         self.metrics = metrics
-        self.store = EdgeStore(
-            chunk_size=self.options.chunk_size,
-            spill_threshold=self.options.spill_threshold,
-            directory=self.options.spill_directory,
-        )
+        self.store = EdgeStore(self.options.streaming)
         #: Custom registries cannot be pickled to a remote process; the run
         #: degrades to coordinator-local execution (still correct, not wide).
         self.remote_ok = environment.registry is standard_registry()
@@ -563,7 +470,6 @@ class _GraphRun:
         self.done: Set[int] = set()
         self.waiting: Dict[int, Set[int]] = {}
         self.consumers: Dict[int, List[int]] = {}
-        self.output_values: Dict[int, Stream] = {}
 
     # -- setup ---------------------------------------------------------------
 
@@ -623,47 +529,32 @@ class _GraphRun:
     # -- local execution -----------------------------------------------------
 
     def _run_local(self, node_id: int) -> None:
+        """Run one node here, with the engine's node runner over the store."""
         node = self.graph.node(node_id)
-        inputs = [self.store.lines(edge_id) for edge_id in node.inputs]
-        started = time.perf_counter()
+        streaming = self.options.streaming
+        plan = WorkerPlan(
+            node=node,
+            inputs=[InputPort(edge_id, stream=self.store.get(edge_id)) for edge_id in node.inputs],
+            outputs=[OutputPort(edge_id) for edge_id in node.outputs],
+            registry=self.environment.registry,
+            chunk_size=streaming.chunk_size,
+            spill_threshold=streaming.spill_threshold,
+            spill_directory=self.store.directory,
+        )
+        metrics = NodeMetrics.of(node)
         with self.tracer.span(
             f"node:{node.label()}", "worker", node_id=node_id, kind=node.kind,
             location="coordinator",
         ):
             try:
-                outputs = evaluate_node(node, inputs, self.environment.registry)
-            except ExecutionError:
-                raise
+                outputs = run_node(plan, metrics)
+            except (ExecutionError, OSError):
+                raise  # a full disk stays a typed, retryable error
             except Exception as exc:
                 raise ExecutionError(f"node {node.label()} failed: {exc}") from exc
-        wall = time.perf_counter() - started
-        if node.outputs and len(outputs) != len(node.outputs):
-            raise ExecutionError(
-                f"node {node.label()} produced {len(outputs)} streams for "
-                f"{len(node.outputs)} output edges"
-            )
-        for edge_id, stream in zip(node.outputs, outputs):
-            self.store.put_lines(edge_id, stream)
-        bytes_in = sum(len(line) + 1 for stream in inputs for line in stream)
-        lines_in = sum(len(stream) for stream in inputs)
-        bytes_out = sum(
-            len(line) + 1 for stream in outputs[: len(node.outputs)] for line in stream
-        )
-        lines_out = sum(len(stream) for stream in outputs[: len(node.outputs)])
-        self.metrics.nodes.append(
-            NodeMetrics(
-                node_id=node_id,
-                label=node.label(),
-                kind=node.kind,
-                pid=os.getpid(),
-                wall_seconds=wall,
-                compute_seconds=wall,
-                bytes_in=bytes_in,
-                bytes_out=bytes_out,
-                lines_in=lines_in,
-                lines_out=lines_out,
-            )
-        )
+        for edge_id, stream in outputs.items():
+            self.store.put(edge_id, stream)
+        self.metrics.nodes.append(metrics)
         self._complete(node_id)
 
     # -- remote execution ----------------------------------------------------
@@ -679,7 +570,7 @@ class _GraphRun:
 
     def _dispatch(self, handle: ClusterWorkerHandle, node_id: int, worker_trace) -> None:
         node = self.graph.node(node_id)
-        sinks = {edge_id: self.store.sink(edge_id) for edge_id in node.outputs}
+        sinks = {edge_id: self.store.buffer() for edge_id in node.outputs}
         handle.task = node_id
         self.inflight[node_id] = _RemoteTask(node, handle, sinks)
         try:
@@ -691,25 +582,15 @@ class _GraphRun:
                     "inputs": list(node.inputs),
                     "outputs": list(node.outputs),
                     "use_host_commands": self.options.use_host_commands,
-                    "chunk_size": self.options.chunk_size,
-                    "spill_threshold": self.options.spill_threshold,
+                    "chunk_size": self.options.streaming.chunk_size,
+                    "spill_threshold": self.options.streaming.spill_threshold,
                     "trace": worker_trace,
                     "faults": self.options.fault_plan,
                 }
             )
             for edge_id in node.inputs:
-                for frame in self.store.frames(edge_id):
-                    handle.channel.send(
-                        {
-                            "type": MSG_CHUNK,
-                            "task_id": node_id,
-                            "edge_id": edge_id,
-                            "data": frame,
-                        }
-                    )
-                handle.channel.send(
-                    {"type": MSG_EDGE_END, "task_id": node_id, "edge_id": edge_id}
-                )
+                frames = self.store.get(edge_id).blocks(self.options.streaming.chunk_size)
+                send_edge_stream(handle.channel, node_id, edge_id, frames)
         except (OSError, ProtocolError):
             self._worker_lost(handle)
 
@@ -774,7 +655,7 @@ class _GraphRun:
         if task is None or task.handle is not handle:
             return  # stale traffic from a requeued or completed task
         if kind == MSG_CHUNK:
-            task.sinks[message["edge_id"]].write(message["data"])
+            task.sinks[message["edge_id"]].append(message["data"])
             return
         if kind == MSG_EDGE_END:
             return  # commit happens atomically at RESULT time
@@ -796,8 +677,8 @@ class _GraphRun:
                 f"cluster worker {handle.worker_id} failed on "
                 f"{task.node.label()}: {report['error']}"
             )
-        for sink in task.sinks.values():
-            sink.commit()
+        for edge_id, sink in task.sinks.items():
+            self.store.put(edge_id, sink.store())
         try:
             handle.channel.send({"type": MSG_ACK, "task_id": node_id})
         except OSError:
@@ -815,9 +696,6 @@ class _GraphRun:
         node = self.graph.node(node_id)
         self.done.add(node_id)
         for edge_id in node.outputs:
-            edge = self.graph.edge(edge_id)
-            if edge.target is None:
-                self.output_values[edge_id] = self.store.lines(edge_id)
             for consumer in self.consumers.get(edge_id, ()):
                 pending = self.waiting[consumer]
                 if edge_id in pending:

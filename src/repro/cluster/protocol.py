@@ -9,11 +9,13 @@ Every message is one length-prefixed pickle frame::
 Control messages (REGISTER, WELCOME, TASK, RESULT, HEARTBEAT, ACK, SHUTDOWN)
 are small dicts; bulk data never rides inside them.  Cross-host DFG edges
 travel instead as a sequence of CHUNK messages whose ``data`` payloads are
-*exactly* the framed byte chunks of :mod:`repro.engine.channels`
-(newline-delimited UTF-8, produced by :func:`iter_encoded_chunks` and decoded
-by :func:`iter_decoded_lines`), terminated by one EDGE_END — so the cluster
-data plane reuses the engine's framing rather than inventing a second one,
-and a stream moves in bounded memory on both sides of the socket.
+the pieces of a :class:`repro.engine.channels.StoredStream`
+(newline-delimited UTF-8, cut by :meth:`StoredStream.blocks`), terminated by
+one EDGE_END — so the cluster data plane reuses the engine's framing rather
+than inventing a second one.  Each side appends the pieces it receives to a
+:class:`~repro.engine.channels.SpillBuffer` and hands that off as the edge's
+stored stream, so a stream moves in bounded memory on both sides of the
+socket and is never decoded on the way.
 
 Message flow for one task::
 
@@ -37,7 +39,7 @@ import pickle
 import socket
 import struct
 import threading
-from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
 #: Bumped on any incompatible message-shape change; checked at registration.
 PROTOCOL_VERSION = 1
@@ -173,16 +175,6 @@ def send_edge_stream(
             {"type": MSG_CHUNK, "task_id": task_id, "edge_id": edge_id, "data": frame}
         )
     channel.send({"type": MSG_EDGE_END, "task_id": task_id, "edge_id": edge_id})
-
-
-def iter_file_frames(path: str, chunk_size: int) -> Iterator[bytes]:
-    """Framed byte chunks of an on-disk spill file (already engine-framed)."""
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(max(1, chunk_size))
-            if not chunk:
-                return
-            yield chunk
 
 
 def parse_address(address: str) -> "tuple[str, int]":

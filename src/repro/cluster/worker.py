@@ -8,15 +8,17 @@ A worker is a small state machine around one coordinator connection::
         -> SHUTDOWN (exit 0) | connection lost (exit 1)
 
 Execution reuses the engine's worker body verbatim: every task becomes a
-:class:`~repro.engine.workers.WorkerPlan` whose inputs are inline line
-streams (decoded from the task's chunk frames) and whose outputs are
-report-collected, and :func:`~repro.engine.workers.execute_plan` runs it —
-same registry, same batch-mode streaming, same counters, same span recording
-— so a node produces the same bytes here as on the single-host scheduler by
-construction.  Output streams larger than the spill threshold take the same
-path as locally: :class:`~repro.engine.workers.ReportSink` spills them to a
-worker-local temp file, which this module streams back frame-by-frame and
-deletes — the report itself never carries bulk data.
+:class:`~repro.engine.workers.WorkerPlan` whose inputs are stored streams
+(each inbound CHUNK is appended to a
+:class:`~repro.engine.channels.SpillBuffer` under the task's
+``spill_threshold``, so a task's inputs never sit in memory whole) and whose
+outputs are collected, and :func:`~repro.engine.workers.execute_plan` runs
+it — same registry, same batch-mode streaming, same counters, same span
+recording — so a node produces the same bytes here as on the single-host
+scheduler by construction.  The outputs come back as stored streams too,
+which this module cuts into frames for the socket; the task's directory,
+with whatever spilled, is removed when the task ends — the report itself
+never carries bulk data.
 
 A daemon thread heartbeats on the shared connection (the protocol socket
 serializes sends), so a worker stuck in a long node evaluation still proves
@@ -32,7 +34,6 @@ import socket
 import sys
 import tempfile
 import threading
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.protocol import (
@@ -48,21 +49,19 @@ from repro.cluster.protocol import (
     PROTOCOL_VERSION,
     MessageSocket,
     ProtocolError,
-    iter_file_frames,
     parse_address,
     send_edge_stream,
 )
-from repro.engine.channels import iter_decoded_lines, iter_encoded_chunks
-from repro.engine.workers import SPILL_PATH_KEY, InputPort, OutputPort, WorkerPlan, execute_plan
+from repro.engine.channels import (
+    DEFAULT_CHUNK_SIZE,
+    DEFAULT_SPILL_THRESHOLD,
+    SpillBuffer,
+    StoredStream,
+)
+from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
 from repro.resilience import fault as fault_injection
 from repro.resilience.retry import RetryPolicy, retry_call
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+from repro.simulator.machine import usable_cores
 
 
 class _ReportBox:
@@ -76,17 +75,28 @@ class _ReportBox:
 
 
 class _PendingTask:
-    """A TASK message plus the input frames still streaming in."""
+    """A TASK message plus its input edges, buffered as they stream in.
+
+    The buffers spill into the task's own directory, which
+    :func:`_execute_task` hands on to the node as its spill directory;
+    :meth:`close` removes it with everything the task left there.
+    """
 
     def __init__(self, message: Dict[str, Any]) -> None:
         self.message = message
-        self.frames: Dict[int, List[bytes]] = {
-            edge_id: [] for edge_id in message["inputs"]
+        self.directory = tempfile.mkdtemp(prefix="pash-worker-spill-")
+        self.spill_threshold = message.get("spill_threshold") or DEFAULT_SPILL_THRESHOLD
+        self.inputs = {
+            edge_id: SpillBuffer(self.spill_threshold, self.directory)
+            for edge_id in message["inputs"]
         }
-        self.ended = {edge_id: False for edge_id in message["inputs"]}
+        self.open_edges = set(message["inputs"])
 
     def complete(self) -> bool:
-        return all(self.ended.values())
+        return not self.open_edges
+
+    def close(self) -> None:
+        shutil.rmtree(self.directory, ignore_errors=True)
 
 
 def _connect_with_retry(host: str, port: int, retry_seconds: float) -> socket.socket:
@@ -124,21 +134,20 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
     """Run one node plan and stream its outputs and report home."""
     message = task.message
     task_id = message["task_id"]
-    chunk_size = message.get("chunk_size") or 1 << 16
-    spill_directory = tempfile.mkdtemp(prefix="pash-worker-spill-")
+    chunk_size = message.get("chunk_size") or DEFAULT_CHUNK_SIZE
     try:
         plan = WorkerPlan(
             node=message["node"],
             inputs=[
-                InputPort(edge_id, data=list(iter_decoded_lines(iter(task.frames[edge_id]))))
+                InputPort(edge_id, stream=task.inputs[edge_id].store())
                 for edge_id in message["inputs"]
             ],
             outputs=[OutputPort(edge_id) for edge_id in message["outputs"]],
             registry=None,  # re-created in-process: the standard registry
             use_host_commands=bool(message.get("use_host_commands")),
             chunk_size=chunk_size,
-            spill_threshold=message.get("spill_threshold") or 1 << 23,
-            spill_directory=spill_directory,
+            spill_threshold=task.spill_threshold,
+            spill_directory=task.directory,
             run_token=task_id,
             trace=message.get("trace"),
             faults=message.get("faults"),
@@ -149,27 +158,11 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
         outputs = report.pop("outputs", {})
         if not report.get("error"):
             for edge_id in message["outputs"]:
-                entry = outputs.get(edge_id, [])
-                if isinstance(entry, dict) and SPILL_PATH_KEY in entry:
-                    # Oversized stage: the stream spilled to a worker-local
-                    # file; stream it back framed and delete it.
-                    path = entry[SPILL_PATH_KEY]
-                    try:
-                        send_edge_stream(
-                            channel, task_id, edge_id, iter_file_frames(path, chunk_size)
-                        )
-                    finally:
-                        try:
-                            os.unlink(path)
-                        except OSError:
-                            pass
-                else:
-                    send_edge_stream(
-                        channel, task_id, edge_id, iter_encoded_chunks(entry, chunk_size)
-                    )
+                stored = outputs.get(edge_id, StoredStream())
+                send_edge_stream(channel, task_id, edge_id, stored.blocks(chunk_size))
         channel.send({"type": MSG_RESULT, "task_id": task_id, "report": report})
     finally:
-        shutil.rmtree(spill_directory, ignore_errors=True)
+        task.close()
 
 
 def run_worker(address: str, retry_seconds: float = 10.0) -> int:
@@ -185,12 +178,13 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
         return 1
     channel = MessageSocket(sock)
     stop = threading.Event()
+    pending: Dict[int, _PendingTask] = {}
     try:
         channel.send(
             {
                 "type": MSG_REGISTER,
                 "pid": os.getpid(),
-                "cores": _usable_cores(),
+                "cores": usable_cores(),
                 "version": PROTOCOL_VERSION,
             }
         )
@@ -205,7 +199,6 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
         )
         heartbeat.start()
 
-        pending: Dict[int, _PendingTask] = {}
         while True:
             try:
                 message = channel.recv()
@@ -228,13 +221,13 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
             if kind == MSG_CHUNK:
                 task = pending.get(message["task_id"])
                 if task is not None:
-                    task.frames[message["edge_id"]].append(message["data"])
+                    task.inputs[message["edge_id"]].append(message["data"])
                 continue
             if kind == MSG_EDGE_END:
                 task = pending.get(message["task_id"])
                 if task is None:
                     continue
-                task.ended[message["edge_id"]] = True
+                task.open_edges.discard(message["edge_id"])
                 if task.complete():
                     del pending[message["task_id"]]
                     _execute_task(channel, task)
@@ -246,6 +239,8 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
     finally:
         stop.set()
         channel.close()
+        for task in pending.values():
+            task.close()
 
 
 def build_parser() -> argparse.ArgumentParser:

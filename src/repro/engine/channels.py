@@ -10,14 +10,23 @@ Backpressure is the kernel's: a producer that outruns its consumer blocks in
 behaviour PaSh's eager relays exist to mitigate (§5.2).
 
 The hot path is *bounded-memory streaming*: readers iterate chunk-by-chunk
-(:meth:`ChannelReader.iter_chunks` / :meth:`ChannelReader.iter_lines`, which
-decodes incrementally and is correct even when a multi-byte UTF-8 sequence is
-split across a chunk boundary), and :class:`EagerPump` drains a producer into
-a :class:`SpillBuffer` — an in-memory FIFO with a configurable high-water
-mark beyond which chunks spill to an unlinked temporary file, the dgsh-tee
+(:meth:`ChannelReader.iter_chunks`; :func:`iter_line_blocks` re-cuts the
+chunks at line boundaries, so a multi-byte UTF-8 sequence split across two
+of them is never decoded in halves), and :class:`EagerPump` drains a producer
+into a :class:`SpillBuffer` — an in-memory FIFO with a configurable
+high-water mark beyond which chunks spill to a temporary file, the dgsh-tee
 behaviour PaSh's eager relays adopt for larger-than-memory streams.  The
 pump therefore never blocks the producer *and* never holds more than
 ``spill_threshold`` bytes in memory.
+
+:class:`SpillBuffer` is the only code under ``src/`` that decides between
+memory and disk, creates a spill file, fires the ``spill:write`` fault point
+or counts spilled bytes, and with :class:`StoredStream` the only code that
+reads a spill file back or removes one.  Everything that collects a stream
+to hold it *at rest* — a worker's graph output, a cluster edge on either
+side of the socket — appends to a buffer and hands it off
+(:meth:`SpillBuffer.store`) as a stored stream, the one picklable
+representation of a materialized edge.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import os
 import tempfile
 import threading
 from collections import deque
+from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -118,14 +128,9 @@ def iter_encoded_chunks(lines: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SI
         yield tail
 
 
-def iter_decoded_batches(chunks: Iterable[bytes]) -> Iterator[List[str]]:
-    """Decode framed chunks into one line batch per line block."""
-    return map(decode_block, iter_line_blocks(chunks))
-
-
 def iter_decoded_lines(chunks: Iterable[bytes]) -> Iterator[str]:
-    """Decode framed chunks into lines, incrementally (UTF-8-safe)."""
-    return chain.from_iterable(iter_decoded_batches(chunks))
+    """Decode framed chunks into lines, a line block at a time (UTF-8-safe)."""
+    return chain.from_iterable(map(decode_block, iter_line_blocks(chunks)))
 
 
 class Channel:
@@ -255,12 +260,6 @@ class ChannelReader:
             yield chunk
         self.close()
 
-    def iter_lines(self) -> Iterator[str]:
-        """Yield decoded lines incrementally (UTF-8-safe across chunks)."""
-        for batch in iter_decoded_batches(self.iter_chunks()):
-            self.lines_read += len(batch)
-            yield from batch
-
     def read_lines(self) -> List[str]:
         """Drain the channel to EOF and return the framed lines."""
         lines = decode_block(b"".join(self.iter_chunks()))
@@ -277,6 +276,52 @@ class ChannelReader:
             pass
 
 
+def _unlink(path: Optional[str]) -> None:
+    if path is not None:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
+@dataclass(frozen=True)
+class StoredStream:
+    """A closed stream at rest: the one form of a materialized edge.
+
+    Inline ``data``, or the ``path`` of a file — what a closed
+    :class:`SpillBuffer` held in memory or had moved to disk, frozen and
+    picklable, so the same value sits in an edge table, rides inside a
+    worker's plan or report, and is cut into frames for a socket.  A stream
+    under the spill threshold travels with the value; a larger one stays in
+    its file (a pickled multi-megabyte ``bytes`` crosses a queue's pipe at a
+    fraction of page-cache speed).  A graph input that is a real file is
+    just its ``path``.  The bytes are newline-delimited UTF-8 but a piece
+    may end anywhere; consumers re-cut with :func:`iter_line_blocks`.
+    """
+
+    data: bytes = b""
+    path: Optional[str] = None
+
+    def blocks(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[bytes]:
+        """The stream's bytes in order, in pieces of at most ``chunk_size``."""
+        chunk_size = max(1, chunk_size)
+        for start in range(0, len(self.data), chunk_size):
+            yield self.data[start : start + chunk_size]
+        if self.path is not None:
+            with open(self.path, "rb") as handle:
+                yield from iter(lambda: handle.read(chunk_size), b"")
+
+    def lines(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> List[str]:
+        """The whole stream decoded — the one decode of a graph output."""
+        if self.path is None:
+            return decode_block(self.data)
+        return list(iter_decoded_lines(self.blocks(chunk_size)))
+
+    def unlink(self) -> None:
+        """Remove the file (only its writer's run calls this)."""
+        _unlink(self.path)
+
+
 #: A buffered element: in-memory bytes, or an (offset, length) spill-file ref.
 _Token = Union[bytes, Tuple[int, int]]
 
@@ -286,12 +331,21 @@ class SpillBuffer:
 
     Chunks are appended by a producer and popped (in order) by a consumer.
     While the in-memory window holds less than ``spill_threshold`` bytes,
-    chunks stay in memory; beyond the high-water mark they spill to an
-    unlinked temporary file (so crashed processes never leak spill files) and
-    are read back transparently when their turn comes.  Appends therefore
-    *never block*, which is exactly the dgsh-tee eager-relay contract: the
-    producer always makes progress, and memory use stays under the
-    configured bound no matter how far the consumer lags.
+    chunks stay in memory.  The chunk that would overflow it moves the
+    window to a temporary file in ``directory`` and the stream goes on
+    there — one file, in order, read back transparently — until the consumer
+    has caught up; then memory again.  Appends therefore *never block*,
+    which is exactly the dgsh-tee eager-relay contract: the producer always
+    makes progress, and memory use stays under the configured bound no
+    matter how far the consumer lags.
+
+    A buffer has two exits.  A consumer in this process iterates it (the
+    eager pump, a blocking relay); the file is removed when the last chunk
+    is popped.  Or the producer hands the closed buffer off with
+    :meth:`store`, and a file lives on, under its name, as the returned
+    :class:`StoredStream`.  :meth:`abandon` is the failure exit of both.  A
+    process killed in between leaves the file behind, so whoever runs
+    workers gives them a run-scoped ``directory`` and removes it.
 
     Thread-safe for one producer and one consumer.
     """
@@ -308,6 +362,7 @@ class SpillBuffer:
         self._mem_bytes = 0
         self._closed = False
         self._file = None
+        self._path: Optional[str] = None
         self._write_offset = 0
         #: High-water mark actually reached by the in-memory window.
         self.peak_buffered_bytes = 0
@@ -331,8 +386,16 @@ class SpillBuffer:
         with self._condition:
             if self._closed:
                 raise ChannelError("cannot append to a closed spill buffer")
-            if self._mem_bytes + len(chunk) > self.spill_threshold:
+            if self._on_disk():
                 self._spill(chunk)
+            elif self._mem_bytes + len(chunk) > self.spill_threshold:
+                # The window goes first, so the file is the stream in order
+                # (what store() hands off) and its memory is released.
+                window = list(self._tokens)
+                self._tokens.clear()
+                self._mem_bytes = 0
+                for held in (*window, chunk):
+                    self._spill(held)
             else:
                 self._tokens.append(bytes(chunk))
                 self._mem_bytes += len(chunk)
@@ -340,9 +403,18 @@ class SpillBuffer:
                     self.peak_buffered_bytes = self._mem_bytes
             self._condition.notify_all()
 
+    def _on_disk(self) -> bool:
+        """Whether the unread stream is in the spill file (else: in memory)."""
+        return bool(self._tokens) and type(self._tokens[-1]) is tuple
+
+    def append_lines(self, lines: Iterable[str]) -> None:
+        """Enqueue decoded lines, framed a line block at a time."""
+        for batch in iter_line_slices(lines):
+            self.append(encode_block(batch))
+
     def _spill(self, chunk: bytes) -> None:
-        fault_injection.fire(fault_injection.SPILL_WRITE, len(chunk))
         try:
+            fault_injection.fire(fault_injection.SPILL_WRITE, len(chunk))
             if self._file is None:
                 if self.directory:
                     # A configured directory may not exist yet (service jobs
@@ -350,14 +422,18 @@ class SpillBuffer:
                     # paths): create it here rather than crash at the first
                     # oversized stream.
                     os.makedirs(self.directory, exist_ok=True)
-                self._file = tempfile.TemporaryFile(
+                handle, self._path = tempfile.mkstemp(
                     prefix="pash-spill-", dir=self.directory
                 )
+                self._file = os.fdopen(handle, "w+b")
             self._file.seek(self._write_offset)
             self._file.write(chunk)
+            # Reach the disk inside this try: a full one must fail here, as
+            # a typed error, not at some later close.
+            self._file.flush()
         except OSError as exc:
             raise wrap_capacity_error(
-                exc, "spill:write", self.directory, len(chunk)
+                exc, "spill:write", self._path or self.directory, len(chunk)
             ) from exc
         self._tokens.append((self._write_offset, len(chunk)))
         self._write_offset += len(chunk)
@@ -368,6 +444,37 @@ class SpillBuffer:
         """Signal end-of-stream from the producer."""
         with self._condition:
             self._closed = True
+            if not self._tokens:
+                self._release_file()
+            self._condition.notify_all()
+
+    def store(self) -> StoredStream:
+        """Close the buffer and hand its whole stream off, file included.
+
+        For a buffer nobody popped from: it is all in memory (the window is
+        joined into ``data``) or all in the spill file, which keeps its name
+        and now belongs to the returned value.
+        """
+        with self._condition:
+            self._closed = True
+            data, path = b"", None
+            if self._on_disk():
+                path, self._path = self._path, None
+            else:
+                data = b"".join(self._tokens)
+            self._tokens.clear()
+            self._mem_bytes = 0
+            self._release_file()
+            self._condition.notify_all()
+            return StoredStream(data, path)
+
+    def abandon(self) -> None:
+        """Drop all buffered data and remove the spill file (failure exit)."""
+        with self._condition:
+            self._tokens.clear()
+            self._mem_bytes = 0
+            self._closed = True
+            self._release_file()
             self._condition.notify_all()
 
     # -- consumer side -------------------------------------------------------
@@ -391,33 +498,26 @@ class SpillBuffer:
             else:
                 data = token
                 self._mem_bytes -= len(data)
-            if self._closed and not self._tokens:
-                self._release_file()
+            if not self._tokens:
+                # Caught up: the spill file is reused from its start, or done.
+                self._write_offset = 0
+                if self._closed:
+                    self._release_file()
             return data
 
     def __iter__(self) -> Iterator[bytes]:
-        while True:
-            chunk = self.pop()
-            if chunk is None:
-                return
-            yield chunk
-
-    def discard(self) -> None:
-        """Drop all buffered data and release the spill file."""
-        with self._condition:
-            self._tokens.clear()
-            self._mem_bytes = 0
-            self._closed = True
-            self._release_file()
-            self._condition.notify_all()
+        return iter(self.pop, None)
 
     def _release_file(self) -> None:
+        """Close the spill file and remove it unless store() took its name."""
         if self._file is not None:
             try:
                 self._file.close()
             except OSError:  # pragma: no cover - defensive
                 pass
             self._file = None
+        _unlink(self._path)
+        self._path = None
 
 
 class EagerPump(threading.Thread):
@@ -460,17 +560,3 @@ class EagerPump(threading.Thread):
         self.join()
         if self._error is not None:
             raise self._error
-
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def peak_buffered_bytes(self) -> int:
-        return self.buffer.peak_buffered_bytes
-
-    @property
-    def spilled_bytes(self) -> int:
-        return self.buffer.spilled_bytes
-
-    @property
-    def spill_events(self) -> int:
-        return self.buffer.spill_events

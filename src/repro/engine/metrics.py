@@ -9,6 +9,7 @@ evaluation harness can compute Fig. 7-style speedups from wall-clock time.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
 
@@ -43,6 +44,11 @@ class NodeMetrics:
     spilled_bytes: int = 0
     #: Number of chunks that went through spill storage.
     spill_events: int = 0
+
+    @classmethod
+    def of(cls, node) -> "NodeMetrics":
+        """Zeroed metrics for ``node`` evaluated by the calling process."""
+        return cls(node_id=node.node_id, label=node.label(), kind=node.kind, pid=os.getpid())
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable flat-JSON schema: exactly the dataclass fields."""

@@ -18,13 +18,15 @@ the order-aware dataflow analysis:
   that are deadlock-relevant: fan-in nodes (aggregators, ``cat`` combiners,
   anything consuming two or more channels sequentially).  Straight-line
   edges are read directly, with kernel-pipe backpressure and zero extra
-  copies — see :class:`~repro.engine.workers.DirectSource`.
+  copies — see :func:`repro.engine.workers._open_sources`.
 
 Graph-input edges (stdin, input files) are resolved against the execution
-environment up front and handed to the workers inline; graph-output edges are
-collected from the worker reports and delivered through the same
-:func:`repro.runtime.executor.deliver_output` path as the interpreter, so the
-two backends are observationally identical.
+environment up front and handed to the workers as stored streams
+(:class:`~repro.engine.channels.StoredStream`: an on-disk file by its path,
+anything else as its bytes); graph-output edges come back the same way in
+the worker reports, are decoded here — the one decode of a graph output —
+and delivered through the same :func:`repro.runtime.executor.deliver_output`
+path as the interpreter, so the two backends are observationally identical.
 """
 
 from __future__ import annotations
@@ -44,16 +46,10 @@ from repro.commands.registry import standard_registry
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import FusedStage, RelayNode
-from repro.engine.channels import Channel, iter_decoded_lines
+from repro.engine.channels import Channel, StoredStream, encode_lines
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
-from repro.engine.workers import (
-    SPILL_PATH_KEY,
-    InputPort,
-    OutputPort,
-    WorkerPlan,
-    execute_plan,
-)
+from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
 from repro.obs.metrics import record_engine_run
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.executor import (
@@ -250,8 +246,17 @@ class ParallelScheduler:
 
             edge_values: Dict[int, Stream] = {}
             for report in reports.values():
-                for edge_id, value in report["outputs"].items():
-                    edge_values[edge_id] = self._restore_output(value)
+                for edge_id, stored in report["outputs"].items():
+                    try:
+                        edge_values[edge_id] = stored.lines(self.config.streaming.chunk_size)
+                    except UnicodeDecodeError as exc:
+                        # A pass-through node never decoded what it forwarded.
+                        label = report["metrics"]["label"]
+                        raise ExecutionError(
+                            f"1 worker(s) failed: {label}: UnicodeDecodeError: {exc}"
+                        ) from exc
+                    finally:
+                        stored.unlink()
                 for span in report.get("spans") or ():
                     # Worker-side spans arrive through the report queue; the
                     # worker cannot know whether its process was a fresh fork
@@ -445,26 +450,9 @@ class ParallelScheduler:
             if path is not None:
                 # Resolved here, against *this* process's cwd: a persistent
                 # pool worker may have been spawned under a different one.
-                return InputPort(edge_id, path=os.path.abspath(path))
-        return InputPort(edge_id, data=resolve_graph_input(edge, self.environment))
-
-    def _restore_output(self, value) -> Stream:
-        """Inline report outputs pass through; spilled ones stream off disk."""
-        if isinstance(value, dict) and SPILL_PATH_KEY in value:
-            path = value[SPILL_PATH_KEY]
-            try:
-                with open(path, "rb") as handle:
-                    return list(
-                        iter_decoded_lines(
-                            iter(lambda: handle.read(self.config.streaming.chunk_size), b"")
-                        )
-                    )
-            finally:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
-        return value
+                return InputPort(edge_id, stream=StoredStream(path=os.path.abspath(path)))
+        lines = resolve_graph_input(edge, self.environment)
+        return InputPort(edge_id, stream=StoredStream(encode_lines(lines)))
 
     # -- report collection ---------------------------------------------------
 

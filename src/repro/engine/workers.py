@@ -1,9 +1,12 @@
 """Worker-process bodies for the parallel engine.
 
-Every DFG node is executed by one OS process — a persistent pool worker
-(:mod:`repro.engine.pool`) or a dedicated fork — whose body is
-:func:`execute_plan`: open the input sources (eager pumps on fan-in edges,
-direct pipe reads everywhere else), evaluate the node, write the outputs.
+Every DFG node is executed by :func:`run_node`: open the input sources
+(eager pumps on fan-in edges, direct pipe reads everywhere else, stored
+streams for what is already materialized), evaluate the node, write the
+outputs.  It raises on failure and runs wherever its caller is — the cluster
+coordinator calls it inline for the nodes it keeps.  :func:`execute_plan`
+is its process wrapper, the body of a persistent pool worker
+(:mod:`repro.engine.pool`), a dedicated fork or a ``pash-worker`` task.
 Command nodes either exec the real host binary (when enabled and available)
 or run the registry's pure-Python implementation — either way in a separate
 process, so parallel branches genuinely overlap.
@@ -37,8 +40,10 @@ chosen by what the node is, never by a setting.
 Workers never raise: every outcome, including failure, is delivered to the
 scheduler as a report on the shared queue, and all owned file descriptors are
 closed on the way out so that downstream workers always observe EOF instead
-of hanging.  Graph-output streams larger than the spill threshold travel to
-the scheduler through a spill file instead of the report queue's pipe.
+of hanging.  A graph output travels in the report as a
+:class:`~repro.engine.channels.StoredStream`: one that exceeds the spill
+threshold stays in a file of the run's directory instead of squeezing
+through the report queue's pipe.
 """
 
 from __future__ import annotations
@@ -46,12 +51,12 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.commands import standard_registry
 from repro.commands.base import CommandRegistry, Stream
 from repro.dfg.nodes import CatNode, CommandNode, DFGNode, FusedStage, RelayNode
 from repro.engine.channels import (
@@ -61,17 +66,16 @@ from repro.engine.channels import (
     ChannelWriter,
     EagerPump,
     SpillBuffer,
+    StoredStream,
     decode_block,
     encode_block,
     encode_lines,
-    iter_encoded_chunks,
     iter_line_blocks,
     iter_line_slices,
 )
 from repro.engine.metrics import NodeMetrics
 from repro.obs.tracer import TraceContext, record_worker_span
 from repro.resilience import fault as fault_injection
-from repro.resilience.errors import wrap_capacity_error
 from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
     block_kernel,
@@ -80,31 +84,28 @@ from repro.runtime.executor import (
     node_streams_statelessly,
 )
 
-#: Report-entry key marking a graph output delivered via a spill file.
-SPILL_PATH_KEY = "spill_path"
-
 
 @dataclass
 class InputPort:
     """Where a worker reads one input edge from.
 
-    ``fd`` is the read end of an engine channel; ``path`` is a real on-disk
-    file the worker streams chunk-by-chunk; when both are None the edge is a
-    graph input whose stream the scheduler resolved up front (``data``).
+    ``fd`` is the read end of an engine channel; when it is None the edge is
+    already materialized and ``stream`` is it — a real on-disk input file,
+    or what the scheduler or coordinator resolved or collected up front.
     """
 
     edge_id: int
     fd: Optional[int] = None
-    data: Optional[List[str]] = None
-    path: Optional[str] = None
+    stream: StoredStream = StoredStream()
 
 
 @dataclass
 class OutputPort:
     """Where a worker writes one output edge to.
 
-    ``fd`` is the write end of an engine channel; when None the edge is a
-    graph output collected into the worker's report for the scheduler.
+    ``fd`` is the write end of an engine channel; when None the stream is
+    collected and :func:`run_node` returns it (a graph output, or any edge of
+    a node the cluster coordinator runs).
     """
 
     edge_id: int
@@ -202,19 +203,20 @@ def _run_host_command(node: CommandNode, inputs: List[Stream]) -> Stream:
 
 
 class InputSource:
-    """Uniform, counted consumption API over one input port.
+    """Counted consumption of one input port.
 
-    Exactly one of the consumption methods is used per run; each counts the
-    bytes and lines that flowed through so the worker's report stays
-    accurate without a second pass over the data.
+    ``chunks`` delivers the port's bytes — a pipe read directly, an eager
+    pump's buffer, a stored stream — and the source counts the bytes and
+    lines that flowed through, so the worker's report stays accurate without
+    a second pass over the data.  ``buffer`` is the pump's spill buffer when
+    there is one (its counters join the node's).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, chunks: Iterable[bytes], buffer: Optional[SpillBuffer] = None) -> None:
+        self.chunks = chunks
+        self.buffer = buffer
         self.bytes_in = 0
         self.lines_in = 0
-
-    def _raw_chunks(self) -> Iterator[bytes]:
-        raise NotImplementedError
 
     def iter_blocks(self) -> Iterator[bytes]:
         """The stream as line blocks, counted — the unit every mode consumes.
@@ -225,7 +227,7 @@ class InputSource:
         """
 
         def counted() -> Iterator[bytes]:
-            for chunk in self._raw_chunks():
+            for chunk in self.chunks:
                 self.bytes_in += len(chunk)
                 yield chunk
 
@@ -237,103 +239,6 @@ class InputSource:
         """Materialize the whole stream as decoded lines (counted)."""
         return list(chain.from_iterable(map(decode_block, self.iter_blocks())))
 
-    # -- spill accounting (overridden by pump-backed sources) ---------------
-
-    @property
-    def peak_buffered_bytes(self) -> int:
-        return 0
-
-    @property
-    def spilled_bytes(self) -> int:
-        return 0
-
-    @property
-    def spill_events(self) -> int:
-        return 0
-
-
-class PumpSource(InputSource):
-    """A channel input drained concurrently through a bounded eager pump."""
-
-    def __init__(self, reader: ChannelReader, pump: EagerPump) -> None:
-        super().__init__()
-        self.reader = reader
-        self.pump = pump
-
-    def _raw_chunks(self) -> Iterator[bytes]:
-        return self.pump.iter_chunks()
-
-    @property
-    def peak_buffered_bytes(self) -> int:
-        return self.pump.peak_buffered_bytes
-
-    @property
-    def spilled_bytes(self) -> int:
-        return self.pump.spilled_bytes
-
-    @property
-    def spill_events(self) -> int:
-        return self.pump.spill_events
-
-
-class DirectSource(InputSource):
-    """A channel input read pipe-to-pipe, with no pump thread or extra copy.
-
-    Used for every edge the order-aware analysis does *not* mark as
-    deadlock-relevant: a node with a single channel input consumes it from
-    the moment it starts, so its producer can never block behind an input
-    this worker "has not reached yet" — the eager buffer would be pure tax
-    (one thread plus one memcpy per chunk).  Backpressure remains the
-    kernel's pipe buffer, exactly like a plain shell pipeline.
-    """
-
-    def __init__(self, reader: ChannelReader) -> None:
-        super().__init__()
-        self.reader = reader
-
-    def _raw_chunks(self) -> Iterator[bytes]:
-        return self.reader.iter_chunks()
-
-
-class FileSource(InputSource):
-    """A graph-input file streamed straight from disk, chunk-by-chunk.
-
-    Disk reads never block on another worker, so no pump thread is needed;
-    the stream is framed exactly like every other engine stream
-    (newline-delimited UTF-8).
-    """
-
-    def __init__(self, path: str, chunk_size: int) -> None:
-        super().__init__()
-        self.path = path
-        self.chunk_size = max(1, chunk_size)
-
-    def _raw_chunks(self) -> Iterator[bytes]:
-        with open(self.path, "rb") as handle:
-            while True:
-                chunk = handle.read(self.chunk_size)
-                if not chunk:
-                    return
-                yield chunk
-
-
-class InlineSource(InputSource):
-    """A graph input the scheduler resolved up front as a list of lines."""
-
-    def __init__(self, data: List[str], chunk_size: int) -> None:
-        super().__init__()
-        self.data = data
-        self.chunk_size = chunk_size
-
-    def _raw_chunks(self) -> Iterator[bytes]:
-        return iter_encoded_chunks(self.data, self.chunk_size)
-
-    def lines(self) -> List[str]:
-        # Already decoded: skip the round trip, count what it would have moved.
-        self.lines_in += len(self.data)
-        self.bytes_in += len(encode_lines(self.data))
-        return self.data
-
 
 def _open_sources(plan: WorkerPlan) -> List[InputSource]:
     """One source per input port; fan-in channels get eager pumps.
@@ -343,28 +248,28 @@ def _open_sources(plan: WorkerPlan) -> List[InputSource]:
     any consumption guarantees no producer blocks on an input this worker
     has not reached yet.  A node with a single channel input is itself a
     continuous consumer, so it reads the pipe directly — zero extra threads,
-    zero extra copies on every straight-line edge.
+    zero extra copies on every straight-line edge, and backpressure remains
+    the kernel's pipe buffer, exactly like a plain shell pipeline.  A stored
+    stream never blocks on another worker, so it needs no pump either.
     """
     channel_ports = sum(1 for port in plan.inputs if port.fd is not None)
     pump_channels = channel_ports >= 2
     sources: List[InputSource] = []
     for port in plan.inputs:
-        if port.fd is not None:
-            reader = ChannelReader(port.fd, chunk_size=plan.chunk_size)
-            if pump_channels:
-                pump = EagerPump(
-                    reader,
-                    spill_threshold=plan.spill_threshold,
-                    spill_directory=plan.spill_directory,
-                )
-                pump.start()
-                sources.append(PumpSource(reader, pump))
-            else:
-                sources.append(DirectSource(reader))
-        elif port.path is not None:
-            sources.append(FileSource(port.path, plan.chunk_size))
+        if port.fd is None:
+            sources.append(InputSource(port.stream.blocks(plan.chunk_size)))
+            continue
+        reader = ChannelReader(port.fd, chunk_size=plan.chunk_size)
+        if pump_channels:
+            pump = EagerPump(
+                reader,
+                spill_threshold=plan.spill_threshold,
+                spill_directory=plan.spill_directory,
+            )
+            pump.start()
+            sources.append(InputSource(pump.iter_chunks(), pump.buffer))
         else:
-            sources.append(InlineSource(port.data or [], plan.chunk_size))
+            sources.append(InputSource(reader.iter_chunks()))
     return sources
 
 
@@ -441,88 +346,26 @@ class ChannelSink(OutputSink):
 
 
 class ReportSink(OutputSink):
-    """A graph-output edge: accumulated for the scheduler, spilling to disk.
+    """A collected edge: counted, appended to a spill buffer, handed off.
 
-    Small outputs travel inline through the report queue; past the spill
-    threshold the framed stream is written to a named temp file instead, so
-    a multi-hundred-megabyte graph output neither sits in worker memory nor
-    squeezes through the report queue's pipe.  The scheduler reads the file
-    back and deletes it.
+    A stream under the spill threshold travels inline; a larger one is a
+    file of the run's directory, so a multi-hundred-megabyte graph output
+    neither sits in worker memory nor squeezes through the report queue's
+    pipe.  Whoever receives the stored stream reads it and removes the file.
     """
 
-    def __init__(
-        self,
-        edge_id: int,
-        spill_threshold: int,
-        directory: Optional[str],
-    ) -> None:
-        self.edge_id = edge_id
-        self.spill_threshold = max(0, spill_threshold)
-        self.directory = directory
-        self._buffer = bytearray()
-        self._file = None
-        self._path: Optional[str] = None
+    def __init__(self, spill_threshold: int, directory: Optional[str]) -> None:
+        self.buffer = SpillBuffer(spill_threshold, directory)
         self.bytes_out = 0
         self.lines_out = 0
-        self.peak_buffered_bytes = 0
-        self.spilled_bytes = 0
-        self.spill_events = 0
 
     def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
-        if not data:
-            return
         self.bytes_out += len(data)
         self.lines_out += data.count(b"\n") if lines is None else lines
-        if self._file is None and len(self._buffer) + len(data) <= self.spill_threshold:
-            self._buffer += data
-            if len(self._buffer) > self.peak_buffered_bytes:
-                self.peak_buffered_bytes = len(self._buffer)
-            return
-        fault_injection.fire(fault_injection.SPILL_WRITE, len(data))
-        try:
-            if self._file is None:
-                if self.directory:
-                    os.makedirs(self.directory, exist_ok=True)
-                handle, self._path = tempfile.mkstemp(
-                    prefix="pash-output-", suffix=".spill", dir=self.directory
-                )
-                self._file = os.fdopen(handle, "wb")
-                if self._buffer:
-                    self._file.write(self._buffer)
-                    self.spilled_bytes += len(self._buffer)
-                    self.spill_events += 1
-                    self._buffer.clear()
-            self._file.write(data)
-        except OSError as exc:
-            raise wrap_capacity_error(
-                exc, "spill:write", self._path or self.directory, len(data)
-            ) from exc
-        self.spilled_bytes += len(data)
-        self.spill_events += 1
-
-    def entry(self):
-        """The report-queue representation of this output."""
-        if self._file is not None:
-            return {SPILL_PATH_KEY: self._path, "lines": self.lines_out}
-        return decode_block(bytes(self._buffer))
-
-    def finish(self) -> None:
-        if self._file is not None:
-            self._file.close()
+        self.buffer.append(data)
 
     def abandon(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            finally:
-                self._file = None
-                if self._path is not None:
-                    try:
-                        os.unlink(self._path)
-                    except OSError:
-                        pass
-                    self._path = None
-        self._buffer.clear()
+        self.buffer.abandon()
 
 
 def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
@@ -531,7 +374,7 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
         if port.fd is not None:
             sinks.append(ChannelSink(port.fd, plan.chunk_size))
         else:
-            sinks.append(ReportSink(port.edge_id, plan.spill_threshold, plan.spill_directory))
+            sinks.append(ReportSink(plan.spill_threshold, plan.spill_directory))
     return sinks
 
 
@@ -657,34 +500,85 @@ def _run_materialize_mode(
 
 
 # ---------------------------------------------------------------------------
-# The worker body
+# The node runner and its process wrapper
 # ---------------------------------------------------------------------------
 
 
+def run_node(plan: WorkerPlan, metrics: NodeMetrics) -> Dict[int, StoredStream]:
+    """Evaluate the plan's node in this process; raises when it fails.
+
+    Opens the sources and sinks, picks the mode, runs the node and finishes
+    the sinks.  Returns every collected output edge (a port without ``fd``)
+    as a stored stream; on failure the partial ones are abandoned, so no
+    spill file outlives the error.  ``metrics`` is filled either way.
+    """
+    started = time.perf_counter()
+    sources: List[InputSource] = []
+    sinks: List[OutputSink] = []
+    staging: List[SpillBuffer] = []
+    try:
+        sources = _open_sources(plan)
+        sinks = _open_sinks(plan)
+        # The standard registry is not shipped with a plan: re-created here.
+        registry = standard_registry() if plan.registry is None else plan.registry
+        mode = execution_mode(plan)
+        if mode == "chunks":
+            staging = _run_chunk_mode(plan, sources, sinks)
+        elif mode == "batches":
+            _run_batch_mode(plan, sources, sinks, registry, metrics)
+        else:
+            _run_materialize_mode(plan, sources, sinks, registry, metrics)
+        for sink in sinks:
+            sink.finish()
+        return {
+            port.edge_id: sink.buffer.store()
+            for port, sink in zip(plan.outputs, sinks)
+            if isinstance(sink, ReportSink)
+        }
+    except BaseException:
+        for sink in sinks:
+            try:
+                sink.abandon()
+            except Exception:  # pragma: no cover - defensive
+                pass
+        raise
+    finally:
+        for source in sources:
+            metrics.bytes_in += source.bytes_in
+            metrics.lines_in += source.lines_in
+        for sink in sinks:
+            metrics.bytes_out += sink.bytes_out
+            metrics.lines_out += sink.lines_out
+        buffers = [
+            *(source.buffer for source in sources if source.buffer is not None),
+            *(sink.buffer for sink in sinks if isinstance(sink, ReportSink)),
+            *staging,
+        ]
+        metrics.peak_buffered_bytes = max(
+            (buffer.peak_buffered_bytes for buffer in buffers), default=0
+        )
+        metrics.spilled_bytes = sum(buffer.spilled_bytes for buffer in buffers)
+        metrics.spill_events = sum(buffer.spill_events for buffer in buffers)
+        metrics.wall_seconds = time.perf_counter() - started
+
+
 def execute_plan(plan: WorkerPlan, report_queue) -> None:
-    """Process body: evaluate one node and report the outcome.
+    """Process body: :func:`run_node`, with the outcome reported, never raised.
 
     The report always reaches the queue, carrying the node's
     :class:`~repro.engine.metrics.NodeMetrics` (as ``to_dict()`` under
-    ``"metrics"``) plus either the graph-output streams (inline or as
-    spill-file references) or an error string.
+    ``"metrics"``) plus either the graph-output streams (as stored streams)
+    or an error string.
     """
-    node = plan.node
-    metrics = NodeMetrics(
-        node_id=node.node_id, label=node.label(), kind=node.kind, pid=os.getpid()
-    )
+    metrics = NodeMetrics.of(plan.node)
     report: Dict[str, object] = {
-        "node_id": node.node_id,
+        "node_id": plan.node.node_id,
         "token": plan.run_token,
         "error": None,
         "outputs": {},
     }
-    started = time.perf_counter()
     trace_start_us = time.time_ns() // 1_000 if plan.trace is not None else 0
     mine = {port.fd for port in plan.inputs + plan.outputs if port.fd is not None}
-    sources: List[InputSource] = []
-    sinks: List[OutputSink] = []
-    staging: List[SpillBuffer] = []
     try:
         if plan.faults is not None:
             fault_injection.install(plan.faults)
@@ -695,35 +589,9 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
                     os.close(fd)
                 except OSError:
                     pass
-
-        sources = _open_sources(plan)
-        sinks = _open_sinks(plan)
-        registry = plan.registry
-        if registry is None:
-            from repro.commands import standard_registry
-
-            registry = standard_registry()
-
-        mode = execution_mode(plan)
-        if mode == "chunks":
-            staging = _run_chunk_mode(plan, sources, sinks)
-        elif mode == "batches":
-            _run_batch_mode(plan, sources, sinks, registry, metrics)
-        else:
-            _run_materialize_mode(plan, sources, sinks, registry, metrics)
-
-        for sink in sinks:
-            sink.finish()
-        for port, sink in zip(plan.outputs, sinks):
-            if isinstance(sink, ReportSink):
-                report["outputs"][port.edge_id] = sink.entry()  # type: ignore[index]
+        report["outputs"] = run_node(plan, metrics)
     except BaseException as exc:  # noqa: BLE001 - reported, never raised
         report["error"] = f"{type(exc).__name__}: {exc}"
-        for sink in sinks:
-            try:
-                sink.abandon()
-            except Exception:  # pragma: no cover - defensive
-                pass
     finally:
         # Guarantee EOF downstream even on failure paths.
         for fd in mine:
@@ -731,23 +599,6 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
                 os.close(fd)
             except OSError:
                 pass
-        for source in sources:
-            metrics.bytes_in += source.bytes_in
-            metrics.lines_in += source.lines_in
-        for sink in sinks:
-            metrics.bytes_out += sink.bytes_out
-            metrics.lines_out += sink.lines_out
-        buffers = [
-            *(source for source in sources),
-            *(sink for sink in sinks if isinstance(sink, ReportSink)),
-            *staging,
-        ]
-        metrics.peak_buffered_bytes = max(
-            (buffer.peak_buffered_bytes for buffer in buffers), default=0
-        )
-        metrics.spilled_bytes = sum(buffer.spilled_bytes for buffer in buffers)
-        metrics.spill_events = sum(buffer.spill_events for buffer in buffers)
-        metrics.wall_seconds = time.perf_counter() - started
         report["metrics"] = metrics.to_dict()
         if plan.trace is not None:
             # The span carries the node's full counter set as attributes, so

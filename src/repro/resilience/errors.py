@@ -1,13 +1,14 @@
-"""Typed capacity errors shared by every spill and buffer write site.
+"""The typed capacity error of the spill write site.
 
-PaSh's data plane spills to disk in four places — the engine's
-:class:`~repro.engine.channels.SpillBuffer`, the worker-side
-``ReportSink``, the interpreter's :class:`~repro.runtime.eager.EagerBuffer`,
-and the cluster coordinator's edge store.  Before this module each of them
-surfaced ``ENOSPC`` as a bare ``OSError`` traceback deep inside a worker
-process.  Now they all raise :class:`ResourceExhausted`, which names the
-operation, the path, and the byte count — and which the supervision layer
-treats as retryable, because the sequential interpreter (which holds its
+PaSh's data plane spills to disk in one place, the engine's
+:class:`~repro.engine.channels.SpillBuffer`: eager pumps, blocking relays,
+a worker's graph outputs, cluster edges on both sides of the socket and
+:class:`~repro.runtime.eager.EagerBuffer` all append to one.  Its write
+surfaces ``ENOSPC`` (a real one, or one injected at the ``spill:write``
+fault point) not as a bare ``OSError`` traceback deep inside a worker
+process but as :class:`ResourceExhausted`, which names the operation, the
+path, and the byte count — and which the supervision layer treats as
+retryable, because the sequential interpreter (which holds its
 intermediates in memory) can still complete a run that cannot spill.
 """
 

@@ -4,9 +4,9 @@ Every layer that can fail in production exposes a **named fault point**:
 
 ==================== =======================================================
 ``pool:worker-exec`` start of a pool/cluster worker's task execution
-``spill:write``      an engine-side spill write (SpillBuffer, ReportSink,
-                     cluster edge store) — *not* the interpreter's eager
-                     buffer, so degraded runs always land on clean ground
+``spill:write``      every spill write: the one in ``SpillBuffer`` — which
+                     the in-process interpreter never creates, so degraded
+                     runs always land on clean ground
 ``cluster:heartbeat`` a cluster worker's periodic heartbeat send
 ``service:executor`` start of a service-daemon job execution attempt
 ``channel:read``     each chunk read off an engine channel (byte-counted)

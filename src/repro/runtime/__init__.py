@@ -15,7 +15,6 @@ package provides the same primitives as Python functions plus:
 """
 
 from repro.runtime.aggregators import AGGREGATORS, AggregatorError, apply_aggregator
-from repro.runtime.eager import EagerBuffer
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import InterpreterError, ShellInterpreter
 from repro.runtime.split import split_stream
@@ -25,7 +24,6 @@ __all__ = [
     "AGGREGATORS",
     "AggregatorError",
     "DFGExecutor",
-    "EagerBuffer",
     "ExecutionEnvironment",
     "ExecutionError",
     "InterpreterError",

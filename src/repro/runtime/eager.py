@@ -7,26 +7,25 @@ buffering in memory and — past a high-water mark — spilling to disk
 consumer that is not yet reading and memory use stays bounded no matter how
 large the stream grows.
 
-For the in-process executor the relay is simply an identity buffer; its
-scheduling effect — decoupling producer and consumer progress — is what the
-discrete-event simulator models.  This module still implements the buffer as
-a real data structure with the three designs of Fig. 6 so that unit tests can
-exercise their observable differences (blocking vs. non-blocking writes,
-drain-after-EOF behaviour), and with the same spill-to-disk bound the
-parallel engine's :class:`repro.engine.channels.SpillBuffer` enforces, so
-the bounded-memory property can be unit-tested without forking processes.
+For the in-process executor a relay is the identity; its scheduling effect
+— decoupling producer and consumer progress — is what the discrete-event
+simulator models.  This module implements the three designs of Fig. 6 as a
+line-level face over the engine's :class:`repro.engine.channels.SpillBuffer`
+so that unit tests can exercise their observable differences (blocking vs.
+non-blocking writes, drain-after-EOF behaviour) and the bounded-memory
+property without forking processes.  Lines are stored as line blocks, and
+the memory-or-disk decision, the spill file and its counters are the
+buffer's.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
+import sys
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Iterable, List, Optional
 
-#: A buffered line: plain text (no spill accounting), an in-memory
-#: ("m", line, size) entry, or a ("d", offset, length) spill-file ref.
-_Token = Union[str, Tuple[str, str, int], Tuple[str, int, int]]
+from repro.commands.base import BLOCK_LINES
+from repro.engine.channels import SpillBuffer, decode_block, encode_block, iter_line_slices
 
 
 class EagerBuffer:
@@ -43,10 +42,10 @@ class EagerBuffer:
       beyond the capacity report that the producer would block, which is the
       pathological behaviour eager relays remove.
 
-    ``spill_threshold`` bounds the buffer's in-memory footprint in bytes:
-    once exceeded, further lines spill to an unlinked temporary file and are
+    ``spill_threshold`` bounds the framed blocks' in-memory footprint in
+    bytes: once exceeded, further blocks spill to a temporary file and are
     restored transparently, in order, as the consumer catches up.  ``None``
-    keeps the buffer fully in memory (the pre-spill behaviour).
+    keeps the buffer fully in memory.
     """
 
     def __init__(
@@ -60,156 +59,102 @@ class EagerBuffer:
             raise ValueError(f"unknown eager buffer mode {mode!r}")
         self.mode = mode
         self.capacity = capacity
-        self.spill_threshold = spill_threshold
-        self.spill_directory = spill_directory
-        self._queue: Deque[_Token] = deque()
+        self.buffer = SpillBuffer(
+            sys.maxsize if spill_threshold is None else spill_threshold, spill_directory
+        )
+        self._framed = 0  # blocks appended to ``buffer`` and not yet popped
+        self._unframed: List[str] = []  # written, not yet a block
+        self._ready: Deque[str] = deque()  # the block being read
+        self._length = 0
         self._closed = False
-        self._mem_bytes = 0
-        self._file = None
-        self._write_offset = 0
         self.total_buffered = 0
         self.blocked_writes = 0
-        #: High-water mark actually reached by the in-memory window (bytes).
-        self.peak_buffered_bytes = 0
-        #: Total bytes written to the spill file.
-        self.spilled_bytes = 0
-        #: Number of lines that went through the spill file.
-        self.spill_events = 0
 
     # -- producer side -------------------------------------------------------
 
     def write(self, line: str) -> bool:
         """Append a line; returns False when a plain FIFO would have blocked."""
-        if self._closed:
-            raise ValueError("cannot write to a closed buffer")
-        would_block = self.mode == "fifo" and len(self._queue) >= self.capacity
-        if would_block:
-            self.blocked_writes += 1
-        if self.spill_threshold is None:
-            # Unbounded mode: no byte accounting, no encoding overhead.
-            self._queue.append(line)
-        else:
-            encoded = line.encode("utf-8")
-            size = len(encoded) + 1
-            if self._mem_bytes + size > self.spill_threshold:
-                self._spill(encoded)
-            else:
-                self._queue.append(("m", line, size))
-                self._mem_bytes += size
-                if self._mem_bytes > self.peak_buffered_bytes:
-                    self.peak_buffered_bytes = self._mem_bytes
-        self.total_buffered = max(self.total_buffered, len(self._queue))
-        return not would_block
-
-    def _spill(self, encoded: bytes) -> None:
-        # No fault point here on purpose: the eager buffer serves the
-        # sequential interpreter, which is the degradation ladder's landing
-        # ground — injected spill faults must not chase a degraded run.
-        try:
-            if self._file is None:
-                if self.spill_directory:
-                    os.makedirs(self.spill_directory, exist_ok=True)
-                self._file = tempfile.TemporaryFile(
-                    prefix="pash-eager-spill-", dir=self.spill_directory
-                )
-            self._file.seek(self._write_offset)
-            self._file.write(encoded)
-        except OSError as exc:
-            from repro.resilience.errors import wrap_capacity_error
-
-            raise wrap_capacity_error(
-                exc, "eager:spill-write", self.spill_directory, len(encoded)
-            ) from exc
-        self._queue.append(("d", self._write_offset, len(encoded)))
-        self._write_offset += len(encoded)
-        self.spilled_bytes += len(encoded)
-        self.spill_events += 1
+        return not self.write_all([line])
 
     def write_all(self, lines: Iterable[str]) -> int:
         """Write many lines; returns the number of would-block events."""
+        if self._closed:
+            raise ValueError("cannot write to a closed buffer")
         blocked = 0
-        for line in lines:
-            if not self.write(line):
-                blocked += 1
+        for batch in iter_line_slices(lines):
+            if self.mode == "fifo":
+                # Line i of the batch would block when the queue already
+                # holds ``capacity`` lines by the time it is written.
+                room = min(len(batch), max(0, self.capacity - self._length))
+                blocked += len(batch) - room
+            self._unframed.extend(batch)
+            self._length += len(batch)
+            if len(self._unframed) >= BLOCK_LINES:
+                self._frame()
+        self.blocked_writes += blocked
+        self.total_buffered = max(self.total_buffered, self._length)
         return blocked
+
+    def _frame(self) -> None:
+        if self._unframed:
+            self.buffer.append(encode_block(self._unframed))
+            self._framed += 1
+            self._unframed = []
 
     def close(self) -> None:
         """Signal end-of-stream from the producer."""
+        self._frame()
         self._closed = True
+        self.buffer.close()
 
     # -- consumer side -------------------------------------------------------
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def readable(self) -> bool:
         """True when the consumer can currently make progress."""
-        if self.mode == "blocking":
-            return self._closed and bool(self._queue)
-        return bool(self._queue)
+        if self.mode == "blocking" and not self._closed:
+            return False
+        return self._length > 0
+
+    def _next_block(self) -> List[str]:
+        if not self._framed:
+            self._frame()  # the rest of the queue is the unframed lines
+        self._framed -= 1
+        return decode_block(self.buffer.pop())
 
     def read(self) -> Optional[str]:
         """Pop one line, or None when nothing is currently readable."""
         if not self.readable():
             return None
-        return self._pop()
-
-    def _pop(self) -> str:
-        token = self._queue.popleft()
-        if isinstance(token, str):
-            line = token  # unbounded mode: nothing to account
-        elif token[0] == "d":
-            _, offset, length = token
-            self._file.seek(offset)
-            line = self._file.read(length).decode("utf-8")
-        else:
-            _, line, size = token
-            self._mem_bytes -= size
-        if self._closed and not self._queue:
-            self._release_file()
-        return line
+        if not self._ready:
+            self._ready.extend(self._next_block())
+        self._length -= 1
+        return self._ready.popleft()
 
     def drain(self) -> List[str]:
         """Read everything currently readable."""
-        lines: List[str] = []
-        while self.readable():
-            lines.append(self._pop())
+        if not self.readable():
+            return []
+        lines = list(self._ready)
+        self._ready.clear()
+        self._frame()
+        while self._framed:
+            lines.extend(self._next_block())
+        self._length = 0
         return lines
 
-    def _release_file(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:  # pragma: no cover - defensive
-                pass
-            self._file = None
-
     def __len__(self) -> int:
-        return len(self._queue)
+        return self._length
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.drain())
+    # -- accounting (the spill buffer's) ------------------------------------
 
+    @property
+    def peak_buffered_bytes(self) -> int:
+        return self.buffer.peak_buffered_bytes
 
-def relay(
-    lines: Iterable[str],
-    mode: str = "eager",
-    spill_threshold: Optional[int] = None,
-    spill_directory: Optional[str] = None,
-) -> List[str]:
-    """Run a stream through a relay buffer and return it unchanged.
+    @property
+    def spilled_bytes(self) -> int:
+        return self.buffer.spilled_bytes
 
-    The identity law (`relay(x) == list(x)`) is what makes relay insertion a
-    semantics-preserving transformation; tests assert it property-based —
-    including with a ``spill_threshold``, where part of the stream round-trips
-    through disk.
-    """
-    buffer = EagerBuffer(
-        mode=mode if mode != "none" else "eager",
-        spill_threshold=spill_threshold,
-        spill_directory=spill_directory,
-    )
-    buffer.write_all(lines)
-    buffer.close()
-    return buffer.drain()
+    @property
+    def spill_events(self) -> int:
+        return self.buffer.spill_events

@@ -26,7 +26,6 @@ from repro.dfg.nodes import (
     SplitNode,
 )
 from repro.runtime.aggregators import BLOCK_AGGREGATORS, apply_aggregator
-from repro.runtime.eager import relay
 from repro.runtime.split import split_block, split_stream
 from repro.runtime.streams import VirtualFileSystem
 
@@ -69,8 +68,9 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
     if isinstance(node, RelayNode):
         if len(inputs) != 1:
             raise ExecutionError("relay nodes take exactly one input")
-        mode = "blocking" if node.blocking else ("eager" if node.eager else "fifo")
-        return [relay(inputs[0], mode=mode)]
+        # Eager or blocking only changes *when* bytes move (Fig. 6); over
+        # whole in-memory streams a relay is the identity.
+        return [list(inputs[0])]
     raise ExecutionError(f"cannot execute node of kind {node.kind!r}")
 
 

@@ -6,6 +6,14 @@ import os
 from dataclasses import dataclass, replace
 
 
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, not the box's count)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 @dataclass
 class MachineModel:
     """Parameters of the simulated execution platform.
@@ -86,12 +94,8 @@ class MachineModel:
         committed channel rate is lower than the probe's: it also stands for
         the parent feeding in-memory inputs and decoding the outputs).
         """
-        try:
-            cores = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cores = os.cpu_count() or 1
         return cls(
-            cores=cores,
+            cores=usable_cores(),
             process_spawn_seconds=0.00045,
             setup_seconds=0.0005,
             sequential_setup_seconds=0.00005,

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro import engine
+from repro import api, engine
 from repro.cluster.coordinator import (
     ClusterBackend,
     ClusterCoordinator,
@@ -12,8 +12,10 @@ from repro.cluster.coordinator import (
     EdgeStore,
     remote_eligible,
 )
+from repro.api import PashConfig, StreamingConfig
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, SplitNode
+from repro.engine.channels import StoredStream
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
 
@@ -52,47 +54,69 @@ def test_structural_nodes_stay_on_coordinator():
 
 
 def test_edge_store_memory_roundtrip(tmp_path):
-    store = EdgeStore(directory=str(tmp_path))
+    store = EdgeStore(StreamingConfig(spill_directory=str(tmp_path)))
     try:
         store.put_lines(1, ["alpha", "beta"])
         assert store.has(1)
         assert store.lines(1) == ["alpha", "beta"]
-        assert b"".join(store.frames(1)) == b"alpha\nbeta\n"
+        assert store.get(1) == StoredStream(b"alpha\nbeta\n")  # nothing on disk
     finally:
         store.close()
 
 
 def test_edge_store_spills_past_threshold(tmp_path):
-    store = EdgeStore(spill_threshold=8, directory=str(tmp_path))
+    store = EdgeStore(StreamingConfig(spill_threshold=8, spill_directory=str(tmp_path)))
     try:
         lines = [f"line {i}" for i in range(100)]
         store.put_lines(1, lines)
-        assert store._spilled and not store._memory
+        stored = store.get(1)
+        assert stored.data == b"" and os.path.dirname(stored.path) == store.directory
+        assert store.lines(1) == lines
+        assert b"".join(stored.blocks(7)) == "".join(line + "\n" for line in lines).encode()
+    finally:
+        store.close()
+
+
+def test_edge_store_spills_on_bytes_not_characters(tmp_path):
+    """3-byte characters: 40 chars a line is 121 bytes, not 41."""
+    lines = ["€" * 40] * 3
+    characters = sum(len(line) + 1 for line in lines)
+    size = len("".join(line + "\n" for line in lines).encode())
+    assert characters < 200 < size
+    store = EdgeStore(StreamingConfig(spill_threshold=200, spill_directory=str(tmp_path)))
+    try:
+        store.put_lines(1, lines)
+        assert store.get(1).path is not None  # counted in bytes, it does not fit
         assert store.lines(1) == lines
     finally:
         store.close()
 
 
-def test_edge_sink_commit_and_abandon(tmp_path):
-    store = EdgeStore(spill_threshold=4, directory=str(tmp_path))
+def test_edge_buffer_commit_and_abandon(tmp_path):
+    """An inbound edge is invisible until put, and an abandoned one leaves nothing."""
+    store = EdgeStore(StreamingConfig(spill_threshold=4, spill_directory=str(tmp_path)))
     try:
-        sink = store.sink(5)
-        sink.write(b"one\ntwo\n")  # beyond threshold: goes to a spill file
-        sink.commit()
+        inbound = store.buffer()
+        inbound.append(b"one\ntwo\n")  # beyond threshold: goes to a spill file
+        assert not store.has(5) and len(os.listdir(store.directory)) == 1
+        store.put(5, inbound.store())
         assert store.lines(5) == ["one", "two"]
 
-        abandoned = store.sink(6)
-        abandoned.write(b"partial\n")
+        abandoned = store.buffer()
+        abandoned.append(b"partial\n")
         abandoned.abandon()
         assert not store.has(6)
+        assert len(os.listdir(store.directory)) == 1  # only edge 5's file
     finally:
         store.close()
 
 
 def test_store_directory_removed_on_close(tmp_path):
-    store = EdgeStore(directory=str(tmp_path))
-    directory = store.directory
+    store = EdgeStore(StreamingConfig(spill_threshold=0, spill_directory=str(tmp_path / "new")))
+    directory = store.directory  # the missing spill_directory was created for it
     assert os.path.isdir(directory)
+    store.put_lines(1, ["spilled"])
+    assert os.listdir(directory)
     store.close()
     assert not os.path.exists(directory)
 
@@ -163,3 +187,169 @@ def _cmdline_mentions_worker(pid):
             return b"repro.cluster.worker" in handle.read()
     except OSError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# Stored streams end to end: every edge on disk, bytes not characters
+# ---------------------------------------------------------------------------
+
+WIDE_SCRIPT = "cat a.txt b.txt | tr a-z A-Z | grep O | sort > out.txt"
+
+
+def wide_env():
+    files = {
+        "a.txt": [f"é row {index} foo" for index in range(300)],
+        "b.txt": [f"ü row {index} boo" for index in range(300)],
+    }
+    return ExecutionEnvironment(filesystem=VirtualFileSystem(files))
+
+
+def test_cluster_run_with_every_edge_on_disk_matches_interpreter(tmp_path):
+    """spill_threshold=16: seeds, remote inputs and outputs, local outputs all
+    take the file path — and the run leaves nothing in the spill directory."""
+    config = PashConfig.paper_default(
+        2,
+        backend="cluster",
+        streaming=StreamingConfig(chunk_size=64, spill_threshold=16, spill_directory=str(tmp_path)),
+    )
+    compiled = api.Pash.compile(WIDE_SCRIPT, config)
+    expected = compiled.execute(backend="interpreter", environment=wide_env())
+    result = compiled.execute(backend="cluster", environment=wide_env())
+    assert result.output_of("out.txt") == expected.output_of("out.txt")
+    assert result.output_of("out.txt")
+    assert result.metrics.remote_tasks >= 2
+    assert result.metrics.total_spilled_bytes > 0
+    assert all(node.peak_buffered_bytes <= 16 for node in result.metrics.nodes)
+    assert os.listdir(tmp_path) == []
+
+
+def test_coordinator_local_nodes_report_encoded_bytes():
+    """A local node's metrics are the engine's: bytes, compute time, its pid."""
+    lines = ["é" * 30, "ü" * 30, "a"]
+    encoded = len("".join(line + "\n" for line in lines).encode())
+    assert encoded > sum(len(line) + 1 for line in lines)
+    graph = DFGBuilder().build_from_script("cat in.txt | sort > out.txt")
+    environment = ExecutionEnvironment(filesystem=VirtualFileSystem({"in.txt": lines}))
+    result = engine.run(graph, backend="cluster", environment=environment, workers=1)
+    assert result.output_of("out.txt") == sorted(lines)
+    sort = next(node for node in result.metrics.nodes if node.label == "sort")
+    assert sort.pid == os.getpid()
+    assert (sort.bytes_in, sort.bytes_out) == (encoded, encoded)
+    assert (sort.lines_in, sort.lines_out) == (3, 3)
+    assert 0 < sort.compute_seconds <= sort.wall_seconds
+
+
+def test_disk_full_on_a_coordinator_edge_is_resource_exhausted(tmp_path):
+    from repro.resilience import fault
+    from repro.resilience.errors import ResourceExhausted
+    from repro.resilience.fault import SPILL_WRITE, FaultPlan, FaultSpec
+
+    options = ClusterOptions(
+        workers=1, streaming=StreamingConfig(spill_threshold=1, spill_directory=str(tmp_path))
+    )
+    graph = DFGBuilder().build_from_script(SCRIPT)
+    previous = fault.active()
+    # The seeds get through; the first node output the coordinator stores does not.
+    fault.install(FaultPlan([FaultSpec(SPILL_WRITE, after_bytes=60, max_fires=0)]))
+    try:
+        with pytest.raises(ResourceExhausted) as caught:
+            ClusterBackend(options).execute(graph, env())
+    finally:
+        fault.install(previous)
+    assert caught.value.operation == "spill:write"
+    assert os.listdir(tmp_path) == []  # the run directory went with the run
+
+
+class _RecordingChannel:
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+    def close(self):
+        pass
+
+
+def test_a_lost_workers_partial_output_is_never_visible(tmp_path):
+    """At-most-once commit: chunks of a lost attempt are dropped with their file."""
+    from repro.cluster.coordinator import ClusterWorkerHandle, _GraphRun
+    from repro.cluster.protocol import MSG_CHUNK
+    from repro.engine.metrics import EngineMetrics
+
+    options = ClusterOptions(
+        streaming=StreamingConfig(spill_threshold=4, spill_directory=str(tmp_path))
+    )
+    coordinator = ClusterCoordinator(options)
+    graph = DFGBuilder().build_from_script("cat a.txt | grep foo")
+    metrics = EngineMetrics(backend="cluster")
+    run = _GraphRun(coordinator, graph, env(), metrics)
+    try:
+        run._seed()
+        while run.ready_local:
+            run._run_local(run.ready_local.popleft())
+        node_id = run.ready_remote.popleft()
+        (edge_id,) = graph.node(node_id).outputs
+        handle = ClusterWorkerHandle(worker_id=1, channel=_RecordingChannel())
+        coordinator.workers.append(handle)
+        run._dispatch(handle, node_id, None)
+        before = set(os.listdir(run.store.directory))
+        chunk = {"type": MSG_CHUNK, "task_id": node_id, "edge_id": edge_id, "data": b"apple foo\n"}
+        run._handle_message(handle, chunk)
+        assert len(set(os.listdir(run.store.directory)) - before) == 1  # spilled, uncommitted
+        assert not run.store.has(edge_id)
+
+        run._worker_lost(handle)
+        assert set(os.listdir(run.store.directory)) == before
+        assert not run.store.has(edge_id) and node_id not in run.inflight
+        assert list(run.ready_remote) == [node_id] and metrics.requeued_tasks == 1
+        run._handle_message(handle, chunk)  # stale traffic from the dead attempt
+        assert not run.store.has(edge_id)
+        assert set(os.listdir(run.store.directory)) == before
+    finally:
+        run.close()
+    assert os.listdir(tmp_path) == []
+
+
+def test_worker_buffers_task_inputs_in_bounded_memory():
+    """Inbound CHUNKs go to a spill buffer under the task's threshold."""
+    from repro.cluster.protocol import MSG_CHUNK, MSG_EDGE_END, MSG_RESULT, MSG_TASK
+    from repro.cluster.worker import _execute_task, _PendingTask
+
+    graph = DFGBuilder().build_from_script("cat a.txt | grep foo")
+    node = next(node for node in graph.nodes.values() if node.label() == "grep foo")
+    lines = [f"row {index} {'foo' if index % 3 else 'bar'} é" for index in range(400)]
+    payload = "".join(line + "\n" for line in lines).encode()
+    task = _PendingTask(
+        {
+            "type": MSG_TASK,
+            "task_id": 9,
+            "node": node,
+            "inputs": list(node.inputs),
+            "outputs": list(node.outputs),
+            "chunk_size": 16,
+            "spill_threshold": 64,
+        }
+    )
+    (edge_in,), (edge_out,) = node.inputs, node.outputs
+    buffer = task.inputs[edge_in]
+    for start in range(0, len(payload), 16):
+        buffer.append(payload[start : start + 16])
+        assert buffer.buffered_bytes <= 64
+    assert buffer.peak_buffered_bytes <= 64 < len(payload)
+    assert buffer.spilled_bytes == len(payload) and buffer.buffered_bytes == 0
+    task.open_edges.discard(edge_in)
+    assert task.complete() and os.listdir(task.directory)
+
+    channel = _RecordingChannel()
+    _execute_task(channel, task)
+    kinds = [message["type"] for message in channel.sent]
+    assert kinds[-2:] == [MSG_EDGE_END, MSG_RESULT] and set(kinds[:-2]) == {MSG_CHUNK}
+    received = b"".join(m["data"] for m in channel.sent if m["type"] == MSG_CHUNK)
+    assert received.decode().splitlines() == [line for line in lines if "foo" in line]
+    assert all(len(m["data"]) <= 16 for m in channel.sent if m["type"] == MSG_CHUNK)
+    report = channel.sent[-1]["report"]
+    assert report["error"] is None and "outputs" not in report
+    assert report["metrics"]["bytes_in"] == len(payload)
+    assert report["metrics"]["peak_buffered_bytes"] <= 64
+    assert not os.path.exists(task.directory)

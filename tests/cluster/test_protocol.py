@@ -11,7 +11,6 @@ from repro.cluster.protocol import (
     MSG_EDGE_END,
     MessageSocket,
     ProtocolError,
-    iter_file_frames,
     parse_address,
     recv_message,
     send_edge_stream,
@@ -107,10 +106,13 @@ def test_edge_stream_roundtrip():
         right.close()
 
 
-def test_iter_file_frames(tmp_path):
+def test_a_stored_edge_is_cut_into_frames_of_chunk_size(tmp_path):
+    from repro.engine.channels import StoredStream
+
     path = tmp_path / "edge.spill"
     path.write_bytes(b"x" * 10)
-    assert list(iter_file_frames(str(path), 4)) == [b"xxxx", b"xxxx", b"xx"]
+    assert list(StoredStream(path=str(path)).blocks(4)) == [b"xxxx", b"xxxx", b"xx"]
+    assert list(StoredStream(b"yyyyy").blocks(4)) == [b"yyyy", b"y"]
 
 
 def test_parse_address():

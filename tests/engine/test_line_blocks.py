@@ -6,6 +6,7 @@ carries the seed that reproduces it.
 """
 
 import os
+import pickle
 import random
 import sys
 import threading
@@ -16,6 +17,9 @@ from repro import api
 from repro.api import PashConfig
 from repro.engine.channels import (
     Channel,
+    ChannelError,
+    SpillBuffer,
+    StoredStream,
     decode_block,
     encode_block,
     encode_lines,
@@ -23,7 +27,10 @@ from repro.engine.channels import (
     iter_encoded_chunks,
     iter_line_blocks,
 )
-from repro.engine.workers import DirectSource, FileSource, InlineSource
+from repro.engine.workers import InputSource
+from repro.resilience import fault
+from repro.resilience.errors import ResourceExhausted
+from repro.resilience.fault import SPILL_WRITE, FaultPlan, FaultSpec
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
 
@@ -82,8 +89,10 @@ def test_decoding_is_independent_of_chunk_size(seed, chunk_size):
         assert b"".join(iter_encoded_chunks(lines, chunk_size)) == encode_block(lines), context
 
 
+@pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_reader_output_is_independent_of_chunk_size(chunk_size):
+def test_reader_output_is_independent_of_chunk_size(chunk_size, incremental):
+    """A real OS pipe re-chunks arbitrarily; decoding must stay exact."""
     lines = streams(BASE_SEED)["multibyte"] + ["é" * 70_000, "tail"]
     channel = Channel(chunk_size=chunk_size)
     writer = channel.writer()
@@ -95,11 +104,15 @@ def test_reader_output_is_independent_of_chunk_size(chunk_size):
     producer = threading.Thread(target=produce)
     producer.start()
     reader = channel.reader()
-    received = reader.read_lines()
+    if incremental:
+        received = list(iter_decoded_lines(reader.iter_chunks()))
+    else:
+        received = reader.read_lines()
+        assert reader.lines_read == len(lines)
     producer.join(timeout=30)
     assert not producer.is_alive()
     assert received == lines, f"seed={BASE_SEED} chunk_size={chunk_size}"
-    assert reader.lines_read == writer.lines_written == len(lines)
+    assert writer.lines_written == len(lines)
     assert reader.bytes_read == writer.bytes_written == len(encode_block(lines))
 
 
@@ -149,11 +162,12 @@ def test_bytes_in_counts_encoded_bytes_on_every_source(tmp_path):
     writer = channel.writer()
     writer.write_lines(lines)
     writer.close()
+    inline = StoredStream(encode_block(lines))
     sources = {
-        "inline materialized": InlineSource(lines, 7),
-        "inline streamed": InlineSource(lines, 7),
-        "file": FileSource(str(path), 7),
-        "channel": DirectSource(channel.reader()),
+        "inline materialized": InputSource(inline.blocks(7)),
+        "inline streamed": InputSource(inline.blocks(7)),
+        "file": InputSource(StoredStream(path=str(path)).blocks(7)),
+        "channel": InputSource(channel.reader().iter_chunks()),
     }
     for name, source in sources.items():
         if name == "inline streamed":
@@ -187,3 +201,105 @@ def test_invalid_utf8_raises_on_both_backends(tmp_path, monkeypatch, script):
     config = PashConfig.paper_default(2, backend="parallel")
     with pytest.raises(ExecutionError, match="UnicodeDecodeError"):
         api.run(script, config=config, backend="parallel", environment=environment())
+
+
+# ---------------------------------------------------------------------------
+# The one spill site: SpillBuffer in, StoredStream out
+# ---------------------------------------------------------------------------
+
+
+def random_pieces(rng: random.Random, payload: bytes):
+    """The payload cut at random points (never an empty piece)."""
+    pieces, start = [], 0
+    while start < len(payload):
+        size = rng.choice([1, 3, 64, 1000, 5000, 70_000])
+        pieces.append(payload[start : start + size])
+        start += size
+    return pieces
+
+
+def expected_spill(pieces, threshold):
+    """(peak of the in-memory window, spilled pieces) for a buffer nobody pops from.
+
+    The piece that overflows the window takes the window to disk with it.
+    """
+    peak = 0
+    for piece in pieces:
+        if peak + len(piece) > threshold:
+            return peak, pieces
+        peak += len(piece)
+    return peak, []
+
+
+def leftovers(directory):
+    return os.listdir(directory) if os.path.isdir(directory) else []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("how", ["iterate", "hand off", "abandon", "disk full"])
+def test_one_spill_site_round_trips_counts_and_cleans_up(seed, how, tmp_path):
+    rng = random.Random(seed)
+    for number, (name, lines) in enumerate(streams(seed).items()):
+        payload = encode_block(lines)
+        pieces = random_pieces(rng, payload)
+        for threshold in (0, 1, len(payload) // 2, len(payload) + 1):
+            context = f"seed={seed} stream={name} threshold={threshold} exit={how}"
+            directory = str(tmp_path / f"run-{number}-{threshold}")  # made on first spill
+            peak, spilled = expected_spill(pieces, threshold)
+            buffer = SpillBuffer(threshold, directory)
+
+            if how == "disk full":
+                # ENOSPC on the k-th spill write, k random.
+                k = rng.randrange(len(spilled)) if spilled else 0
+                plan = FaultPlan(
+                    [FaultSpec(SPILL_WRITE, after_bytes=sum(map(len, spilled[: k + 1])))]
+                )
+                previous = fault.active()
+                fault.install(plan)
+                try:
+                    if spilled:
+                        with pytest.raises(ResourceExhausted) as caught:
+                            for piece in pieces:
+                                buffer.append(piece)
+                        assert caught.value.operation == "spill:write", context
+                        assert buffer.spill_events == k, context
+                    else:
+                        for piece in pieces:
+                            buffer.append(piece)
+                finally:
+                    fault.install(previous)
+                buffer.abandon()
+                assert leftovers(directory) == [], context
+                continue
+
+            written = pieces[: rng.randrange(len(pieces) + 1)] if how == "abandon" else pieces
+            for piece in written:
+                buffer.append(piece)
+            if how == "abandon":
+                buffer.abandon()
+                assert list(buffer) == [], context
+                with pytest.raises(ChannelError):
+                    buffer.append(b"late\n")
+                assert leftovers(directory) == [], context
+                continue
+
+            assert buffer.peak_buffered_bytes == peak <= threshold, context
+            assert buffer.spilled_bytes == (len(payload) if spilled else 0), context
+            assert buffer.spill_events == len(spilled), context
+            assert buffer.buffered_bytes == (0 if spilled else len(payload)), context
+            if how == "iterate":
+                buffer.close()
+                assert b"".join(buffer) == payload, context
+            else:
+                stored = pickle.loads(pickle.dumps(buffer.store()))
+                assert stored.data == (b"" if spilled else payload), context
+                assert (stored.path is None) == (not spilled), context
+                if stored.path is not None:
+                    assert os.path.dirname(stored.path) == directory, context
+                for chunk_size in (1, rng.randrange(2, 9000), 65536):
+                    if chunk_size > 1 or len(payload) < 10_000:
+                        assert b"".join(stored.blocks(chunk_size)) == payload, context
+                assert stored.lines(rng.randrange(1, 9000)) == lines, context
+                assert list(buffer) == [], context  # the buffer let go of it
+                stored.unlink()
+            assert leftovers(directory) == [], context

@@ -28,7 +28,7 @@ from repro.engine.channels import (
     iter_decoded_lines,
     iter_encoded_chunks,
 )
-from repro.runtime.eager import EagerBuffer, relay
+from repro.runtime.eager import EagerBuffer
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
 
@@ -64,23 +64,6 @@ def test_iter_encoded_chunks_inverse_and_bounded():
     # Each chunk is one framing unit plus at most one overhanging line.
     assert all(len(chunk) <= 64 + max(len(l.encode()) + 1 for l in lines) for chunk in chunks)
     assert list(iter_encoded_chunks([], chunk_size=64)) == []
-
-
-@pytest.mark.parametrize("chunk_size", [3, 5, 17])
-def test_pipe_round_trip_with_multibyte_lines_and_tiny_chunks(chunk_size):
-    """A real OS pipe re-chunks arbitrarily; decoding must stay exact."""
-    channel = Channel(chunk_size=chunk_size)
-    writer = channel.writer()
-
-    def produce():
-        writer.write_lines(UNICODE_LINES)
-        writer.close()
-
-    producer = threading.Thread(target=produce)
-    producer.start()
-    received = list(channel.reader().iter_lines())
-    producer.join()
-    assert received == UNICODE_LINES
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +111,27 @@ def test_spill_buffer_interleaved_producer_consumer():
     assert buffer.peak_buffered_bytes <= 128
 
 
+def test_spill_buffer_is_memory_or_disk_and_reuses_its_file(tmp_path):
+    """Overflow moves the window to disk; a caught-up consumer moves it back."""
+    buffer = SpillBuffer(spill_threshold=8, directory=str(tmp_path))
+    buffer.append(b"aaaa")
+    buffer.append(b"bbbb")
+    assert (buffer.buffered_bytes, buffer.spilled_bytes) == (8, 0)
+    buffer.append(b"cccc")  # overflows: the window goes to the file first
+    assert (buffer.buffered_bytes, buffer.spilled_bytes, buffer.spill_events) == (0, 12, 3)
+    buffer.append(b"d")  # behind unread spilled chunks: stays in order, on disk
+    assert [buffer.pop() for _ in range(4)] == [b"aaaa", b"bbbb", b"cccc", b"d"]
+    buffer.append(b"ee")  # caught up: memory again
+    assert (buffer.buffered_bytes, buffer.spilled_bytes) == (2, 13)
+    buffer.append(b"f" * 8)
+    (spill_file,) = os.listdir(tmp_path)
+    assert os.path.getsize(tmp_path / spill_file) == 13  # reused from its start
+    buffer.close()
+    assert list(buffer) == [b"ee", b"f" * 8]
+    assert buffer.peak_buffered_bytes == 8
+    assert os.listdir(tmp_path) == []
+
+
 def test_spill_buffer_empty_stream():
     buffer = SpillBuffer(spill_threshold=16)
     buffer.close()
@@ -151,8 +155,8 @@ def test_eager_pump_spills_past_threshold_and_restores():
     writer.write_lines(lines)
     writer.close()
     assert list(iter_decoded_lines(pump.iter_chunks())) == lines
-    assert pump.peak_buffered_bytes <= 4096
-    assert pump.spilled_bytes > 0
+    assert pump.buffer.peak_buffered_bytes <= 4096
+    assert pump.buffer.spilled_bytes > 0
 
 
 def test_eager_pump_streaming_consumption():
@@ -182,10 +186,30 @@ def test_eager_buffer_spill_round_trip():
     assert buffer.drain() == lines
 
 
-def test_relay_identity_holds_with_spill():
-    lines = UNICODE_LINES * 50
-    assert relay(lines, spill_threshold=64) == lines
-    assert relay([], spill_threshold=64) == []
+@pytest.mark.parametrize("mode", ["eager", "blocking", "fifo"])
+def test_relay_identity_holds_with_spill(mode, tmp_path):
+    """A stream through an eager buffer comes out unchanged, via disk too."""
+    for lines in (UNICODE_LINES * 50, []):
+        buffer = EagerBuffer(mode=mode, spill_threshold=64, spill_directory=str(tmp_path))
+        buffer.write_all(lines)
+        buffer.close()
+        assert buffer.drain() == lines
+        assert bool(buffer.spilled_bytes) == bool(lines)
+        assert os.listdir(tmp_path) == []  # drained: the spill file is gone
+
+
+def test_eager_buffer_read_interleaves_with_writes_across_blocks():
+    """Line-at-a-time reads see unframed, framed and spilled lines in order."""
+    buffer = EagerBuffer(spill_threshold=8)
+    buffer.write_all(["a", "b"])
+    assert buffer.read() == "a"
+    buffer.write_all(["c" * 20])  # past the threshold: this block spills
+    buffer.write("d")
+    assert len(buffer) == 3
+    assert [buffer.read(), buffer.read()] == ["b", "c" * 20]
+    buffer.close()
+    assert buffer.drain() == ["d"]
+    assert buffer.read() is None and len(buffer) == 0
 
 
 def test_eager_buffer_blocking_mode_with_spill():
@@ -336,3 +360,98 @@ def test_streaming_config_rejects_unknown_fields():
 
 def test_encode_decode_inverse_still_holds():
     assert decode_block(encode_lines(UNICODE_LINES)) == UNICODE_LINES
+
+
+# ---------------------------------------------------------------------------
+# A full disk is a typed error wherever the one spill site is reached from
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def disk_full():
+    """ENOSPC on every spill write in this process, for the test's duration."""
+    from repro.resilience import fault
+    from repro.resilience.fault import SPILL_WRITE, FaultPlan, FaultSpec
+
+    plan = FaultPlan([FaultSpec(SPILL_WRITE, errno_name="ENOSPC", max_fires=0)])
+    previous = fault.active()
+    fault.install(plan)
+    yield plan
+    fault.install(previous)
+
+
+def test_disk_full_surfaces_from_the_pump_as_resource_exhausted(disk_full, tmp_path):
+    from repro.resilience.errors import ResourceExhausted
+
+    channel = Channel()
+    pump = EagerPump(channel.reader(), spill_threshold=8, spill_directory=str(tmp_path))
+    pump.start()
+    writer = channel.writer()
+    writer.write_lines(["0123456789"] * 4)
+    writer.close()
+    with pytest.raises(ResourceExhausted, match="spill:write"):
+        list(pump.iter_chunks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_disk_full_in_run_node_raises_and_abandons_the_outputs(disk_full, tmp_path):
+    """The raising face of the node runner: typed error, metrics kept, no file."""
+    from repro.dfg.builder import DFGBuilder
+    from repro.engine.channels import StoredStream
+    from repro.engine.metrics import NodeMetrics
+    from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
+    from repro.resilience.errors import ResourceExhausted
+
+    graph = DFGBuilder().build_from_script("cat in.txt | sort")
+    node = next(node for node in graph.nodes.values() if node.label() == "sort")
+    lines = [f"row {index:03d}" for index in range(50)]
+    plan = WorkerPlan(
+        node=node,
+        inputs=[InputPort(node.inputs[0], stream=StoredStream(encode_lines(lines)))],
+        outputs=[OutputPort(node.outputs[0])],
+        spill_threshold=32,
+        spill_directory=str(tmp_path),
+    )
+    metrics = NodeMetrics.of(node)
+    with pytest.raises(ResourceExhausted):
+        run_node(plan, metrics)
+    assert metrics.lines_in == 50 and metrics.wall_seconds > 0
+    assert os.listdir(tmp_path) == []
+    assert disk_full.fires_at("spill:write") == 1
+
+    from repro.resilience import fault
+
+    fault.install(None)  # the same plan on a healthy disk: stored, readable, bounded
+    outputs = run_node(plan, NodeMetrics.of(node))
+    stored = outputs[node.outputs[0]]
+    assert stored.data == b"" and os.path.dirname(stored.path) == str(tmp_path)
+    assert stored.lines() == sorted(lines)
+
+
+def test_disk_full_in_a_worker_fails_the_run_and_leaves_nothing(tmp_path):
+    from repro.api.config import ResilienceConfig
+    from repro.resilience.fault import SPILL_WRITE, FaultSpec
+    from repro.runtime.executor import ExecutionError
+
+    lines = [f"record {i:05d}" for i in range(3_000)]
+    env = ExecutionEnvironment(filesystem=VirtualFileSystem({"in.txt": lines}))
+    config = PashConfig(
+        width=1,
+        streaming=StreamingConfig(spill_threshold=1024, spill_directory=str(tmp_path)),
+        resilience=ResilienceConfig(faults=(FaultSpec(SPILL_WRITE, max_fires=0),)),
+    )
+    with pytest.raises(ExecutionError, match="ResourceExhausted.*spill:write"):
+        api.run("cat in.txt | grep record > out.txt", config=config, backend="parallel", environment=env)
+    assert os.listdir(tmp_path) == []
+
+
+def test_the_interpreter_never_reaches_the_spill_site(disk_full):
+    """The degradation ladder's landing ground: relays are copies, no buffer."""
+    config = PashConfig.paper_default(4, streaming=StreamingConfig(spill_threshold=0))
+    compiled = api.Pash.compile(CROSS_BACKEND_SCRIPT, config)
+    assert any(
+        node.kind == "relay" for graph in compiled.optimized_graphs for node in graph.nodes.values()
+    )
+    result = compiled.execute(backend="interpreter", environment=_cross_env())
+    assert result.output_of("out.txt")
+    assert disk_full.fires_at("spill:write") == 0

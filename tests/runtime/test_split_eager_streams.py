@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.runtime.eager import EagerBuffer, relay
+from repro.runtime.eager import EagerBuffer
 from repro.runtime.split import round_robin_split, split_stream
 from repro.runtime.streams import VirtualFileSystem
 
@@ -110,7 +110,10 @@ def test_buffer_tracks_high_watermark():
 
 @given(lines_strategy, st.sampled_from(["eager", "blocking", "fifo"]))
 def test_relay_is_identity(lines, mode):
-    assert relay(lines, mode=mode) == lines
+    buffer = EagerBuffer(mode=mode)
+    buffer.write_all(lines)
+    buffer.close()
+    assert buffer.drain() == lines
 
 
 # ---------------------------------------------------------------------------

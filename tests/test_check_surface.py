@@ -30,3 +30,20 @@ def test_growth_names_every_number_past_its_baseline():
     shrunk = copy.deepcopy(baseline)
     shrunk["src_lines"] -= 100
     assert check_surface.growth(shrunk, baseline) == []
+
+
+def test_update_lowers_src_lines_and_refuses_to_raise_it(tmp_path, monkeypatch, capsys):
+    current = check_surface.measure()
+    baseline = tmp_path / "surface.json"
+    monkeypatch.setattr(check_surface, "BASELINE", baseline)
+
+    baseline.write_text(json.dumps({**current, "src_lines": current["src_lines"] + 10}))
+    assert check_surface.main(["check_surface.py", "--update"]) == 0
+    assert json.loads(baseline.read_text())["src_lines"] == current["src_lines"]
+
+    smaller = json.dumps({**current, "src_lines": current["src_lines"] - 1})
+    baseline.write_text(smaller)
+    assert check_surface.main(["check_surface.py", "--update"]) == 1
+    assert baseline.read_text() == smaller  # untouched: raising it is a hand edit
+    assert "only lowers src_lines" in capsys.readouterr().err
+    assert current["option_fields"]["ClusterOptions"] == 10
