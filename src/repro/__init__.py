@@ -37,7 +37,7 @@ path; see the "Configuration" section of ``docs/API.md``.
 from repro.api import CompiledScript, Pash, PashConfig
 from repro.transform.pipeline import EagerMode, SplitMode
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "CompiledScript",

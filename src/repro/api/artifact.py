@@ -24,18 +24,8 @@ from repro.dfg.builder import TranslationResult
 from repro.dfg.graph import DataflowGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience import fault
-from repro.shell.ast_nodes import (
-    AndOr,
-    BackgroundNode,
-    BraceGroup,
-    ForLoop,
-    IfClause,
-    Node,
-    SequenceNode,
-    Subshell,
-    WhileLoop,
-)
-from repro.shell.unparser import unparse, unparse_word
+from repro.resilience.supervisor import supervise
+from repro.shell.unparser import unparse
 from repro.transform.pipeline import OptimizationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine/backend lazy)
@@ -253,41 +243,34 @@ def execute_graphs(
         options.setdefault("tracer", tracer)
     engine_backend = engine.create_backend(backend, **options)
     combined = engine.EngineResult(backend=engine_backend.name)
-    supervisor = None
     # The interpreter is the ladder's landing ground (nothing to degrade
     # to) and the shell backend runs real commands with real side effects
     # (a retry could replay them), so supervision covers parallel/cluster.
-    if (
+    supervised = (
         resilience is not None
         and resilience.active
         and backend in ("parallel", "cluster")
-    ):
-        from repro.resilience.supervisor import Supervisor
-
-        supervisor = Supervisor(resilience, tracer)
+    )
     plan = resilience.fault_plan() if resilience is not None else None
     previous_plan = fault.active()
     if plan is not None:
         fault.install(plan)
     try:
         for index, graph in enumerate(graphs):
-            if supervisor is None:
+
+            def attempt(graph=graph, index=index):
                 with tracer.span(f"region:{index}", "engine", nodes=len(graph.nodes)):
-                    region_result = engine_backend.execute(graph, environment)
+                    return engine_backend.execute(graph, environment)
+
+            def degrade(graph=graph):
+                return engine.create_backend("interpreter").execute(graph, environment)
+
+            if supervised:
+                region_result = supervise(
+                    resilience, tracer, f"region:{index}", attempt, degrade
+                )
             else:
-
-                def attempt(graph=graph, index=index):
-                    with tracer.span(
-                        f"region:{index}", "engine", nodes=len(graph.nodes)
-                    ):
-                        return engine_backend.execute(graph, environment)
-
-                def degrade(graph=graph):
-                    return engine.create_backend("interpreter").execute(
-                        graph, environment
-                    )
-
-                region_result = supervisor.run(f"region:{index}", attempt, degrade)
+                region_result = attempt()
             # The caller slices per-run spans off the tracer; per-region
             # results must not be double-counted through absorb().
             region_result.spans = []
@@ -299,9 +282,6 @@ def execute_graphs(
             # execution must not wipe it out.
             fault.install(previous_plan)
     combined.metrics.backend = engine_backend.name
-    if supervisor is not None:
-        combined.metrics.runs_retried += supervisor.runs_retried
-        combined.metrics.degraded_runs += supervisor.degraded_runs
     return combined
 
 
@@ -320,47 +300,4 @@ def render_script(
     for region, graph, report in zip(translation.regions, optimized_graphs, reports):
         if report.parallelized_count > 0:
             replacements[id(region.node)] = emit_parallel_script(graph, options).rstrip("\n")
-    return render_with_replacements(translation.ast, replacements)
-
-
-# ---------------------------------------------------------------------------
-# AST rendering with region replacement
-# ---------------------------------------------------------------------------
-
-
-def render_with_replacements(node: Node, replacements: Dict[int, str]) -> str:
-    """Unparse ``node``, substituting parallel fragments for optimized regions."""
-    if id(node) in replacements:
-        return replacements[id(node)]
-    if isinstance(node, SequenceNode):
-        return "\n".join(render_with_replacements(part, replacements) for part in node.parts)
-    if isinstance(node, AndOr):
-        pieces = [render_with_replacements(node.parts[0], replacements)]
-        for operator, part in zip(node.operators, node.parts[1:]):
-            pieces.append(f" {operator} {render_with_replacements(part, replacements)}")
-        return "".join(pieces)
-    if isinstance(node, BackgroundNode):
-        return f"{render_with_replacements(node.body, replacements)} &"
-    if isinstance(node, Subshell):
-        return f"( {render_with_replacements(node.body, replacements)} )"
-    if isinstance(node, BraceGroup):
-        return "{ " + render_with_replacements(node.body, replacements) + "; }"
-    if isinstance(node, ForLoop):
-        items = " ".join(unparse_word(word) for word in node.items)
-        header = f"for {node.variable} in {items}" if node.items else f"for {node.variable}"
-        return f"{header}; do\n{render_with_replacements(node.body, replacements)}\ndone"
-    if isinstance(node, WhileLoop):
-        keyword = "until" if node.until else "while"
-        return (
-            f"{keyword} {render_with_replacements(node.condition, replacements)}; do\n"
-            f"{render_with_replacements(node.body, replacements)}\ndone"
-        )
-    if isinstance(node, IfClause):
-        text = (
-            f"if {render_with_replacements(node.condition, replacements)}; then\n"
-            f"{render_with_replacements(node.then_body, replacements)}\n"
-        )
-        if node.else_body is not None:
-            text += f"else\n{render_with_replacements(node.else_body, replacements)}\n"
-        return text + "fi"
-    return unparse(node)
+    return unparse(translation.ast, replacements)

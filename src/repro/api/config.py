@@ -32,8 +32,46 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay deferred so that
     from repro.backend.shell_emitter import EmitterOptions
 
 
+class _Section:
+    """The dict round-trip every frozen config section shares.
+
+    A section declares only its tuple-typed fields in ``_TUPLES`` (lists in
+    the dict form): the item class when items carry their own
+    ``to_dict``/``from_dict``, ``None`` for plain values.
+    """
+
+    _TUPLES: Dict[str, Optional[type]] = {}
+
+    def to_dict(self) -> Dict[str, Any]:
+        payload = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        for name, item_type in self._TUPLES.items():
+            payload[name] = [item.to_dict() if item_type else item for item in payload[name]]
+        return payload
+
+    @classmethod
+    def coerce(cls, value: Any) -> Any:
+        """Accept an instance of the section or its dict form."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, Mapping):
+            unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(f"unknown {cls.__name__} fields: {', '.join(sorted(unknown))}")
+            values = dict(value)
+            for name, item_type in cls._TUPLES.items():
+                if name in values:
+                    values[name] = tuple(
+                        item_type.from_dict(item)
+                        if item_type and not isinstance(item, item_type)
+                        else item
+                        for item in values[name]
+                    )
+            return cls(**values)
+        raise TypeError(f"expected {cls.__name__} or mapping, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
-class StreamingConfig:
+class StreamingConfig(_Section):
     """The engine's bounded-memory streaming knobs (one section of the config).
 
     The parallel engine moves data in framed byte chunks and buffers each
@@ -51,26 +89,9 @@ class StreamingConfig:
     #: Directory for spill files (None = the system temp directory).
     spill_directory: Optional[str] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-
-    @classmethod
-    def coerce(cls, value: Any) -> "StreamingConfig":
-        """Accept a :class:`StreamingConfig` or its dict form."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(
-                    f"unknown StreamingConfig fields: {', '.join(sorted(unknown))}"
-                )
-            return cls(**dict(value))
-        raise TypeError(f"expected StreamingConfig or mapping, got {type(value).__name__}")
-
 
 @dataclass(frozen=True)
-class ClusterConfig:
+class ClusterConfig(_Section):
     """The distributed tier's knobs (one section of the config).
 
     With ``connect`` unset the coordinator runs in localhost mode: it binds
@@ -90,30 +111,10 @@ class ClusterConfig:
     heartbeat_interval: Optional[float] = None
     #: Heartbeat silence after which a worker is declared lost (None = default).
     heartbeat_timeout: Optional[float] = None
-    #: Cores per worker host for the adaptive-width estimate (None = assume
-    #: each worker matches this host).
-    worker_cores: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-
-    @classmethod
-    def coerce(cls, value: Any) -> "ClusterConfig":
-        """Accept a :class:`ClusterConfig` or its dict form."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(
-                    f"unknown ClusterConfig fields: {', '.join(sorted(unknown))}"
-                )
-            return cls(**dict(value))
-        raise TypeError(f"expected ClusterConfig or mapping, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
+class ResilienceConfig(_Section):
     """The supervision tier's knobs (one section of the config).
 
     Inactive by default (``max_retries=0``, ``degrade=False``): runs fail
@@ -141,6 +142,8 @@ class ResilienceConfig:
     fault_seed: int = 0
     #: Injected faults (empty = none); frozen specs keep the config hashable.
     faults: Tuple[FaultSpec, ...] = ()
+
+    _TUPLES = {"faults": FaultSpec}
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -195,34 +198,9 @@ class ResilienceConfig:
             faults=faults,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-        payload["faults"] = [spec.to_dict() for spec in self.faults]
-        return payload
-
-    @classmethod
-    def coerce(cls, value: Any) -> "ResilienceConfig":
-        """Accept a :class:`ResilienceConfig` or its dict form."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(
-                    f"unknown ResilienceConfig fields: {', '.join(sorted(unknown))}"
-                )
-            values = dict(value)
-            if "faults" in values:
-                values["faults"] = tuple(
-                    spec if isinstance(spec, FaultSpec) else FaultSpec.from_dict(spec)
-                    for spec in values["faults"]
-                )
-            return cls(**values)
-        raise TypeError(f"expected ResilienceConfig or mapping, got {type(value).__name__}")
-
 
 @dataclass(frozen=True)
-class ObsConfig:
+class ObsConfig(_Section):
     """The continuous-telemetry knobs (one section of the config).
 
     Controls *how much* observability a long-running process records, not
@@ -245,6 +223,8 @@ class ObsConfig:
     #: Ring-buffer cap on retained spans in a long-running tracer
     #: (0 = unbounded, the one-shot default).
     span_retention: int = 0
+
+    _TUPLES = {"sample_tenants": None}
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.trace_sample_ratio <= 1.0:
@@ -271,28 +251,6 @@ class ObsConfig:
             sample_tenants=tenants,
             span_retention=retention if retention is not None else 0,
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        payload = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
-        payload["sample_tenants"] = list(self.sample_tenants)
-        return payload
-
-    @classmethod
-    def coerce(cls, value: Any) -> "ObsConfig":
-        """Accept an :class:`ObsConfig` or its dict form."""
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
-            if unknown:
-                raise ValueError(
-                    f"unknown ObsConfig fields: {', '.join(sorted(unknown))}"
-                )
-            values = dict(value)
-            if "sample_tenants" in values:
-                values["sample_tenants"] = tuple(values["sample_tenants"])
-            return cls(**values)
-        raise TypeError(f"expected ObsConfig or mapping, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -374,8 +332,6 @@ class PashConfig:
     fifo_prefix: Optional[str] = None
     #: Emit a shebang and comment header.
     emit_header: bool = False
-    #: Emit the trailing cleanup logic (wait + PIPE delivery + fifo removal).
-    emit_cleanup: bool = True
 
     # ------------------------------------------------------------------
     # Named constructors
@@ -467,16 +423,13 @@ class PashConfig:
 
         Single-host backends get this host's usable cores; the cluster
         backend gets the fleet-wide sum (``workers`` × per-worker cores,
-        assumed to match this host unless ``cluster.worker_cores`` says
-        otherwise), floored at the local count since the coordinator also
-        executes nodes.
+        each worker assumed to match this host).
         """
         from repro.simulator.machine import usable_cores
 
         local = usable_cores()
         if self.backend == "cluster":
-            per_worker = self.cluster.worker_cores or local
-            return max(local, max(1, self.cluster.workers) * per_worker)
+            return max(1, self.cluster.workers) * local
         return local
 
     def pipeline(self):
@@ -492,7 +445,6 @@ class PashConfig:
         options: Dict[str, Any] = {
             "fifo_directory": self.fifo_directory,
             "header": self.emit_header,
-            "cleanup": self.emit_cleanup,
         }
         if self.fifo_prefix is not None:
             options["fifo_prefix"] = self.fifo_prefix

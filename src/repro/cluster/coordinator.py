@@ -63,8 +63,6 @@ from repro.cluster.protocol import (
     MSG_WELCOME,
     PROTOCOL_VERSION,
     MessageSocket,
-    ProtocolError,
-    parse_address,
     recv_message,
     send_edge_stream,
 )
@@ -77,7 +75,6 @@ from repro.engine.api import EngineResult, ExecutionBackend
 from repro.engine.channels import SpillBuffer, StoredStream
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
-from repro.obs.metrics import counter_inc, gauge_set, record_engine_run
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
@@ -88,6 +85,7 @@ from repro.runtime.executor import (
     node_streams_statelessly,
     resolve_graph_input,
 )
+from repro.wire import ProtocolError, parse_address
 
 _worker_ids = itertools.count(1)
 
@@ -132,8 +130,6 @@ class ClusterOptions:
     #: to disk (on either side of the socket), and where the coordinator's
     #: run directories go.
     streaming: StreamingConfig = StreamingConfig()
-    #: Interpreter for locally-spawned workers (None = ``sys.executable``).
-    python_executable: Optional[str] = None
     #: Fault-injection plan shipped with every task message (chaos testing;
     #: None = no injection).  Each worker re-arms its own pristine copy.
     fault_plan: Optional[FaultPlan] = None
@@ -299,7 +295,7 @@ class ClusterCoordinator:
         )
         host, port = self.address
         command = [
-            self.options.python_executable or sys.executable,
+            sys.executable,
             "-m",
             "repro.cluster.worker",
             "--connect",
@@ -608,11 +604,6 @@ class _GraphRun:
             # store, so re-running on another worker yields identical bytes.
             self.ready_remote.appendleft(node_id)
             self.metrics.requeued_tasks += 1
-            counter_inc(
-                "pash_cluster_workers_lost_total",
-                1,
-                "Cluster workers declared dead mid-run.",
-            )
 
     def _pump(self, deadline: float) -> None:
         """Process one inbox slice: results, frames, heartbeats, losses."""
@@ -628,18 +619,9 @@ class _GraphRun:
             else:
                 handle.last_seen = now
                 self._handle_message(handle, message)
-        lag = 0.0
         for handle in self.coordinator.workers:
-            if not handle.alive:
-                continue
-            lag = max(lag, now - handle.last_seen)
-            if now - handle.last_seen > self.options.heartbeat_timeout:
+            if handle.alive and now - handle.last_seen > self.options.heartbeat_timeout:
                 self._worker_lost(handle)
-        gauge_set(
-            "pash_cluster_heartbeat_lag_seconds",
-            lag,
-            "Worst-case seconds since any live cluster worker was heard from.",
-        )
         if time.monotonic() > deadline:
             raise ExecutionError(
                 f"cluster execution wedged: {len(self.inflight)} task(s) never "
@@ -747,7 +729,6 @@ class ClusterBackend(ExecutionBackend):
             coordinator.shutdown()
         elapsed = time.perf_counter() - started
         metrics.processes_spawned += coordinator.spawned
-        record_engine_run(metrics, backend="cluster")
         wrapped = self._wrap(result, elapsed, metrics)
         wrapped.spans = self.tracer.since(mark)
         return wrapped

@@ -1,10 +1,7 @@
 """The coordinator/worker wire protocol.
 
-Every message is one length-prefixed pickle frame::
-
-    +----------------+----------------------+
-    | 4 bytes, ">I"  | pickled dict payload |
-    +----------------+----------------------+
+Every message is one :mod:`repro.wire` frame (4-byte length prefix, size
+cap) whose body is a pickled dict.
 
 Control messages (REGISTER, WELCOME, TASK, RESULT, HEARTBEAT, ACK, SHUTDOWN)
 are small dicts; bulk data never rides inside them.  Cross-host DFG edges
@@ -37,17 +34,13 @@ from __future__ import annotations
 
 import pickle
 import socket
-import struct
 import threading
-from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
+from typing import Any, Dict, Iterable, Optional
+
+from repro.wire import Codec, recv_frame, send_frame
 
 #: Bumped on any incompatible message-shape change; checked at registration.
 PROTOCOL_VERSION = 1
-
-#: Upper bound for one pickled message — a corrupt length prefix must not
-#: make the receiver allocate gigabytes.  Chunk payloads are engine-sized
-#: (64 KiB by default), so 64 MiB is generous headroom, not a data cap.
-MAX_MESSAGE_BYTES = 1 << 26
 
 # -- message types -----------------------------------------------------------
 MSG_REGISTER = "register"  # worker -> coordinator: {pid, cores, version}
@@ -60,68 +53,10 @@ MSG_RESULT = "result"  # worker -> coordinator: the node's execution report
 MSG_ACK = "ack"  # coordinator -> worker: the task's outputs are committed
 MSG_SHUTDOWN = "shutdown"  # coordinator -> worker: exit cleanly
 
-_HEADER = struct.Struct(">I")
-
-
-class ProtocolError(RuntimeError):
-    """Raised on malformed or oversized frames."""
-
-
-class Codec(NamedTuple):
-    """How one tier serializes a frame body (the framing itself is shared)."""
-
-    encode: Callable[[Dict[str, Any]], bytes]
-    decode: Callable[[bytes], Any]
-
-
 PICKLE_CODEC = Codec(
     encode=lambda message: pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL),
     decode=pickle.loads,
 )
-
-
-def send_frame(sock: socket.socket, message: Dict[str, Any], codec: Codec) -> None:
-    """Write one length-prefixed message, its body encoded by ``codec``."""
-    payload = codec.encode(message)
-    if len(payload) > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {len(payload)} bytes exceeds the {MAX_MESSAGE_BYTES}-byte cap"
-        )
-    sock.sendall(_HEADER.pack(len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; None on EOF before the first byte."""
-    pieces = []
-    remaining = count
-    while remaining:
-        piece = sock.recv(remaining)
-        if not piece:
-            if remaining == count:
-                return None  # clean EOF at a frame boundary
-            raise ProtocolError("connection closed mid-frame")
-        pieces.append(piece)
-        remaining -= len(piece)
-    return b"".join(pieces)
-
-
-def recv_frame(sock: socket.socket, codec: Codec) -> Optional[Dict[str, Any]]:
-    """Read one message; None on clean EOF (the peer closed the connection)."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"frame of {length} bytes exceeds the {MAX_MESSAGE_BYTES}-byte cap"
-        )
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed mid-frame")
-    message = codec.decode(payload)
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError(f"malformed message: {type(message).__name__}")
-    return message
 
 
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
@@ -175,11 +110,3 @@ def send_edge_stream(
             {"type": MSG_CHUNK, "task_id": task_id, "edge_id": edge_id, "data": frame}
         )
     channel.send({"type": MSG_EDGE_END, "task_id": task_id, "edge_id": edge_id})
-
-
-def parse_address(address: str) -> "tuple[str, int]":
-    """Parse a ``HOST:PORT`` string (the CLI's --cluster-connect format)."""
-    host, separator, port = address.rpartition(":")
-    if not separator or not host or not port.isdigit():
-        raise ValueError(f"expected HOST:PORT, got {address!r}")
-    return host, int(port)

@@ -48,8 +48,6 @@ from repro.cluster.protocol import (
     MSG_WELCOME,
     PROTOCOL_VERSION,
     MessageSocket,
-    ProtocolError,
-    parse_address,
     send_edge_stream,
 )
 from repro.engine.channels import (
@@ -62,6 +60,7 @@ from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
 from repro.resilience import fault as fault_injection
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.simulator.machine import usable_cores
+from repro.wire import ProtocolError, parse_address
 
 
 class _ReportBox:

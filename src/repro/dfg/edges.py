@@ -21,11 +21,6 @@ class EdgeKind(enum.Enum):
     STDIN = "stdin"
     STDOUT = "stdout"
 
-    @property
-    def is_external(self) -> bool:
-        """True for edges that cross the graph boundary by construction."""
-        return self in (EdgeKind.STDIN, EdgeKind.STDOUT)
-
 
 @dataclass
 class Edge:

@@ -9,6 +9,7 @@ evaluation harness can compute Fig. 7-style speedups from wall-clock time.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping
@@ -97,7 +98,8 @@ class EngineMetrics:
     #: Tasks re-dispatched after a cluster worker was lost mid-run.
     requeued_tasks: int = 0
     #: Cluster workers registered when the run started (0 = not a cluster run).
-    cluster_workers: int = 0
+    #: The fleet is shared across regions, not additive per region.
+    cluster_workers: int = field(default=0, metadata={"merge": max})
     #: Execution attempts the resilience supervisor retried after a
     #: retryable failure (0 = every attempt succeeded first try).
     runs_retried: int = 0
@@ -200,22 +202,13 @@ class EngineMetrics:
 
     def merge(self, other: "EngineMetrics") -> None:
         """Fold another run's metrics in (used for multi-region scripts)."""
-        self.elapsed_seconds += other.elapsed_seconds
-        self.nodes.extend(other.nodes)
-        self.processes_spawned += other.processes_spawned
-        self.processes_reused += other.processes_reused
-        self.spawn_seconds += other.spawn_seconds
-        self.stages_fused += other.stages_fused
-        self.commands_fused += other.commands_fused
-        self.relays_elided += other.relays_elided
-        self.edges_direct += other.edges_direct
-        self.edges_buffered += other.edges_buffered
-        self.remote_tasks += other.remote_tasks
-        self.requeued_tasks += other.requeued_tasks
-        self.runs_retried += other.runs_retried
-        self.degraded_runs += other.degraded_runs
-        # The fleet is shared across regions, not additive per region.
-        self.cluster_workers = max(self.cluster_workers, other.cluster_workers)
+        for metrics_field in dataclasses.fields(self):
+            name = metrics_field.name
+            mine = getattr(self, name)
+            if not isinstance(mine, str):  # ``backend`` names the run; it does not add
+                # iadd: numbers sum, the ``nodes`` list extends in place.
+                combine = metrics_field.metadata.get("merge", operator.iadd)
+                setattr(self, name, combine(mine, getattr(other, name)))
 
     def summary(self) -> str:
         """One-line human-readable digest (used by the CLI's --report)."""

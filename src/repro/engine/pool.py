@@ -44,7 +44,6 @@ from multiprocessing import reduction
 from typing import Dict, List, Optional
 
 from repro.engine.workers import WorkerPlan, execute_plan
-from repro.obs.metrics import counter_inc, gauge_set
 
 #: Sentinel fd value marking a port whose real descriptor follows over the
 #: dispatch socket via SCM_RIGHTS.
@@ -264,25 +263,12 @@ class WorkerPool:
             self._idle.remove(worker)
             worker.kill()
             self.workers_replaced += 1
-            counter_inc(
-                "pash_pool_workers_replaced_total",
-                1,
-                "Dead pool workers replaced before a run.",
-            )
         while len(self._idle) < count:
             self._idle.append(self._spawn())
 
     def _spawn(self) -> PoolWorker:
         worker = PoolWorker(self.context, self.report_queue)
         self.processes_spawned += 1
-        counter_inc(
-            "pash_pool_processes_spawned_total", 1, "Pool worker processes spawned."
-        )
-        gauge_set(
-            "pash_pool_workers",
-            self.worker_count + 1,  # the new worker is not in a set yet
-            "Live pool workers (idle + busy).",
-        )
         return worker
 
     # ------------------------------------------------------------------
@@ -319,11 +305,6 @@ class WorkerPool:
         self._busy[id(worker)] = worker
         self.tasks_dispatched += 1
         self.tasks_reused += 1
-        counter_inc(
-            "pash_pool_tasks_reused_total",
-            1,
-            "Tasks dispatched onto an already-warm pool worker.",
-        )
         return worker
 
     def release(self, worker: PoolWorker) -> None:
@@ -375,7 +356,6 @@ class WorkerPool:
         for worker in list(self._busy.values()):
             worker.kill()
         self._busy.clear()
-        gauge_set("pash_pool_workers", 0, "Live pool workers (idle + busy).")
 
     @property
     def closed(self) -> bool:

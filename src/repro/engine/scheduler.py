@@ -50,7 +50,6 @@ from repro.engine.channels import Channel, StoredStream, encode_lines
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
-from repro.obs.metrics import record_engine_run
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.executor import (
     ExecutionEnvironment,
@@ -289,7 +288,6 @@ class ParallelScheduler:
         self._deliver(graph, edge_values, result)
         result.edge_values.update(edge_values)
         metrics.elapsed_seconds = time.perf_counter() - started
-        record_engine_run(metrics, backend="parallel")
         return result, metrics
 
     # ------------------------------------------------------------------

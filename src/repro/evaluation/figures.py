@@ -36,18 +36,6 @@ def figure7_series(
     return series
 
 
-def figure7_all(
-    benchmarks: Optional[List[BenchmarkScript]] = None,
-    widths: Iterable[int] = FIG7_WIDTHS,
-    machine: Optional[MachineModel] = None,
-) -> Dict[str, Dict[str, Dict[int, float]]]:
-    """Fig. 7 data for every one-liner."""
-    return {
-        benchmark.name: figure7_series(benchmark, widths, machine=machine)
-        for benchmark in benchmarks or ONE_LINERS
-    }
-
-
 def best_configuration_speedups(
     benchmarks: Optional[List[BenchmarkScript]] = None,
     widths: Iterable[int] = FIG7_WIDTHS,

@@ -47,8 +47,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
-from repro.obs.metrics import counter_inc
-
 #: (fingerprint, referenced-binding values, config digest, width)
 PlanKey = Tuple[str, Tuple[Tuple[str, Optional[str]], ...], str, int]
 
@@ -148,26 +146,12 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
-                counter_inc(
-                    "pash_plan_cache_requests_total",
-                    1,
-                    "Plan-cache lookups by outcome.",
-                    result="miss",
-                )
                 return None
             self._entries.move_to_end(key)
             if isinstance(entry, FailedPlan):
                 self.stats.negative_hits += 1
-                result = "negative_hit"
             else:
                 self.stats.hits += 1
-                result = "hit"
-            counter_inc(
-                "pash_plan_cache_requests_total",
-                1,
-                "Plan-cache lookups by outcome.",
-                result=result,
-            )
             return entry
 
     def put(self, key: PlanKey, entry: PlanEntry) -> None:
@@ -178,11 +162,6 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                counter_inc(
-                    "pash_plan_cache_evictions_total",
-                    1,
-                    "Plans evicted from the in-memory LRU tier.",
-                )
 
     def clear(self) -> None:
         with self._lock:
@@ -251,22 +230,10 @@ class DiskPlanCache(PlanCache):
                 # Corrupt, truncated, or unreadable: fall back to a fresh
                 # compile; drop the file so it is not re-parsed forever.
                 self.stats.disk_errors += 1
-                counter_inc(
-                    "pash_plan_cache_disk_total",
-                    1,
-                    "Disk plan-cache tier events.",
-                    event="error",
-                )
                 self._discard(path)
                 return None
             if not isinstance(payload, dict) or payload.get("version") != self.version:
                 self.stats.disk_stale += 1
-                counter_inc(
-                    "pash_plan_cache_disk_total",
-                    1,
-                    "Disk plan-cache tier events.",
-                    event="stale",
-                )
                 self._discard(path)
                 return None
             if payload.get("key") != key or not isinstance(
@@ -276,22 +243,10 @@ class DiskPlanCache(PlanCache):
                 # miss, and leave collision files for their real owner.
                 if not isinstance(payload.get("entry"), CompiledPlan):
                     self.stats.disk_errors += 1
-                    counter_inc(
-                        "pash_plan_cache_disk_total",
-                        1,
-                        "Disk plan-cache tier events.",
-                        event="error",
-                    )
                     self._discard(path)
                 return None
             entry = payload["entry"]
             self.stats.disk_hits += 1
-            counter_inc(
-                "pash_plan_cache_disk_total",
-                1,
-                "Disk plan-cache tier events.",
-                event="hit",
-            )
             PlanCache.put(self, key, entry)  # promote; no disk re-write
             return entry
 
@@ -320,21 +275,9 @@ class DiskPlanCache(PlanCache):
             # Unpicklable graph or unwritable directory: the memory tier
             # still serves this process; persistence just degrades.
             self.stats.disk_errors += 1
-            counter_inc(
-                "pash_plan_cache_disk_total",
-                1,
-                "Disk plan-cache tier events.",
-                event="error",
-            )
             return
         self._poisoned.discard(path)
         self.stats.disk_writes += 1
-        counter_inc(
-            "pash_plan_cache_disk_total",
-            1,
-            "Disk plan-cache tier events.",
-            event="write",
-        )
 
 
 #: Config fields that never change what the pass pipeline produces — they

@@ -55,9 +55,8 @@ from repro.jit.cache import (
     config_digest,
 )
 from repro.jit.report import JitReport, RegionOutcome
-from repro.obs.metrics import counter_inc
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience.supervisor import Supervisor
+from repro.resilience.supervisor import supervise
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import BUILTIN_COMMANDS, ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
@@ -339,14 +338,14 @@ class JitDriver(ShellInterpreter):
             # on the driver's inherited interpreter path — the same
             # per-region fallback a compilation refusal takes, and
             # byte-identical by the paper's correctness contract.
-            supervisor = Supervisor(resilience, self.tracer)
-            outcome = supervisor.run(
+            outcome = supervise(
+                resilience,
+                self.tracer,
                 f"jit-region:{fingerprint[:32]}",
                 run_region,
                 degrade=(lambda: None) if resilience.degrade else None,
+                metrics_of=lambda _: self.metrics,
             )
-            self.metrics.runs_retried += supervisor.runs_retried
-            self.metrics.degraded_runs += supervisor.degraded_runs
             if outcome is None:
                 reason = "degraded to interpreter after retries"
                 self._record(node, fingerprint, "fallback", reason)
@@ -356,12 +355,6 @@ class JitDriver(ShellInterpreter):
             result = run_region()
         elapsed = time.perf_counter() - started
         entry.executions += 1
-        if auto and width == 1:
-            counter_inc(
-                "pash_jit_regions_inline_total",
-                1,
-                "JIT regions the planner kept in-process (width 1).",
-            )
         self.metrics.merge(result.metrics)
         self.state.last_status = 0
         self._record(

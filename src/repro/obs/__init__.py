@@ -7,13 +7,13 @@ pickle-safe :class:`SpanRecord`\\ s that exporters turn into a Chrome
 machine-readable :class:`RunReport`.  Off by default and near-free when off:
 see ``docs/OBSERVABILITY.md``.
 
-The *continuous* half (new with the service tier): a process-wide
-:class:`MetricsRegistry` of counters/gauges/bounded histograms that every
-layer increments via the module hooks, exposed as Prometheus text
-(:func:`prometheus_text`, :class:`MetricsServer`), a JSONL
-:class:`EventLog`, and the live ``pash-top`` console.  :class:`TraceSampler`
-plus the tracer's ``max_spans`` ring buffer keep tracing viable forever in
-a daemon.
+The *continuous* half (the service tier's): a :class:`MetricsRegistry` of
+counters/gauges/bounded histograms that the daemon builds as a view over
+the objects that already keep the numbers (:mod:`repro.service.telemetry`),
+exposed as Prometheus text (:func:`prometheus_text`,
+:class:`MetricsServer`), a JSONL :class:`EventLog`, and the live
+``pash-top`` console.  :class:`TraceSampler` plus the tracer's ``max_spans``
+ring buffer keep tracing viable forever in a daemon.
 """
 
 from repro.obs.export import (
@@ -37,13 +37,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
-    NULL_REGISTRY,
-    active,
-    counter_inc,
-    gauge_set,
-    histogram_observe,
-    install,
-    record_engine_run,
 )
 from repro.obs.report import RUN_REPORT_SCHEMA, RunReport
 from repro.obs.sampler import TraceSampler
@@ -67,7 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "NULL_EVENTS",
-    "NULL_REGISTRY",
     "NULL_TRACER",
     "RUN_REPORT_SCHEMA",
     "RunReport",
@@ -75,18 +67,12 @@ __all__ = [
     "TraceContext",
     "TraceSampler",
     "Tracer",
-    "active",
     "chrome_trace_document",
     "chrome_trace_events",
-    "counter_inc",
     "export_chrome_trace",
     "export_jsonl",
-    "gauge_set",
-    "histogram_observe",
-    "install",
     "new_span_id",
     "prometheus_text",
-    "record_engine_run",
     "record_worker_span",
     "span_summary",
 ]

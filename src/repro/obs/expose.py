@@ -20,7 +20,6 @@ Three continuous-telemetry surfaces over one
 
 from __future__ import annotations
 
-import ipaddress
 import json
 import math
 import threading
@@ -29,6 +28,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.wire import is_loopback_host
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -118,17 +118,6 @@ def prometheus_text(registry: MetricsRegistry) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _is_loopback_host(host: str) -> bool:
-    """Mirror of the service tier's loopback test (obs must not import it:
-    the service layer imports obs)."""
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False
-
-
 class MetricsServer:
     """``GET /metrics`` over stdlib :class:`ThreadingHTTPServer`.
 
@@ -160,7 +149,7 @@ class MetricsServer:
         return self._server.server_address[1]
 
     def start(self) -> None:
-        if not _is_loopback_host(self.host) and not self.allow_remote:
+        if not is_loopback_host(self.host) and not self.allow_remote:
             raise ValueError(
                 f"refusing to expose metrics on non-loopback address "
                 f"{self.host!r}: the endpoint reveals tenants, rates, and "

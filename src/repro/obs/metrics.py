@@ -2,21 +2,20 @@
 
 The tracing plane (:mod:`repro.obs.tracer`) answers *"what happened inside
 one run?"*; this module answers the daemon-era question *"what is happening
-per second, right now, and how has it trended since start-up?"*.  A
-long-running ``pash-serve`` or cluster coordinator owns one process-wide
-:class:`MetricsRegistry`; every layer underneath it — scheduler, worker
-pool, plan cache, cluster coordinator, resilience supervisor — increments
-named instruments that Prometheus can scrape (:mod:`repro.obs.expose`) and
-``pash-top`` can render live.
+per second, right now, and how has it trended since start-up?"*.
 
-Design constraints, mirroring the tracer's:
+**Who counts, who views.**  An event is counted once, by the object that
+already keeps the number — :class:`~repro.engine.pool.WorkerPool`'s
+counters, the plan cache's ``CacheStats``, the ``AdmissionController``, a
+run's ``EngineMetrics`` and ``JitReport``.  A registry is a *view* over
+those owners, built by the one process that exposes one (``pash-serve``,
+see :mod:`repro.service.telemetry`): long-lived owners are read at collect
+time (:meth:`CounterChild.set_function`), finished jobs are folded in once.
+Nothing below the daemon knows a registry exists, and this module keeps no
+process-wide state.
 
-* **near-zero cost when off.**  Metrics default to disabled.  A disabled
-  registry's :meth:`MetricsRegistry.counter` / ``gauge`` / ``histogram``
-  return shared null singletons whose methods do nothing, and the
-  module-level convenience hooks (:func:`counter_inc` …) check one
-  ``enabled`` attribute and return — no allocation, no lock, no dict
-  lookup.  ``benchmarks/test_bench_metrics_overhead.py`` prices this.
+Design constraints:
+
 * **exact under contention.**  Python's ``+=`` on an attribute is *not*
   atomic (the GIL can switch threads between the load and the store), so
   every instrument child guards its state with its own lock.  The service
@@ -28,12 +27,7 @@ Design constraints, mirroring the tracer's:
   interpolation inside the owning bucket, so their relative error is
   bounded by the bucket spacing — asserted against a sorted-list oracle in
   ``tests/obs/test_metrics_registry.py``.
-
-Wiring idiom (the fault-injection plane's): the process-wide registry is
-reached through :func:`install` / :func:`active`.  ``pash-serve`` installs
-its (always-enabled) registry at start-up; every instrumented layer calls
-the module-level hooks, which no-op against the default
-:data:`NULL_REGISTRY` in ordinary one-shot CLI runs.
+* **a scrape never raises.**  A collect-time read that fails reads as 0.
 """
 
 from __future__ import annotations
@@ -51,13 +45,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "active",
-    "counter_inc",
-    "gauge_set",
-    "histogram_observe",
-    "install",
-    "record_engine_run",
 ]
 
 #: Prometheus metric- and label-name legality (no leading ``__`` for labels).
@@ -90,29 +77,8 @@ def _validate_labels(declared: Tuple[str, ...], given: Mapping[str, str]) -> Tup
 # ---------------------------------------------------------------------------
 
 
-class CounterChild:
-    """One (metric, labelset) monotonic counter.  Thread-safe and exact."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise MetricError("counters only go up; use a Gauge for decrements")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class GaugeChild:
-    """One (metric, labelset) gauge: set/inc/dec, or a collect-time callback."""
+class _ValueChild:
+    """One (metric, labelset) number: stored, or read at collect time."""
 
     __slots__ = ("_lock", "_value", "_function")
 
@@ -121,22 +87,11 @@ class GaugeChild:
         self._value = 0.0
         self._function: Optional[Callable[[], float]] = None
 
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     def set_function(self, function: Callable[[], float]) -> None:
-        """Evaluate ``function`` at collect time instead of storing a value
-        (queue depths and pool sizes are owned elsewhere; polling them at
-        scrape time beats write-through hooks on every transition)."""
+        """Evaluate ``function`` at collect time instead of storing a value:
+        the number is owned elsewhere (a pool's spawn count, a cache's hit
+        count, a queue's depth), and reading the owner at scrape time keeps
+        one count per event where a write-through hook would keep two."""
         with self._lock:
             self._function = function
 
@@ -150,6 +105,36 @@ class GaugeChild:
             return float(function())
         except Exception:  # noqa: BLE001 - a scrape must never raise
             return 0.0
+
+
+class CounterChild(_ValueChild):
+    """One (metric, labelset) monotonic counter.  Thread-safe and exact."""
+
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise MetricError("counters only go up; use a Gauge for decrements")
+        with self._lock:
+            self._value += amount
+
+
+class GaugeChild(_ValueChild):
+    """One (metric, labelset) gauge: set/inc/dec, or a collect-time callback."""
+
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value -= amount
 
 
 class HistogramChild:
@@ -245,6 +230,10 @@ class _Family:
         self.label_names = label_names
         self._lock = threading.Lock()
         self._children: Dict[Tuple[str, ...], Any] = {}
+        if not label_names:
+            # An unlabelled family always has its one sample: a counter that
+            # never fired is exposed as 0, not as a TYPE line with no value.
+            self._children[()] = self._make_child()
 
     def _make_child(self) -> Any:
         return self._child_class()
@@ -264,12 +253,7 @@ class _Family:
             raise MetricError(
                 f"{self.name} declares labels {self.label_names}; call .labels()"
             )
-        with self._lock:
-            child = self._children.get(())
-            if child is None:
-                child = self._make_child()
-                self._children[()] = child
-            return child
+        return self._children[()]
 
     def children(self) -> List[Tuple[Tuple[str, ...], Any]]:
         with self._lock:
@@ -284,6 +268,9 @@ class Counter(_Family):
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
+
+    def set_function(self, function: Callable[[], float]) -> None:
+        self._default_child().set_function(function)
 
     @property
     def value(self) -> float:
@@ -352,84 +339,20 @@ class Histogram(_Family):
 
 
 # ---------------------------------------------------------------------------
-# The disabled path — shared null singletons, mirroring NULL_TRACER
-# ---------------------------------------------------------------------------
-
-
-class _NullInstrument:
-    """One do-nothing handle standing in for every instrument type."""
-
-    __slots__ = ()
-    name = "null"
-    help = ""
-    label_names: Tuple[str, ...] = ()
-    kind = "untyped"
-    buckets: Tuple[float, ...] = ()
-
-    def labels(self, **labels: str) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        return None
-
-    def dec(self, amount: float = 1.0) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def set_function(self, function: Callable[[], float]) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def quantiles(self) -> Dict[str, float]:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def children(self) -> List[Tuple[Tuple[str, ...], Any]]:
-        return []
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-    @property
-    def count(self) -> int:
-        return 0
-
-    @property
-    def sum(self) -> float:
-        return 0.0
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-# ---------------------------------------------------------------------------
 # The registry
 # ---------------------------------------------------------------------------
 
 
 class MetricsRegistry:
-    """Every instrument of one process (or one daemon), by name.
+    """Every instrument of one daemon, by name.
 
     Registration is idempotent — asking for an existing name returns the
-    existing family, so independent layers can share ``pash_pool_…``
-    counters without coordination — but re-registering a name with a
-    different type or label declaration raises :class:`MetricError` (the
-    exposition would be ambiguous otherwise).
-
-    ``enabled=False`` turns every registration into the shared
-    :data:`NULL_INSTRUMENT` and every module-level hook into an attribute
-    check — the zero-allocation disabled path.
+    existing family — but re-registering a name with a different type or
+    label declaration raises :class:`MetricError` (the exposition would be
+    ambiguous otherwise).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: "Dict[str, _Family]" = {}
 
@@ -459,16 +382,12 @@ class MetricsRegistry:
     def counter(
         self, name: str, help_text: str = "", labels: Iterable[str] = ()
     ) -> Counter:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
         label_names = tuple(labels)
         return self._register(
             name, lambda: Counter(name, help_text, label_names), "counter", label_names
         )
 
     def gauge(self, name: str, help_text: str = "", labels: Iterable[str] = ()) -> Gauge:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
         label_names = tuple(labels)
         return self._register(
             name, lambda: Gauge(name, help_text, label_names), "gauge", label_names
@@ -481,8 +400,6 @@ class MetricsRegistry:
         labels: Iterable[str] = (),
         buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        if not self.enabled:
-            return NULL_INSTRUMENT  # type: ignore[return-value]
         label_names = tuple(labels)
         return self._register(
             name,
@@ -523,121 +440,3 @@ class MetricsRegistry:
                 "values": values,
             }
         return document
-
-
-#: The shared disabled registry: default for every layer until a daemon
-#: installs a live one.  Mirrors :data:`repro.obs.tracer.NULL_TRACER`.
-NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-
-# ---------------------------------------------------------------------------
-# The process-wide registry (the fault-injection plane's install idiom)
-# ---------------------------------------------------------------------------
-
-_ACTIVE: MetricsRegistry = NULL_REGISTRY
-
-
-def install(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Make ``registry`` the process-wide registry; returns the previous one
-    (``None`` restores the disabled default)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-def active() -> MetricsRegistry:
-    """The process-wide registry (the disabled default until installed)."""
-    return _ACTIVE
-
-
-# -- hooks: what the instrumented layers actually call -----------------------
-#
-# Each hook is one global load + one attribute check when metrics are off.
-# When on, the registration is an idempotent dict lookup — fine at the
-# per-run / per-spawn / per-cache-op granularity every call site has.
-
-
-def counter_inc(
-    name: str, amount: float = 1.0, help_text: str = "", **labels: str
-) -> None:
-    registry = _ACTIVE
-    if not registry.enabled:
-        return
-    counter = registry.counter(name, help_text, labels=tuple(sorted(labels)))
-    if labels:
-        counter.labels(**labels).inc(amount)
-    else:
-        counter.inc(amount)
-
-
-def gauge_set(name: str, value: float, help_text: str = "", **labels: str) -> None:
-    registry = _ACTIVE
-    if not registry.enabled:
-        return
-    gauge = registry.gauge(name, help_text, labels=tuple(sorted(labels)))
-    if labels:
-        gauge.labels(**labels).set(value)
-    else:
-        gauge.set(value)
-
-
-def histogram_observe(
-    name: str, value: float, help_text: str = "", **labels: str
-) -> None:
-    registry = _ACTIVE
-    if not registry.enabled:
-        return
-    histogram = registry.histogram(name, help_text, labels=tuple(sorted(labels)))
-    if labels:
-        histogram.labels(**labels).observe(value)
-    else:
-        histogram.observe(value)
-
-
-def record_engine_run(metrics: Any, backend: str = "parallel") -> None:
-    """Flush one finished run's :class:`~repro.engine.metrics.EngineMetrics`
-    into the process registry (one call per run, from the scheduler and the
-    cluster backend).  A no-op against the disabled default registry."""
-    registry = _ACTIVE
-    if not registry.enabled:
-        return
-    counter_inc("pash_engine_runs_total", 1, "Engine runs completed.", backend=backend)
-    histogram_observe(
-        "pash_engine_run_seconds",
-        metrics.elapsed_seconds,
-        "Wall-clock duration of one engine run.",
-        backend=backend,
-    )
-    counter_inc(
-        "pash_engine_bytes_moved_total",
-        metrics.total_bytes_moved,
-        "Bytes that crossed engine channels.",
-        backend=backend,
-    )
-    if metrics.total_spilled_bytes:
-        counter_inc(
-            "pash_engine_spilled_bytes_total",
-            metrics.total_spilled_bytes,
-            "Bytes stream buffers spilled to disk.",
-            backend=backend,
-        )
-    if metrics.total_spill_events:
-        counter_inc(
-            "pash_engine_spill_events_total",
-            metrics.total_spill_events,
-            "Chunks routed through spill storage.",
-            backend=backend,
-        )
-    if metrics.remote_tasks:
-        counter_inc(
-            "pash_cluster_tasks_total",
-            metrics.remote_tasks,
-            "Nodes executed on remote cluster workers.",
-        )
-    if metrics.requeued_tasks:
-        counter_inc(
-            "pash_cluster_requeues_total",
-            metrics.requeued_tasks,
-            "Tasks re-dispatched after a cluster worker was lost.",
-        )

@@ -34,7 +34,7 @@ from repro.resilience.fault import (
     load_fault_file,
 )
 from repro.resilience.retry import RetryPolicy, retry_call
-from repro.resilience.supervisor import Supervisor
+from repro.resilience.supervisor import Supervisor, supervise
 
 __all__ = [
     "RESOURCE_ERRNOS",
@@ -54,4 +54,5 @@ __all__ = [
     "RetryPolicy",
     "retry_call",
     "Supervisor",
+    "supervise",
 ]

@@ -15,7 +15,8 @@ service job).  Its ladder:
 Every rung is observable: retries emit ``resilience:retry`` spans (the span
 covers the backoff sleep), degradations emit ``resilience:degrade`` spans
 (covering the fallback run, so the interpreter's work nests under it), and
-the counters land in ``EngineMetrics.runs_retried`` / ``degraded_runs``.
+:func:`supervise` — the one way every tier runs a ladder — folds the two
+counts into the run's ``EngineMetrics.runs_retried`` / ``degraded_runs``.
 
 The supervisor is deliberately duck-typed on the config: anything with
 ``retry_policy()``, ``degrade``, and ``fault_seed`` works, which keeps this
@@ -28,7 +29,6 @@ import random
 import time
 from typing import Any, Callable, Optional, Tuple
 
-from repro.obs.metrics import counter_inc
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -89,11 +89,6 @@ class Supervisor:
                 if self.policy.allows_retry(retries, elapsed + delay):
                     retries += 1
                     self.runs_retried += 1
-                    counter_inc(
-                        "pash_runs_retried_total",
-                        1,
-                        "Supervised run attempts retried after a fault.",
-                    )
                     with self.tracer.span(
                         "resilience:retry",
                         "resilience",
@@ -106,11 +101,6 @@ class Supervisor:
                     continue
                 if degrade is not None and self.resilience.degrade:
                     self.degraded_runs += 1
-                    counter_inc(
-                        "pash_degraded_runs_total",
-                        1,
-                        "Runs degraded to the interpreter after retries ran out.",
-                    )
                     with self.tracer.span(
                         "resilience:degrade",
                         "resilience",
@@ -120,3 +110,25 @@ class Supervisor:
                     ):
                         return degrade()
                 raise
+
+
+def supervise(
+    resilience: Any,
+    tracer: Any,
+    target: str,
+    attempt: Callable[[], Any],
+    degrade: Optional[Callable[[], Any]] = None,
+    metrics_of: Callable[[Any], Any] = lambda result: result.metrics,
+) -> Any:
+    """Run one ladder and count it once, in the run's own ``EngineMetrics``.
+
+    Returns what the ladder returned.  ``metrics_of`` maps that to the
+    ``EngineMetrics`` the run reports (by default the result's own); a
+    ladder that raises folds nothing, because no run reports it.
+    """
+    supervisor = Supervisor(resilience, tracer)
+    result = supervisor.run(target, attempt, degrade)
+    metrics = metrics_of(result)
+    metrics.runs_retried += supervisor.runs_retried
+    metrics.degraded_runs += supervisor.degraded_runs
+    return result

@@ -270,10 +270,3 @@ def deliver_output(
         # A graph whose only edge is stdin (degenerate); nothing to do.
         return
     result.stdout.extend(stream)
-
-
-def execute_graph(
-    graph: DataflowGraph, environment: Optional[ExecutionEnvironment] = None
-) -> ExecutionResult:
-    """Convenience wrapper: execute ``graph`` in ``environment``."""
-    return DFGExecutor(environment).execute(graph)

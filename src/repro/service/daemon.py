@@ -45,7 +45,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.api.config import PashConfig, StreamingConfig
 from repro.api.pash import Pash
-from repro.obs import metrics as obs_metrics
 from repro.obs.export import export_chrome_trace
 from repro.obs.expose import NULL_EVENTS, EventLog, MetricsServer, prometheus_text
 from repro.obs.metrics import MetricsRegistry
@@ -53,14 +52,15 @@ from repro.obs.report import RunReport
 from repro.obs.sampler import TraceSampler
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.resilience import fault as fault_injection
-from repro.resilience.supervisor import Supervisor
+from repro.resilience.supervisor import supervise
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
-from repro.service import protocol
+from repro.service import protocol, telemetry
 from repro.service.protocol import ProtocolError, recv_json_message, send_json_message
 from repro.service.admission import AdmissionController, ServiceBusy, ServiceError
 from repro.service.jobs import Job, JobState, JobTable
 from repro.shell.expansion import ExpansionError
+from repro.wire import is_loopback_host
 
 
 @dataclass
@@ -83,13 +83,10 @@ class ServiceOptions:
     tenant_quota: int = 4
     #: Directory for the persistent plan cache (None = memory-only).
     cache_directory: Optional[str] = None
-    cache_capacity: int = 256
     #: Server-side ceiling for any blocking wait (submit/result).
     max_wait_seconds: float = 300.0
     #: How long shutdown waits for running jobs before failing them.
     shutdown_grace_seconds: float = 10.0
-    #: Finished jobs kept queryable (older ones are dropped).
-    retain_jobs: int = 256
     #: Compilation/execution defaults; per-job ``config`` overrides merge
     #: on top.  The default backend is ``jit`` — the only tier that runs
     #: arbitrary scripts (loops, variables) instead of refusing them.
@@ -119,8 +116,10 @@ class PashServiceDaemon:
         self.tracer = tracer
         #: Per-job sampling decision: which jobs' spans the tracer records.
         self.sampler = TraceSampler.from_config(self.config.obs)
-        #: Always-enabled: the job counters below must count whether or not
-        #: anything scrapes them.  ``--metrics-port`` only gates exposition.
+        #: This daemon's own registry (``--metrics-port`` only gates the HTTP
+        #: exposition).  The daemon counts what only it knows — job outcomes
+        #: and latency; every other family is a view over the part that keeps
+        #: the number (:mod:`repro.service.telemetry`).
         self.metrics = MetricsRegistry()
         self._jobs_completed = self.metrics.counter(
             "pash_jobs_completed_total", "Jobs that finished successfully."
@@ -131,48 +130,30 @@ class PashServiceDaemon:
         self._jobs_cancelled = self.metrics.counter(
             "pash_jobs_cancelled_total", "Jobs cancelled before completion."
         )
-        self._admissions = self.metrics.counter(
-            "pash_admissions_total", "Submissions that passed admission control."
-        )
-        self._rejections = self.metrics.counter(
-            "pash_rejections_total",
-            "Submissions refused by admission control, by reason.",
-            labels=("reason",),
-        )
         self._job_seconds = self.metrics.histogram(
             "pash_job_seconds",
             "Per-tenant job wall-clock duration (queue to terminal).",
             labels=("tenant",),
         )
-        self.metrics.gauge(
-            "pash_queue_depth", "Jobs queued awaiting an executor."
-        ).set_function(lambda: self.run_queue.qsize())
-        self.metrics.gauge(
-            "pash_uptime_seconds", "Seconds since the daemon started serving."
-        ).set_function(
-            lambda: time.time() - self.started_at if self.started_at else 0.0
-        )
+        telemetry.register_views(self.metrics, self)
         self.events = (
             EventLog(self.options.events_path)
             if self.options.events_path
             else NULL_EVENTS
         )
         self.metrics_server: Optional[MetricsServer] = None
-        self._previous_registry: Optional[MetricsRegistry] = None
         self.admission = AdmissionController(
             queue_limit=self.options.queue_limit,
             tenant_quota=self.options.tenant_quota,
         )
-        self.jobs = JobTable(retain=self.options.retain_jobs)
+        self.jobs = JobTable()
         self.run_queue: "queue.Queue[Job]" = queue.Queue()
         from repro.jit.cache import DiskPlanCache, PlanCache
 
         if self.options.cache_directory:
-            self.plan_cache: PlanCache = DiskPlanCache(
-                self.options.cache_directory, capacity=self.options.cache_capacity
-            )
+            self.plan_cache: PlanCache = DiskPlanCache(self.options.cache_directory)
         else:
-            self.plan_cache = PlanCache(capacity=self.options.cache_capacity)
+            self.plan_cache = PlanCache()
         self.pool: Optional[Any] = None
         self.address: Optional[Tuple[str, int]] = None
         self.started_at = 0.0
@@ -217,7 +198,7 @@ class PashServiceDaemon:
     def start(self) -> None:
         """Bind the socket, warm the pool, and start serving."""
         host, port = protocol.resolve_address(self.options.listen)
-        if not protocol.is_loopback_host(host) and not self.options.allow_remote:
+        if not is_loopback_host(host) and not self.options.allow_remote:
             raise ServiceError(
                 f"refusing to listen on non-loopback address {host!r}: the "
                 "service protocol is unauthenticated, so every client that "
@@ -228,10 +209,6 @@ class PashServiceDaemon:
         self._listener.settimeout(0.25)
         self.address = self._listener.getsockname()[:2]
         self.started_at = time.time()
-        # Every instrumented layer underneath (pool, plan cache, scheduler,
-        # supervisor, cluster) reports into this daemon's registry for the
-        # daemon's lifetime; shutdown restores whatever was installed before.
-        self._previous_registry = obs_metrics.install(self.metrics)
         if self.options.metrics_port is not None:
             server = MetricsServer(
                 self.metrics,
@@ -243,7 +220,6 @@ class PashServiceDaemon:
                 server.start()
             except (ValueError, OSError) as exc:
                 self._listener.close()
-                obs_metrics.install(self._previous_registry)
                 raise ServiceError(f"cannot serve metrics: {exc}") from exc
             self.metrics_server = server
         self.events.emit(
@@ -335,11 +311,6 @@ class PashServiceDaemon:
             jobs_cancelled=self.jobs_cancelled,
         )
         self.events.close()
-        # Restore only if we are still the installed registry — a daemon
-        # started after us (tests run several) owns the slot now.
-        if obs_metrics.active() is self.metrics:
-            obs_metrics.install(self._previous_registry)
-        self._previous_registry = None
         self._stopped.set()
 
     # ------------------------------------------------------------------
@@ -467,10 +438,8 @@ class PashServiceDaemon:
         try:
             self.admission.admit(tenant)
         except ServiceBusy as busy:
-            self._rejections.labels(reason=busy.code).inc()
             self.events.emit("job-rejected", tenant=tenant, reason=busy.code)
             raise
-        self._admissions.inc()
         job = self.jobs.create(
             tenant=tenant,
             script=script,
@@ -628,6 +597,7 @@ class PashServiceDaemon:
                 elapsed_seconds=time.perf_counter() - started,
             ):
                 self._jobs_completed.inc()
+                telemetry.fold_job(self.metrics, result.metrics, getattr(result, "jit", None))
         except (ExecutionError, ExpansionError, OSError, ValueError, KeyError) as exc:
             # OSError covers the resilience tier's typed failures (injected
             # faults, ResourceExhausted) escaping a no-degrade ladder: the
@@ -702,30 +672,27 @@ class PashServiceDaemon:
             return attempt()
 
         def degrade():
+            self.events.emit("job-degraded", job_id=job.job_id, tenant=job.tenant)
             return self._execute_degraded(
                 job, config, self._fresh_environment(job), tracer
             )
 
-        supervisor = Supervisor(resilience, tracer)
         plan = resilience.fault_plan()
         previous_plan = fault_injection.active()
         if plan is not None:
             fault_injection.install(plan)
         try:
-            result, compiled = supervisor.run(f"job:{job.job_id}", attempt, degrade)
+            return supervise(
+                resilience,
+                tracer,
+                f"job:{job.job_id}",
+                attempt,
+                degrade,
+                metrics_of=lambda outcome: outcome[0].metrics,
+            )
         finally:
             if plan is not None:
                 fault_injection.install(previous_plan)
-        result.metrics.runs_retried += supervisor.runs_retried
-        result.metrics.degraded_runs += supervisor.degraded_runs
-        if supervisor.degraded_runs:
-            self.events.emit(
-                "job-degraded",
-                job_id=job.job_id,
-                tenant=job.tenant,
-                retries=supervisor.runs_retried,
-            )
-        return result, compiled
 
     def _execute_degraded(
         self,
@@ -857,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-dir", default=None, help="persistent plan-cache directory"
     )
-    parser.add_argument("--cache-capacity", type=int, default=256)
     parser.add_argument("--width", type=int, default=2, help="parallelism width")
     parser.add_argument(
         "--execute",
@@ -964,7 +930,6 @@ def main(argv: Optional[list] = None) -> int:
         queue_limit=arguments.queue_limit,
         tenant_quota=arguments.tenant_quota,
         cache_directory=arguments.cache_dir,
-        cache_capacity=arguments.cache_capacity,
         max_wait_seconds=arguments.max_wait_seconds,
         config=config,
         trace_path=arguments.trace,

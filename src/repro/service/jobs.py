@@ -163,13 +163,15 @@ class Job:
 class JobTable:
     """Thread-safe id → :class:`Job` map with bounded retention.
 
-    Finished jobs stay queryable until ``retain`` newer jobs have finished,
-    so a long-lived daemon's memory does not grow with its request count.
-    Jobs still in flight are never dropped.
+    Finished jobs stay queryable until :data:`RETAIN` newer jobs have
+    finished, so a long-lived daemon's memory does not grow with its request
+    count.  Jobs still in flight are never dropped.
     """
 
-    def __init__(self, retain: int = 256) -> None:
-        self.retain = max(1, retain)
+    #: Finished jobs kept queryable (older ones are dropped).
+    RETAIN = 256
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[int, Job] = {}
         self._next_id = 1
@@ -196,5 +198,5 @@ class JobTable:
             for job_id, job in self._jobs.items()
             if job.state in JobState.TERMINAL
         ]
-        for job_id in finished[: max(0, len(finished) - self.retain)]:
+        for job_id in finished[: max(0, len(finished) - self.RETAIN)]:
             del self._jobs[job_id]

@@ -1,9 +1,10 @@
 """The client/daemon wire protocol of the service tier.
 
-Framing is :mod:`repro.cluster.protocol`'s — a 4-byte big-endian length
-prefix and one size-capped frame (``send_frame``/``recv_frame``) — but the
-body codec is **UTF-8 JSON, not pickle**.  The cluster tier can justify pickle because both endpoints are
-the same codebase started by the same user (an internal process boundary);
+Framing is :mod:`repro.wire`'s — a 4-byte big-endian length prefix and one
+size-capped frame (``send_frame``/``recv_frame``) — and the body codec is
+**UTF-8 JSON, not pickle**.  The cluster tier can justify pickle because
+both endpoints are the same codebase started by the same user (an internal
+process boundary);
 ``pash-serve`` is a *tenant-facing* service with an advertised isolation
 model, and unpickling client bytes would hand any connecting client
 arbitrary code execution in the daemon.  Every payload here is a dict of
@@ -40,12 +41,12 @@ typed ``timeout`` error (carrying the job snapshot) instead of a hang.
 
 from __future__ import annotations
 
-import ipaddress
 import json
 import socket
 from typing import Any, Dict, Optional, Tuple, Union
 
-from repro.cluster.protocol import (
+from repro.service.admission import ServiceBusy, ServiceError
+from repro.wire import (
     MAX_MESSAGE_BYTES,
     Codec,
     ProtocolError,
@@ -53,7 +54,6 @@ from repro.cluster.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.service.admission import ServiceBusy, ServiceError
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
@@ -119,19 +119,6 @@ def resolve_address(address: Address) -> Tuple[str, int]:
         return parse_address(address)
     host, port = address
     return host, int(port)
-
-
-def is_loopback_host(host: str) -> bool:
-    """True when ``host`` can only be reached from this machine.
-
-    An empty host binds every interface, so it is *not* loopback.
-    """
-    if host == "localhost":
-        return True
-    try:
-        return ipaddress.ip_address(host).is_loopback
-    except ValueError:
-        return False
 
 
 # ---------------------------------------------------------------------------

@@ -44,13 +44,6 @@ def _metric_values(snapshot: Dict[str, Any], name: str) -> List[Dict[str, Any]]:
     return list(family.get("values") or [])
 
 
-def _metric_value(snapshot: Dict[str, Any], name: str) -> float:
-    for entry in _metric_values(snapshot, name):
-        if not entry.get("labels"):
-            return float(entry.get("value", 0.0))
-    return 0.0
-
-
 def tenant_rows(
     snapshot: Dict[str, Any],
     previous: Optional[Dict[str, Any]] = None,

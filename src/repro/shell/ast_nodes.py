@@ -77,10 +77,6 @@ class Word(Node):
         """True when the word contains a command substitution."""
         return any(isinstance(part, CommandSubstitution) for part in self.parts)
 
-    def has_parameter(self) -> bool:
-        """True when the word contains a parameter expansion."""
-        return any(isinstance(part, ParameterPart) for part in self.parts)
-
     def literal_text(self) -> Optional[str]:
         """Return the concatenated text when the word is fully literal."""
         if not self.is_literal():
@@ -114,14 +110,6 @@ class Redirection(Node):
     operator: str
     target: Optional[Word] = None
     fd: Optional[int] = None
-
-    def is_output(self) -> bool:
-        """True for redirections that write a file."""
-        return self.operator in (">", ">>", "2>", "2>>", "&>", ">&")
-
-    def is_input(self) -> bool:
-        """True for redirections that read a file."""
-        return self.operator in ("<", "<<", "<&")
 
 
 @dataclass

@@ -6,7 +6,7 @@ touch, and the tests use it to check round-tripping of the parser.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Optional
 
 from repro.shell.ast_nodes import (
     AndOr,
@@ -69,42 +69,50 @@ def unparse_assignment(assignment: Assignment) -> str:
     return f"{assignment.name}={value}"
 
 
-def unparse(node: Node) -> str:
-    """Render any AST node back to shell text."""
+def unparse(node: Node, replacements: Optional[Dict[int, str]] = None) -> str:
+    """Render any AST node back to shell text.
+
+    ``replacements`` maps ``id(node)`` to the text to emit in that node's
+    place (the back-end's parallel fragment for an optimized region).
+    """
+    if replacements and id(node) in replacements:
+        return replacements[id(node)]
     if isinstance(node, Command):
         parts = [unparse_assignment(a) for a in node.assignments]
         parts.extend(unparse_word(word) for word in node.words)
         parts.extend(unparse_redirection(r) for r in node.redirections)
         return " ".join(parts)
     if isinstance(node, Pipeline):
-        text = " | ".join(unparse(command) for command in node.commands)
+        text = " | ".join(unparse(command, replacements) for command in node.commands)
         return f"! {text}" if node.negated else text
     if isinstance(node, AndOr):
-        pieces = [unparse(node.parts[0])]
+        pieces = [unparse(node.parts[0], replacements)]
         for operator, part in zip(node.operators, node.parts[1:]):
-            pieces.append(f" {operator} {unparse(part)}")
+            pieces.append(f" {operator} {unparse(part, replacements)}")
         return "".join(pieces)
     if isinstance(node, BackgroundNode):
-        return f"{unparse(node.body)} &"
+        return f"{unparse(node.body, replacements)} &"
     if isinstance(node, SequenceNode):
-        return "\n".join(unparse(part) for part in node.parts)
+        return "\n".join(unparse(part, replacements) for part in node.parts)
     if isinstance(node, Subshell):
         suffix = _redirection_suffix(node.redirections)
-        return f"( {unparse(node.body)} ){suffix}"
+        return f"( {unparse(node.body, replacements)} ){suffix}"
     if isinstance(node, BraceGroup):
         suffix = _redirection_suffix(node.redirections)
-        return "{ " + unparse(node.body) + "; }" + suffix
+        return "{ " + unparse(node.body, replacements) + "; }" + suffix
     if isinstance(node, ForLoop):
         items = " ".join(unparse_word(word) for word in node.items)
         header = f"for {node.variable} in {items}" if node.items else f"for {node.variable}"
-        return f"{header}; do\n{unparse(node.body)}\ndone"
+        return f"{header}; do\n{unparse(node.body, replacements)}\ndone"
     if isinstance(node, WhileLoop):
         keyword = "until" if node.until else "while"
-        return f"{keyword} {unparse(node.condition)}; do\n{unparse(node.body)}\ndone"
+        condition = unparse(node.condition, replacements)
+        return f"{keyword} {condition}; do\n{unparse(node.body, replacements)}\ndone"
     if isinstance(node, IfClause):
-        text = f"if {unparse(node.condition)}; then\n{unparse(node.then_body)}\n"
+        condition = unparse(node.condition, replacements)
+        text = f"if {condition}; then\n{unparse(node.then_body, replacements)}\n"
         if node.else_body is not None:
-            text += f"else\n{unparse(node.else_body)}\n"
+            text += f"else\n{unparse(node.else_body, replacements)}\n"
         return text + "fi"
     raise TypeError(f"cannot unparse node {node!r}")
 

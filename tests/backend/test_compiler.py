@@ -1,5 +1,11 @@
 """Tests for the end-to-end compiler."""
 
+import os
+import shutil
+import subprocess
+
+import pytest
+
 from repro.api import Pash, PashConfig
 
 
@@ -60,3 +66,77 @@ def test_no_parallelization_returns_original_script_text():
     compiled = Pash.compile(source, PashConfig.paper_default(4, fuse_stages=False))
     assert "mkfifo" not in compiled.text
     assert compiled.stats.regions_parallelized == 0
+
+
+# ---------------------------------------------------------------------------
+# Redirections on compound commands survive the emitted script
+# ---------------------------------------------------------------------------
+
+REDIRECTED_COMPOUNDS = [
+    ("( echo hi ) > out.txt", "> out.txt", False),
+    ("{ cat a.txt b.txt | sort; } > out.txt", "> out.txt", True),
+    ("( cat a.txt b.txt | sort ) >> log", ">> log", True),
+]
+
+
+@pytest.mark.parametrize("source, redirection, parallelized", REDIRECTED_COMPOUNDS)
+def test_compound_command_redirections_survive_compilation(source, redirection, parallelized):
+    """``render_script`` used to re-implement the unparser for compound
+    nodes and forgot their redirections: the region ran, its output went to
+    the terminal, and ``out.txt`` was never written."""
+    compiled = Pash.compile(source, PashConfig.paper_default(2))
+    assert ("mkfifo" in compiled.text) == parallelized
+    assert compiled.text.rstrip().endswith(redirection)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "( echo hi ) > out.txt",
+        "{ echo a\necho b; } >> log 2> err",
+        "if true; then\n( echo x ) > f\nelse\n{ echo y; } < g\nfi",
+        "for f in 1 2; do\n( echo ${f} ) >> all\ndone",
+        "while false; do\necho never\ndone",
+        "! echo a | cat && echo b || echo c &",
+    ],
+)
+def test_unparallelized_scripts_round_trip_byte_for_byte(source):
+    """Sources are in the unparser's canonical form (a sequence is one
+    statement per line), so the emitted text must equal them exactly."""
+    assert Pash.compile(source, PashConfig.paper_default(2)).text == source
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="requires a POSIX shell")
+@pytest.mark.parametrize("source, redirection, parallelized", REDIRECTED_COMPOUNDS)
+def test_emitted_compound_redirection_writes_what_sh_writes(
+    tmp_path, source, redirection, parallelized
+):
+    for required in ("mkfifo", "sort", "cat"):
+        if shutil.which(required) is None:
+            pytest.skip(f"missing {required}")
+    target = redirection.split()[-1]
+    environment = dict(os.environ, LC_ALL="C")
+    outputs = []
+    for name in ("original", "emitted"):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "a.txt").write_text("pear\napple\n")
+        (directory / "b.txt").write_text("fig\ncherry\n")
+        text = source
+        if name == "emitted":
+            from repro.backend.shell_emitter import EmitterOptions
+
+            compiled = Pash.compile(source, PashConfig.paper_default(2))
+            text = compiled.emit(EmitterOptions(fifo_directory=str(directory)))
+        completed = subprocess.run(
+            ["sh", "-c", text],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            cwd=str(directory),
+            env=environment,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout == ""
+        outputs.append((directory / target).read_text())
+    assert outputs[0] == outputs[1] != ""

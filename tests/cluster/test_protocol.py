@@ -6,16 +6,14 @@ import threading
 import pytest
 
 from repro.cluster.protocol import (
-    MAX_MESSAGE_BYTES,
     MSG_CHUNK,
     MSG_EDGE_END,
     MessageSocket,
-    ProtocolError,
-    parse_address,
     recv_message,
     send_edge_stream,
     send_message,
 )
+from repro.wire import MAX_MESSAGE_BYTES, ProtocolError, parse_address
 
 
 def make_pair():

@@ -21,12 +21,13 @@ from repro.commands.base import CommandError
 from repro.jit import driver as driver_module
 from repro.jit.cache import PlanCache
 from repro.jit.driver import JitDriver
-from repro.obs import metrics as obs_metrics
 from repro.obs.expose import prometheus_text
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
+from repro.service.telemetry import fold_job
 from repro.simulator.machine import MachineModel
 from repro.workloads.oneliners import ONE_LINERS
 from repro.workloads.unix50 import UNIX50_PIPELINES
@@ -215,14 +216,9 @@ def test_parallel_keeps_the_exact_width_and_the_pool():
 
 
 def test_the_report_the_span_and_the_counter_carry_the_decision(two_cores):
-    registry = obs_metrics.MetricsRegistry()
-    previous = obs_metrics.install(registry)
     tracer = Tracer()
-    try:
-        files = {"in.txt": [f"light line {index}" for index in range(300)]}
-        result, _ = run_jit("grep light in.txt | sort", files, "auto", tracer=tracer)
-    finally:
-        obs_metrics.install(previous)
+    files = {"in.txt": [f"light line {index}" for index in range(300)]}
+    result, _ = run_jit("grep light in.txt | sort", files, "auto", tracer=tracer)
     (outcome,) = result.jit.outcomes
     assert (outcome.width, outcome.input_lines) == (1, 300)
     assert 0 < outcome.predicted_sequential_seconds < outcome.predicted_parallel_seconds
@@ -244,6 +240,9 @@ def test_the_report_the_span_and_the_counter_carry_the_decision(two_cores):
     sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2] / "tools"))
     import check_metrics
 
+    # The counter is the daemon's fold of this very report, not a second count.
+    registry = MetricsRegistry()
+    fold_job(registry, result.metrics, result.jit)
     text = prometheus_text(registry)
     check_metrics.lint_text(text)
     assert "pash_jit_regions_inline_total 1" in text

@@ -1,5 +1,5 @@
 """The metrics registry: exactness under contention, quantile accuracy,
-registration discipline, and the zero-allocation disabled path."""
+registration discipline, and collect-time views over an owner's number."""
 
 import json
 import random
@@ -7,18 +7,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricError,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
-    active,
-    counter_inc,
-    gauge_set,
-    histogram_observe,
-    install,
-)
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricError, MetricsRegistry
 
 
 @pytest.fixture
@@ -57,6 +46,21 @@ class TestCounters:
         counter = registry.counter("pash_neg_total", "monotonic")
         with pytest.raises(MetricError):
             counter.inc(-1)
+
+    def test_a_counter_can_be_a_view_over_its_owners_number(self, registry):
+        """The view idiom: the owner keeps the integer, the registry reads it
+        at collect time — per labelset, and a failing read is 0, not a raise."""
+        owner = {"hits": 0, "misses": 0}
+        family = registry.counter("pash_view_total", "", labels=("result",))
+        family.labels(result="hit").set_function(lambda: owner["hits"])
+        family.labels(result="miss").set_function(lambda: owner["misses"])
+        family.labels(result="gone").set_function(lambda: owner["gone"])
+        owner["hits"] += 3
+        values = {
+            entry["labels"]["result"]: entry["value"]
+            for entry in registry.snapshot()["pash_view_total"]["values"]
+        }
+        assert values == {"hit": 3, "miss": 0, "gone": 0}
 
     def test_label_mismatch_is_an_error(self, registry):
         counter = registry.counter("pash_mismatch_total", "", labels=("tenant",))
@@ -159,40 +163,6 @@ class TestHistograms:
         for thread in threads:
             thread.join()
         assert histogram.count == threads_n * per_thread
-
-
-class TestDisabledPath:
-    def test_disabled_registry_hands_out_the_shared_null(self):
-        disabled = MetricsRegistry(enabled=False)
-        assert disabled.counter("pash_x_total") is NULL_INSTRUMENT
-        assert disabled.gauge("pash_x") is NULL_INSTRUMENT
-        assert disabled.histogram("pash_x_seconds") is NULL_INSTRUMENT
-        # Null methods are inert and allocation-free (labels returns self).
-        null = disabled.counter("pash_y_total")
-        assert null.labels(tenant="t") is null
-        null.inc()
-        null.observe(1.0)
-        assert null.value == 0.0
-
-    def test_hooks_no_op_against_the_default_registry(self):
-        assert active() is NULL_REGISTRY
-        counter_inc("pash_hook_total", 1, "never registered")
-        gauge_set("pash_hook", 1.0)
-        histogram_observe("pash_hook_seconds", 0.1)
-        assert NULL_REGISTRY.families() == []
-
-    def test_install_routes_hooks_and_restores(self):
-        registry = MetricsRegistry()
-        previous = install(registry)
-        try:
-            counter_inc("pash_routed_total", 2, "via hook", backend="parallel")
-            family = registry.counter(
-                "pash_routed_total", "via hook", labels=("backend",)
-            )
-            assert family.labels(backend="parallel").value == 2
-        finally:
-            install(previous)
-        assert active() is NULL_REGISTRY
 
 
 def test_snapshot_is_json_able_and_complete(registry):

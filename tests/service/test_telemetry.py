@@ -11,7 +11,6 @@ import urllib.request
 import pytest
 
 from repro.api.config import ObsConfig, PashConfig
-from repro.obs import metrics as obs_metrics
 from repro.service import PashServiceDaemon, ServiceClient, ServiceOptions
 
 _TOOL = os.path.join(
@@ -122,7 +121,7 @@ class TestMetricsMessage:
             entry["labels"]["tenant"]: entry["count"] for entry in entries
         }
         assert by_tenant == {"t0": 3, "t1": 3}
-        # The plan-cache counters flow through the hook plane too.
+        # The plan-cache family is a view over the cache's own CacheStats.
         cache = snapshot.get("pash_plan_cache_requests_total")
         assert cache is not None
         total = sum(entry["value"] for entry in cache["values"])
@@ -182,23 +181,6 @@ class TestHttpEndpoint:
         assert daemon.metrics_server is None
         with pytest.raises(Exception):
             urllib.request.urlopen(f"http://127.0.0.1:{port}/metrics", timeout=2)
-
-
-class TestRegistryInstall:
-    def test_daemon_installs_and_restores_process_registry(
-        self, run_with_deadline
-    ):
-        before = obs_metrics.active()
-        options = ServiceOptions(
-            listen="127.0.0.1:0",
-            executors=0,
-            config=PashConfig.paper_default(2, backend="jit"),
-        )
-        daemon = PashServiceDaemon(options)
-        daemon.start()
-        assert obs_metrics.active() is daemon.metrics
-        run_with_deadline(daemon.shutdown)
-        assert obs_metrics.active() is before
 
 
 class TestEventLog:

@@ -28,6 +28,7 @@ from repro.service import PashServiceDaemon, ServiceError, ServiceOptions
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, JobState
+from repro.wire import is_loopback_host
 
 HEADER = struct.Struct(">I")
 
@@ -97,13 +98,13 @@ def test_non_loopback_listen_with_allow_remote(run_with_deadline):
 
 
 def test_loopback_classification():
-    assert protocol.is_loopback_host("127.0.0.1")
-    assert protocol.is_loopback_host("localhost")
-    assert protocol.is_loopback_host("::1")
-    assert not protocol.is_loopback_host("0.0.0.0")
-    assert not protocol.is_loopback_host("")  # binds every interface
-    assert not protocol.is_loopback_host("192.168.1.5")
-    assert not protocol.is_loopback_host("example.com")
+    assert is_loopback_host("127.0.0.1")
+    assert is_loopback_host("localhost")
+    assert is_loopback_host("::1")
+    assert not is_loopback_host("0.0.0.0")
+    assert not is_loopback_host("")  # binds every interface
+    assert not is_loopback_host("192.168.1.5")
+    assert not is_loopback_host("example.com")
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +217,27 @@ def test_complete_cannot_resurrect_a_failed_job():
     assert job.state == JobState.FAILED
     assert job.error_code == "shutting-down"
     assert job.fail("again") is False  # fail() is equally idempotent
+
+
+def test_the_service_tier_does_not_load_the_pickle_tier():
+    """The tenant-facing package shares framing with the cluster through
+    ``repro.wire`` only: importing it must not import ``repro.cluster``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    probe = (
+        "import sys, repro.service, repro.service.top; "
+        "loaded = [m for m in sys.modules if m.startswith('repro.cluster')]; "
+        "assert not loaded, loaded"
+    )
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=source),
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr

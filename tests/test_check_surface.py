@@ -1,5 +1,6 @@
 """tools/check_surface.py: the size/surface numbers and their growth gate."""
 
+import ast
 import copy
 import json
 import os
@@ -14,7 +15,7 @@ def test_tree_is_within_the_committed_baseline():
     current = check_surface.measure()
     assert check_surface.growth(current, baseline) == []
     # The run path has exactly one config type plus its streaming section.
-    assert current["option_fields"]["PashConfig"] <= 23
+    assert current["option_fields"]["PashConfig"] <= 22
     assert current["option_fields"]["StreamingConfig"] == 3
 
 
@@ -46,4 +47,17 @@ def test_update_lowers_src_lines_and_refuses_to_raise_it(tmp_path, monkeypatch, 
     assert check_surface.main(["check_surface.py", "--update"]) == 1
     assert baseline.read_text() == smaller  # untouched: raising it is a hand edit
     assert "only lowers src_lines" in capsys.readouterr().err
-    assert current["option_fields"]["ClusterOptions"] == 10
+    assert current["option_fields"]["ClusterOptions"] == 9
+
+
+def test_only_obs_and_service_import_the_metrics_registry():
+    """One count per event: nothing below the daemon knows a registry exists."""
+    assert check_surface.registry_importers() == []
+    for spelling in (
+        "import repro.obs.metrics",
+        "from repro.obs.metrics import MetricsRegistry",
+        "def f():\n    from repro.obs import metrics as m",
+    ):
+        assert check_surface.imports_registry(ast.parse(spelling)), spelling
+    for spelling in ("from repro.obs.tracer import Tracer", "from repro.engine import metrics"):
+        assert not check_surface.imports_registry(ast.parse(spelling)), spelling

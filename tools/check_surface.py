@@ -9,6 +9,11 @@ Measures, from the source tree alone (``ast``, nothing is imported):
 * ``option_fields`` — the number of fields of every dataclass under
   ``src/repro`` whose name ends in ``Config`` or ``Options``.
 
+One layering rule rides along (:func:`registry_importers`): only modules
+under ``repro/obs/`` and ``repro/service/`` may import ``repro.obs.metrics``
+— the daemon owns the one registry and everything below it counts on its own
+objects, so an import anywhere else is a second count of something.
+
 The numbers are compared with the committed baseline ``tools/surface.json``:
 the check fails when any of them *grows* (or a new options class appears)
 without the baseline being updated in the same commit, so growth is always a
@@ -75,6 +80,31 @@ def measure() -> Dict[str, Any]:
     }
 
 
+def imports_registry(tree: ast.AST) -> bool:
+    """Whether a module's AST imports ``repro.obs.metrics`` in any spelling."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "repro.obs.metrics" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "repro.obs.metrics":
+                return True
+            if node.module == "repro.obs" and any(a.name == "metrics" for a in node.names):
+                return True
+    return False
+
+
+def registry_importers() -> List[str]:
+    """Modules outside ``repro/obs`` and ``repro/service`` importing the registry."""
+    package = SOURCE / "repro"
+    return [
+        str(path.relative_to(SOURCE))
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package).parts[0] not in ("obs", "service")
+        and imports_registry(ast.parse(path.read_text()))
+    ]
+
+
 def growth(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     """Every number that exceeds its baseline (missing baseline entries count)."""
     problems = []
@@ -108,7 +138,10 @@ def main(argv: List[str]) -> int:
     problems = growth(current, json.loads(BASELINE.read_text()))
     for problem in problems:
         print(f"surface grew past tools/surface.json: {problem}", file=sys.stderr)
-    return 1 if problems else 0
+    importers = registry_importers()
+    for module in importers:
+        print(f"{module} imports repro.obs.metrics: only the daemon views it", file=sys.stderr)
+    return 1 if problems or importers else 0
 
 
 if __name__ == "__main__":
