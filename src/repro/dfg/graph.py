@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.nodes import DFGNode
@@ -237,41 +237,3 @@ class DataflowGraph:
 def count_processes(graph: DataflowGraph) -> int:
     """Number of runtime processes the graph instantiates (Table 2 "nodes")."""
     return len(graph.nodes)
-
-
-def merge_graphs(graphs: Iterable[DataflowGraph]) -> DataflowGraph:
-    """Union of disjoint graphs into a single graph with fresh identifiers."""
-    merged = DataflowGraph()
-    for graph in graphs:
-        node_mapping: Dict[int, int] = {}
-        edge_mapping: Dict[int, int] = {}
-        for node_id in sorted(graph.nodes):
-            original = graph.nodes[node_id]
-            clone = type(original)(**{**original.__dict__})
-            clone.inputs = []
-            clone.outputs = []
-            if hasattr(clone, "config_inputs"):
-                clone.config_inputs = []
-            merged.add_node(clone)
-            node_mapping[node_id] = clone.node_id
-        for edge_id in sorted(graph.edges):
-            original_edge = graph.edges[edge_id]
-            clone_edge = merged.add_edge(
-                kind=original_edge.kind,
-                name=original_edge.name,
-                source=node_mapping.get(original_edge.source)
-                if original_edge.source is not None
-                else None,
-                target=node_mapping.get(original_edge.target)
-                if original_edge.target is not None
-                else None,
-            )
-            edge_mapping[edge_id] = clone_edge.edge_id
-        for node_id, new_id in node_mapping.items():
-            original = graph.nodes[node_id]
-            clone = merged.nodes[new_id]
-            clone.inputs = [edge_mapping[e] for e in original.inputs]
-            clone.outputs = [edge_mapping[e] for e in original.outputs]
-            if hasattr(original, "config_inputs"):
-                clone.config_inputs = [edge_mapping[e] for e in original.config_inputs]
-    return merged

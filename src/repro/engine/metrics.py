@@ -89,6 +89,12 @@ class EngineMetrics:
     #: Non-blocking relay nodes bridged pipe-to-pipe instead of running as
     #: forwarder processes.
     relays_elided: int = 0
+    #: Splits over a regular file run as byte ranges of it: no split worker,
+    #: no ``cat`` feeding it, each consumer reads its own range.
+    splits_ranged: int = 0
+    #: Tail ``cat`` nodes run as ordered collection: every producer reports
+    #: its branch and the scheduler concatenates them.
+    cats_gathered: int = 0
     #: Channel inputs read directly (no eager-pump thread, no extra copy).
     edges_direct: int = 0
     #: Channel inputs drained through eager pumps (deadlock-relevant fan-in).
@@ -153,9 +159,6 @@ class EngineMetrics:
         if self.elapsed_seconds <= 0 or not self.nodes:
             return 0.0
         return self.total_node_seconds / self.elapsed_seconds / max(1, self.worker_count)
-
-    def by_node(self) -> Dict[int, NodeMetrics]:
-        return {node.node_id: node for node in self.nodes}
 
     @property
     def total_compute_seconds(self) -> float:
@@ -224,10 +227,11 @@ class EngineMetrics:
                 f"{self.processes_reused} reused "
                 f"(spawn {self.spawn_seconds * 1000:.1f} ms)"
             )
-        if self.stages_fused or self.relays_elided:
+        if self.stages_fused or self.relays_elided or self.splits_ranged or self.cats_gathered:
             digest += (
                 f"; fused {self.commands_fused} commands into "
-                f"{self.stages_fused} stages, elided {self.relays_elided} relays"
+                f"{self.stages_fused} stages, elided {self.relays_elided} relays, "
+                f"{self.splits_ranged} splits as file ranges, {self.cats_gathered} cats gathered"
             )
         if self.cluster_workers:
             digest += (

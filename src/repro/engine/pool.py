@@ -33,7 +33,6 @@ Lifecycle:
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -367,7 +366,6 @@ class WorkerPool:
 # ---------------------------------------------------------------------------
 
 _shared_pools: Dict[str, WorkerPool] = {}
-_pool_epoch = itertools.count()
 
 
 def shared_pool(start_method: str = "fork") -> WorkerPool:

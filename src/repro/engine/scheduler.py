@@ -9,11 +9,17 @@ scheduler now draws workers from a persistent :class:`~repro.engine.pool.WorkerP
 short pipelines was our own spawning) and rationalizes the data plane with
 the order-aware dataflow analysis:
 
-* **relay elision** — non-blocking identity relays are not worth a process
-  in-engine: the producer is wired pipe-to-pipe to the relay's consumer, and
-  the eager buffering the relay stood for is provided by the consumer-side
-  pumps (below).  Blocking relays keep their worker — absorb-then-forward is
-  observable timing semantics (Fig. 6).
+* **elision** (:mod:`repro.dfg.elision`) — a node gets a process only when
+  something must move bytes.  A non-blocking identity relay does not: the
+  producer is wired pipe-to-pipe to the relay's consumer, and the eager
+  buffering it stood for is provided by the consumer-side pumps (below).
+  Nor do the two endpoints where a stream is *at rest*: a split over a
+  regular file is byte ranges of it (each consumer opens the file and reads
+  its own, :func:`~repro.engine.channels.file_ranges`), and a ``cat`` into a
+  graph output is ordered collection (each producer reports its branch, the
+  branches are concatenated here, in input order).  Blocking relays keep
+  their worker — absorb-then-forward is observable timing semantics
+  (Fig. 6) — and so does a split fed by a pipe, stdin or an in-memory file.
 * **pump rationalization** — eager-pump threads are started only on edges
   that are deadlock-relevant: fan-in nodes (aggregators, ``cat`` combiners,
   anything consuming two or more channels sequentially).  Straight-line
@@ -38,15 +44,17 @@ import shutil
 import tempfile
 import time
 from contextlib import nullcontext
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.config import PashConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
-from repro.dfg.edges import Edge, EdgeKind
+from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
+from repro.dfg.elision import Elisions, plan_elisions
 from repro.dfg.nodes import FusedStage, RelayNode
-from repro.engine.channels import Channel, StoredStream, encode_lines
+from repro.engine.channels import Channel, StoredStream, encode_lines, file_ranges
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
@@ -116,9 +124,12 @@ class ParallelScheduler:
                 "be inherited otherwise); do not set jobs=0 here"
             )
 
-        skipped, heads, tails = self._plan_elisions(graph)
+        at_rest = self._inputs_at_rest(graph)
+        elisions = plan_elisions(graph, at_rest)
         self._annotate_fusion(graph, metrics)
-        metrics.relays_elided = len(skipped)
+        metrics.relays_elided = sum(isinstance(n, RelayNode) for n in elisions.skipped.values())
+        metrics.splits_ranged = len(elisions.ranged)
+        metrics.cats_gathered = len(elisions.gathers)
 
         # One run at a time per pool: a run's reports travel through the
         # pool's shared queue, so an interleaved run would steal them.
@@ -127,16 +138,19 @@ class ParallelScheduler:
             "engine:run",
             "scheduler",
             nodes=len(graph.nodes),
-            relays_elided=len(skipped),
+            relays_elided=metrics.relays_elided,
+            splits_ranged=metrics.splits_ranged,
+            cats_gathered=metrics.cats_gathered,
         )
         with run_span, run_guard:
             return self._execute_locked(
-                graph, metrics, result, context, pool, skipped, heads, tails, started
+                graph, metrics, result, context, pool, elisions, at_rest, started
             )
 
     def _execute_locked(
-        self, graph, metrics, result, context, pool, skipped, heads, tails, started
+        self, graph, metrics, result, context, pool, elisions, at_rest, started
     ) -> Tuple[ExecutionResult, EngineMetrics]:
+        skipped = elisions.skipped
         # Grow the pool *before* any of this run's pipes exist: under fork a
         # worker spawned later would inherit the pipes and hold their write
         # ends open forever (consumers would never see EOF).
@@ -150,7 +164,7 @@ class ParallelScheduler:
                 metrics.spawn_seconds += time.perf_counter() - spawn_started
                 spawn_span.set(processes_spawned=pool_growth)
 
-        channels = self._open_channels(graph, skipped, tails)
+        channels = self._open_channels(graph, elisions)
         all_fds = [fd for channel in channels.values() for fd in channel.fds()]
         # All of this run's spill files (pump overflow, oversized graph
         # outputs) live in one run-scoped directory, removed unconditionally
@@ -171,10 +185,14 @@ class ParallelScheduler:
             # execution long outlives the planning interval).
             worker_trace = self.tracer.context()
             with self.tracer.span("scheduler:plan", "scheduler"):
+                for node_id, edge_id in elisions.ranged.items():
+                    # Each consumer of a ranged split: its line-aligned part.
+                    outputs = graph.node(node_id).outputs
+                    at_rest.update(zip(outputs, file_ranges(at_rest[edge_id].path, len(outputs))))
                 plans = [
                     self._plan(
                         node_id, graph, channels, all_fds, run_spill_directory,
-                        heads, tails, token, worker_trace,
+                        elisions, at_rest, token, worker_trace,
                     )
                     for node_id in self._topo_ids(graph)
                     if node_id not in skipped
@@ -266,6 +284,12 @@ class ParallelScheduler:
                 node_metrics.reused_worker = report["node_id"] in pooled
                 metrics.nodes.append(node_metrics)
             metrics.nodes.sort(key=lambda node: node.node_id)
+            for edge_id, branches in elisions.gathers.items():
+                # Ordered collection: the tail cat, done where its branches
+                # already are at rest.
+                edge_values[edge_id] = list(
+                    chain.from_iterable(edge_values.pop(branch) for branch in branches)
+                )
         except Exception:
             for channel in channels.values():
                 channel.close()
@@ -314,62 +338,41 @@ class ParallelScheduler:
                 metrics.stages_fused += 1
                 metrics.commands_fused += len(node.nodes)
 
-    # -- relay elision -------------------------------------------------------
+    # -- elision -------------------------------------------------------------
 
-    def _plan_elisions(self, graph: DataflowGraph):
-        """Bridge non-blocking identity relays out of the process plan.
+    def _inputs_at_rest(self, graph: DataflowGraph) -> Dict[int, StoredStream]:
+        """The graph inputs that are regular on-disk files, by edge id.
 
-        Returns ``(skipped, heads, tails)``: the node ids of elided relays
-        plus single-step edge aliases.  ``heads`` maps a relay's output edge
-        to its input edge (follow transitively to find where a consumer's
-        stream really comes from); ``tails`` is the inverse (where a
-        producer's stream really goes).  A relay whose stream would end up
-        with neither a producing nor a consuming worker (graph input straight
-        to graph output) keeps its process — something must move the bytes.
+        A file that exists only on the real filesystem (the VFS fallback) is
+        handed to its worker as a path, so the consuming process streams it
+        instead of the parent materializing every line.  Asked once a run:
+        the elision plan, the byte ranges and the ports all read this table.
         """
-        skipped: Dict[int, RelayNode] = {}
-        heads: Dict[int, int] = {}
-        tails: Dict[int, int] = {}
-        for node_id in sorted(graph.nodes):
-            node = graph.nodes[node_id]
-            if not isinstance(node, RelayNode) or node.blocking:
-                continue
-            if len(node.inputs) != 1 or len(node.outputs) != 1:
-                continue
-            into, out = node.inputs[0], node.outputs[0]
-            head_edge = graph.edge(self._follow(heads, into))
-            tail_edge = graph.edge(self._follow(tails, out))
-            producer_gone = head_edge.source is None or head_edge.source in skipped
-            consumer_gone = tail_edge.target is None or tail_edge.target in skipped
-            if producer_gone and consumer_gone:
-                continue  # keep one mover for a source-to-sink stream
-            skipped[node_id] = node
-            heads[out] = into
-            tails[into] = out
-        return skipped, heads, tails
+        at_rest: Dict[int, StoredStream] = {}
+        for edge in graph.input_edges():
+            if edge.kind is EdgeKind.FILE and edge.name:
+                path = self.environment.filesystem.real_path(edge.name)
+                if path is not None:
+                    # Resolved here, against *this* process's cwd: a persistent
+                    # pool worker may have been spawned under a different one.
+                    at_rest[edge.edge_id] = StoredStream(path=os.path.abspath(path))
+        return at_rest
 
-    @staticmethod
-    def _follow(mapping: Dict[int, int], edge_id: int) -> int:
-        while edge_id in mapping:
-            edge_id = mapping[edge_id]
-        return edge_id
-
-    def _open_channels(
-        self, graph: DataflowGraph, skipped: Dict[int, RelayNode], tails: Dict[int, int]
-    ) -> Dict[int, Channel]:
+    def _open_channels(self, graph: DataflowGraph, elisions: Elisions) -> Dict[int, Channel]:
         """One OS pipe per *stream*: elided relays do not split an edge in two.
 
         Channels are keyed by the stream's head edge (the producing worker's
         output edge); consumers look their read end up by following their
-        input edge back to that head.
+        input edge back to that head.  A stream no worker consumes — a graph
+        output, a gathered cat's branch — is collected, not piped.
         """
         channels: Dict[int, Channel] = {}
         for edge_id in sorted(graph.edges):
             edge = graph.edges[edge_id]
-            if edge.source is None or edge.source in skipped:
+            if edge.source is None or edge.source in elisions.skipped:
                 continue
-            tail = graph.edge(self._follow(tails, edge_id))
-            if tail.target is None:
+            tail = graph.edge(elisions.tail(edge_id))
+            if tail.target is None or tail.target in elisions.skipped:
                 continue
             channels[edge_id] = Channel(edge_id, chunk_size=self.config.streaming.chunk_size)
         return channels
@@ -383,27 +386,31 @@ class ParallelScheduler:
         channels: Dict[int, Channel],
         all_fds: List[int],
         spill_directory: str,
-        heads: Dict[int, int],
-        tails: Dict[int, int],
+        elisions: Elisions,
+        at_rest: Dict[int, StoredStream],
         token: int,
         trace=None,
     ) -> WorkerPlan:
         node = graph.node(node_id)
         inputs = []
         for edge_id in node.inputs:
-            head = self._follow(heads, edge_id)
+            head = elisions.head(edge_id)
             if head in channels:
                 inputs.append(InputPort(edge_id, fd=channels[head].read_fd))
+            elif head in at_rest:
+                inputs.append(InputPort(edge_id, stream=at_rest[head]))
             else:
-                inputs.append(self._input_port(edge_id, graph.edge(head)))
+                lines = resolve_graph_input(graph.edge(head), self.environment)
+                inputs.append(InputPort(edge_id, stream=StoredStream(encode_lines(lines))))
         outputs = []
         for edge_id in node.outputs:
             if edge_id in channels:
                 outputs.append(OutputPort(edge_id, fd=channels[edge_id].write_fd))
             else:
-                # Graph output (possibly through elided relays): report the
-                # stream under the final output edge's id so delivery finds it.
-                outputs.append(OutputPort(self._follow(tails, edge_id)))
+                # Collected (possibly through elided relays): report the
+                # stream under its last edge's id — the graph output, so
+                # delivery finds it, or a gathered cat's input.
+                outputs.append(OutputPort(elisions.tail(edge_id)))
         registry = self.environment.registry
         if registry is standard_registry():
             # The standard registry is re-created in the worker (cheap, cached
@@ -435,22 +442,6 @@ class ParallelScheduler:
                 metrics.edges_buffered += channel_inputs
             else:
                 metrics.edges_direct += channel_inputs
-
-    def _input_port(self, edge_id: int, edge: Edge) -> InputPort:
-        """A graph-input port: a streamable on-disk path when possible.
-
-        Files that exist only on the real filesystem (the VFS fallback) are
-        handed to the worker as paths, so the consuming process streams them
-        chunk-by-chunk instead of the parent materializing every line.
-        """
-        if edge.kind is EdgeKind.FILE and edge.name:
-            path = self.environment.filesystem.real_path(edge.name)
-            if path is not None:
-                # Resolved here, against *this* process's cwd: a persistent
-                # pool worker may have been spawned under a different one.
-                return InputPort(edge_id, stream=StoredStream(path=os.path.abspath(path)))
-        lines = resolve_graph_input(edge, self.environment)
-        return InputPort(edge_id, stream=StoredStream(encode_lines(lines)))
 
     # -- report collection ---------------------------------------------------
 

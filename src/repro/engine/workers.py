@@ -30,7 +30,10 @@ Each node runs in one of three modes, picked by :func:`execution_mode`:
 * ``materialize`` — everything else (sort-likes, aggregators, splits, host
   commands) still needs the whole stream; the eager pumps that feed it
   buffer at most ``spill_threshold`` bytes in memory and spill the rest to
-  disk, so the *channel* layer stays bounded even here.
+  disk, so the *channel* layer stays bounded even here.  A node with several
+  outputs (a split) writes them concurrently, one thread per sink, and each
+  sink sees EOF when its own stream is done: written in turn, branch *k+1*
+  would wait for branch *k*'s consumer and the branches would run in series.
 
 In the last two modes the node's kernel receives the blocks themselves when
 :func:`repro.runtime.executor.block_kernel` finds a bytes kernel for its
@@ -51,6 +54,7 @@ from __future__ import annotations
 import os
 import shutil
 import subprocess
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain
@@ -58,6 +62,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.commands import standard_registry
 from repro.commands.base import CommandRegistry, Stream
+from repro.dfg.elision import is_plain_cat
 from repro.dfg.nodes import CatNode, CommandNode, DFGNode, FusedStage, RelayNode
 from repro.engine.channels import (
     DEFAULT_CHUNK_SIZE,
@@ -169,14 +174,7 @@ def execution_mode(plan: WorkerPlan) -> str:
     node = plan.node
     if host_command_available(node, plan.use_host_commands):
         return "materialize"
-    if isinstance(node, (CatNode, RelayNode)):
-        return "chunks"
-    if (
-        isinstance(node, CommandNode)
-        and node.name == "cat"
-        and not node.arguments
-        and not node.config_inputs
-    ):
+    if isinstance(node, (CatNode, RelayNode)) or is_plain_cat(node):
         return "chunks"
     if node_streams_statelessly(node):
         return "batches"
@@ -494,9 +492,34 @@ def _run_materialize_mode(
             f"node {node.label()} produced {len(outputs)} streams for "
             f"{len(plan.outputs)} output edges"
         )
-    for sink, stream in zip(sinks, outputs):
-        for piece in stream:
-            sink.write(piece)
+    _write_outputs(sinks, outputs)
+
+
+def _write_outputs(sinks: List[OutputSink], streams: list) -> None:
+    """Write each stream to its sink and finish it, all sinks at once.
+
+    One writer thread per extra sink (``os.write`` drops the GIL); the
+    first failure is re-raised once every thread is done.
+    """
+    errors: List[BaseException] = []
+
+    def drain(sink: OutputSink, stream) -> None:
+        try:
+            for piece in stream:
+                sink.write(piece)
+            sink.finish()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by the node
+            errors.append(exc)
+
+    threads = [threading.Thread(target=drain, args=pair) for pair in zip(sinks[1:], streams[1:])]
+    for thread in threads:
+        thread.start()
+    for pair in zip(sinks[:1], streams):
+        drain(*pair)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 # ---------------------------------------------------------------------------

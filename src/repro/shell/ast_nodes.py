@@ -9,7 +9,7 @@ shell text via :mod:`repro.shell.unparser`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 
 class Node:
@@ -98,9 +98,6 @@ class Word(Node):
 # ---------------------------------------------------------------------------
 # Redirections and assignments
 # ---------------------------------------------------------------------------
-
-
-REDIRECT_OPERATORS = (">", ">>", "<", "<<", "2>", "2>>", "2>&1", "&>", "<&", ">&")
 
 
 @dataclass
@@ -253,20 +250,6 @@ class IfClause(Node):
         if self.else_body is not None:
             parts.append(self.else_body)
         return tuple(parts)
-
-
-ShellNode = Union[
-    Command,
-    Pipeline,
-    AndOr,
-    BackgroundNode,
-    SequenceNode,
-    Subshell,
-    BraceGroup,
-    ForLoop,
-    WhileLoop,
-    IfClause,
-]
 
 
 def walk(node: Node):

@@ -48,7 +48,6 @@ class Token:
 
 
 _OPERATOR_STARTERS = "|&;()<>\n"
-_REDIRECT_OPS = ("2>>", "2>&1", ">>", "2>", ">&", "<&", "&>", ">", "<")
 
 
 class _Lexer:

@@ -26,9 +26,10 @@ per-process spawn costs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
 from repro.dfg.edges import EdgeKind
+from repro.dfg.elision import Elisions, plan_elisions
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, DFGNode, RelayNode, SplitNode
 from repro.simulator.costs import CostModel, default_cost_model
@@ -80,17 +81,34 @@ def simulate_graph(
     cost_model: Optional[CostModel] = None,
     include_setup: bool = False,
     stdin_lines: int = 0,
+    in_memory: Collection[str] = (),
 ) -> SimulationResult:
-    """Simulate ``graph`` given the number of lines behind each input file."""
+    """Simulate ``graph`` given the number of lines behind each input file.
+
+    On a machine whose relays are not processes (our scheduler) the nodes
+    :func:`~repro.dfg.elision.plan_elisions` leaves out cost no process, no
+    channel crossing and do not block; an input file is on disk, so a split
+    over it is byte ranges, unless ``in_memory`` names it.
+    """
     machine = machine or MachineModel.paper_testbed()
     cost_model = cost_model or default_cost_model()
+    input_edges = [edge for edge in graph.edges.values() if edge.is_graph_input]
+    elided = Elisions()
+    if not machine.relays_are_processes:
+        on_disk = {
+            edge.edge_id
+            for edge in input_edges
+            if edge.kind is EdgeKind.FILE and edge.name not in in_memory
+        }
+        elided = plan_elisions(graph, on_disk)
+    # A stream no process consumes (a graph output, a gathered cat's branch).
+    collected = {None, *elided.skipped}
 
     edge_lines: Dict[int, int] = {}
     edge_available: Dict[int, float] = {}
     edge_finish: Dict[int, float] = {}
     edge_emit_duration: Dict[int, float] = {}
 
-    input_edges = [edge for edge in graph.edges.values() if edge.is_graph_input]
     reader_count = max(len(input_edges), 1)
     for edge in input_edges:
         if edge.kind is EdgeKind.STDIN:
@@ -106,34 +124,38 @@ def simulate_graph(
 
     node_timings: Dict[int, NodeTiming] = {}
     total_work = 0.0
-    process_count = 0
+    process_count = decoded = 0
 
     for node in graph.topological_order():
         cost = cost_model.cost_for(node)
         in_lines = [edge_lines.get(edge_id, 0) for edge_id in node.inputs]
         total_in = sum(in_lines)
 
+        bridged = node.node_id in elided.skipped
         start, input_complete, extra_busy = _combine_inputs(
-            graph, node, edge_available, edge_finish, edge_emit_duration
+            graph, node, edge_available, edge_finish, edge_emit_duration, bridged
         )
 
         out_lines = _output_lines(node, cost, total_in, in_lines)
-        if isinstance(node, RelayNode) and not node.blocking and not machine.relays_are_processes:
-            work = 0.0  # bridged out of the plan: its edges are one stream
+        if bridged:
+            work = 0.0  # left out of the plan: its stream is at rest
         else:
-            # Each edge is billed once, to its consumer; the stream a graph
-            # output carries has no consuming node, so its producer pays.
+            # Each edge is billed once, to its consumer; a collected stream
+            # is paid for by its producer.
             delivered = sum(
                 lines
                 for edge_id, lines in zip(node.outputs, out_lines)
-                if graph.edge(edge_id).is_graph_output
+                if graph.edges[elided.tail(edge_id)].target in collected
             )
             work = cost.work_seconds(total_in) + machine.channel_seconds(total_in + delivered)
             process_count += 1
+            decoded += delivered  # by the driver, once the run is over
         total_work += work
 
         finish = max(input_complete, start + work + extra_busy)
-        blocking = cost.blocking or isinstance(node, SplitNode) and node.strategy == "general"
+        blocking = not bridged and (
+            cost.blocking or isinstance(node, SplitNode) and node.strategy == "general"
+        )
         available = finish if blocking else start + cost.startup_seconds
 
         fifo_drain = sum(out_lines) * _EMIT_SECONDS_PER_LINE
@@ -161,6 +183,7 @@ def simulate_graph(
     )
     total = max(critical_path, total_work / max(machine.cores, 1))
     total += machine.spawn_seconds(process_count)
+    total += machine.collect_seconds(decoded)
     if include_setup:
         total += machine.setup_seconds
     else:
@@ -230,6 +253,7 @@ def _combine_inputs(
     edge_available: Dict[int, float],
     edge_finish: Dict[int, float],
     edge_emit_duration: Dict[int, float],
+    bridged: bool = False,
 ):
     """Return (start, input_complete, extra_busy) for a node.
 
@@ -245,7 +269,11 @@ def _combine_inputs(
     availables = [edge_available.get(edge_id, 0.0) for edge_id in node.inputs]
     finishes = [edge_finish.get(edge_id, 0.0) for edge_id in node.inputs]
 
-    if len(node.inputs) == 1 or not isinstance(node, (CatNode, AggregatorNode, CommandNode)):
+    if (
+        len(node.inputs) == 1
+        or bridged  # a gathered cat's branches are collected independently
+        or not isinstance(node, (CatNode, AggregatorNode, CommandNode))
+    ):
         return min(availables), max(finishes), 0.0
 
     # Multi-input combiner: the branch behaviour depends on relays.

@@ -14,6 +14,7 @@ from typing import List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.dfg.edges import EdgeKind
+from repro.dfg.elision import is_plain_cat
 from repro.dfg.graph import DataflowGraph, GraphError
 from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, DFGNode
 
@@ -45,13 +46,7 @@ def preceding_concatenation(graph: DataflowGraph, node: CommandNode) -> Optional
     producer = graph.node(edge.source)
     if isinstance(producer, CatNode) and len(producer.inputs) >= 2:
         return producer
-    if (
-        isinstance(producer, CommandNode)
-        and producer.name == "cat"
-        and not producer.arguments
-        and len(producer.data_inputs) >= 2
-        and not producer.config_inputs
-    ):
+    if is_plain_cat(producer) and len(producer.data_inputs) >= 2:
         return producer
     return None
 

@@ -115,6 +115,7 @@ def plan_region(
             cost_model=_COSTS,
             include_setup=True,
             stdin_lines=stdin_lines,
+            in_memory=in_memory,
         ).total_seconds
         for width in candidate_widths(min(config.width, machine.cores))
     }

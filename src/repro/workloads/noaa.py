@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.workloads.base import BenchmarkScript
 
 #: Years covered by the use case (the paper uses 2015-2020).
 YEARS = list(range(2015, 2021))
@@ -120,23 +119,3 @@ def simulated_line_counts(years: List[int] = None, stations: int = 2000) -> Dict
     for year in years:
         counts[f"noaa/{year}.index"] = stations
     return counts
-
-
-#: Benchmark wrapper used by the evaluation harness for a single year.
-def _noaa_builder(chunks: List[str]) -> str:
-    # The NOAA pipeline reads the index file, not pre-chunked corpora; the
-    # chunk list length is still used to communicate the parallelism width.
-    return per_year_pipeline(YEARS[0])
-
-
-NOAA_BENCHMARK = BenchmarkScript(
-    name="noaa-weather",
-    build_script=_noaa_builder,
-    structure="8xS, 2xP",
-    simulated_total_lines=2000 * RECORDS_PER_STATION,
-    paper_input="82 GB (5 years)",
-    paper_seq_time="44m02s",
-    highlights="download, extract, preprocess, then max-temperature reduction",
-    corpus_generator=None,
-    static_line_counts={f"noaa/{YEARS[0]}.index": 2000},
-)

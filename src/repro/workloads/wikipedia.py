@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List
 
-from repro.workloads.base import BenchmarkScript
 
 _TOPICS = [
     "operating systems", "dataflow", "parallel computing", "shell scripting",
@@ -68,20 +67,3 @@ def indexing_script(pages_file: str = "urls.txt") -> str:
         " | strip-punct | tr -s ' ' | tr ' ' '\\n' | grep -v '^$' | word-stem"
         " | sort | uniq -c | sort -rn > index.txt"
     )
-
-
-def _wikipedia_builder(chunks: List[str]) -> str:
-    return indexing_script()
-
-
-WIKIPEDIA_BENCHMARK = BenchmarkScript(
-    name="wikipedia-indexing",
-    build_script=_wikipedia_builder,
-    structure="8xS (incl. annotated non-POSIX), 3xP",
-    simulated_total_lines=1_200_000,  # URL list expands ~200x via fetch-page
-    paper_input="1.3 GB (1% of Wikipedia)",
-    paper_seq_time="191m",
-    highlights="34-stage multi-language indexing pipeline",
-    corpus_generator=None,
-    static_line_counts={"urls.txt": 1_200_000 // 200},
-)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dfg.edges import EdgeKind
-from repro.dfg.graph import DataflowGraph, GraphError, count_processes, merge_graphs
+from repro.dfg.graph import DataflowGraph, GraphError, count_processes
 from repro.dfg.nodes import CatNode, CommandNode
 
 
@@ -114,15 +114,6 @@ def test_copy_is_deep():
 def test_count_processes():
     graph, _, _ = simple_chain()
     assert count_processes(graph) == 2
-
-
-def test_merge_graphs_disjoint_union():
-    first, _, _ = simple_chain()
-    second, _, _ = simple_chain()
-    merged = merge_graphs([first, second])
-    assert len(merged.nodes) == 4
-    assert len(merged.edges) == len(first.edges) + len(second.edges)
-    merged.validate()
 
 
 def test_nodes_of_kind():

@@ -49,6 +49,8 @@ def engine_metrics():
         stages_fused=1,
         commands_fused=2,
         relays_elided=1,
+        splits_ranged=1,
+        cats_gathered=1,
         edges_direct=2,
         edges_buffered=1,
     )
@@ -80,3 +82,11 @@ def test_engine_metrics_from_dict_ignores_derived_and_rejects_unknown():
     payload["bogus"] = True
     with pytest.raises(ValueError, match="unknown EngineMetrics fields: bogus"):
         EngineMetrics.from_dict(payload)
+
+
+def test_shape_counters_merge_like_their_neighbours_and_show_in_the_summary():
+    total = engine_metrics()
+    total.merge(engine_metrics())
+    assert (total.relays_elided, total.splits_ranged, total.cats_gathered) == (2, 2, 2)
+    assert "2 splits as file ranges, 2 cats gathered" in total.summary()
+    assert "file ranges" not in EngineMetrics().summary()

@@ -187,6 +187,52 @@ def test_a_session_that_only_declines_spawns_no_worker():
         assert session._session_pool().processes_spawned == 0
 
 
+def test_a_large_on_disk_region_is_planned_as_the_shape_the_pool_runs(
+    two_cores, tmp_path, monkeypatch
+):
+    """Over a file at rest the pool runs two workers — no ``cat``, no split,
+    no tail ``cat`` — and the planner bills exactly that: the region wins on
+    disk, and loses when the same lines must be fed from the driver's memory
+    through a split worker."""
+    monkeypatch.chdir(tmp_path)
+    lines = [f"light line {index} of the file alpha beta gamma" for index in range(100_000)]
+    (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines))
+    script = "cat in.txt | grep -v lights | cut -d ' ' -f 1-4 > out.txt"
+    config = PashConfig.paper_default(WIDTH)
+
+    on_disk = ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True))
+    result = JitDriver(config=config, environment=on_disk).run(script)
+    (outcome,) = result.jit.outcomes
+    assert outcome.width == WIDTH
+    assert outcome.predicted_parallel_seconds < outcome.predicted_sequential_seconds
+    assert (result.metrics.splits_ranged, result.metrics.cats_gathered) == (1, 1)
+    assert len(result.metrics.nodes) == WIDTH
+
+    held, _ = run_jit(script, {"in.txt": lines}, "auto")
+    (in_memory,) = held.jit.outcomes
+    assert in_memory.width == 1
+    assert in_memory.predicted_parallel_seconds > 2 * outcome.predicted_parallel_seconds
+    assert held.files["out.txt"] == result.files["out.txt"]
+
+
+def test_gathering_the_tail_cat_moves_no_decision_at_script_mix_sizes(two_cores):
+    """At the parent every region of every paper script stayed in-process
+    over 500-line in-memory inputs (pash-bench's ``script_mix``); billing the
+    tail ``cat`` as collection must not tip one of them onto the pool."""
+    with Pash(PashConfig.paper_default(WIDTH, backend="jit")) as session:
+        for name, workload in sorted(WORKLOADS.items()):
+            files = workload.correctness_dataset(WIDTH, lines=500)
+            try:
+                result = session.run(
+                    workload.script_for_width(WIDTH), environment=environment_of(files)
+                )
+            except CommandError:
+                continue  # e.g. ``sed -n``, refused by design
+            widths = {outcome.width for outcome in result.jit.outcomes}
+            assert widths <= {0, 1}, f"{name}: regions ran at {widths}"
+        assert session._session_pool().processes_spawned == 0
+
+
 def test_an_input_nobody_can_size_runs_at_the_configured_width():
     """A missing file has no line count: the region takes the pool at
     ``config.width``, which reports the missing input as it always did."""

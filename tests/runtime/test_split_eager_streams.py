@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.runtime.eager import EagerBuffer
-from repro.runtime.split import round_robin_split, split_stream
+from repro.runtime.split import split_stream
 from repro.runtime.streams import VirtualFileSystem
 
 lines_strategy = st.lists(st.text(alphabet="xyz", max_size=5), max_size=50)
@@ -27,26 +27,11 @@ def test_split_more_parts_than_lines():
     assert sum(chunks, []) == ["a"]
 
 
-def test_split_input_aware_with_known_size():
-    chunks = split_stream(["a", "b", "c", "d"], 2, strategy="input-aware", known_size=4)
-    assert chunks == [["a", "b"], ["c", "d"]]
-
-
-def test_split_input_aware_stale_size_loses_nothing():
-    chunks = split_stream(["a", "b", "c", "d", "e"], 2, strategy="input-aware", known_size=2)
-    assert sum(chunks, []) == ["a", "b", "c", "d", "e"]
-
-
 def test_split_invalid_arguments():
     with pytest.raises(ValueError):
         split_stream(["a"], 0)
     with pytest.raises(ValueError):
         split_stream(["a"], 2, strategy="zigzag")
-
-
-def test_round_robin_split_preserves_multiset():
-    chunks = round_robin_split(["a", "b", "c", "d", "e"], 2)
-    assert sorted(sum(chunks, [])) == ["a", "b", "c", "d", "e"]
 
 
 @given(lines_strategy, st.integers(min_value=1, max_value=6))

@@ -156,12 +156,13 @@ def test_this_host_bills_each_edge_once_and_skips_eager_relays():
 
     host = MachineModel.this_host()
     counts = {"in.txt": 100_000}
-    billed = simulate_graph(graph, counts, machine=host, cost_model=python_cost_model())
+    held = {"in_memory": ["in.txt"]}  # on disk, the split and its cat go too (below)
+    billed = simulate_graph(graph, counts, machine=host, cost_model=python_cost_model(), **held)
     assert billed.process_count == len(graph.nodes) - len(relays)
     assert all(billed.node_timings[relay.node_id].work == 0.0 for relay in relays)
 
     free = dataclasses.replace(host, channel_lines_per_second=0.0)
-    unbilled = simulate_graph(graph, counts, machine=free, cost_model=python_cost_model())
+    unbilled = simulate_graph(graph, counts, machine=free, cost_model=python_cost_model(), **held)
     relay_ids = {relay.node_id for relay in relays}
     edges = 0
     for edge_id, lines in billed.edge_lines.items():
@@ -170,6 +171,40 @@ def test_this_host_bills_each_edge_once_and_skips_eager_relays():
         if payer not in relay_ids:
             edges += lines
     assert billed.work_seconds - unbilled.work_seconds == pytest.approx(host.channel_seconds(edges))
+
+    paper = simulate_graph(graph, counts, machine=MachineModel.paper_testbed())
+    assert paper.process_count == len(graph.nodes)
+
+
+def test_this_host_bills_a_file_backed_split_and_a_tail_cat_as_no_process():
+    """What the scheduler leaves out of its plan the simulator leaves out of
+    its bill: over an on-disk file the split and the ``cat`` feeding it, and a
+    cat into a graph output, cost no process and no work, and do not block."""
+    from repro.simulator.costs import python_cost_model
+
+    graph = translate_script("cat in.txt | tr a-z A-Z | grep x > out.txt").regions[0].dfg
+    config = PashConfig.paper_default(2)
+    config.pipeline().run(graph, config)
+    by_kind = {}
+    for node in graph.nodes.values():
+        by_kind.setdefault(node.kind, []).append(node)
+    (split,), (tail,) = by_kind["split"], by_kind["cat"]
+    (head,) = [node for node in by_kind["command"] if node.label() == "cat"]
+
+    host = MachineModel.this_host()
+    counts = {"in.txt": 100_000}
+    costs = python_cost_model()
+    on_disk = simulate_graph(graph, counts, machine=host, cost_model=costs)
+    held = simulate_graph(graph, counts, machine=host, cost_model=costs, in_memory=["in.txt"])
+    workers = len(graph.nodes) - len(by_kind["relay"])
+    assert held.process_count == workers - 1  # the tail cat is gathered wherever the input lives
+    assert on_disk.process_count == workers - 3
+    for node in (split, head, tail):
+        assert on_disk.node_timings[node.node_id].work == 0.0
+    assert held.node_timings[split.node_id].work > 0.0
+    # Not a barrier: the branches start with the file, not after a split's last byte.
+    assert on_disk.node_timings[split.node_id].available < held.node_timings[split.node_id].available
+    assert on_disk.total_seconds < held.total_seconds
 
     paper = simulate_graph(graph, counts, machine=MachineModel.paper_testbed())
     assert paper.process_count == len(graph.nodes)
