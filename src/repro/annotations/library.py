@@ -101,8 +101,8 @@ comm {
 | otherwise => (P, [args[0], args[1]], [stdout])
 }
 cat {
-| -n => (P, [args[0:]], [stdout])
-| -b => (P, [args[0:]], [stdout])
+| -n => (N, [args[0:]], [stdout])
+| -b => (N, [args[0:]], [stdout])
 | otherwise => (S, [args[0:]], [stdout])
 }
 tr {

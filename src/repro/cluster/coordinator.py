@@ -4,12 +4,13 @@ Sharding policy (the location-independence argument, §4.2 of the paper):
 
 * **remote-eligible** — nodes that stream statelessly
   (:func:`repro.runtime.executor.node_streams_statelessly`: stateless
-  commands and fused stateless chains with one data input).  These are
-  exactly the copies the parallelize pass fans out, they carry no
-  cross-batch state, and their evaluation is byte-identical anywhere — so
-  they shard across workers.
+  commands with one data input) and fused chains whose members are all
+  data-parallelizable (``tr | sort``).  These are exactly the copies the
+  parallelize pass fans out, they are pure functions of their one input,
+  and their evaluation is byte-identical anywhere — so they shard across
+  workers.
 * **coordinator-local** — everything else: splits, concatenations,
-  aggregators, relays, sort-likes, and any node when the environment
+  aggregators, relays, lone sort-likes, and any node when the environment
   carries a custom (unpicklable) command registry.  Stateful nodes need
   the whole stream and sit at fan-in points whose inputs already live
   here, so keeping them local avoids a round trip that buys nothing.
@@ -48,7 +49,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.protocol import (
@@ -70,7 +71,7 @@ from repro.api.config import StreamingConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.graph import DataflowGraph
-from repro.dfg.nodes import DFGNode
+from repro.dfg.nodes import DFGNode, FusedStage
 from repro.engine.api import EngineResult, ExecutionBackend
 from repro.engine.channels import SpillBuffer, StoredStream
 from repro.engine.metrics import EngineMetrics, NodeMetrics
@@ -93,12 +94,16 @@ _worker_ids = itertools.count(1)
 def remote_eligible(node: DFGNode) -> bool:
     """Whether a node may execute on a remote worker (the sharding policy).
 
-    Exactly the engine's statelessness gate: a node that evaluates one line
-    batch at a time with no cross-batch state produces identical bytes on
-    any host, so shipping it is safe.  Everything else (splits, cats,
-    aggregators, relays, sort-likes, multi-input commands) stays on the
-    coordinator.
+    The engine's statelessness gate: a node that evaluates one line batch at
+    a time with no cross-batch state produces identical bytes on any host,
+    so shipping it is safe.  A fused stage is asked about its members: one
+    data input and every member a command of class S or P, pure, so the
+    same holds for the whole chain.  Everything else (splits, cats,
+    aggregators, relays, lone sort-likes, multi-input commands) stays on
+    the coordinator.
     """
+    if isinstance(node, FusedStage):
+        return len(node.inputs) == 1 and node.parallelizability().is_data_parallelizable
     return node_streams_statelessly(node)
 
 
@@ -178,7 +183,7 @@ class EdgeStore:
         return self._streams[edge_id]
 
     def lines(self, edge_id: int) -> List[str]:
-        return self._streams[edge_id].lines(self.streaming.chunk_size)
+        return self._streams[edge_id].lines(self.streaming.spill_threshold)
 
     def close(self) -> None:
         shutil.rmtree(self.directory, ignore_errors=True)
@@ -527,15 +532,12 @@ class _GraphRun:
     def _run_local(self, node_id: int) -> None:
         """Run one node here, with the engine's node runner over the store."""
         node = self.graph.node(node_id)
-        streaming = self.options.streaming
         plan = WorkerPlan(
             node=node,
             inputs=[InputPort(edge_id, stream=self.store.get(edge_id)) for edge_id in node.inputs],
             outputs=[OutputPort(edge_id) for edge_id in node.outputs],
             registry=self.environment.registry,
-            chunk_size=streaming.chunk_size,
-            spill_threshold=streaming.spill_threshold,
-            spill_directory=self.store.directory,
+            streaming=replace(self.options.streaming, spill_directory=self.store.directory),
         )
         metrics = NodeMetrics.of(node)
         with self.tracer.span(

@@ -36,6 +36,7 @@ import tempfile
 import threading
 from typing import Any, Dict, List, Optional
 
+from repro.api.config import StreamingConfig
 from repro.cluster.protocol import (
     MSG_ACK,
     MSG_CHUNK,
@@ -144,9 +145,7 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
             outputs=[OutputPort(edge_id) for edge_id in message["outputs"]],
             registry=None,  # re-created in-process: the standard registry
             use_host_commands=bool(message.get("use_host_commands")),
-            chunk_size=chunk_size,
-            spill_threshold=task.spill_threshold,
-            spill_directory=task.directory,
+            streaming=StreamingConfig(chunk_size, task.spill_threshold, task.directory),
             run_token=task_id,
             trace=message.get("trace"),
             faults=message.get("faults"),

@@ -4,6 +4,7 @@ custom annotated commands used by the web-indexing and NOAA use cases."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from typing import List
 
@@ -23,8 +24,11 @@ from repro.commands.base import (
 
 
 def cat(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``cat [-n]``: concatenate inputs, optionally numbering lines."""
+    """``cat [-n|-b]``: concatenate inputs, optionally numbering (non-blank) lines."""
     data = concat_streams(inputs)
+    if has_flag(arguments, "-b"):
+        numbers = itertools.count(1)
+        return [f"{next(numbers):6d}\t{line}" if line else line for line in data]
     if has_flag(arguments, "-n"):
         return [f"{index:6d}\t{line}" for index, line in enumerate(data, start=1)]
     return data

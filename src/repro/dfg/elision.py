@@ -2,19 +2,19 @@
 
 A node gets a process only when something has to *move* bytes.  Three shapes
 do not: a non-blocking **relay** (its two edges are one stream), a **split**
-of a seekable file (byte ranges of it) and a **cat** into a graph output (its
-branches, collected where they end, in input order).  Chosen by what the
-edges *are*, never by a setting; docs/ARCHITECTURE.md "What gets a process"
-has the argument.  The scheduler executes this plan and the simulator bills it.
+of a seekable file (byte ranges of it) and a **cat or aggregator** into a
+graph output (its branches, collected and combined where they end).  Chosen
+by what the edges *are*, never by a setting; docs/ARCHITECTURE.md "What gets
+a process" has the argument.  The scheduler executes this plan and the simulator bills it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Dict, List, Optional
+from typing import Container, Dict, Optional, Union
 
 from repro.dfg.graph import DataflowGraph
-from repro.dfg.nodes import CatNode, CommandNode, DFGNode, RelayNode, SplitNode
+from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, DFGNode, RelayNode, SplitNode
 
 
 def is_plain_cat(node: DFGNode) -> bool:
@@ -37,8 +37,8 @@ class Elisions:
     tails: Dict[int, int] = field(default_factory=dict)
     #: A ranged split's node id -> the graph-input file edge it partitions.
     ranged: Dict[int, int] = field(default_factory=dict)
-    #: A graph-output edge -> the input edges of the gathered cat behind it.
-    gathers: Dict[int, List[int]] = field(default_factory=dict)
+    #: A graph-output edge -> the gathered cat or aggregator behind it.
+    gathers: Dict[int, Union[CatNode, AggregatorNode]] = field(default_factory=dict)
 
     def head(self, edge_id: int) -> int:
         """Where a consumer's stream really comes from."""
@@ -65,7 +65,7 @@ def plan_elisions(graph: DataflowGraph, at_rest: Container[int]) -> Elisions:
     files, the ones a consumer can read a byte range of.
     """
     plan = Elisions()
-    kinds = (RelayNode, SplitNode, CatNode)
+    kinds = (RelayNode, SplitNode, CatNode, AggregatorNode)
     nodes = [node for _, node in sorted(graph.nodes.items()) if isinstance(node, kinds)]
 
     def producer(edge_id: int) -> Optional[int]:
@@ -107,13 +107,15 @@ def plan_elisions(graph: DataflowGraph, at_rest: Container[int]) -> Elisions:
             plan.skipped[node.node_id] = node
             plan.ranged[node.node_id] = head.edge_id
     for node in nodes:
-        # A cat whose output leads, through bridged relays, to a graph output
-        # and whose inputs all have producing processes: every producer
-        # collects its branch and the branches are concatenated in order.
-        if not isinstance(node, CatNode) or not node.inputs or len(node.outputs) != 1:
+        # A cat or aggregator whose output leads, through bridged relays, to
+        # a graph output and whose inputs all have producing processes: every
+        # producer collects its branch and the driver combines the branches.
+        if not isinstance(node, (CatNode, AggregatorNode)):
+            continue
+        if not node.inputs or len(node.outputs) != 1:
             continue
         out = graph.edge(plan.tail(node.outputs[0]))
         if out.target is None and all(producer(edge_id) is not None for edge_id in node.inputs):
             plan.skipped[node.node_id] = node
-            plan.gathers[out.edge_id] = list(node.inputs)
+            plan.gathers[out.edge_id] = node
     return plan

@@ -112,18 +112,19 @@ class RelayNode(DFGNode):
 
 @dataclass
 class FusedStage(DFGNode):
-    """A maximal linear chain of stateless commands evaluated by one worker.
+    """A maximal linear chain of commands evaluated by one worker.
 
     Produced by the ``fuse-stages`` optimization pass: consecutive
     single-input single-output commands in the *stateless* annotation class
-    (Table 1) are collapsed into one node that evaluates the whole chain as
-    an in-process generator pipeline.  Semantically the stage is the function
-    composition of its members — stateless commands satisfy
-    ``f(concat(xs)) == concat(map(f, xs))``, and composition preserves that
-    property, so a fused stage streams batch-at-a-time exactly like its
-    members did.  The parallel engine runs the chain in a single worker with
-    no interior OS pipe, pump thread, or chunk re-framing; the shell
-    back-end emits it as a plain ``a | b | c`` pipeline.
+    (Table 1), optionally closed by one pure command that is not
+    (``tr A-Z a-z | sort``), are collapsed into one node.  Semantically the
+    stage is the function composition of its members.  Stateless commands
+    satisfy ``f(concat(xs)) == concat(map(f, xs))`` and composition preserves
+    that, so an all-stateless stage streams batch-at-a-time exactly like its
+    members did; a stage with a pure tail needs its whole input, as the tail
+    did.  The parallel engine runs the chain in a single worker with no
+    interior OS pipe, pump thread, or chunk re-framing; the shell back-end
+    emits it as a plain ``a | b | c`` pipeline.
     """
 
     #: The fused command nodes, in dataflow order.  Their ``node_id``s are
@@ -136,8 +137,9 @@ class FusedStage(DFGNode):
         return rendered if len(rendered) <= 60 else rendered[:57] + "..."
 
     def parallelizability(self) -> ParallelizabilityClass:
-        """Composition of stateless functions is stateless."""
-        return ParallelizabilityClass.STATELESS
+        """The least parallelizable class among the members."""
+        classes = [node.parallelizability_class for node in self.nodes]
+        return max(classes, default=ParallelizabilityClass.STATELESS)
 
 
 @dataclass

@@ -320,11 +320,16 @@ class StoredStream:
                     left -= len(piece)
                     yield piece
 
-    def lines(self, chunk_size: int = DEFAULT_CHUNK_SIZE) -> List[str]:
-        """The whole stream decoded — the one decode of a graph output."""
+    def lines(self, piece_size: int = DEFAULT_SPILL_THRESHOLD) -> List[str]:
+        """The whole stream decoded — the one decode of a collected stream.
+
+        A file is read in pieces of ``piece_size`` (the caller's spill
+        threshold: what it may hold in memory anyway), so the decode is one
+        ``decode``/``split`` per piece, not one per channel chunk.
+        """
         if self.path is None:
             return decode_block(self.data)
-        return list(iter_decoded_lines(self.blocks(chunk_size)))
+        return list(iter_decoded_lines(self.blocks(piece_size)))
 
     def unlink(self) -> None:
         """Remove the file (only its writer's run calls this)."""

@@ -95,6 +95,9 @@ class EngineMetrics:
     #: Tail ``cat`` nodes run as ordered collection: every producer reports
     #: its branch and the scheduler concatenates them.
     cats_gathered: int = 0
+    #: Tail aggregators run the same way: the scheduler applies the
+    #: aggregator to the decoded branches, so no merge worker and no pumps.
+    aggregators_gathered: int = 0
     #: Channel inputs read directly (no eager-pump thread, no extra copy).
     edges_direct: int = 0
     #: Channel inputs drained through eager pumps (deadlock-relevant fan-in).
@@ -227,11 +230,13 @@ class EngineMetrics:
                 f"{self.processes_reused} reused "
                 f"(spawn {self.spawn_seconds * 1000:.1f} ms)"
             )
-        if self.stages_fused or self.relays_elided or self.splits_ranged or self.cats_gathered:
+        gathered = self.cats_gathered or self.aggregators_gathered
+        if self.stages_fused or self.relays_elided or self.splits_ranged or gathered:
             digest += (
                 f"; fused {self.commands_fused} commands into "
                 f"{self.stages_fused} stages, elided {self.relays_elided} relays, "
-                f"{self.splits_ranged} splits as file ranges, {self.cats_gathered} cats gathered"
+                f"{self.splits_ranged} splits as file ranges, {self.cats_gathered} cats gathered, "
+                f"{self.aggregators_gathered} aggregators gathered"
             )
         if self.cluster_workers:
             digest += (

@@ -15,11 +15,13 @@ the order-aware dataflow analysis:
   buffering it stood for is provided by the consumer-side pumps (below).
   Nor do the two endpoints where a stream is *at rest*: a split over a
   regular file is byte ranges of it (each consumer opens the file and reads
-  its own, :func:`~repro.engine.channels.file_ranges`), and a ``cat`` into a
-  graph output is ordered collection (each producer reports its branch, the
-  branches are concatenated here, in input order).  Blocking relays keep
+  its own, :func:`~repro.engine.channels.file_ranges`), and a ``cat`` or an
+  aggregator into a graph output is collection (each producer reports its
+  branch, and the decoded branches are combined here by the interpreter's
+  own :func:`~repro.runtime.executor.evaluate_node`).  Blocking relays keep
   their worker — absorb-then-forward is observable timing semantics
-  (Fig. 6) — and so does a split fed by a pipe, stdin or an in-memory file.
+  (Fig. 6) — and so do a split fed by a pipe, stdin or an in-memory file and
+  an aggregator in the middle of a graph.
 * **pump rationalization** — eager-pump threads are started only on edges
   that are deadlock-relevant: fan-in nodes (aggregators, ``cat`` combiners,
   anything consuming two or more channels sequentially).  Straight-line
@@ -44,16 +46,16 @@ import shutil
 import tempfile
 import time
 from contextlib import nullcontext
-from itertools import chain
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.api.config import PashConfig
+from repro.api.config import PashConfig, StreamingConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.elision import Elisions, plan_elisions
-from repro.dfg.nodes import FusedStage, RelayNode
+from repro.dfg.nodes import AggregatorNode, FusedStage, RelayNode
 from repro.engine.channels import Channel, StoredStream, encode_lines, file_ranges
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
@@ -64,6 +66,7 @@ from repro.runtime.executor import (
     ExecutionError,
     ExecutionResult,
     deliver_output,
+    evaluate_node,
     resolve_graph_input,
 )
 
@@ -129,7 +132,10 @@ class ParallelScheduler:
         self._annotate_fusion(graph, metrics)
         metrics.relays_elided = sum(isinstance(n, RelayNode) for n in elisions.skipped.values())
         metrics.splits_ranged = len(elisions.ranged)
-        metrics.cats_gathered = len(elisions.gathers)
+        metrics.aggregators_gathered = sum(
+            isinstance(node, AggregatorNode) for node in elisions.gathers.values()
+        )
+        metrics.cats_gathered = len(elisions.gathers) - metrics.aggregators_gathered
 
         # One run at a time per pool: a run's reports travel through the
         # pool's shared queue, so an interleaved run would steal them.
@@ -141,6 +147,7 @@ class ParallelScheduler:
             relays_elided=metrics.relays_elided,
             splits_ranged=metrics.splits_ranged,
             cats_gathered=metrics.cats_gathered,
+            aggregators_gathered=metrics.aggregators_gathered,
         )
         with run_span, run_guard:
             return self._execute_locked(
@@ -166,16 +173,17 @@ class ParallelScheduler:
 
         channels = self._open_channels(graph, elisions)
         all_fds = [fd for channel in channels.values() for fd in channel.fds()]
-        # All of this run's spill files (pump overflow, oversized graph
-        # outputs) live in one run-scoped directory, removed unconditionally
-        # on the way out — so even a worker killed before reporting cannot
-        # leak its spill file.
+        # All of this run's spill files (pump overflow, collected streams
+        # handed off as files) live in one run-scoped directory, removed
+        # unconditionally on the way out — so even a worker killed before
+        # reporting cannot leak its spill file.
         spill_directory = self.config.streaming.spill_directory
         if spill_directory:
             os.makedirs(spill_directory, exist_ok=True)
         run_spill_directory = tempfile.mkdtemp(
             prefix="pash-run-spill-", dir=spill_directory
         )
+        streaming = replace(self.config.streaming, spill_directory=run_spill_directory)
         token = next(_run_tokens)
         pooled: Dict[int, object] = {}  # node_id -> PoolWorker
         reports: Dict[int, dict] = {}
@@ -191,7 +199,7 @@ class ParallelScheduler:
                     at_rest.update(zip(outputs, file_ranges(at_rest[edge_id].path, len(outputs))))
                 plans = [
                     self._plan(
-                        node_id, graph, channels, all_fds, run_spill_directory,
+                        node_id, graph, channels, all_fds, streaming,
                         elisions, at_rest, token, worker_trace,
                     )
                     for node_id in self._topo_ids(graph)
@@ -265,7 +273,7 @@ class ParallelScheduler:
             for report in reports.values():
                 for edge_id, stored in report["outputs"].items():
                     try:
-                        edge_values[edge_id] = stored.lines(self.config.streaming.chunk_size)
+                        edge_values[edge_id] = stored.lines(streaming.spill_threshold)
                     except UnicodeDecodeError as exc:
                         # A pass-through node never decoded what it forwarded.
                         label = report["metrics"]["label"]
@@ -284,12 +292,18 @@ class ParallelScheduler:
                 node_metrics.reused_worker = report["node_id"] in pooled
                 metrics.nodes.append(node_metrics)
             metrics.nodes.sort(key=lambda node: node.node_id)
-            for edge_id, branches in elisions.gathers.items():
-                # Ordered collection: the tail cat, done where its branches
-                # already are at rest.
-                edge_values[edge_id] = list(
-                    chain.from_iterable(edge_values.pop(branch) for branch in branches)
-                )
+            for edge_id, node in elisions.gathers.items():
+                # The tail cat or aggregator, done where its branches already
+                # are at rest, by the evaluator the interpreter uses.
+                branches = [edge_values.pop(branch) for branch in node.inputs]
+                try:
+                    (edge_values[edge_id],) = evaluate_node(
+                        node, branches, self.environment.registry
+                    )
+                except Exception as exc:  # what its worker would have reported
+                    raise ExecutionError(
+                        f"1 worker(s) failed: {node.label()}: {type(exc).__name__}: {exc}"
+                    ) from exc
         except Exception:
             for channel in channels.values():
                 channel.close()
@@ -364,7 +378,7 @@ class ParallelScheduler:
         Channels are keyed by the stream's head edge (the producing worker's
         output edge); consumers look their read end up by following their
         input edge back to that head.  A stream no worker consumes — a graph
-        output, a gathered cat's branch — is collected, not piped.
+        output, a gathered node's branch — is collected, not piped.
         """
         channels: Dict[int, Channel] = {}
         for edge_id in sorted(graph.edges):
@@ -385,7 +399,7 @@ class ParallelScheduler:
         graph: DataflowGraph,
         channels: Dict[int, Channel],
         all_fds: List[int],
-        spill_directory: str,
+        streaming: StreamingConfig,
         elisions: Elisions,
         at_rest: Dict[int, StoredStream],
         token: int,
@@ -409,7 +423,7 @@ class ParallelScheduler:
             else:
                 # Collected (possibly through elided relays): report the
                 # stream under its last edge's id — the graph output, so
-                # delivery finds it, or a gathered cat's input.
+                # delivery finds it, or a gathered node's input.
                 outputs.append(OutputPort(elisions.tail(edge_id)))
         registry = self.environment.registry
         if registry is standard_registry():
@@ -423,9 +437,7 @@ class ParallelScheduler:
             outputs=outputs,
             registry=registry,
             use_host_commands=self.config.use_host_commands,
-            chunk_size=self.config.streaming.chunk_size,
-            spill_threshold=self.config.streaming.spill_threshold,
-            spill_directory=spill_directory,
+            streaming=streaming,
             close_fds=all_fds,
             run_token=token,
             trace=trace,

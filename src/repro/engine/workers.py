@@ -27,8 +27,9 @@ Each node runs in one of three modes, picked by :func:`execution_mode`:
   same property that makes them parallelizable; memory use is one block.
   A :class:`~repro.dfg.nodes.FusedStage` runs its whole command chain over
   each block in-process — no pipe, pump, or re-framing between members.
-* ``materialize`` — everything else (sort-likes, aggregators, splits, host
-  commands) still needs the whole stream; the eager pumps that feed it
+* ``materialize`` — everything else (sort-likes, fused chains that end in
+  one, aggregators, splits, host commands) still needs the whole stream,
+  and a fused chain's kernels compose over it; the eager pumps that feed it
   buffer at most ``spill_threshold`` bytes in memory and spill the rest to
   disk, so the *channel* layer stays bounded even here.  A node with several
   outputs (a split) writes them concurrently, one thread per sink, and each
@@ -43,10 +44,10 @@ chosen by what the node is, never by a setting.
 Workers never raise: every outcome, including failure, is delivered to the
 scheduler as a report on the shared queue, and all owned file descriptors are
 closed on the way out so that downstream workers always observe EOF instead
-of hanging.  A graph output travels in the report as a
-:class:`~repro.engine.channels.StoredStream`: one that exceeds the spill
-threshold stays in a file of the run's directory instead of squeezing
-through the report queue's pipe.
+of hanging.  A collected stream (a graph output, a gathered branch) travels
+in the report as a :class:`~repro.engine.channels.StoredStream`: inline up to
+:data:`INLINE_HANDOFF_BYTES`, above that as a file of the run's directory
+instead of squeezing through the report queue's pipe.
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
+from repro.api.config import StreamingConfig
 from repro.commands import standard_registry
 from repro.commands.base import CommandRegistry, Stream
 from repro.dfg.elision import is_plain_cat
 from repro.dfg.nodes import CatNode, CommandNode, DFGNode, FusedStage, RelayNode
 from repro.engine.channels import (
-    DEFAULT_CHUNK_SIZE,
-    DEFAULT_SPILL_THRESHOLD,
     ChannelReader,
     ChannelWriter,
     EagerPump,
@@ -85,9 +85,14 @@ from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
     block_kernel,
     evaluate_node,
-    evaluate_stateless_batch,
     node_streams_statelessly,
 )
+
+#: The largest collected stream that rides inline in its worker's report; a
+#: larger one is handed off as a file of the run's directory.  One pipe
+#: buffer, from a sweep: 5 MiB takes 5.9 ms pickled through ``mp.Queue`` and
+#: 2.8 ms as a file, and the two break even at about 64 KiB.
+INLINE_HANDOFF_BYTES = 1 << 16
 
 
 @dataclass
@@ -126,13 +131,9 @@ class WorkerPlan:
     outputs: List[OutputPort] = field(default_factory=list)
     registry: Optional[CommandRegistry] = None
     use_host_commands: bool = False
-    chunk_size: int = DEFAULT_CHUNK_SIZE
-    #: In-memory high-water mark (bytes) of every stream buffer this worker
-    #: owns — eager-pump windows and graph-output accumulators — beyond
-    #: which data spills to disk.
-    spill_threshold: int = DEFAULT_SPILL_THRESHOLD
-    #: Directory for spill files (None = the system temp directory).
-    spill_directory: Optional[str] = None
+    #: Chunk size, the in-memory high-water mark of every stream buffer this
+    #: worker owns and the (run-scoped) directory its spill files go to.
+    streaming: StreamingConfig = StreamingConfig()
     #: Every channel fd in the graph; the worker closes the ones it does not
     #: own so that EOF propagates correctly after the fork.  Empty for pool
     #: workers, which only ever receive their own descriptors.
@@ -255,14 +256,12 @@ def _open_sources(plan: WorkerPlan) -> List[InputSource]:
     sources: List[InputSource] = []
     for port in plan.inputs:
         if port.fd is None:
-            sources.append(InputSource(port.stream.blocks(plan.chunk_size)))
+            sources.append(InputSource(port.stream.blocks(plan.streaming.chunk_size)))
             continue
-        reader = ChannelReader(port.fd, chunk_size=plan.chunk_size)
+        reader = ChannelReader(port.fd, chunk_size=plan.streaming.chunk_size)
         if pump_channels:
             pump = EagerPump(
-                reader,
-                spill_threshold=plan.spill_threshold,
-                spill_directory=plan.spill_directory,
+                reader, plan.streaming.spill_threshold, plan.streaming.spill_directory
             )
             pump.start()
             sources.append(InputSource(pump.iter_chunks(), pump.buffer))
@@ -346,14 +345,17 @@ class ChannelSink(OutputSink):
 class ReportSink(OutputSink):
     """A collected edge: counted, appended to a spill buffer, handed off.
 
-    A stream under the spill threshold travels inline; a larger one is a
-    file of the run's directory, so a multi-hundred-megabyte graph output
-    neither sits in worker memory nor squeezes through the report queue's
-    pipe.  Whoever receives the stored stream reads it and removes the file.
+    A stream of at most :data:`INLINE_HANDOFF_BYTES` (or the spill threshold,
+    when that is lower) travels inline; a larger one is a file of the run's
+    directory, so it neither sits in worker memory nor squeezes through the
+    report queue's pipe.  Whoever receives the stored stream reads it and
+    removes the file.
     """
 
-    def __init__(self, spill_threshold: int, directory: Optional[str]) -> None:
-        self.buffer = SpillBuffer(spill_threshold, directory)
+    def __init__(self, streaming: StreamingConfig) -> None:
+        self.buffer = SpillBuffer(
+            min(streaming.spill_threshold, INLINE_HANDOFF_BYTES), streaming.spill_directory
+        )
         self.bytes_out = 0
         self.lines_out = 0
 
@@ -370,9 +372,9 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
     sinks: List[OutputSink] = []
     for port in plan.outputs:
         if port.fd is not None:
-            sinks.append(ChannelSink(port.fd, plan.chunk_size))
+            sinks.append(ChannelSink(port.fd, plan.streaming.chunk_size))
         else:
-            sinks.append(ReportSink(plan.spill_threshold, plan.spill_directory))
+            sinks.append(ReportSink(plan.streaming))
     return sinks
 
 
@@ -405,7 +407,7 @@ def _run_chunk_mode(
     if isinstance(node, RelayNode) and node.blocking:
         # Blocking-eager semantics (Fig. 6): absorb the whole stream before
         # forwarding anything — through a bounded buffer, not a list.
-        stage = SpillBuffer(plan.spill_threshold, directory=plan.spill_directory)
+        stage = SpillBuffer(plan.streaming.spill_threshold, plan.streaming.spill_directory)
         for chunk in _concatenated_blocks(sources):
             stage.append(chunk)
         stage.close()
@@ -444,7 +446,7 @@ def _run_batch_mode(
         if kernel:
             pieces = list(kernel(batch)[0])  # a kernel may be lazy: force it here
         else:
-            pieces = [evaluate_stateless_batch(node, batch, registry)]
+            pieces = [evaluate_node(node, [batch], registry)[0]]
         metrics.compute_seconds += time.perf_counter() - started
         for piece in pieces:
             for sink in sinks:

@@ -32,9 +32,10 @@ def table2_row(
         "highlights": benchmark.highlights,
     }
     for width in widths:
+        # Unfused, as in the harness: Table 2 counts the paper's nodes.
         compiled = Pash.compile(
             benchmark.script_for_width(width),
-            PashConfig.paper_default(width),
+            PashConfig.paper_default(width, fuse_stages=False),
         )
         row[f"nodes_{width}"] = compiled.node_count
         row[f"compile_time_{width}"] = round(compiled.stats.compile_time_seconds, 4)

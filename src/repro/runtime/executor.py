@@ -49,7 +49,10 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
         if isinstance(node, CommandNode):
             output = registry.run(node.name, node.arguments, inputs)
         else:
-            output = evaluate_stateless_batch(node, inputs[0] if inputs else [], registry)
+            # The composition of the members: each one's output feeds the next.
+            output = inputs[0] if inputs else []
+            for member in node.nodes:
+                output = registry.run(member.name, member.arguments, [output])
         # ``run`` hands back a list nobody else holds: only the extra edges
         # of a multi-output node need copies of their own.
         return [output] + [list(output) for _ in node.outputs[1:]]
@@ -72,23 +75,6 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
         # whole in-memory streams a relay is the identity.
         return [list(inputs[0])]
     raise ExecutionError(f"cannot execute node of kind {node.kind!r}")
-
-
-def evaluate_stateless_batch(node: DFGNode, batch: Stream, registry: CommandRegistry) -> Stream:
-    """Evaluate one stateless node (or fused chain) over one line batch.
-
-    The single evaluation kernel shared by the interpreter and the parallel
-    engine's batch-mode workers: a :class:`~repro.dfg.nodes.FusedStage` runs
-    its members as an in-process pipeline (each member's output feeds the
-    next, no intermediate framing), a plain command runs once.
-    """
-    if isinstance(node, FusedStage):
-        stream: Stream = batch
-        for member in node.nodes:
-            stream = registry.run(member.name, member.arguments, [stream])
-        return stream
-    assert isinstance(node, CommandNode)
-    return registry.run(node.name, node.arguments, [batch])
 
 
 def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKernel]:
@@ -141,8 +127,12 @@ def node_streams_statelessly(node: DFGNode) -> bool:
     path's memory bounded for larger-than-RAM streams.
     """
     if isinstance(node, FusedStage):
-        # Fused by construction from stateless single-input members.
-        return len(node.inputs) == 1
+        # A chain streams when every member does; one closed by a pure tail
+        # needs its whole input.
+        return (
+            len(node.inputs) == 1
+            and node.parallelizability() is ParallelizabilityClass.STATELESS
+        )
     return (
         isinstance(node, CommandNode)
         and node.parallelizability_class is ParallelizabilityClass.STATELESS

@@ -192,21 +192,28 @@ class CostModel:
         """Cost of a fused chain: serialized member work, composed selectivity.
 
         The figures pipeline simulates the paper's one-process-per-node
-        runtime (fusion pinned off there), so this composition only backs
-        ad-hoc simulations of fused graphs; it charges each member's
-        per-line cost scaled by the fraction of lines reaching it.
+        runtime (fusion pinned off there); the region planner bills the fused
+        graph the pool runs.  Each member's per-line cost is scaled by the
+        fraction of lines reaching it; the stage blocks when a member does,
+        and takes its shape (complexity, fixed output) from its tail — the
+        only member that may not be stateless.  Under an ``nlogn`` tail the
+        linear members' rates are restated at the calibration size.
         """
+        tail = self.cost_for(stage.nodes[-1])
+        linear = math.log2(CALIBRATION_LINES) if tail.complexity == "nlogn" else 1.0
         seconds = 0.0
         selectivity = 1.0
         startup = 0.0
         blocking = False
         for member in stage.nodes:
             cost = self.cost_for(member)
-            seconds += selectivity * cost.seconds_per_line
+            scale = 1.0 if cost.complexity == "nlogn" else linear
+            seconds += selectivity * cost.seconds_per_line / scale
             selectivity *= cost.selectivity
             startup = max(startup, cost.startup_seconds)
             blocking = blocking or cost.blocking
-        return CommandCost(
+        return replace(
+            tail,
             seconds_per_line=seconds,
             selectivity=selectivity,
             startup_seconds=startup,

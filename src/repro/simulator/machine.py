@@ -102,11 +102,13 @@ class MachineModel:
         the probe (dispatch and report on 4-line graphs) is only its floor,
         and the tool prints the values under which the planner's picks for
         width-2 ``wf``, ``grep | cut`` and ``sort`` over 1k-100k on-disk
-        lines have no regret (0.5-2 ms here).
+        lines have the least regret.  This box runs a pool in two moods —
+        two workers get two cores, or between them about one — and 1.9 ms
+        is the choice whose worst pick over both is mildest (docs/JIT.md).
         """
         return cls(
             cores=usable_cores(),
-            process_spawn_seconds=0.001,
+            process_spawn_seconds=0.0019,
             setup_seconds=0.0005,
             sequential_setup_seconds=0.00005,
             disk_lines_per_second=20_000_000.0,

@@ -88,7 +88,9 @@ def simulate_graph(
     On a machine whose relays are not processes (our scheduler) the nodes
     :func:`~repro.dfg.elision.plan_elisions` leaves out cost no process, no
     channel crossing and do not block; an input file is on disk, so a split
-    over it is byte ranges, unless ``in_memory`` names it.
+    over it is byte ranges, unless ``in_memory`` names it.  A gathered
+    aggregator still has work to do: the driver does it, once its last
+    branch is in.
     """
     machine = machine or MachineModel.paper_testbed()
     cost_model = cost_model or default_cost_model()
@@ -101,8 +103,11 @@ def simulate_graph(
             if edge.kind is EdgeKind.FILE and edge.name not in in_memory
         }
         elided = plan_elisions(graph, on_disk)
-    # A stream no process consumes (a graph output, a gathered cat's branch).
+    # A stream no process consumes (a graph output, a gathered node's branch).
     collected = {None, *elided.skipped}
+    merged = {
+        node.node_id for node in elided.gathers.values() if isinstance(node, AggregatorNode)
+    }
 
     edge_lines: Dict[int, int] = {}
     edge_available: Dict[int, float] = {}
@@ -137,7 +142,10 @@ def simulate_graph(
         )
 
         out_lines = _output_lines(node, cost, total_in, in_lines)
-        if bridged:
+        if node.node_id in merged:
+            work = cost.work_seconds(total_in)  # the driver's, after the last branch
+            start = input_complete
+        elif bridged:
             work = 0.0  # left out of the plan: its stream is at rest
         else:
             # Each edge is billed once, to its consumer; a collected stream
@@ -153,7 +161,7 @@ def simulate_graph(
         total_work += work
 
         finish = max(input_complete, start + work + extra_busy)
-        blocking = not bridged and (
+        blocking = node.node_id in merged or not bridged and (
             cost.blocking or isinstance(node, SplitNode) and node.strategy == "general"
         )
         available = finish if blocking else start + cost.startup_seconds

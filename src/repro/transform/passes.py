@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type
 
+from repro.annotations.classes import ParallelizabilityClass
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CommandNode, DFGNode, FusedStage
 from repro.runtime.executor import node_streams_statelessly
@@ -240,11 +241,13 @@ class FuseStagesPass(GraphPass):
     edge for data that could flow through a single in-process pipeline.
     This pass replaces each such chain with one
     :class:`~repro.dfg.nodes.FusedStage` that a single worker evaluates
-    batch-at-a-time.  Fusion is gated on the Table-1 annotation class via
-    :func:`repro.runtime.executor.node_streams_statelessly`, so it never
-    crosses a fan-out/fan-in boundary, a relay (eager or blocking), a split,
-    or an aggregator — exactly the places where the order-aware dataflow
-    analysis needs real inter-process edges for deadlock-freedom.
+    batch-at-a-time.  A chain may end in one pure command that is not
+    stateless (``tr A-Z a-z | sort``): the stage then needs its whole input,
+    as that command did alone.  Fusion is gated on the Table-1 annotation
+    class via :func:`repro.runtime.executor.node_streams_statelessly`, so it
+    never crosses a fan-out/fan-in boundary, a relay (eager or blocking), a
+    split, or an aggregator — exactly the places where the order-aware
+    dataflow analysis needs real inter-process edges for deadlock-freedom.
 
     Disabled by ``fuse_stages=False`` on the config or by name
     (``--disable-pass fuse-stages``); the ablation reproduces the unfused
@@ -261,34 +264,35 @@ class FuseStagesPass(GraphPass):
         for node in list(graph.topological_order()):
             if node.node_id not in graph.nodes:
                 continue  # already fused into an earlier chain
-            if not self._fusable(graph, node):
+            if not self._fusable(node):
                 continue
             producer = self._single_producer(graph, node)
-            if producer is not None and self._fusable(graph, producer):
+            if producer is not None and self._fusable(producer):
                 continue  # not a chain head; handled from the head
             chain = [node]
-            while True:
-                tail = chain[-1]
-                edge = graph.edge(tail.outputs[0])
-                if edge.target is None:
+            while self._fusable(chain[-1]):  # a pure tail closes the chain
+                edge = graph.edge(chain[-1].outputs[0])
+                if edge.target is None or not self._member(graph.node(edge.target)):
                     break
-                successor = graph.node(edge.target)
-                if not self._fusable(graph, successor):
-                    break
-                chain.append(successor)
+                chain.append(graph.node(edge.target))
             if len(chain) >= 2:
                 self._fuse(graph, chain)
                 context.report.fused_stages += 1
 
     @staticmethod
-    def _fusable(graph: DataflowGraph, node: DFGNode) -> bool:
-        """Single-input single-output stateless command (chain member shape)."""
+    def _member(node: DFGNode) -> bool:
+        """Single-input single-output pure command (chain member shape)."""
         return (
             isinstance(node, CommandNode)
-            and node_streams_statelessly(node)
-            and len(node.inputs) == 1
-            and len(node.outputs) == 1
+            and node.parallelizability_class is not ParallelizabilityClass.SIDE_EFFECTFUL
+            and len(node.inputs) == 1 == len(node.outputs)
+            and not node.config_inputs
         )
+
+    @classmethod
+    def _fusable(cls, node: DFGNode) -> bool:
+        """A member that is stateless: it may start a chain and sit inside one."""
+        return cls._member(node) and node_streams_statelessly(node)
 
     @staticmethod
     def _single_producer(graph: DataflowGraph, node: DFGNode) -> Optional[DFGNode]:

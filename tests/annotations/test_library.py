@@ -32,7 +32,9 @@ def test_core_pure_commands():
 def test_flags_change_class():
     library = standard_library()
     assert library.classify("cat", []) is S
-    assert library.classify("cat", ["-n"]) is P
+    # Line numbers run across the whole input: no partial outputs to merge.
+    assert library.classify("cat", ["-n"]) is N
+    assert library.classify("cat", ["-b"]) is N
     assert library.classify("grep", ["foo"]) is S
     assert library.classify("grep", ["-c", "foo"]) is P
     assert library.classify("grep", ["-n", "foo"]) is N

@@ -216,3 +216,25 @@ def test_sort_uniq_d_keeps_duplicates_split_across_the_width(letters, backend):
         script, config=PashConfig.paper_default(2, backend=backend), environment=environment
     )
     assert result.stdout == expected
+
+
+@pytest.mark.parametrize("backend", ["parallel", "jit", "cluster", "shell"])
+@pytest.mark.parametrize("flag", ["-n", "-b"])
+def test_cat_numbering_runs_across_the_whole_input(flag, backend):
+    """Regression: `cat -n`/`-b` were class P with a `concat` aggregator, so
+    every branch of a width-2 plan numbered from 1."""
+    if backend == "shell" and not all(map(shutil.which, ("sh", "mkfifo", "cat"))):
+        pytest.skip("missing coreutils")
+    script = f"cat a.txt b.txt | cat {flag} > out.txt"
+    files = {"a.txt": ["first", "", "second"], "b.txt": ["third", "fourth"]}
+    result, oracle = (
+        api.run(
+            script,
+            config=PashConfig.paper_default(WIDTH, backend=name),
+            environment=ExecutionEnvironment(filesystem=VirtualFileSystem(files)),
+        )
+        for name in (backend, "interpreter")
+    )
+    numbers = [line.split("\t")[0].strip() for line in result.files["out.txt"]]
+    assert numbers == (["1", "2", "3", "4", "5"] if flag == "-n" else ["1", "", "2", "3", "4"])
+    assert result.files["out.txt"] == oracle.files["out.txt"]

@@ -305,7 +305,7 @@ def test_jobs_config_prewarms_and_zero_disables(pool):
 
 
 def test_relays_elided_and_edges_classified(pool):
-    graph = build("cat a.txt b.txt | grep foo | tr a-z A-Z | sort > out.txt")
+    graph = build("cat a.txt b.txt | grep foo | tr a-z A-Z | sort | uniq > out.txt")
     from repro.api import optimize  # noqa: PLC0415 - test-local import
 
     optimize(graph, PashConfig.paper_default(2))
@@ -314,7 +314,9 @@ def test_relays_elided_and_edges_classified(pool):
     expected = ["APPLE FOO", "DATE FOO", "FIG FOO"]
     assert result.files["out.txt"] == expected
     assert metrics.relays_elided > 0
-    assert metrics.edges_buffered > 0  # the fan-in aggregation still pumps
-    # Elided relays report no per-node metrics: every entry is a real worker.
-    assert len(metrics.nodes) == len(graph.nodes) - metrics.relays_elided
+    assert metrics.edges_buffered > 0  # the mid-graph `sort -m` fan-in still pumps
+    assert metrics.aggregators_gathered == 1  # the tail `uniq` merge is collected
+    # Elided relays and the gathered aggregator report no per-node metrics:
+    # every entry is a real worker.
+    assert len(metrics.nodes) == len(graph.nodes) - metrics.relays_elided - 1
     assert os.getpid() not in {node.pid for node in metrics.nodes}

@@ -1,6 +1,7 @@
 """Tests for the Table 1 / Table 2 generators."""
 
 from repro.annotations.study import PAPER_TABLE1_COUNTS
+from repro.api import Pash, PashConfig
 from repro.evaluation.tables import format_table1, format_table2, table1_rows, table2_row, table2_rows
 from repro.workloads.oneliners import PAPER_TABLE2, get_one_liner
 
@@ -26,23 +27,27 @@ def test_table2_row_for_sort_matches_paper_node_count():
 
 
 def test_table2_node_counts_are_the_unfused_paper_shapes():
-    """The harness pins ``fuse_stages=False`` itself, so Table 2 keeps the
-    paper's one-process-per-command graph shapes whatever the config default."""
+    """``table2_row`` pins ``fuse_stages=False`` as the harness does, so Table 2
+    keeps the paper's one-process-per-command graph shapes whatever the config
+    default.  (Until PR 19 it did not, and this pinned the stateless chains of
+    ``grep``, ``spell``… already fused; these are the unfused counts.)"""
     rows = {row["script"]: (row["nodes_16"], row["nodes_64"]) for row in table2_rows(widths=(16, 64))}
     assert rows == {
-        "grep": (32, 128),
+        "grep": (64, 256),
         "sort": (77, 317),
-        "top-n": (308, 1268),
-        "wf": (231, 951),
-        "grep-light": (32, 128),
-        "spell": (155, 635),
-        "shortest-scripts": (154, 634),
+        "top-n": (324, 1332),
+        "wf": (263, 1079),
+        "grep-light": (64, 256),
+        "spell": (187, 763),
+        "shortest-scripts": (202, 826),
         "diff": (152, 632),
-        "bi-grams": (265, 1081),
-        "bi-grams-opt": (231, 951),
-        "set-diff": (152, 632),
+        "bi-grams": (281, 1145),
+        "bi-grams-opt": (263, 1079),
+        "set-diff": (160, 664),
         "sort-sort": (154, 634),
     }
+    fused = Pash.compile(get_one_liner("sort").script_for_width(16), PashConfig.paper_default(16))
+    assert fused.node_count == 61  # `tr | sort` x16 is one stage each
 
 
 def test_table2_row_node_count_grows_with_width():

@@ -127,10 +127,14 @@ def test_parallel_degrades_past_spill_enospc(tmp_path):
 
 
 def test_parallel_channel_poison_after_bytes_degrades():
-    """kill-after-N-bytes semantics on the channel plane (error mode)."""
+    """kill-after-N-bytes semantics on the channel plane (error mode).
+
+    Fused, this workload is two `tr | sort` workers and a gathered merge: no
+    channel at all.  Unfused, each `tr` feeds its `sort` through one.
+    """
     config = armed_config(
         FaultSpec(point=CHANNEL_READ, mode="error", errno_name="EIO", after_bytes=64, max_fires=0)
-    )
+    ).replace(fuse_stages=False)
     result, _ = run_supervised(config, "parallel")
     assert produced(result) == ORACLE_FILES
     assert result.metrics.degraded_runs > 0

@@ -145,7 +145,9 @@ def test_speedup_over_helper():
 
 def test_this_host_bills_each_edge_once_and_skips_eager_relays():
     """The pool's relays are bridged out of the plan: no process, no work;
-    every other edge costs its consumer one channel crossing."""
+    every other edge costs its consumer one channel crossing.  The tail
+    ``sort -m`` is gathered: no process and no crossing either, its work is
+    the driver's and starts when the last branch is in."""
     from repro.simulator.costs import python_cost_model
 
     graph = translate_script("cat in.txt | sort > out.txt").regions[0].dfg
@@ -153,27 +155,45 @@ def test_this_host_bills_each_edge_once_and_skips_eager_relays():
     config.pipeline().run(graph, config)
     relays = [node for node in graph.nodes.values() if node.kind == "relay"]
     assert relays, "the eager-relays pass inserted nothing; the test exercises nothing"
+    (merge,) = [node for node in graph.nodes.values() if node.kind == "aggregator"]
 
     host = MachineModel.this_host()
     counts = {"in.txt": 100_000}
     held = {"in_memory": ["in.txt"]}  # on disk, the split and its cat go too (below)
-    billed = simulate_graph(graph, counts, machine=host, cost_model=python_cost_model(), **held)
-    assert billed.process_count == len(graph.nodes) - len(relays)
+    costs = python_cost_model()
+    billed = simulate_graph(graph, counts, machine=host, cost_model=costs, **held)
+    assert billed.process_count == len(graph.nodes) - len(relays) - 1
     assert all(billed.node_timings[relay.node_id].work == 0.0 for relay in relays)
+    merging = billed.node_timings[merge.node_id]
+    assert merging.work == costs.cost_for(merge).work_seconds(100_000)
+    branches = [billed.node_timings[graph.edge(edge_id).source].finish for edge_id in merge.inputs]
+    assert merging.start == max(branches) and merging.finish == merging.start + merging.work
+    assert billed.critical_path_seconds == merging.finish
 
     free = dataclasses.replace(host, channel_lines_per_second=0.0)
-    unbilled = simulate_graph(graph, counts, machine=free, cost_model=python_cost_model(), **held)
+    unbilled = simulate_graph(graph, counts, machine=free, cost_model=costs, **held)
     relay_ids = {relay.node_id for relay in relays}
     edges = 0
     for edge_id, lines in billed.edge_lines.items():
         edge = graph.edge(edge_id)
+        # A branch of the merge is paid for by the `sort` that delivers it;
+        # the merged output crosses nothing (the driver already holds it).
         payer = edge.source if edge.is_graph_output else edge.target
-        if payer not in relay_ids:
+        if payer not in relay_ids and edge.source != merge.node_id:
             edges += lines
     assert billed.work_seconds - unbilled.work_seconds == pytest.approx(host.channel_seconds(edges))
 
     paper = simulate_graph(graph, counts, machine=MachineModel.paper_testbed())
     assert paper.process_count == len(graph.nodes)
+
+    # A fused stage blocks, and is n log n, when its tail is.
+    fused = translate_script("cat in.txt | tr a-z A-Z | sort > out.txt").regions[0].dfg
+    config.pipeline().run(fused, config)
+    (stage, _) = [node for node in fused.nodes.values() if node.kind == "fused"]
+    cost = costs.cost_for(stage)
+    assert (stage.label(), cost.blocking, cost.complexity) == ("tr a-z A-Z | sort", True, "nlogn")
+    members = sum(costs.cost_for(member).work_seconds(100_000) for member in stage.nodes)
+    assert cost.work_seconds(100_000) == pytest.approx(members, rel=1e-3)
 
 
 def test_this_host_bills_a_file_backed_split_and_a_tail_cat_as_no_process():
