@@ -9,9 +9,8 @@ the loop:
 * :meth:`CompiledScript.emit` — re-render the parallel shell text, optionally
   with different :class:`~repro.backend.shell_emitter.EmitterOptions`
   (e.g. a scratch FIFO directory for a sandboxed run), and
-* :meth:`CompiledScript.execute` — run the optimized graphs on any registered
-  engine backend (``interpreter`` | ``parallel`` | ``shell``), sharing one
-  :class:`~repro.runtime.executor.ExecutionEnvironment` across regions.
+* :meth:`CompiledScript.execute` — run the script on any registered engine
+  backend through :func:`execute_script`, the one script driver.
 """
 
 from __future__ import annotations
@@ -23,15 +22,13 @@ from typing import Any, Dict, List, Optional, TYPE_CHECKING
 from repro.dfg.builder import TranslationResult
 from repro.dfg.graph import DataflowGraph
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience import fault
-from repro.resilience.supervisor import supervise
 from repro.shell.unparser import unparse
 from repro.transform.pipeline import OptimizationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine/backend lazy)
-    from repro.api.config import PashConfig, ResilienceConfig
+    from repro.api.config import PashConfig
     from repro.backend.shell_emitter import EmitterOptions
-    from repro.engine.api import EngineResult
+    from repro.jit.driver import JitResult
     from repro.runtime.executor import ExecutionEnvironment
 
 
@@ -105,184 +102,58 @@ class CompiledScript:
         self,
         backend: Optional[str] = None,
         environment: Optional["ExecutionEnvironment"] = None,
-        **backend_options: Any,
-    ) -> "EngineResult":
-        """Run the compiled graphs on an engine backend.
+        **driver_options: Any,
+    ) -> "JitResult":
+        """Run the script this artifact was compiled from.
 
-        ``backend`` defaults to the config's backend selection; per-backend
-        constructor options default to the config's as well (e.g. the
-        parallel scheduler's) unless overridden here.  Regions execute in
-        script order sharing one environment, exactly like running the
-        script top to bottom.  Raises
-        :class:`~repro.runtime.executor.ExecutionError` when part of the
-        source was not translated — executing only the translated regions
-        would silently drop the rest of the script.
-
-        ``backend="jit"`` is the exception to that refusal: the whole parsed
-        AST is handed to a :class:`~repro.jit.driver.JitDriver`, which
-        executes control flow itself, re-compiles each region with the
-        bindings in force when it is reached, and falls back per region —
-        so partially-translatable scripts run (and parallelize) instead of
-        erroring.
+        The parsed AST goes to :func:`execute_script` with this artifact's
+        config and tracer; ``backend`` defaults to the config's selection.
+        :attr:`optimized_graphs` and :attr:`text` stay the inspectable plan:
+        for a static script the driver compiles the same graphs at the same
+        config, and ``repro.engine.run(graph, backend=...)`` runs one exact
+        graph.
         """
-        name, backend_options = resolve_backend(self.config, backend, backend_options)
-        mark = self.tracer.mark()
-        if name == "jit":
-            backend_options.setdefault("tracer", self.tracer)
-            result = execute_jit(
-                self.translation.ast, self.config, environment, backend_options
-            )
-        else:
-            if self.translation.rejected:
-                raise rejection_error(self.translation.rejected)
-            result = execute_graphs(
-                self.optimized_graphs, name, environment, backend_options,
-                tracer=self.tracer,
-                resilience=self.config.resilience if self.config else None,
-            )
-        if self.tracer.enabled:
-            # Per-run view: spans recorded during this execute() call.  The
-            # compile-time spans (parse, passes) stay on the tracer itself.
-            result.spans = self.tracer.since(mark)
-        return result
+        driver_options.setdefault("tracer", self.tracer)
+        return execute_script(
+            self.translation.ast, self.config, backend, environment, **driver_options
+        )
 
 
-def rejection_error(rejected) -> "Exception":
-    """The shared refusal for scripts that were not fully translated.
-
-    Executing only the translated regions would silently drop the rejected
-    statements' effects, so both front-door execution paths
-    (:meth:`CompiledScript.execute` and :func:`repro.api.run`) refuse with
-    this error rather than return wrong output.
-    """
-    from repro.runtime.executor import ExecutionError
-
-    reasons = "; ".join(reason for _, reason in rejected)
-    return ExecutionError(
-        f"{len(rejected)} region(s) of the script cannot be translated for "
-        f"engine execution: {reasons}; run the emitted script under a shell "
-        "instead"
-    )
-
-
-def resolve_backend(
-    config: Optional["PashConfig"],
-    backend: Optional[str],
-    backend_options: Optional[Dict[str, Any]],
-):
-    """Pick the backend name and constructor options for one execution.
-
-    An explicit ``backend`` wins over the config's selection; the config's
-    derived options (e.g. the parallel scheduler's) form the base and
-    explicit ``backend_options`` override them key by key — so a session can
-    add ``pool=...`` without losing the config's scheduler options.
-    """
-    name = backend or (config.backend if config is not None else "interpreter")
-    options: Dict[str, Any] = config.backend_options(name) if config is not None else {}
-    options.update(backend_options or {})
-    return name, options
-
-
-def execute_jit(
+def execute_script(
     ast_or_source,
     config: Optional["PashConfig"],
+    backend: Optional[str] = None,
     environment: Optional["ExecutionEnvironment"] = None,
-    backend_options: Optional[Dict[str, Any]] = None,
-):
-    """Run a script (or parsed AST) through a :class:`~repro.jit.JitDriver`.
+    **driver_options: Any,
+) -> "JitResult":
+    """Run a whole script (source or parsed AST) — the one way a script runs.
 
-    The shared jit tail of :meth:`CompiledScript.execute` and
-    :func:`repro.api.run`.  ``backend_options`` accepts the driver's
-    keywords (``inner_backend``, ``pool``, ``cache``…); a ``config`` key
-    from :meth:`PashConfig.backend_options` is dropped in favour of the
-    explicit ``config`` argument.
+    A :class:`~repro.jit.driver.JitDriver` walks the AST with live shell
+    state, so ``;``, ``&&``/``||``, ``if``, ``for`` and ``while`` execute as
+    the shell would; each pipeline it reaches is compiled with the bindings
+    in force and handed to an engine, and a region that cannot be translated
+    (an unannotated command, an unresolvable word) runs on the inherited
+    interpreter path — per region, never for the whole script.
+
+    ``backend`` (default: the config's, ``interpreter`` without one) picks
+    that engine.  ``"jit"`` means the config's ``jit_inner_backend``
+    (``auto``: every region sized from its live input); any other name pins
+    that engine at exactly ``config.width`` — no planner, never in-process
+    unless the engine is.  ``config=None`` runs each region's graph as
+    built, without passes: the sequential baseline.  ``driver_options`` are
+    the driver's keywords (``pool``, ``cache``, ``library``, ``tracer``,
+    ``inner_backend`` for ``"jit"``).  The result names the backend that
+    was asked for and always carries the driver's ``JitReport``.
     """
     from repro.jit.driver import JitDriver
 
-    options = dict(backend_options or {})
-    options.pop("config", None)
-    driver = JitDriver(config=config, environment=environment, **options)
-    return driver.run(ast_or_source)
-
-
-def execute_graphs(
-    graphs: List[DataflowGraph],
-    backend: str,
-    environment: Optional["ExecutionEnvironment"] = None,
-    backend_options: Optional[Dict[str, Any]] = None,
-    tracer: Optional[Tracer] = None,
-    resilience: Optional["ResilienceConfig"] = None,
-) -> "EngineResult":
-    """Execute graphs in order on one backend, sharing one environment.
-
-    The common tail of :meth:`CompiledScript.execute` and
-    :func:`repro.api.run`: each graph's result is folded into one combined
-    :class:`~repro.engine.api.EngineResult` — the engine-level equivalent of
-    running the script top to bottom.  ``tracer`` records one ``region:N``
-    span per graph (and is handed to the parallel scheduler for its own).
-
-    With an *active* ``resilience`` section each region runs under the
-    retry-then-degrade ladder: a region whose parallel/cluster execution
-    keeps failing (crashed worker, exhausted disk) is retried with backoff
-    and finally re-run on the sequential interpreter, which is byte-identical
-    by the paper's correctness contract.  Region-level supervision is safe
-    because every engine backend delivers a region's outputs to the
-    environment only after the whole region succeeded — a failed attempt
-    never leaves partial state behind.  An active fault plan in the config
-    is also installed process-globally for the duration of the run, arming
-    coordinator-side fault points (worker-side points travel inside the
-    worker plans).
-    """
-    from repro import engine  # deferred: keeps the artifact importable early
-    from repro.runtime.executor import ExecutionEnvironment
-
-    tracer = tracer or NULL_TRACER
-    environment = environment or ExecutionEnvironment()
-    options = dict(backend_options or {})
-    if backend in ("parallel", "cluster"):
-        options.setdefault("tracer", tracer)
-    engine_backend = engine.create_backend(backend, **options)
-    combined = engine.EngineResult(backend=engine_backend.name)
-    # The interpreter is the ladder's landing ground (nothing to degrade
-    # to) and the shell backend runs real commands with real side effects
-    # (a retry could replay them), so supervision covers parallel/cluster.
-    supervised = (
-        resilience is not None
-        and resilience.active
-        and backend in ("parallel", "cluster")
-    )
-    plan = resilience.fault_plan() if resilience is not None else None
-    previous_plan = fault.active()
-    if plan is not None:
-        fault.install(plan)
-    try:
-        for index, graph in enumerate(graphs):
-
-            def attempt(graph=graph, index=index):
-                with tracer.span(f"region:{index}", "engine", nodes=len(graph.nodes)):
-                    return engine_backend.execute(graph, environment)
-
-            def degrade(graph=graph):
-                return engine.create_backend("interpreter").execute(graph, environment)
-
-            if supervised:
-                region_result = supervise(
-                    resilience, tracer, f"region:{index}", attempt, degrade
-                )
-            else:
-                region_result = attempt()
-            # The caller slices per-run spans off the tracer; per-region
-            # results must not be double-counted through absorb().
-            region_result.spans = []
-            combined.absorb(region_result)
-    finally:
-        if plan is not None:
-            # Restore (not clear): the service daemon installs a job-level
-            # plan around the whole attempt ladder, and a nested region
-            # execution must not wipe it out.
-            fault.install(previous_plan)
-    combined.metrics.backend = engine_backend.name
-    return combined
+    name = backend or (config.backend if config is not None else "interpreter")
+    if name != "jit":
+        driver_options["inner_backend"] = name
+    driver = JitDriver(config=config, environment=environment, **driver_options)
+    result = driver.run(ast_or_source)
+    result.backend = result.metrics.backend = name
+    return result
 
 
 def render_script(

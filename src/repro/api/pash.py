@@ -16,7 +16,8 @@ one configurable per-graph through the pass manager
 
 The result is an inspectable :class:`~repro.api.artifact.CompiledScript`,
 which can :meth:`~repro.api.artifact.CompiledScript.emit` shell text or
-:meth:`~repro.api.artifact.CompiledScript.execute` on any engine backend.
+:meth:`~repro.api.artifact.CompiledScript.execute` the script on any engine
+backend.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Optional
 from repro.api.artifact import (
     CompilationStats,
     CompiledScript,
-    execute_jit,
+    execute_script,
     render_script,
 )
 from repro.api.config import PashConfig
@@ -103,7 +104,7 @@ class Pash:
             self._pool = None
 
     def _session_pool(self):
-        """The session-private pool, created lazily at first parallel run."""
+        """The session-private pool, created lazily at the session's first run."""
         if not self._session:
             return None
         if self._pool is None or self._pool.closed:
@@ -179,35 +180,22 @@ class Pash:
         source: str,
         backend: Optional[str] = None,
         environment: Optional[Any] = None,
-        **backend_options: Any,
+        **driver_options: Any,
     ):
-        """Compile ``source`` and execute it immediately (one-call form).
+        """Execute ``source`` immediately (one-call form).
 
-        With ``backend="jit"`` nothing is compiled ahead of time: the source
-        is parsed once and driven by a :class:`~repro.jit.driver.JitDriver`
-        (control flow executes in-process; each region compiles with live
-        bindings when it is reached); a session's private worker pool is
-        shared with the driver's inner parallel engine, so worker processes
-        persist across regions *and* scripts.
+        Nothing is compiled ahead of time: the source is parsed once and
+        driven by :func:`~repro.api.artifact.execute_script` (control flow
+        executes in-process; each region compiles with live bindings when it
+        is reached) with this instance's config, library and tracer.  A
+        session's private worker pool is shared with the driver's parallel
+        engine, so worker processes persist across regions *and* scripts.
         """
-        resolved = backend or self.config.backend
-        uses_parallel = resolved == "parallel" or (
-            resolved == "jit"
-            and backend_options.get("inner_backend", self.config.jit_inner_backend)
-            in ("auto", "parallel")
-        )
-        if uses_parallel and "pool" not in backend_options:
-            pool = self._session_pool()
-            if pool is not None:
-                backend_options["pool"] = pool
-        if resolved == "jit":
-            if self.library is not None:
-                backend_options.setdefault("library", self.library)
-            backend_options.setdefault("tracer", self.tracer)
-            return execute_jit(source, self.config, environment, backend_options)
-        return self._compile(source).execute(
-            backend=backend, environment=environment, **backend_options
-        )
+        if "pool" not in driver_options:
+            driver_options["pool"] = self._session_pool()
+        driver_options.setdefault("library", self.library)
+        driver_options.setdefault("tracer", self.tracer)
+        return execute_script(source, self.config, backend, environment, **driver_options)
 
 
 def compile(  # noqa: A001 - deliberate: the API's verb is `compile`
@@ -235,52 +223,15 @@ def run(
     config: Optional[Any] = None,
     backend: Optional[str] = None,
     environment: Optional[Any] = None,
-    **backend_options: Any,
+    **driver_options: Any,
 ):
-    """Translate, (optionally) optimize, and execute a whole shell script.
+    """Execute a whole shell script: :func:`~repro.api.artifact.execute_script`.
 
-    With ``config=None`` the regions run *unoptimized* (the sequential graph
-    shape) — the baseline the evaluation harness measures against.  Passing a
-    config optimizes each region through the pass pipeline first.  Regions
-    execute in order on the chosen backend, sharing one environment, exactly
-    like running the script top to bottom.
-
-    ``backend="jit"`` bypasses the AOT pipeline entirely: the script is
-    driven by a :class:`~repro.jit.driver.JitDriver`, which executes control
-    flow itself and compiles each region at the moment it is reached — so
-    dynamic scripts (loops, runtime variables, command substitutions) run
-    and parallelize instead of raising on untranslated regions.
+    With ``config=None`` every region runs *unoptimized* (the sequential
+    graph shape) — the baseline the evaluation harness measures against.
+    Passing a config compiles each region through the pass pipeline when it
+    is reached.  Control flow runs as the shell would run it on every
+    backend; an untranslatable region runs on the interpreter path.
     """
-    from repro.api.artifact import (
-        execute_graphs,
-        execute_jit,
-        rejection_error,
-        resolve_backend,
-    )
-
     pash_config = PashConfig.coerce(config) if config is not None else None
-    backend, backend_options = resolve_backend(pash_config, backend, backend_options)
-    tracer = Tracer() if pash_config is not None and pash_config.tracing else None
-    if backend == "jit":
-        if tracer is not None:
-            backend_options.setdefault("tracer", tracer)
-        return execute_jit(source, pash_config, environment, backend_options)
-
-    translation = translate_script(source)
-    if translation.rejected:
-        raise rejection_error(translation.rejected)
-    graphs = [region.dfg for region in translation.regions]
-    if pash_config is not None:
-        for graph in graphs:
-            optimize(graph, pash_config, tracer=tracer)
-    result = execute_graphs(
-        graphs,
-        backend,
-        environment,
-        backend_options,
-        tracer=tracer,
-        resilience=pash_config.resilience if pash_config is not None else None,
-    )
-    if tracer is not None:
-        result.spans = list(tracer.spans)
-    return result
+    return execute_script(source, pash_config, backend, environment, **driver_options)

@@ -16,10 +16,11 @@ The CLI is a thin veneer over the library API: the flags assemble one
 work happens in :meth:`repro.api.Pash.compile` /
 :meth:`repro.api.CompiledScript.execute`.  By default the tool never executes
 anything; like the paper's system it emits a new shell script that the user's
-own shell runs.  With ``--execute`` it instead runs the compiled graphs on
-one of the engine backends: input files are read from the real filesystem,
-output files are written back to it, and our stdout carries the script's
-output (the compiled script itself is still available through ``--output``).
+own shell runs.  With ``--execute`` it instead runs the script — control
+flow and all — with its regions on one of the engine backends: input files
+are read from the real filesystem, output files are written back to it, and
+our stdout carries the script's output (the compiled script itself is still
+available through ``--output``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from typing import List, Optional
 import repro
 from repro import engine
 from repro.api import CompiledScript, Pash, PashConfig
+from repro.commands.base import CommandError
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
+from repro.runtime.interpreter import InterpreterError
 from repro.runtime.streams import VirtualFileSystem
 
 
@@ -80,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute",
         default=None,
         metavar="BACKEND",
-        help="run the compiled graphs on the given engine backend instead of "
-        "printing the script (see --list-backends; combine with --output to "
-        "keep the script too)",
+        help="run the script with its regions on the given engine backend "
+        "instead of printing the compiled script (see --list-backends; "
+        "combine with --output to keep the script too)",
     )
     parser.add_argument(
         "--list-backends",
@@ -230,26 +233,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     exit_code = 0
     result = None
     if arguments.execute:
-        if compiled.translation.rejected and arguments.execute != "jit":
-            # Executing only the translated regions would silently skip the
-            # rest of the script; the emitted text keeps those statements, so
-            # running it under a real shell is the correct fallback.  The jit
-            # backend is exempt: it executes control flow itself and falls
-            # back per region, so partially-translatable scripts still run.
-            reasons = "; ".join(reason for _, reason in compiled.translation.rejected)
-            print(
-                f"pash-compile: cannot --execute: {len(compiled.translation.rejected)} "
-                f"statement(s) were not translated ({reasons}); run the emitted "
-                "script under a shell instead",
-                file=sys.stderr,
-            )
+        try:
+            result = _execute(compiled, arguments)
+        except (ExecutionError, InterpreterError, CommandError) as exc:
+            # The last two come from the driver's interpreter path, which
+            # runs every region the compiler left alone.
+            print(f"pash-compile: execution failed: {exc}", file=sys.stderr)
             exit_code = 1
-        else:
-            try:
-                result = _execute(compiled, arguments)
-            except ExecutionError as exc:
-                print(f"pash-compile: execution failed: {exc}", file=sys.stderr)
-                exit_code = 1
 
     # The report (compilation + execution) and the observability artifacts
     # are emitted even when execution failed — a failing run is exactly the
@@ -287,11 +277,9 @@ def _emit_report(compiled: CompiledScript, result: Optional[object]) -> None:
         return
     _report_line(f"backend: {result.backend}")
     _report_line(result.metrics.summary())
-    jit_report = getattr(result, "jit", None)
-    if jit_report is not None:
-        _report_line(jit_report.summary())
-        for line in jit_report.decisions():
-            _report_line(f"  {line}")
+    _report_line(result.jit.summary())
+    for line in result.jit.decisions():
+        _report_line(f"  {line}")
 
 
 def _export_artifacts(
@@ -382,14 +370,14 @@ def _submit(source: str, arguments: argparse.Namespace) -> int:
 
 
 def _execute(compiled: CompiledScript, arguments: argparse.Namespace):
-    """Run the already-compiled graphs on the selected engine backend.
+    """Run the compiled script on the selected engine backend.
 
     Input files are read from the real filesystem (via the VFS fallback);
     output files the script writes are persisted back to disk, and stdout
     goes to our stdout — the observable behaviour of running the script.
     Process stdin feeds the graphs' STDIN edges, except when the script
     itself was read from stdin (``-``), which already consumed it.
-    Returns the :class:`~repro.engine.api.EngineResult` for reporting.
+    Returns the :class:`~repro.jit.driver.JitResult` for reporting.
     """
     from repro.dfg.edges import EdgeKind
 

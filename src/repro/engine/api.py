@@ -63,14 +63,6 @@ class EngineResult:
         """Stream written to the named output file."""
         return self.files.get(name, [])
 
-    def absorb(self, other: "EngineResult") -> None:
-        """Fold a later region's result in (multi-statement scripts)."""
-        self.stdout.extend(other.stdout)
-        self.files.update(other.files)
-        self.elapsed_seconds += other.elapsed_seconds
-        self.metrics.merge(other.metrics)
-        self.spans.extend(other.spans)
-
 
 class ExecutionBackend:
     """One way of executing a dataflow graph."""

@@ -13,12 +13,15 @@ runtime counterpart:
 * :class:`~repro.jit.report.JitReport` — per-run observability: regions
   seen / compiled / cached / fell back, with reasons.
 
-Select it like any other backend: ``repro.api.run(src, backend="jit")``,
-``Pash.run_script(src, backend="jit")``, or ``pash-repro --execute jit``.
+The driver is how *every* backend runs a script
+(:func:`repro.api.artifact.execute_script`); ``backend="jit"`` —
+``repro.api.run(src, backend="jit")``, ``Pash.run(src, backend="jit")``,
+``pash-repro --execute jit`` — lets it size each region from its live input
+instead of pinning one engine at the config's width.
 """
 
 from repro.jit.cache import CacheStats, CompiledPlan, FailedPlan, PlanCache, config_digest
-from repro.jit.driver import JitBackend, JitDriver, JitResult, run_script
+from repro.jit.driver import JitBackend, JitDriver, JitResult
 from repro.jit.report import JitReport, RegionOutcome
 
 __all__ = [
@@ -32,5 +35,4 @@ __all__ = [
     "PlanCache",
     "RegionOutcome",
     "config_digest",
-    "run_script",
 ]

@@ -56,6 +56,7 @@ from repro.jit.cache import (
 )
 from repro.jit.report import JitReport, RegionOutcome
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.resilience import fault
 from repro.resilience.supervisor import supervise
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import BUILTIN_COMMANDS, ShellInterpreter
@@ -121,10 +122,12 @@ class JitDriver(ShellInterpreter):
     ``environment`` supplies the filesystem/stdin/registry shared by every
     region (compiled or fallback); ``inner_backend`` picks the engine that
     executes compiled plans (default: the config's ``jit_inner_backend``,
-    normally ``parallel``); ``pool`` pins parallel execution to a specific
+    normally ``auto``); ``pool`` pins parallel execution to a specific
     persistent :class:`~repro.engine.pool.WorkerPool` (a ``with Pash(...)``
     session passes its private pool); ``cache`` shares a
-    :class:`PlanCache` across drivers.
+    :class:`PlanCache` across drivers.  ``config=None`` runs every region's
+    graph as built — no passes, nothing to size — which is the sequential
+    baseline ``repro.api.run(script)`` measures.
     """
 
     def __init__(
@@ -150,6 +153,7 @@ class JitDriver(ShellInterpreter):
             max_loop_iterations=max_loop_iterations,
         )
         self.config = PashConfig.coerce(config)
+        self._as_built = config is None
         if tracer is None:
             tracer = Tracer() if self.config.tracing else NULL_TRACER
         self.tracer = tracer
@@ -161,6 +165,10 @@ class JitDriver(ShellInterpreter):
         self._config_digest = config_digest(self.config)
         self._pipeline = self.config.pipeline()
         self._engines: Dict[str, ExecutionBackend] = {}
+        if self.inner_backend != "auto":
+            # An unknown engine name fails here, not at the first region a
+            # script may never reach.
+            self._engine_backend(self.inner_backend)
         self._in_region = False
         self._active_memo: Optional[Dict[str, str]] = None
 
@@ -184,8 +192,21 @@ class JitDriver(ShellInterpreter):
         if isinstance(source_or_ast, str):
             with self.tracer.span("parse", "parse", source_bytes=len(source_or_ast)):
                 ast = parse(source_or_ast)
-        with self.tracer.span("jit:script", "jit"):
-            stdout = self.run_node(ast)
+        # Arms the coordinator-side fault points for the run (worker-side
+        # points travel inside the worker plans).
+        plan = self.config.resilience.fault_plan()
+        previous_plan = fault.active()
+        if plan is not None:
+            fault.install(plan)
+        try:
+            with self.tracer.span("jit:script", "jit"):
+                stdout = self.run_node(ast)
+        finally:
+            if plan is not None:
+                # Restore (not clear): the service daemon installs a job-level
+                # plan around its whole attempt ladder, and a nested run must
+                # not wipe it out.
+                fault.install(previous_plan)
         elapsed = time.perf_counter() - started
         files = {
             name: self._fs.read(name)
@@ -251,18 +272,20 @@ class JitDriver(ShellInterpreter):
         sequential graph; the region planner then sizes this *execution* from
         the live input, and the region runs either as it stands on the
         in-process executor or at the chosen width on the pool.  Any other
-        inner backend compiles at exactly ``config.width`` and runs there.
+        inner backend compiles at exactly ``config.width`` and runs there —
+        or, without a config, runs the sequential graph as built.
         """
         fingerprint = region_fingerprint(node)
         names, has_substitution = referenced_parameters(node)
         auto = self.inner_backend == "auto"
+        sequential = auto or self._as_built
         occurrence = _Occurrence(
             node=node,
             fingerprint=fingerprint,
             key=(fingerprint, self._bindings_for(names), self._config_digest),
             cacheable=not has_substitution,
         )
-        width = 1 if auto else self.config.width
+        width = 1 if sequential else self.config.width
         entry = self._lookup(occurrence, width)
         if isinstance(entry, FailedPlan):
             with self.tracer.span(
@@ -276,7 +299,7 @@ class JitDriver(ShellInterpreter):
                 entry = self._compile_plan(
                     occurrence,
                     width,
-                    lambda: self._build(occurrence) if auto else self._compile(occurrence),
+                    lambda: self._build(occurrence) if sequential else self._compile(occurrence),
                 )
             except (UntranslatableRegion, ExpansionError) as exc:
                 reason = str(exc)
@@ -296,13 +319,14 @@ class JitDriver(ShellInterpreter):
         #: What the report row and the span say about the shape that ran.
         planned: Dict[str, Any] = {"width": width}
         if auto:
-            decision = self._decide(occurrence, entry)
-            if decision is None:
-                planned = {"width": self.config.width}
-            else:
-                planned = dataclasses.asdict(decision)
-            width = planned["width"]
-            entry = occurrence.plans[width]
+            if not self._as_built:
+                decision = self._decide(occurrence, entry)
+                if decision is None:
+                    planned = {"width": self.config.width}
+                else:
+                    planned = dataclasses.asdict(decision)
+                width = planned["width"]
+                entry = occurrence.plans[width]
             backend = "interpreter" if width == 1 else "parallel"
         action = "compiled" if width in occurrence.fresh else "cached"
         if action == "cached":
@@ -332,12 +356,18 @@ class JitDriver(ShellInterpreter):
                     raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
 
         resilience = self.config.resilience
-        if resilience.active and backend != "interpreter":
+        if resilience.active and backend in ("parallel", "cluster"):
             # Retry-then-degrade ladder around the inner engine.  The
-            # degrade rung returns ``(False, None)`` so the region re-runs
-            # on the driver's inherited interpreter path — the same
-            # per-region fallback a compilation refusal takes, and
-            # byte-identical by the paper's correctness contract.
+            # interpreter is the ladder's landing ground and the shell
+            # backend runs real commands with real side effects (a retry
+            # could replay them), so supervision covers parallel/cluster:
+            # both deliver a region's outputs to the environment only after
+            # the whole region succeeded, so a failed attempt leaves no
+            # partial state behind.  The degrade rung returns
+            # ``(False, None)`` so the region re-runs on the driver's
+            # inherited interpreter path — the same per-region fallback a
+            # compilation refusal takes, and byte-identical by the paper's
+            # correctness contract.
             outcome = supervise(
                 resilience,
                 self.tracer,
@@ -503,9 +533,9 @@ class JitDriver(ShellInterpreter):
         engine = self._engines.get(name)
         if engine is None:
             options = dict(self.config.backend_options(name))
-            if name == "parallel":
-                if self.pool is not None:
-                    options["pool"] = self.pool
+            if name == "parallel" and self.pool is not None:
+                options["pool"] = self.pool
+            if name in ("parallel", "cluster"):
                 options["tracer"] = self.tracer
             engine = self._engines[name] = create_backend(name, **options)
         return engine
@@ -561,8 +591,8 @@ class JitBackend(ExecutionBackend):
     inner engine (the parallel scheduler by default) — the registry entry
     exists so ``--list-backends`` advertises ``jit`` and graph-level callers
     compose.  Script-level entry points (``repro.api.run``,
-    ``CompiledScript.execute``, the CLI) route ``backend="jit"`` to a full
-    :class:`JitDriver` instead.
+    ``CompiledScript.execute``, the CLI, the daemon) run every backend
+    through a full :class:`JitDriver` instead.
     """
 
     name = "jit"
@@ -590,14 +620,3 @@ class JitBackend(ExecutionBackend):
         result.backend = self.name
         result.metrics.backend = self.name
         return result
-
-
-def run_script(
-    source: str,
-    config: Optional[Any] = None,
-    environment: Optional[ExecutionEnvironment] = None,
-    **driver_options: Any,
-) -> JitResult:
-    """One-call convenience: drive ``source`` through a fresh :class:`JitDriver`."""
-    driver = JitDriver(config=config, environment=environment, **driver_options)
-    return driver.run(source)

@@ -30,7 +30,8 @@ class RunReport:
     elapsed_seconds: float = 0.0
     #: ``EngineMetrics.to_dict()`` of the run (empty dict when absent).
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: ``JitReport.to_dict()`` when the run was JIT-driven, else ``None``.
+    #: ``JitReport.to_dict()`` of a script run; ``None`` for the result of
+    #: one bare graph (``repro.engine.run``).
     jit: Optional[Dict[str, Any]] = None
     #: Compilation-side numbers: ``CompilationStats.to_dict()`` plus one
     #: ``OptimizationReport.to_dict()`` per region, when a compile happened.

@@ -17,8 +17,9 @@ Isolation model (what *shared* means here):
   :class:`~repro.runtime.streams.VirtualFileSystem` built from the files it
   submitted (``allow_real_files`` stays off: tenants cannot read the
   daemon's host filesystem).
-* **Shell state** — JIT jobs get a fresh :class:`~repro.jit.driver.JitDriver`
-  per job; variables, ``$?``, and cwd never leak between tenants.
+* **Shell state** — every job gets a fresh :class:`~repro.jit.driver.JitDriver`
+  (whatever its backend); variables, ``$?``, and cwd never leak between
+  tenants.
 * **Spill files** — each job spills under its own unique subdirectory of
   the configured spill directory, created before and removed after the run,
   so concurrent jobs sharing one ``spill_directory`` cannot collide.
@@ -43,8 +44,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.api.artifact import execute_script
 from repro.api.config import PashConfig, StreamingConfig
-from repro.api.pash import Pash
 from repro.obs.export import export_chrome_trace
 from repro.obs.expose import NULL_EVENTS, EventLog, MetricsServer, prometheus_text
 from repro.obs.metrics import MetricsRegistry
@@ -88,8 +89,8 @@ class ServiceOptions:
     #: How long shutdown waits for running jobs before failing them.
     shutdown_grace_seconds: float = 10.0
     #: Compilation/execution defaults; per-job ``config`` overrides merge
-    #: on top.  The default backend is ``jit`` — the only tier that runs
-    #: arbitrary scripts (loops, variables) instead of refusing them.
+    #: on top.  The default backend is ``jit``: every region sized from its
+    #: live input (any other name pins that engine at ``width``).
     config: PashConfig = field(default_factory=lambda: PashConfig(backend="jit"))
     #: Chrome-trace destination written at shutdown (enables tracing).
     trace_path: Optional[str] = None
@@ -575,13 +576,13 @@ class PashServiceDaemon:
                     backend=job.backend,
                 ) as job_span:
                     mark = tracer.mark()
-                    result, compiled = self._execute_supervised(job, config, tracer)
+                    result = self._execute_supervised(job, config, tracer)
                 # The tracer is shared by every executor: slice this job's
                 # spans by ancestry, not by position.
                 spans = (
                     tracer.descendants(job_span.span_id, mark) if tracer.enabled else None
                 )
-                report = RunReport.from_run(result, compiled, spans=spans).to_dict()
+                report = RunReport.from_run(result, spans=spans).to_dict()
             finally:
                 # Before the job turns terminal: a waiter that observes
                 # "done" must never still see the job's spill directory.
@@ -597,7 +598,7 @@ class PashServiceDaemon:
                 elapsed_seconds=time.perf_counter() - started,
             ):
                 self._jobs_completed.inc()
-                telemetry.fold_job(self.metrics, result.metrics, getattr(result, "jit", None))
+                telemetry.fold_job(self.metrics, result.metrics, result.jit)
         except (ExecutionError, ExpansionError, OSError, ValueError, KeyError) as exc:
             # OSError covers the resilience tier's typed failures (injected
             # faults, ResourceExhausted) escaping a no-degrade ladder: the
@@ -643,116 +644,59 @@ class PashServiceDaemon:
         )
         return job.config.replace(streaming=streaming), spill_dir
 
-    def _fresh_environment(self, job: Job) -> ExecutionEnvironment:
-        """A pristine environment for one attempt (stdin is consumable)."""
-        return ExecutionEnvironment(
-            filesystem=VirtualFileSystem(job.files), stdin=list(job.stdin)
-        )
-
-    def _execute_supervised(
-        self, job: Job, config: PashConfig, tracer: Optional[Tracer] = None
-    ):
+    def _execute_supervised(self, job: Job, config: PashConfig, tracer: Tracer):
         """Run the job under the config's retry-then-degrade ladder.
 
-        Each attempt (and the degraded run) gets a *fresh* execution
-        environment, so a half-consumed stdin or partially written virtual
-        file from a failed attempt never leaks into the next one.  The
-        job-level fault plan installs once around the whole ladder — not per
-        attempt — so ``max_fires`` counts injections per job, and a retried
-        attempt sees the plan's advanced state (that is what lets
+        The job-level fault plan installs once around the whole ladder — not
+        per attempt — so ``max_fires`` counts injections per job, and a
+        retried attempt sees the plan's advanced state (that is what lets
         retry-then-succeed happen at all).
         """
         resilience = config.resilience
-        tracer = tracer if tracer is not None else self.tracer
 
         def attempt():
-            return self._execute(job, config, self._fresh_environment(job), tracer)
+            fault_injection.fire(fault_injection.SERVICE_EXECUTOR)
+            return self._execute(job, config, tracer, job.backend)
 
         if not resilience.active or job.backend == "interpreter":
             return attempt()
 
         def degrade():
+            # Byte-identical to the parallel plan by the paper's correctness
+            # contract: still the script driver (control flow needs a
+            # shell), every region pinned to the sequential interpreter.
             self.events.emit("job-degraded", job_id=job.job_id, tenant=job.tenant)
-            return self._execute_degraded(
-                job, config, self._fresh_environment(job), tracer
-            )
+            return self._execute(job, config, tracer, "interpreter")
 
         plan = resilience.fault_plan()
         previous_plan = fault_injection.active()
         if plan is not None:
             fault_injection.install(plan)
         try:
-            return supervise(
-                resilience,
-                tracer,
-                f"job:{job.job_id}",
-                attempt,
-                degrade,
-                metrics_of=lambda outcome: outcome[0].metrics,
-            )
+            return supervise(resilience, tracer, f"job:{job.job_id}", attempt, degrade)
         finally:
             if plan is not None:
                 fault_injection.install(previous_plan)
 
-    def _execute_degraded(
-        self,
-        job: Job,
-        config: PashConfig,
-        environment: ExecutionEnvironment,
-        tracer: Optional[Tracer] = None,
-    ):
-        """The ladder's last rung: the job on the sequential interpreter.
+    def _execute(self, job: Job, config: PashConfig, tracer: Tracer, backend: str):
+        """Run the job's script on ``backend``, sharing the daemon's pool and cache.
 
-        Byte-identical to the parallel plan by the paper's correctness
-        contract; JIT jobs keep the driver (control flow still needs a
-        shell) but force its inner backend to the interpreter.
+        Every call gets a *fresh* execution environment, so a half-consumed
+        stdin or partially written virtual file from a failed attempt never
+        leaks into the next one.
         """
-        tracer = tracer if tracer is not None else self.tracer
-        if job.backend == "jit":
-            from repro.jit.driver import JitDriver
-
-            driver = JitDriver(
-                config=config,
-                environment=environment,
-                cache=self.plan_cache,
-                tracer=tracer,
-                inner_backend="interpreter",
-            )
-            return driver.run(job.script), None
-        compiled = Pash(config, tracer=tracer).compile(job.script)
-        result = compiled.execute(backend="interpreter", environment=environment)
-        return result, compiled
-
-    def _execute(
-        self,
-        job: Job,
-        config: PashConfig,
-        environment: ExecutionEnvironment,
-        tracer: Optional[Tracer] = None,
-    ):
-        """Run one job on its backend, sharing the daemon's pool and cache."""
-        tracer = tracer if tracer is not None else self.tracer
-        fault_injection.fire(fault_injection.SERVICE_EXECUTOR)
-        if job.backend == "jit":
-            from repro.jit.driver import JitDriver
-
-            options: Dict[str, Any] = {
-                "cache": self.plan_cache,
-                "tracer": tracer,
-                "inner_backend": config.jit_inner_backend,
-            }
-            if self.pool is not None:  # the driver takes from it only for pool runs
-                options["pool"] = self.pool
-            driver = JitDriver(config=config, environment=environment, **options)
-            return driver.run(job.script), None
-        compiled = Pash(config, tracer=tracer).compile(job.script)
-        options = {}
-        if job.backend == "parallel" and self.pool is not None:
-            options["pool"] = self.pool
-        result = compiled.execute(
-            backend=job.backend, environment=environment, **options
+        environment = ExecutionEnvironment(
+            filesystem=VirtualFileSystem(job.files), stdin=list(job.stdin)
         )
-        return result, compiled
+        return execute_script(
+            job.script,
+            config,
+            backend,
+            environment,
+            cache=self.plan_cache,
+            tracer=tracer,
+            pool=self.pool,  # the driver takes from it only for pool runs
+        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter
-from typing import Any, Optional
+from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -49,14 +49,14 @@ _VIEWS = (
      "pool", None, {None: "worker_count"}),
 )
 
-#: (family, help, what one finished job adds).  ``jit`` is None off the jit tier.
+#: (family, help, what one finished job adds).
 _JOB_FOLDS = (
     ("pash_runs_retried_total", "Supervised attempts retried after a fault.",
      lambda metrics, jit: metrics.runs_retried),
     ("pash_degraded_runs_total", "Runs degraded to the interpreter after retries ran out.",
      lambda metrics, jit: metrics.degraded_runs),
     ("pash_jit_regions_inline_total", "JIT regions the planner kept in-process (width 1).",
-     lambda metrics, jit: jit.regions_inline if jit is not None else 0),
+     lambda metrics, jit: jit.regions_inline),
     ("pash_engine_bytes_moved_total", "Bytes that crossed engine channels.",
      lambda metrics, jit: metrics.total_bytes_moved),
     ("pash_engine_spilled_bytes_total", "Bytes stream buffers spilled to disk.",
@@ -85,7 +85,7 @@ def register_views(registry: MetricsRegistry, daemon: Any) -> None:
         registry.counter(name, help_text)
 
 
-def fold_job(registry: MetricsRegistry, metrics: Any, jit: Optional[Any]) -> None:
+def fold_job(registry: MetricsRegistry, metrics: Any, jit: Any) -> None:
     """Add one finished job's own counts to the registry (call once per job)."""
     for name, help_text, read in _JOB_FOLDS:
         registry.counter(name, help_text).inc(read(metrics, jit))

@@ -1,11 +1,9 @@
 """Pash.compile -> CompiledScript: the one front door, and the legacy shims."""
 
-import pytest
-
 from repro import api
 from repro.api import CompiledScript, Pash, PashConfig
 from repro.backend.shell_emitter import EmitterOptions
-from repro.runtime.executor import ExecutionEnvironment, ExecutionError
+from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 
@@ -75,11 +73,18 @@ def test_execute_uses_the_config_backend_by_default():
     assert result.metrics.worker_count >= 2
 
 
-def test_execute_refuses_partially_translated_scripts():
-    compiled = Pash.compile("cat a.txt | grep x\nwhile true; do echo x; done")
+def test_execute_runs_partially_translated_scripts():
+    """A loop the AOT compiler rejects runs on the driver: the artifact's
+    ``execute`` equals the interpreter instead of refusing."""
+    script = "cat a.txt | grep x\nfor f in a.txt b.txt; do cat $f | sort; done"
+    compiled = Pash.compile(script, PashConfig.paper_default(2))
     assert compiled.translation.rejected
-    with pytest.raises(ExecutionError, match="cannot be translated"):
-        compiled.execute(environment=env())
+    expected = ShellInterpreter(
+        filesystem=VirtualFileSystem({name: list(lines) for name, lines in FILES.items()})
+    ).run_script(script)
+    result = compiled.execute(environment=env())
+    assert result.stdout == expected == ["xb", "xa", "xa", "xb", "ya", "xc", "zz"]
+    assert result.jit.regions_seen == 3
 
 
 def test_api_run_without_config_runs_sequential_graphs():

@@ -79,6 +79,10 @@ def test_run_script_multi_statement_shares_environment():
     result = api.run(script, backend="parallel", environment=env())
     assert result.output_of("sorted.txt") == ["apple foo", "banana", "cherry foo", "date"]
     assert result.output_of("out.txt") == ["apple foo"]
+    # One result for the script: both regions' engine metrics folded in.
+    assert result.jit.regions_seen == 2
+    labels = " ".join(node.label for node in result.metrics.nodes)
+    assert "sort" in labels and "head" in labels
 
 
 def test_run_updates_environment_filesystem():
@@ -144,14 +148,28 @@ def test_append_preserves_real_file_content(backend, tmp_path, monkeypatch):
     assert result.output_of("log.txt") == ["old line", "alpha", "beta"]
 
 
-def test_run_script_refuses_partially_translatable_scripts():
-    """Silently skipping rejected regions would produce wrong output."""
-    from repro.runtime.executor import ExecutionError
+@pytest.mark.parametrize("backend", ["interpreter", "parallel"])
+def test_run_script_runs_partially_translatable_scripts(backend):
+    """An unannotated command (`awk`) is one region on the interpreter path,
+    not a reason to refuse the script."""
+    from repro.runtime.interpreter import ShellInterpreter
 
     script = "cat a.txt | grep foo > g.txt\ncat a.txt | awk '{print}' > w.txt"
-    with pytest.raises(ExecutionError) as excinfo:
-        api.run(script, backend="interpreter", environment=env())
-    assert "cannot be translated" in str(excinfo.value)
+    oracle = ShellInterpreter(
+        filesystem=VirtualFileSystem({name: list(lines) for name, lines in FILES.items()})
+    )
+    oracle.run_script(script)
+    result = api.run(script, backend=backend, environment=env())
+    assert result.files == {
+        name: oracle.state.filesystem.read(name) for name in ("g.txt", "w.txt")
+    }
+    assert result.files["w.txt"] == FILES["a.txt"]
+    assert [outcome.action for outcome in result.jit.outcomes] == ["compiled", "fallback"]
+
+
+def test_run_script_rejects_an_unknown_backend_up_front():
+    with pytest.raises(ValueError, match="quantum"):
+        api.run("x=1", backend="quantum", environment=env())
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="requires a POSIX shell")
@@ -182,12 +200,3 @@ def test_shell_backend_never_writes_absolute_vfs_names(tmp_path):
     )
     api.run(SCRIPT, backend="shell", environment=environment)
     assert precious.read_text() == "real content\n"
-
-
-def test_engine_result_absorb_merges_metrics():
-    first = api.run(SCRIPT, backend="parallel", environment=env())
-    nodes_before = len(first.metrics.nodes)
-    second = api.run(SCRIPT, backend="parallel", environment=env())
-    first.absorb(second)
-    assert len(first.metrics.nodes) == nodes_before + len(second.metrics.nodes)
-    assert first.elapsed_seconds >= second.elapsed_seconds

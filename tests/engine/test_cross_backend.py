@@ -14,12 +14,15 @@ stand-in — diff; and the custom annotated commands like ``bigrams`` have no
 host binary — bi-grams-opt).
 """
 
+import os
 import shutil
+import subprocess
 
 import pytest
 
 from repro import api
 from repro.api import Pash, PashConfig
+from repro.jit import PlanCache
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
@@ -80,8 +83,6 @@ def test_cluster_backend_matches_interpreter(name):
 
 def test_cluster_backend_runs_nodes_remotely():
     """Wide stateless stages really execute in worker processes."""
-    import os
-
     benchmark = get_one_liner("grep")
     _, _, metrics = run_backend(benchmark, "cluster")
     remote_pids = {node.pid for node in metrics.nodes} - {os.getpid()}
@@ -238,3 +239,223 @@ def test_cat_numbering_runs_across_the_whole_input(flag, backend):
     numbers = [line.split("\t")[0].strip() for line in result.files["out.txt"]]
     assert numbers == (["1", "2", "3", "4", "5"] if flag == "-n" else ["1", "", "2", "3", "4"])
     assert result.files["out.txt"] == oracle.files["out.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Plan identity: the artifact you inspect is the plan that runs
+# ---------------------------------------------------------------------------
+
+
+def graph_shape(graph):
+    nodes = [
+        (node_id, node.kind, node.label(), tuple(node.inputs), tuple(node.outputs))
+        for node_id, node in sorted(graph.nodes.items())
+    ]
+    edges = [
+        (edge_id, edge.kind, edge.name if edge.kind.value == "file" else None,
+         edge.source, edge.target, edge.append)
+        for edge_id, edge in sorted(graph.edges.items())
+    ]
+    return nodes, edges
+
+
+class RecordingCache(PlanCache):
+    """Keeps every plan the driver compiles, in compilation order."""
+
+    def __init__(self):
+        super().__init__()
+        self.compiled = []
+
+    def put(self, key, entry):
+        self.compiled.append(entry)
+        super().put(key, entry)
+
+
+@pytest.mark.parametrize("name", [benchmark.name for benchmark in ONE_LINERS])
+def test_pinned_driver_compiles_the_artifacts_graphs(name):
+    benchmark = get_one_liner(name)
+    dataset = benchmark.correctness_dataset(WIDTH, LINES)
+    config = PashConfig.paper_default(WIDTH)
+    compiled = Pash.compile(benchmark.script_for_width(WIDTH), config)
+    cache = RecordingCache()
+    compiled.execute(
+        backend="parallel",
+        environment=ExecutionEnvironment(
+            filesystem=VirtualFileSystem({name: list(lines) for name, lines in dataset.items()})
+        ),
+        cache=cache,
+    )
+    assert [graph_shape(plan.graph) for plan in cache.compiled] == [
+        graph_shape(graph) for graph in compiled.optimized_graphs
+    ]
+
+
+@pytest.mark.parametrize(
+    "script, files, shape",
+    [
+        # pash-bench's sort_cpu and grep_stream: (stages_fused, splits_ranged,
+        # cats_gathered, aggregators_gathered, workers), as PRs 18-19 left them.
+        ("cat F0.txt F1.txt | tr A-Z a-z | sort > out.txt", ("F0.txt", "F1.txt"), (2, 0, 0, 1, 2)),
+        (
+            "cat F.txt | tr A-Z a-z | grep -v 7 | cut -d ' ' -f 1-4 > out.txt",
+            ("F.txt",),
+            (2, 1, 1, 0, 2),
+        ),
+    ],
+)
+def test_pinned_driver_runs_the_shape_the_engine_ran(script, files, shape, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in files:
+        (tmp_path / name).write_text("".join(f"Word{i} THE {i % 9} line\n" for i in range(400)))
+    result = api.run(
+        script,
+        config=PashConfig.paper_default(WIDTH, backend="parallel"),
+        environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
+    )
+    metrics = result.metrics
+    assert (
+        metrics.stages_fused,
+        metrics.splits_ranged,
+        metrics.cats_gathered,
+        metrics.aggregators_gathered,
+        metrics.worker_count,
+    ) == shape
+    assert (result.jit.regions_seen, result.jit.regions_compiled) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Control flow: every backend runs the script, not just its regions
+# ---------------------------------------------------------------------------
+
+CONTROL_FLOW_FILES = {"a.txt": ["b x", "a y", "c x", "a y"], "b.txt": ["z x", "y y"]}
+
+CONTROL_FLOW = {
+    "if-taken": "if test -f a.txt; then cat a.txt | sort; fi",
+    "if-not-taken": "if test -f missing.txt; then cat a.txt | sort; fi\ncat b.txt | sort",
+    "if-else": "if false; then cat a.txt; else cat b.txt | sort; fi",
+    "for-0": "for f in ; do cat $f | sort; done\ncat b.txt | sort",
+    "for-1": "for f in a.txt; do cat $f | sort; done",
+    "for-3": "for p in x y z; do cat a.txt b.txt | grep $p | sort; done",
+    "while-counter": (
+        "n=y\nwhile test $n != yyy; do cat a.txt b.txt | grep $n | sort; n=y$n; done\necho $n"
+    ),
+    "and-or": (
+        "true && cat a.txt | sort\nfalse && cat b.txt\n"
+        "false || cat b.txt | sort\ntrue || cat a.txt"
+    ),
+    "assigned-file-name": (
+        "for i in 1 2; do out=part$i.txt; cat a.txt | grep x | sort > $out; done\n"
+        "cat part1.txt part2.txt | sort"
+    ),
+    "append": (
+        "for p in x y; do cat a.txt b.txt | grep $p | sort >> log.txt; done\ncat log.txt | uniq"
+    ),
+    "unannotated-between": (
+        "cat a.txt b.txt | sort > s.txt\ncat s.txt | awk '{print $1}' > w.txt\n"
+        "cat w.txt | sort | uniq"
+    ),
+    "nested": (
+        "for i in 1 2; do if test $i = 2; then "
+        "for f in a.txt b.txt; do cat $f | sort; done; fi; done"
+    ),
+}
+
+#: id -> (front-door backend, driver options).
+CONTROL_FLOW_BACKENDS = {
+    "interpreter": ("interpreter", {}),
+    "parallel": ("parallel", {}),
+    "jit-auto": ("jit", {}),
+    "jit-parallel": ("jit", {"inner_backend": "parallel"}),
+    "cluster": ("cluster", {}),
+    "shell": ("shell", {}),
+}
+
+#: A cluster or shell region costs about half a second (a fleet, or an `sh`
+#: with its FIFOs, per region), so those two walk the whole table through
+#: ``api.run`` and only these rows through the other two front doors.
+SLOW_BACKEND_ROWS = ("for-3", "nested")
+
+
+def _control_flow_environment():
+    return ExecutionEnvironment(
+        filesystem=VirtualFileSystem(
+            {name: list(lines) for name, lines in CONTROL_FLOW_FILES.items()}
+        )
+    )
+
+
+def _api_run(config):
+    return lambda script, backend, **options: api.run(
+        script, config=config, backend=backend, environment=_control_flow_environment(), **options
+    )
+
+
+CONTROL_FLOW_DOORS = {
+    "api.run-unoptimized": _api_run(None),
+    "api.run": _api_run(PashConfig.paper_default(WIDTH)),
+    "Pash.run": lambda script, backend, **options: Pash(PashConfig.paper_default(WIDTH)).run(
+        script, backend=backend, environment=_control_flow_environment(), **options
+    ),
+    "compile.execute": lambda script, backend, **options: Pash.compile(
+        script, PashConfig.paper_default(WIDTH)
+    ).execute(backend=backend, environment=_control_flow_environment(), **options),
+}
+
+
+def _interpreter_reference(script):
+    filesystem = _control_flow_environment().filesystem
+    stdout = ShellInterpreter(filesystem=filesystem).run_script(script)
+    written = {
+        name: filesystem.read(name)
+        for name in filesystem.names()
+        if name not in CONTROL_FLOW_FILES
+    }
+    return stdout, written
+
+
+def _host_shell_reference(script, directory):
+    for name, lines in CONTROL_FLOW_FILES.items():
+        (directory / name).write_text("".join(line + "\n" for line in lines))
+    completed = subprocess.run(
+        ["sh", "-c", script],
+        cwd=directory,
+        env=dict(os.environ, LC_ALL="C"),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    written = {
+        path.name: path.read_text().splitlines()
+        for path in directory.iterdir()
+        if path.name not in CONTROL_FLOW_FILES
+    }
+    return completed.stdout.splitlines(), written
+
+
+@pytest.mark.parametrize("row", list(CONTROL_FLOW))
+def test_control_flow_reference_agrees_with_the_host_shell(row, tmp_path):
+    if not all(map(shutil.which, ("sh", "sort", "grep", "awk", "uniq"))):
+        pytest.skip("missing sh or coreutils")
+    assert _interpreter_reference(CONTROL_FLOW[row]) == _host_shell_reference(
+        CONTROL_FLOW[row], tmp_path
+    )
+
+
+CONTROL_FLOW_CASES = [
+    (row, backend, door)
+    for row in CONTROL_FLOW
+    for backend in CONTROL_FLOW_BACKENDS
+    for door in CONTROL_FLOW_DOORS
+    if backend not in ("cluster", "shell") or door.startswith("api.run") or row in SLOW_BACKEND_ROWS
+]
+
+
+@pytest.mark.parametrize("row, backend, door", CONTROL_FLOW_CASES)
+def test_control_flow_runs_as_the_shell_runs_it(row, backend, door):
+    if backend == "shell" and not all(map(shutil.which, ("sh", "mkfifo", "sort", "grep"))):
+        pytest.skip("missing sh or coreutils")
+    name, options = CONTROL_FLOW_BACKENDS[backend]
+    script = CONTROL_FLOW[row]
+    result = CONTROL_FLOW_DOORS[door](script, name, **options)
+    assert (result.stdout, result.files) == _interpreter_reference(script)
+    assert result.backend == result.metrics.backend == name

@@ -1,7 +1,5 @@
 """Behavioural tests for the JIT driver: compilation, caching, fallback."""
 
-import pytest
-
 from repro.api import Pash, PashConfig
 from repro.jit import JitDriver, PlanCache
 from repro.runtime.executor import ExecutionEnvironment
@@ -296,20 +294,22 @@ def test_default_form_with_dynamic_assignment_uses_runtime_value():
 
 
 def test_aot_refuses_default_form_with_unknown_state():
-    # The engine paths must refuse (conservative), not compile the default in.
+    # The AOT compiler must refuse the region (conservative), not compile the
+    # default in; running the script resolves it with the runtime value on
+    # every front door, pinned engines included.
     from repro.api import run as api_run
-    from repro.runtime.executor import ExecutionError
 
     files = {"real.txt": ["REAL"], "fallback.txt": ["FALLBACK"]}
     script = "X=$(echo real.txt | head -n 1)\nsort ${X:-fallback.txt}"
-    with pytest.raises(ExecutionError):
-        api_run(
-            script,
-            backend="interpreter",
-            environment=ExecutionEnvironment(
-                filesystem=VirtualFileSystem({k: list(v) for k, v in files.items()})
-            ),
-        )
+    assert Pash.compile(script).translation.rejected
+    result = api_run(
+        script,
+        backend="interpreter",
+        environment=ExecutionEnvironment(
+            filesystem=VirtualFileSystem({k: list(v) for k, v in files.items()})
+        ),
+    )
+    assert result.stdout == ["REAL"]
 
 
 def test_assign_default_form_persists_across_regions():

@@ -204,6 +204,49 @@ def test_jit_no_degrade_is_a_typed_error():
         run_jit(config)
 
 
+def test_shell_regions_are_never_replayed(monkeypatch):
+    """The shell backend runs real commands with real side effects, so the
+    ladder covers parallel/cluster only: one attempt, the error as it is."""
+    from repro.api import run
+    from repro.engine.api import ShellBackend
+
+    attempts = []
+
+    def failing(self, graph, environment):
+        attempts.append(graph)
+        raise ExecutionError("emitted script exited 1")
+
+    monkeypatch.setattr(ShellBackend, "execute", failing)
+    with pytest.raises(ExecutionError, match="exited 1"):
+        run(
+            BENCHMARK.script_for_width(WIDTH),
+            config=armed_config(max_retries=2),
+            backend="jit",
+            inner_backend="shell",
+            environment=fresh_environment(),
+        )
+    assert len(attempts) == 1
+
+
+@pytest.mark.parametrize("backend", ["parallel", "jit"])
+def test_a_run_restores_the_fault_plan_it_found(backend):
+    """The daemon nests a job-level plan around the run: the driver arms the
+    config's plan for its own duration and puts the outer one back."""
+    from repro.api import run
+
+    outer = fault.FaultPlan((FaultSpec(point=SPILL_WRITE, mode="delay"),), seed=7)
+    fault.install(outer)
+    config = armed_config(FaultSpec(point=POOL_WORKER_EXEC, mode="kill", max_fires=0))
+    result = run(
+        BENCHMARK.script_for_width(WIDTH),
+        config=config,
+        backend=backend,
+        environment=fresh_environment(),
+    )
+    assert produced(result) == ORACLE_FILES
+    assert fault.active() is outer
+
+
 # ---------------------------------------------------------------------------
 # service backend
 # ---------------------------------------------------------------------------

@@ -133,11 +133,37 @@ def test_execute_jit_with_inner_interpreter(dynamic_workspace, capsys):
     assert "light one" in capsys.readouterr().out
 
 
-def test_execute_non_jit_cannot_run_dynamic_scripts(dynamic_workspace, capsys):
-    # The AOT path either refuses the script or fails at runtime on the
-    # unresolved glob; only the jit backend runs it correctly.
-    assert main([str(dynamic_workspace), "--width", "2", "--execute", "parallel"]) == 1
-    assert capsys.readouterr().err.startswith("pash-compile:")
+@pytest.mark.parametrize("backend", ["interpreter", "parallel"])
+def test_execute_pinned_engine_runs_dynamic_scripts(dynamic_workspace, capsys, backend):
+    # Every backend runs the script through the one driver: the loop, the
+    # glob and the `if` execute as the shell would run them.
+    assert main([str(dynamic_workspace), "--width", "2", "--execute", backend, "--report"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "light one",
+        "light three",
+        "light four",
+        "dark five",
+        "light four",
+    ]
+    assert f"# backend: {backend}" in captured.err
+    assert "# jit: 3 regions seen" in captured.err
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("cat a.txt | nosuchcmd\n", "nosuchcmd"),
+        ("while true; do :; done\n", "while loop exceeded"),
+    ],
+)
+def test_interpreter_path_errors_are_one_typed_line(dynamic_workspace, capsys, script, message):
+    dynamic_workspace.write_text(script)
+    assert main([str(dynamic_workspace), "--execute", "jit"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pash-compile: execution failed: ")
+    assert message in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_list_backends_includes_jit(capsys):
@@ -299,8 +325,9 @@ def test_report_lines_are_not_duplicated(dynamic_workspace, capsys):
 
 
 def test_report_still_emitted_when_execution_fails(dynamic_workspace, capsys):
-    # AOT parallel execution fails on the dynamic script, but --report must
-    # still surface the compilation stats alongside the error.
+    # Execution fails on the missing input, but --report must still surface
+    # the compilation stats alongside the error.
+    dynamic_workspace.write_text("cat a.txt missing.txt | sort\n")
     assert (
         main([str(dynamic_workspace), "--width", "2", "--execute", "parallel",
               "--report"])
