@@ -7,8 +7,8 @@ and the per-region :class:`~repro.transform.pipeline.OptimizationReport`
 the loop:
 
 * :meth:`CompiledScript.emit` — re-render the parallel shell text, optionally
-  with different :class:`~repro.backend.shell_emitter.EmitterOptions`
-  (e.g. a scratch FIFO directory for a sandboxed run), and
+  under changed emission settings of the config (e.g. a scratch
+  ``fifo_directory`` for a sandboxed run), and
 * :meth:`CompiledScript.execute` — run the script on any registered engine
   backend through :func:`execute_script`, the one script driver.
 """
@@ -27,7 +27,6 @@ from repro.transform.pipeline import OptimizationReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine/backend lazy)
     from repro.api.config import PashConfig
-    from repro.backend.shell_emitter import EmitterOptions
     from repro.jit.driver import JitResult
     from repro.runtime.executor import ExecutionEnvironment
 
@@ -87,16 +86,18 @@ class CompiledScript:
         """Total runtime processes across all optimized regions (Table 2)."""
         return sum(len(graph.nodes) for graph in self.optimized_graphs)
 
-    def emit(self, options: Optional["EmitterOptions"] = None) -> str:
+    def emit(self, config: Optional["PashConfig"] = None, **config_changes: Any) -> str:
         """Re-render the parallel shell text.
 
-        With no ``options`` this returns the cached :attr:`text`; passing
-        :class:`EmitterOptions` re-emits every parallelized region (e.g. with
-        a different FIFO directory or a pinned prefix).
+        With no arguments this returns the cached :attr:`text`.  Keyword
+        ``config_changes`` re-emit every parallelized region under
+        ``config.replace(**config_changes)`` (e.g. ``fifo_directory=`` or a
+        pinned ``fifo_prefix=``); ``config`` stands in for the artifact's own.
         """
-        if options is None:
+        if config is None and not config_changes:
             return self.text
-        return render_script(self.translation, self.optimized_graphs, self.reports, options)
+        config = (config or self.config).replace(**config_changes)
+        return render_script(self.translation, self.optimized_graphs, self.reports, config)
 
     def execute(
         self,
@@ -117,6 +118,11 @@ class CompiledScript:
         return execute_script(
             self.translation.ast, self.config, backend, environment, **driver_options
         )
+
+
+#: Backend names accepted beside the registered engines, for whole scripts
+#: only: ``jit`` is the driver itself sizing every region, not an engine.
+SCRIPT_LEVEL_BACKENDS = ("jit",)
 
 
 def execute_script(
@@ -148,7 +154,7 @@ def execute_script(
     from repro.jit.driver import JitDriver
 
     name = backend or (config.backend if config is not None else "interpreter")
-    if name != "jit":
+    if name not in SCRIPT_LEVEL_BACKENDS:
         driver_options["inner_backend"] = name
     driver = JitDriver(config=config, environment=environment, **driver_options)
     result = driver.run(ast_or_source)
@@ -160,15 +166,15 @@ def render_script(
     translation: TranslationResult,
     optimized_graphs: List[DataflowGraph],
     reports: List[OptimizationReport],
-    options: "EmitterOptions",
+    config: "PashConfig",
 ) -> str:
     """Unparse the AST, substituting parallel fragments for optimized regions."""
-    # Deferred: repro.backend's package init imports this module for the
-    # legacy re-exports, so a module-level import here would be circular.
+    # Deferred: the emitter imports repro.api.config, whose package imports
+    # this module.
     from repro.backend.shell_emitter import emit_parallel_script
 
     replacements: Dict[int, str] = {}
     for region, graph, report in zip(translation.regions, optimized_graphs, reports):
         if report.parallelized_count > 0:
-            replacements[id(region.node)] = emit_parallel_script(graph, options).rstrip("\n")
+            replacements[id(region.node)] = emit_parallel_script(graph, config).rstrip("\n")
     return unparse(translation.ast, replacements)

@@ -3,11 +3,9 @@
 The paper's pitch is *light-touch*: a script plus one knob (the width).
 :class:`PashConfig` is the only configuration object on the run path: the
 pass pipeline, the JIT driver, the evaluation harness and the parallel
-scheduler read it directly.  Three tier option types remain because they
-hold deployment settings (FIFO paths, listen addresses, interpreter
+scheduler and the shell emitter read it directly.  Two tier option types
+remain because they hold deployment settings (listen addresses, interpreter
 executables, executor counts) rather than compilation knobs:
-:class:`~repro.backend.shell_emitter.EmitterOptions`
-(:meth:`PashConfig.emitter_options`),
 :class:`~repro.cluster.coordinator.ClusterOptions`
 (:meth:`PashConfig.cluster_options`) and
 :class:`~repro.service.daemon.ServiceOptions`.
@@ -21,15 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.resilience.fault import FaultPlan, FaultSpec
 from repro.resilience.retry import RetryPolicy
 from repro.transform.pipeline import EagerMode, SplitMode
-
-if TYPE_CHECKING:  # pragma: no cover - runtime imports stay deferred so that
-    # compile-only users of `import repro` never load the engine stack.
-    from repro.backend.shell_emitter import EmitterOptions
 
 
 class _Section:
@@ -325,7 +319,7 @@ class PashConfig:
     #: span retention).  Runtime-only: excluded from the plan-cache digest.
     obs: ObsConfig = ObsConfig()
 
-    # -- emission (subsume EmitterOptions) -----------------------------------
+    # -- emission (read by repro.backend.shell_emitter) ----------------------
     #: Directory in which the emitted script creates its FIFOs.
     fifo_directory: str = "/tmp"
     #: Fixed FIFO-name prefix; None picks a unique per-emission prefix.
@@ -438,18 +432,14 @@ class PashConfig:
 
         return build_pipeline(disabled=self.disabled_passes, extra=self.extra_passes)
 
-    def emitter_options(self, **overrides: Any) -> "EmitterOptions":
-        """The shell back-end's view of this configuration."""
-        from repro.backend.shell_emitter import EmitterOptions
+    def emitter_options(self) -> "PashConfig":
+        """The emission settings are this config's own fields: returns ``self``.
 
-        options: Dict[str, Any] = {
-            "fifo_directory": self.fifo_directory,
-            "header": self.emit_header,
-        }
-        if self.fifo_prefix is not None:
-            options["fifo_prefix"] = self.fifo_prefix
-        options.update(overrides)
-        return EmitterOptions(**options)
+        Only pash-bench's compile probe (``benchmarks/e2e/layers.py``, which
+        none but a ``[benchmark]`` change may edit) still calls this, as
+        ``compiled.emit(config.emitter_options())``.
+        """
+        return self
 
     def cluster_options(self):
         """The cluster coordinator's view of this configuration."""
@@ -474,7 +464,7 @@ class PashConfig:
         resolved = backend or self.backend
         if resolved == "cluster":
             return {"options": self.cluster_options()}
-        if resolved in ("parallel", "jit"):
+        if resolved == "parallel":
             return {"config": self}
         return {}
 

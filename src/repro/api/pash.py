@@ -118,13 +118,11 @@ class Pash:
         source: str,
         config: Optional[Any] = None,
         context: Optional[Any] = None,
-        emitter_options: Optional[Any] = None,
     ) -> CompiledScript:
         """Compile ``source`` into its data-parallel equivalent.
 
         ``config`` overrides the instance configuration for this call;
-        ``context`` is an optional shell expansion context; ``emitter_options``
-        overrides the emission options derived from the config.
+        ``context`` is an optional shell expansion context.
         """
         pash_config = self.config if config is None else PashConfig.coerce(config)
         tracer = self.tracer
@@ -160,8 +158,7 @@ class Pash:
                 stats.regions_parallelized += 1
 
         # Stage 3: back-end (emit the parallel script text).
-        options = emitter_options or pash_config.emitter_options()
-        text = render_script(translation, optimized_graphs, reports, options)
+        text = render_script(translation, optimized_graphs, reports, pash_config)
 
         stats.compile_time_seconds = time.perf_counter() - started
         return CompiledScript(

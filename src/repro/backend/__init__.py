@@ -8,9 +8,6 @@ parallel fragments back into the surrounding script) is driven by
 :class:`repro.api.Pash`.
 """
 
-from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
+from repro.backend.shell_emitter import emit_parallel_script
 
-__all__ = [
-    "EmitterOptions",
-    "emit_parallel_script",
-]
+__all__ = ["emit_parallel_script"]

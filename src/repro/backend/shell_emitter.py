@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import repro
-from repro.dfg.edges import Edge, EdgeKind
+from repro.api.config import PashConfig
+from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
     AggregatorNode,
@@ -47,7 +47,7 @@ def _default_fifo_prefix() -> str:
     return f"pash_fifo_{os.getpid()}_{next(_EMISSION_COUNTER)}"
 
 
-def _default_runtime_command() -> str:
+def _runtime_command() -> str:
     """Invocation of the runtime helpers that works from any directory.
 
     The emitted script may run with a working directory (and environment) that
@@ -64,34 +64,28 @@ def _default_runtime_command() -> str:
     )
 
 
-@dataclass
-class EmitterOptions:
-    """Options controlling code generation."""
+def emit_parallel_script(
+    graph: DataflowGraph,
+    config: Optional[PashConfig] = None,
+    *,
+    stdin_path: str = "/dev/stdin",
+) -> str:
+    """Render ``graph`` as a parallel shell script.
 
-    #: Directory in which the FIFOs are created.
-    fifo_directory: str = "/tmp"
-    #: Prefix of generated FIFO names (a unique suffix is appended per edge).
-    fifo_prefix: str = field(default_factory=_default_fifo_prefix)
-    #: Command used to invoke the runtime helpers.
-    runtime_command: str = field(default_factory=_default_runtime_command)
-    #: Emit the trailing cleanup logic (wait + PIPE delivery + fifo removal).
-    cleanup: bool = True
-    #: Emit a shebang and a comment header.
-    header: bool = True
-    #: Path read for STDIN edges.  The default works for foreground use, but
-    #: a background job's /dev/stdin is /dev/null under POSIX sh, so callers
-    #: that feed stdin programmatically should point this at a real file.
-    stdin_path: str = "/dev/stdin"
-
-
-def emit_parallel_script(graph: DataflowGraph, options: EmitterOptions = None) -> str:
-    """Render ``graph`` as a parallel shell script."""
-    options = options or EmitterOptions()
+    ``config`` supplies the FIFO directory, an optional fixed FIFO prefix and
+    whether a shebang header is emitted.  ``stdin_path`` is the path read for
+    STDIN edges: the default works for foreground use, but a background
+    job's /dev/stdin is /dev/null under POSIX sh, so callers that feed stdin
+    programmatically point it at a real file.
+    """
+    config = config or PashConfig()
     graph.validate()
 
-    fifo_names = _assign_fifo_names(graph, options)
+    prefix = f"{config.fifo_directory}/{config.fifo_prefix or _default_fifo_prefix()}"
+    fifo_names = _assign_fifo_names(graph, config.fifo_directory, prefix, stdin_path)
+    runtime_command = _runtime_command()
     lines: List[str] = []
-    if options.header:
+    if config.emit_header:
         lines.append("#!/bin/sh")
         lines.append("# Generated by the PaSh reproduction back-end.")
 
@@ -99,22 +93,26 @@ def emit_parallel_script(graph: DataflowGraph, options: EmitterOptions = None) -
     if pipe_edges:
         lines.append("mkfifo " + " ".join(pipe_edges))
 
+    lines.append('pash_pids=""')
     lines.append('pash_output_pids=""')
     sink_ids = {node.node_id for node in _output_producers(graph)}
 
     for node in graph.topological_order():
-        command = _emit_node(node, graph, fifo_names, options)
+        command = _emit_node(node, graph, fifo_names, runtime_command)
         lines.append(f"{command} &")
+        lines.append('pash_pids="$pash_pids $!"')
         if node.node_id in sink_ids:
             lines.append('pash_output_pids="$pash_output_pids $!"')
 
-    if options.cleanup:
-        lines.append("wait $pash_output_pids")
-        # Deliver PIPE to any producer still blocked on a FIFO without a
-        # consumer (e.g. when head exited early).
-        lines.append("jobs -p 2>/dev/null | xargs -r kill -PIPE 2>/dev/null")
-        if pipe_edges:
-            lines.append("rm -f " + " ".join(pipe_edges))
+    lines.append("wait $pash_output_pids")
+    # Deliver PIPE to any producer still blocked on a FIFO without a consumer
+    # (e.g. when head exited early).  By recorded pid: `jobs -p` in a
+    # pipeline runs in a subshell whose job table is empty under dash.
+    # `|| true`: with every job already gone `kill` fails, and this may be the
+    # fragment's last command.
+    lines.append("kill -PIPE $pash_pids 2>/dev/null || true")
+    if pipe_edges:
+        lines.append("rm -f " + " ".join(pipe_edges))
     return "\n".join(lines) + "\n"
 
 
@@ -123,17 +121,19 @@ def emit_parallel_script(graph: DataflowGraph, options: EmitterOptions = None) -
 # ---------------------------------------------------------------------------
 
 
-def _assign_fifo_names(graph: DataflowGraph, options: EmitterOptions) -> Dict[int, str]:
+def _assign_fifo_names(
+    graph: DataflowGraph, directory: str, prefix: str, stdin_path: str
+) -> Dict[int, str]:
     """Map each edge to the path used in the emitted script."""
     names: Dict[int, str] = {}
     for edge_id in sorted(graph.edges):
         edge = graph.edges[edge_id]
         if edge.kind is EdgeKind.PIPE:
-            names[edge_id] = f"{options.fifo_directory}/{options.fifo_prefix}_{edge_id}"
+            names[edge_id] = f"{prefix}_{edge_id}"
         elif edge.kind is EdgeKind.FILE:
-            names[edge_id] = edge.name or f"{options.fifo_directory}/pash_file_{edge_id}"
+            names[edge_id] = edge.name or f"{directory}/pash_file_{edge_id}"
         elif edge.kind is EdgeKind.STDIN:
-            names[edge_id] = options.stdin_path
+            names[edge_id] = stdin_path
         else:  # STDOUT
             names[edge_id] = "/dev/stdout"
     return names
@@ -149,7 +149,7 @@ def _output_producers(graph: DataflowGraph) -> List[DFGNode]:
 
 
 def _emit_node(
-    node: DFGNode, graph: DataflowGraph, fifo_names: Dict[int, str], options: EmitterOptions
+    node: DFGNode, graph: DataflowGraph, fifo_names: Dict[int, str], runtime_command: str
 ) -> str:
     inputs = [fifo_names[edge_id] for edge_id in node.inputs]
     outputs = [fifo_names[edge_id] for edge_id in node.outputs]
@@ -175,19 +175,11 @@ def _emit_node(
         return f"cat {' '.join(inputs)}{output_redirect}"
 
     if isinstance(node, SplitNode):
-        return (
-            f"{options.runtime_command} split --strategy {node.strategy} "
-            f"{' '.join(outputs)} < {inputs[0]}"
-        )
+        return f"{runtime_command} split {' '.join(outputs)} < {inputs[0]}"
 
     if isinstance(node, RelayNode):
-        if node.blocking:
-            mode = "blocking"
-        elif node.eager:
-            mode = "eager"
-        else:
-            mode = "fifo"
-        return f"{options.runtime_command} eager --mode {mode} < {inputs[0]}{output_redirect}"
+        mode = "blocking" if node.blocking else "eager"
+        return f"{runtime_command} eager --mode {mode} < {inputs[0]}{output_redirect}"
 
     if isinstance(node, AggregatorNode):
         if node.aggregator == "merge_sort":
@@ -199,7 +191,7 @@ def _emit_node(
         flags = " ".join(quote_argument(a) for a in node.command_arguments)
         suffix = f" -- {flags}" if flags else ""
         return (
-            f"{options.runtime_command} agg {node.aggregator} {' '.join(inputs)}"
+            f"{runtime_command} agg {node.aggregator} {' '.join(inputs)}"
             f"{suffix}{output_redirect}"
         )
 

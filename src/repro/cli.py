@@ -32,6 +32,7 @@ from typing import List, Optional
 import repro
 from repro import engine
 from repro.api import CompiledScript, Pash, PashConfig
+from repro.api.artifact import SCRIPT_LEVEL_BACKENDS
 from repro.commands.base import CommandError
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import InterpreterError
@@ -194,16 +195,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
 
+    backends = sorted({*engine.available_backends(), *SCRIPT_LEVEL_BACKENDS})
     if arguments.list_backends:
-        for name in engine.available_backends():
+        for name in backends:
             print(name)
         return 0
     if arguments.script is None:
         parser.error("the script argument is required (or '-' for stdin)")
-    if arguments.execute and arguments.execute not in engine.available_backends():
+    if arguments.execute and arguments.execute not in backends:
         print(
             f"pash-compile: unknown backend {arguments.execute!r}; "
-            f"available: {', '.join(engine.available_backends())}",
+            f"available: {', '.join(backends)}",
             file=sys.stderr,
         )
         return 2

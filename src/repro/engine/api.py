@@ -30,11 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.api.config import PashConfig
-from repro.backend.shell_emitter import EmitterOptions, emit_parallel_script
+from repro.backend.shell_emitter import emit_parallel_script
 from repro.commands.base import Stream
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
-from repro.engine.channels import decode_block
+from repro.engine.channels import decode_block, encode_lines
 from repro.engine.metrics import EngineMetrics
 from repro.engine.pool import WorkerPool
 from repro.engine.scheduler import ParallelScheduler
@@ -160,16 +160,16 @@ class ShellBackend(ExecutionBackend):
             # Background jobs get /dev/null as stdin under POSIX sh, so the
             # environment's stdin is passed as a real file instead.
             stdin_path = os.path.join(scratch, "pash_stdin.txt")
-            with open(stdin_path, "w") as handle:
-                for line in environment.stdin:
-                    handle.write(line + "\n")
+            with open(stdin_path, "wb") as handle:
+                handle.write(encode_lines(environment.stdin))
             script = emit_parallel_script(
-                graph, EmitterOptions(fifo_directory=scratch, stdin_path=stdin_path)
+                graph, PashConfig(fifo_directory=scratch), stdin_path=stdin_path
             )
             stdout, returncode, stderr = self._run_shell(script, scratch)
             if returncode != 0:
-                raise ExecutionError(f"emitted script exited {returncode}: {stderr.strip()}")
-            result.stdout.extend(decode_block(stdout.encode("utf-8")))
+                message = stderr.decode("utf-8", "replace").strip()
+                raise ExecutionError(f"emitted script exited {returncode}: {message}")
+            result.stdout.extend(decode_block(stdout))
             self._read_back(graph, environment, scratch, result)
         elapsed = time.perf_counter() - started
         return self._wrap(result, elapsed, EngineMetrics())
@@ -188,7 +188,6 @@ class ShellBackend(ExecutionBackend):
             stdin=subprocess.DEVNULL,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
             cwd=scratch,
             env=dict(os.environ, LC_ALL="C"),
             start_new_session=True,
@@ -267,9 +266,8 @@ class ShellBackend(ExecutionBackend):
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            with open(path, "w") as handle:
-                for line in lines:
-                    handle.write(line + "\n")
+            with open(path, "wb") as handle:
+                handle.write(encode_lines(lines))
 
     def _read_back(
         self,
@@ -283,8 +281,8 @@ class ShellBackend(ExecutionBackend):
                 continue
             path = self._path(scratch, edge.name)
             try:
-                with open(path) as handle:
-                    lines = decode_block(handle.read().encode("utf-8"))
+                with open(path, "rb") as handle:
+                    lines = decode_block(handle.read())
             except FileNotFoundError:
                 lines = []
             # The script itself applied any `>>` append against the
@@ -323,13 +321,6 @@ def create_backend(name: str, **options) -> ExecutionBackend:
     return factory(**options)
 
 
-def _jit_backend_factory(**options) -> ExecutionBackend:
-    """Deferred factory: the jit package imports this module, not vice versa."""
-    from repro.jit.driver import JitBackend
-
-    return JitBackend(**options)
-
-
 def _cluster_backend_factory(**options) -> ExecutionBackend:
     """Deferred factory: the cluster package imports this module, not vice versa."""
     from repro.cluster.coordinator import ClusterBackend
@@ -340,7 +331,6 @@ def _cluster_backend_factory(**options) -> ExecutionBackend:
 register_backend("interpreter", InterpreterBackend)
 register_backend("parallel", ParallelBackend)
 register_backend("shell", ShellBackend)
-register_backend("jit", _jit_backend_factory)
 register_backend("cluster", _cluster_backend_factory)
 
 

@@ -21,14 +21,13 @@ instead of pinning one engine at the config's width.
 """
 
 from repro.jit.cache import CacheStats, CompiledPlan, FailedPlan, PlanCache, config_digest
-from repro.jit.driver import JitBackend, JitDriver, JitResult
+from repro.jit.driver import JitDriver, JitResult
 from repro.jit.report import JitReport, RegionOutcome
 
 __all__ = [
     "CacheStats",
     "CompiledPlan",
     "FailedPlan",
-    "JitBackend",
     "JitDriver",
     "JitReport",
     "JitResult",

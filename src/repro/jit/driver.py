@@ -581,42 +581,3 @@ class JitDriver(ShellInterpreter):
         if self._active_memo is not None:
             self._active_memo[text] = value
         return value
-
-
-class JitBackend(ExecutionBackend):
-    """The engine-registry face of the JIT subsystem.
-
-    A single pre-built dataflow graph carries no dynamic shell state left to
-    orchestrate, so at graph granularity the backend simply delegates to its
-    inner engine (the parallel scheduler by default) — the registry entry
-    exists so ``--list-backends`` advertises ``jit`` and graph-level callers
-    compose.  Script-level entry points (``repro.api.run``,
-    ``CompiledScript.execute``, the CLI, the daemon) run every backend
-    through a full :class:`JitDriver` instead.
-    """
-
-    name = "jit"
-
-    def __init__(
-        self,
-        config: Optional[Any] = None,
-        inner_backend: Optional[str] = None,
-        pool: Optional[Any] = None,
-        **inner_options: Any,
-    ) -> None:
-        self.config = PashConfig.coerce(config)
-        self.inner_backend = inner_backend or self.config.jit_inner_backend
-        self.pool = pool
-        self.inner_options = inner_options
-
-    def execute(self, graph, environment) -> EngineResult:
-        # A pre-built graph has no live region left to size: "auto" is the pool.
-        inner = "parallel" if self.inner_backend == "auto" else self.inner_backend
-        options = dict(self.config.backend_options(inner))
-        options.update(self.inner_options)
-        if inner == "parallel" and self.pool is not None:
-            options["pool"] = self.pool
-        result = create_backend(inner, **options).execute(graph, environment)
-        result.backend = self.name
-        result.metrics.backend = self.name
-        return result

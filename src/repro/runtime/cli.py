@@ -2,52 +2,90 @@
 
 The shell scripts produced by :mod:`repro.backend.shell_emitter` invoke this
 module (``python3 -m repro.runtime.cli``) for the primitives that have no
-coreutils equivalent:
+coreutils equivalent.  Each is a thin main over the engine's data plane
+(:mod:`repro.engine.channels`): bytes move as chunks, and what must be held
+is held by a :class:`~repro.engine.channels.SpillBuffer` — at most its spill
+threshold in memory, the rest in a spill file the buffer removes.
 
-* ``eager`` — the eager relay: drain stdin as fast as possible into memory,
-  then write everything to stdout (``--mode blocking`` delays output until
-  EOF, ``--mode fifo`` degenerates to plain pass-through).
-* ``split`` — read stdin and distribute it across the given output files
-  using the general (counting) or input-aware strategy.
-* ``agg`` — apply a named aggregator to the given partial-output files.
+* ``eager`` — the eager relay: an :class:`~repro.engine.channels.EagerPump`
+  drains stdin at the producer's pace while stdout is written at the
+  consumer's; ``--mode blocking`` buffers stdin to EOF before the first byte
+  of output (the two relays of Fig. 6/7).
+* ``split`` — cut stdin into contiguous line-aligned byte ranges
+  (:func:`~repro.engine.channels.file_ranges`), one per output file: in
+  place over a regular file, after spooling anything else to a spill file.
+* ``agg`` — apply a named aggregator to the given partial-output files
+  (FIFOs in an emitted script: read through a ``ChannelReader``, never seeked).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
+import stat
 import sys
-from typing import List
+from typing import Iterable, List
 
+from repro.engine.channels import (
+    ChannelReader,
+    EagerPump,
+    SpillBuffer,
+    StoredStream,
+    encode_lines,
+    file_ranges,
+)
 from repro.runtime.aggregators import apply_aggregator
-from repro.runtime.split import split_stream
 
 
-def _read_lines(stream) -> List[str]:
-    return stream.read().splitlines()
+def _stdin_reader() -> ChannelReader:
+    # A reader closes its descriptor at EOF; ``sys.stdin`` keeps its own.
+    return ChannelReader(os.dup(sys.stdin.fileno()))
 
 
-def _write_lines(stream, lines: List[str]) -> None:
-    for line in lines:
-        stream.write(line + "\n")
+def _write_chunks(chunks: Iterable[bytes]) -> None:
+    """Write each chunk to stdout as it arrives (no hold-back in a buffer)."""
+    out = sys.stdout.buffer
+    for chunk in chunks:
+        out.write(chunk)
+        out.flush()
 
 
 def run_eager(arguments: argparse.Namespace) -> int:
-    lines = _read_lines(sys.stdin)
-    # Both modes produce identical output when run to completion; the
-    # difference is purely in buffering behaviour, which a standalone process
-    # realizes by reading everything before writing (eager/blocking) or
-    # passing through (fifo).  Reading stdin fully already provides the
-    # eager behaviour, so the modes coincide here.
-    _write_lines(sys.stdout, lines)
+    pump = EagerPump(_stdin_reader())
+    pump.start()
+    if arguments.mode == "blocking":
+        # The same buffer, filled to EOF before the first byte leaves.
+        pump.join()
+    try:
+        _write_chunks(pump.iter_chunks())
+    finally:
+        pump.buffer.abandon()
     return 0
 
 
 def run_split(arguments: argparse.Namespace) -> int:
-    lines = _read_lines(sys.stdin)
-    chunks = split_stream(lines, len(arguments.outputs), strategy=arguments.strategy)
-    for path, chunk in zip(arguments.outputs, chunks):
-        with open(path, "w") as handle:
-            _write_lines(handle, chunk)
+    parts = len(arguments.outputs)
+    descriptor = sys.stdin.fileno()
+    # A pipe has no byte ranges until it is at rest: all of it goes to the
+    # spill file (threshold 0) and that file is cut.
+    buffer, spool = SpillBuffer(spill_threshold=0), StoredStream()
+    try:
+        if stat.S_ISREG(os.fstat(descriptor).st_mode) and os.lseek(descriptor, 0, os.SEEK_CUR) == 0:
+            ranges = file_ranges(f"/dev/fd/{descriptor}", parts)
+        else:
+            for chunk in _stdin_reader().iter_chunks():
+                buffer.append(chunk)
+            spool = buffer.store()
+            # An empty stream never reached the file: every part is empty.
+            ranges = file_ranges(spool.path, parts) if spool.path else [spool] * parts
+        for path, part in zip(arguments.outputs, ranges):
+            with open(path, "wb") as handle:
+                for block in part.blocks():
+                    handle.write(block)
+    finally:
+        buffer.abandon()
+        spool.unlink()
     return 0
 
 
@@ -60,12 +98,9 @@ def run_agg(arguments: argparse.Namespace) -> int:
     flags = [
         token for token in arguments.inputs if token.startswith("-") and token != "-"
     ] + list(getattr(arguments, "command_flags", []))
-    streams = []
-    for path in paths:
-        with open(path) as handle:
-            streams.append(_read_lines(handle))
-    output = apply_aggregator(arguments.name, streams, flags)
-    _write_lines(sys.stdout, output)
+    # Inputs are FIFOs in an emitted script: read, never seek.
+    streams = [ChannelReader(os.open(path, os.O_RDONLY)).read_lines() for path in paths]
+    _write_chunks([encode_lines(apply_aggregator(arguments.name, streams, flags))])
     return 0
 
 
@@ -74,11 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     eager = subparsers.add_parser("eager", help="eager relay")
-    eager.add_argument("--mode", choices=("eager", "blocking", "fifo"), default="eager")
+    eager.add_argument("--mode", choices=("eager", "blocking"), default="eager")
     eager.set_defaults(handler=run_eager)
 
     split = subparsers.add_parser("split", help="split stdin across output files")
-    split.add_argument("--strategy", choices=("general", "input-aware"), default="general")
     split.add_argument("outputs", nargs="+", help="output file paths")
     split.set_defaults(handler=run_split)
 
@@ -109,5 +143,27 @@ def main(argv: List[str] = None) -> int:
     return arguments.handler(arguments)
 
 
+def _raise_broken_pipe(signum, frame) -> None:
+    # A write to a closed pipe both raises and signals: never raise a second
+    # time into a stack whose ``finally`` clauses are already running.
+    # Hazard: the raise is asynchronous.  A `kill -PIPE` that lands while a
+    # ``finally`` is running on the *normal* path (nothing in flight, so the
+    # guard does not hold it back) interrupts that cleanup, and the spill file
+    # it was about to remove stays — best effort, like any killed process.
+    if sys.exc_info()[0] is None:
+        raise BrokenPipeError
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess tests
-    sys.exit(main())
+    # Python starts with SIGPIPE ignored.  Plain SIG_DFL would do but for the
+    # spill file: the emitted script's tail signals every `head`-cut relay
+    # (`kill -PIPE $pash_pids`), and its FIFO directory is shared, not a
+    # scratch it removes.  Taken as an exception instead, the signal unwinds
+    # through the helpers' ``finally`` clauses (spill files go), and the
+    # process then dies of the signal itself: no traceback, status 141.
+    signal.signal(signal.SIGPIPE, _raise_broken_pipe)
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)

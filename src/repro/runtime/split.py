@@ -7,10 +7,10 @@
   task-based parallelism.
 
 Executed in memory the two produce the same chunks; they differ in the
-timing behaviour modelled by :mod:`repro.simulator` and in the shell code
-emitted by the back-end.  The parallel engine's input-aware split is
-:func:`repro.engine.channels.file_ranges`: a split over a regular file is
-byte ranges of it, with no split process at all.
+timing behaviour modelled by :mod:`repro.simulator`.  Where bytes move — the
+parallel engine and the emitted script's ``split`` helper — the input tells
+which one runs: :func:`repro.engine.channels.file_ranges` cuts a regular file
+into byte ranges in place, and a pipe is spooled to a file first.
 """
 
 from __future__ import annotations

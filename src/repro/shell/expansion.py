@@ -252,22 +252,18 @@ def expand_word(word: Word, context: Optional[ExpansionContext] = None) -> List[
         return list(context.positional)
 
     pieces: List[str] = []
-    any_unquoted = False
     for part in word.parts:
         if isinstance(part, LiteralPart):
             pieces.append(part.text)
-            any_unquoted = any_unquoted or not part.quoted
         elif isinstance(part, ParameterPart):
             value = context.lookup(part.name)
             pieces.append(value)
-            any_unquoted = any_unquoted or not part.quoted
         elif isinstance(part, CommandSubstitution):
             if context.command_runner is None:
                 raise ExpansionError("command substitution cannot be expanded statically")
             value = context.command_runner(part.text)
             # POSIX strips every trailing newline from $(...) output.
             pieces.append(value.rstrip("\n"))
-            any_unquoted = any_unquoted or not part.quoted
         else:  # pragma: no cover - defensive
             raise ExpansionError(f"unsupported word part {part!r}")
     text = "".join(pieces)
@@ -278,14 +274,13 @@ def expand_word(word: Word, context: Optional[ExpansionContext] = None) -> List[
     if fully_quoted:
         return [text]
 
-    expanded = _expand_braces(text)
-    fields: List[str] = []
-    for piece in expanded:
-        split = piece.split() if any_unquoted else [piece]
-        fields.extend(split if split else ([""] if piece == "" else []))
-    if not fields and text == "":
-        return []
-    return fields or [text]
+    # Some part is unquoted here, so the word is field-split — and an
+    # expansion that leaves nothing yields no field (`for f in $UNSET` runs
+    # zero times) unless a quoted part (`""$X`) holds the empty field open.
+    fields = [field for piece in _expand_braces(text) for field in piece.split()]
+    if fields or not any(getattr(part, "quoted", False) for part in word.parts):
+        return fields
+    return [text]
 
 
 def expand_words(words: List[Word], context: Optional[ExpansionContext] = None) -> List[str]:

@@ -108,23 +108,9 @@ def test_coerce_accepts_none_or_a_config_and_rejects_junk():
         PashConfig.coerce(42)
 
 
-def test_emitter_options_view():
-    config = PashConfig(fifo_directory="/dev/shm", fifo_prefix="edge", emit_header=True)
-    options = config.emitter_options()
-    assert options.fifo_directory == "/dev/shm"
-    assert options.fifo_prefix == "edge"
-    assert options.header is True
-    assert options.cleanup is True
-    # Without an explicit prefix every emission gets a unique one.
-    first = PashConfig().emitter_options().fifo_prefix
-    second = PashConfig().emitter_options().fifo_prefix
-    assert first != second
-
-
 def test_backend_options_hand_the_config_itself_to_the_parallel_backend():
     config = PashConfig(backend="parallel", use_host_commands=True)
     assert config.backend_options() == {"config": config}
-    assert config.backend_options("jit") == {"config": config}
     assert PashConfig(backend="interpreter").backend_options() == {}
     assert config.backend_options("shell") == {}
 

@@ -2,7 +2,6 @@
 
 from repro import api
 from repro.api import CompiledScript, Pash, PashConfig
-from repro.backend.shell_emitter import EmitterOptions
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
@@ -44,11 +43,16 @@ def test_compile_works_as_instance_method_with_held_config():
     assert pash.compile(script, PashConfig.paper_default(2)).text.count("grep x") == 2
 
 
-def test_emit_with_custom_options_rerenders():
+def test_emit_with_config_changes_rerenders():
     compiled = Pash.compile(SCRIPT, PashConfig.paper_default(2))
-    text = compiled.emit(EmitterOptions(fifo_directory="/dev/shm", fifo_prefix="edge"))
+    text = compiled.emit(fifo_directory="/dev/shm", fifo_prefix="edge")
     assert "/dev/shm/edge_" in text
-    assert compiled.emit() == compiled.text  # no options -> the cached text
+    assert compiled.emit() == compiled.text  # no changes -> the cached text
+    # Another config stands in for the artifact's own (pash-bench's compile
+    # probe passes `config.emitter_options()`, which is the config itself).
+    other = PashConfig.paper_default(2, fifo_prefix="probe")
+    assert other.emitter_options() is other
+    assert "/tmp/probe_" in compiled.emit(other)
 
 
 def test_execute_on_interpreter_matches_sequential_shell():

@@ -124,10 +124,8 @@ def test_emitted_compound_redirection_writes_what_sh_writes(
         (directory / "b.txt").write_text("fig\ncherry\n")
         text = source
         if name == "emitted":
-            from repro.backend.shell_emitter import EmitterOptions
-
             compiled = Pash.compile(source, PashConfig.paper_default(2))
-            text = compiled.emit(EmitterOptions(fifo_directory=str(directory)))
+            text = compiled.emit(fifo_directory=str(directory))
         completed = subprocess.run(
             ["sh", "-c", text],
             capture_output=True,

@@ -335,6 +335,11 @@ CONTROL_FLOW = {
     "if-else": "if false; then cat a.txt; else cat b.txt | sort; fi",
     "for-0": "for f in ; do cat $f | sort; done\ncat b.txt | sort",
     "for-1": "for f in a.txt; do cat $f | sort; done",
+    # An unquoted expansion that is empty is no field; quoted, it is one.
+    "for-unset": 'for f in $UNSET; do echo "[$f]"; done\ncat b.txt | sort',
+    "for-empty-between": (
+        'X=""\nfor f in a.txt $X b.txt; do cat $f | sort; done\nfor f in "$X"; do echo "[$f]"; done'
+    ),
     "for-3": "for p in x y z; do cat a.txt b.txt | grep $p | sort; done",
     "while-counter": (
         "n=y\nwhile test $n != yyy; do cat a.txt b.txt | grep $n | sort; n=y$n; done\necho $n"

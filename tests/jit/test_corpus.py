@@ -77,7 +77,7 @@ CORPUS = {
         "while test $n != 0; do\n"
         "  grep light extra.txt | head -n $n\n"
         '  n=$(seq $n | head -n 1 | grep -c . | sed "s/1/x/" | sed "s/x//")\n'
-        "  test $n = '' && n=0\n"
+        "  test \"$n\" = '' && n=0\n"
         "done\n"
     ),
     "glob-over-files": (

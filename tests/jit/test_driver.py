@@ -1,5 +1,7 @@
 """Behavioural tests for the JIT driver: compilation, caching, fallback."""
 
+import pytest
+
 from repro.api import Pash, PashConfig
 from repro.jit import JitDriver, PlanCache
 from repro.runtime.executor import ExecutionEnvironment
@@ -237,17 +239,15 @@ def test_compiled_script_execute_jit_bypasses_rejection():
     assert result.stdout == baseline(source, files=files) == ["light a", "dynamic"]
 
 
-def test_engine_level_jit_backend_delegates():
+def test_jit_is_a_script_level_name_only():
+    """No engine is registered under ``jit``: it is the driver, sizing regions."""
     from repro import engine
-    from repro.dfg.builder import DFGBuilder
+    from repro.api.artifact import SCRIPT_LEVEL_BACKENDS
 
-    graph = DFGBuilder().build_from_script("grep light in.txt | sort")
-    environment = ExecutionEnvironment(
-        filesystem=VirtualFileSystem({k: list(v) for k, v in dataset().items()})
-    )
-    result = engine.run(graph, backend="jit", environment=environment)
-    assert result.backend == "jit"
-    assert result.stdout == baseline("grep light in.txt | sort")
+    assert SCRIPT_LEVEL_BACKENDS == ("jit",)
+    assert "jit" not in engine.available_backends()
+    with pytest.raises(ValueError, match="unknown execution backend 'jit'"):
+        engine.create_backend("jit")
 
 
 def test_inner_backend_interpreter_and_parallel_agree():

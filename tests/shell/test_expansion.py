@@ -121,8 +121,18 @@ def test_positional_parameters_by_index():
     context = ExpansionContext(positional=["first", "second"])
     assert expand_word(word("$1"), context) == ["first"]
     assert expand_word(word("$2"), context) == ["second"]
-    # Out of range expands empty (one empty field, matching `$emptyvar`).
-    assert expand_word(word("$3"), context) == [""]
+    # Out of range expands empty: unquoted that is no field at all, as in sh.
+    assert expand_word(word("$3"), context) == []
+    assert expand_word(word('"$3"'), context) == [""]
+
+
+def test_empty_unquoted_expansion_yields_no_field():
+    context = ExpansionContext({"X": "", "BLANK": "  "})
+    assert expand_word(word("$X"), context) == []
+    assert expand_word(word("$BLANK"), context) == []
+    assert expand_word(word('"$X"'), context) == [""]
+    # A quoted part holds the empty field open.
+    assert expand_word(word('""$X'), context) == [""]
 
 
 def test_unquoted_at_field_splits():
