@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
+from repro.annotations.library import standard_library
 from repro.api.artifact import (
     CompilationStats,
     CompiledScript,
@@ -51,7 +52,9 @@ class Pash:
     """A configured compiler instance (and, optionally, an execution session).
 
     ``library`` is an optional :class:`~repro.annotations.library.AnnotationLibrary`
-    overriding the standard parallelizability annotations.
+    overriding the standard parallelizability annotations; without one the
+    standard library is resolved once, at the first :meth:`run`, and handed
+    to every driver this instance constructs.
 
     Used as a context manager, a ``Pash`` becomes a *session* owning a
     private persistent worker pool for the parallel backend::
@@ -190,6 +193,8 @@ class Pash:
         """
         if "pool" not in driver_options:
             driver_options["pool"] = self._session_pool()
+        if self.library is None:
+            self.library = standard_library()
         driver_options.setdefault("library", self.library)
         driver_options.setdefault("tracer", self.tracer)
         return execute_script(source, self.config, backend, environment, **driver_options)

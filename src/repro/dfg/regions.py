@@ -10,8 +10,9 @@ bodies to find further regions.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, FrozenSet, Iterator, List, Optional
 
 from repro.shell.ast_nodes import (
     AndOr,
@@ -26,6 +27,7 @@ from repro.shell.ast_nodes import (
     Subshell,
     WhileLoop,
 )
+from repro.shell.unparser import unparse
 
 
 @dataclass
@@ -156,6 +158,10 @@ def iter_region_words(node: Node):
                 yield redirection.target
 
 
+def _fingerprint(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def region_fingerprint(node: Node) -> str:
     """A stable structural fingerprint of a region's AST.
 
@@ -164,11 +170,7 @@ def region_fingerprint(node: Node) -> str:
     can reuse a compiled plan whenever the referenced runtime bindings also
     match.
     """
-    import hashlib
-
-    from repro.shell.unparser import unparse
-
-    return hashlib.sha256(unparse(node).encode("utf-8")).hexdigest()[:16]
+    return _fingerprint(unparse(node))
 
 
 def referenced_parameters(node: Node):
@@ -193,3 +195,29 @@ def referenced_parameters(node: Node):
             elif isinstance(part, CommandSubstitution):
                 has_substitution = True
     return frozenset(names), has_substitution
+
+
+@dataclass(frozen=True)
+class RegionFacts:
+    """What the JIT driver needs of a region node that only the node decides.
+
+    All of it is a function of the AST node alone, so a loop body reached a
+    thousand times, or a script run a thousand times from one memoised parse
+    (:meth:`repro.jit.cache.PlanCache.script`), is walked once.
+    """
+
+    #: Held so the ``id(node)`` the facts are filed under stays taken.
+    node: Node
+    #: The region's shell text, and its :func:`region_fingerprint`.
+    text: str
+    fingerprint: str
+    #: :func:`referenced_parameters`.
+    names: FrozenSet[str]
+    has_substitution: bool
+
+
+def region_facts(node: Node) -> RegionFacts:
+    """Unparse and walk ``node`` once for everything :class:`RegionFacts` holds."""
+    text = unparse(node)
+    names, has_substitution = referenced_parameters(node)
+    return RegionFacts(node, text, _fingerprint(text), names, has_substitution)

@@ -20,6 +20,12 @@ of re-walking the builder every time.  Regions whose expansion depends on
 state outside the key — command substitutions, glob patterns — are never
 cached; the driver marks them uncacheable.
 
+Beside the plans a cache keeps a **script memo**: source text → its parsed
+AST and, per region node, the facts that only the node decides
+(:class:`~repro.dfg.regions.RegionFacts`), so a driver handed a source it has
+seen — the second job of a daemon, the hit pass of a session — neither parses
+nor re-walks it.  Memory-only, under the same lock and the same LRU bound.
+
 Two cache classes share this keying:
 
 * :class:`PlanCache` — the in-memory bounded LRU every :class:`JitDriver`
@@ -37,6 +43,7 @@ Two cache classes share this keying:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,8 +51,11 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple, Union
+
+from repro.dfg.regions import RegionFacts, region_facts
+from repro.shell.parser import parse
 
 #: (fingerprint, referenced-binding values, config digest, width)
 PlanKey = Tuple[str, Tuple[Tuple[str, Optional[str]], ...], str, int]
@@ -95,6 +105,26 @@ PlanEntry = Union[CompiledPlan, FailedPlan]
 
 
 @dataclass
+class ParsedScript:
+    """One source text's AST, shared read-only by every run of that text."""
+
+    ast: Any  # repro.shell.ast_nodes.Node
+    #: ``id(region node)`` → its facts, filed at first reach.
+    _facts: Dict[int, RegionFacts] = field(default_factory=dict)
+
+    def facts(self, node: Any) -> RegionFacts:
+        """The facts of one region node of :attr:`ast`, walked once.
+
+        Drivers on several threads may ask at once: the value is a pure
+        function of the node, so a lost race files an equal object.
+        """
+        facts = self._facts.get(id(node))
+        if facts is None:
+            facts = self._facts[id(node)] = region_facts(node)
+        return facts
+
+
+@dataclass
 class CacheStats:
     """Hit/miss counters for one cache instance."""
 
@@ -132,6 +162,7 @@ class PlanCache:
             raise ValueError("PlanCache capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[PlanKey, PlanEntry]" = OrderedDict()
+        self._scripts: "OrderedDict[str, ParsedScript]" = OrderedDict()
         #: Reentrant: DiskPlanCache holds it across a lookup-then-promote.
         self._lock = threading.RLock()
         self.stats = CacheStats()
@@ -163,9 +194,27 @@ class PlanCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
 
+    def script(self, source: str) -> ParsedScript:
+        """The parse of ``source``, made at most once while it stays cached.
+
+        Parsing happens under the lock, so two executors handed one new
+        source parse it once; a source that does not parse raises and is
+        not remembered.
+        """
+        with self._lock:
+            script = self._scripts.get(source)
+            if script is None:
+                script = self._scripts[source] = ParsedScript(parse(source))
+                while len(self._scripts) > self.capacity:
+                    self._scripts.popitem(last=False)
+            else:
+                self._scripts.move_to_end(source)
+            return script
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._scripts.clear()
 
 
 class DiskPlanCache(PlanCache):
@@ -291,6 +340,7 @@ class DiskPlanCache(PlanCache):
 _RUNTIME_ONLY_FIELDS = ("tracing", "report_timeout_seconds", "jobs", "resilience", "obs")
 
 
+@functools.lru_cache(maxsize=64)
 def config_digest(config: Any) -> str:
     """A stable digest of a :class:`~repro.api.config.PashConfig`.
 

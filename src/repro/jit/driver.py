@@ -44,12 +44,13 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.api.config import PashConfig
 from repro.dfg.builder import DFGBuilder, UntranslatableRegion
 from repro.dfg.edges import EdgeKind
-from repro.dfg.regions import referenced_parameters, region_fingerprint
+from repro.dfg.regions import RegionFacts
 from repro.engine.api import EngineResult, ExecutionBackend, create_backend
 from repro.engine.metrics import EngineMetrics
 from repro.jit.cache import (
     CompiledPlan,
     FailedPlan,
+    ParsedScript,
     PlanCache,
     PlanEntry,
     config_digest,
@@ -63,8 +64,6 @@ from repro.runtime.interpreter import BUILTIN_COMMANDS, ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 from repro.shell.ast_nodes import Command, Node, Pipeline
 from repro.shell.expansion import ExpansionContext, ExpansionError
-from repro.shell.parser import parse
-from repro.shell.unparser import unparse
 from repro.transform.pipeline import OptimizationReport
 from repro.transform.planner import RegionPlan, plan_region
 
@@ -80,13 +79,15 @@ class JitResult(EngineResult):
 class _Occurrence:
     """One region occurrence on its way through :meth:`JitDriver._try_jit`."""
 
-    node: Node
-    fingerprint: str
+    #: The region node, its text and fingerprint, what it references.
+    facts: RegionFacts
     #: The plan key minus its width: (fingerprint, bindings, config digest).
     key: Tuple[Any, ...]
     cacheable: bool
     saw_glob: bool = False
     compile_seconds: float = 0.0
+    #: Wall time inside :meth:`JitDriver._decide`, compiles included.
+    plan_seconds: float = 0.0
     #: The plans this occurrence looked up or compiled, by width.
     plans: Dict[int, CompiledPlan] = field(default_factory=dict)
     #: Widths compiled (not served from the cache) during this occurrence.
@@ -171,6 +172,8 @@ class JitDriver(ShellInterpreter):
             self._engine_backend(self.inner_backend)
         self._in_region = False
         self._active_memo: Optional[Dict[str, str]] = None
+        #: The script :meth:`run` is walking.
+        self._script: Optional[ParsedScript] = None
 
     # ------------------------------------------------------------------
     # Entry point
@@ -182,16 +185,20 @@ class JitDriver(ShellInterpreter):
         The driver's shell state and plan cache persist across calls, so a
         sequence of ``run`` invocations behaves like one long-lived shell
         session with a warm cache; the report and metrics are per-call.
+        Source text is parsed through the cache's script memo (a plan-cache
+        hit is a parse hit too); an AST is used as it is, and never written to.
         """
         self.report = JitReport()
         self.metrics = EngineMetrics(backend="jit")
         self._fs.written = set()  # files are reported per call, like the report
         mark = self.tracer.mark()
         started = time.perf_counter()
-        ast = source_or_ast
         if isinstance(source_or_ast, str):
             with self.tracer.span("parse", "parse", source_bytes=len(source_or_ast)):
-                ast = parse(source_or_ast)
+                script = self.cache.script(source_or_ast)
+        else:
+            script = ParsedScript(source_or_ast)
+        self._script = script
         # Arms the coordinator-side fault points for the run (worker-side
         # points travel inside the worker plans).
         plan = self.config.resilience.fault_plan()
@@ -200,7 +207,7 @@ class JitDriver(ShellInterpreter):
             fault.install(plan)
         try:
             with self.tracer.span("jit:script", "jit"):
-                stdout = self.run_node(ast)
+                stdout = self.run_node(script.ast)
         finally:
             if plan is not None:
                 # Restore (not clear): the service daemon installs a job-level
@@ -275,15 +282,14 @@ class JitDriver(ShellInterpreter):
         inner backend compiles at exactly ``config.width`` and runs there —
         or, without a config, runs the sequential graph as built.
         """
-        fingerprint = region_fingerprint(node)
-        names, has_substitution = referenced_parameters(node)
+        facts = self._script.facts(node)
+        fingerprint = facts.fingerprint
         auto = self.inner_backend == "auto"
         sequential = auto or self._as_built
         occurrence = _Occurrence(
-            node=node,
-            fingerprint=fingerprint,
-            key=(fingerprint, self._bindings_for(names), self._config_digest),
-            cacheable=not has_substitution,
+            facts=facts,
+            key=(fingerprint, self._bindings_for(facts.names), self._config_digest),
+            cacheable=not facts.has_substitution,
         )
         width = 1 if sequential else self.config.width
         entry = self._lookup(occurrence, width)
@@ -292,7 +298,7 @@ class JitDriver(ShellInterpreter):
                 "jit:fallback", "jit", fingerprint=fingerprint, cached_failure=True
             ) as span:
                 span.set(reason=entry.reason)
-            self._record(node, fingerprint, "fallback", entry.reason, cached_failure=True)
+            self._record(occurrence, "fallback", entry.reason, cached_failure=True)
             return False, None
         if entry is None:
             try:
@@ -312,7 +318,7 @@ class JitDriver(ShellInterpreter):
                     "jit:fallback", "jit", fingerprint=fingerprint
                 ) as span:
                     span.set(reason=reason)
-                self._record(node, fingerprint, "fallback", reason)
+                self._record(occurrence, "fallback", reason)
                 return False, None
 
         backend = self.inner_backend
@@ -320,7 +326,9 @@ class JitDriver(ShellInterpreter):
         planned: Dict[str, Any] = {"width": width}
         if auto:
             if not self._as_built:
+                planning = time.perf_counter()
                 decision = self._decide(occurrence, entry)
+                occurrence.plan_seconds = time.perf_counter() - planning
                 if decision is None:
                     planned = {"width": self.config.width}
                 else:
@@ -378,7 +386,7 @@ class JitDriver(ShellInterpreter):
             )
             if outcome is None:
                 reason = "degraded to interpreter after retries"
-                self._record(node, fingerprint, "fallback", reason)
+                self._record(occurrence, "fallback", reason)
                 return False, None
             result = outcome
         else:
@@ -387,14 +395,7 @@ class JitDriver(ShellInterpreter):
         entry.executions += 1
         self.metrics.merge(result.metrics)
         self.state.last_status = 0
-        self._record(
-            node,
-            fingerprint,
-            action,
-            elapsed_seconds=elapsed,
-            compile_seconds=occurrence.compile_seconds,
-            **planned,
-        )
+        self._record(occurrence, action, elapsed_seconds=elapsed, **planned)
         return True, list(result.stdout)
 
     def _lookup(self, occurrence: "_Occurrence", width: int) -> Optional[PlanEntry]:
@@ -408,7 +409,7 @@ class JitDriver(ShellInterpreter):
         """The region's plan at ``width``, its graph made by ``compile_graph()``."""
         started = time.perf_counter()
         with self.tracer.span(
-            "jit:compile", "jit", fingerprint=occurrence.fingerprint, width=width
+            "jit:compile", "jit", fingerprint=occurrence.facts.fingerprint, width=width
         ) as span:
             graph, opt_report = compile_graph()
             span.set(nodes=len(graph.nodes))
@@ -416,7 +417,7 @@ class JitDriver(ShellInterpreter):
         entry = CompiledPlan(
             graph=graph,
             report=opt_report,
-            fingerprint=occurrence.fingerprint,
+            fingerprint=occurrence.facts.fingerprint,
             compile_seconds=seconds,
         )
         occurrence.compile_seconds += seconds
@@ -490,7 +491,7 @@ class JitDriver(ShellInterpreter):
             complete=True,
         )
         builder = DFGBuilder(self.library, context=context, filesystem=self._fs)
-        graph = builder.build_from_node(occurrence.node)
+        graph = builder.build_from_node(occurrence.facts.node)
         graph.validate()
         occurrence.saw_glob = builder.saw_glob
         return graph, OptimizationReport()
@@ -542,23 +543,22 @@ class JitDriver(ShellInterpreter):
 
     def _record(
         self,
-        node: Node,
-        fingerprint: str,
+        occurrence: "_Occurrence",
         action: str,
         reason: str = "",
         elapsed_seconds: float = 0.0,
-        compile_seconds: float = 0.0,
         cached_failure: bool = False,
         **planned: Any,
     ) -> None:
         self.report.record(
             RegionOutcome(
-                fingerprint=fingerprint,
-                text=unparse(node),
+                fingerprint=occurrence.facts.fingerprint,
+                text=occurrence.facts.text,
                 action=action,
                 reason=reason,
                 elapsed_seconds=elapsed_seconds,
-                compile_seconds=compile_seconds,
+                compile_seconds=occurrence.compile_seconds,
+                plan_seconds=occurrence.plan_seconds,
                 cached_failure=cached_failure,
                 **planned,
             )

@@ -30,6 +30,10 @@ class RegionOutcome:
     elapsed_seconds: float = 0.0
     #: Wall time spent inside the compiler for this occurrence (0 on hits).
     compile_seconds: float = 0.0
+    #: Wall time spent sizing this execution: stat-ing the inputs, the
+    #: planner's simulations, and compiling whatever shape it asked to see or
+    #: picked (that part is in ``compile_seconds`` too).  0 = nothing planned.
+    plan_seconds: float = 0.0
     #: True when the fallback decision itself came from the negative cache.
     cached_failure: bool = False
     #: The width the region ran at: 1 = its sequential graph on the
@@ -40,6 +44,9 @@ class RegionOutcome:
     input_lines: int = 0
     predicted_sequential_seconds: float = 0.0
     predicted_parallel_seconds: float = 0.0
+    #: True when the planner compiled no pool shape: the figure above is the
+    #: floor under all of them, and the sequential prediction was within it.
+    parallel_is_floor: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable flat-JSON schema: exactly the dataclass fields."""
@@ -87,6 +94,11 @@ class JitReport:
         """Total wall time spent compiling across the run."""
         return sum(outcome.compile_seconds for outcome in self.outcomes)
 
+    @property
+    def plan_seconds(self) -> float:
+        """Total wall time spent deciding widths across the run."""
+        return sum(outcome.plan_seconds for outcome in self.outcomes)
+
     def fallback_reasons(self) -> Dict[str, int]:
         """Histogram of why regions fell back (reason -> occurrences)."""
         return dict(
@@ -110,6 +122,7 @@ class JitReport:
             "fallbacks": self.fallbacks,
             "regions_inline": self.regions_inline,
             "compile_seconds": self.compile_seconds,
+            "plan_seconds": self.plan_seconds,
             "fallback_reasons": self.fallback_reasons(),
         }
 
@@ -123,6 +136,7 @@ class JitReport:
         lines = [
             f"region {index} width {outcome.width}: {outcome.input_lines} lines, predicted "
             f"{outcome.predicted_sequential_seconds * 1000:.1f} ms in-process vs "
+            f"{'≥ ' if outcome.parallel_is_floor else ''}"
             f"{outcome.predicted_parallel_seconds * 1000:.1f} ms on the pool"
             for index, outcome in planned[:limit]
         ]
@@ -139,8 +153,13 @@ class JitReport:
             f"{self.fallbacks} fell back, "
             f"{self.regions_inline} inline"
         )
-        if self.compile_seconds:
-            digest += f" (compile {self.compile_seconds * 1000:.1f} ms)"
+        timings = [
+            f"{layer} {seconds * 1000:.1f} ms"
+            for layer, seconds in (("compile", self.compile_seconds), ("plan", self.plan_seconds))
+            if seconds
+        ]
+        if timings:
+            digest += f" ({', '.join(timings)})"
         reasons = self.fallback_reasons()
         if reasons:
             top = sorted(reasons.items(), key=lambda item: -item[1])[:3]

@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.annotations.library import standard_library
 from repro.api.artifact import execute_script
 from repro.api.config import PashConfig, StreamingConfig
 from repro.obs.export import export_chrome_trace
@@ -155,6 +156,8 @@ class PashServiceDaemon:
             self.plan_cache: PlanCache = DiskPlanCache(self.options.cache_directory)
         else:
             self.plan_cache = PlanCache()
+        #: Resolved once; every job's driver reads the same annotations.
+        self.library = standard_library()
         self.pool: Optional[Any] = None
         self.address: Optional[Tuple[str, int]] = None
         self.started_at = 0.0
@@ -694,6 +697,7 @@ class PashServiceDaemon:
             backend,
             environment,
             cache=self.plan_cache,
+            library=self.library,
             tracer=tracer,
             pool=self.pool,  # the driver takes from it only for pool runs
         )

@@ -14,6 +14,11 @@ tables — :func:`repro.simulator.costs.python_cost_model` (the rates of our
 own kernels) and :meth:`MachineModel.this_host` (cores, per-node dispatch,
 channel rate) — and picks the cheapest; a tie goes to the lower width.
 
+Which shape runs is purely a cost question, and a cost question may be
+answered by a bound: every pool shape pays the driver's feed, the per-run
+setup and one process at least, so a sequential prediction at or under that
+floor has already won and no candidate is compiled, let alone simulated.
+
 The decision is a pure function of (graph, line counts, cores) and of where
 the inputs live: nothing is timed, so a run repeats.  The ahead-of-time compiler never calls this: asked
 for a width there, you get that width.
@@ -50,6 +55,9 @@ class RegionPlan:
     #: Predicted seconds of the best pool shape (0.0 when there is no
     #: candidate: ``config.width`` or the cores allow only width 1).
     predicted_parallel_seconds: float
+    #: True when no pool shape was simulated and the figure above is the
+    #: floor under all of them, which the sequential prediction did not exceed.
+    parallel_is_floor: bool = False
 
 
 def candidate_widths(limit: int) -> List[int]:
@@ -73,7 +81,8 @@ def plan_region(
     compile_candidate: Optional[Callable[[int], DataflowGraph]] = None,
     in_memory: Collection[str] = (),
 ) -> RegionPlan:
-    """Simulate the region at width 1 and at each candidate width; pick the cheapest.
+    """Simulate the region at width 1 and, unless the floor under every pool
+    shape already loses, at each candidate width; pick the cheapest.
 
     ``compile_candidate(width)`` returns the region's compiled shape at a
     width; the default runs the configured pass pipeline over a copy of the
@@ -83,14 +92,6 @@ def plan_region(
     pool worker has to be sent them before it can start.
     """
     machine = machine or MachineModel.this_host()
-    if compile_candidate is None:
-        pipeline = config.pipeline()
-
-        def compile_candidate(width: int) -> DataflowGraph:
-            candidate = sequential_graph.copy()
-            pipeline.run(candidate, config.replace(width=width))
-            return candidate
-
     total_lines = stdin_lines + sum(
         input_lines.get(edge.name or "", 0)
         for edge in sequential_graph.input_edges()
@@ -103,9 +104,29 @@ def plan_region(
         cost_model=_COSTS,
         stdin_lines=stdin_lines,
     )
+    widths = candidate_widths(min(config.width, machine.cores))
+    if not widths:
+        return RegionPlan(1, total_lines, sequential.total_seconds, 0.0)
     feed = machine.feed_seconds(
         stdin_lines + sum(input_lines.get(name, 0) for name in set(in_memory))
     )
+    best = sequential.total_seconds
+    if 0 < machine.in_process_lines < sum(sequential.edge_lines.values()):
+        # Too large to hold every edge at once: any pool shape beats it.
+        best = math.inf
+    # What ``simulate_graph`` adds to any shape with a process in it, under
+    # ``include_setup``; the makespan and the collection come on top.
+    floor = feed + machine.setup_seconds + machine.spawn_seconds(1)
+    if best <= floor:
+        return RegionPlan(1, total_lines, sequential.total_seconds, floor, parallel_is_floor=True)
+    if compile_candidate is None:
+        pipeline = config.pipeline()
+
+        def compile_candidate(width: int) -> DataflowGraph:
+            candidate = sequential_graph.copy()
+            pipeline.run(candidate, config.replace(width=width))
+            return candidate
+
     predicted = {
         width: feed
         + simulate_graph(
@@ -117,15 +138,9 @@ def plan_region(
             stdin_lines=stdin_lines,
             in_memory=in_memory,
         ).total_seconds
-        for width in candidate_widths(min(config.width, machine.cores))
+        for width in widths
     }
-    plan = RegionPlan(
-        1, total_lines, sequential.total_seconds, min(predicted.values(), default=0.0)
-    )
-    best = sequential.total_seconds
-    if 0 < machine.in_process_lines < sum(sequential.edge_lines.values()):
-        # Too large to hold every edge at once: any pool shape beats it.
-        best = math.inf
+    plan = RegionPlan(1, total_lines, sequential.total_seconds, min(predicted.values()))
     for width, seconds in predicted.items():  # ascending, so a tie keeps the lower width
         if seconds < best:
             best, plan.width = seconds, width

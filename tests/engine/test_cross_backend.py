@@ -17,6 +17,8 @@ host binary — bi-grams-opt).
 import os
 import shutil
 import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -464,3 +466,103 @@ def test_control_flow_runs_as_the_shell_runs_it(row, backend, door):
     result = CONTROL_FLOW_DOORS[door](script, name, **options)
     assert (result.stdout, result.files) == _interpreter_reference(script)
     assert result.backend == result.metrics.backend == name
+
+
+# ---------------------------------------------------------------------------
+# One parse per source: the script memo hands every run the same AST
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def counted_parse(monkeypatch):
+    """The sources ``PlanCache.script`` handed to the parser, in order."""
+    from repro.jit import cache as cache_module
+
+    sources = []
+
+    def parse(source):
+        sources.append(source)
+        return real_parse(source)
+
+    real_parse = cache_module.parse
+    monkeypatch.setattr(cache_module, "parse", parse)
+    return sources
+
+
+def test_a_shared_ast_is_never_written_to(counted_parse):
+    """The daemon's ``--executors N`` shape, with more threads than this box
+    has cores: three walk the table twice each through one cache, so every
+    source has one AST under six runs."""
+    from repro.shell.parser import parse
+    from repro.shell.unparser import unparse
+
+    cache = PlanCache()
+    config = PashConfig.paper_default(WIDTH)
+    wrong = []
+
+    def walk_the_table_twice():
+        for _ in range(2):
+            for row, script in CONTROL_FLOW.items():
+                result = api.run(
+                    script, config=config, backend="jit",
+                    environment=_control_flow_environment(), cache=cache,
+                )
+                if (result.stdout, result.files) != _interpreter_reference(script):
+                    wrong.append(row)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=walk_the_table_twice) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert sorted(counted_parse) == sorted(CONTROL_FLOW.values())
+    for script in CONTROL_FLOW.values():
+        assert unparse(cache.script(script).ast) == unparse(parse(script))
+    assert len(counted_parse) == len(CONTROL_FLOW)  # the loop above hit the memo
+
+
+def test_an_ast_the_caller_parsed_bypasses_the_memo(counted_parse):
+    from repro.api.artifact import execute_script
+    from repro.shell.parser import parse
+    from repro.shell.unparser import unparse
+
+    cache = PlanCache()
+    script = CONTROL_FLOW["nested"]
+    ast = parse(script)
+    before = unparse(ast)
+    for _ in range(2):
+        result = execute_script(
+            ast, PashConfig.paper_default(WIDTH), "jit", _control_flow_environment(), cache=cache
+        )
+        assert (result.stdout, result.files) == _interpreter_reference(script)
+    assert unparse(ast) == before
+    assert counted_parse == []
+
+
+def test_a_source_that_does_not_parse_is_not_memoised(counted_parse):
+    from repro.shell.parser import ParseError
+
+    cache = PlanCache()
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            api.run("if true; then", backend="jit", cache=cache)
+    assert counted_parse == ["if true; then"] * 2
+
+
+def test_scripts_are_evicted_like_plans(counted_parse):
+    cache = PlanCache(capacity=1)
+    first = cache.script("cat a.txt | sort")
+    assert cache.script("cat a.txt | sort") is first
+    cache.script("cat b.txt | sort")
+    assert cache.script("cat a.txt | sort") is not first
+    assert len(counted_parse) == 3
+    cache.clear()
+    cache.script("cat a.txt | sort")
+    assert len(counted_parse) == 4

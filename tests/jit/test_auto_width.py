@@ -150,8 +150,10 @@ def test_one_region_whose_input_grows_holds_one_plan_per_width(early_break_even)
         assert result.stdout == sorted(line.upper() for line in files["log.txt"])
         outcomes.extend(result.jit.outcomes)
     assert [outcome.width for outcome in outcomes] == [1, 2, 1, 2]
-    assert [outcome.action for outcome in outcomes] == ["compiled", "cached", "cached", "cached"]
-    # The sequential graph and the width-2 shape, compiled once each.
+    # The sequential graph and the width-2 shape, compiled once each — the
+    # latter by the first execution that wants it, not while the 20-line run
+    # was being decided (the floor under every pool shape had already lost).
+    assert [outcome.action for outcome in outcomes] == ["compiled", "compiled", "cached", "cached"]
     assert len(cache) == 2
     assert {key[-1] for key in cache._entries} == {1, 2}
 
@@ -292,6 +294,27 @@ def test_the_report_the_span_and_the_counter_carry_the_decision(two_cores):
     text = prometheus_text(registry)
     check_metrics.lint_text(text)
     assert "pash_jit_regions_inline_total 1" in text
+
+
+def test_a_bound_is_never_shown_as_a_simulation(early_break_even):
+    """Below the floor no pool shape was simulated, and the report says so."""
+    script = "cat log.txt | tr a-z A-Z | sort"
+    below, _ = run_jit(script, {"log.txt": ["ab"] * 20}, "auto")
+    above, _ = run_jit(script, {"log.txt": ["ab"] * 2000}, "auto")
+    pinned, _ = run_jit(script, {"log.txt": ["ab"] * 20}, "parallel")
+    (bound,), (simulated,) = below.jit.outcomes, above.jit.outcomes
+    floor = early_break_even.setup_seconds + early_break_even.spawn_seconds(1)
+    assert (bound.width, bound.parallel_is_floor) == (1, True)
+    # 20 lines the driver holds in memory still have to be fed to a worker.
+    assert bound.predicted_parallel_seconds == floor + early_break_even.feed_seconds(20)
+    assert (simulated.width, simulated.parallel_is_floor) == (2, False)
+    assert " vs ≥ " in below.jit.decisions()[0]
+    assert "≥" not in above.jit.decisions()[0]
+    # Planning is timed wherever it happened and nowhere else.
+    for result, planned in ((below, True), (above, True), (pinned, False)):
+        assert (result.jit.plan_seconds > 0) == planned
+        assert result.jit.to_dict()["plan_seconds"] == result.jit.plan_seconds
+        assert ("plan " in result.jit.summary()) == planned
 
 
 def test_decisions_lists_only_planned_regions_and_caps_its_length():

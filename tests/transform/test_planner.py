@@ -8,14 +8,17 @@ message carries the seed that reproduces it.
 """
 
 import dataclasses
+import math
 import os
 import random
+from collections import Counter
 
 import pytest
 
 from repro.api import PashConfig
 from repro.dfg.builder import translate_script
 from repro.simulator.machine import MachineModel
+from repro.simulator.simulate import simulate_graph
 from repro.transform import planner
 from repro.transform.planner import candidate_widths, choose_width, plan_region
 from repro.workloads.oneliners import ONE_LINERS
@@ -199,3 +202,94 @@ def test_the_planner_leaves_the_sequential_graph_alone():
     before = graph.describe()
     plan_region(graph, line_counts(graph, 10**7), PashConfig.paper_default(4), machine=HOST)
     assert graph.describe() == before
+
+
+# ---------------------------------------------------------------------------
+# The floor is admissible: deciding by the bound decides what the search did
+# ---------------------------------------------------------------------------
+
+_SHAPES = {}
+
+
+def compiled_shape(label, graph, width):
+    """The pass pipeline's shape of ``graph`` at ``width``, built once."""
+    if (label, width) not in _SHAPES:
+        config = PashConfig.paper_default(width)
+        shape = graph.copy()
+        config.pipeline().run(shape, config)
+        _SHAPES[label, width] = shape
+    return _SHAPES[label, width]
+
+
+def exhaustive_width(label, graph, counts, config, machine, stdin_lines, in_memory):
+    """The reference: simulate every candidate shape, keep the cheapest."""
+    sequential = simulate_graph(
+        graph, counts, machine=machine.in_process(), cost_model=planner._COSTS,
+        stdin_lines=stdin_lines,
+    )
+    best, width = sequential.total_seconds, 1
+    if 0 < machine.in_process_lines < sum(sequential.edge_lines.values()):
+        best = math.inf
+    feed = machine.feed_seconds(stdin_lines + sum(counts[name] for name in set(in_memory)))
+    for candidate in candidate_widths(min(config.width, machine.cores)):
+        seconds = feed + simulate_graph(
+            compiled_shape(label, graph, candidate), counts, machine=machine,
+            cost_model=planner._COSTS, include_setup=True, stdin_lines=stdin_lines,
+            in_memory=in_memory,
+        ).total_seconds
+        if seconds < best:  # ascending widths, so a tie keeps the lower one
+            best, width = seconds, candidate
+    return width
+
+
+@pytest.mark.parametrize("cores", [1, 64])
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_the_floor_decides_what_the_exhaustive_search_decides(width, cores):
+    machine = dataclasses.replace(HOST, cores=cores)
+    config = PashConfig.paper_default(width)
+    decided_by = Counter()
+    for label, graph in GRAPHS:
+        for lines in (0, 20, 1_000, 50_000, 1_000_000, 10_000_000):
+            counts = line_counts(graph, lines)
+            for where, stdin_lines, in_memory in (
+                ("disk", 0, ()),
+                ("memory", 0, tuple(counts)),
+                ("stdin", lines, ()),
+            ):
+                plan = plan_region(
+                    graph, counts, config, stdin_lines=stdin_lines, machine=machine,
+                    compile_candidate=lambda w: compiled_shape(label, graph, w),
+                    in_memory=in_memory,
+                )
+                assert plan.width == exhaustive_width(
+                    label, graph, counts, config, machine, stdin_lines, in_memory
+                ), f"{label}, {lines} lines on {where}, width {width}, {cores} cores"
+                decided_by[plan.parallel_is_floor, plan.width > 1] += 1
+    if width > 1 and cores > 1:
+        # Neither side of the floor is vacuous, and the search still finds wins.
+        assert decided_by[True, False] and decided_by[False, False] and decided_by[False, True]
+    else:
+        assert set(decided_by) == {(False, False)}
+
+
+@pytest.mark.parametrize("lines, compiles", [(20, []), (1_000_000, [2])])
+def test_a_candidate_is_compiled_only_above_the_floor(lines, compiles):
+    label, graph = next(item for item in GRAPHS if item[0].startswith("grep#"))
+    machine = dataclasses.replace(HOST, cores=2)
+    asked = []
+
+    def compile_candidate(width):
+        asked.append(width)
+        return compiled_shape(label, graph, width)
+
+    plan = plan_region(
+        graph, line_counts(graph, lines), PashConfig.paper_default(2), machine=machine,
+        compile_candidate=compile_candidate,
+    )
+    assert asked == compiles
+    assert plan.parallel_is_floor == (not compiles)
+    floor = machine.setup_seconds + machine.spawn_seconds(1)
+    if compiles:
+        assert plan.predicted_parallel_seconds > floor
+    else:
+        assert plan.predicted_sequential_seconds <= plan.predicted_parallel_seconds == floor
