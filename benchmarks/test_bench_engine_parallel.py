@@ -21,7 +21,6 @@ discrete-event simulator; this one runs the same dataflow graphs for real on
 Run with ``--bench-json`` to persist the measurements (see conftest).
 """
 
-import os
 import time
 
 from conftest import print_header
@@ -32,6 +31,7 @@ from repro.commands import standard_registry
 from repro.evaluation.harness import measured_speedup
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
+from repro.simulator.machine import usable_cores
 from repro.workloads import text
 from repro.workloads.oneliners import get_one_liner
 
@@ -111,7 +111,7 @@ def _run_cpu_workload():
         get_one_liner("sort"),
         width=WIDTH,
         lines=60_000,
-        config=PashConfig.paper_default(WIDTH, adaptive_width=True),
+        config=PashConfig.paper_default(min(WIDTH, usable_cores())),
     )
     return static, adaptive
 
@@ -121,17 +121,17 @@ def test_bench_engine_cpu_bound_sort(benchmark, bench_record):
 
     The seed baseline showed a 0.11x *slowdown* at static width 4 on a
     1-core box: the fan-out's splitting/aggregation overhead bought no
-    parallelism.  The ``adaptive_width`` clamp caps the effective width at
-    the usable core count, so on starved machines the graph stays (near-)
-    sequential and the slowdown disappears, while on ≥4-core machines the
-    clamp is a no-op and the static numbers are unchanged.
+    parallelism.  Asking for ``min(WIDTH, usable_cores())`` — what the
+    ``jit`` planner does for itself — keeps the graph (near-)sequential on
+    starved machines and the slowdown disappears, while on ≥4-core
+    machines it is the static width and the numbers are unchanged.
     """
     (static_run, adaptive_run) = benchmark.pedantic(
         _run_cpu_workload, rounds=1, iterations=1
     )
     baseline, parallel, speedup = static_run
     adaptive_baseline, adaptive, adaptive_speedup = adaptive_run
-    cores = len(os.sched_getaffinity(0))
+    cores = usable_cores()
 
     bench_record(
         "engine_cpu_bound_sort",

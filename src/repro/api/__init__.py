@@ -33,7 +33,7 @@ The pieces, and where they live:
 
 from repro.api.artifact import CompilationStats, CompiledScript
 from repro.api.config import (
-    ClusterConfig,
+    ClusterOptions,
     ObsConfig,
     PashConfig,
     ResilienceConfig,
@@ -43,7 +43,7 @@ from repro.api.pash import Pash, compile, optimize, run
 from repro.transform.pipeline import EagerMode, SplitMode
 
 __all__ = [
-    "ClusterConfig",
+    "ClusterOptions",
     "CompilationStats",
     "CompiledScript",
     "EagerMode",

@@ -2,17 +2,16 @@
 
 The paper's pitch is *light-touch*: a script plus one knob (the width).
 :class:`PashConfig` is the only configuration object on the run path: the
-pass pipeline, the JIT driver, the evaluation harness and the parallel
-scheduler and the shell emitter read it directly.  Two tier option types
-remain because they hold deployment settings (listen addresses, interpreter
-executables, executor counts) rather than compilation knobs:
-:class:`~repro.cluster.coordinator.ClusterOptions`
-(:meth:`PashConfig.cluster_options`) and
-:class:`~repro.service.daemon.ServiceOptions`.
+pass pipeline, the JIT driver, the evaluation harness, the parallel
+scheduler, the cluster coordinator and the shell emitter read it directly.
+The cluster tier's deployment settings are a section of it
+(:class:`ClusterOptions`, ``PashConfig.cluster``); the one option type
+outside it is :class:`~repro.service.daemon.ServiceOptions` (a daemon's
+listen address, executor count and quotas), which carries a ``PashConfig``.
 
 The object is frozen (hashable, safe to share across regions and threads)
 and round-trips through plain JSON-able dicts (:meth:`to_dict` /
-:meth:`from_dict`) so future caching layers can key compilations on it.
+:meth:`from_dict`): the plan cache keys compilations on that form.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.resilience.fault import FaultPlan, FaultSpec
+from repro.resilience.fault import FaultPlan, FaultSpec, load_fault_file
 from repro.resilience.retry import RetryPolicy
 from repro.transform.pipeline import EagerMode, SplitMode
 
@@ -51,7 +50,8 @@ class _Section:
             unknown = set(value) - {field.name for field in dataclasses.fields(cls)}
             if unknown:
                 raise ValueError(f"unknown {cls.__name__} fields: {', '.join(sorted(unknown))}")
-            values = dict(value)
+            # ``None`` asks for the default (only fields defaulting to None are optional).
+            values = {name: item for name, item in value.items() if item is not None}
             for name, item_type in cls._TUPLES.items():
                 if name in values:
                     values[name] = tuple(
@@ -85,15 +85,16 @@ class StreamingConfig(_Section):
 
 
 @dataclass(frozen=True)
-class ClusterConfig(_Section):
-    """The distributed tier's knobs (one section of the config).
+class ClusterOptions(_Section):
+    """The distributed tier's deployment settings (one section of the config).
 
     With ``connect`` unset the coordinator runs in localhost mode: it binds
     an ephemeral port and spawns ``workers`` ``pash-worker`` processes
     itself, so the tier is testable without SSH.  With ``connect`` set to a
     ``HOST:PORT`` address the coordinator listens there and waits for
     ``workers`` externally-started ``pash-worker --connect`` registrations.
-    ``None`` timing fields defer to the coordinator defaults.
+    The run's deadline, host-command switch, streaming knobs and fault plan
+    are the :class:`PashConfig`'s own, as for the parallel backend.
     """
 
     #: Worker count: processes to spawn (localhost mode) or registrations to
@@ -101,10 +102,13 @@ class ClusterConfig(_Section):
     workers: int = 2
     #: ``HOST:PORT`` to listen on for external workers (None = localhost mode).
     connect: Optional[str] = None
-    #: Seconds between worker heartbeats (None = coordinator default).
-    heartbeat_interval: Optional[float] = None
-    #: Heartbeat silence after which a worker is declared lost (None = default).
-    heartbeat_timeout: Optional[float] = None
+    #: Seconds between worker heartbeats.
+    heartbeat_interval: float = 0.5
+    #: Seconds of heartbeat silence after which a worker is declared lost
+    #: and its in-flight task requeued.
+    heartbeat_timeout: float = 10.0
+    #: How long to wait for the expected workers to register at startup.
+    register_timeout_seconds: float = 30.0
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,9 @@ class ResilienceConfig(_Section):
     #: After retries are exhausted, re-run on the sequential interpreter
     #: (always byte-identical by the paper's correctness contract).
     degrade: bool = False
-    #: Exponential-backoff schedule: first delay, cap, and jitter fraction.
+    #: Exponential-backoff schedule: first delay and jitter fraction (the
+    #: cap is :class:`~repro.resilience.retry.RetryPolicy`'s default).
     retry_base_seconds: float = 0.05
-    retry_max_seconds: float = 2.0
     retry_jitter: float = 0.5
     #: Overall wall-clock budget across all attempts of one supervised run;
     #: 0 = unbounded (each attempt is still bounded by the engine's own
@@ -142,7 +146,7 @@ class ResilienceConfig(_Section):
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("ResilienceConfig.max_retries must be >= 0")
-        if self.retry_base_seconds < 0 or self.retry_max_seconds < 0:
+        if self.retry_base_seconds < 0:
             raise ValueError("ResilienceConfig backoff seconds must be >= 0")
         if self.deadline_seconds < 0:
             raise ValueError("ResilienceConfig.deadline_seconds must be >= 0")
@@ -156,7 +160,6 @@ class ResilienceConfig(_Section):
         return RetryPolicy(
             max_retries=self.max_retries,
             base_seconds=self.retry_base_seconds,
-            max_seconds=self.retry_max_seconds,
             jitter=self.retry_jitter,
             deadline_seconds=self.deadline_seconds,
         )
@@ -175,21 +178,14 @@ class ResilienceConfig(_Section):
         ``--max-retries`` or ``--fault-plan`` arms the ladder; degradation
         then defaults on unless ``--no-degrade`` opts out.
         """
-        max_retries = getattr(arguments, "max_retries", None)
-        fault_path = getattr(arguments, "fault_plan", None)
-        fault_seed = 0
-        faults: Tuple[FaultSpec, ...] = ()
-        if fault_path:
-            from repro.resilience.fault import load_fault_file
-
-            plan = load_fault_file(fault_path)
-            fault_seed, faults = plan.seed, plan.faults
+        max_retries, fault_path = arguments.max_retries, arguments.fault_plan
+        plan = load_fault_file(fault_path) if fault_path else FaultPlan()
         engaged = max_retries is not None or fault_path is not None
         return cls(
-            max_retries=max_retries if max_retries is not None else 0,
-            degrade=engaged and not bool(getattr(arguments, "no_degrade", False)),
-            fault_seed=fault_seed,
-            faults=faults,
+            max_retries=max_retries or 0,
+            degrade=engaged and not arguments.no_degrade,
+            fault_seed=plan.seed,
+            faults=plan.faults,
         )
 
 
@@ -206,11 +202,9 @@ class ObsConfig(_Section):
     """
 
     #: Fraction of jobs whose spans are recorded (1.0 = every job, the
-    #: per-run behaviour; the daemon consults a seeded
+    #: per-run behaviour; the daemon consults a
     #: :class:`~repro.obs.sampler.TraceSampler`).
     trace_sample_ratio: float = 1.0
-    #: Seed for the deterministic sampling sequence.
-    trace_sample_seed: int = 0
     #: Tenants always traced regardless of the ratio (debugging one tenant
     #: without paying for the rest).
     sample_tenants: Tuple[str, ...] = ()
@@ -226,24 +220,15 @@ class ObsConfig(_Section):
         if self.span_retention < 0:
             raise ValueError("ObsConfig.span_retention must be >= 0")
 
-    def sampler(self):
-        """The seeded :class:`~repro.obs.sampler.TraceSampler` this selects."""
-        from repro.obs.sampler import TraceSampler
-
-        return TraceSampler.from_config(self)
-
     @classmethod
     def from_cli_args(cls, arguments: Any) -> "ObsConfig":
         """Build the section from ``--trace-sample``/``--sample-tenant``/
         ``--span-retention`` (shared by ``pash-serve``)."""
-        ratio = getattr(arguments, "trace_sample", None)
-        retention = getattr(arguments, "span_retention", None)
-        tenants = tuple(getattr(arguments, "sample_tenant", None) or ())
+        ratio = arguments.trace_sample
         return cls(
-            trace_sample_ratio=ratio if ratio is not None else 1.0,
-            trace_sample_seed=int(getattr(arguments, "trace_sample_seed", 0) or 0),
-            sample_tenants=tenants,
-            span_retention=retention if retention is not None else 0,
+            trace_sample_ratio=1.0 if ratio is None else ratio,
+            sample_tenants=tuple(arguments.sample_tenant or ()),
+            span_retention=arguments.span_retention or 0,
         )
 
 
@@ -260,21 +245,12 @@ class PashConfig:
     split: SplitMode = SplitMode.GENERAL
     #: Fan-in of the aggregation tree for pure commands (2 = binary tree).
     aggregation_fan_in: int = 2
-    #: Never parallelize commands whose estimated benefit is below this many
-    #: input streams.
-    minimum_copies: int = 2
     #: Collapse linear stateless chains into single-worker fused stages
     #: (the ``fuse-stages`` pass).  On by default: one worker evaluating
     #: ``grep | tr | cut`` in-process beats three processes joined by pipes
     #: and pump threads.  Paper-shape reproductions (Table 2, the simulated
     #: figures) pin this off explicitly.
     fuse_stages: bool = True
-    #: Clamp the effective parallelization width to the cores actually
-    #: available (this host's, or the cluster-wide count when the backend is
-    #: ``cluster``).  Off by default: paper-shape reproductions ask for an
-    #: exact width and latency-bound pipelines still win from overlap beyond
-    #: the core count, so the clamp is an explicit opt-in for CPU-bound work.
-    adaptive_width: bool = False
 
     # -- pass-pipeline toggles ----------------------------------------------
     #: Default passes removed from the pipeline by name (ablations).
@@ -289,24 +265,22 @@ class PashConfig:
     use_host_commands: bool = False
     #: How long the parallel scheduler waits for a worker report.
     report_timeout_seconds: float = 120.0
-    #: Persistent worker-pool size hint for the parallel backend (the CLI's
-    #: ``--jobs``): the pool is pre-warmed to this many processes and grows
-    #: on demand.  ``None`` = fully lazy; ``0`` disables the pool entirely
-    #: (one fresh fork per node per run, the pre-pool behaviour).
+    #: Worker-pool size for the parallel backend (the CLI's ``--jobs``): the
+    #: shared pool is pre-warmed to this many processes and grows on demand.
+    #: ``None`` = fully lazy; ``0`` = no pool, one fresh fork per node per run.
     jobs: Optional[int] = None
     #: Bounded-memory streaming knobs of the engine data plane.
     streaming: StreamingConfig = StreamingConfig()
-    #: Distributed-tier knobs (worker count, listen address, heartbeats).
-    cluster: ClusterConfig = ClusterConfig()
+    #: Distributed-tier settings (worker count, listen address, heartbeats).
+    cluster: ClusterOptions = ClusterOptions()
     #: Supervised retry/degrade + fault injection (inactive by default).
     resilience: ResilienceConfig = ResilienceConfig()
-    #: What the JIT driver executes compiled regions on (``backend="jit"``
-    #: orchestrates the script; this picks what runs each compiled plan).
-    #: ``"auto"``: the region planner sizes every region *execution* from its
-    #: live input — width 1 runs the sequential graph on the in-process
-    #: executor, any other width (up to ``width``) on the worker pool.
-    #: ``"parallel"``: exactly ``width``, always on the pool.  Any other
-    #: engine backend name runs the ``width``-wide plan there.
+    #: What the script driver runs compiled regions on under ``backend="jit"``
+    #: (any other ``backend`` pins that engine at exactly ``width``).
+    #: ``"auto"``: the region planner sizes every region execution from its
+    #: live input, at most ``min(width, cores)`` wide — width 1 runs the
+    #: sequential graph in-process, anything wider on the worker pool.
+    #: Any engine backend name: exactly ``width``, on that engine.
     jit_inner_backend: str = "auto"
 
     # -- observability --------------------------------------------------------
@@ -324,12 +298,8 @@ class PashConfig:
     fifo_directory: str = "/tmp"
     #: Fixed FIFO-name prefix; None picks a unique per-emission prefix.
     fifo_prefix: Optional[str] = None
-    #: Emit a shebang and comment header.
-    emit_header: bool = False
 
-    # ------------------------------------------------------------------
-    # Named constructors
-    # ------------------------------------------------------------------
+    # -- named constructors ---------------------------------------------------
 
     @classmethod
     def paper_default(cls, width: int, **overrides: Any) -> "PashConfig":
@@ -366,33 +336,26 @@ class PashConfig:
     @classmethod
     def from_cli_args(cls, arguments: Any) -> "PashConfig":
         """Build a config from the ``pash-compile`` argparse namespace."""
-        if getattr(arguments, "no_eager", False):
+        if arguments.no_eager:
             eager = EagerMode.NONE
-        elif getattr(arguments, "blocking_eager", False):
+        elif arguments.blocking_eager:
             eager = EagerMode.BLOCKING
         else:
             eager = EagerMode.EAGER
-        cluster = ClusterConfig(
-            workers=getattr(arguments, "cluster_workers", None) or 2,
-            connect=getattr(arguments, "cluster_connect", None),
-        )
-        resilience = ResilienceConfig.from_cli_args(arguments)
         return cls(
             width=arguments.width,
             eager=eager,
             split=SplitMode(arguments.split),
             aggregation_fan_in=arguments.fan_in,
-            adaptive_width=bool(getattr(arguments, "adaptive_width", False)),
-            disabled_passes=tuple(getattr(arguments, "disable_pass", None) or ()),
-            backend=getattr(arguments, "execute", None) or "interpreter",
-            jobs=getattr(arguments, "jobs", None),
-            cluster=cluster,
-            resilience=resilience,
-            jit_inner_backend=getattr(arguments, "jit_backend", None) or "auto",
-            tracing=bool(
-                getattr(arguments, "trace", None)
-                or getattr(arguments, "metrics_json", None)
+            disabled_passes=tuple(arguments.disable_pass or ()),
+            backend=arguments.execute or "interpreter",
+            jobs=arguments.jobs,
+            cluster=ClusterOptions(
+                workers=arguments.cluster_workers or 2, connect=arguments.cluster_connect
             ),
+            resilience=ResilienceConfig.from_cli_args(arguments),
+            jit_inner_backend=arguments.jit_backend or "auto",
+            tracing=bool(arguments.trace or arguments.metrics_json),
         )
 
     @classmethod
@@ -404,27 +367,9 @@ class PashConfig:
             return config
         raise TypeError(f"expected PashConfig, got {type(config).__name__}")
 
-    # ------------------------------------------------------------------
-    # Derived per-layer options
-    # ------------------------------------------------------------------
-
     def replace(self, **changes: Any) -> "PashConfig":
         """A copy with the given fields changed (the object is frozen)."""
         return dataclasses.replace(self, **changes)
-
-    def available_cores_estimate(self) -> int:
-        """Cores the selected backend can actually keep busy.
-
-        Single-host backends get this host's usable cores; the cluster
-        backend gets the fleet-wide sum (``workers`` × per-worker cores,
-        each worker assumed to match this host).
-        """
-        from repro.simulator.machine import usable_cores
-
-        local = usable_cores()
-        if self.backend == "cluster":
-            return max(1, self.cluster.workers) * local
-        return local
 
     def pipeline(self):
         """The pass manager this configuration selects."""
@@ -433,44 +378,11 @@ class PashConfig:
         return build_pipeline(disabled=self.disabled_passes, extra=self.extra_passes)
 
     def emitter_options(self) -> "PashConfig":
-        """The emission settings are this config's own fields: returns ``self``.
-
-        Only pash-bench's compile probe (``benchmarks/e2e/layers.py``, which
-        none but a ``[benchmark]`` change may edit) still calls this, as
-        ``compiled.emit(config.emitter_options())``.
-        """
+        """``self`` — the emission settings are this config's own fields (kept
+        for pash-bench's ``compiled.emit(config.emitter_options())``)."""
         return self
 
-    def cluster_options(self):
-        """The cluster coordinator's view of this configuration."""
-        from repro.cluster.coordinator import ClusterOptions
-
-        options = ClusterOptions(
-            workers=self.cluster.workers,
-            connect=self.cluster.connect,
-            report_timeout_seconds=self.report_timeout_seconds,
-            use_host_commands=self.use_host_commands,
-            streaming=self.streaming,
-            fault_plan=self.resilience.fault_plan(),
-        )
-        if self.cluster.heartbeat_interval is not None:
-            options.heartbeat_interval = self.cluster.heartbeat_interval
-        if self.cluster.heartbeat_timeout is not None:
-            options.heartbeat_timeout = self.cluster.heartbeat_timeout
-        return options
-
-    def backend_options(self, backend: Optional[str] = None) -> Dict[str, Any]:
-        """Constructor keywords for :func:`repro.engine.create_backend`."""
-        resolved = backend or self.backend
-        if resolved == "cluster":
-            return {"options": self.cluster_options()}
-        if resolved == "parallel":
-            return {"config": self}
-        return {}
-
-    # ------------------------------------------------------------------
-    # Round-trippable serialization (the future caching key)
-    # ------------------------------------------------------------------
+    # -- round-trippable serialization (the plan-cache key) ------------------
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain JSON-able dict; ``from_dict`` restores an equal config."""
@@ -481,7 +393,7 @@ class PashConfig:
                 value = value.value
             elif isinstance(value, tuple):
                 value = list(value)
-            elif isinstance(value, (StreamingConfig, ClusterConfig, ResilienceConfig, ObsConfig)):
+            elif isinstance(value, _Section):
                 value = value.to_dict()
             payload[field.name] = value
         return payload
@@ -494,19 +406,20 @@ class PashConfig:
         if unknown:
             raise ValueError(f"unknown PashConfig fields: {', '.join(sorted(unknown))}")
         values: Dict[str, Any] = dict(payload)
-        if "eager" in values and not isinstance(values["eager"], EagerMode):
-            values["eager"] = EagerMode(values["eager"])
-        if "split" in values and not isinstance(values["split"], SplitMode):
-            values["split"] = SplitMode(values["split"])
-        for name in ("disabled_passes", "extra_passes"):
+        for name, decode in _DECODERS.items():
             if name in values:
-                values[name] = tuple(values[name])
-        if "streaming" in values:
-            values["streaming"] = StreamingConfig.coerce(values["streaming"])
-        if "cluster" in values:
-            values["cluster"] = ClusterConfig.coerce(values["cluster"])
-        if "resilience" in values:
-            values["resilience"] = ResilienceConfig.coerce(values["resilience"])
-        if "obs" in values:
-            values["obs"] = ObsConfig.coerce(values["obs"])
+                values[name] = decode(values[name])
         return cls(**values)
+
+
+#: Dict form -> field value, for the fields whose dict form is not the value.
+_DECODERS = {
+    "eager": EagerMode,
+    "split": SplitMode,
+    "disabled_passes": tuple,
+    "extra_passes": tuple,
+    "streaming": StreamingConfig.coerce,
+    "cluster": ClusterOptions.coerce,
+    "resilience": ResilienceConfig.coerce,
+    "obs": ObsConfig.coerce,
+}

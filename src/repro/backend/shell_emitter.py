@@ -72,11 +72,11 @@ def emit_parallel_script(
 ) -> str:
     """Render ``graph`` as a parallel shell script.
 
-    ``config`` supplies the FIFO directory, an optional fixed FIFO prefix and
-    whether a shebang header is emitted.  ``stdin_path`` is the path read for
-    STDIN edges: the default works for foreground use, but a background
-    job's /dev/stdin is /dev/null under POSIX sh, so callers that feed stdin
-    programmatically point it at a real file.
+    ``config`` supplies the FIFO directory and an optional fixed FIFO
+    prefix.  ``stdin_path`` is the path read for STDIN edges: the default
+    works for foreground use, but a background job's /dev/stdin is /dev/null
+    under POSIX sh, so callers that feed stdin programmatically point it at
+    a real file.
     """
     config = config or PashConfig()
     graph.validate()
@@ -85,9 +85,6 @@ def emit_parallel_script(
     fifo_names = _assign_fifo_names(graph, config.fifo_directory, prefix, stdin_path)
     runtime_command = _runtime_command()
     lines: List[str] = []
-    if config.emit_header:
-        lines.append("#!/bin/sh")
-        lines.append("# Generated by the PaSh reproduction back-end.")
 
     pipe_edges = [fifo_names[edge.edge_id] for edge in graph.edges.values() if edge.kind is EdgeKind.PIPE]
     if pipe_edges:

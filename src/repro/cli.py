@@ -36,7 +36,7 @@ from repro.api.artifact import SCRIPT_LEVEL_BACKENDS
 from repro.commands.base import CommandError
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import InterpreterError
-from repro.runtime.streams import VirtualFileSystem
+from repro.runtime.streams import VirtualFileSystem, read_lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,13 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with '--execute cluster', listen on this address and wait for "
         "externally-started 'pash-worker --connect HOST:PORT' processes "
         "instead of spawning localhost workers",
-    )
-    parser.add_argument(
-        "--adaptive-width",
-        action="store_true",
-        help="clamp the effective parallelization width to the cores the "
-        "selected backend can keep busy (this host's, or the cluster-wide "
-        "count with '--execute cluster')",
     )
     parser.add_argument(
         "--trace",
@@ -330,8 +323,7 @@ def _submit(source: str, arguments: argparse.Namespace) -> int:
         for region in compiled.translation.regions:
             for edge in region.dfg.input_edges():
                 if edge.kind is EdgeKind.FILE and edge.name and os.path.isfile(edge.name):
-                    with open(edge.name) as handle:
-                        files[edge.name] = handle.read().splitlines()
+                    files[edge.name] = read_lines(edge.name)
     client = ServiceClient(arguments.submit)
     try:
         job = client.submit(
@@ -390,7 +382,7 @@ def _execute(compiled: CompiledScript, arguments: argparse.Namespace):
     )
     stdin_lines: List[str] = []
     if needs_stdin and arguments.script != "-":
-        stdin_lines = sys.stdin.read().splitlines()
+        stdin_lines = read_lines(sys.stdin.buffer)
     environment = ExecutionEnvironment(
         filesystem=VirtualFileSystem(allow_real_files=True),
         stdin=stdin_lines,

@@ -67,7 +67,7 @@ from repro.cluster.protocol import (
     recv_message,
     send_edge_stream,
 )
-from repro.api.config import StreamingConfig
+from repro.api.config import ClusterOptions, PashConfig, StreamingConfig
 from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.graph import DataflowGraph
@@ -77,7 +77,6 @@ from repro.engine.channels import SpillBuffer, StoredStream
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.resilience.fault import FaultPlan
 from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
@@ -105,39 +104,6 @@ def remote_eligible(node: DFGNode) -> bool:
     if isinstance(node, FusedStage):
         return len(node.inputs) == 1 and node.parallelizability().is_data_parallelizable
     return node_streams_statelessly(node)
-
-
-@dataclass
-class ClusterOptions:
-    """Knobs of the cluster execution tier."""
-
-    #: Number of workers to run with.  Without ``connect`` the coordinator
-    #: spawns this many localhost ``pash-worker`` processes itself; with
-    #: ``connect`` it waits for this many external registrations.
-    workers: int = 2
-    #: ``HOST:PORT`` the coordinator listens on for externally-started
-    #: workers (``pash-worker --connect HOST:PORT``).  ``None`` = localhost
-    #: mode: bind an ephemeral port and spawn the workers locally.
-    connect: Optional[str] = None
-    #: Seconds between worker heartbeats.
-    heartbeat_interval: float = 0.5
-    #: Seconds of heartbeat silence after which a worker is declared lost
-    #: and its in-flight task requeued.
-    heartbeat_timeout: float = 10.0
-    #: How long to wait for the expected workers to register at startup.
-    register_timeout_seconds: float = 30.0
-    #: Overall per-graph deadline (same meaning as the scheduler's knob).
-    report_timeout_seconds: float = 120.0
-    #: Exec real host binaries in workers when possible (remote tasks only
-    #: run them on single-input single-output command nodes, like the pool).
-    use_host_commands: bool = False
-    #: Chunk size of socket edge frames, bytes beyond which an edge spills
-    #: to disk (on either side of the socket), and where the coordinator's
-    #: run directories go.
-    streaming: StreamingConfig = StreamingConfig()
-    #: Fault-injection plan shipped with every task message (chaos testing;
-    #: None = no injection).  Each worker re-arms its own pristine copy.
-    fault_plan: Optional[FaultPlan] = None
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +193,26 @@ class _RemoteTask:
 
 
 class ClusterCoordinator:
-    """Owns the worker fleet and executes graphs against it."""
+    """Owns the worker fleet and executes graphs against it.
 
-    def __init__(self, options: Optional[ClusterOptions] = None, tracer: Optional[Tracer] = None):
-        self.options = options or ClusterOptions()
+    ``config`` is the run's :class:`PashConfig` (``None`` = defaults), read
+    as the parallel scheduler reads it: deadline, streaming (frame size,
+    spill threshold and directory), host commands, fault plan.  ``options``
+    is the fleet and defaults to ``config.cluster``.
+    """
+
+    def __init__(
+        self,
+        options: Optional[ClusterOptions] = None,
+        tracer: Optional[Tracer] = None,
+        config: Optional[PashConfig] = None,
+    ) -> None:
+        self.config = PashConfig.coerce(config)
+        self.options = options or self.config.cluster
         self.tracer = tracer or NULL_TRACER
+        #: Shipped with every task message (chaos testing; None = no
+        #: injection).  Each worker re-arms its own pristine copy.
+        self._faults = self.config.resilience.fault_plan()
         self.workers: List[ClusterWorkerHandle] = []
         self.processes: List[subprocess.Popen] = []
         self.address: Optional[Tuple[str, int]] = None
@@ -457,11 +438,12 @@ class _GraphRun:
     ) -> None:
         self.coordinator = coordinator
         self.options = coordinator.options
+        self.config = coordinator.config
         self.tracer = coordinator.tracer
         self.graph = graph
         self.environment = environment
         self.metrics = metrics
-        self.store = EdgeStore(self.options.streaming)
+        self.store = EdgeStore(self.config.streaming)
         #: Custom registries cannot be pickled to a remote process; the run
         #: degrades to coordinator-local execution (still correct, not wide).
         self.remote_ok = environment.registry is standard_registry()
@@ -500,7 +482,7 @@ class _GraphRun:
 
     def run(self, worker_trace) -> None:
         self._seed()
-        deadline = time.monotonic() + self.options.report_timeout_seconds
+        deadline = time.monotonic() + self.config.report_timeout_seconds
         total = len(self.graph.nodes)
         while len(self.done) < total:
             while self.ready_local:
@@ -537,7 +519,7 @@ class _GraphRun:
             inputs=[InputPort(edge_id, stream=self.store.get(edge_id)) for edge_id in node.inputs],
             outputs=[OutputPort(edge_id) for edge_id in node.outputs],
             registry=self.environment.registry,
-            streaming=replace(self.options.streaming, spill_directory=self.store.directory),
+            streaming=replace(self.config.streaming, spill_directory=self.store.directory),
         )
         metrics = NodeMetrics.of(node)
         with self.tracer.span(
@@ -579,15 +561,15 @@ class _GraphRun:
                     "node": node,
                     "inputs": list(node.inputs),
                     "outputs": list(node.outputs),
-                    "use_host_commands": self.options.use_host_commands,
-                    "chunk_size": self.options.streaming.chunk_size,
-                    "spill_threshold": self.options.streaming.spill_threshold,
+                    "use_host_commands": self.config.use_host_commands,
+                    "chunk_size": self.config.streaming.chunk_size,
+                    "spill_threshold": self.config.streaming.spill_threshold,
                     "trace": worker_trace,
-                    "faults": self.options.fault_plan,
+                    "faults": self.coordinator._faults,
                 }
             )
             for edge_id in node.inputs:
-                frames = self.store.get(edge_id).blocks(self.options.streaming.chunk_size)
+                frames = self.store.get(edge_id).blocks(self.config.streaming.chunk_size)
                 send_edge_stream(handle.channel, node_id, edge_id, frames)
         except (OSError, ProtocolError):
             self._worker_lost(handle)
@@ -627,7 +609,7 @@ class _GraphRun:
         if time.monotonic() > deadline:
             raise ExecutionError(
                 f"cluster execution wedged: {len(self.inflight)} task(s) never "
-                f"reported (timeout {self.options.report_timeout_seconds}s)"
+                f"reported (timeout {self.config.report_timeout_seconds}s)"
             )
 
     def _handle_message(self, handle: ClusterWorkerHandle, message: Dict) -> None:
@@ -696,34 +678,25 @@ class _GraphRun:
 class ClusterBackend(ExecutionBackend):
     """The ``cluster`` entry in the engine's backend registry.
 
-    Constructor keywords become :class:`ClusterOptions` fields, mirroring the
-    parallel backend: ``engine.run(graph, backend="cluster", workers=4)``
-    runs a 4-worker localhost cluster, ``connect="HOST:PORT"`` listens there
-    for externally-started ``pash-worker`` processes instead.  Each
-    ``execute`` call owns its fleet — started before the run, shut down
-    unconditionally after — so no worker process outlives the result.
+    ``config`` is the run's :class:`PashConfig`, as for the parallel backend;
+    its ``cluster`` section is the fleet (``ClusterOptions(workers=4)`` runs a
+    4-worker localhost cluster, ``connect="HOST:PORT"`` waits there for
+    external ``pash-worker`` processes).  Each ``execute`` call owns its
+    fleet — started before the run, shut down unconditionally after — so no
+    worker process outlives the result.
     """
 
     name = "cluster"
 
     def __init__(
-        self,
-        options: Optional[ClusterOptions] = None,
-        tracer: Optional[Tracer] = None,
-        **overrides,
+        self, config: Optional[PashConfig] = None, tracer: Optional[Tracer] = None
     ) -> None:
-        import dataclasses
-
-        if options is None:
-            options = ClusterOptions(**overrides)
-        elif overrides:
-            options = dataclasses.replace(options, **overrides)
-        self.options = options
+        self.config = config
         self.tracer = tracer or NULL_TRACER
 
     def execute(self, graph: DataflowGraph, environment: ExecutionEnvironment) -> EngineResult:
         started = time.perf_counter()
-        coordinator = ClusterCoordinator(self.options, tracer=self.tracer)
+        coordinator = ClusterCoordinator(tracer=self.tracer, config=self.config)
         mark = self.tracer.mark()
         try:
             result, metrics = coordinator.execute(graph, environment)

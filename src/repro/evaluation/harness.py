@@ -205,8 +205,6 @@ def measure_benchmark(
     backend: str = "parallel",
     lines: int = 2400,
     config: Optional[PashConfig] = None,
-    environment: Optional[ExecutionEnvironment] = None,
-    **backend_options,
 ) -> MeasuredRun:
     """Execute one benchmark for real and report measured wall-clock time.
 
@@ -214,18 +212,16 @@ def measure_benchmark(
     passing a :class:`PashConfig` measures the parallelized
     graphs on the chosen backend.
     """
-    if environment is None:
-        dataset = benchmark.correctness_dataset(width, lines)
-        environment = ExecutionEnvironment(
-            filesystem=VirtualFileSystem({name: list(data) for name, data in dataset.items()})
-        )
+    dataset = benchmark.correctness_dataset(width, lines)
+    environment = ExecutionEnvironment(
+        filesystem=VirtualFileSystem({name: list(data) for name, data in dataset.items()})
+    )
     preexisting = set(environment.filesystem.names())
     result = api.run(
         benchmark.script_for_width(width),
         config=config,
         backend=backend,
         environment=environment,
-        **backend_options,
     )
     produced = {name: data for name, data in result.files.items() if name not in preexisting}
     return MeasuredRun(
@@ -245,7 +241,6 @@ def measured_speedup(
     lines: int = 2400,
     config: Optional[PashConfig] = None,
     backend: str = "parallel",
-    **backend_options,
 ) -> Tuple[MeasuredRun, MeasuredRun, float]:
     """Wall-clock comparison: interpreter baseline vs a real engine backend.
 
@@ -256,9 +251,7 @@ def measured_speedup(
     """
     config = config or PashConfig.paper_default(width)
     baseline = measure_benchmark(benchmark, width, backend="interpreter", lines=lines)
-    parallel = measure_benchmark(
-        benchmark, width, backend=backend, lines=lines, config=config, **backend_options
-    )
+    parallel = measure_benchmark(benchmark, width, backend=backend, lines=lines, config=config)
     if parallel.elapsed_seconds <= 0:
         return baseline, parallel, float("inf")
     return baseline, parallel, baseline.elapsed_seconds / parallel.elapsed_seconds

@@ -533,11 +533,11 @@ class JitDriver(ShellInterpreter):
         """The named engine backend, created once and reused across regions."""
         engine = self._engines.get(name)
         if engine is None:
-            options = dict(self.config.backend_options(name))
+            options: Dict[str, Any] = {}
+            if name in ("parallel", "cluster"):
+                options.update(config=self.config, tracer=self.tracer)
             if name == "parallel" and self.pool is not None:
                 options["pool"] = self.pool
-            if name in ("parallel", "cluster"):
-                options["tracer"] = self.tracer
             engine = self._engines[name] = create_backend(name, **options)
         return engine
 

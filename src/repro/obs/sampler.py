@@ -61,12 +61,8 @@ class TraceSampler:
 
     @classmethod
     def from_config(cls, obs_config: Any) -> "TraceSampler":
-        """Build from an :class:`~repro.api.config.ObsConfig` (duck-typed)."""
-        return cls(
-            ratio=getattr(obs_config, "trace_sample_ratio", 1.0),
-            seed=getattr(obs_config, "trace_sample_seed", 0),
-            sample_tenants=getattr(obs_config, "sample_tenants", ()),
-        )
+        """Build from an :class:`~repro.api.config.ObsConfig`."""
+        return cls(obs_config.trace_sample_ratio, sample_tenants=obs_config.sample_tenants)
 
     def should_sample(self, tenant: Optional[str] = None) -> bool:
         """True when this job's spans should be recorded.

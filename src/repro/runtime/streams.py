@@ -4,24 +4,26 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import BinaryIO, Dict, Iterable, List, Optional, Union
 
 
-def _read_framed(path: Path) -> List[str]:
-    """Read a real file with the stream model's framing: lines end at ``\\n``.
+def read_lines(source: Union[str, Path, BinaryIO]) -> List[str]:
+    """Read a real file (by name) or an open binary stream with the stream
+    model's framing: lines end at ``\\n``.
 
     Every layer of this reproduction — encode/decode in the engine channels,
     the emitted shell scripts, the worker-side file streaming — treats a
-    stream as newline-delimited UTF-8.  The VFS fallback must split the same
-    way (not ``str.splitlines``, which also breaks on ``\\r``/``\\f``/…), or
-    the interpreter oracle and the parallel engine would disagree on files
+    stream as newline-delimited UTF-8.  The VFS fallback and the CLIs must
+    split the same way (not ``str.splitlines`` or a text-mode read, which
+    also break on ``\\r``/``\\f``/… and fold ``\\r\\n``), or the interpreter
+    oracle, the parallel engine and the host ``sh`` would disagree on files
     containing those characters.
     """
-    text = path.read_bytes().decode("utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+    from repro.engine.channels import decode_block  # deferred: the engine imports this module
+
+    if isinstance(source, (str, Path)):
+        return decode_block(Path(source).read_bytes())
+    return decode_block(source.read())
 
 
 class VirtualFileSystem:
@@ -60,7 +62,7 @@ class VirtualFileSystem:
         if name not in self._files and self.allow_real_files:
             path = Path(name)
             if path.exists():
-                self._files[name] = _read_framed(path)
+                self._files[name] = read_lines(path)
         self._files.setdefault(name, []).extend(str(line) for line in lines)
 
     def read(self, name: str) -> List[str]:
@@ -70,7 +72,7 @@ class VirtualFileSystem:
         if self.allow_real_files:
             path = Path(name)
             if path.exists():
-                return _read_framed(path)
+                return read_lines(path)
         raise FileNotFoundError(f"virtual file {name!r} does not exist")
 
     def real_path(self, name: str) -> Optional[str]:

@@ -17,6 +17,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.resilience.retry import RetryPolicy, retry_call
+from repro.runtime.streams import read_lines
 from repro.service import protocol
 from repro.service.admission import ServiceBusy, ServiceError
 from repro.service.protocol import Address
@@ -163,11 +164,6 @@ class ServiceClient:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path: str) -> List[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read().splitlines()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pash-client", description="Submit scripts to a running pash-serve daemon."
@@ -261,14 +257,14 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if arguments.command == "submit":
             try:
-                source = _read_lines(arguments.script)
+                source = read_lines(arguments.script)
             except OSError as exc:
                 print(f"pash-client: cannot read script: {exc}", file=sys.stderr)
                 return 2
             files = {}
             for path in arguments.input:
                 try:
-                    files[path] = _read_lines(path)
+                    files[path] = read_lines(path)
                 except OSError as exc:
                     print(f"pash-client: cannot read input: {exc}", file=sys.stderr)
                     return 2

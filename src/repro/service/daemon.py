@@ -46,7 +46,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.annotations.library import standard_library
 from repro.api.artifact import execute_script
-from repro.api.config import PashConfig, StreamingConfig
+from repro.api.config import ObsConfig, PashConfig, ResilienceConfig, StreamingConfig
 from repro.obs.export import export_chrome_trace
 from repro.obs.expose import NULL_EVENTS, EventLog, MetricsServer, prometheus_text
 from repro.obs.metrics import MetricsRegistry
@@ -63,6 +63,11 @@ from repro.service.admission import AdmissionController, ServiceBusy, ServiceErr
 from repro.service.jobs import Job, JobState, JobTable
 from repro.shell.expansion import ExpansionError
 from repro.wire import is_loopback_host
+
+
+def _is_lines(value: Any) -> bool:
+    """Whether a client-supplied stream is what a job holds: a list of strings."""
+    return isinstance(value, list) and all(isinstance(line, str) for line in value)
 
 
 @dataclass
@@ -431,13 +436,15 @@ class PashServiceDaemon:
         tenant = str(message.get("tenant") or "default")
         config = self._job_config(message.get("config"))
         backend = str(message.get("backend") or config.backend)
-        files = {
-            str(name): [str(line) for line in lines]
-            for name, lines in (message.get("files") or {}).items()
-        }
-        stdin = [str(line) for line in (message.get("stdin") or [])]
         # Validate before admission: a malformed request must not claim a
         # quota slot or enqueue a job it then answers bad-request for.
+        files = message.get("files") or {}
+        stdin = message.get("stdin") or []
+        if not isinstance(files, dict) or not all(map(_is_lines, [stdin, *files.values()])):
+            raise ServiceError(
+                "'files' must map names to lists of strings and 'stdin' be a list of strings",
+                code=protocol.ERR_BAD_REQUEST,
+            )
         timeout = self._validated_timeout(message.get("timeout"))
         try:
             self.admission.admit(tenant)
@@ -813,11 +820,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="RATIO",
-        help="record spans for this fraction of jobs (default 1.0; "
-        "deterministic under --trace-sample-seed)",
-    )
-    parser.add_argument(
-        "--trace-sample-seed", type=int, default=0, help="sampling sequence seed"
+        help="record spans for this fraction of jobs (default 1.0)",
     )
     parser.add_argument(
         "--sample-tenant",
@@ -859,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list] = None) -> int:
     arguments = build_parser().parse_args(argv)
-    from repro.api.config import ObsConfig, ResilienceConfig
-
     config = PashConfig.paper_default(
         arguments.width,
         backend=arguments.execute,

@@ -48,15 +48,15 @@ from repro.transform.parallelize import (
     preceding_concatenation,
     reduce_stream_edges,
 )
-from repro.transform.pipeline import (
-    EagerMode,
-    OptimizationReport,
-    SplitMode,
-    effective_width,
-)
+from repro.transform.pipeline import EagerMode, OptimizationReport, SplitMode
 
 if TYPE_CHECKING:  # pragma: no cover - repro.api.config imports this package
     from repro.api.config import PashConfig
+
+
+#: A command is parallelized only into at least this many copies: fewer
+#: streams than this (or a narrower width) leave it sequential.
+MINIMUM_COPIES = 2
 
 
 @dataclass
@@ -100,12 +100,9 @@ class SplitInsertionPass(GraphPass):
         config = context.config
         if config.split is SplitMode.NONE:
             return
-        width = effective_width(config)
 
         def rule(graph: DataflowGraph, node: CommandNode):
-            return insert_split_before(
-                graph, node, width, strategy=config.split.value
-            )
+            return insert_split_before(graph, node, config.width, strategy=config.split.value)
 
         context.state[self.STATE_KEY] = rule
 
@@ -117,10 +114,10 @@ class ParallelizePass(GraphPass):
     description = "T: replace each parallelizable command with width copies"
 
     def run(self, context: PassContext) -> None:
-        width = effective_width(context.config)
-        if width < 2:
-            return
         graph, config, report = context.graph, context.config, context.report
+        width = config.width
+        if width < MINIMUM_COPIES:
+            return
         split_rule = context.state.get(SplitInsertionPass.STATE_KEY)
 
         progress = True
@@ -146,25 +143,15 @@ class ParallelizePass(GraphPass):
                     continue
 
                 concatenation = preceding_concatenation(graph, node)
-                if concatenation is None and len(node.data_inputs) >= 2:
-                    # t1 yields min(inputs, width) copies; don't mutate the
-                    # graph for a node the minimum-copies bar would reject.
-                    if min(len(node.data_inputs), width) >= config.minimum_copies:
-                        concatenation = insert_cat_for_multi_input(graph, node)
+                if concatenation is None and len(node.data_inputs) >= MINIMUM_COPIES:
+                    concatenation = insert_cat_for_multi_input(graph, node)
                 if concatenation is None and split_rule is not None:
-                    # A split yields `width` streams; don't insert one that
-                    # cannot reach the minimum worthwhile copy count.
-                    if len(node.data_inputs) == 1 and width >= config.minimum_copies:
+                    if len(node.data_inputs) == 1:
                         concatenation = split_rule(graph, node)
                         if concatenation is not None:
                             report.inserted_splits += 1
-                if (
-                    concatenation is None
-                    or min(len(concatenation.inputs), width) < config.minimum_copies
-                ):
-                    # T would create fewer copies than the configured minimum
-                    # (with the default of 2 this only excludes degenerate
-                    # single-stream concatenations, which T skips anyway).
+                if concatenation is None or len(concatenation.inputs) < MINIMUM_COPIES:
+                    # T over a single-stream concatenation would make one copy.
                     if node.label() not in report.skipped_commands:
                         report.skipped_commands.append(node.label())
                     continue

@@ -21,10 +21,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List
-
-if TYPE_CHECKING:  # pragma: no cover - repro.api.config imports this module
-    from repro.api.config import PashConfig
+from typing import Any, Dict, List
 
 
 class EagerMode(enum.Enum):
@@ -41,19 +38,6 @@ class SplitMode(enum.Enum):
     NONE = "none"
     GENERAL = "general"
     INPUT_AWARE = "input-aware"
-
-
-def effective_width(config: "PashConfig") -> int:
-    """The width the passes actually fan out to.
-
-    The configured width, clamped to the cores the selected backend can keep
-    busy when ``config.adaptive_width`` is set (never below 1): CPU-bound
-    stages gain nothing from more copies than cores, they only pay splitting
-    and aggregation overhead.
-    """
-    if not config.adaptive_width:
-        return config.width
-    return max(1, min(config.width, config.available_cores_estimate()))
 
 
 @dataclass

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import EagerMode, PashConfig, SplitMode, StreamingConfig
+from repro.api import ClusterOptions, EagerMode, Pash, PashConfig, SplitMode, StreamingConfig
 from repro.cli import build_parser
 from repro.engine.channels import DEFAULT_CHUNK_SIZE, DEFAULT_SPILL_THRESHOLD
 
@@ -16,7 +16,6 @@ def test_defaults():
     assert config.eager is EagerMode.EAGER
     assert config.split is SplitMode.GENERAL
     assert config.aggregation_fan_in == 2
-    assert config.minimum_copies == 2
     assert config.fuse_stages is True
     assert config.backend == "interpreter"
 
@@ -62,7 +61,7 @@ def test_named_constructors_mirror_the_fig7_configurations():
             streaming=StreamingConfig(chunk_size=4096),
             fifo_directory="/dev/shm",
             fifo_prefix="edge",
-            emit_header=True,
+            cluster=ClusterOptions(workers=4, heartbeat_timeout=2.0),
         ),
     ],
 )
@@ -108,11 +107,45 @@ def test_coerce_accepts_none_or_a_config_and_rejects_junk():
         PashConfig.coerce(42)
 
 
-def test_backend_options_hand_the_config_itself_to_the_parallel_backend():
-    config = PashConfig(backend="parallel", use_host_commands=True)
-    assert config.backend_options() == {"config": config}
-    assert PashConfig(backend="interpreter").backend_options() == {}
-    assert config.backend_options("shell") == {}
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"adaptive_width": True},
+        {"minimum_copies": 3},
+        {"emit_header": True},
+        {"cluster": {"streaming": {"chunk_size": 4096}}},
+        {"cluster": {"fault_plan": None}},
+        {"cluster": {"report_timeout_seconds": 5.0}},
+        {"resilience": {"retry_max_seconds": 1.0}},
+        {"obs": {"trace_sample_seed": 7}},
+    ],
+)
+def test_from_dict_rejects_the_removed_fields(payload):
+    with pytest.raises(ValueError, match="unknown .* fields"):
+        PashConfig.from_dict(payload)
+
+
+def test_the_cluster_section_is_the_coordinators_options_and_null_means_default():
+    assert PashConfig().to_dict()["cluster"] == {
+        "workers": 2,
+        "connect": None,
+        "heartbeat_interval": 0.5,
+        "heartbeat_timeout": 10.0,
+        "register_timeout_seconds": 30.0,
+    }
+    # A dict written by the previous surface carried ``None`` heartbeats.
+    config = PashConfig.from_dict(
+        {"cluster": {"workers": 3, "heartbeat_interval": None, "heartbeat_timeout": None}}
+    )
+    assert config.cluster == ClusterOptions(workers=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.cluster.workers = 4
+
+
+def test_width_is_never_silently_clamped_to_the_cores():
+    compiled = Pash(PashConfig(width=64)).compile("cat a.txt | grep x")
+    labels = [node.label() for node in compiled.optimized_graphs[0].nodes.values()]
+    assert sum(label.startswith("grep") for label in labels) == 64
 
 
 def test_from_cli_args_subsumes_the_flag_surface():

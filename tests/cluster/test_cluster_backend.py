@@ -128,9 +128,12 @@ def test_store_directory_removed_on_close(tmp_path):
 
 def test_cluster_registered_as_backend():
     assert "cluster" in engine.available_backends()
-    backend = engine.create_backend("cluster", workers=3)
+    config = PashConfig(cluster=ClusterOptions(workers=3))
+    backend = engine.create_backend("cluster", config=config)
     assert isinstance(backend, ClusterBackend)
-    assert backend.options.workers == 3
+    assert ClusterCoordinator(config=backend.config).options.workers == 3
+    with pytest.raises(TypeError):  # the fleet is the config's section, not keywords
+        engine.create_backend("cluster", workers=3)
 
 
 def test_cluster_run_matches_interpreter_and_uses_workers():
@@ -167,7 +170,7 @@ def test_malformed_connect_address_is_a_clean_error():
 
 
 def test_no_worker_processes_leak():
-    backend = ClusterBackend(workers=2)
+    backend = ClusterBackend()
     graph = DFGBuilder().build_from_script(SCRIPT)
     backend.execute(graph, env())
     # ClusterBackend shuts its per-run coordinator down unconditionally, so
@@ -230,7 +233,8 @@ def test_coordinator_local_nodes_report_encoded_bytes():
     assert encoded > sum(len(line) + 1 for line in lines)
     graph = DFGBuilder().build_from_script("cat in.txt | sort > out.txt")
     environment = ExecutionEnvironment(filesystem=VirtualFileSystem({"in.txt": lines}))
-    result = engine.run(graph, backend="cluster", environment=environment, workers=1)
+    one_worker = PashConfig(cluster=ClusterOptions(workers=1))
+    result = engine.run(graph, backend="cluster", environment=environment, config=one_worker)
     assert result.output_of("out.txt") == sorted(lines)
     sort = next(node for node in result.metrics.nodes if node.label == "sort")
     assert sort.pid == os.getpid()
@@ -244,8 +248,9 @@ def test_disk_full_on_a_coordinator_edge_is_resource_exhausted(tmp_path):
     from repro.resilience.errors import ResourceExhausted
     from repro.resilience.fault import SPILL_WRITE, FaultPlan, FaultSpec
 
-    options = ClusterOptions(
-        workers=1, streaming=StreamingConfig(spill_threshold=1, spill_directory=str(tmp_path))
+    config = PashConfig(
+        cluster=ClusterOptions(workers=1),
+        streaming=StreamingConfig(spill_threshold=1, spill_directory=str(tmp_path)),
     )
     graph = DFGBuilder().build_from_script(SCRIPT)
     previous = fault.active()
@@ -253,7 +258,7 @@ def test_disk_full_on_a_coordinator_edge_is_resource_exhausted(tmp_path):
     fault.install(FaultPlan([FaultSpec(SPILL_WRITE, after_bytes=60, max_fires=0)]))
     try:
         with pytest.raises(ResourceExhausted) as caught:
-            ClusterBackend(options).execute(graph, env())
+            ClusterBackend(config).execute(graph, env())
     finally:
         fault.install(previous)
     assert caught.value.operation == "spill:write"
@@ -277,10 +282,10 @@ def test_a_lost_workers_partial_output_is_never_visible(tmp_path):
     from repro.cluster.protocol import MSG_CHUNK
     from repro.engine.metrics import EngineMetrics
 
-    options = ClusterOptions(
+    config = PashConfig(
         streaming=StreamingConfig(spill_threshold=4, spill_directory=str(tmp_path))
     )
-    coordinator = ClusterCoordinator(options)
+    coordinator = ClusterCoordinator(config=config)
     graph = DFGBuilder().build_from_script("cat a.txt | grep foo")
     metrics = EngineMetrics(backend="cluster")
     run = _GraphRun(coordinator, graph, env(), metrics)

@@ -98,7 +98,7 @@ def test_cluster_survives_killed_worker():
     import signal
     import threading
 
-    from repro.cluster.coordinator import ClusterCoordinator, ClusterOptions
+    from repro.cluster.coordinator import ClusterCoordinator
     from repro.runtime.executor import ExecutionError
 
     benchmark = get_one_liner("grep")
@@ -110,9 +110,7 @@ def test_cluster_survives_killed_worker():
     graphs = compiled.optimized_graphs
     assert graphs
 
-    coordinator = ClusterCoordinator(
-        ClusterOptions(workers=2, report_timeout_seconds=60.0)
-    )
+    coordinator = ClusterCoordinator(config=PashConfig(report_timeout_seconds=60.0))
     coordinator.start()
     victim = coordinator.processes[0]
     killer = threading.Timer(0.05, lambda: victim.send_signal(signal.SIGKILL))

@@ -72,12 +72,10 @@ class TestEdges:
 
 class TestObsConfig:
     def test_from_config(self):
-        obs = ObsConfig(
-            trace_sample_ratio=0.5, trace_sample_seed=7, sample_tenants=("a",)
-        )
+        obs = ObsConfig(trace_sample_ratio=0.5, sample_tenants=("a",))
         sampler = TraceSampler.from_config(obs)
         assert sampler.ratio == 0.5
-        assert sampler.seed == 7
+        assert sampler.seed == 0  # the sequence is fixed, not configured
         assert sampler.should_sample("a") is True
 
     def test_validation(self):
@@ -106,7 +104,6 @@ class TestObsConfig:
             width=4,
             obs=ObsConfig(
                 trace_sample_ratio=0.1,
-                trace_sample_seed=9,
                 sample_tenants=("t",),
                 span_retention=10,
             ),

@@ -72,17 +72,18 @@ def test_fault_plans_are_fresh_per_call():
         second.fire(SPILL_WRITE)
 
 
-def test_scheduler_and_cluster_options_carry_the_plan():
+def test_scheduler_and_cluster_coordinator_carry_the_plan():
+    from repro.cluster.coordinator import ClusterCoordinator
     from repro.engine.scheduler import ParallelScheduler
 
     config = PashConfig(
         resilience=ResilienceConfig(faults=(FaultSpec(point=SPILL_WRITE),))
     )
     assert ParallelScheduler(config=config)._faults is not None
-    assert config.cluster_options().fault_plan is not None
+    assert ClusterCoordinator(config=config)._faults is not None
     bare = PashConfig()
     assert ParallelScheduler(config=bare)._faults is None
-    assert bare.cluster_options().fault_plan is None
+    assert ClusterCoordinator(config=bare)._faults is None
 
 
 def test_resilience_does_not_fragment_the_plan_cache():
@@ -97,7 +98,8 @@ def test_resilience_does_not_fragment_the_plan_cache():
 
 
 def _args(**values):
-    return argparse.Namespace(**values)
+    flags = {"max_retries": None, "no_degrade": False, "fault_plan": None}
+    return argparse.Namespace(**{**flags, **values})
 
 
 def test_cli_unengaged_by_default():

@@ -231,6 +231,51 @@ def test_per_job_config_overrides(make_daemon, client_for):
     assert unknown.value.code == protocol.ERR_BAD_REQUEST
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"adaptive_width": True},
+        {"minimum_copies": 3},
+        {"emit_header": True},
+        {"cluster": {"workers": 2, "streaming": {"chunk_size": 64}}},
+        {"cluster": {"fault_plan": None}},
+    ],
+)
+def test_per_job_config_naming_a_removed_field_is_bad_request(make_daemon, client_for, override):
+    client = client_for(make_daemon(executors=0))
+    with pytest.raises(ServiceError, match="unknown .* fields") as removed:
+        client.submit(CORPUS[0], files=dataset(), config=override, wait=False)
+    assert removed.value.code == protocol.ERR_BAD_REQUEST
+
+
+def test_per_job_cluster_section_with_null_heartbeats_is_accepted(make_daemon, client_for):
+    client = client_for(make_daemon(executors=0))
+    override = {"cluster": {"workers": 3, "heartbeat_interval": None}}
+    job = client.submit(CORPUS[0], files=dataset(), config=override, wait=False)
+    assert job["state"] in ("queued", "running")
+
+
+def test_uploads_are_framed_as_the_stream_model_frames_them(
+    make_daemon, tmp_path, monkeypatch, capsys
+):
+    """``pash-client submit --input`` and ``pash-compile --submit`` read their
+    uploads as bytes split at ``\\n``: a ``\\f`` or ``\\r`` stays inside its line."""
+    from repro import cli
+    from repro.service import client as client_cli
+
+    daemon = make_daemon(executors=1)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "odd.txt").write_bytes(b"a\x0cb\rc\nsecond\r\n")
+    (tmp_path / "cat.sh").write_text("cat odd.txt\n")
+    expected = "a\x0cb\rc\nsecond\r\n"
+    assert client_cli.main(
+        ["--connect", daemon.endpoint, "submit", "cat.sh", "--input", "odd.txt"]
+    ) == 0
+    assert capsys.readouterr().out == expected
+    assert cli.main(["cat.sh", "--submit", daemon.endpoint]) == 0
+    assert capsys.readouterr().out == expected
+
+
 # ---------------------------------------------------------------------------
 # Shutdown: bounded, clean, waiters always wake
 # ---------------------------------------------------------------------------

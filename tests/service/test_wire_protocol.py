@@ -184,6 +184,28 @@ def test_malformed_fields_are_bad_request_not_internal(make_daemon, client_for):
     assert daemon.admission.stats.admitted == admitted_before
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"files": {"a.txt": "hello"}},  # was accepted: cat answered h, e, l, l, o
+        {"files": {"a.txt": 5}},  # was `internal` (TypeError)
+        {"files": ["a.txt"]},  # was `internal` (AttributeError)
+        {"files": {"a.txt": ["ok", 5]}},
+        {"stdin": "hello"},
+    ],
+)
+def test_malformed_files_and_stdin_are_refused_before_admission(make_daemon, fields):
+    daemon = make_daemon(executors=0)
+    admitted_before = daemon.admission.stats.admitted
+    response = protocol.request(
+        daemon.endpoint, {"type": "submit", "script": "cat a.txt", "wait": False, **fields}
+    )
+    assert response["type"] == protocol.MSG_ERROR
+    assert response["code"] == protocol.ERR_BAD_REQUEST
+    assert daemon.admission.stats.admitted == admitted_before
+    assert daemon.admission.inflight() == 0
+
+
 # ---------------------------------------------------------------------------
 # Client/server wait agreement and terminal-state discipline
 # ---------------------------------------------------------------------------

@@ -14,9 +14,22 @@ def test_tree_is_within_the_committed_baseline():
     baseline = json.loads(check_surface.BASELINE.read_text())
     current = check_surface.measure()
     assert check_surface.growth(current, baseline) == []
-    # The run path has exactly one config type plus its streaming section.
-    assert current["option_fields"]["PashConfig"] <= 22
+    # The run path has exactly one config type; the cluster tier's options
+    # are a section of it, not a second copy of its fields.
+    assert current["option_fields"]["PashConfig"] <= 19
     assert current["option_fields"]["StreamingConfig"] == 3
+    assert current["option_fields"]["ClusterOptions"] == 5
+    assert "ClusterConfig" not in current["option_fields"]
+    assert sum(current["option_fields"].values()) <= 49
+    assert sorted(current["cli_flags"]) == [
+        "repro.cli",
+        "repro.cluster.worker",
+        "repro.runtime.cli",
+        "repro.service.client",
+        "repro.service.daemon",
+        "repro.service.top",
+    ]
+    assert sum(current["cli_flags"].values()) <= 65
 
 
 def test_growth_names_every_number_past_its_baseline():
@@ -26,8 +39,10 @@ def test_growth_names_every_number_past_its_baseline():
     grown["public_names"]["repro.engine"] += 1
     grown["option_fields"]["PashConfig"] += 1
     grown["option_fields"]["BrandNewOptions"] = 2
+    grown["cli_flags"]["repro.cli"] += 1
+    grown["cli_flags"]["repro.brand_new_cli"] = 1
     problems = check_surface.growth(grown, baseline)
-    assert len(problems) == 4
+    assert len(problems) == 6
     shrunk = copy.deepcopy(baseline)
     shrunk["src_lines"] -= 100
     assert check_surface.growth(shrunk, baseline) == []
@@ -47,7 +62,6 @@ def test_update_lowers_src_lines_and_refuses_to_raise_it(tmp_path, monkeypatch, 
     assert check_surface.main(["check_surface.py", "--update"]) == 1
     assert baseline.read_text() == smaller  # untouched: raising it is a hand edit
     assert "only lowers src_lines" in capsys.readouterr().err
-    assert current["option_fields"]["ClusterOptions"] == 9
 
 
 def test_only_obs_and_service_import_the_metrics_registry():

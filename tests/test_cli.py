@@ -195,11 +195,10 @@ def test_list_backends_includes_cluster(capsys):
 def test_cluster_flags_parse():
     arguments = build_parser().parse_args(
         ["x.sh", "--execute", "cluster", "--cluster-workers", "3",
-         "--cluster-connect", "127.0.0.1:7077", "--adaptive-width"]
+         "--cluster-connect", "127.0.0.1:7077"]
     )
     assert arguments.cluster_workers == 3
     assert arguments.cluster_connect == "127.0.0.1:7077"
-    assert arguments.adaptive_width is True
 
 
 def test_execute_cluster_runs_pipeline(static_workspace, tmp_path, capsys):
@@ -336,3 +335,42 @@ def test_report_still_emitted_when_execution_fails(dynamic_workspace, capsys):
     err = capsys.readouterr().err
     assert "pash-compile:" in err
     assert "# regions:" in err
+
+
+# ---------------------------------------------------------------------------
+# Input framing: a line ends at "\n" and nowhere else
+# ---------------------------------------------------------------------------
+
+#: One line to ``sh`` and to every engine; ``str.splitlines`` made it three.
+ODD_LINE = b"a\x0cb\rc\n"
+
+
+def test_stdin_is_framed_as_the_host_shell_frames_it(tmp_path):
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    import repro
+
+    script = tmp_path / "cat.sh"
+    script.write_text("cat\n")
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    ours = subprocess.run(
+        [sys.executable, "-m", "repro.cli", str(script), "--execute", "interpreter"],
+        input=ODD_LINE + b"second\r\n",
+        env=dict(os.environ, PYTHONPATH=source),
+        capture_output=True,
+        timeout=60,
+    )
+    assert ours.returncode == 0, ours.stderr
+    assert ours.stdout == ODD_LINE + b"second\r\n"
+    if shutil.which("sh"):
+        host = subprocess.run(
+            ["sh", str(script)],
+            input=ODD_LINE + b"second\r\n",
+            env=dict(os.environ, LC_ALL="C"),
+            capture_output=True,
+            timeout=60,
+        )
+        assert ours.stdout == host.stdout

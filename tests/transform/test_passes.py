@@ -184,45 +184,6 @@ def test_registering_a_default_pass_name_fails_instead_of_shadowing():
         register_pass(Impostor)
 
 
-def test_minimum_copies_skips_low_benefit_parallelization():
-    # Two streams at width 4: T would create only 2 copies — below minimum 3.
-    few = Pash(PashConfig.paper_default(4, minimum_copies=3)).compile(
-        "cat a b | grep x > out.txt"
-    )
-    assert few.stats.regions_parallelized == 0
-    assert "grep x" in few.reports[0].skipped_commands
-    # Three streams clear the bar.
-    enough = Pash(PashConfig.paper_default(4, minimum_copies=3)).compile(
-        "cat a b c | grep x > out.txt"
-    )
-    assert enough.stats.regions_parallelized == 1
-    assert enough.text.count("grep x") == 3
-
-
-def test_minimum_copies_leaves_multi_input_graphs_untouched():
-    # Two data inputs at minimum 3: t1 must not insert (and then abandon) a
-    # cat node — the skipped region's graph stays exactly as translated.
-    compiled = Pash(PashConfig.paper_default(4, minimum_copies=3)).compile(
-        "grep x a.txt b.txt > out.txt"
-    )
-    assert compiled.stats.regions_parallelized == 0
-    kinds = {type(node).__name__ for node in compiled.optimized_graphs[0].nodes.values()}
-    assert kinds == {"CommandNode"}
-
-
-def test_minimum_copies_suppresses_pointless_splits():
-    # width 2 < minimum 4: a split could never yield 4 copies, so none is
-    # inserted and the graph stays sequential (no dangling identity split).
-    compiled = Pash(PashConfig.paper_default(2, minimum_copies=4)).compile(
-        "cat big.txt | grep x > out.txt"
-    )
-    assert compiled.reports[0].inserted_splits == 0
-    assert not any(
-        isinstance(node, SplitNode)
-        for node in compiled.optimized_graphs[0].nodes.values()
-    )
-
-
 def test_custom_pipeline_runs_standalone():
     graph = build("cat a b | grep x > out.txt")
     report = PassManager([]).run(graph, PashConfig.paper_default(2, fuse_stages=False))

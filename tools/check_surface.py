@@ -7,7 +7,10 @@ Measures, from the source tree alone (``ast``, nothing is imported):
 * ``public_names`` — the length of ``__all__`` in ``repro``, ``repro.api``,
   ``repro.engine``, ``repro.transform`` and ``repro.backend``;
 * ``option_fields`` — the number of fields of every dataclass under
-  ``src/repro`` whose name ends in ``Config`` or ``Options``.
+  ``src/repro`` whose name ends in ``Config`` or ``Options``;
+* ``cli_flags`` — the ``add_argument`` calls of every module that builds a
+  command line (the six entry points), so a new flag is a reviewed decision
+  like a new field.
 
 One layering rule rides along (:func:`registry_importers`): only modules
 under ``repro/obs/`` and ``repro/service/`` may import ``repro.obs.metrics``
@@ -15,9 +18,9 @@ under ``repro/obs/`` and ``repro/service/`` may import ``repro.obs.metrics``
 objects, so an import anywhere else is a second count of something.
 
 The numbers are compared with the committed baseline ``tools/surface.json``:
-the check fails when any of them *grows* (or a new options class appears)
-without the baseline being updated in the same commit, so growth is always a
-reviewed decision.  Shrinking passes; refresh the baseline with ``--update``,
+the check fails when any of them *grows* (or a new options class or
+flag-parsing module appears) without the baseline being updated in the same
+commit, so growth is always a reviewed decision.  Shrinking passes; refresh the baseline with ``--update``,
 which is a ratchet for ``src_lines``: it lowers the number and refuses to
 raise it — a change that grows ``src/`` says so by editing the baseline by
 hand.
@@ -61,10 +64,14 @@ def _all_names(package: str) -> int:
 def measure() -> Dict[str, Any]:
     src_lines = 0
     option_fields: Dict[str, int] = {}
+    cli_flags: Dict[str, int] = {}
     for path in sorted(SOURCE.rglob("*.py")):
         text = path.read_text()
         src_lines += len(text.splitlines())
+        module = ".".join(path.relative_to(SOURCE).with_suffix("").parts)
         for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument":
+                cli_flags[module] = cli_flags.get(module, 0) + 1
             if (
                 isinstance(node, ast.ClassDef)
                 and node.name.endswith(("Config", "Options"))
@@ -77,6 +84,7 @@ def measure() -> Dict[str, Any]:
         "src_lines": src_lines,
         "public_names": {package: _all_names(package) for package in PUBLIC_PACKAGES},
         "option_fields": dict(sorted(option_fields.items())),
+        "cli_flags": cli_flags,
     }
 
 
@@ -110,7 +118,7 @@ def growth(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
     problems = []
     if current["src_lines"] > baseline.get("src_lines", 0):
         problems.append(f"src_lines: {baseline.get('src_lines', 0)} -> {current['src_lines']}")
-    for section in ("public_names", "option_fields"):
+    for section in ("public_names", "option_fields", "cli_flags"):
         allowed = baseline.get(section, {})
         for name, count in current[section].items():
             if count > allowed.get(name, 0):
