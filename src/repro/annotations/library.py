@@ -10,6 +10,7 @@ example for ``comm``) or are built programmatically for the simple cases.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Iterable, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
@@ -106,8 +107,7 @@ cat {
 | otherwise => (S, [args[0:]], [stdout])
 }
 tr {
-| -d => (S, [stdin], [stdout])
-| -s => (S, [stdin], [stdout])
+| -s => (P, [stdin], [stdout])
 | otherwise => (S, [stdin], [stdout])
 }
 uniq {
@@ -219,6 +219,7 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     add(simple_record("shuf", P, aggregator="concat"))
 
     records["cat"].aggregator = "concat"
+    records["tr"].aggregator = "squeeze_concat"
     records["uniq"].aggregator = "merge_uniq"
     records["wc"].aggregator = "merge_wc"
     records["comm"].aggregator = "merge_comm"
@@ -301,9 +302,16 @@ def standard_library() -> AnnotationLibrary:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def shared_standard_library() -> AnnotationLibrary:
+    """One standard library for callers that only look records up: never edit it."""
+    return standard_library()
+
+
 #: Aggregator names known to the runtime (see repro.runtime.aggregators).
 KNOWN_AGGREGATORS = (
     "concat",
+    "squeeze_concat",
     "merge_sort",
     "merge_uniq",
     "merge_uniq_count",

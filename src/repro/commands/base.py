@@ -40,6 +40,29 @@ def blocks_of_lines(lines: List[bytes]) -> Iterator[bytes]:
         yield b"\n".join(lines[start : start + BLOCK_LINES] + [b""])
 
 
+def stream_kernel(on_lines: Callable[[List[bytes]], List[bytes]]) -> BlockKernel:
+    """Block kernel of a command that needs its whole input: ``on_lines`` over every line."""
+    return lambda streams: [blocks_of_lines(on_lines(lines_of_blocks(streams)))]
+
+
+def block_map_kernel(
+    on_lines: Callable[[List[bytes]], List[bytes]],
+    on_text: Optional[Callable[[List[str]], List[str]]] = None,
+) -> BlockKernel:
+    """Block kernel of a stateless command: ``on_lines`` over each block's lines.
+
+    With ``on_text`` the bytes face is only exact on ASCII data (characters
+    are bytes there); a block holding anything else is decoded for it.
+    """
+
+    def apply(block: bytes) -> bytes:
+        if on_text is not None and not block.isascii():
+            return "\n".join(on_text(block.decode("utf-8").split("\n")[:-1]) + [""]).encode("utf-8")
+        return b"\n".join(on_lines(block.split(b"\n")[:-1]) + [b""])
+
+    return lambda streams: [map(apply, chain.from_iterable(streams))]
+
+
 @dataclass
 class CommandImplementation:
     """A single command implementation.
@@ -150,6 +173,11 @@ def flag_value(arguments: Sequence[str], flag: str, default: Optional[str] = Non
         if argument.startswith(flag + "="):
             return argument[len(flag) + 1:]
     return default
+
+
+def only_flags(arguments: Sequence[str], letters: str) -> bool:
+    """True when every argument is a cluster of short flags drawn from ``letters`` (no operand)."""
+    return all(len(arg) > 1 and arg[0] == "-" and not set(arg[1:]) - set(letters) for arg in arguments)
 
 
 def has_flag(arguments: Sequence[str], *flags: str) -> bool:

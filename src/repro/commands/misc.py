@@ -15,6 +15,7 @@ from repro.commands.base import (
     flag_value,
     has_flag,
     split_flags,
+    stream_kernel,
 )
 
 
@@ -41,6 +42,11 @@ def head(arguments: List[str], inputs: List[Stream]) -> Stream:
     return concat_streams(inputs)[:count]
 
 
+def head_block(arguments: List[str]):
+    """Block kernel of :func:`head`, which never looks inside a line: ``bytes`` lines do."""
+    return stream_kernel(lambda lines: head(arguments, [lines]))
+
+
 def tail(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``tail [-n N]`` (default 10); supports the ``-n +K`` skip form."""
     count_text = flag_value(arguments, "-n", "10") or "10"
@@ -60,26 +66,29 @@ def tac(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 
 def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``wc [-l] [-w] [-c]``: line/word/character counts."""
+    """``wc [-l] [-w] [-c]``: line/word/character counts — only those asked for."""
     data = concat_streams(inputs)
-    lines = len(data)
-    words = sum(len(line.split()) for line in data)
-    characters = sum(len(line) + 1 for line in data)
-
     want_lines = has_flag(arguments, "-l")
     want_words = has_flag(arguments, "-w")
     want_chars = has_flag(arguments, "-c") or has_flag(arguments, "-m")
     if not (want_lines or want_words or want_chars):
         want_lines = want_words = want_chars = True
 
-    fields: List[str] = []
+    fields: List[int] = []
     if want_lines:
-        fields.append(str(lines))
+        fields.append(len(data))
     if want_words:
-        fields.append(str(words))
+        fields.append(len("\n".join(data).split()))  # no line holds a newline to split on
     if want_chars:
-        fields.append(str(characters))
-    return [" ".join(fields)]
+        fields.append(sum(map(len, data)) + len(data))
+    return [" ".join(map(str, fields))]
+
+
+def wc_block(arguments: List[str]):
+    """Block kernel of :func:`wc` for ``-l`` alone: a line is a newline byte."""
+    if list(arguments) != ["-l"]:
+        return None
+    return lambda streams: [[b"%d\n" % sum(block.count(b"\n") for stream in streams for block in stream)]]
 
 
 def seq(arguments: List[str], inputs: List[Stream]) -> Stream:

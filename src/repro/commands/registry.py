@@ -10,13 +10,17 @@ from repro.commands.base import CommandImplementation, CommandRegistry
 
 def _implementations():
     """Yield every standard command implementation."""
-    yield CommandImplementation("grep", textproc.grep, "filter lines matching a pattern")
+    yield CommandImplementation(
+        "grep", textproc.grep, "filter lines matching a pattern", block=textproc.grep_block
+    )
     yield CommandImplementation("egrep", textproc.grep, "grep with extended regexes")
     yield CommandImplementation("fgrep", textproc.grep, "grep with fixed strings")
     yield CommandImplementation(
         "tr", textproc.tr, "transliterate or delete characters", block=textproc.tr_block
     )
-    yield CommandImplementation("cut", textproc.cut, "select fields or character ranges")
+    yield CommandImplementation(
+        "cut", textproc.cut, "select fields or character ranges", block=textproc.cut_block
+    )
     yield CommandImplementation("sed", textproc.sed, "stream editor (substitution subset)")
     yield CommandImplementation("awk", textproc.awk, "awk print subset")
     yield CommandImplementation("fold", textproc.fold, "wrap lines to a width")
@@ -30,7 +34,9 @@ def _implementations():
     yield CommandImplementation("xargs", textproc.xargs, "build and run command lines")
 
     yield CommandImplementation("sort", sorting.sort_command, "sort lines", block=sorting.sort_block)
-    yield CommandImplementation("uniq", sorting.uniq, "collapse adjacent duplicates")
+    yield CommandImplementation(
+        "uniq", sorting.uniq, "collapse adjacent duplicates", block=sorting.uniq_block
+    )
     yield CommandImplementation("comm", sorting.comm, "compare two sorted streams")
     yield CommandImplementation("join", sorting.join, "relational join of sorted streams")
     yield CommandImplementation("paste", sorting.paste, "merge corresponding lines")
@@ -38,10 +44,10 @@ def _implementations():
     yield CommandImplementation("tsort", sorting.tsort, "topological sort")
 
     yield CommandImplementation("cat", misc.cat, "concatenate inputs")
-    yield CommandImplementation("head", misc.head, "first lines")
+    yield CommandImplementation("head", misc.head, "first lines", block=misc.head_block)
     yield CommandImplementation("tail", misc.tail, "last lines")
     yield CommandImplementation("tac", misc.tac, "reverse line order")
-    yield CommandImplementation("wc", misc.wc, "line/word/character counts")
+    yield CommandImplementation("wc", misc.wc, "line/word/character counts", block=misc.wc_block)
     yield CommandImplementation("seq", misc.seq, "numeric sequences")
     yield CommandImplementation("echo", misc.echo, "print arguments")
     yield CommandImplementation("basename", misc.basename, "strip directory prefix")

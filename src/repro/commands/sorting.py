@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import re
-from itertools import groupby
+from itertools import count, groupby, zip_longest
 from typing import List, Tuple
 
 from repro.commands.base import (
-    BlockStream,
     CommandError,
     Stream,
-    blocks_of_lines,
     concat_streams,
     flag_value,
     has_flag,
-    lines_of_blocks,
-    split_flags,
+    only_flags,
+    stream_kernel,
 )
 
 
@@ -26,21 +24,18 @@ from repro.commands.base import (
 _NUMBER_RE = re.compile(r"^\s*(-?\d+(?:\.\d+)?)")
 
 
-def _numeric_key(text: str) -> float:
-    match = _NUMBER_RE.match(text)
-    if not match:
-        return 0.0
-    return float(match.group(1))
+def _sort_keys_function(arguments: List[str]):
+    """Build ``lines -> (texts, numbers)`` as implied by sort's flags (None: compare lines).
 
-
-def _sort_key_function(arguments: List[str]):
-    """Build the key function implied by sort's flags (None: compare lines)."""
+    A line's key is ``(number, text)``, ``numbers`` None without ``-n``; a stream's
+    keys are built a column at a time, each step one comprehension or ``map``.
+    """
     numeric = has_flag(arguments, "-n")
     ignore_case = has_flag(arguments, "-f")
     dictionary = has_flag(arguments, "-d")
     key_spec = flag_value(arguments, "-k")
     if not (numeric or ignore_case or dictionary or key_spec):
-        return None  # sorted() then compares in C, with no key call per line
+        return None  # sorted() then compares in C, with no key per line
     field_index = None
     key_numeric = numeric
     if key_spec:
@@ -52,29 +47,23 @@ def _sort_key_function(arguments: List[str]):
             head = head[:-1]
         field_index = int(head) if head else None
 
-    def extract(line: str) -> str:
-        if field_index is None:
-            return line
-        fields = line.split()
-        if 0 < field_index <= len(fields):
+    def keys(lines: List[str]) -> list:
+        texts = lines
+        if field_index:
             # POSIX sort keys run from the start of the field to end of line.
-            return " ".join(fields[field_index - 1 :])
-        return ""
-
-    def key(line: str):
-        text = extract(line)
-        if dictionary:
-            text = "".join(char for char in text if char.isalnum() or char.isspace())
+            texts = [" ".join(line.split()[field_index - 1 :]) for line in texts]
+        if dictionary:  # keeps ``isalnum`` (``\w`` less the underscore) and ``isspace``
+            texts = [re.sub(r"[^\w\s]+|_+", "", text) for text in texts]
         if ignore_case:
-            text = text.lower()
-        if key_numeric:
-            return (_numeric_key(text), text)
-        return text
+            texts = list(map(str.lower, texts))
+        if not key_numeric:
+            return texts, None
+        return texts, [float(match.group(1)) if match else 0.0 for match in map(_NUMBER_RE.match, texts)]
 
-    return key
+    return keys
 
 
-def _sorted_lines(lines, key, reverse: bool, unique: bool):
+def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
     """Sort ``str`` or ``bytes`` lines; ``unique`` keeps the first of each key.
 
     Also the merge: Timsort finds the pre-sorted runs of concatenated sorted
@@ -82,17 +71,25 @@ def _sorted_lines(lines, key, reverse: bool, unique: bool):
     inputs this equals a k-way ``heapq.merge`` — the precondition POSIX lets
     ``sort -m`` assume and the ``merge_sort`` aggregator has by construction.
     """
-    merged = sorted(lines, key=key, reverse=reverse)
-    if unique:
-        return [next(group) for _, group in groupby(merged, key)]
-    return merged
+    if keys_of is None:
+        merged = sorted(lines, reverse=reverse)
+        return [key for key, _ in groupby(merged)] if unique else merged
+    # Positions sort by prebuilt keys, looked up in C: by text, then by number —
+    # stably, so as one sort by ``(number, text)`` would, without a tuple per line.
+    texts, numbers = keys_of(lines)
+    order = sorted(range(len(lines)), key=texts.__getitem__, reverse=reverse)
+    if numbers is not None:
+        order.sort(key=numbers.__getitem__, reverse=reverse)
+    if unique:  # a number is a function of its text
+        order = [next(group) for _, group in groupby(order, texts.__getitem__)]
+    return [lines[position] for position in order]
 
 
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``."""
     return _sorted_lines(
         concat_streams(inputs),
-        _sort_key_function(arguments),
+        _sort_keys_function(arguments),
         has_flag(arguments, "-r"),
         has_flag(arguments, "-u"),
     )
@@ -105,14 +102,10 @@ def sort_block(arguments: List[str]):
     order is code-point order, so sorting the ``bytes`` lines is the ``str``
     sort.  Anything else (``-n -f -d -k``, operands, unknown flags) refuses.
     """
-    if any(len(arg) < 2 or arg[0] != "-" or set(arg[1:]) - set("rum") for arg in arguments):
+    if not only_flags(arguments, "rum"):
         return None
     reverse, unique = has_flag(arguments, "-r"), has_flag(arguments, "-u")
-
-    def kernel(streams: List[BlockStream]) -> List[BlockStream]:
-        return [blocks_of_lines(_sorted_lines(lines_of_blocks(streams), None, reverse, unique))]
-
-    return kernel
+    return stream_kernel(lambda lines: _sorted_lines(lines, None, reverse, unique))
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +113,31 @@ def sort_block(arguments: List[str]):
 # ---------------------------------------------------------------------------
 
 
+def _uniq_lines(arguments: List[str], data, template="%7d %s"):
+    """:func:`uniq` over ``str`` lines, or ``bytes`` lines with a ``bytes`` template."""
+    counting = has_flag(arguments, "-c")
+    only_duplicates = has_flag(arguments, "-d")
+    key = type(template).lower if has_flag(arguments, "-i") else None
+    if not (counting or only_duplicates):
+        return [next(group) for _, group in groupby(data, key)]
+    groups = [list(group) for _, group in groupby(data, key)]
+    if only_duplicates:
+        groups = [group for group in groups if len(group) > 1]
+    if counting:
+        return [template % (len(group), group[0]) for group in groups]
+    return [group[0] for group in groups]
+
+
 def uniq(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``uniq [-c] [-d] [-i]``: collapse adjacent duplicate lines."""
-    count = has_flag(arguments, "-c")
-    only_duplicates = has_flag(arguments, "-d")
-    ignore_case = has_flag(arguments, "-i")
-    data = concat_streams(inputs)
+    return _uniq_lines(arguments, concat_streams(inputs))
 
-    groups: List[Tuple[str, int]] = []
-    for line in data:
-        comparable = line.lower() if ignore_case else line
-        if groups and (groups[-1][0].lower() if ignore_case else groups[-1][0]) == comparable:
-            groups[-1] = (groups[-1][0], groups[-1][1] + 1)
-        else:
-            groups.append((line, 1))
 
-    out: Stream = []
-    for line, occurrences in groups:
-        if only_duplicates and occurrences < 2:
-            continue
-        if count:
-            out.append(f"{occurrences:7d} {line}")
-        else:
-            out.append(line)
-    return out
+def uniq_block(arguments: List[str]):
+    """Block kernel of :func:`uniq` for ``-c``/``-d`` (``bytes.lower`` folds ASCII only: no ``-i``)."""
+    if not only_flags(arguments, "cd"):
+        return None
+    return stream_kernel(lambda lines: _uniq_lines(arguments, lines, b"%7d %s"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +230,14 @@ def paste(arguments: List[str], inputs: List[Stream]) -> Stream:
     delimiter = flag_value(arguments, "-d", "\t") or "\t"
     serial = has_flag(arguments, "-s")
     if serial:
-        return [delimiter.join(stream) for stream in inputs if True]
-    if len(inputs) == 1:
-        return list(inputs[0])
-    length = max((len(stream) for stream in inputs), default=0)
-    out: Stream = []
-    for index in range(length):
-        out.append(
-            delimiter.join(stream[index] if index < len(stream) else "" for stream in inputs)
-        )
-    return out
+        return [delimiter.join(stream) for stream in inputs]
+    return list(map(delimiter.join, zip_longest(*inputs, fillvalue="")))
 
 
 def nl(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``nl``: number non-empty lines."""
-    out: Stream = []
-    counter = 0
-    for line in concat_streams(inputs):
-        if line.strip():
-            counter += 1
-            out.append(f"{counter:6d}\t{line}")
-        else:
-            out.append("")
-    return out
+    numbers = count(1)
+    return ["%6d\t%s" % (next(numbers), line) if line.strip() else "" for line in concat_streams(inputs)]
 
 
 def tsort(arguments: List[str], inputs: List[Stream]) -> Stream:

@@ -4,21 +4,22 @@ The grep/sed/tr paths are the engine's inner loop: under the parallel
 backend's batch mode a stateless command is re-invoked once per arriving
 chunk, so anything done per *call* (compiling the pattern, parsing the sed
 script, building the tr translation table) used to repeat thousands of times
-per stream.  Those derivations are now memoized on the argument text
-(bounded ``lru_cache``), and the per-line loops hoist attribute lookups into
-locals — the classic CPython bound-method tax.
+per stream.  Those derivations are one cached *plan* per argument vector
+(bounded ``lru_cache``) that the ``str`` function and the ``bytes`` block
+kernel both apply, and every loop over characters or lines runs in C.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, partial
+from itertools import chain, filterfalse
 from typing import List, Tuple
 
 from repro.commands.base import (
     CommandError,
     Stream,
+    block_map_kernel,
     concat_streams,
     flag_value,
     has_flag,
@@ -32,51 +33,55 @@ from repro.commands.base import (
 
 
 @lru_cache(maxsize=256)
-def _compiled_grep_pattern(pattern_text: str, flags: int) -> "re.Pattern[str]":
-    """Compile (and cache) a grep pattern — batch mode re-enters per chunk."""
-    try:
-        return re.compile(pattern_text, flags)
-    except re.error as exc:
-        raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
+def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
+    """A grep invocation, stated once for both faces: ``(pattern, select)``.
 
-
-def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``grep [-i] [-v] [-c] [-E|-F] [-w] [-x] pattern [file...]``."""
+    ``select`` keeps the matching (``-v``: the other) ``str`` lines of a list
+    (``bytes`` lines when ``binary``).  Cached: batch mode re-enters per chunk.
+    """
     options, operands = split_flags(arguments)
     if not operands:
         raise CommandError("grep requires a pattern")
-    pattern_text, *_ = operands
-    data = concat_streams(inputs)
-
-    flags = re.IGNORECASE if has_flag(options, "-i") else 0
-    fixed = has_flag(options, "-F")
-    if fixed:
+    pattern_text = operands[0]
+    if has_flag(options, "-F"):
         pattern_text = re.escape(pattern_text)
     if has_flag(options, "-w"):
         pattern_text = r"\b(?:%s)\b" % pattern_text
-    pattern = _compiled_grep_pattern(pattern_text, flags)
+    flags = re.IGNORECASE if has_flag(options, "-i") else 0
+    try:
+        pattern = re.compile(pattern_text.encode("utf-8") if binary else pattern_text, flags)
+    except re.error as exc:
+        raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
+    probe = pattern.fullmatch if has_flag(options, "-x") else pattern.search
+    keep = filterfalse if has_flag(options, "-v") else filter  # the loop runs in C
+    return pattern, lambda data: list(keep(probe, data))
 
-    invert = has_flag(options, "-v")
-    whole_line = has_flag(options, "-x")
 
-    # Hot loop: one bound-method lookup, not one per line.
-    probe = pattern.fullmatch if whole_line else pattern.search
-    if invert:
-        selected = [line for line in data if probe(line) is None]
-    else:
-        selected = [line for line in data if probe(line) is not None]
-    if has_flag(options, "-c"):
-        return [str(len(selected))]
-    if has_flag(options, "-o"):
-        out: Stream = []
-        append = out.append
-        finditer = pattern.finditer
-        for line in data:
-            for match in finditer(line):
-                if bool(match.group(0)) != invert or not invert:
-                    append(match.group(0))
-        return out
-    return selected
+def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``grep [-i] [-v] [-c] [-o] [-E|-F] [-w] [-x] pattern [file...]``."""
+    pattern, select = _grep_plan(tuple(arguments))
+    data = concat_streams(inputs)
+    if has_flag(arguments, "-c"):
+        return [str(len(select(data)))]
+    if has_flag(arguments, "-o"):
+        invert = has_flag(arguments, "-v")  # then only the empty matches print, as they always did
+        return [m.group(0) for line in data for m in pattern.finditer(line) if not (invert and m.group(0))]
+    return select(data)
+
+
+def grep_block(arguments: List[str]):
+    """Block kernel of :func:`grep`: the same plan over each block's ``bytes`` lines.
+
+    One ``search`` per line, never one over the block (``[^a]`` matches a
+    newline).  A ``bytes`` pattern equals the ``str`` one on ASCII data — a
+    block holding anything else is decoded — unless it is not ASCII itself or
+    holds ``\\s`` (``\\x1c``-``\\x1f`` for ``str``).  ``-c``/``-o`` change the output's shape.
+    """
+    options, operands = split_flags(arguments)
+    pattern = operands[0] if operands else "\\s"
+    if set("".join(options)) - set("-ivEFwx") or not pattern.isascii() or "\\s" in pattern.lower():
+        return None
+    return block_map_kernel(_grep_plan(tuple(arguments), True)[1], _grep_plan(tuple(arguments))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +122,82 @@ def _expand_tr_set(text: str) -> str:
     return "".join(expanded)
 
 
-def _tr_padded_set2(set1: str, set2: str) -> str:
-    """SET2 cut or extended with its last character to SET1's length."""
-    return (set2 + set2[-1] * max(0, len(set1) - len(set2)))[: len(set1)]
+class _TrTable(dict):
+    """A ``str.translate`` table computed on demand from ``image(code)``: a dict cannot say
+    "every other character" (``-c``), a memoized ``__missing__`` can, and the loop stays in C."""
+
+    def __init__(self, image) -> None:
+        super().__init__()
+        self.image = image
+
+    def __missing__(self, code: int):
+        self[code] = self.image(code)
+        return self[code]
+
+
+def _squeezer(squeezed: str, binary: bool):
+    """``text -> text`` squeezing every run of a ``squeezed`` character to one."""
+    encode = (lambda text: text.encode("ascii")) if binary else (lambda text: text)
+    if len(squeezed) > 1:
+        pattern = r"([%s])\1+" % "".join(map(re.escape, squeezed))
+        return partial(re.compile(encode(pattern)).sub, encode(r"\1"))
+    single, double = encode(squeezed), encode(squeezed * 2)
+
+    def squeeze(text):  # ``replace`` halves every run in C: a run of n is gone in log n passes
+        while double in text:
+            text = text.replace(double, single)
+        return text
+
+    return squeeze
 
 
 @lru_cache(maxsize=256)
-def _tr_translate_table(set1: str, set2: str):
-    """The (cached) str.translate table for ``tr SET1 SET2``."""
-    return str.maketrans(set1, _tr_padded_set2(set1, set2))
+def tr_plan(arguments: Tuple[str, ...]):
+    """A tr invocation, stated once: ``(on_str, on_bytes, squeezes_newline)``.
 
+    Both faces delete or translate through a table built from the one
+    ``image(code)``, then squeeze.  ``-c`` never touches a newline (the line
+    model).  ``on_bytes`` maps a line block and is None when bytes are not
+    characters for these sets: a non-ASCII set; ``-c`` translating without
+    squeezing its replacement (a multi-byte character would leave several);
+    SET1 deleting or translating a newline (a block's last newline is the
+    stream's implicit one, which the ``str`` face never sees).
+    """
+    options, operands = split_flags(arguments)
+    delete, squeeze, complement = (has_flag(options, flag) for flag in ("-d", "-s", "-c"))
+    set1 = _expand_tr_set(operands[0]) if operands else ""
+    set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
+    squeezed = (set2 or set1) if squeeze else ""
+    if complement:
+        kept = set(map(ord, set1 + "\n"))
+        outside = ord(set2[-1]) if set2 and not delete else None
+        image = lambda code: code if code in kept else outside  # noqa: E731
+    else:
+        # SET2 is cut, or extended with its last character, to SET1's length.
+        padded = (set2 + set2[-1:] * len(set1))[: len(set1)]
+        listed = dict.fromkeys(map(ord, set1)) if delete else dict(zip(map(ord, set1), map(ord, padded)))
+        image = lambda code: listed.get(code, code)  # noqa: E731
 
-@lru_cache(maxsize=256)
-def _tr_delete_table(set1: str):
-    """The (cached) str.translate table for ``tr -d SET1``."""
-    return {ord(char): None for char in set1}
+    def face(binary: bool):
+        squeeze_runs = _squeezer(squeezed, binary) if squeezed else None
+        table = (_TrTable(image),)
+        if binary:  # the 256-entry table, and the bytes it deletes
+            codes = [image(code) for code in range(256)]
+            table = bytes(code or 0 for code in codes), bytes(c for c in range(256) if codes[c] is None)
+
+        def apply(text):
+            if delete or set2:
+                text = text.translate(*table)
+            return squeeze_runs(text) if squeeze_runs else text
+
+        return apply
+
+    exact = (
+        (set1 + set2).isascii()
+        and not (complement and set2 and not delete and set2[-1] not in squeezed)
+        and not ((delete or set2) and not complement and "\n" in set1)
+    )
+    return face(False), face(True) if exact else None, "\n" in squeezed
 
 
 def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
@@ -141,80 +207,40 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
     newline is produced inside a line (e.g. ``tr ' ' '\\n'``) the line is
     split into multiple output lines; deleting newlines joins lines.
     """
-    options, operands = split_flags(arguments)
     data = concat_streams(inputs)
-    delete = has_flag(options, "-d")
-    squeeze = has_flag(options, "-s")
-    complement = has_flag(options, "-c")
-
-    set1 = _expand_tr_set(operands[0]) if operands else ""
-    set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
-
-    text = "\n".join(data)
-    had_input = bool(data)
-
-    if delete:
-        if complement:
-            keep = set(set1) | {"\n"}
-            text = "".join(char for char in text if char in keep)
-        else:
-            text = text.translate(_tr_delete_table(set1))
-    elif set2:
-        if complement:
-            members = set(set1)
-            replacement = set2[-1]
-            text = "".join(
-                char if (char in members or char == "\n") else replacement for char in text
-            )
-        else:
-            text = text.translate(_tr_translate_table(set1, set2))
-
-    if squeeze:
-        squeeze_set = set(set2) if set2 else set(set1)
-        squeezed: List[str] = []
-        previous = None
-        for char in text:
-            if char in squeeze_set and char == previous:
-                continue
-            squeezed.append(char)
-            previous = char
-        text = "".join(squeezed)
-        if "\n" in squeeze_set and text.endswith("\n"):
-            # The stream's implicit final newline extends this trailing run,
-            # so the run squeezes into it instead of leaving an empty line.
-            text = text[:-1]
-
-    if not had_input:
+    if not data:
         return []
+    on_str, _, squeezes_newline = tr_plan(tuple(arguments))
+    text = on_str("\n".join(data))
+    if squeezes_newline and text.endswith("\n"):
+        # The stream's implicit final newline extends this trailing run,
+        # so the run squeezes into it instead of leaving an empty line.
+        text = text[:-1]
     # The joined text stands for the stream without its final newline, so
     # splitting on newlines maps back to exactly the output lines.
     return text.split("\n")
 
 
 def tr_block(arguments: List[str]):
-    """Block kernel of :func:`tr`: plain translate or ``-d`` over ASCII sets.
+    """Block kernel of :func:`tr`: the plan's ``bytes`` face, block by block.
 
-    ``bytes.translate`` equals ``str.translate`` when both sets are ASCII
-    (other bytes pass through untouched) and neither holds a newline (the
-    line structure cannot change).  ``-c``, ``-s``, a non-ASCII set or a
-    newline in a set refuse: those need characters or re-splitting.
+    A squeezed newline run that spans two blocks of the stream ends the first,
+    so the second drops its leading newline (``emitted`` is the carry).
     """
-    options, operands = split_flags(arguments)
-    delete = options == ["-d"]
-    if (options and not delete) or len(operands) != (1 if delete else 2):
+    _, on_bytes, squeezes_newline = tr_plan(tuple(arguments))
+    if on_bytes is None:
         return None
-    sets = [_expand_tr_set(operand) for operand in operands]
-    if not all(chars and chars.isascii() and "\n" not in chars for chars in sets):
-        return None
-    if delete:
-        table, dropped = None, sets[0].encode()
-    else:
-        set1, set2 = sets
-        table = bytes.maketrans(set1.encode(), _tr_padded_set2(set1, set2).encode())
-        dropped = b""
-    return lambda streams: [
-        (block.translate(table, dropped) for block in chain.from_iterable(streams))
-    ]
+
+    def blocks(streams):
+        emitted = False
+        for block in chain.from_iterable(streams):
+            block = on_bytes(block)
+            if emitted and squeezes_newline and block.startswith(b"\n"):
+                block = block[1:]
+            emitted = emitted or bool(block)
+            yield block
+
+    return lambda streams: [blocks(streams)]
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +275,9 @@ def _cut_slices(spec: str) -> Tuple[Tuple[int, int], ...]:
     return tuple(slices)
 
 
-def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``cut -d DELIM -f LIST`` or ``cut -c LIST``."""
-    data = concat_streams(inputs)
+@lru_cache(maxsize=256)
+def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
+    """A cut invocation as ``lines -> lines`` over ``str`` (``binary``: ``bytes``) lines."""
     char_spec = flag_value(arguments, "-c")
     field_spec = flag_value(arguments, "-f")
     delimiter = flag_value(arguments, "-d", "\t") or "\t"
@@ -264,25 +290,43 @@ def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
     if char_spec:
         if len(slices) == 1:
             ((low, high),) = slices
-            return [line[low:high] for line in data]
-        return ["".join([line[low:high] for low, high in slices]) for line in data]
+            return lambda data: [line[low:high] for line in data]
+        glue = (b"" if binary else "").join
+        return lambda data: [glue([line[low:high] for low, high in slices]) for line in data]
 
     # A line without the delimiter passes whole; nothing past the last
     # selected field needs splitting.
     limit = slices[-1][1] if slices else 1
+    if binary:
+        delimiter = delimiter.encode("utf-8")
     join = delimiter.join
     if len(slices) == 1:
         ((low, high),) = slices
-        return [
+        return lambda data: [
             join(fields[low:high]) if len(fields := line.split(delimiter, limit)) > 1 else line
             for line in data
         ]
-    return [
+    return lambda data: [
         join([field for low, high in slices for field in fields[low:high]])
         if len(fields := line.split(delimiter, limit)) > 1
         else line
         for line in data
     ]
+
+
+def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``cut -d DELIM -f LIST`` or ``cut -c LIST``."""
+    return _cut_plan(tuple(arguments))(concat_streams(inputs))
+
+
+def cut_block(arguments: List[str]):
+    """Block kernel of :func:`cut`: the same plan over each block's ``bytes`` lines.
+
+    Fields split on the delimiter's bytes, which no UTF-8 sequence holds
+    part of; ``-c`` counts characters, so a non-ASCII block is decoded.
+    """
+    on_text = _cut_plan(tuple(arguments)) if flag_value(arguments, "-c") else None
+    return block_map_kernel(_cut_plan(tuple(arguments), True), on_text)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +490,11 @@ def fold(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``fold [-w N]``: wrap lines at N characters (default 80)."""
     width_text = flag_value(arguments, "-w", "80")
     width = int(width_text) if width_text else 80
-    out: Stream = []
-    for line in concat_streams(inputs):
-        if not line:
-            out.append("")
-            continue
-        for start in range(0, len(line), width):
-            out.append(line[start : start + width])
-    return out
+    data = concat_streams(inputs)
+    # ``or``: an empty line stays one line.  Iterating a str yields its characters in C.
+    if width == 1:
+        return list(chain.from_iterable(line or ("",) for line in data))
+    return [line[start : start + width] for line in data for start in range(0, len(line) or 1, width)]
 
 
 def rev(arguments: List[str], inputs: List[Stream]) -> Stream:

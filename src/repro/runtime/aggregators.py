@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Callable, Dict, List, Sequence
 
-from repro.commands import misc, sorting
+from repro.commands import misc, sorting, textproc
 from repro.commands.base import Stream, concat_streams
 
 
@@ -23,6 +23,19 @@ class AggregatorError(ValueError):
 def concat(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     """Concatenate partial outputs (the aggregator of stateless commands)."""
     return concat_streams(list(streams))
+
+
+def squeeze_concat(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
+    """Concatenate ``tr -s`` outputs, mending the runs a boundary cut.
+
+    Every part ends in a newline, so when newlines squeeze, a later part
+    that begins with one (an empty first line) continues that run.
+    """
+    squeezes_newline = textproc.tr_plan(tuple(arguments))[2]
+    merged: Stream = []
+    for stream in streams:
+        merged += stream[1:] if squeezes_newline and merged and stream[:1] == [""] else stream
+    return merged
 
 
 def merge_sort(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
@@ -129,6 +142,7 @@ def merge_comm(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
 
 AGGREGATORS: Dict[str, Callable[[Sequence[Stream], Sequence[str]], Stream]] = {
     "concat": concat,
+    "squeeze_concat": squeeze_concat,
     "merge_sort": merge_sort,
     "merge_uniq": merge_uniq,
     "merge_uniq_count": merge_uniq_count,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.commands import CommandRegistry, standard_registry
-from repro.commands.base import BlockKernel, BlockStream, Stream
+from repro.commands.base import BlockKernel, BlockStream, CommandError, Stream
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
@@ -101,7 +101,10 @@ def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKern
         return fused
     if isinstance(node, CommandNode):
         factory = registry.lookup(node.name).block
-        return factory(list(node.arguments)) if factory else None
+        try:
+            return factory(list(node.arguments)) if factory else None
+        except CommandError:
+            return None  # arguments the ``str`` face rejects too, where errors are reported
     if isinstance(node, AggregatorNode):
         factory = BLOCK_AGGREGATORS.get(node.aggregator)
         return factory(list(node.command_arguments)) if factory else None

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.annotations.library import AnnotationLibrary, standard_library
+from repro.annotations.library import AnnotationLibrary, shared_standard_library, standard_library
 from repro.annotations.model import CommandInvocation
 from repro.commands import CommandRegistry, standard_registry
 from repro.commands.base import Stream
@@ -99,8 +99,15 @@ class ShellInterpreter:
             positional=list(positional or []),
         )
         self.registry = registry if registry is not None else standard_registry()
-        self.library = library if library is not None else standard_library()
+        self._library = library
         self.max_loop_iterations = max_loop_iterations
+
+    @property
+    def library(self) -> AnnotationLibrary:
+        """Its own copy of the standard library, made when first asked for (a run reads the shared one)."""
+        if self._library is None:
+            self._library = standard_library()
+        return self._library
 
     # ------------------------------------------------------------------
     # Entry points
@@ -348,7 +355,7 @@ class ShellInterpreter:
             filesystem=self.state.filesystem,
             variables=dict(self.state.variables),
             registry=self.registry,
-            library=self.library,
+            library=self._library,
             positional=self.state.positional,
             max_loop_iterations=self.max_loop_iterations,
         )
@@ -380,7 +387,8 @@ class ShellInterpreter:
     ):
         """Determine the command's input streams (files, redirection, stdin)."""
         context = self._context()
-        record = self.library.lookup(name)
+        library = shared_standard_library() if self._library is None else self._library
+        record = library.lookup(name)
         invocation = (
             record.invocation(name, arguments)
             if record is not None

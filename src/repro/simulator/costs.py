@@ -116,6 +116,7 @@ def _default_costs() -> Dict[str, CommandCost]:
 
 _AGGREGATOR_COSTS: Dict[str, CommandCost] = {
     "concat": CommandCost(seconds_per_line=5e-8),
+    "squeeze_concat": CommandCost(seconds_per_line=5e-8),
     # GNU sort's merge phase is memory-bandwidth bound and does not overlap
     # well across tree levels; modelling it as a blocking stage with a
     # noticeable per-line cost reproduces the limited scalability of sort
@@ -304,17 +305,19 @@ PYTHON_KERNEL_MLINES_S: Dict[str, float] = {
     "grep": 10.1,
     "tr": 5.9,
     "cut": 2.6,
-    "uniq": 6.8,
+    "uniq": 27.0,
     "sed": 3.6,
     "awk": 1.2,
-    "wc": 2.8,
+    "wc": 120.0,
     "rev": 8.0,
     "fold": 3.0,
+    "paste": 7.3,
     "cat": 120.0,
     "head": 120.0,
     "tail": 130.0,
-    # ``tr`` with ``-c`` or ``-s`` walks the text character by character.
-    "tr -cs": 0.18,
+    # ``tr -cs SET '\n'``: squeezing the many runs and splitting one word per
+    # line (``-s``, ``-c`` and ``-d`` alone run at the plain rate).
+    "tr -cs": 0.52,
 }
 
 #: The same for the helper nodes and aggregators the passes insert.
@@ -349,9 +352,9 @@ class _PythonCostModel(CostModel):
     def _refine(self, node: CommandNode, base: CommandCost) -> CommandCost:
         if node.name == "tr":
             arguments = node.arguments
-            if any(set("cs") & set(a[1:]) for a in arguments if _short_flag(a)):
-                base = self.command_costs["tr -cs"]
             if arguments and arguments[-1] in ("\n", "\\n"):
+                if any(set("cs") & set(a[1:]) for a in arguments if _short_flag(a)):
+                    base = self.command_costs["tr -cs"]
                 base = replace(base, selectivity=_WORDS_PER_LINE)
             return base
         return super()._refine(node, base)

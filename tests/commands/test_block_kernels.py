@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.commands import sorting, standard_registry, textproc
+from repro.commands import misc, sorting, standard_registry, textproc
 from repro.commands.base import CommandImplementation
 from repro.dfg.nodes import AggregatorNode, CommandNode, FusedStage, SplitNode
 from repro.engine.channels import decode_block, iter_encoded_chunks
@@ -60,15 +60,50 @@ KERNELS = {
         textproc.tr_block,
         textproc.tr,
         [["A-Z", "a-z"], ["a-z", "A-Z"], ["-d", "aeiou"], ["[:upper:]", "[:lower:]"],
-         ["abc", "x"], ["aab", "xyz"], ["-d", "[:punct:]"], [" ", "_"]],
-        [["-s", "a"], ["-c", "a", "b"], ["-cs", "A-Za-z", "\\n"], [" ", "\\n"],
-         ["-d", "\\n"], ["é", "e"], ["a", "é"], ["-d", "é"], ["a-z"], ["-d", "[:space:]"]],
+         ["abc", "x"], ["aab", "xyz"], ["-d", "[:punct:]"], [" ", "_"], ["a-z"],
+         [" ", "\\n"], ["-s", "a"], ["-s", " "], ["-s", "\\n"], ["-s", "a-z\\n"], ["-s", "[:space:]"],
+         ["-cs", "A-Za-z", "\\n"], ["-cs", "a-z", "xy"], ["-cd", "a-z"], ["-cd", "[:alnum:]"],
+         ["-ds", "a", "\\n"], ["-s", "a-z", "A-Z"], ["-cs", "a-z"], ["-c", "-s", "]^\\\\-", "-"]],
+        [["-c", "a", "b"], ["-d", "\\n"], ["\\n", " "], ["é", "e"], ["a", "é"], ["-d", "é"],
+         ["-d", "[:space:]"], ["-cs", "é", "\\n"], ["-s", "é"]],
+    ),
+    "grep": (
+        textproc.grep_block,
+        textproc.grep,
+        [["apple"], ["-v", "apple"], ["-i", "apple"], ["-iv", "b"], ["-x", "b"], ["-w", "z"],
+         ["-F", "2.5"], ["-E", "^(b|B)$"], ["[^a]"], ["^.$"], ["-i", "."], ["^$"]],
+        [["-c", "apple"], ["-o", "p+"], ["-n", "apple"], ["é"], ["\\s"], ["[^\\S]"], ["-A", "1", "x"], ["-e", "x"], []],
+    ),
+    "cut": (
+        textproc.cut_block,
+        textproc.cut,
+        [["-d", " ", "-f", "1"], ["-d", " ", "-f", "2-"], ["-d", " ", "-f", "1,3"], ["-f", "1"],
+         ["-d", "p", "-f", "2,3"], ["-d", "é", "-f", "1"], ["-c", "1-3"], ["-c", "2,4-"], ["-c1"]],
+        [],
     ),
     "sort": (
         sorting.sort_block,
         sorting.sort_command,
         [[], ["-r"], ["-u"], ["-ru"], ["-r", "-u"], ["-m"]],
         [["-n"], ["-k2"], ["-k", "2"], ["-f"], ["-d"], ["-rn"], ["-b"], ["-t", ","], ["file"]],
+    ),
+    "uniq": (
+        sorting.uniq_block,
+        sorting.uniq,
+        [[], ["-c"], ["-d"], ["-cd"], ["-c", "-d"]],
+        [["-i"], ["-ci"], ["-u"], ["-f", "1"], ["file"]],
+    ),
+    "head": (
+        misc.head_block,
+        misc.head,
+        [[], ["-n", "1"], ["-n", "0"], ["-n3"], ["-n", "100000"]],
+        [],
+    ),
+    "wc": (
+        misc.wc_block,
+        misc.wc,
+        [["-l"]],
+        [[], ["-w"], ["-c"], ["-lw"], ["-m"], ["-l", "file"]],
     ),
 }
 
@@ -136,11 +171,19 @@ def test_merge_sort_combiner_law(runs, arguments, seed):
 def test_block_kernel_lookup_follows_the_node_and_the_registry():
     registry = standard_registry()
     tr = CommandNode(name="tr", arguments=["A-Z", "a-z"])
-    grep = CommandNode(name="grep", arguments=["x"])
+    sed = CommandNode(name="sed", arguments=["s/a/b/"])
     assert block_kernel(tr, registry) is not None
-    assert block_kernel(grep, registry) is None
+    assert block_kernel(sed, registry) is None
     assert block_kernel(FusedStage(nodes=[tr, tr]), registry) is not None
-    assert block_kernel(FusedStage(nodes=[tr, grep]), registry) is None  # every member
+    assert block_kernel(FusedStage(nodes=[tr, sed]), registry) is None  # every member
+    # pash-bench grep_stream's fused stage never decodes: every member has a kernel.
+    grep = CommandNode(name="grep", arguments=["-v", "lights"])
+    cut = CommandNode(name="cut", arguments=["-d", " ", "-f", "1-4"])
+    chain = block_kernel(FusedStage(nodes=[tr, grep, cut]), registry)
+    assert run_kernel(chain, [["The LIGHTS are on now ok", "A b C d E f", "É x"]]) == [["a b c d", "É x"]]
+    # Arguments a factory cannot take leave the error to the str face, where it is reported.
+    for name, arguments in [("grep", ["("]), ("grep", ["(?u)x"]), ("cut", [])]:
+        assert block_kernel(CommandNode(name=name, arguments=arguments), registry) is None
     assert block_kernel(AggregatorNode(aggregator="merge_sort"), registry) is not None
     assert block_kernel(AggregatorNode(aggregator="merge_sort", command_arguments=["-n"]), registry) is None
     assert block_kernel(AggregatorNode(aggregator="merge_uniq"), registry) is None

@@ -7,11 +7,13 @@ parallel engine (real processes and pipes), and — where the command substrate
 is faithful to coreutils — the emitted shell script.
 
 The shell leg is restricted to benchmarks whose commands behave identically
-under real coreutils: the remaining five hit known substrate-fidelity gaps,
-not engine bugs (the Python ``tr -cs`` emits an empty token GNU tr does not
-when a batch or split chunk ends in a squeezed character — top-n, wf, bi-grams; GNU ``diff``'s output format differs from the Python
+under real coreutils: the remaining two hit known substrate-fidelity gaps,
+not engine bugs (GNU ``diff``'s output format differs from the Python
 stand-in — diff; and the custom annotated commands like ``bigrams`` have no
-host binary — bi-grams-opt).
+host binary — bi-grams-opt).  top-n, wf and bi-grams joined the leg when
+``tr -s`` stopped being stateless: a squeezed newline run that a block or a
+split boundary cut used to leave an empty token (the ``tr-squeeze-boundary``
+rows below pin the fix against the host).
 """
 
 import os
@@ -23,7 +25,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.api import Pash, PashConfig
+from repro.api import Pash, PashConfig, StreamingConfig
 from repro.jit import PlanCache
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
@@ -43,6 +45,9 @@ SHELL_FAITHFUL = [
     "shortest-scripts",
     "set-diff",
     "sort-sort",
+    "top-n",
+    "wf",
+    "bi-grams",
 ]
 
 
@@ -140,6 +145,53 @@ def test_emitted_shell_script_matches_interpreter(name):
     stdout, files, _ = run_backend(benchmark, "shell")
     assert stdout == expected_stdout
     assert files == expected_files
+
+
+# ---------------------------------------------------------------------------
+# tr-squeeze-boundary: a squeezed newline run cut by a block or a split
+# ---------------------------------------------------------------------------
+
+SQUEEZE_LINES = ["alpha", "", "-- beta", "gamma!", "  ", "delta, epsilon", "!!", "", "zeta"] * 7
+SQUEEZE_SCRIPTS = {
+    "words": "cat in.txt | tr -cs A-Za-z '\\n'",
+    "words-counted": "cat in.txt | tr -cs A-Za-z '\\n' | tr A-Z a-z | sort | uniq -c | sort -rn",
+    "blank-lines": "cat in.txt | tr -s '\\n'",
+    "spaces": "cat in.txt | tr -s ' ' | cut -d ' ' -f 1",
+    "two-files": "cat in.txt in.txt | tr -cs A-Za-z '\\n' | sort -u",
+}
+
+
+#: The block size is an engine knob: the cluster and the emitted script run at their default.
+SQUEEZE_SHAPES = [(backend, size) for backend in ("parallel", "jit") for size in (1, 7, 64, None)]
+SQUEEZE_SHAPES += [("cluster", None), ("shell", None)]
+
+
+@pytest.mark.parametrize("backend, chunk_size", SQUEEZE_SHAPES)
+@pytest.mark.parametrize("row", sorted(SQUEEZE_SCRIPTS))
+def test_tr_squeeze_boundary(row, backend, chunk_size, tmp_path):
+    """Every backend, at every block size down to one line, prints what the
+    interpreter and (where it exists) the host's ``LC_ALL=C sh`` print."""
+    if backend == "shell" and not all(map(shutil.which, ("sh", "mkfifo", "tr", "sort"))):
+        pytest.skip("missing coreutils")
+    script = SQUEEZE_SCRIPTS[row]
+    files = {"in.txt": list(SQUEEZE_LINES)}
+    expected = ShellInterpreter(filesystem=VirtualFileSystem(files)).run_script(script)
+    if shutil.which("sh") and shutil.which("tr"):
+        (tmp_path / "in.txt").write_text("".join(line + "\n" for line in SQUEEZE_LINES))
+        host = subprocess.run(
+            ["sh", "-c", script], cwd=tmp_path, env=dict(os.environ, LC_ALL="C"),
+            stdout=subprocess.PIPE, check=True,
+        )
+        assert host.stdout.decode().splitlines() == expected
+    config = PashConfig.paper_default(WIDTH, backend=backend)
+    if chunk_size is not None:
+        config = config.replace(streaming=StreamingConfig(chunk_size=chunk_size))
+    if backend == "jit":
+        config = config.replace(jit_inner_backend="parallel")  # tiny input: pin the pool
+    result = api.run(
+        script, config=config, environment=ExecutionEnvironment(filesystem=VirtualFileSystem(files))
+    )
+    assert result.stdout == expected, f"{row} on {backend}, chunk_size={chunk_size}"
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,8 @@ def test_the_run_span_and_the_report_say_which_shape_ran(tmp_path, monkeypatch):
 #: to draw from, whether `cat P0.txt P1.txt … | command` compiles to it).
 TAILS = {
     "concat": ("cat", [[]], False),
+    # ``[:space:]`` holds the newline and needs no quoting in the jit leg's script.
+    "squeeze_concat": ("tr", [["-s", "[:space:]"], ["-cs", "[:alnum:]", "[:space:]"], ["-s", "a"]], True),
     "merge_sort": ("sort", [[], ["-r"], ["-u"], ["-rn"]], True),
     "merge_uniq": ("uniq", [[], ["-c"]], True),
     "merge_uniq_count": ("uniq", [["-c"]], False),

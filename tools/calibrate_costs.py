@@ -66,6 +66,9 @@ KERNEL_ARGUMENTS: Dict[str, List[str]] = {
     "awk": ["{print $1}"],
     "cat": [],
     "tr -cs": ["-cs", "A-Za-z", "\\n"],
+    "tr -s": ["-s", " "],
+    "paste": [],
+    "sort -n": ["-n"],
 }
 
 
@@ -106,10 +109,11 @@ def measure_kernels(lines: List[str], repeats: int) -> Dict[str, float]:
     ordered = sorted(line.split(" ", 1)[0] for line in lines)
     rates = {}
     for name, arguments in KERNEL_ARGUMENTS.items():
-        stream = ordered if name == "uniq" else lines
+        # ``uniq -c`` counts a sorted column; ``paste`` joins two files line by line.
+        streams = {"uniq": [ordered], "paste": [lines, lines]}.get(name, [lines])
         command = name.split()[0]
-        seconds = timed(lambda: registry.run(command, arguments, [stream]), repeats)
-        rates[name] = len(stream) / seconds / 1e6
+        seconds = timed(lambda: registry.run(command, arguments, streams), repeats)
+        rates[name] = len(streams[0]) / seconds / 1e6
     return rates
 
 
@@ -267,7 +271,8 @@ def report(title: str, measured: Dict[str, float], committed: Dict[str, float], 
     for name in sorted(set(measured) | set(committed)):
         new, old = measured.get(name), committed.get(name)
         if new is None or old is None:
-            print("  %-22s measured %s committed %s  (in one table only)" % (name, new, old))
+            shown = tuple("%.4g" % value if value is not None else "-" for value in (new, old))
+            print("  %-22s measured %10s  committed %10s  (in one table only)" % ((name,) + shown))
             continue
         print(
             "  %-22s measured %10.4g  committed %10.4g %s  (%+.0f%%)"
