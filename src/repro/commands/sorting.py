@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from itertools import count, groupby, zip_longest
+from collections import Counter
+from itertools import chain, count, groupby, repeat, zip_longest
 from typing import List, Tuple
 
 from repro.commands.base import (
@@ -63,6 +64,10 @@ def _sort_keys_function(arguments: List[str]):
     return keys
 
 
+#: Lines of an input's prefix whose distinct count picks the plain sort's path.
+_DISTINCT_SAMPLE = 256
+
+
 def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
     """Sort ``str`` or ``bytes`` lines; ``unique`` keeps the first of each key.
 
@@ -70,8 +75,20 @@ def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
     inputs and merges them in C, stably in both directions, so on sorted
     inputs this equals a k-way ``heapq.merge`` — the precondition POSIX lets
     ``sort -m`` assume and the ``merge_sort`` aggregator has by construction.
+
+    A plain sort whose prefix repeats itself (fewer distinct lines than half
+    the sample: a stream of words or characters) counts first and compares
+    only the distinct lines; equal lines are the same line, so expanding the
+    counts in key order is the sorted input.
     """
     if keys_of is None:
+        sample = lines[:_DISTINCT_SAMPLE]
+        if 2 * len(set(sample)) < len(sample):
+            counts = Counter(lines)
+            keys = sorted(counts, reverse=reverse)
+            if unique:
+                return keys
+            return list(chain.from_iterable(map(repeat, keys, map(counts.__getitem__, keys))))
         merged = sorted(lines, reverse=reverse)
         return [key for key, _ in groupby(merged)] if unique else merged
     # Positions sort by prebuilt keys, looked up in C: by text, then by number —

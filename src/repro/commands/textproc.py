@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache, partial
 from itertools import chain, filterfalse
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from repro.commands.base import (
     CommandError,
@@ -454,31 +454,48 @@ def awk(arguments: List[str], inputs: List[Stream]) -> Stream:
         index += 1
     if program is None:
         raise CommandError("awk requires a program")
-    data = concat_streams(inputs)
+    return _awk_printer(program, separator)(concat_streams(inputs))
+
+
+@lru_cache(maxsize=256)
+def _awk_printer(program: str, separator: Optional[str]):
+    """``program``'s ``{print …}`` as one comprehension over a list of lines.
+
+    ``{print}`` and ``{print $0}`` are a copy; otherwise each line is split
+    once, at most as far as the highest ``$N`` asked for, and the items are
+    joined by a blank (awk's ``OFS``).  ``-F ' '`` is awk's default ``FS``:
+    runs of blanks separate fields and leading ones are ignored.
+    """
     match = _AWK_PRINT_RE.match(program)
     if not match:
         raise CommandError(f"unsupported awk program {program!r}")
     body = match.group("body").strip()
-    out: Stream = []
-    for line in data:
-        fields = line.split(separator) if separator else line.split()
-        if not body:
-            out.append(line)
-            continue
-        pieces: List[str] = []
-        for token in body.split(","):
-            token = token.strip()
-            if token == "$0":
-                pieces.append(line)
-            elif token.startswith("$"):
+    if body in ("", "$0"):
+        return list
+    items: List[str] = []  # one Python expression per printed item
+    last_field = 0
+    for token in map(str.strip, body.split(",")):
+        if token.startswith("$"):
+            try:
                 index = int(token[1:])
-                pieces.append(fields[index - 1] if 0 < index <= len(fields) else "")
-            elif token.startswith('"') and token.endswith('"'):
-                pieces.append(token[1:-1])
+            except ValueError:
+                raise CommandError(f"unsupported awk expression {token!r}") from None
+            if index == 0:
+                items.append("line")
+            elif index < 0:
+                items.append("''")
             else:
-                raise CommandError(f"unsupported awk expression {token!r}")
-        out.append(" ".join(pieces))
-    return out
+                last_field = max(last_field, index)
+                items.append(f"(fields[{index - 1}] if len(fields) > {index - 1} else '')")
+        elif token.startswith('"') and token.endswith('"'):
+            items.append(repr(token[1:-1]))
+        else:
+            raise CommandError(f"unsupported awk expression {token!r}")
+    # Only integers and ``repr``-quoted literals of the program reach the source.
+    printed = " + ' ' + ".join(items)
+    split = f"for fields in [line.split(separator, {last_field})]" if last_field else ""
+    source = f"lambda lines: [{printed} for line in lines {split}]"
+    return eval(source, {"separator": separator if separator not in ("", " ") else None})
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ class VirtualFileSystem:
     # ------------------------------------------------------------------
 
     def write(self, name: str, lines: Iterable[str]) -> None:
-        """Create or overwrite a file."""
-        self._files[name] = [str(line) for line in lines]
+        """Create or overwrite a file with ``lines`` (``str`` lines, by the stream contract)."""
+        self._files[name] = list(lines)
 
     def append(self, name: str, lines: Iterable[str]) -> None:
         """Append lines to a (possibly missing) file.
@@ -63,7 +63,7 @@ class VirtualFileSystem:
             path = Path(name)
             if path.exists():
                 self._files[name] = read_lines(path)
-        self._files.setdefault(name, []).extend(str(line) for line in lines)
+        self._files.setdefault(name, []).extend(lines)
 
     def read(self, name: str) -> List[str]:
         """Read a file's lines; falls back to disk when allowed."""

@@ -8,6 +8,7 @@ expansion, and command substitution are resolved in a single place.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -48,6 +49,10 @@ class Token:
 
 
 _OPERATOR_STARTERS = "|&;()<>\n"
+
+#: A run of word characters with no branch of their own in :meth:`_Lexer._lex_word`:
+#: not a blank, an operator, a quote, ``\``, ``$`` or a backquote.
+_PLAIN_RUN = re.compile(r"[^ \t\n|&;()<>'\"\\$`]+")
 
 
 class _Lexer:
@@ -101,8 +106,8 @@ class _Lexer:
         self.tokens.append(Token(kind, text, word=word, position=self.pos))
 
     def _skip_comment(self) -> None:
-        while not self._at_end() and self._peek() != "\n":
-            self._advance()
+        end = self.source.find("\n", self.pos)
+        self.pos = len(self.source) if end < 0 else end
 
     def _is_fd_redirect(self) -> bool:
         """True when the cursor sits at an ``N>``-style redirect (not a word)."""
@@ -199,20 +204,22 @@ class _Lexer:
                 self._advance()
                 parts.append(CommandSubstitution(self._read_until("`")))
             else:
-                literal.append(self._advance())
+                run = _PLAIN_RUN.match(self.source, self.pos)
+                literal.append(run.group())
+                self.pos = run.end()
         flush()
         if not parts:
             raise LexError(f"empty word at position {self.pos}")
         self._emit(TokenKind.WORD, "".join(str(Word(parts)).splitlines()), Word(parts))
 
     def _read_until(self, terminator: str) -> str:
-        collected: List[str] = []
-        while not self._at_end() and self._peek() != terminator:
-            collected.append(self._advance())
-        if self._at_end():
+        end = self.source.find(terminator, self.pos)
+        if end < 0:
+            self.pos = len(self.source)
             raise LexError(f"unterminated {terminator!r} quote")
-        self._advance()
-        return "".join(collected)
+        text = self.source[self.pos : end]
+        self.pos = end + 1
+        return text
 
     def _lex_double_quoted(self) -> List:
         parts = []

@@ -301,13 +301,18 @@ CALIBRATION_LINES = 100_000
 #: lines on the ``str`` path, one typical invocation per command.  The first
 #: five are pash-bench's ``commands.*_mlines_s`` probes.
 PYTHON_KERNEL_MLINES_S: Dict[str, float] = {
+    # Measured over distinct lines, so the comparison sort: a plain ``sort``
+    # over a repeating stream counts first and runs faster, so there this row
+    # over-estimates the sort in-process and in every pool copy alike.
     "sort": 4.2,
     "grep": 10.1,
     "tr": 5.9,
     "cut": 2.6,
     "uniq": 27.0,
     "sed": 3.6,
-    "awk": 1.2,
+    # One comprehension compiled per program: ``{print $1}`` runs at about
+    # ``tr``'s rate, ``{print $2, $0}`` (the corpus's heaviest) at 0.6 of it.
+    "awk": 3.5,
     "wc": 120.0,
     "rev": 8.0,
     "fold": 3.0,

@@ -38,6 +38,7 @@ from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CommandNode, DFGNode, FusedStage
 from repro.runtime.executor import node_streams_statelessly
 from repro.transform.auxiliary import (
+    CONCATENATION_EQUIVALENT_COMMANDS,
     insert_cat_for_multi_input,
     insert_eager_relays,
     insert_split_before,
@@ -306,6 +307,17 @@ class FuseStagesPass(GraphPass):
         output_edge.source = stage.node_id
         stage.outputs = [output_edge.edge_id]
         return stage
+
+
+def gets_copies(node: DFGNode) -> bool:
+    """Whether :class:`ParallelizePass` replaces ``node`` by copies, splits allowed.
+
+    The region planner counts a shape's lanes with it before any shape exists.
+    """
+    if not is_parallelizable_node(node) or _uses_positional_offset(node):
+        return False
+    inputs = len(node.data_inputs)
+    return inputs == 1 or inputs > 1 and node.name in CONCATENATION_EQUIVALENT_COMMANDS
 
 
 def _uses_positional_offset(node: CommandNode) -> bool:

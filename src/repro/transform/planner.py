@@ -18,6 +18,10 @@ Which shape runs is purely a cost question, and a cost question may be
 answered by a bound: every pool shape pays the driver's feed, the per-run
 setup and one process at least, so a sequential prediction at or under that
 floor has already won and no candidate is compiled, let alone simulated.
+Past it, :func:`pool_floors` bounds each width from the sequential simulation
+already in hand — the lanes and merges a shape must run, the per-line work
+its copies share — and a sequential prediction at or under the least of
+those bounds has won as well.
 
 The decision is a pure function of (graph, line counts, cores) and of where
 the inputs live: nothing is timed, so a run repeats.  The ahead-of-time compiler never calls this: asked
@@ -30,10 +34,16 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Optional
 
+from repro.annotations.classes import ParallelizabilityClass
+from repro.dfg.elision import is_plain_cat
 from repro.dfg.graph import DataflowGraph
-from repro.simulator.costs import python_cost_model
+from repro.dfg.nodes import CatNode
+from repro.simulator.costs import CALIBRATION_LINES, python_cost_model
 from repro.simulator.machine import MachineModel
-from repro.simulator.simulate import simulate_graph
+from repro.simulator.simulate import SimulationResult, simulate_graph
+from repro.transform.parallelize import DEFAULT_AGGREGATOR
+from repro.transform.passes import MINIMUM_COPIES, gets_copies
+from repro.transform.pipeline import SplitMode
 
 if TYPE_CHECKING:  # pragma: no cover - repro.api.config imports this package
     from repro.api.config import PashConfig
@@ -119,6 +129,9 @@ def plan_region(
     floor = feed + machine.setup_seconds + machine.spawn_seconds(1)
     if best <= floor:
         return RegionPlan(1, total_lines, sequential.total_seconds, floor, parallel_is_floor=True)
+    bound = feed + min(pool_floors(sequential_graph, sequential, widths, machine, config).values())
+    if best <= bound:
+        return RegionPlan(1, total_lines, sequential.total_seconds, bound, parallel_is_floor=True)
     if compile_candidate is None:
         pipeline = config.pipeline()
 
@@ -145,6 +158,87 @@ def plan_region(
         if seconds < best:
             best, plan.width = seconds, width
     return plan
+
+
+def pool_floors(
+    graph: DataflowGraph,
+    sequential: SimulationResult,
+    widths: List[int],
+    machine: MachineModel,
+    config: "PashConfig",
+) -> Dict[int, float]:
+    """Per width, seconds under which no pool shape of ``graph`` is predicted.
+
+    Read off ``sequential`` (the graph's in-process simulation), before any
+    shape exists, from what :func:`simulate_graph` bills every pool shape:
+    the setup, a spawn per process and at least the kernels' work over the
+    cores (the feed is the caller's to add; startup, channel and collection
+    terms are left out).  A command given copies runs on at least two lanes;
+    where the graph is one chain, every class-P command given copies closes
+    a fused stage, and a later stage with copies adds its own lanes, the
+    aggregator and a split in between.  The copies of a command see its lines
+    between them (order-aware dataflow model, arXiv 2012.15422), so an
+    ``n log n`` command bills at least ``n·log2(n/w)`` and a linear one its
+    ``n`` lines — unless it may be fused under an ``n log n`` tail, where
+    ``_compose`` restates it by ``log2(n/w)/log2(CALIBRATION_LINES)``.  The
+    logarithm is taken of the fewest lines into the command or anything
+    upstream (a stage bills at its head's size); a class-P command's
+    aggregator scales what its consumers see by its own selectivity.  Plain
+    ``cat``s are elided or commuted away, and bill nothing.
+    """
+    order = graph.topological_order()
+    costs = {node.node_id: _COSTS.cost_for(node) for node in order}
+    nlogn = {node_id: cost.complexity == "nlogn" for node_id, cost in costs.items()}
+    nlogn_below: Dict[int, bool] = {}
+    for node in reversed(order):
+        nlogn_below[node.node_id] = any(
+            nlogn[after.node_id] or nlogn_below[after.node_id] for after in graph.successors(node)
+        )
+    splits = config.split is not SplitMode.NONE
+    terms = []  # (seconds per line, lines, fewest lines up to a possible stage head, shape)
+    scale: Dict[int, float] = {}  # node id -> share of its sequential lines every shape carries out
+    fewest: Dict[int, float] = {}
+    chain = True
+    stages = boundaries = 0
+    open_stage = closed_stage = False
+    for node in order:
+        producers = graph.predecessors(node)
+        chain = chain and len(producers) <= 1 and len(graph.successors(node)) <= 1
+        share = min((scale[producer.node_id] for producer in producers), default=1.0)
+        lines = share * sum(sequential.edge_lines.get(edge_id, 0) for edge_id in node.inputs)
+        fewest[node.node_id] = min([lines] + [fewest[producer.node_id] for producer in producers])
+        scale[node.node_id] = share
+        if isinstance(node, CatNode) or is_plain_cat(node):
+            continue
+        shape = "nlogn" if nlogn[node.node_id] else "restated" if nlogn_below[node.node_id] else "linear"
+        terms.append((costs[node.node_id].seconds_per_line, lines, fewest[node.node_id], shape))
+        if not (splits and gets_copies(node)):
+            continue
+        if not open_stage:
+            stages += 1
+            boundaries += closed_stage
+            open_stage = True
+        if node.parallelizability_class is not ParallelizabilityClass.STATELESS:
+            open_stage, closed_stage = False, True
+            merge = _COSTS.aggregator_costs.get(node.aggregator or DEFAULT_AGGREGATOR)
+            if merge is not None and merge.fixed_output_lines is None:
+                scale[node.node_id] = share * min(1.0, merge.selectivity)
+    if not chain:  # lanes and merges are only counted along one chain
+        stages, boundaries = min(stages, 1), 0
+    processes = max(1, MINIMUM_COPIES * (stages + boundaries))
+    calibration = math.log2(CALIBRATION_LINES)
+    floors = {}
+    for width in widths:
+        work = 0.0
+        for seconds, lines, least, shape in terms:
+            factor = math.log2(least / width) if least > width else 0.0
+            if shape == "restated":
+                factor = min(1.0, factor / calibration)
+            elif shape == "linear":
+                factor = 1.0
+            work += seconds * lines * factor
+        floors[width] = machine.setup_seconds + machine.spawn_seconds(processes) + work / max(machine.cores, 1)
+    return floors
 
 
 def choose_width(

@@ -2,9 +2,10 @@
 
 These are the implementations ``repro.commands`` shipped before its hot
 kernels became bulk operations (``translate``, one compiled ``re.sub``,
-``groupby``, ``zip_longest``), moved here verbatim.  They are slow and
-obviously right, which is what an oracle should be:
-``test_bulk_kernels.py`` pins every rewritten command to them.  Nothing under
+``groupby``, ``zip_longest``, one comprehension compiled per ``awk``
+program), moved here verbatim.  They are slow and obviously right, which is
+what an oracle should be: ``test_bulk_kernels.py`` and
+``test_awk_and_sort.py`` pin every rewritten command to them.  Nothing under
 ``src/`` may import this module.
 """
 
@@ -12,7 +13,7 @@ import re
 from itertools import groupby
 from typing import List, Tuple
 
-from repro.commands.base import concat_streams, flag_value, has_flag, split_flags
+from repro.commands.base import CommandError, concat_streams, flag_value, has_flag, split_flags
 from repro.commands.textproc import _cut_slices, _expand_tr_set
 
 Stream = List[str]
@@ -306,4 +307,60 @@ def nl(arguments: List[str], inputs: List[Stream]) -> Stream:
             out.append(f"{counter:6d}\t{line}")
         else:
             out.append("")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# awk (the print body re-split for every line; ``-F ' '`` split on one blank)
+# ---------------------------------------------------------------------------
+
+_AWK_PRINT_RE = re.compile(r"^\s*\{\s*print\s*(?P<body>[^}]*)\}\s*$")
+
+
+def awk(arguments: List[str], inputs: List[Stream]) -> Stream:
+    separator = None
+    program = None
+    index = 0
+    while index < len(arguments):
+        argument = arguments[index]
+        if argument == "-F" and index + 1 < len(arguments):
+            separator = arguments[index + 1]
+            index += 2
+            continue
+        if argument.startswith("-F") and len(argument) > 2:
+            separator = argument[2:]
+            index += 1
+            continue
+        if argument.startswith("-") and argument != "-":
+            index += 1
+            continue
+        if program is None:
+            program = argument
+        index += 1
+    if program is None:
+        raise CommandError("awk requires a program")
+    data = concat_streams(inputs)
+    match = _AWK_PRINT_RE.match(program)
+    if not match:
+        raise CommandError(f"unsupported awk program {program!r}")
+    body = match.group("body").strip()
+    out: Stream = []
+    for line in data:
+        fields = line.split(separator) if separator else line.split()
+        if not body:
+            out.append(line)
+            continue
+        pieces: List[str] = []
+        for token in body.split(","):
+            token = token.strip()
+            if token == "$0":
+                pieces.append(line)
+            elif token.startswith("$"):
+                index = int(token[1:])
+                pieces.append(fields[index - 1] if 0 < index <= len(fields) else "")
+            elif token.startswith('"') and token.endswith('"'):
+                pieces.append(token[1:-1])
+            else:
+                raise CommandError(f"unsupported awk expression {token!r}")
+        out.append(" ".join(pieces))
     return out

@@ -18,6 +18,7 @@ import pytest
 from repro.api import Pash, PashConfig
 from repro.api import pash as pash_module
 from repro.commands.base import CommandError
+from repro.dfg.builder import translate_script
 from repro.jit import driver as driver_module
 from repro.jit.cache import PlanCache
 from repro.jit.driver import JitDriver
@@ -29,6 +30,8 @@ from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
 from repro.service.telemetry import fold_job
 from repro.simulator.machine import MachineModel
+from repro.simulator.simulate import simulate_graph
+from repro.transform import planner
 from repro.workloads.oneliners import ONE_LINERS
 from repro.workloads.unix50 import UNIX50_PIPELINES
 
@@ -195,7 +198,8 @@ def test_a_large_on_disk_region_is_planned_as_the_shape_the_pool_runs(
     """Over a file at rest the pool runs two workers — no ``cat``, no split,
     no tail ``cat`` — and the planner bills exactly that: the region wins on
     disk, and loses when the same lines must be fed from the driver's memory
-    through a split worker."""
+    through a split worker — so plainly that the bound under every pool shape
+    decides it and the shape is never compiled."""
     monkeypatch.chdir(tmp_path)
     lines = [f"light line {index} of the file alpha beta gamma" for index in range(100_000)]
     (tmp_path / "in.txt").write_text("".join(line + "\n" for line in lines))
@@ -212,9 +216,18 @@ def test_a_large_on_disk_region_is_planned_as_the_shape_the_pool_runs(
 
     held, _ = run_jit(script, {"in.txt": lines}, "auto")
     (in_memory,) = held.jit.outcomes
-    assert in_memory.width == 1
-    assert in_memory.predicted_parallel_seconds > 2 * outcome.predicted_parallel_seconds
+    assert (in_memory.width, in_memory.parallel_is_floor) == (1, True)
+    assert in_memory.predicted_sequential_seconds <= in_memory.predicted_parallel_seconds
     assert held.files["out.txt"] == result.files["out.txt"]
+    # The shape the bound spared compiling: fed from memory, it costs more
+    # than twice what the same shape costs over the file at rest.
+    shape = translate_script(script).regions[0].dfg
+    config.pipeline().run(shape, config)
+    fed = two_cores.feed_seconds(len(lines)) + simulate_graph(
+        shape, {"in.txt": len(lines)}, machine=two_cores, cost_model=planner._COSTS,
+        include_setup=True, in_memory=["in.txt"],
+    ).total_seconds
+    assert fed > 2 * outcome.predicted_parallel_seconds
 
 
 def test_gathering_the_tail_cat_moves_no_decision_at_script_mix_sizes(two_cores):

@@ -293,3 +293,48 @@ def test_a_candidate_is_compiled_only_above_the_floor(lines, compiles):
         assert plan.predicted_parallel_seconds > floor
     else:
         assert plan.predicted_sequential_seconds <= plan.predicted_parallel_seconds == floor
+
+
+@pytest.mark.parametrize("cores", [2, 64])
+def test_the_bound_is_under_every_shape_it_stands_for(cores):
+    """``pool_floors`` is admissible: no compiled shape simulates under it."""
+    machine = dataclasses.replace(HOST, cores=cores)
+    for width in (2, 4):
+        config = PashConfig.paper_default(width)
+        widths = candidate_widths(min(width, cores))
+        for label, graph in GRAPHS:
+            for lines in (0, 7, 500, 50_000, 10_000_000):
+                counts = line_counts(graph, lines)
+                for stdin_lines, in_memory in ((0, ()), (0, tuple(counts)), (lines, ())):
+                    sequential = simulate_graph(
+                        graph, counts, machine=machine.in_process(), cost_model=planner._COSTS,
+                        stdin_lines=stdin_lines,
+                    )
+                    floors = planner.pool_floors(graph, sequential, widths, machine, config)
+                    for candidate in widths:
+                        simulated = simulate_graph(
+                            compiled_shape(label, graph, candidate), counts, machine=machine,
+                            cost_model=planner._COSTS, include_setup=True, stdin_lines=stdin_lines,
+                            in_memory=in_memory,
+                        ).total_seconds
+                        assert floors[candidate] <= simulated, (
+                            f"{label}, {lines} lines, width {candidate} of {width}, {cores} cores"
+                        )
+
+
+@pytest.mark.parametrize("prefix", ["wf", "top-n", "unix50-0#"])
+def test_the_bound_decides_the_losers_the_floor_let_through(prefix):
+    """Word-frequency regions over 500 in-memory lines a file (pash-bench's
+    ``script_mix``) clear the one-process floor, and lose by their lanes,
+    merges and per-line work: no shape is compiled to find that out."""
+    label, graph = next(item for item in GRAPHS if item[0].startswith(prefix))
+    machine = dataclasses.replace(HOST, cores=2)
+    counts = line_counts(graph, 500)
+    asked = []
+    plan = plan_region(
+        graph, counts, PashConfig.paper_default(2), machine=machine,
+        compile_candidate=lambda width: asked.append(width), in_memory=tuple(counts),
+    )
+    floor = machine.feed_seconds(sum(counts.values())) + machine.setup_seconds + machine.spawn_seconds(1)
+    assert (plan.width, plan.parallel_is_floor, asked) == (1, True, [])
+    assert floor < plan.predicted_sequential_seconds <= plan.predicted_parallel_seconds, label

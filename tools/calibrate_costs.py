@@ -64,6 +64,7 @@ KERNEL_ARGUMENTS: Dict[str, List[str]] = {
     "rev": [],
     "fold": ["-w", "40"],
     "awk": ["{print $1}"],
+    "awk $2, $0": ["{print $2, $0}"],
     "cat": [],
     "tr -cs": ["-cs", "A-Za-z", "\\n"],
     "tr -s": ["-s", " "],
