@@ -51,7 +51,7 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.dfg.regions import RegionFacts, region_facts
@@ -340,7 +340,6 @@ class DiskPlanCache(PlanCache):
 _RUNTIME_ONLY_FIELDS = ("tracing", "report_timeout_seconds", "jobs", "resilience", "obs")
 
 
-@functools.lru_cache(maxsize=64)
 def config_digest(config: Any) -> str:
     """A stable digest of a :class:`~repro.api.config.PashConfig`.
 
@@ -348,8 +347,20 @@ def config_digest(config: Any) -> str:
     compilation output changes the digest (and therefore the cache key) —
     minus the runtime-only fields listed in :data:`_RUNTIME_ONLY_FIELDS`,
     which must *not* defeat plan sharing (a traced daemon and an untraced
-    one compile identical graphs).
+    one compile identical graphs).  The memo is keyed on the config with
+    ``spill_directory`` cleared, so a daemon's per-job spill directories all
+    hit one entry.
     """
+    streaming = config.streaming
+    if streaming.spill_directory is not None:
+        config = config.replace(
+            streaming=replace(streaming, spill_directory=None)
+        )
+    return _digest(config)
+
+
+@functools.lru_cache(maxsize=64)
+def _digest(config: Any) -> str:
     snapshot = config.to_dict()
     for field_name in _RUNTIME_ONLY_FIELDS:
         snapshot.pop(field_name, None)
@@ -358,3 +369,6 @@ def config_digest(config: Any) -> str:
         streaming.pop("spill_directory", None)
     payload = json.dumps(snapshot, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+config_digest.cache_info = _digest.cache_info  # type: ignore[attr-defined]

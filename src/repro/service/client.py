@@ -1,19 +1,24 @@
 """``ServiceClient`` / ``pash-client`` — talk to a running ``pash-serve``.
 
-The Python API is a thin typed wrapper over the one-shot request protocol:
-every method is one connect/send/recv/close round trip, raises
-:class:`~repro.service.admission.ServiceBusy` on admission rejections and
-:class:`~repro.service.admission.ServiceError` on everything else, and
-never blocks past its timeout.  The CLI (``pash-client submit | status |
-result | cancel | stats | metrics | ping | shutdown``) maps those calls onto
-exit codes: 0 success, 1 job failed, 2 unreachable/usage, 3 rejected busy.
+The Python API is a thin typed wrapper over the keep-alive request
+protocol: every method is one send/recv round trip on the calling thread's
+connection, raises :class:`~repro.service.admission.ServiceBusy` on
+admission rejections and :class:`~repro.service.admission.ServiceError` on
+everything else, and never blocks past its timeout.  The CLI (``pash-client
+submit | status | result | cancel | stats | metrics | ping | shutdown``) maps
+those calls onto exit codes: 0 success, 1 job failed, 2 unreachable/usage, 3
+rejected busy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import socket
 import sys
+import threading
+import time
+import weakref
 from typing import Any, Dict, List, Optional
 
 from repro.resilience.retry import RetryPolicy, retry_call
@@ -23,8 +28,37 @@ from repro.service.admission import ServiceBusy, ServiceError
 from repro.service.protocol import Address
 
 
+class _Connection:
+    """One thread's socket to the daemon; closed when dropped or closed."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.last_used = time.monotonic()
+        self.close = weakref.finalize(self, sock.close)
+
+    def daemon_closed(self) -> bool:
+        """Whether the daemon closed its end (idle timeout, restart): it never
+        speaks first, so anything to read before a request is its EOF."""
+        try:
+            self.sock.settimeout(0.0)
+            self.sock.recv(1, socket.MSG_PEEK)
+        except BlockingIOError:
+            return False
+        except OSError:
+            pass
+        return True
+
+
 class ServiceClient:
-    """A handle on one daemon address (no persistent connection)."""
+    """A handle on one daemon address: one keep-alive connection per thread.
+
+    A connection is reused while it has been idle for less than half the
+    daemon's :data:`~repro.service.protocol.IDLE_TIMEOUT_SECONDS`; past that,
+    or when the daemon has closed it, the next call reconnects before it
+    sends anything.  ``close()`` (or leaving a ``with`` block) closes every
+    thread's connection; a client dropped without it closes them as it is
+    collected.
+    """
 
     def __init__(
         self,
@@ -37,21 +71,56 @@ class ServiceClient:
         #: Retry window for *unreachable* daemons (connection refused while
         #: pash-serve is still starting) — the same idiom as pash-worker's
         #: ``--retry-seconds``.  Only the ``unreachable`` code is retried:
-        #: protocol.request reserves it for failures of the TCP connect
+        #: protocol.connect reserves it for failures of the TCP connect
         #: itself, so a retried request provably never reached the daemon
         #: (a retried SUBMIT is not idempotent).  ``connection-lost`` and
         #: admission rejections are never retried.
         self.retry_seconds = retry_seconds
+        self._local = threading.local()
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
+
+    def close(self) -> None:
+        """Close every thread's connection (the next call reconnects)."""
+        for connection in list(self._connections):
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
+
+    def _connection(self, timeout: float) -> _Connection:
+        """This thread's connection, reconnecting when it cannot be reused."""
+        connection: Optional[_Connection] = getattr(self._local, "connection", None)
+        if connection is not None and (
+            not connection.close.alive
+            or time.monotonic() - connection.last_used
+            >= protocol.IDLE_TIMEOUT_SECONDS / 2
+            or connection.daemon_closed()
+        ):
+            connection.close()
+            connection = None
+        if connection is None:
+            connection = _Connection(protocol.connect(self.address, timeout))
+            self._local.connection = connection
+            self._connections.add(connection)
+        return connection
 
     def _request(
         self, message: Dict[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         def once() -> Dict[str, Any]:
-            response = protocol.request(
-                self.address, message, timeout=timeout or self.timeout
-            )
+            wait = timeout or self.timeout
+            connection = self._connection(wait)
+            try:
+                response = protocol.exchange(connection.sock, message, wait)
+            except ServiceError:
+                connection.close()  # the stream is out of step: never reuse it
+                raise
+            connection.last_used = time.monotonic()
             return protocol.raise_for_error(response)
 
         if self.retry_seconds <= 0:
@@ -317,6 +386,8 @@ def main(argv: Optional[list] = None) -> int:
     except ServiceError as error:
         print(f"pash-client: {error}", file=sys.stderr)
         return 2
+    finally:
+        client.close()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by the CI smoke job

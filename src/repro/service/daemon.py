@@ -66,8 +66,11 @@ from repro.wire import is_loopback_host
 
 
 def _is_lines(value: Any) -> bool:
-    """Whether a client-supplied stream is what a job holds: a list of strings."""
-    return isinstance(value, list) and all(isinstance(line, str) for line in value)
+    """Whether a client-supplied stream is what a job holds: a list of strings.
+
+    One C-level pass over the types; JSON never yields ``str`` subclasses.
+    """
+    return isinstance(value, list) and set(map(type, value)) <= {str}
 
 
 @dataclass
@@ -168,6 +171,9 @@ class PashServiceDaemon:
         self.started_at = 0.0
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
+        #: Open client connections and the threads serving them.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
         self._executors: list = []
         self._stopping = threading.Event()
         self._stopped = threading.Event()
@@ -306,6 +312,7 @@ class PashServiceDaemon:
                 ):
                     self._jobs_failed.inc()
                 self._release(job)
+        self._close_connections()
         if self.pool is not None:
             self.pool.shutdown()
         if self.options.trace_path and self.tracer.enabled:
@@ -335,40 +342,59 @@ class PashServiceDaemon:
                 continue
             except OSError:
                 break
-            threading.Thread(
+            thread = threading.Thread(
                 target=self._serve_connection,
                 args=(connection,),
                 name="pash-serve-conn",
                 daemon=True,
-            ).start()
+            )
+            with self._connections_lock:
+                self._connections[connection] = thread
+            thread.start()
 
     def _serve_connection(self, connection: socket.socket) -> None:
-        """One request, one response, close — errors answered, never raised."""
+        """Answer requests in order until EOF, an idle timeout, a malformed
+        frame (answered ``bad-request``: the framing is lost) or shutdown."""
         shutdown_after = False
         try:
-            connection.settimeout(self.options.max_wait_seconds + 10.0)
-            try:
-                message = recv_json_message(connection)
-            except ProtocolError as exc:
-                message = None
-                response: Optional[Dict[str, Any]] = protocol.error_response(
-                    protocol.ERR_BAD_REQUEST, str(exc)
-                )
-            else:
-                response = None
-            if message is not None:
+            connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            connection.settimeout(protocol.IDLE_TIMEOUT_SECONDS)
+            while not self._stopping.is_set():
+                try:
+                    message = recv_json_message(connection)
+                except ProtocolError as exc:
+                    send_json_message(
+                        connection,
+                        protocol.error_response(protocol.ERR_BAD_REQUEST, str(exc)),
+                    )
+                    break
+                if message is None:
+                    break
                 response, shutdown_after = self._handle(message)
-            if response is not None:
                 send_json_message(connection, response)
         except (OSError, ProtocolError):
-            pass  # the client vanished; its job (if any) keeps running
+            pass  # the client vanished or idled out; its job (if any) keeps running
         finally:
-            try:
-                connection.close()
-            except OSError:
-                pass
+            with self._connections_lock:
+                self._connections.pop(connection, None)
+            connection.close()
         if shutdown_after:
             self.shutdown()
+
+    def _close_connections(self) -> None:
+        """End every open connection and wait (bounded) for its thread."""
+        with self._connections_lock:
+            connections = list(self._connections.items())
+        for connection, _ in connections:
+            try:
+                # Wakes a thread blocked reading; its own finally closes the socket.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 2.0
+        for _, thread in connections:
+            if thread is not threading.current_thread():
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def _handle(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         """Dispatch one request; returns (response, shutdown-after-reply)."""

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class JobState:
@@ -56,6 +57,9 @@ class Job:
     cancel_requested: bool = False
     elapsed_seconds: float = 0.0
     submitted_at: float = field(default_factory=time.time)
+    #: Called with the job id once, after the terminal transition (the
+    #: :class:`JobTable`'s retention hook).
+    on_terminal: Optional[Callable[[int], None]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -95,7 +99,7 @@ class Job:
             self.report = report
             self.elapsed_seconds = elapsed_seconds
             self.state = JobState.DONE
-        self.finished.set()
+        self._ended()
         return True
 
     def fail(self, message: str, code: str = "execution") -> bool:
@@ -106,7 +110,7 @@ class Job:
             self.error = message
             self.error_code = code
             self.state = JobState.FAILED
-        self.finished.set()
+        self._ended()
         return True
 
     def cancel(self) -> bool:
@@ -124,8 +128,16 @@ class Job:
             self.state = JobState.CANCELLED
             self.error = "cancelled before execution started"
             self.error_code = "cancelled"
-        self.finished.set()
+        self._ended()
         return True
+
+    def _ended(self) -> None:
+        """The tail of every terminal transition: a retained job must not pin
+        its uploads (the payload never sends them back)."""
+        self.files, self.stdin = {}, []
+        self.finished.set()
+        if self.on_terminal is not None:
+            self.on_terminal(self.job_id)
 
     def first_release(self) -> bool:
         """True exactly once per job (guards the admission release)."""
@@ -165,7 +177,8 @@ class JobTable:
 
     Finished jobs stay queryable until :data:`RETAIN` newer jobs have
     finished, so a long-lived daemon's memory does not grow with its request
-    count.  Jobs still in flight are never dropped.
+    count.  Jobs still in flight are never dropped.  Jobs are dropped in the
+    order they finished, in O(1) per job.
     """
 
     #: Finished jobs kept queryable (older ones are dropped).
@@ -174,14 +187,15 @@ class JobTable:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[int, Job] = {}
+        #: Ids of the retained terminal jobs, oldest finish first.
+        self._finished: Deque[int] = deque()
         self._next_id = 1
 
     def create(self, **kwargs: Any) -> Job:
         with self._lock:
-            job = Job(job_id=self._next_id, **kwargs)
+            job = Job(job_id=self._next_id, on_terminal=self._trim, **kwargs)
             self._next_id += 1
             self._jobs[job.job_id] = job
-            self._trim()
             return job
 
     def get(self, job_id: int) -> Optional[Job]:
@@ -192,11 +206,8 @@ class JobTable:
         with self._lock:
             return list(self._jobs.values())
 
-    def _trim(self) -> None:
-        finished = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.state in JobState.TERMINAL
-        ]
-        for job_id in finished[: max(0, len(finished) - self.RETAIN)]:
-            del self._jobs[job_id]
+    def _trim(self, finished_id: int) -> None:
+        with self._lock:
+            self._finished.append(finished_id)
+            while len(self._finished) > self.RETAIN:
+                del self._jobs[self._finished.popleft()]

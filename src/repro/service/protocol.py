@@ -10,11 +10,15 @@ model, and unpickling client bytes would hand any connecting client
 arbitrary code execution in the daemon.  Every payload here is a dict of
 strings, numbers, and lists, so JSON loses nothing and a malicious frame
 can at worst be a parse error — answered as ``bad-request``, never
-executed.  On top of the framing the service speaks a one-shot
-request/response shape (one connection per request, HTTP-like), which keeps
-the daemon's concurrency model trivial: every accepted connection is read
-once, answered once, and closed, so a stalled client can never wedge
-another tenant's traffic.
+executed.  On top of the framing the service speaks request/response over
+**keep-alive** connections (HTTP/1.1-like): the daemon answers a
+connection's requests in order, one at a time, until the client closes it,
+the daemon shuts down, or it sits idle for :data:`IDLE_TIMEOUT_SECONDS`.  A
+malformed frame is answered ``bad-request`` and the connection closed — the
+framing is lost.  Every connection has its own daemon thread, so a stalled
+client can never wedge another tenant's traffic, and a one-shot client
+(:func:`request`: connect, one request, close) is just a connection that
+ends after its first reply.
 
 Requests::
 
@@ -69,7 +73,13 @@ __all__ = [
 #: Version 2: the frame body switched from pickle to JSON.
 #: Version 3: added the ``metrics`` request (Prometheus exposition +
 #: registry snapshot) and a versioned ``schema`` field in STATS payloads.
-SERVICE_PROTOCOL_VERSION = 3
+#: Version 4: connections are keep-alive (many requests per connection).
+SERVICE_PROTOCOL_VERSION = 4
+
+#: How long the daemon keeps an idle connection open between requests.  A
+#: client reuses a connection only while it has been idle for less than
+#: half of this, so a request is never sent into a close already under way.
+IDLE_TIMEOUT_SECONDS = 30.0
 
 # -- request types -----------------------------------------------------------
 MSG_SUBMIT = "submit"
@@ -159,23 +169,12 @@ def recv_json_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# One-shot requests
+# Round trips
 # ---------------------------------------------------------------------------
 
 
-def request(
-    address: Address,
-    message: Dict[str, Any],
-    timeout: Optional[float] = 30.0,
-) -> Dict[str, Any]:
-    """One round trip: connect, send ``message``, read one response, close.
-
-    Raises :class:`ServiceError` with code ``unreachable`` only when the
-    *connect* itself fails (the request provably never left this process —
-    safe to retry), and ``connection-lost`` when the connection dies after
-    that (the daemon may have executed the request — not safe to retry
-    blindly).  Never returns ``None`` and never blocks past ``timeout``.
-    """
+def connect(address: Address, timeout: Optional[float]) -> socket.socket:
+    """Open a connection; its failure is the one ``unreachable`` (safe to retry)."""
     host, port = resolve_address(address)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
@@ -184,24 +183,46 @@ def request(
             f"cannot reach pash-serve at {host}:{port}: {exc}",
             code=ERR_UNREACHABLE,
         ) from exc
+    # Small request/reply frames: never hold one back waiting for an ACK.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def exchange(
+    sock: socket.socket, message: Dict[str, Any], timeout: Optional[float]
+) -> Dict[str, Any]:
+    """Send ``message`` and read its one response, never past ``timeout``.
+
+    A failure here is ``connection-lost``: the daemon may have executed the
+    request, so it is not safe to retry blindly.
+    """
     try:
-        with sock:
-            sock.settimeout(timeout)
-            send_json_message(sock, message)
-            response = recv_json_message(sock)
+        sock.settimeout(timeout)
+        send_json_message(sock, message)
+        response = recv_json_message(sock)
     except ProtocolError as exc:
-        raise ServiceError(f"malformed response from {host}:{port}: {exc}") from exc
+        raise ServiceError(f"malformed response from pash-serve: {exc}") from exc
     except OSError as exc:
         raise ServiceError(
-            f"connection to pash-serve at {host}:{port} lost mid-request: {exc}",
+            f"connection to pash-serve lost mid-request: {exc}",
             code=ERR_CONNECTION_LOST,
         ) from exc
     if response is None:
         raise ServiceError(
-            f"pash-serve at {host}:{port} closed the connection without replying",
+            "pash-serve closed the connection without replying",
             code=ERR_CONNECTION_LOST,
         )
     return response
+
+
+def request(
+    address: Address,
+    message: Dict[str, Any],
+    timeout: Optional[float] = 30.0,
+) -> Dict[str, Any]:
+    """One round trip on a connection of its own: connect, exchange, close."""
+    with connect(address, timeout) as sock:
+        return exchange(sock, message, timeout)
 
 
 def error_response(

@@ -106,6 +106,22 @@ def test_jobs_get_unique_spill_subdirectories(tmp_path, make_daemon):
         assert not os.path.exists(path), "job spill dirs are removed after the run"
 
 
+def test_per_job_spill_directories_share_one_config_digest(tmp_path, make_daemon):
+    from repro.jit.cache import config_digest
+    from repro.service import ServiceClient
+
+    daemon = make_daemon(executors=1, config=spilling_config(str(tmp_path / "spill")))
+    with ServiceClient(daemon.endpoint, timeout=30.0) as client:
+        client.submit(SCRIPT, files={"in.txt": ["warm"]})
+        misses = config_digest.cache_info().misses
+        for slot in range(20):
+            job = client.submit(SCRIPT, files={"in.txt": [f"job{slot}"]})
+            assert job["state"] == "done"
+    # Every job's config names its own spill directory; the digest ignores it,
+    # and so does the memo.
+    assert config_digest.cache_info().misses - misses <= 1
+
+
 def test_missing_configured_spill_directory_is_created_not_fatal(tmp_path):
     # Point the engine at a directory that does not exist yet and force
     # spilling: every creation site must mkdir rather than crash.
