@@ -84,10 +84,11 @@ class CommandImplementation:
     def run(self, arguments: Sequence[str], inputs: Sequence[Stream]) -> Stream:
         """Execute the command over ``inputs`` and return its output lines.
 
-        Each input is copied once, here: a command may mutate (or return)
-        what it is handed without touching a stream someone else holds.
+        The inputs are handed over uncopied and are read-only: a command
+        builds its output in a list of its own (or returns an input as it
+        is) and never changes a stream it was given.
         """
-        return self.function(list(arguments), [list(stream) for stream in inputs])
+        return self.function(list(arguments), list(inputs))
 
 
 class CommandRegistry:
@@ -199,9 +200,8 @@ def has_flag(arguments: Sequence[str], *flags: str) -> bool:
 def concat_streams(streams: Sequence[Stream]) -> Stream:
     """Concatenate input streams in order (the shell's ``cat`` semantics).
 
-    A single stream is returned as is, not copied: treat the result as
-    read-only unless the inputs are yours (``CommandImplementation.run``
-    hands every command its own).
+    A single stream is returned as is, not copied: the result is as
+    read-only as the inputs are.
     """
     if len(streams) == 1:
         return streams[0]

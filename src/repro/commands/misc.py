@@ -177,7 +177,7 @@ def diff_command(arguments: List[str], inputs: List[Stream]) -> Stream:
         raise CommandError("diff requires two input streams")
     import difflib
 
-    first, second = list(inputs[0]), list(inputs[1])
+    first, second = inputs[0], inputs[1]
     out: Stream = []
     for line in difflib.unified_diff(first, second, lineterm="", n=0):
         if line.startswith(("---", "+++", "@@")):

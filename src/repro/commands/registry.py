@@ -13,8 +13,8 @@ def _implementations():
     yield CommandImplementation(
         "grep", textproc.grep, "filter lines matching a pattern", block=textproc.grep_block
     )
-    yield CommandImplementation("egrep", textproc.grep, "grep with extended regexes")
-    yield CommandImplementation("fgrep", textproc.grep, "grep with fixed strings")
+    yield CommandImplementation("egrep", textproc.egrep, "grep with extended regexes")
+    yield CommandImplementation("fgrep", textproc.fgrep, "grep with fixed strings")
     yield CommandImplementation(
         "tr", textproc.tr, "transliterate or delete characters", block=textproc.tr_block
     )

@@ -68,8 +68,11 @@ def _sort_keys_function(arguments: List[str]):
 _DISTINCT_SAMPLE = 256
 
 
-def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
+def _sorted_lines(lines, keys_of, reverse: bool, unique: bool, owned: bool = False):
     """Sort ``str`` or ``bytes`` lines; ``unique`` keeps the first of each key.
+
+    ``owned``: the caller built ``lines`` itself, so a plain sort may sort it
+    in place; anyone else's list is read-only and is copied by ``sorted()``.
 
     Also the merge: Timsort finds the pre-sorted runs of concatenated sorted
     inputs and merges them in C, stably in both directions, so on sorted
@@ -89,7 +92,11 @@ def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
             if unique:
                 return keys
             return list(chain.from_iterable(map(repeat, keys, map(counts.__getitem__, keys))))
-        merged = sorted(lines, reverse=reverse)
+        if owned:
+            lines.sort(reverse=reverse)
+            merged = lines
+        else:
+            merged = sorted(lines, reverse=reverse)
         return [key for key, _ in groupby(merged)] if unique else merged
     # Positions sort by prebuilt keys, looked up in C: by text, then by number —
     # stably, so as one sort by ``(number, text)`` would, without a tuple per line.
@@ -103,12 +110,17 @@ def _sorted_lines(lines, keys_of, reverse: bool, unique: bool):
 
 
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``."""
+    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``.
+
+    Over two or more inputs (``sort -m`` of the parallel branches) the
+    concatenation is a fresh list, which a plain sort then sorts in place.
+    """
     return _sorted_lines(
         concat_streams(inputs),
         _sort_keys_function(arguments),
         has_flag(arguments, "-r"),
         has_flag(arguments, "-u"),
+        owned=len(inputs) > 1,
     )
 
 
@@ -122,7 +134,7 @@ def sort_block(arguments: List[str]):
     if not only_flags(arguments, "rum"):
         return None
     reverse, unique = has_flag(arguments, "-r"), has_flag(arguments, "-u")
-    return stream_kernel(lambda lines: _sorted_lines(lines, None, reverse, unique))
+    return stream_kernel(lambda lines: _sorted_lines(lines, None, reverse, unique, owned=True))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +178,7 @@ def comm(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``comm [-1] [-2] [-3] file1 file2`` over two sorted inputs."""
     if len(inputs) < 2:
         raise CommandError("comm requires two input streams")
-    first, second = list(inputs[0]), list(inputs[1])
+    first, second = inputs[0], inputs[1]
     suppress_first = has_flag(arguments, "-1")
     suppress_second = has_flag(arguments, "-2")
     suppress_common = has_flag(arguments, "-3")

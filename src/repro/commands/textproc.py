@@ -12,6 +12,7 @@ kernel both apply, and every loop over characters or lines runs in C.
 from __future__ import annotations
 
 import re
+import string
 from functools import lru_cache, partial
 from itertools import chain, filterfalse
 from typing import List, Optional, Tuple
@@ -32,6 +33,98 @@ from repro.commands.base import (
 # ---------------------------------------------------------------------------
 
 
+#: POSIX bracket classes, in Python's class syntax.
+_BRACKET_CLASSES = {
+    "alpha": "a-zA-Z", "digit": "0-9", "alnum": "0-9a-zA-Z", "upper": "A-Z", "lower": "a-z",
+    "space": " \\t\\n\\r\\f\\v", "blank": " \\t", "punct": re.escape(string.punctuation),
+    "xdigit": "0-9A-Fa-f", "cntrl": "\\x00-\\x1f\\x7f", "print": " -~", "graph": "!-~",
+}
+#: BRE escapes that are operators (GNU's, as ``grep`` reads them).
+_BRE_OPERATORS = {"(": "(", ")": ")", "|": "|", "{": "{", "}": "}", "+": "+", "?": "?",
+                  "<": r"\b(?=\w)", ">": r"\b(?<=\w)"}
+
+
+def _bracket(pattern: str, start: int) -> Tuple[str, int]:
+    """The bracket expression at ``pattern[start] == "["`` in Python syntax, and its end.
+
+    Inside brackets a backslash is literal and a leading ``]`` is a member.
+    """
+    index = start + 1
+    out = ["["]
+    if pattern[index : index + 1] == "^":
+        out.append("^")
+        index += 1
+    first = True
+    while index < len(pattern):
+        char = pattern[index]
+        if char == "]" and not first:
+            out.append("]")
+            return "".join(out), index + 1
+        if char == "[" and pattern[index + 1 : index + 2] == ":":
+            close = pattern.find(":]", index + 2)
+            name = pattern[index + 2 : close] if close > 0 else ""
+            if name not in _BRACKET_CLASSES:
+                raise re.error(f"invalid character class {name!r}")
+            out.append(_BRACKET_CLASSES[name])
+            index = close + 2
+        else:
+            out.append("\\" + char if char in "\\[]&~|" else char)
+            index += 1
+        first = False
+    raise re.error("unterminated [")
+
+
+def bre_to_python(pattern: str) -> str:
+    """A POSIX basic regular expression (``grep`` without ``-E``) in Python syntax.
+
+    ``{ } + ? | ( )`` are literal and their backslashed forms the operators;
+    ``*`` is literal where it has nothing to repeat (first, or right after
+    ``\\(``, ``\\|`` or a leading ``^``); ``^`` and ``$`` anchor only at the
+    ends of the pattern or of a ``\\(``/``\\|`` branch.  A pattern with none
+    of these characters comes out as it went in.
+    """
+    out: List[str] = []
+    index = 0
+    at_start = True  # where a ``*`` is literal and a ``^`` anchors
+    while index < len(pattern):
+        char = pattern[index]
+        starts = False
+        if char == "\\":
+            if index + 1 == len(pattern):
+                raise re.error("trailing backslash")
+            escaped = pattern[index + 1]
+            index += 2
+            if escaped in _BRE_OPERATORS:
+                out.append(_BRE_OPERATORS[escaped])
+                starts = escaped in "(|"
+            elif escaped.isdigit() or escaped in "wWsSbB":
+                out.append("\\" + escaped)
+            else:
+                out.append(re.escape(escaped))
+        elif char == "[":
+            text, index = _bracket(pattern, index)
+            out.append(text)
+        else:
+            index += 1
+            if char == "^":
+                out.append("^" if at_start else "\\^")
+                starts = at_start
+            elif char == "$":
+                rest = pattern[index : index + 2]
+                out.append("$" if index == len(pattern) or rest in ("\\)", "\\|") else "\\$")
+            elif char == "*":
+                if at_start:
+                    out.append("\\*")
+                elif out[-1] != "*":  # ``a**`` is ``a*``
+                    out.append("*")
+            elif char in "{}+?|()":
+                out.append("\\" + char)
+            else:
+                out.append(char)
+        at_start = starts
+    return "".join(out)
+
+
 @lru_cache(maxsize=256)
 def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     """A grep invocation, stated once for both faces: ``(pattern, select)``.
@@ -43,12 +136,14 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     if not operands:
         raise CommandError("grep requires a pattern")
     pattern_text = operands[0]
-    if has_flag(options, "-F"):
-        pattern_text = re.escape(pattern_text)
-    if has_flag(options, "-w"):
-        pattern_text = r"\b(?:%s)\b" % pattern_text
-    flags = re.IGNORECASE if has_flag(options, "-i") else 0
     try:
+        if has_flag(options, "-F"):
+            pattern_text = re.escape(pattern_text)
+        elif not has_flag(options, "-E"):
+            pattern_text = bre_to_python(pattern_text)
+        if has_flag(options, "-w"):  # no word character on either side
+            pattern_text = r"(?<!\w)(?:%s)(?!\w)" % pattern_text
+        flags = re.IGNORECASE if has_flag(options, "-i") else 0
         pattern = re.compile(pattern_text.encode("utf-8") if binary else pattern_text, flags)
     except re.error as exc:
         raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
@@ -58,7 +153,11 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
 
 
 def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``grep [-i] [-v] [-c] [-o] [-E|-F] [-w] [-x] pattern [file...]``."""
+    """``grep [-i] [-v] [-c] [-o] [-E|-F] [-w] [-x] pattern [file...]``.
+
+    The pattern is a basic regular expression unless ``-E`` (extended) or
+    ``-F`` (a fixed string) is given.
+    """
     pattern, select = _grep_plan(tuple(arguments))
     data = concat_streams(inputs)
     if has_flag(arguments, "-c"):
@@ -67,6 +166,16 @@ def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
         invert = has_flag(arguments, "-v")  # then only the empty matches print, as they always did
         return [m.group(0) for line in data for m in pattern.finditer(line) if not (invert and m.group(0))]
     return select(data)
+
+
+def egrep(arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``egrep``: ``grep -E``."""
+    return grep(["-E", *arguments], inputs)
+
+
+def fgrep(arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``fgrep``: ``grep -F``."""
+    return grep(["-F", *arguments], inputs)
 
 
 def grep_block(arguments: List[str]):

@@ -78,8 +78,8 @@ class ExecutionBackend:
             metrics.elapsed_seconds = elapsed
         return EngineResult(
             backend=self.name,
-            stdout=list(result.stdout),
-            files={name: list(lines) for name, lines in result.files.items()},
+            stdout=result.stdout,
+            files=dict(result.files),
             elapsed_seconds=elapsed,
             metrics=metrics,
         )

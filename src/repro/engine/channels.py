@@ -323,12 +323,20 @@ class StoredStream:
     def lines(self, piece_size: int = DEFAULT_SPILL_THRESHOLD) -> List[str]:
         """The whole stream decoded — the one decode of a collected stream.
 
-        A file is read in pieces of ``piece_size`` (the caller's spill
-        threshold: what it may hold in memory anyway), so the decode is one
-        ``decode``/``split`` per piece, not one per channel chunk.
+        A file no larger than ``piece_size`` (the caller's spill threshold:
+        what it may hold in memory anyway) is one ``read`` and one decode; a
+        larger one is read in pieces of that size, one ``decode``/``split``
+        per piece, not one per channel chunk.
         """
         if self.path is None:
             return decode_block(self.data)
+        with open(self.path, "rb") as handle:
+            end = os.fstat(handle.fileno()).st_size if self.end is None else self.end
+            if not self.data and end - self.start <= piece_size:
+                handle.seek(self.start)
+                # To EOF when the range is open: a file may be longer than
+                # ``stat`` said (procfs reports 0).
+                return decode_block(handle.read(-1 if self.end is None else end - self.start))
         return list(iter_decoded_lines(self.blocks(piece_size)))
 
     def unlink(self) -> None:

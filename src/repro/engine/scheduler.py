@@ -187,6 +187,24 @@ class ParallelScheduler:
         token = next(_run_tokens)
         pooled: Dict[int, object] = {}  # node_id -> PoolWorker
         reports: Dict[int, dict] = {}
+        edge_values: Dict[int, Stream] = {}
+        #: (label, error) of a collected stream that would not decode: raised
+        #: once every report is in, after any worker's own failure.
+        undecodable: List[Tuple[str, UnicodeDecodeError]] = []
+
+        def land(report: dict) -> None:
+            """Decode a report's collected streams as it arrives, while slower
+            lanes still run; every stored file is removed either way."""
+            for edge_id, stored in report["outputs"].items():
+                try:
+                    if not (report["error"] or undecodable):
+                        edge_values[edge_id] = stored.lines(streaming.spill_threshold)
+                except UnicodeDecodeError as exc:
+                    # A pass-through node never decoded what it forwarded.
+                    undecodable.append((report["metrics"]["label"], exc))
+                finally:
+                    stored.unlink()
+
         try:
             # Captured before the plan span opens: worker spans parent under
             # the enclosing engine:run span, not under scheduler:plan (their
@@ -253,7 +271,7 @@ class ParallelScheduler:
 
             with self.tracer.span("scheduler:collect", "scheduler"):
                 reports = self._collect_reports(
-                    report_queue, processes, len(plans), token
+                    report_queue, processes, len(plans), token, land
                 )
             for node, process in processes:
                 if node.node_id in pooled:
@@ -268,20 +286,13 @@ class ParallelScheduler:
                     f"{report['metrics']['label']}: {report['error']}" for report in failures
                 )
                 raise ExecutionError(f"{len(failures)} worker(s) failed: {detail}")
+            if undecodable:
+                label, exc = undecodable[0]
+                raise ExecutionError(
+                    f"1 worker(s) failed: {label}: UnicodeDecodeError: {exc}"
+                ) from exc
 
-            edge_values: Dict[int, Stream] = {}
             for report in reports.values():
-                for edge_id, stored in report["outputs"].items():
-                    try:
-                        edge_values[edge_id] = stored.lines(streaming.spill_threshold)
-                    except UnicodeDecodeError as exc:
-                        # A pass-through node never decoded what it forwarded.
-                        label = report["metrics"]["label"]
-                        raise ExecutionError(
-                            f"1 worker(s) failed: {label}: UnicodeDecodeError: {exc}"
-                        ) from exc
-                    finally:
-                        stored.unlink()
                 for span in report.get("spans") or ():
                     # Worker-side spans arrive through the report queue; the
                     # worker cannot know whether its process was a fresh fork
@@ -296,14 +307,15 @@ class ParallelScheduler:
                 # The tail cat or aggregator, done where its branches already
                 # are at rest, by the evaluator the interpreter uses.
                 branches = [edge_values.pop(branch) for branch in node.inputs]
-                try:
-                    (edge_values[edge_id],) = evaluate_node(
-                        node, branches, self.environment.registry
-                    )
-                except Exception as exc:  # what its worker would have reported
-                    raise ExecutionError(
-                        f"1 worker(s) failed: {node.label()}: {type(exc).__name__}: {exc}"
-                    ) from exc
+                with self.tracer.span("scheduler:gather", "scheduler", node=node.label()):
+                    try:
+                        (edge_values[edge_id],) = evaluate_node(
+                            node, branches, self.environment.registry
+                        )
+                    except Exception as exc:  # what its worker would have reported
+                        raise ExecutionError(
+                            f"1 worker(s) failed: {node.label()}: {type(exc).__name__}: {exc}"
+                        ) from exc
         except Exception:
             for channel in channels.values():
                 channel.close()
@@ -323,7 +335,8 @@ class ParallelScheduler:
                         pool.discard(worker)
             shutil.rmtree(run_spill_directory, ignore_errors=True)
 
-        self._deliver(graph, edge_values, result)
+        with self.tracer.span("scheduler:deliver", "scheduler"):
+            self._deliver(graph, edge_values, result)
         result.edge_values.update(edge_values)
         metrics.elapsed_seconds = time.perf_counter() - started
         return result, metrics
@@ -458,9 +471,11 @@ class ParallelScheduler:
     # -- report collection ---------------------------------------------------
 
     def _collect_reports(
-        self, report_queue, processes, expected: int, token: int
+        self, report_queue, processes, expected: int, token: int, land
     ) -> Dict[int, dict]:
         """Gather one report per worker, failing fast on dead workers.
+
+        ``land(report)`` is called on each report as it arrives.
 
         A worker killed by a signal (SIGKILL, OOM) never reaches its
         ``finally`` block, so its report never arrives; waiting for the full
@@ -477,6 +492,7 @@ class ParallelScheduler:
             if report.get("token", token) != token:
                 return False
             reports[report["node_id"]] = report
+            land(report)
             return True
 
         while len(reports) < expected:

@@ -105,6 +105,7 @@ class _RecordingFileSystem(VirtualFileSystem):
 
     def __init__(self, inner: VirtualFileSystem) -> None:
         self._files = inner._files  # shared storage, deliberately
+        self._owned = inner._owned  # and who may append in place
         self.allow_real_files = inner.allow_real_files
         self.written: Set[str] = set()
 
@@ -222,7 +223,7 @@ class JitDriver(ShellInterpreter):
         }
         return JitResult(
             backend="jit",
-            stdout=list(stdout),
+            stdout=stdout,
             files=files,
             elapsed_seconds=elapsed,
             metrics=self.metrics,
@@ -396,7 +397,7 @@ class JitDriver(ShellInterpreter):
         self.metrics.merge(result.metrics)
         self.state.last_status = 0
         self._record(occurrence, action, elapsed_seconds=elapsed, **planned)
-        return True, list(result.stdout)
+        return True, result.stdout
 
     def _lookup(self, occurrence: "_Occurrence", width: int) -> Optional[PlanEntry]:
         """The cached plan (or refusal) of this region at ``width``."""

@@ -112,7 +112,7 @@ def merge_wc(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
 
 def merge_tac(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     """Concatenate ``tac`` partial outputs in reverse stream order."""
-    return concat_streams([list(stream) for stream in reversed(list(streams))])
+    return concat_streams(list(reversed(streams)))
 
 
 def merge_head(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:

@@ -38,9 +38,9 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
     """Evaluate one node over its input streams.
 
     Returns one stream per output edge (at least one for nodes without
-    outputs, whose stream the caller discards).  The returned streams are
-    independent lists: multi-output command nodes replicate their output, and
-    a downstream consumer mutating its copy must not corrupt sibling edges.
+    outputs, whose stream the caller discards).  Streams are read-only once
+    handed over, so a multi-output command node hands every edge the same
+    list, and a relay hands on its input.
 
     This is the single node-semantics kernel shared by the in-process
     executor and the parallel engine's worker processes.
@@ -53,9 +53,7 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
             output = inputs[0] if inputs else []
             for member in node.nodes:
                 output = registry.run(member.name, member.arguments, [output])
-        # ``run`` hands back a list nobody else holds: only the extra edges
-        # of a multi-output node need copies of their own.
-        return [output] + [list(output) for _ in node.outputs[1:]]
+        return [output] * max(1, len(node.outputs))
     if isinstance(node, AggregatorNode):
         output = apply_aggregator(node.aggregator, inputs, node.command_arguments)
         return [output]
@@ -73,7 +71,7 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
             raise ExecutionError("relay nodes take exactly one input")
         # Eager or blocking only changes *when* bytes move (Fig. 6); over
         # whole in-memory streams a relay is the identity.
-        return [list(inputs[0])]
+        return [inputs[0]]
     raise ExecutionError(f"cannot execute node of kind {node.kind!r}")
 
 
@@ -247,10 +245,13 @@ def deliver_output(
     """Route one graph-output stream to stdout or the filesystem.
 
     Shared by the in-process executor and the parallel engine so that every
-    backend delivers outputs with identical semantics.
+    backend delivers outputs with identical semantics.  The stream is handed
+    over, not copied: the first stdout stream becomes ``result.stdout`` and a
+    written file holds the list it was given, which ``result.files`` shares
+    with the filesystem.
     """
-    if edge.kind is EdgeKind.STDOUT or (edge.kind is EdgeKind.PIPE and edge.is_graph_output):
-        result.stdout.extend(stream)
+    if edge.kind is EdgeKind.STDIN:
+        # A graph whose only edge is stdin (degenerate); nothing to do.
         return
     if edge.kind is EdgeKind.FILE:
         if edge.append:
@@ -259,7 +260,5 @@ def deliver_output(
             filesystem.write(edge.name or "", stream)
         result.files[edge.name or ""] = filesystem.read(edge.name or "")
         return
-    if edge.kind is EdgeKind.STDIN:
-        # A graph whose only edge is stdin (degenerate); nothing to do.
-        return
-    result.stdout.extend(stream)
+    # Never extended in place: the list may be an input or a file's.
+    result.stdout = result.stdout + stream if result.stdout else stream

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import BinaryIO, Dict, Iterable, List, Optional, Union
+from typing import BinaryIO, Dict, Iterable, List, Optional, Set, Union
 
 
 def read_lines(source: Union[str, Path, BinaryIO]) -> List[str]:
@@ -34,6 +34,13 @@ class VirtualFileSystem:
     lines (no trailing newlines).  When a name is missing from the namespace
     the VFS optionally falls back to the real filesystem, which lets the
     examples operate on files the user actually has on disk.
+
+    Streams are read-only once handed over, so nothing is copied on the way
+    in or out: :meth:`write` keeps the list it is given and :meth:`read`
+    returns the list it holds.  The one writer that changes a list in place
+    is :meth:`append`, and it does so only to a list no one else can hold
+    (one it built itself and never handed out); a shared file is copied
+    once, on its first append, and is the VFS's own from then on.
     """
 
     def __init__(
@@ -42,6 +49,8 @@ class VirtualFileSystem:
         allow_real_files: bool = False,
     ) -> None:
         self._files: Dict[str, List[str]] = {}
+        #: Names whose list no one outside this VFS holds (appendable in place).
+        self._owned: Set[str] = set()
         self.allow_real_files = allow_real_files
         for name, lines in (files or {}).items():
             self.write(name, lines)
@@ -49,8 +58,12 @@ class VirtualFileSystem:
     # ------------------------------------------------------------------
 
     def write(self, name: str, lines: Iterable[str]) -> None:
-        """Create or overwrite a file with ``lines`` (``str`` lines, by the stream contract)."""
-        self._files[name] = list(lines)
+        """Create or overwrite a file with ``lines`` (``str`` lines, by the stream contract).
+
+        A list is kept as it is, not copied: the caller must not change it.
+        """
+        self._files[name] = lines if isinstance(lines, list) else list(lines)
+        self._owned.discard(name)
 
     def append(self, name: str, lines: Iterable[str]) -> None:
         """Append lines to a (possibly missing) file.
@@ -63,12 +76,21 @@ class VirtualFileSystem:
             path = Path(name)
             if path.exists():
                 self._files[name] = read_lines(path)
-        self._files.setdefault(name, []).extend(lines)
+                self._owned.add(name)
+        if name in self._owned:
+            self._files[name].extend(lines)
+        else:
+            self._files[name] = [*self._files.get(name, ()), *lines]
+            self._owned.add(name)
 
     def read(self, name: str) -> List[str]:
-        """Read a file's lines; falls back to disk when allowed."""
+        """Read a file's lines; falls back to disk when allowed.
+
+        The list the VFS holds, not a copy: the caller must not change it.
+        """
         if name in self._files:
-            return list(self._files[name])
+            self._owned.discard(name)
+            return self._files[name]
         if self.allow_real_files:
             path = Path(name)
             if path.exists():
@@ -119,6 +141,7 @@ class VirtualFileSystem:
 
     def delete(self, name: str) -> None:
         self._files.pop(name, None)
+        self._owned.discard(name)
 
     def names(self) -> List[str]:
         return sorted(self._files)
@@ -148,10 +171,9 @@ class VirtualFileSystem:
         return sum(len(lines) for lines in self._files.values())
 
     def copy(self) -> "VirtualFileSystem":
-        return VirtualFileSystem(
-            {name: list(lines) for name, lines in self._files.items()},
-            allow_real_files=self.allow_real_files,
-        )
+        """An independent namespace sharing the (read-only) file lists."""
+        self._owned.clear()  # both sides now hold every list
+        return VirtualFileSystem(self._files, allow_real_files=self.allow_real_files)
 
     def __contains__(self, name: str) -> bool:
         return self.exists(name)

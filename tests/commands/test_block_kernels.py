@@ -21,7 +21,7 @@ from repro.commands.base import CommandImplementation
 from repro.dfg.nodes import AggregatorNode, CommandNode, FusedStage, SplitNode
 from repro.engine.channels import decode_block, iter_encoded_chunks
 from repro.runtime import aggregators
-from repro.runtime.executor import block_kernel, evaluate_node
+from repro.runtime.executor import block_kernel
 from repro.runtime.split import split_block, split_stream
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
@@ -182,7 +182,7 @@ def test_block_kernel_lookup_follows_the_node_and_the_registry():
     chain = block_kernel(FusedStage(nodes=[tr, grep, cut]), registry)
     assert run_kernel(chain, [["The LIGHTS are on now ok", "A b C d E f", "É x"]]) == [["a b c d", "É x"]]
     # Arguments a factory cannot take leave the error to the str face, where it is reported.
-    for name, arguments in [("grep", ["("]), ("grep", ["(?u)x"]), ("cut", [])]:
+    for name, arguments in [("grep", ["-E", "("]), ("grep", ["\\("]), ("grep", ["-E", "(?u)x"]), ("cut", [])]:
         assert block_kernel(CommandNode(name=name, arguments=arguments), registry) is None
     assert block_kernel(AggregatorNode(aggregator="merge_sort"), registry) is not None
     assert block_kernel(AggregatorNode(aggregator="merge_sort", command_arguments=["-n"]), registry) is None
@@ -197,27 +197,3 @@ def test_block_kernel_lookup_follows_the_node_and_the_registry():
 
     fused = block_kernel(FusedStage(nodes=[tr, CommandNode(name="tr", arguments=["-d", "l"])]), registry)
     assert run_kernel(fused, [["HeLLo", "World"]]) == [["heo", "word"]]
-
-
-def test_a_command_mutating_its_input_cannot_corrupt_a_sibling_edge():
-    """One defensive copy per call, in ``CommandImplementation.run``."""
-
-    def mutator(arguments, inputs):
-        inputs[0].sort()
-        inputs[0].append("mutated")
-        return inputs[0]
-
-    registry = standard_registry().copy()
-    registry.register(CommandImplementation("mutator", mutator))
-    upstream = ["b", "a", "c"]
-    assert registry.run("mutator", [], [upstream]) == ["a", "b", "c", "mutated"]
-    assert upstream == ["b", "a", "c"]
-
-    # A two-output command hands each edge its own list …
-    tee = CommandNode(name="cat", outputs=[1, 2])
-    first, second = evaluate_node(tee, [upstream], registry)
-    assert first == second == upstream and first is not second and first is not upstream
-    # … so a mutating consumer of one edge leaves its sibling (and the producer) alone.
-    consumer = CommandNode(name="mutator", outputs=[3])
-    assert evaluate_node(consumer, [first], registry) == [["a", "b", "c", "mutated"]]
-    assert first == second == upstream == ["b", "a", "c"]

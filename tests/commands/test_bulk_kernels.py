@@ -69,7 +69,7 @@ COMMANDS = {
     "grep": (textproc.grep, reference.grep, textproc.grep_block,
              [["apple"], ["-v", "apple"], ["-i", "apple"], ["-iv", "b"], ["-x", "b"], ["-w", "the"],
               ["-F", "2.5"], ["-F", "x]y"], ["-E", "^(b|B)$"], ["[^a]"], ["^.$"], ["^$"], ["-c", "p"],
-              ["-vc", "p"], ["-o", "p+"], ["-io", "P"], ["\\s"], ["é"], ["-i", "É"]]),
+              ["-vc", "p"], ["-E", "-o", "p+"], ["-io", "P"], ["\\s"], ["é"], ["-i", "É"]]),
     "cut": (textproc.cut, reference.cut, textproc.cut_block,
             [["-d", " ", "-f", "1"], ["-d", " ", "-f", "2-"], ["-d", " ", "-f", "1,3"], ["-d", " ", "-f", "3,1"],
              ["-f", "1"], ["-d", "p", "-f", "2,3"], ["-d", "é", "-f", "1"], ["-c", "1-3"], ["-c", "2,4-"],

@@ -63,8 +63,10 @@ def test_grep_requires_pattern():
 
 
 def test_grep_bad_regex_raises():
-    with pytest.raises(CommandError):
-        textproc.grep(["("], [["a"]])
+    # ``(`` is a literal in a basic regular expression; ``\(`` opens a group.
+    for arguments in (["-E", "("], ["\\("]):
+        with pytest.raises(CommandError):
+            textproc.grep(arguments, [["a"]])
 
 
 # ---------------------------------------------------------------------------

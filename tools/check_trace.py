@@ -13,7 +13,10 @@ Checks, in order:
    so scheduling jitter of a few milliseconds is tolerated);
 5. per-``(pid, tid)`` stack discipline: events on one track either nest or
    are disjoint — partial overlap beyond the epsilon is a recording bug;
-6. at least one ``X`` event exists (an empty trace is a broken pipeline).
+6. a ``scheduler:`` span is one of the engine's named phases
+   (:data:`SCHEDULER_PHASES`, the serial tail's ``gather`` and ``deliver``
+   included) and sits under ``engine:run`` when that span is in the file;
+7. at least one ``X`` event exists (an empty trace is a broken pipeline).
 
 Usable as a CLI (``python tools/check_trace.py out.json``; exit 0 = valid)
 and as a module (``from check_trace import check_trace``), which the test
@@ -30,6 +33,12 @@ from typing import Any, Dict, List, Tuple
 #: wall-clock samples taken in different processes; durations are monotonic.
 #: A few milliseconds of skew is expected; structural bugs are way larger.
 EPSILON_US = 5_000
+
+#: The parallel scheduler's phases, in run order: each is a child of ``engine:run``.
+SCHEDULER_PHASES = (
+    "scheduler:spawn", "scheduler:plan", "scheduler:dispatch",
+    "scheduler:collect", "scheduler:gather", "scheduler:deliver",
+)
 
 
 class TraceError(ValueError):
@@ -79,6 +88,19 @@ def _check_containment(spans: Dict[str, Dict[str, Any]]) -> None:
             )
 
 
+def _check_scheduler_phases(spans: Dict[str, Dict[str, Any]]) -> None:
+    for span_id, event in spans.items():
+        if not event["name"].startswith("scheduler:"):
+            continue
+        if event["name"] not in SCHEDULER_PHASES:
+            raise TraceError(f"span {span_id}: unknown scheduler phase {event['name']!r}")
+        parent = spans.get(event["args"].get("parent_id"))
+        if parent is not None and parent["name"] != "engine:run":
+            raise TraceError(
+                f"span {span_id} ({event['name']}) is under {parent['name']}, not engine:run"
+            )
+
+
 def _check_stack_discipline(events: List[Dict[str, Any]]) -> None:
     """Events on one (pid, tid) track must nest or be disjoint."""
     tracks: Dict[Tuple[int, int], List[Dict[str, Any]]] = {}
@@ -116,6 +138,7 @@ def check_trace(document: Any) -> int:
         spans[span_id] = event
     _check_containment(spans)
     _check_stack_discipline(complete)
+    _check_scheduler_phases(spans)
     return len(complete)
 
 
