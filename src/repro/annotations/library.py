@@ -138,6 +138,10 @@ sed {
 | -n => (E, [stdin], [stdout])
 | otherwise => (S, [stdin], [stdout])
 }
+sort {
+| -m => (N, [args[0:]], [stdout])
+| otherwise => (P, [args[0:]], [stdout])
+}
 """
 
 
@@ -213,11 +217,13 @@ def _build_records() -> Dict[str, AnnotationRecord]:
             records[command].value_flags = flags
 
     # Parallelizable pure commands with their aggregators.
-    add(simple_record("sort", P, inputs=[IOSpec.args_slice(0)], aggregator="merge_sort"))
     add(simple_record("tac", P, inputs=[IOSpec.args_slice(0)], aggregator="merge_tac"))
     add(simple_record("top", P, aggregator="merge_head"))
     add(simple_record("shuf", P, aggregator="concat"))
 
+    # ``sort -m`` merges its inputs as they are: merging unsorted lanes is
+    # not the sequential merge, so only a plain sort gets copies.
+    records["sort"].aggregator = "merge_sort"
     records["cat"].aggregator = "concat"
     records["tr"].aggregator = "squeeze_concat"
     records["uniq"].aggregator = "merge_uniq"

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
 from itertools import chain, count, groupby, repeat, zip_longest
+from operator import itemgetter
 from typing import List, Tuple
 
 from repro.commands.base import (
@@ -74,10 +76,9 @@ def _sorted_lines(lines, keys_of, reverse: bool, unique: bool, owned: bool = Fal
     ``owned``: the caller built ``lines`` itself, so a plain sort may sort it
     in place; anyone else's list is read-only and is copied by ``sorted()``.
 
-    Also the merge: Timsort finds the pre-sorted runs of concatenated sorted
-    inputs and merges them in C, stably in both directions, so on sorted
-    inputs this equals a k-way ``heapq.merge`` — the precondition POSIX lets
-    ``sort -m`` assume and the ``merge_sort`` aggregator has by construction.
+    Also the gathered ``merge_sort``: Timsort finds the pre-sorted runs of
+    concatenated sorted branches and merges them in C, stably in both
+    directions — sorted by construction, so this is their k-way merge.
 
     A plain sort whose prefix repeats itself (fewer distinct lines than half
     the sample: a stream of words or characters) counts first and compares
@@ -109,29 +110,49 @@ def _sorted_lines(lines, keys_of, reverse: bool, unique: bool, owned: bool = Fal
     return [lines[position] for position in order]
 
 
+def _merged_lines(streams: List[Stream], keys_of, reverse: bool, unique: bool) -> Stream:
+    """GNU ``sort -m``: a stable k-way merge of the inputs as they are.
+
+    Each step takes the least head by the sort's own comparison (the
+    greatest under ``-r``), the earliest input on a tie; an unsorted input
+    is not sorted first, so its disorder shows as GNU's does.  ``-u`` drops
+    a line whose key equals the line output before it.
+    """
+    if keys_of is None:
+        merged = heapq.merge(*streams, reverse=reverse)
+        return [key for key, _ in groupby(merged)] if unique else list(merged)
+    keyed = []
+    for stream in streams:
+        texts, numbers = keys_of(stream)
+        keyed.append(zip(texts if numbers is None else zip(numbers, texts), texts, stream))
+    merged = heapq.merge(*keyed, key=itemgetter(0), reverse=reverse)
+    if unique:  # a number is a function of its text
+        return [next(group)[2] for _, group in groupby(merged, itemgetter(1))]
+    return [line for _, _, line in merged]
+
+
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``.
 
-    Over two or more inputs (``sort -m`` of the parallel branches) the
-    concatenation is a fresh list, which a plain sort then sorts in place.
+    Over two or more inputs (the gathered ``merge_sort`` of the parallel
+    branches) the concatenation is a fresh list, which a plain sort then
+    sorts in place; ``-m`` merges the inputs instead of sorting them.
     """
-    return _sorted_lines(
-        concat_streams(inputs),
-        _sort_keys_function(arguments),
-        has_flag(arguments, "-r"),
-        has_flag(arguments, "-u"),
-        owned=len(inputs) > 1,
-    )
+    keys_of = _sort_keys_function(arguments)
+    reverse, unique = has_flag(arguments, "-r"), has_flag(arguments, "-u")
+    if has_flag(arguments, "-m"):
+        return _merged_lines(inputs, keys_of, reverse, unique)
+    return _sorted_lines(concat_streams(inputs), keys_of, reverse, unique, owned=len(inputs) > 1)
 
 
 def sort_block(arguments: List[str]):
-    """Block kernel of :func:`sort_command` for ``-r``/``-u``/``-m`` only.
+    """Block kernel of :func:`sort_command` for ``-r``/``-u`` only.
 
     Without a key-affecting flag the lines compare as a whole, and UTF-8 byte
     order is code-point order, so sorting the ``bytes`` lines is the ``str``
-    sort.  Anything else (``-n -f -d -k``, operands, unknown flags) refuses.
+    sort.  Anything else (``-m -n -f -d -k``, operands, unknown flags) refuses.
     """
-    if not only_flags(arguments, "rum"):
+    if not only_flags(arguments, "ru"):
         return None
     reverse, unique = has_flag(arguments, "-r"), has_flag(arguments, "-u")
     return stream_kernel(lambda lines: _sorted_lines(lines, None, reverse, unique, owned=True))

@@ -3,9 +3,13 @@
 A node gets a process only when something has to *move* bytes.  Three shapes
 do not: a non-blocking **relay** (its two edges are one stream), a **split**
 of a seekable file (byte ranges of it) and a **cat or aggregator** into a
-graph output (its branches, collected and combined where they end).  Chosen
-by what the edges *are*, never by a setting; docs/ARCHITECTURE.md "What gets
-a process" has the argument.  The scheduler executes this plan and the simulator bills it.
+graph output (its branches, collected and combined where they end).  A
+fourth gets no process of its own: one **inline lane**, a command whose
+inputs are at rest and whose outputs are collected, crosses no pipe, so the
+coordinator runs it while the other processes run theirs.  Chosen by what
+the edges *are*, never by a setting; docs/ARCHITECTURE.md "What gets a
+process" has the argument.  The scheduler executes this plan, the simulator
+and the planner bill it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,15 @@ from dataclasses import dataclass, field
 from typing import Container, Dict, Optional, Union
 
 from repro.dfg.graph import DataflowGraph
-from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, DFGNode, RelayNode, SplitNode
+from repro.dfg.nodes import (
+    AggregatorNode,
+    CatNode,
+    CommandNode,
+    DFGNode,
+    FusedStage,
+    RelayNode,
+    SplitNode,
+)
 
 
 def is_plain_cat(node: DFGNode) -> bool:
@@ -39,6 +51,8 @@ class Elisions:
     ranged: Dict[int, int] = field(default_factory=dict)
     #: A graph-output edge -> the gathered cat or aggregator behind it.
     gathers: Dict[int, Union[CatNode, AggregatorNode]] = field(default_factory=dict)
+    #: The node the coordinator runs itself (None: every node has a process).
+    inline: Optional[int] = None
 
     def head(self, edge_id: int) -> int:
         """Where a consumer's stream really comes from."""
@@ -118,4 +132,22 @@ def plan_elisions(graph: DataflowGraph, at_rest: Container[int]) -> Elisions:
         if out.target is None and all(producer(edge_id) is not None for edge_id in node.inputs):
             plan.skipped[node.node_id] = node
             plan.gathers[out.edge_id] = node
+    # A command (or fused stage) that reads only graph inputs and ranged
+    # parts and whose every output is collected never waits on a process:
+    # the coordinator runs the last such lane itself, as long as another
+    # node still has a process to overlap with.
+    lanes = [
+        node
+        for node_id, node in graph.nodes.items()
+        if node_id not in plan.skipped
+        and isinstance(node, (CommandNode, FusedStage))
+        and node.outputs
+        and all(consumer(edge_id) is None for edge_id in node.outputs)
+        and all(producer(edge_id) is None for edge_id in node.inputs)
+    ]
+    if lanes and len(graph.nodes) - len(plan.skipped) >= 2:
+        if len(lanes) > 1:
+            order = {node.node_id: index for index, node in enumerate(graph.topological_order())}
+            lanes.sort(key=lambda node: order[node.node_id])
+        plan.inline = lanes[-1].node_id
     return plan

@@ -98,6 +98,9 @@ class EngineMetrics:
     #: Tail aggregators run the same way: the scheduler applies the
     #: aggregator to the decoded branches, so no merge worker and no pumps.
     aggregators_gathered: int = 0
+    #: Lanes the coordinator evaluated itself (inputs at rest, outputs
+    #: collected): a worker fewer, with no plan pickled and no report.
+    lanes_inline: int = 0
     #: Channel inputs read directly (no eager-pump thread, no extra copy).
     edges_direct: int = 0
     #: Channel inputs drained through eager pumps (deadlock-relevant fan-in).
@@ -238,6 +241,8 @@ class EngineMetrics:
                 f"{self.splits_ranged} splits as file ranges, {self.cats_gathered} cats gathered, "
                 f"{self.aggregators_gathered} aggregators gathered"
             )
+        if self.lanes_inline:
+            digest += f"; {self.lanes_inline} lanes inline"
         if self.cluster_workers:
             digest += (
                 f"; {self.remote_tasks} tasks on {self.cluster_workers} "

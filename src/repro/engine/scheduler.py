@@ -22,6 +22,11 @@ the order-aware dataflow analysis:
   their worker — absorb-then-forward is observable timing semantics
   (Fig. 6) — and so do a split fed by a pipe, stdin or an in-memory file and
   an aggregator in the middle of a graph.
+* **the inline lane** — a command whose inputs are at rest and whose
+  outputs are collected crosses no pipe, so the coordinator evaluates one
+  such lane itself (:func:`~repro.engine.workers.run_node`, between
+  dispatch and collection) instead of idling in ``poll``: a width-*w* run
+  holds *w − 1* pool workers.  Its outcome is landed like a worker's report.
 * **pump rationalization** — eager-pump threads are started only on edges
   that are deadlock-relevant: fan-in nodes (aggregators, ``cat`` combiners,
   anything consuming two or more channels sequentially).  Straight-line
@@ -39,6 +44,7 @@ path as the interpreter, so the two backends are observationally identical.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import os
 import queue as queue_module
@@ -59,8 +65,16 @@ from repro.dfg.nodes import AggregatorNode, FusedStage, RelayNode
 from repro.engine.channels import Channel, StoredStream, encode_lines, file_ranges
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.pool import WorkerPool, resolve_context, shared_pool
-from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
+from repro.engine.workers import (
+    InputPort,
+    OutputPort,
+    WorkerPlan,
+    execute_plan,
+    node_report,
+    run_node,
+)
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.resilience import fault as fault_injection
 from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
@@ -75,7 +89,8 @@ _run_tokens = itertools.count(1)
 
 
 class ParallelScheduler:
-    """Executes dataflow graphs with one (pooled) worker process per node.
+    """Executes dataflow graphs with one (pooled) worker process per node
+    that moves bytes — less the inline lane, which the coordinator runs.
 
     The engine's knobs come straight from the :class:`PashConfig`:
     ``streaming`` (chunk size, spill threshold and directory),
@@ -136,6 +151,7 @@ class ParallelScheduler:
             isinstance(node, AggregatorNode) for node in elisions.gathers.values()
         )
         metrics.cats_gathered = len(elisions.gathers) - metrics.aggregators_gathered
+        metrics.lanes_inline = int(elisions.inline is not None)
 
         # One run at a time per pool: a run's reports travel through the
         # pool's shared queue, so an interleaved run would steal them.
@@ -148,6 +164,7 @@ class ParallelScheduler:
             splits_ranged=metrics.splits_ranged,
             cats_gathered=metrics.cats_gathered,
             aggregators_gathered=metrics.aggregators_gathered,
+            lanes_inline=metrics.lanes_inline,
         )
         with run_span, run_guard:
             return self._execute_locked(
@@ -166,7 +183,9 @@ class ParallelScheduler:
             with self.tracer.span("scheduler:spawn", "scheduler") as spawn_span:
                 spawn_started = time.perf_counter()
                 spawned_before = pool.processes_spawned
-                pool.ensure_idle(len(graph.nodes) - len(skipped))
+                pool.ensure_idle(
+                    len(graph.nodes) - len(skipped) - metrics.lanes_inline
+                )
                 pool_growth = pool.processes_spawned - spawned_before
                 metrics.spawn_seconds += time.perf_counter() - spawn_started
                 spawn_span.set(processes_spawned=pool_growth)
@@ -191,13 +210,16 @@ class ParallelScheduler:
         #: (label, error) of a collected stream that would not decode: raised
         #: once every report is in, after any worker's own failure.
         undecodable: List[Tuple[str, UnicodeDecodeError]] = []
+        failed = False  # a landed report carried an error: the run will raise
 
         def land(report: dict) -> None:
             """Decode a report's collected streams as it arrives, while slower
             lanes still run; every stored file is removed either way."""
+            nonlocal failed
+            failed = failed or bool(report["error"])
             for edge_id, stored in report["outputs"].items():
                 try:
-                    if not (report["error"] or undecodable):
+                    if not (failed or undecodable):
                         edge_values[edge_id] = stored.lines(streaming.spill_threshold)
                 except UnicodeDecodeError as exc:
                     # A pass-through node never decoded what it forwarded.
@@ -224,6 +246,8 @@ class ParallelScheduler:
                     if node_id not in skipped
                 ]
             self._count_edge_modes(plans, metrics)
+            inline = [plan for plan in plans if plan.node.node_id == elisions.inline]
+            plans = [plan for plan in plans if plan.node.node_id != elisions.inline]
 
             report_queue = pool.report_queue if pool is not None else context.Queue()
             processes = []
@@ -269,10 +293,17 @@ class ParallelScheduler:
                 for channel in channels.values():
                     channel.close()
 
+            # The inline lane reads only at-rest inputs and writes only to
+            # collection, so it never waits on a worker: it runs here while
+            # they run theirs, and lands first.
+            inline_reports = [self._run_inline(plan) for plan in inline]
+            for report in inline_reports:
+                land(report)
             with self.tracer.span("scheduler:collect", "scheduler"):
                 reports = self._collect_reports(
                     report_queue, processes, len(plans), token, land
                 )
+            reports.update((report["node_id"], report) for report in inline_reports)
             for node, process in processes:
                 if node.node_id in pooled:
                     continue  # pool workers stay alive by design
@@ -456,6 +487,32 @@ class ParallelScheduler:
             trace=trace,
             faults=self._faults,
         )
+
+    def _run_inline(self, plan: WorkerPlan) -> dict:
+        """Evaluate the inline lane in this process; its report, never raised.
+
+        :func:`run_node`, not :func:`execute_plan`: every channel fd of the
+        run belongs to this process, so none is closed here, and the
+        coordinator is no pool worker, so ``pool:worker-exec`` does not
+        fire.  The plan's fault plan — a pristine copy, as a dispatch would
+        unpickle — is installed around the call, and the coordinator's own
+        restored after it.
+        """
+        metrics = NodeMetrics.of(plan.node)
+        outputs: Dict[int, StoredStream] = {}
+        error: Optional[str] = None
+        start_us = time.time_ns() // 1_000 if plan.trace is not None else 0
+        previous = fault_injection.active()
+        if plan.faults is not None:
+            fault_injection.install(copy.copy(plan.faults))
+        try:
+            outputs = run_node(plan, metrics)
+        except Exception as exc:  # reported as its worker would have
+            error = f"{type(exc).__name__}: {exc}"
+        finally:
+            if plan.faults is not None:
+                fault_injection.install(previous)
+        return node_report(plan, metrics, outputs, error, start_us)
 
     @staticmethod
     def _count_edge_modes(plans: List[WorkerPlan], metrics: EngineMetrics) -> None:

@@ -4,9 +4,10 @@ Every DFG node is executed by :func:`run_node`: open the input sources
 (eager pumps on fan-in edges, direct pipe reads everywhere else, stored
 streams for what is already materialized), evaluate the node, write the
 outputs.  It raises on failure and runs wherever its caller is — the cluster
-coordinator calls it inline for the nodes it keeps.  :func:`execute_plan`
-is its process wrapper, the body of a persistent pool worker
-(:mod:`repro.engine.pool`), a dedicated fork or a ``pash-worker`` task.
+coordinator calls it inline for the nodes it keeps, the scheduler for its
+inline lane.  :func:`execute_plan` is its process wrapper, the body of a
+persistent pool worker (:mod:`repro.engine.pool`), a dedicated fork or a
+``pash-worker`` task.
 Command nodes either exec the real host binary (when enabled and available)
 or run the registry's pure-Python implementation — either way in a separate
 process, so parallel branches genuinely overlap.
@@ -587,22 +588,52 @@ def run_node(plan: WorkerPlan, metrics: NodeMetrics) -> Dict[int, StoredStream]:
         metrics.wall_seconds = time.perf_counter() - started
 
 
-def execute_plan(plan: WorkerPlan, report_queue) -> None:
-    """Process body: :func:`run_node`, with the outcome reported, never raised.
+def node_report(
+    plan: WorkerPlan,
+    metrics: NodeMetrics,
+    outputs: Dict[int, StoredStream],
+    error: Optional[str],
+    start_us: int,
+) -> Dict[str, object]:
+    """What one evaluation of ``plan``'s node tells the scheduler.
 
-    The report always reaches the queue, carrying the node's
-    :class:`~repro.engine.metrics.NodeMetrics` (as ``to_dict()`` under
-    ``"metrics"``) plus either the graph-output streams (as stored streams)
-    or an error string.
+    The node's :class:`~repro.engine.metrics.NodeMetrics` (as ``to_dict()``
+    under ``"metrics"``) plus either its collected streams or an error
+    string, and — when the plan is traced — its ``node:`` span, which
+    carries the node's full counter set as attributes, so byte/line/spill
+    flow is queryable per span in any exporter.
     """
-    metrics = NodeMetrics.of(plan.node)
     report: Dict[str, object] = {
         "node_id": plan.node.node_id,
         "token": plan.run_token,
-        "error": None,
-        "outputs": {},
+        "error": error,
+        "outputs": outputs,
+        "metrics": metrics.to_dict(),
     }
-    trace_start_us = time.time_ns() // 1_000 if plan.trace is not None else 0
+    if plan.trace is not None:
+        span = record_worker_span(
+            plan.trace,
+            name=f"node:{metrics.label}",
+            category="worker",
+            start_us=start_us,
+            duration_us=int(metrics.wall_seconds * 1e6),
+            attributes={"error": error, **report["metrics"]},
+        )
+        report["spans"] = [span]
+    return report
+
+
+def execute_plan(plan: WorkerPlan, report_queue) -> None:
+    """Process body: :func:`run_node`, with the outcome reported, never raised.
+
+    The :func:`node_report` always reaches the queue — the span, when there
+    is one, rides in the same pickle: no extra channel, no cost when tracing
+    is off.
+    """
+    metrics = NodeMetrics.of(plan.node)
+    outputs: Dict[int, StoredStream] = {}
+    error: Optional[str] = None
+    start_us = time.time_ns() // 1_000 if plan.trace is not None else 0
     mine = {port.fd for port in plan.inputs + plan.outputs if port.fd is not None}
     try:
         if plan.faults is not None:
@@ -614,9 +645,9 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
                     os.close(fd)
                 except OSError:
                     pass
-        report["outputs"] = run_node(plan, metrics)
+        outputs = run_node(plan, metrics)
     except BaseException as exc:  # noqa: BLE001 - reported, never raised
-        report["error"] = f"{type(exc).__name__}: {exc}"
+        error = f"{type(exc).__name__}: {exc}"
     finally:
         # Guarantee EOF downstream even on failure paths.
         for fd in mine:
@@ -624,19 +655,4 @@ def execute_plan(plan: WorkerPlan, report_queue) -> None:
                 os.close(fd)
             except OSError:
                 pass
-        report["metrics"] = metrics.to_dict()
-        if plan.trace is not None:
-            # The span carries the node's full counter set as attributes, so
-            # byte/line/spill flow is queryable per span in any exporter.  It
-            # ships to the scheduler inside this report (same queue, same
-            # pickle) — no extra channel, no cost when tracing is off.
-            span = record_worker_span(
-                plan.trace,
-                name=f"node:{metrics.label}",
-                category="worker",
-                start_us=trace_start_us,
-                duration_us=int(metrics.wall_seconds * 1e6),
-                attributes={"error": report["error"], **report["metrics"]},
-            )
-            report["spans"] = [span]
-        report_queue.put(report)
+        report_queue.put(node_report(plan, metrics, outputs, error, start_us))

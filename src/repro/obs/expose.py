@@ -24,11 +24,13 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.wire import is_loopback_host
+
+if TYPE_CHECKING:  # pragma: no cover - loaded by MetricsServer.start
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -156,6 +158,11 @@ class MetricsServer:
                 "cache behaviour; pass allow_remote=True (--allow-remote) "
                 "only on a trusted network"
             )
+        # Imported here, not at module top: ``http.server`` pulls in
+        # ``http.client``, ``email``, ``ssl`` and ``socketserver``, and every
+        # process that imports ``repro`` would pay for them to serve nothing.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         registry = self.registry
 
         class Handler(BaseHTTPRequestHandler):

@@ -90,7 +90,8 @@ def simulate_graph(
     channel crossing and do not block; an input file is on disk, so a split
     over it is byte ranges, unless ``in_memory`` names it.  A gathered
     aggregator still has work to do: the driver does it, once its last
-    branch is in.
+    branch is in.  So does the inline lane: its kernels' work, on the
+    driver, with no process to spawn or dispatch and no channel to cross.
     """
     machine = machine or MachineModel.paper_testbed()
     cost_model = cost_model or default_cost_model()
@@ -155,8 +156,10 @@ def simulate_graph(
                 for edge_id, lines in zip(node.outputs, out_lines)
                 if graph.edges[elided.tail(edge_id)].target in collected
             )
-            work = cost.work_seconds(total_in) + machine.channel_seconds(total_in + delivered)
-            process_count += 1
+            work = cost.work_seconds(total_in)
+            if node.node_id != elided.inline:
+                work += machine.channel_seconds(total_in + delivered)
+                process_count += 1
             decoded += delivered  # by the driver, once the run is over
         total_work += work
 

@@ -173,7 +173,8 @@ def pool_floors(
     shape exists, from what :func:`simulate_graph` bills every pool shape:
     the setup, a spawn per process and at least the kernels' work over the
     cores (the feed is the caller's to add; startup, channel and collection
-    terms are left out).  A command given copies runs on at least two lanes;
+    terms are left out).  A command given copies runs on at least two lanes,
+    one of which may be the driver's own inline lane;
     where the graph is one chain, every class-P command given copies closes
     a fused stage, and a later stage with copies adds its own lanes, the
     aggregator and a split in between.  The copies of a command see its lines
@@ -225,7 +226,8 @@ def pool_floors(
                 scale[node.node_id] = share * min(1.0, merge.selectivity)
     if not chain:  # lanes and merges are only counted along one chain
         stages, boundaries = min(stages, 1), 0
-    processes = max(1, MINIMUM_COPIES * (stages + boundaries))
+    # Less the inline lane, which the driver runs once another node has a process.
+    processes = max(1, MINIMUM_COPIES * (stages + boundaries) - 1)
     calibration = math.log2(CALIBRATION_LINES)
     floors = {}
     for width in widths:

@@ -3,7 +3,8 @@
 These are the implementations ``repro.commands`` shipped before its hot
 kernels became bulk operations (``translate``, one compiled ``re.sub``,
 ``groupby``, ``zip_longest``, one comprehension compiled per ``awk``
-program), moved here verbatim.  They are slow and obviously right, which is
+program), moved here verbatim — and ``sort -m``'s one-head-a-step merge,
+written the same way when the merge stopped being a sort.  They are slow and obviously right, which is
 what an oracle should be: ``test_bulk_kernels.py`` and
 ``test_awk_and_sort.py`` pin every rewritten command to them.  Nothing under
 ``src/`` may import this module.
@@ -249,9 +250,35 @@ def _sort_key_function(arguments: List[str]):
     return key
 
 
+def _merge_heads(inputs: List[Stream], key, reverse: bool) -> Stream:
+    """GNU ``sort -m``, one line a step: the least head (greatest under
+    ``-r``), the earliest input on a tie, inputs taken as they are."""
+    key = key or (lambda line: line)
+    positions = [0] * len(inputs)
+    merged = []
+    while True:
+        best = None
+        for index, stream in enumerate(inputs):
+            if positions[index] == len(stream):
+                continue
+            if best is None:
+                best = index
+                continue
+            mine, theirs = key(stream[positions[index]]), key(inputs[best][positions[best]])
+            if (mine > theirs) if reverse else (mine < theirs):
+                best = index
+        if best is None:
+            return merged
+        merged.append(inputs[best][positions[best]])
+        positions[best] += 1
+
+
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
     key = _sort_key_function(arguments)
-    merged = sorted(concat_streams(inputs), key=key, reverse=has_flag(arguments, "-r"))
+    if has_flag(arguments, "-m"):
+        merged = _merge_heads(inputs, key, has_flag(arguments, "-r"))
+    else:
+        merged = sorted(concat_streams(inputs), key=key, reverse=has_flag(arguments, "-r"))
     if has_flag(arguments, "-u"):
         return [next(group) for _, group in groupby(merged, key)]
     return merged

@@ -170,3 +170,56 @@ def test_the_commands_count_too():
         assert sorting.sort_command(list(arguments), [list(lines)]) == expected, arguments
         produced = sorting.sort_block(list(arguments))([[encode_block(lines)]])
         assert b"".join(produced[0]) == encode_block(expected), arguments
+
+
+# ---------------------------------------------------------------------------
+# sort -m: GNU's k-way merge of the inputs as they are
+# ---------------------------------------------------------------------------
+
+#: name -> the inputs of one ``sort -m``; the unsorted rows are where a
+#: re-sort and a merge part ways.
+MERGE_INPUTS = {
+    "unsorted pair": [["b", "a", "c"], ["a", "d", "b"]],
+    "sorted pair": [["a", "c", "e"], ["b", "c", "d"]],
+    "single unsorted": [["z", "a", "m", "a"]],
+    "single sorted": [["a", "b", "b", "c"]],
+    "one empty": [[], ["b", "a"]],
+    "three with ties": [["a", "b", "b"], ["b", "a"], ["", "b", "c"]],
+    "numbers": [["10", "2", "b", "1.5"], ["1", "3 x", "a", "2"], ["-1", "02", "2"]],
+    "duplicates across": [["a", "a", "b"], ["a", "b", "c"], ["c", "b"]],
+}
+MERGE_FLAGS = [[], ["-r"], ["-u"], ["-ru"], ["-n"], ["-rn"]]
+
+
+@pytest.mark.skipif(shutil.which("sort") is None, reason="requires a host sort")
+@pytest.mark.parametrize("flags", MERGE_FLAGS, ids=" ".join)
+def test_sort_m_merges_like_the_host(flags, tmp_path):
+    for name, streams in MERGE_INPUTS.items():
+        if "-n" in "".join(flags) and "-u" in "".join(flags):
+            continue  # ``-nu`` keys on the number alone in GNU, on the text here (sort, not merge)
+        paths = []
+        for index, lines in enumerate(streams):
+            path = tmp_path / f"in{index}.txt"
+            path.write_text("".join(line + "\n" for line in lines))
+            paths.append(str(path))
+        host = subprocess.run(
+            ["sort", "-m", *flags, *paths], stdout=subprocess.PIPE, check=True,
+            env=dict(os.environ, LC_ALL="C"),
+        )
+        ours = sorting.sort_command(["-m", *flags], [list(lines) for lines in streams])
+        assert encode_block(ours) == host.stdout, f"sort -m {flags} over {name!r}"
+
+
+def test_sort_m_is_not_parallelized():
+    """Merging each lane's part is not merging the inputs: ``-m`` gets no copies."""
+    from repro.annotations.classes import ParallelizabilityClass
+    from repro.annotations.library import standard_library
+
+    library = standard_library()
+    for arguments in (["-m", "a", "b"], ["-mr", "a"], ["-r", "-m"]):
+        assert library.classify("sort", arguments) is ParallelizabilityClass.NON_PARALLELIZABLE_PURE
+    assert library.classify("sort", ["-r", "a"]) is ParallelizabilityClass.PARALLELIZABLE_PURE
+    assert library.aggregator_for("sort") == "merge_sort"
+    # Built from the DSL, the record now carries sort's value flags: ``2`` is no file.
+    assert library.lookup("sort").invocation("sort", ["-k", "2", "a"]).operands == ["a"]
+    assert sorting.sort_block(["-m"]) is None

@@ -84,8 +84,8 @@ KERNELS = {
     "sort": (
         sorting.sort_block,
         sorting.sort_command,
-        [[], ["-r"], ["-u"], ["-ru"], ["-r", "-u"], ["-m"]],
-        [["-n"], ["-k2"], ["-k", "2"], ["-f"], ["-d"], ["-rn"], ["-b"], ["-t", ","], ["file"]],
+        [[], ["-r"], ["-u"], ["-ru"], ["-r", "-u"]],
+        [["-m"], ["-mr"], ["-n"], ["-k2"], ["-k", "2"], ["-f"], ["-d"], ["-rn"], ["-b"], ["-t", ","], ["file"]],
     ),
     "uniq": (
         sorting.uniq_block,
@@ -158,7 +158,7 @@ def test_merge_sort_combiner_law(runs, arguments, seed):
     whole = sorting.sort_command(list(arguments), [list(lines)])
     sorted_parts = [sorting.sort_command(list(arguments), [list(part)]) for part in parts]
     assert aggregators.merge_sort(sorted_parts, list(arguments)) == whole, context
-    # A user-written `sort -m` takes the same path as the aggregator.
+    # A user-written `sort -m` (a k-way merge, not a sort) agrees on sorted runs.
     assert sorting.sort_command(list(arguments) + ["-m"], sorted_parts) == whole, context
 
     kernel = aggregators.BLOCK_AGGREGATORS["merge_sort"](list(arguments))

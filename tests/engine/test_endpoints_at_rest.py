@@ -153,13 +153,14 @@ def test_file_backed_scripts_match_the_interpreter_and_report_their_shape(
             metrics = result.metrics
             shape = (metrics.splits_ranged, metrics.cats_gathered, metrics.aggregators_gathered)
             assert shape == (ranged, gathered, merged), context
+            # Every node has a worker but the lane the driver runs itself.
             workers = metrics.processes_spawned + metrics.processes_reused
-            assert workers == len(metrics.nodes), context
+            assert workers + metrics.lanes_inline == len(metrics.nodes), context
             if backend == "parallel":
                 compiled = api.Pash(PashConfig.paper_default(width)).compile(script)
                 nodes = sum(len(graph.nodes) for graph in compiled.optimized_graphs)
                 elided = metrics.relays_elided + ranged + gathered + merged + cats
-                assert workers == nodes - elided, context
+                assert workers == nodes - elided - metrics.lanes_inline, context
 
 
 @pytest.mark.parametrize("seed", SEEDS[:1])

@@ -254,7 +254,9 @@ def test_non_session_runs_share_the_default_pool():
         SCRIPT, config=PashConfig.paper_default(2), backend="parallel",
         environment=environment(),
     )
-    assert second.metrics.processes_reused == len(second.metrics.nodes)
+    # Every node but the lane the driver runs itself is served by a reused worker.
+    assert second.metrics.lanes_inline == 1
+    assert second.metrics.processes_reused == len(second.metrics.nodes) - 1
     assert {n.pid for n in second.metrics.nodes} <= {n.pid for n in first.metrics.nodes}
 
 

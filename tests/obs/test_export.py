@@ -102,3 +102,41 @@ def test_span_summary_is_flat_and_scalar():
         "span_seconds_worker": 0.0003,
     }
     assert all(isinstance(value, (int, float)) for value in summary.values())
+
+
+def test_check_trace_accepts_the_coordinators_own_lane():
+    """A ``node:`` span in the driver's own pid and thread is the inline lane:
+    under ``engine:run``, between dispatch and collection, never inside a phase."""
+
+    def trace(node_parent="a.1", node_start=1_300):
+        return chrome_trace_document(
+            [
+                SpanRecord(name="engine:run", category="scheduler", span_id="a.1",
+                           pid=100, tid=1, start_us=1_000, duration_us=900),
+                SpanRecord(name="scheduler:dispatch", category="scheduler", span_id="a.2",
+                           parent_id="a.1", pid=100, tid=1, start_us=1_100, duration_us=100),
+                SpanRecord(name="node:sort", category="worker", span_id="a.3",
+                           parent_id=node_parent, pid=100, tid=1, start_us=node_start, duration_us=200),
+                SpanRecord(name="scheduler:collect", category="scheduler", span_id="a.4",
+                           parent_id="a.1", pid=100, tid=1, start_us=1_500, duration_us=300),
+                SpanRecord(name="node:sort", category="worker", span_id="b.1",
+                           parent_id="a.1", pid=200, tid=2, start_us=1_150, duration_us=600),
+            ]
+        )
+
+    assert check_trace(trace()) == 5
+    with pytest.raises(TraceError, match="not under its engine:run"):
+        check_trace(trace(node_parent="a.4", node_start=1_550))
+    with pytest.raises(TraceError, match="inside scheduler:collect"):
+        check_trace(
+            chrome_trace_document(
+                [
+                    SpanRecord(name="engine:run", category="scheduler", span_id="a.1",
+                               pid=100, tid=1, start_us=1_000, duration_us=20_000),
+                    SpanRecord(name="scheduler:collect", category="scheduler", span_id="a.4",
+                               parent_id="a.1", pid=100, tid=1, start_us=1_100, duration_us=19_000),
+                    SpanRecord(name="node:sort", category="worker", span_id="a.3",
+                               parent_id="a.1", pid=100, tid=1, start_us=8_000, duration_us=1_000),
+                ]
+            )
+        )

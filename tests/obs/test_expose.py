@@ -4,6 +4,8 @@ all linted by the same ``tools/check_metrics.py`` CI uses."""
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import urllib.request
 
 import pytest
@@ -157,3 +159,55 @@ class TestEventLog:
         NULL_EVENTS.emit("anything", x=1)
         NULL_EVENTS.close()
         assert NULL_EVENTS.enabled is False
+
+
+class TestLazyHttp:
+    """``http.server`` is loaded by :meth:`MetricsServer.start`, not by import."""
+
+    SOURCE = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+    def _environment(self):
+        return dict(os.environ, PYTHONPATH=os.path.abspath(self.SOURCE))
+
+    def test_importing_the_api_leaves_http_server_unloaded(self):
+        probe = (
+            "import sys, repro.api, repro.jit.cache, repro.runtime.interpreter, repro.service\n"
+            "print(sorted(m for m in ('http.server', 'http.client', 'socketserver') if m in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=self._environment(),
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert completed.stdout.strip() == "[]"
+
+    def test_pash_serve_metrics_port_still_serves_metrics(self):
+        from repro.service import ServiceClient
+
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.daemon", "--listen", "127.0.0.1:0",
+             "--executors", "1", "--metrics-port", "0"],
+            env=self._environment(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            said = []
+            while len(said) < 2:  # ``-m`` of a module its package imports warns first
+                line = daemon.stderr.readline()
+                assert line, "pash-serve exited before it was listening"
+                if line.startswith("pash-serve:"):
+                    said.append(line)
+            listening, metrics = said
+            assert listening.startswith("pash-serve: listening on "), listening
+            assert metrics.startswith("pash-serve: metrics on http://"), metrics
+            url = metrics.split(" on ", 1)[1].strip()
+            with urllib.request.urlopen(url, timeout=10) as response:
+                body = response.read().decode("utf-8")
+            assert "# TYPE pash_jobs_completed_total counter" in body
+            host, port = listening.split()[3].rsplit(":", 1)
+            with ServiceClient((host, int(port))) as client:
+                client.shutdown()
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait()
+            daemon.stderr.close()

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import PashConfig, optimize
 from repro.dfg.builder import DFGBuilder, translate_script
+from repro.dfg.elision import plan_elisions
 from repro.simulator.costs import default_cost_model
 from repro.simulator.machine import MachineModel
 from repro.simulator.simulate import simulate_graph, simulate_script_graphs
@@ -199,7 +200,8 @@ def test_this_host_bills_each_edge_once_and_skips_eager_relays():
 def test_this_host_bills_a_file_backed_split_and_a_tail_cat_as_no_process():
     """What the scheduler leaves out of its plan the simulator leaves out of
     its bill: over an on-disk file the split and the ``cat`` feeding it, and a
-    cat into a graph output, cost no process and no work, and do not block."""
+    cat into a graph output, cost no process and no work, and do not block;
+    the inline lane costs no process."""
     from repro.simulator.costs import python_cost_model
 
     graph = translate_script("cat in.txt | tr a-z A-Z | grep x > out.txt").regions[0].dfg
@@ -218,9 +220,15 @@ def test_this_host_bills_a_file_backed_split_and_a_tail_cat_as_no_process():
     held = simulate_graph(graph, counts, machine=host, cost_model=costs, in_memory=["in.txt"])
     workers = len(graph.nodes) - len(by_kind["relay"])
     assert held.process_count == workers - 1  # the tail cat is gathered wherever the input lives
-    assert on_disk.process_count == workers - 3
+    # On disk the split and its cat go too, and the last lane — a range in,
+    # collected out — is the driver's own: its work, with no channel crossing.
+    assert on_disk.process_count == workers - 4
     for node in (split, head, tail):
         assert on_disk.node_timings[node.node_id].work == 0.0
+    inline = graph.node(plan_elisions(graph, {edge.edge_id for edge in graph.input_edges()}).inline)
+    lane = on_disk.node_timings[inline.node_id]
+    assert lane.work == costs.cost_for(inline).work_seconds(lane.input_lines)
+    assert held.node_timings[inline.node_id].work > lane.work
     assert held.node_timings[split.node_id].work > 0.0
     # Not a barrier: the branches start with the file, not after a split's last byte.
     assert on_disk.node_timings[split.node_id].available < held.node_timings[split.node_id].available

@@ -280,12 +280,18 @@ def test_trace_export_covers_every_layer(loop_workspace, tmp_path, capsys):
     assert "jit:compile" in names
     assert "jit:cache-hit" in names  # iterations 2 and 3 reuse the region
     assert "engine:run" in names
-    # Worker spans run in other processes but still nest under the driver.
+    # Worker spans run in other processes but still nest under the driver;
+    # the one lane per run the driver evaluates itself sits right under its
+    # engine:run, in the driver's pid.
     driver_pid = next(e["pid"] for e in events if e["cat"] == "scheduler")
+    by_id = {e["args"]["span_id"]: e for e in events}
     worker_events = [e for e in events if e["cat"] == "worker"]
-    assert worker_events
-    assert all(e["pid"] != driver_pid for e in worker_events)
+    remote = [e for e in worker_events if e["pid"] != driver_pid]
+    inline = [e for e in worker_events if e["pid"] == driver_pid]
+    runs = [e for e in events if e["name"] == "engine:run"]
+    assert remote and len(inline) == len(runs)
     assert all(e["args"]["parent_id"] for e in worker_events)
+    assert all(by_id[e["args"]["parent_id"]]["name"] == "engine:run" for e in inline)
 
 
 def test_metrics_json_writes_run_report(loop_workspace, tmp_path, capsys):

@@ -16,7 +16,10 @@ Checks, in order:
 6. a ``scheduler:`` span is one of the engine's named phases
    (:data:`SCHEDULER_PHASES`, the serial tail's ``gather`` and ``deliver``
    included) and sits under ``engine:run`` when that span is in the file;
-7. at least one ``X`` event exists (an empty trace is a broken pipeline).
+7. a ``node:`` span in the pid of an ``engine:run`` span — the lane the
+   coordinator evaluates itself, recorded like a worker's — sits directly
+   under that ``engine:run``, beside its scheduler phases, not inside one;
+8. at least one ``X`` event exists (an empty trace is a broken pipeline).
 
 Usable as a CLI (``python tools/check_trace.py out.json``; exit 0 = valid)
 and as a module (``from check_trace import check_trace``), which the test
@@ -101,6 +104,32 @@ def _check_scheduler_phases(spans: Dict[str, Dict[str, Any]]) -> None:
             )
 
 
+def _check_coordinator_lanes(spans: Dict[str, Dict[str, Any]]) -> None:
+    runs = {
+        (event["pid"], event["tid"]) for event in spans.values() if event["name"] == "engine:run"
+    }
+    phases = [event for event in spans.values() if event["name"] in SCHEDULER_PHASES]
+    for span_id, event in spans.items():
+        if not event["name"].startswith("node:") or (event["pid"], event["tid"]) not in runs:
+            continue
+        parent = spans.get(event["args"].get("parent_id"))
+        if parent is None or parent["name"] != "engine:run" or parent["pid"] != event["pid"]:
+            raise TraceError(
+                f"span {span_id} ({event['name']}) runs in the coordinator but is not "
+                "under its engine:run"
+            )
+        start, end = event["ts"], event["ts"] + event["dur"]
+        for phase in phases:
+            if (
+                phase["args"].get("parent_id") == parent["args"]["span_id"]
+                and phase["ts"] < start and end < phase["ts"] + phase["dur"]
+            ):
+                raise TraceError(
+                    f"span {span_id} ({event['name']}) lies inside {phase['name']}: the "
+                    "coordinator's lane runs between dispatch and collection"
+                )
+
+
 def _check_stack_discipline(events: List[Dict[str, Any]]) -> None:
     """Events on one (pid, tid) track must nest or be disjoint."""
     tracks: Dict[Tuple[int, int], List[Dict[str, Any]]] = {}
@@ -139,6 +168,7 @@ def check_trace(document: Any) -> int:
     _check_containment(spans)
     _check_stack_discipline(complete)
     _check_scheduler_phases(spans)
+    _check_coordinator_lanes(spans)
     return len(complete)
 
 
