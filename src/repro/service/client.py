@@ -2,9 +2,10 @@
 
 The Python API is a thin typed wrapper over the keep-alive request
 protocol: every method is one send/recv round trip on the calling thread's
-connection, raises :class:`~repro.service.admission.ServiceBusy` on
-admission rejections and :class:`~repro.service.admission.ServiceError` on
-everything else, and never blocks past its timeout.  The CLI (``pash-client
+connection (two for a ``submit`` naming an upload the daemon no longer
+holds), raises :class:`~repro.service.admission.ServiceBusy` on admission
+rejections and :class:`~repro.service.admission.ServiceError` on everything
+else, and never blocks past its timeout.  The CLI (``pash-client
 submit | status | result | cancel | stats | metrics | ping | shutdown``) maps
 those calls onto exit codes: 0 success, 1 job failed, 2 unreachable/usage, 3
 rejected busy.
@@ -19,13 +20,16 @@ import sys
 import threading
 import time
 import weakref
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.runtime.streams import read_lines
-from repro.service import protocol
+from repro.service import protocol, uploads
 from repro.service.admission import ServiceBusy, ServiceError
 from repro.service.protocol import Address
+
+#: A submitted file's :func:`~repro.service.uploads.fingerprint`, by name.
+_Prints = Dict[str, Optional[Tuple[str, int]]]
 
 
 class _Connection:
@@ -35,6 +39,71 @@ class _Connection:
         self.sock = sock
         self.last_used = time.monotonic()
         self.close = weakref.finalize(self, sock.close)
+        #: Whether a reply here acknowledged uploads (the daemon speaks
+        #: protocol 5); until then files travel as protocol 4 ``files``.
+        self.stores_uploads = False
+        #: The digests the daemon holds for this connection, in its order.
+        self.held = uploads.UploadLru(uploads.STORE_BYTES)
+
+    def submit(
+        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints, wait: float
+    ) -> Dict[str, Any]:
+        """Send a SUBMIT carrying ``files``; once more, inline, when the
+        daemon no longer holds a reference (that job was never admitted)."""
+        sent, response = self._exchange(message, files, prints, wait)
+        if response.get("code") == protocol.ERR_UNKNOWN_UPLOAD:
+            for digest in sent.get("refs", {}).values():
+                self.held.discard(digest)
+            sent, response = self._exchange(message, files, prints, wait)
+        return response
+
+    def _exchange(
+        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints, wait: float
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        sent, sizes = self._attach(message, files, prints)
+        response = protocol.exchange(self.sock, sent, wait)
+        stored = response.get("stored")
+        if isinstance(stored, list):
+            self.stores_uploads = True
+            self.held.acknowledge(
+                sent.get("refs", {}), {digest: None for digest in stored if digest in sizes}, sizes
+            )
+        return sent, response
+
+    def _attach(
+        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints
+    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """``message`` naming every file it can by digest: a reference when
+        the daemon holds it, an upload under its digest otherwise, and the
+        lines alone (``files``) when they have no digest or the daemon has
+        not shown it stores uploads; with the sizes of the uploads."""
+        if not self.stores_uploads:
+            return dict(message, files=files), {}
+        inline: Dict[str, List[str]] = {}
+        sent_uploads: Dict[str, List[str]] = {}
+        refs: Dict[str, str] = {}
+        sizes: Dict[str, int] = {}
+        for name, lines in files.items():
+            if name not in prints:
+                try:
+                    prints[name] = uploads.fingerprint(lines) if isinstance(lines, list) else None
+                except TypeError:  # not lines: the daemon answers bad-request
+                    prints[name] = None
+            digest_size = prints[name]
+            if digest_size is None:
+                inline[name] = lines
+                continue
+            digest, size = digest_size
+            refs[name] = digest
+            if digest not in self.held.entries:
+                sent_uploads[digest] = lines
+                sizes[digest] = size
+        sent = dict(message, refs=refs)
+        if sent_uploads:
+            sent["uploads"] = sent_uploads
+        if inline:
+            sent["files"] = inline
+        return sent, sizes
 
     def daemon_closed(self) -> bool:
         """Whether the daemon closed its end (idle timeout, restart): it never
@@ -110,13 +179,21 @@ class ServiceClient:
         return connection
 
     def _request(
-        self, message: Dict[str, Any], timeout: Optional[float] = None
+        self,
+        message: Dict[str, Any],
+        timeout: Optional[float] = None,
+        files: Optional[Dict[str, List[str]]] = None,
     ) -> Dict[str, Any]:
+        prints: _Prints = {}  # fingerprinted once per call, on first need
+
         def once() -> Dict[str, Any]:
             wait = timeout or self.timeout
             connection = self._connection(wait)
             try:
-                response = protocol.exchange(connection.sock, message, wait)
+                if files:
+                    response = connection.submit(message, files, prints, wait)
+                else:
+                    response = protocol.exchange(connection.sock, message, wait)
             except ServiceError:
                 connection.close()  # the stream is out of step: never reuse it
                 raise
@@ -163,6 +240,12 @@ class ServiceClient:
         ``done``/``failed``/``cancelled`` and carries ``stdout``/``files``/
         ``report`` on success.  With ``wait=False`` it is the queued
         snapshot; poll with :meth:`result`.
+
+        A file whose content this thread's connection already uploaded
+        travels as its digest (protocol 5): ``files`` are digested on every
+        call, so a list changed in place is new content.  The first submit
+        on a connection, and every submit to a protocol-4 daemon, sends the
+        lines.
         """
         message: Dict[str, Any] = {
             "type": protocol.MSG_SUBMIT,
@@ -170,8 +253,6 @@ class ServiceClient:
             "tenant": tenant,
             "wait": wait,
         }
-        if files:
-            message["files"] = files
         if stdin:
             message["stdin"] = stdin
         if backend:
@@ -191,7 +272,7 @@ class ServiceClient:
             socket_timeout = effective + 15.0
         else:
             socket_timeout = self.timeout
-        return self._request(message, timeout=socket_timeout)["job"]
+        return self._request(message, timeout=socket_timeout, files=files)["job"]
 
     def status(self, job_id: int) -> Dict[str, Any]:
         """The job's current snapshot (non-blocking)."""

@@ -17,6 +17,11 @@ Isolation model (what *shared* means here):
   :class:`~repro.runtime.streams.VirtualFileSystem` built from the files it
   submitted (``allow_real_files`` stays off: tenants cannot read the
   daemon's host filesystem).
+* **Uploads** — a file a connection uploaded under its digest stays in that
+  connection's :class:`~repro.service.uploads.UploadStore` (least recently
+  used out past :data:`~repro.service.uploads.STORE_BYTES`) until the
+  connection ends, and a later job names it by digest on that connection
+  only: no other connection, tenant or reconnect can resolve it.
 * **Shell state** — every job gets a fresh :class:`~repro.jit.driver.JitDriver`
   (whatever its backend); variables, ``$?``, and cwd never leak between
   tenants.
@@ -61,6 +66,7 @@ from repro.service import protocol, telemetry
 from repro.service.protocol import ProtocolError, recv_json_message, send_json_message
 from repro.service.admission import AdmissionController, ServiceBusy, ServiceError
 from repro.service.jobs import Job, JobState, JobTable
+from repro.service.uploads import UploadCounters, UploadStore
 from repro.shell.expansion import ExpansionError
 from repro.wire import is_loopback_host
 
@@ -157,6 +163,8 @@ class PashServiceDaemon:
             tenant_quota=self.options.tenant_quota,
         )
         self.jobs = JobTable()
+        #: Upload traffic and what every connection's store holds.
+        self.uploads = UploadCounters()
         self.run_queue: "queue.Queue[Job]" = queue.Queue()
         from repro.jit.cache import DiskPlanCache, PlanCache
 
@@ -356,6 +364,7 @@ class PashServiceDaemon:
         """Answer requests in order until EOF, an idle timeout, a malformed
         frame (answered ``bad-request``: the framing is lost) or shutdown."""
         shutdown_after = False
+        store = UploadStore(self.uploads)
         try:
             connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             connection.settimeout(protocol.IDLE_TIMEOUT_SECONDS)
@@ -370,7 +379,7 @@ class PashServiceDaemon:
                     break
                 if message is None:
                     break
-                response, shutdown_after = self._handle(message)
+                response, shutdown_after = self._handle(message, store)
                 send_json_message(connection, response)
         except (OSError, ProtocolError):
             pass  # the client vanished or idled out; its job (if any) keeps running
@@ -378,6 +387,7 @@ class PashServiceDaemon:
             with self._connections_lock:
                 self._connections.pop(connection, None)
             connection.close()
+            store.close()
         if shutdown_after:
             self.shutdown()
 
@@ -396,12 +406,15 @@ class PashServiceDaemon:
             if thread is not threading.current_thread():
                 thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
-    def _handle(self, message: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
-        """Dispatch one request; returns (response, shutdown-after-reply)."""
+    def _handle(
+        self, message: Dict[str, Any], store: UploadStore
+    ) -> Tuple[Dict[str, Any], bool]:
+        """Dispatch one request on a connection whose uploads are ``store``;
+        returns (response, shutdown-after-reply)."""
         kind = message.get("type")
         try:
             if kind == protocol.MSG_SUBMIT:
-                return self._handle_submit(message), False
+                return self._handle_submit(message, store), False
             if kind == protocol.MSG_STATUS:
                 return self._job_response(message, wait=False), False
             if kind == protocol.MSG_RESULT:
@@ -448,7 +461,7 @@ class PashServiceDaemon:
 
     # -- request handlers ----------------------------------------------
 
-    def _handle_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
+    def _handle_submit(self, message: Dict[str, Any], store: UploadStore) -> Dict[str, Any]:
         if self._stopping.is_set():
             raise ServiceError(
                 "daemon is shutting down", code=protocol.ERR_SHUTTING_DOWN
@@ -472,17 +485,30 @@ class PashServiceDaemon:
                 code=protocol.ERR_BAD_REQUEST,
             )
         timeout = self._validated_timeout(message.get("timeout"))
+        refs = message.get("refs")
+        if files and isinstance(refs, dict) and not refs.keys().isdisjoint(files):
+            raise ServiceError(
+                "a file is both in 'files' and in 'refs'", code=protocol.ERR_BAD_REQUEST
+            )
+        # The last check before admission, and the first step that changes
+        # anything: the store keeps this request's uploads.
+        named, stored = store.resolve(refs, message.get("uploads"))
+        if files:
+            self.uploads.add(
+                inline=sum(sum(map(len, lines)) + len(lines) for lines in files.values())
+            )
+            named.update(files)
         try:
             self.admission.admit(tenant)
         except ServiceBusy as busy:
             self.events.emit("job-rejected", tenant=tenant, reason=busy.code)
-            raise
+            return dict(protocol.error_response(busy.code, str(busy)), stored=stored)
         job = self.jobs.create(
             tenant=tenant,
             script=script,
             backend=backend,
             config=config,
-            files=files,
+            files=named,
             stdin=stdin,
         )
         self.events.emit(
@@ -490,8 +516,11 @@ class PashServiceDaemon:
         )
         self.run_queue.put(job)
         if message.get("wait", True):
-            return self._wait_for(job, timeout)
-        return {"type": protocol.MSG_JOB, "job": job.payload(include_output=False)}
+            response = self._wait_for(job, timeout)
+        else:
+            response = {"type": protocol.MSG_JOB, "job": job.payload(include_output=False)}
+        response["stored"] = stored
+        return response
 
     def _job_config(self, overrides: Any) -> PashConfig:
         """The daemon's config with a submission's overrides merged on top."""
@@ -741,8 +770,8 @@ class PashServiceDaemon:
 
     #: Version of the :meth:`stats` payload shape.  2 added ``schema``
     #: itself, an always-present ``pool`` key (None when poolless), and the
-    #: ``sampler``/``trace`` sections.
-    STATS_SCHEMA = 2
+    #: ``sampler``/``trace`` sections; 3 the ``uploads`` section.
+    STATS_SCHEMA = 3
 
     def stats(self) -> Dict[str, Any]:
         """The STATS payload: admission, queue, cache, and pool counters."""
@@ -772,6 +801,7 @@ class PashServiceDaemon:
                 "spans": len(self.tracer.spans),
                 "dropped_spans": self.tracer.dropped_spans,
             },
+            "uploads": self.uploads.to_dict(),
         }
         return snapshot
 

@@ -94,8 +94,10 @@ class Job:
         with self._lock:
             if self.state in JobState.TERMINAL:
                 return False
-            self.stdout = list(stdout)
-            self.out_files = dict(out_files)
+            # Streams are read-only once handed over: the run's own lists
+            # are kept, and every payload serializes them as they are.
+            self.stdout = stdout
+            self.out_files = out_files
             self.report = report
             self.elapsed_seconds = elapsed_seconds
             self.state = JobState.DONE
@@ -164,10 +166,8 @@ class Job:
                 snapshot["error"] = self.error
                 snapshot["error_code"] = self.error_code
             if include_output and self.state == JobState.DONE:
-                snapshot["stdout"] = list(self.stdout)
-                snapshot["files"] = {
-                    name: list(lines) for name, lines in self.out_files.items()
-                }
+                snapshot["stdout"] = self.stdout
+                snapshot["files"] = self.out_files
                 snapshot["report"] = self.report
             return snapshot
 

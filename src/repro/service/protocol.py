@@ -22,7 +22,8 @@ ends after its first reply.
 
 Requests::
 
-    SUBMIT   {script, tenant, files?, stdin?, backend?, config?, wait?, timeout?}
+    SUBMIT   {script, tenant, files?, uploads?, refs?, stdin?, backend?, config?,
+              wait?, timeout?}
     STATUS   {job_id}
     RESULT   {job_id, timeout?}          # blocks (bounded) until terminal
     CANCEL   {job_id}
@@ -32,11 +33,31 @@ Requests::
 
 Responses::
 
-    JOB   {job: {job_id, state, stdout?, files?, report?, ...}}
-    ERROR {code, message, job?}          # codes below; `job` on timeouts
+    JOB   {job: {job_id, state, stdout?, files?, report?, ...}, stored?}
+    ERROR {code, message, job?, stored?} # codes below; `job` on timeouts
     STATS {stats: {...}}
     PONG  {version, protocol, pid}
     OK    {}
+
+A SUBMIT names a job's input files three ways (protocol 5; the first is
+all protocol 4 had, and still works alone):
+
+* ``files``   ``{name: [line, ...]}`` — inline, used by this job only;
+* ``uploads`` ``{digest: [line, ...]}`` — inline, and kept in this
+  connection's upload store under ``digest``
+  (:func:`repro.service.uploads.fingerprint` of the lines; the daemon
+  recomputes it and answers ``bad-request`` on a mismatch);
+* ``refs``    ``{name: digest}`` — the file ``name`` is the upload
+  ``digest``, sent in this message's ``uploads`` or earlier on this
+  connection.
+
+Every SUBMIT reply that got past validating these carries ``stored``, the
+digests now held for this connection, so a client sends a reference only
+after an acknowledgement (and never to a protocol-4 daemon, whose replies
+have no ``stored``).  A reference the connection's store no longer holds
+is answered ``unknown-upload`` before admission: the job was never
+admitted, and the client may send it again with the lines inline.  Uploads
+never outlive their connection (see :mod:`repro.service.uploads`).
 
 Every blocking path is bounded server-side by the daemon's
 ``max_wait_seconds`` — a client that asks to wait forever still gets a
@@ -74,7 +95,10 @@ __all__ = [
 #: Version 3: added the ``metrics`` request (Prometheus exposition +
 #: registry snapshot) and a versioned ``schema`` field in STATS payloads.
 #: Version 4: connections are keep-alive (many requests per connection).
-SERVICE_PROTOCOL_VERSION = 4
+#: Version 5: a SUBMIT may name a file its connection already uploaded by
+#: digest (``uploads``/``refs``, the ``stored`` acknowledgement and the
+#: ``unknown-upload`` code); ``files`` alone keeps working.
+SERVICE_PROTOCOL_VERSION = 5
 
 #: How long the daemon keeps an idle connection open between requests.  A
 #: client reuses a connection only while it has been idle for less than
@@ -104,6 +128,7 @@ ERR_BUSY = "busy"  # run queue full (admission)
 ERR_QUOTA = "quota"  # tenant at quota (admission)
 ERR_BAD_REQUEST = "bad-request"
 ERR_UNKNOWN_JOB = "unknown-job"
+ERR_UNKNOWN_UPLOAD = "unknown-upload"  # a ref this connection's store does not hold
 ERR_TIMEOUT = "timeout"  # bounded wait elapsed; job still in flight
 ERR_SHUTTING_DOWN = "shutting-down"
 ERR_EXECUTION = "execution"  # the script itself failed

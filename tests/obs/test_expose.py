@@ -104,9 +104,9 @@ class TestMetricsServer:
         server.start()
         try:
             url = f"http://127.0.0.1:{server.port}/metrics"
-            response = urllib.request.urlopen(url)
-            assert response.headers["Content-Type"].startswith("text/plain")
-            body = response.read().decode("utf-8")
+            with urllib.request.urlopen(url) as response:
+                assert response.headers["Content-Type"].startswith("text/plain")
+                body = response.read().decode("utf-8")
             check_metrics.lint_text(body)
             assert "pash_jobs_completed_total 5" in body
         finally:
@@ -118,7 +118,9 @@ class TestMetricsServer:
         try:
             with pytest.raises(urllib.error.HTTPError) as info:
                 urllib.request.urlopen(f"http://127.0.0.1:{server.port}/nope")
-            assert info.value.code == 404
+            # The error carries the open response and its socket: the caller owns both.
+            with info.value:
+                assert info.value.code == 404
         finally:
             server.stop()
 

@@ -78,19 +78,23 @@ class TestAtomicJobCounters:
 
 
 class TestStatsSchema:
-    def test_schema_2_shape(self, make_daemon, client_for, run_with_deadline):
+    def test_schema_3_shape(self, make_daemon, client_for, run_with_deadline):
         daemon = make_daemon(executors=1)
         client = client_for(daemon)
         run_with_deadline(lambda: client.submit(SCRIPT, files=FILES))
         stats = run_with_deadline(client.stats)
-        assert stats["schema"] == 2
+        assert stats["schema"] == 3
         assert stats["uptime_seconds"] > 0
         assert stats["jobs"]["completed"] == 1
-        assert "pool" in stats  # always present at schema 2
+        assert "pool" in stats  # always present since schema 2
         assert stats["pool"] is None or "workers_replaced" in stats["pool"]
         assert set(stats["plan_cache"]) >= {"hits", "misses", "entries"}
         assert stats["sampler"]["ratio"] == 1.0
         assert set(stats["trace"]) == {"enabled", "spans", "dropped_spans"}
+        # Schema 3: the first submit on a connection sends its file inline.
+        assert stats["uploads"] == {
+            "inline_bytes": 8, "referenced_bytes": 0, "misses": 0, "held_bytes": 0,
+        }
 
     def test_poolless_daemon_reports_pool_none(self, make_daemon, client_for):
         config = PashConfig.paper_default(2, backend="jit", jobs=0)
@@ -155,9 +159,10 @@ class TestHttpEndpoint:
         client = client_for(daemon)
         run_with_deadline(lambda: client.submit(SCRIPT, files=FILES))
         port = daemon.metrics_server.port
-        body = urllib.request.urlopen(
+        with urllib.request.urlopen(
             f"http://127.0.0.1:{port}/metrics", timeout=10
-        ).read().decode("utf-8")
+        ) as response:
+            body = response.read().decode("utf-8")
         check_metrics.lint_text(body)
         assert "pash_jobs_completed_total 1" in body
         assert "pash_queue_depth 0" in body

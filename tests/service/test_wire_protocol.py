@@ -28,9 +28,11 @@ from repro.service import PashServiceDaemon, ServiceError, ServiceOptions
 from repro.service import protocol
 from repro.service.client import ServiceClient
 from repro.service.jobs import Job, JobState
+from repro.service.uploads import fingerprint
 from repro.wire import is_loopback_host
 
 HEADER = struct.Struct(">I")
+HELLO = fingerprint(["hello"])[0]
 
 
 def raw_roundtrip(endpoint, payload):
@@ -192,6 +194,16 @@ def test_malformed_fields_are_bad_request_not_internal(make_daemon, client_for):
         {"files": ["a.txt"]},  # was `internal` (AttributeError)
         {"files": {"a.txt": ["ok", 5]}},
         {"stdin": "hello"},
+        {"refs": ["a.txt"]},  # refs must be a dict
+        {"uploads": [["hello"]]},  # uploads must be a dict
+        {"refs": {"a.txt": 5}},  # a digest is a string
+        {"refs": {"a.txt": None}},
+        {"uploads": {HELLO: "hello"}, "refs": {"a.txt": HELLO}},  # not a list
+        {"uploads": {HELLO: ["hello", 5]}},  # not lines
+        {"uploads": {HELLO: ["goodbye"]}, "refs": {"a.txt": HELLO}},  # wrong digest
+        {"uploads": {"hello": ["hello"]}},  # not a digest at all
+        {"uploads": {fingerprint(["a", "b"])[0]: ["a\nb"]}},  # a join, not its lines
+        {"files": {"a.txt": ["x"]}, "uploads": {HELLO: ["hello"]}, "refs": {"a.txt": HELLO}},
     ],
 )
 def test_malformed_files_and_stdin_are_refused_before_admission(make_daemon, fields):
@@ -239,6 +251,27 @@ def test_complete_cannot_resurrect_a_failed_job():
     assert job.state == JobState.FAILED
     assert job.error_code == "shutting-down"
     assert job.fail("again") is False  # fail() is equally idempotent
+
+
+def test_a_done_payload_carries_the_results_own_lists():
+    job = Job(job_id=1, tenant="t", script="x", backend="jit", config=None)
+    assert job.try_start()
+    stdout, out_files = ["a", "b"], {"out.txt": ["c"]}
+    assert job.complete(stdout=stdout, out_files=out_files, report=None, elapsed_seconds=0.1)
+    for _ in range(2):  # no copy when the job finishes, none per snapshot
+        payload = job.payload()
+        assert payload["stdout"] is stdout
+        assert payload["files"]["out.txt"] is out_files["out.txt"]
+
+
+def test_a_second_result_call_returns_equal_output(make_daemon, client_for):
+    daemon = make_daemon(executors=1)
+    client = client_for(daemon)
+    job = client.submit("sort a.txt; cat a.txt > out.txt", files={"a.txt": ["b", "a"]}, wait=False)
+    first = client.result(job["job_id"])
+    second = client.result(job["job_id"])
+    assert first["stdout"] == second["stdout"] == ["a", "b"]
+    assert first["files"] == second["files"] == {"out.txt": ["b", "a"]}
 
 
 def test_the_service_tier_does_not_load_the_pickle_tier():
