@@ -53,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.protocol import (
-    MSG_ACK,
     MSG_CHUNK,
     MSG_EDGE_END,
     MSG_HEARTBEAT,
@@ -166,8 +165,6 @@ class ClusterWorkerHandle:
 
     worker_id: int
     channel: MessageSocket
-    pid: int = 0
-    cores: int = 1
     last_seen: float = field(default_factory=time.monotonic)
     alive: bool = True
     #: node_id of the task currently dispatched to this worker, if any.
@@ -312,16 +309,10 @@ class ClusterCoordinator:
         handle = ClusterWorkerHandle(
             worker_id=next(_worker_ids),
             channel=MessageSocket(sock),
-            pid=int(message.get("pid", 0)),
-            cores=int(message.get("cores", 1)),
         )
         try:
             handle.channel.send(
-                {
-                    "type": MSG_WELCOME,
-                    "worker_id": handle.worker_id,
-                    "heartbeat_interval": self.options.heartbeat_interval,
-                }
+                {"type": MSG_WELCOME, "heartbeat_interval": self.options.heartbeat_interval}
             )
         except OSError:
             handle.channel.close()
@@ -645,10 +636,6 @@ class _GraphRun:
             )
         for edge_id, sink in task.sinks.items():
             self.store.put(edge_id, sink.store())
-        try:
-            handle.channel.send({"type": MSG_ACK, "task_id": node_id})
-        except OSError:
-            pass  # the outputs are committed; a dying worker changes nothing
         for span in report.get("spans") or ():
             span.set(cluster_worker=handle.worker_id)
             self.tracer.record(span)

@@ -3,7 +3,7 @@
 Every message is one :mod:`repro.wire` frame (4-byte length prefix, size
 cap) whose body is a pickled dict.
 
-Control messages (REGISTER, WELCOME, TASK, RESULT, HEARTBEAT, ACK, SHUTDOWN)
+Control messages (REGISTER, WELCOME, TASK, RESULT, HEARTBEAT, SHUTDOWN)
 are small dicts; bulk data never rides inside them.  Cross-host DFG edges
 travel instead as a sequence of CHUNK messages whose ``data`` payloads are
 the pieces of a :class:`repro.engine.channels.StoredStream`
@@ -14,15 +14,17 @@ than inventing a second one.  Each side appends the pieces it receives to a
 stored stream, so a stream moves in bounded memory on both sides of the
 socket and is never decoded on the way.
 
-Message flow for one task::
+Message flow for one worker and one task::
 
     coordinator                                worker
+        <-  REGISTER {version}
+        WELCOME {heartbeat_interval}                ->
+        <-  HEARTBEAT {}  (every heartbeat_interval, from its own thread)
         TASK {task_id, node, inputs, outputs, ...}  ->
         CHUNK* / EDGE_END per input edge            ->
                                                     (executes the node)
         <-  CHUNK* / EDGE_END per output edge
-        <-  RESULT {task_id, report}
-        ACK {task_id}                               ->
+        <-  RESULT {task_id, report}           (the coordinator commits)
 
 Pickle is safe here in the same sense as the worker pool's plan queue: both
 endpoints are the same codebase, started by the same user, on an address the
@@ -40,17 +42,18 @@ from typing import Any, Dict, Iterable, Optional
 from repro.wire import Codec, recv_frame, send_frame
 
 #: Bumped on any incompatible message-shape change; checked at registration.
-PROTOCOL_VERSION = 1
+#: Version 2: no ACK after a commit, and REGISTER, WELCOME and HEARTBEAT
+#: carry only what their receiver reads.
+PROTOCOL_VERSION = 2
 
 # -- message types -----------------------------------------------------------
-MSG_REGISTER = "register"  # worker -> coordinator: {pid, cores, version}
-MSG_WELCOME = "welcome"  # coordinator -> worker: {worker_id, heartbeat_interval}
+MSG_REGISTER = "register"  # worker -> coordinator: {version}
+MSG_WELCOME = "welcome"  # coordinator -> worker: {heartbeat_interval}
 MSG_HEARTBEAT = "heartbeat"  # worker -> coordinator: liveness beacon
 MSG_TASK = "task"  # coordinator -> worker: one pickled node plan
 MSG_CHUNK = "chunk"  # either direction: one framed byte chunk of an edge
 MSG_EDGE_END = "edge-end"  # either direction: the edge's stream is complete
 MSG_RESULT = "result"  # worker -> coordinator: the node's execution report
-MSG_ACK = "ack"  # coordinator -> worker: the task's outputs are committed
 MSG_SHUTDOWN = "shutdown"  # coordinator -> worker: exit cleanly
 
 PICKLE_CODEC = Codec(

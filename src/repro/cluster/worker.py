@@ -28,7 +28,6 @@ liveness and only a *dead* worker trips the coordinator's requeue path.
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import socket
 import sys
@@ -38,7 +37,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.api.config import StreamingConfig
 from repro.cluster.protocol import (
-    MSG_ACK,
     MSG_CHUNK,
     MSG_EDGE_END,
     MSG_HEARTBEAT,
@@ -60,7 +58,6 @@ from repro.engine.channels import (
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
 from repro.resilience import fault as fault_injection
 from repro.resilience.retry import RetryPolicy, retry_call
-from repro.simulator.machine import usable_cores
 from repro.wire import ProtocolError, parse_address
 
 
@@ -125,7 +122,7 @@ def _heartbeat_loop(channel: MessageSocket, interval: float, stop: threading.Eve
         if fault_injection.fire(fault_injection.CLUSTER_HEARTBEAT):
             continue  # drop-frame fault: the coordinator hears silence
         try:
-            channel.send({"type": MSG_HEARTBEAT, "pid": os.getpid()})
+            channel.send({"type": MSG_HEARTBEAT})
         except OSError:
             return
 
@@ -178,14 +175,7 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
     stop = threading.Event()
     pending: Dict[int, _PendingTask] = {}
     try:
-        channel.send(
-            {
-                "type": MSG_REGISTER,
-                "pid": os.getpid(),
-                "cores": usable_cores(),
-                "version": PROTOCOL_VERSION,
-            }
-        )
+        channel.send({"type": MSG_REGISTER, "version": PROTOCOL_VERSION})
         welcome = channel.recv()
         if welcome is None or welcome.get("type") != MSG_WELCOME:
             print("pash-worker: coordinator refused registration", file=sys.stderr)
@@ -207,8 +197,6 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
             kind = message["type"]
             if kind == MSG_SHUTDOWN:
                 return 0
-            if kind == MSG_ACK or kind == MSG_HEARTBEAT:
-                continue
             if kind == MSG_TASK:
                 task = _PendingTask(message)
                 if task.complete():  # no input edges: run immediately

@@ -27,7 +27,7 @@ from repro.dfg.regions import (
     find_parallelizable_regions,
 )
 from repro.shell.ast_nodes import Command, Node, Pipeline, Redirection
-from repro.shell.expansion import ExpansionContext, ExpansionError, expand_word
+from repro.shell.expansion import ExpansionContext, ExpansionError, expand_pathnames, expand_word
 from repro.shell.parser import parse
 
 
@@ -247,20 +247,16 @@ class DFGBuilder:
                 fields = expand_word(word, self.context)
             except ExpansionError as exc:
                 raise UntranslatableRegion(str(exc)) from exc
-            argv.extend(self._glob_fields(word, fields))
+            argv.extend(expand_pathnames(word, fields, self._glob))
         return argv
 
-    def _glob_fields(self, word, fields: List[str]) -> List[str]:
-        """Apply pathname expansion to one word's fields (JIT mode only)."""
-        from repro.shell.expansion import expand_pathnames
-
-        def resolve(pattern: str) -> List[str]:
-            self.saw_glob = True
-            if self.filesystem is None:
-                return []  # AOT mode: the pattern stays literal
-            return self.filesystem.glob(pattern)
-
-        return expand_pathnames(word, fields, resolve)
+    def _glob(self, pattern: str) -> List[str]:
+        """A glob pattern's matches (JIT mode only: in AOT mode there is no
+        filesystem, so the pattern stays literal)."""
+        self.saw_glob = True
+        if self.filesystem is None:
+            return []
+        return self.filesystem.glob(pattern)
 
     def _split_redirections(
         self, command: Command

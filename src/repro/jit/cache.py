@@ -51,7 +51,7 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.dfg.regions import RegionFacts, region_facts
@@ -333,34 +333,23 @@ class DiskPlanCache(PlanCache):
 #: steer *how a run executes or is observed*, so including them would only
 #: fragment the (disk-persistent) plan cache across daemons and jobs:
 #: ``tracing`` toggles span recording, ``report_timeout_seconds`` bounds a
-#: wait, ``jobs`` sizes the worker pool, ``streaming.spill_directory`` names
-#: where a run spills (the service daemon makes it unique per job), and
+#: wait, ``jobs`` sizes the worker pool, ``streaming.spill_directory`` (dropped
+#: from the nested ``streaming`` dict) names where a run spills, and
 #: ``resilience`` only retries/degrades what the same compiled plan produced,
 #: and ``obs`` only samples/retains what an enabled tracer records.
 _RUNTIME_ONLY_FIELDS = ("tracing", "report_timeout_seconds", "jobs", "resilience", "obs")
 
 
+@functools.lru_cache(maxsize=64)
 def config_digest(config: Any) -> str:
     """A stable digest of a :class:`~repro.api.config.PashConfig`.
 
     Uses the config's round-trippable dict form, so any field that changes
     compilation output changes the digest (and therefore the cache key) —
-    minus the runtime-only fields listed in :data:`_RUNTIME_ONLY_FIELDS`,
-    which must *not* defeat plan sharing (a traced daemon and an untraced
-    one compile identical graphs).  The memo is keyed on the config with
-    ``spill_directory`` cleared, so a daemon's per-job spill directories all
-    hit one entry.
+    minus the runtime-only fields listed in :data:`_RUNTIME_ONLY_FIELDS` and
+    ``streaming.spill_directory``, which must *not* defeat plan sharing (a
+    traced daemon and an untraced one compile identical graphs).
     """
-    streaming = config.streaming
-    if streaming.spill_directory is not None:
-        config = config.replace(
-            streaming=replace(streaming, spill_directory=None)
-        )
-    return _digest(config)
-
-
-@functools.lru_cache(maxsize=64)
-def _digest(config: Any) -> str:
     snapshot = config.to_dict()
     for field_name in _RUNTIME_ONLY_FIELDS:
         snapshot.pop(field_name, None)
@@ -369,6 +358,3 @@ def _digest(config: Any) -> str:
         streaming.pop("spill_directory", None)
     payload = json.dumps(snapshot, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-config_digest.cache_info = _digest.cache_info  # type: ignore[attr-defined]

@@ -2,8 +2,7 @@
 
 The Python API is a thin typed wrapper over the keep-alive request
 protocol: every method is one send/recv round trip on the calling thread's
-connection (two for a ``submit`` naming an upload the daemon no longer
-holds), raises :class:`~repro.service.admission.ServiceBusy` on admission
+connection, raises :class:`~repro.service.admission.ServiceBusy` on admission
 rejections and :class:`~repro.service.admission.ServiceError` on everything
 else, and never blocks past its timeout.  The CLI (``pash-client
 submit | status | result | cancel | stats | metrics | ping | shutdown``) maps
@@ -20,16 +19,13 @@ import sys
 import threading
 import time
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.runtime.streams import read_lines
 from repro.service import protocol, uploads
 from repro.service.admission import ServiceBusy, ServiceError
 from repro.service.protocol import Address
-
-#: A submitted file's :func:`~repro.service.uploads.fingerprint`, by name.
-_Prints = Dict[str, Optional[Tuple[str, int]]]
 
 
 class _Connection:
@@ -39,71 +35,53 @@ class _Connection:
         self.sock = sock
         self.last_used = time.monotonic()
         self.close = weakref.finalize(self, sock.close)
-        #: Whether a reply here acknowledged uploads (the daemon speaks
-        #: protocol 5); until then files travel as protocol 4 ``files``.
+        #: Whether a reply here named what the daemon dropped (it speaks
+        #: protocol 6); until then files travel as plain ``files``.
         self.stores_uploads = False
-        #: The digests the daemon holds for this connection, in its order.
-        self.held = uploads.UploadLru(uploads.STORE_BYTES)
+        #: The digests the daemon holds for this connection.
+        self.held: Set[str] = set()
 
     def submit(
-        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints, wait: float
+        self, message: Dict[str, Any], files: Dict[str, List[str]], wait: float
     ) -> Dict[str, Any]:
-        """Send a SUBMIT carrying ``files``; once more, inline, when the
-        daemon no longer holds a reference (that job was never admitted)."""
-        sent, response = self._exchange(message, files, prints, wait)
-        if response.get("code") == protocol.ERR_UNKNOWN_UPLOAD:
-            for digest in sent.get("refs", {}).values():
-                self.held.discard(digest)
-            sent, response = self._exchange(message, files, prints, wait)
+        """Send a SUBMIT carrying ``files``; what it uploaded is held from
+        then on, until a reply names it under ``dropped``."""
+        sent = self._attach(message, files)
+        response = protocol.exchange(self.sock, sent, wait)
+        dropped = response.get("dropped")
+        if isinstance(dropped, list):  # past resolution: stored, then evicted
+            self.stores_uploads = True
+            self.held.update(sent.get("uploads", ()))
+            self.held.difference_update(dropped)
         return response
 
-    def _exchange(
-        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints, wait: float
-    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-        sent, sizes = self._attach(message, files, prints)
-        response = protocol.exchange(self.sock, sent, wait)
-        stored = response.get("stored")
-        if isinstance(stored, list):
-            self.stores_uploads = True
-            self.held.acknowledge(
-                sent.get("refs", {}), {digest: None for digest in stored if digest in sizes}, sizes
-            )
-        return sent, response
-
-    def _attach(
-        self, message: Dict[str, Any], files: Dict[str, List[str]], prints: _Prints
-    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+    def _attach(self, message: Dict[str, Any], files: Dict[str, List[str]]) -> Dict[str, Any]:
         """``message`` naming every file it can by digest: a reference when
         the daemon holds it, an upload under its digest otherwise, and the
         lines alone (``files``) when they have no digest or the daemon has
-        not shown it stores uploads; with the sizes of the uploads."""
+        not shown it stores uploads."""
         if not self.stores_uploads:
-            return dict(message, files=files), {}
+            return dict(message, files=files)
         inline: Dict[str, List[str]] = {}
         sent_uploads: Dict[str, List[str]] = {}
         refs: Dict[str, str] = {}
-        sizes: Dict[str, int] = {}
         for name, lines in files.items():
-            if name not in prints:
-                try:
-                    prints[name] = uploads.fingerprint(lines) if isinstance(lines, list) else None
-                except TypeError:  # not lines: the daemon answers bad-request
-                    prints[name] = None
-            digest_size = prints[name]
-            if digest_size is None:
+            try:
+                checked = uploads.fingerprint(lines) if isinstance(lines, list) else None
+            except TypeError:  # not lines: the daemon answers bad-request
+                checked = None
+            if checked is None:
                 inline[name] = lines
                 continue
-            digest, size = digest_size
-            refs[name] = digest
-            if digest not in self.held.entries:
+            digest = refs[name] = checked[0]
+            if digest not in self.held:
                 sent_uploads[digest] = lines
-                sizes[digest] = size
         sent = dict(message, refs=refs)
         if sent_uploads:
             sent["uploads"] = sent_uploads
         if inline:
             sent["files"] = inline
-        return sent, sizes
+        return sent
 
     def daemon_closed(self) -> bool:
         """Whether the daemon closed its end (idle timeout, restart): it never
@@ -184,14 +162,12 @@ class ServiceClient:
         timeout: Optional[float] = None,
         files: Optional[Dict[str, List[str]]] = None,
     ) -> Dict[str, Any]:
-        prints: _Prints = {}  # fingerprinted once per call, on first need
-
         def once() -> Dict[str, Any]:
             wait = timeout or self.timeout
             connection = self._connection(wait)
             try:
                 if files:
-                    response = connection.submit(message, files, prints, wait)
+                    response = connection.submit(message, files, wait)
                 else:
                     response = protocol.exchange(connection.sock, message, wait)
             except ServiceError:
@@ -242,10 +218,10 @@ class ServiceClient:
         snapshot; poll with :meth:`result`.
 
         A file whose content this thread's connection already uploaded
-        travels as its digest (protocol 5): ``files`` are digested on every
-        call, so a list changed in place is new content.  The first submit
-        on a connection, and every submit to a protocol-4 daemon, sends the
-        lines.
+        travels as its digest (protocol 6) until the daemon says it dropped
+        it: ``files`` are digested on every call, so a list changed in place
+        is new content.  The first submit on a connection, and every submit
+        to a daemon older than protocol 6, sends the lines.
         """
         message: Dict[str, Any] = {
             "type": protocol.MSG_SUBMIT,

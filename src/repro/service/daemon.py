@@ -18,16 +18,18 @@ Isolation model (what *shared* means here):
   submitted (``allow_real_files`` stays off: tenants cannot read the
   daemon's host filesystem).
 * **Uploads** — a file a connection uploaded under its digest stays in that
-  connection's :class:`~repro.service.uploads.UploadStore` (least recently
-  used out past :data:`~repro.service.uploads.STORE_BYTES`) until the
-  connection ends, and a later job names it by digest on that connection
-  only: no other connection, tenant or reconnect can resolve it.
+  connection's :class:`~repro.service.uploads.UploadStore` until the store
+  evicts it (least recently used, past ``UploadStore.CAPACITY``; the reply
+  that evicts it says so under ``dropped``) or the connection ends, and a
+  later job names it by digest on that connection only: no other
+  connection, tenant or reconnect can resolve it.
 * **Shell state** — every job gets a fresh :class:`~repro.jit.driver.JitDriver`
   (whatever its backend); variables, ``$?``, and cwd never leak between
   tenants.
-* **Spill files** — each job spills under its own unique subdirectory of
-  the configured spill directory, created before and removed after the run,
-  so concurrent jobs sharing one ``spill_directory`` cannot collide.
+* **Spill files** — every scheduler or cluster-coordinator run spills
+  under a directory of its own (``mkdtemp`` under the configured
+  ``spill_directory``), removed after the run, so concurrent jobs sharing
+  one ``spill_directory`` cannot collide.
 * **Worker processes and compiled plans** — deliberately shared; that is
   the point of the daemon.  The pool's ``run_lock`` serializes scheduler
   runs (bounding process count at the pool's high-water mark) and the plan
@@ -40,10 +42,8 @@ from __future__ import annotations
 import argparse
 import os
 import queue
-import shutil
 import socket
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -491,8 +491,9 @@ class PashServiceDaemon:
                 "a file is both in 'files' and in 'refs'", code=protocol.ERR_BAD_REQUEST
             )
         # The last check before admission, and the first step that changes
-        # anything: the store keeps this request's uploads.
-        named, stored = store.resolve(refs, message.get("uploads"))
+        # anything: the store keeps this request's uploads and evicts what no
+        # longer fits, which every reply from here on names as ``dropped``.
+        named, dropped = store.resolve(refs, message.get("uploads"))
         if files:
             self.uploads.add(
                 inline=sum(sum(map(len, lines)) + len(lines) for lines in files.values())
@@ -502,7 +503,7 @@ class PashServiceDaemon:
             self.admission.admit(tenant)
         except ServiceBusy as busy:
             self.events.emit("job-rejected", tenant=tenant, reason=busy.code)
-            return dict(protocol.error_response(busy.code, str(busy)), stored=stored)
+            return dict(protocol.error_response(busy.code, str(busy)), dropped=dropped)
         job = self.jobs.create(
             tenant=tenant,
             script=script,
@@ -519,7 +520,7 @@ class PashServiceDaemon:
             response = self._wait_for(job, timeout)
         else:
             response = {"type": protocol.MSG_JOB, "job": job.payload(include_output=False)}
-        response["stored"] = stored
+        response["dropped"] = dropped
         return response
 
     def _job_config(self, overrides: Any) -> PashConfig:
@@ -628,31 +629,21 @@ class PashServiceDaemon:
             if self.tracer.enabled and self.sampler.should_sample(job.tenant)
             else NULL_TRACER
         )
-        spill_dir: Optional[str] = None
         status = "completed"
         try:
-            try:
-                config, spill_dir = self._job_spill_directory(job)
-                with tracer.span(
-                    "service:job",
-                    "service",
-                    job_id=job.job_id,
-                    tenant=job.tenant,
-                    backend=job.backend,
-                ) as job_span:
-                    mark = tracer.mark()
-                    result = self._execute_supervised(job, config, tracer)
-                # The tracer is shared by every executor: slice this job's
-                # spans by ancestry, not by position.
-                spans = (
-                    tracer.descendants(job_span.span_id, mark) if tracer.enabled else None
-                )
-                report = RunReport.from_run(result, spans=spans).to_dict()
-            finally:
-                # Before the job turns terminal: a waiter that observes
-                # "done" must never still see the job's spill directory.
-                if spill_dir is not None:
-                    shutil.rmtree(spill_dir, ignore_errors=True)
+            with tracer.span(
+                "service:job",
+                "service",
+                job_id=job.job_id,
+                tenant=job.tenant,
+                backend=job.backend,
+            ) as job_span:
+                mark = tracer.mark()
+                result = self._execute_supervised(job, tracer)
+            # The tracer is shared by every executor: slice this job's
+            # spans by ancestry, not by position.
+            spans = tracer.descendants(job_span.span_id, mark) if tracer.enabled else None
+            report = RunReport.from_run(result, spans=spans).to_dict()
             # complete() is False when the job already turned terminal
             # (failed by the shutdown path past its grace period) — terminal
             # states stay terminal and the counters stay consistent.
@@ -688,28 +679,7 @@ class PashServiceDaemon:
             )
             self._release(job)
 
-    def _job_spill_directory(self, job: Job) -> Tuple[PashConfig, Optional[str]]:
-        """A per-job unique spill subdirectory (when one is configured).
-
-        Concurrent jobs must never share a flat spill directory: the run
-        directory is created fresh per job (``mkdtemp``) and removed after,
-        so no two jobs can ever see each other's spill files.  The cache
-        digest ignores ``spill_directory``, so this does not fragment the
-        plan cache.
-        """
-        base = job.config.streaming.spill_directory
-        if base is None:
-            return job.config, None
-        os.makedirs(base, exist_ok=True)
-        spill_dir = tempfile.mkdtemp(prefix=f"pash-job-{job.job_id}-", dir=base)
-        streaming = StreamingConfig(
-            chunk_size=job.config.streaming.chunk_size,
-            spill_threshold=job.config.streaming.spill_threshold,
-            spill_directory=spill_dir,
-        )
-        return job.config.replace(streaming=streaming), spill_dir
-
-    def _execute_supervised(self, job: Job, config: PashConfig, tracer: Tracer):
+    def _execute_supervised(self, job: Job, tracer: Tracer):
         """Run the job under the config's retry-then-degrade ladder.
 
         The job-level fault plan installs once around the whole ladder — not
@@ -717,11 +687,11 @@ class PashServiceDaemon:
         retried attempt sees the plan's advanced state (that is what lets
         retry-then-succeed happen at all).
         """
-        resilience = config.resilience
+        resilience = job.config.resilience
 
         def attempt():
             fault_injection.fire(fault_injection.SERVICE_EXECUTOR)
-            return self._execute(job, config, tracer, job.backend)
+            return self._execute(job, tracer, job.backend)
 
         if not resilience.active or job.backend == "interpreter":
             return attempt()
@@ -731,7 +701,7 @@ class PashServiceDaemon:
             # contract: still the script driver (control flow needs a
             # shell), every region pinned to the sequential interpreter.
             self.events.emit("job-degraded", job_id=job.job_id, tenant=job.tenant)
-            return self._execute(job, config, tracer, "interpreter")
+            return self._execute(job, tracer, "interpreter")
 
         plan = resilience.fault_plan()
         previous_plan = fault_injection.active()
@@ -743,19 +713,19 @@ class PashServiceDaemon:
             if plan is not None:
                 fault_injection.install(previous_plan)
 
-    def _execute(self, job: Job, config: PashConfig, tracer: Tracer, backend: str):
+    def _execute(self, job: Job, tracer: Tracer, backend: str):
         """Run the job's script on ``backend``, sharing the daemon's pool and cache.
 
-        Every call gets a *fresh* execution environment, so a half-consumed
-        stdin or partially written virtual file from a failed attempt never
-        leaks into the next one.
+        Every call gets a *fresh* execution environment, so a partially
+        written virtual file from a failed attempt never leaks into the next
+        one; the driver reads its own copy of ``job.stdin``.
         """
         environment = ExecutionEnvironment(
-            filesystem=VirtualFileSystem(job.files), stdin=list(job.stdin)
+            filesystem=VirtualFileSystem(job.files), stdin=job.stdin
         )
         return execute_script(
             job.script,
-            config,
+            job.config,
             backend,
             environment,
             cache=self.plan_cache,

@@ -33,14 +33,14 @@ Requests::
 
 Responses::
 
-    JOB   {job: {job_id, state, stdout?, files?, report?, ...}, stored?}
-    ERROR {code, message, job?, stored?} # codes below; `job` on timeouts
+    JOB   {job: {job_id, state, stdout?, files?, report?, ...}, dropped?}
+    ERROR {code, message, job?, dropped?} # codes below; `job` on timeouts
     STATS {stats: {...}}
     PONG  {version, protocol, pid}
     OK    {}
 
-A SUBMIT names a job's input files three ways (protocol 5; the first is
-all protocol 4 had, and still works alone):
+A SUBMIT names a job's input files three ways (since protocol 5; the first
+is all protocol 4 had, and still works alone):
 
 * ``files``   ``{name: [line, ...]}`` — inline, used by this job only;
 * ``uploads`` ``{digest: [line, ...]}`` — inline, and kept in this
@@ -51,13 +51,15 @@ all protocol 4 had, and still works alone):
   ``digest``, sent in this message's ``uploads`` or earlier on this
   connection.
 
-Every SUBMIT reply that got past validating these carries ``stored``, the
-digests now held for this connection, so a client sends a reference only
-after an acknowledgement (and never to a protocol-4 daemon, whose replies
-have no ``stored``).  A reference the connection's store no longer holds
-is answered ``unknown-upload`` before admission: the job was never
-admitted, and the client may send it again with the lines inline.  Uploads
-never outlive their connection (see :mod:`repro.service.uploads`).
+Every SUBMIT reply that got past resolving these carries ``dropped`` (protocol
+6), the digests the connection's store evicted while taking this request's
+uploads.  A client holds every digest it uploaded until a reply names it
+there, and sends a reference only once a reply on its connection carried
+``dropped`` (so never to a protocol-4 or -5 daemon).  A reference the store
+does not hold is answered ``unknown-upload`` before admission, the job never
+admitted; a client that follows ``dropped`` never sees it, so it never
+resends.  Uploads never outlive their connection (see
+:mod:`repro.service.uploads`).
 
 Every blocking path is bounded server-side by the daemon's
 ``max_wait_seconds`` — a client that asks to wait forever still gets a
@@ -98,7 +100,9 @@ __all__ = [
 #: Version 5: a SUBMIT may name a file its connection already uploaded by
 #: digest (``uploads``/``refs``, the ``stored`` acknowledgement and the
 #: ``unknown-upload`` code); ``files`` alone keeps working.
-SERVICE_PROTOCOL_VERSION = 5
+#: Version 6: a SUBMIT reply names the uploads the daemon evicted
+#: (``dropped``) in place of the ones it stored.
+SERVICE_PROTOCOL_VERSION = 6
 
 #: How long the daemon keeps an idle connection open between requests.  A
 #: client reuses a connection only while it has been idle for less than

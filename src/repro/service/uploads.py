@@ -1,19 +1,21 @@
 """Uploads a connection has already sent, kept so a later job can name them.
 
-A tenant's jobs often read the same input files again and again.  Protocol 5
+A tenant's jobs often read the same input files again and again.  Protocol 6
 lets a connection send each file's lines once: the client names every file
-it submits by its :func:`fingerprint`, sends a file inline (``uploads``) only
-until the daemon's reply has acknowledged its digest, and from then on sends
-the digest alone (``refs``).  The daemon keeps what a connection uploaded in
+it submits by its :func:`fingerprint`, sends a file inline (``uploads``) the
+first time, and from then on sends the digest alone (``refs``) until a reply
+says the daemon dropped it.  The daemon keeps what a connection uploaded in
 that connection's :class:`UploadStore` and nowhere else:
 
 * **Scope** — a digest resolves only on the connection that uploaded it, so
   no tenant can probe another's data by guessing digests, and the store is
   dropped when the connection ends.
-* **Bound** — each store holds at most :data:`STORE_BYTES` of line data and
-  drops its least recently used uploads past that.  A reference to a dropped
-  upload is answered ``unknown-upload`` before admission, and the client
-  resends that job once, inline.
+* **Bound** — each store holds at most :attr:`UploadStore.CAPACITY` of line
+  data and drops its least recently used uploads past that.  The store alone
+  decides what it drops, and every reply that got past :meth:`~UploadStore.resolve`
+  names those digests (``dropped``), so the client never has to guess.  A
+  reference the store does not hold is answered ``unknown-upload`` before
+  admission.
 * **Trust** — the daemon recomputes the digest of every upload it stores
   (once per content per connection) and refuses a mismatch ``bad-request``.
 
@@ -32,12 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.service.admission import ServiceError
 from repro.service.protocol import ERR_BAD_REQUEST, ERR_UNKNOWN_UPLOAD
 
-__all__ = ["STORE_BYTES", "UploadCounters", "UploadLru", "UploadStore", "fingerprint"]
-
-#: Line data one connection's store holds at most (UTF-8 bytes, newlines
-#: included).  A constant on purpose: the client mirrors it to know what the
-#: daemon still holds.
-STORE_BYTES = 64 << 20
+__all__ = ["UploadCounters", "UploadStore", "fingerprint"]
 
 
 def fingerprint(lines: List[str]) -> Optional[Tuple[str, int]]:
@@ -55,42 +52,6 @@ def fingerprint(lines: List[str]) -> Optional[Tuple[str, int]]:
         return None
     data = joined.encode("utf-8", "surrogatepass")
     return "%d:%s" % (len(lines), hashlib.sha256(data).hexdigest()), len(data) + (1 if lines else 0)
-
-
-class UploadLru:
-    """Digests in least-recently-used order, each with a value and a size.
-
-    The daemon keeps a file's lines as the value; a client keeps ``None``,
-    since the order and sizes are enough to know what the daemon still holds
-    when both acknowledge the same requests.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.held = 0
-        #: digest → (value, size), least recently used first.
-        self.entries: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
-
-    def discard(self, digest: str) -> None:
-        entry = self.entries.pop(digest, None)
-        if entry is not None:
-            self.held -= entry[1]
-
-    def acknowledge(self, refs: Dict[str, str], stored: Dict[str, Any], sizes: Dict[str, int]) -> None:
-        """One accepted SUBMIT: its references used, its uploads stored, then
-        the least recently used dropped until within capacity."""
-        entries = self.entries
-        for digest in refs.values():
-            if digest in entries:
-                entries.move_to_end(digest)
-        for digest, value in stored.items():
-            if digest in entries:
-                entries.move_to_end(digest)
-            else:
-                entries[digest] = (value, sizes[digest])
-                self.held += sizes[digest]
-        while self.held > self.capacity and entries:
-            self.held -= entries.popitem(last=False)[1][1]
 
 
 class UploadCounters:
@@ -129,18 +90,23 @@ class UploadCounters:
 class UploadStore:
     """One connection's uploads; used only by the thread serving it."""
 
-    #: Read when a connection opens.
-    CAPACITY = STORE_BYTES
+    #: Line data one store holds at most (UTF-8 bytes, newlines included).
+    CAPACITY = 64 << 20
 
     def __init__(self, counters: UploadCounters) -> None:
         self._counters = counters
-        self._lru = UploadLru(self.CAPACITY)
+        self._held = 0
+        #: digest → (lines, size), least recently used first.
+        self._entries: "OrderedDict[str, Tuple[List[str], int]]" = OrderedDict()
 
     def resolve(self, refs: Any, uploads: Any) -> Tuple[Dict[str, List[str]], List[str]]:
-        """A SUBMIT's ``refs``/``uploads`` as job files, and the digests stored.
+        """A SUBMIT's ``refs``/``uploads`` as job files, and the digests evicted.
 
-        Nothing changes unless the whole request is valid and every
-        reference resolves: a refused request neither stores nor evicts.
+        The request's references count as used and its uploads are stored;
+        then the least recently used uploads go until the store is within
+        :attr:`CAPACITY`.  Nothing changes unless the whole request is valid
+        and every reference resolves: a refused request neither stores nor
+        evicts.
         """
         refs = refs or {}
         uploads = uploads or {}
@@ -149,14 +115,14 @@ class UploadStore:
                 "'refs' must map names to digests and 'uploads' digests to lists of strings",
                 code=ERR_BAD_REQUEST,
             )
-        sizes: Dict[str, int] = {}
-        stored: Dict[str, List[str]] = {}
+        entries = self._entries
+        stored: Dict[str, Tuple[List[str], int]] = {}
         inline = 0
         for digest, lines in uploads.items():
             if not isinstance(lines, list):
                 raise ServiceError(f"upload {digest!r} is not a list of lines", code=ERR_BAD_REQUEST)
-            if digest in self._lru.entries:  # verified when it was stored: keep that copy
-                stored[digest], sizes[digest] = self._lru.entries[digest]
+            if digest in entries:  # verified when it was stored: keep that copy
+                stored[digest] = entries[digest]
             else:
                 try:
                     checked = fingerprint(lines)
@@ -166,17 +132,17 @@ class UploadStore:
                     raise ServiceError(
                         f"upload {digest!r} does not match its lines", code=ERR_BAD_REQUEST
                     )
-                stored[digest], sizes[digest] = lines, checked[1]
-            inline += sizes[digest]
+                stored[digest] = lines, checked[1]
+            inline += stored[digest][1]
         files: Dict[str, List[str]] = {}
         referenced = 0
         for name, digest in refs.items():
             if not isinstance(digest, str):
                 raise ServiceError(f"reference {name!r} is not a digest string", code=ERR_BAD_REQUEST)
             if digest in stored:
-                files[name] = stored[digest]
-            elif digest in self._lru.entries:
-                files[name], size = self._lru.entries[digest]
+                files[name] = stored[digest][0]
+            elif digest in entries:
+                files[name], size = entries[digest]
                 referenced += size
             else:
                 self._counters.add(misses=1)
@@ -184,12 +150,23 @@ class UploadStore:
                     f"upload {digest!r} is not held on this connection; send it inline",
                     code=ERR_UNKNOWN_UPLOAD,
                 )
-        held = self._lru.held
-        self._lru.acknowledge(refs, stored, sizes)
-        self._counters.add(inline=inline, referenced=referenced, held=self._lru.held - held)
-        return files, list(stored)
+        held = self._held
+        for digest in (*refs.values(), *stored):
+            if digest in entries:
+                entries.move_to_end(digest)
+            else:  # every reference resolved: this is one of the request's uploads
+                entries[digest] = stored[digest]
+                self._held += stored[digest][1]
+        dropped: List[str] = []
+        while self._held > self.CAPACITY:
+            digest, (_, size) = entries.popitem(last=False)
+            self._held -= size
+            dropped.append(digest)
+        self._counters.add(inline=inline, referenced=referenced, held=self._held - held)
+        return files, dropped
 
     def close(self) -> None:
         """Release every upload (the connection ended)."""
-        self._counters.add(held=-self._lru.held)
-        self._lru = UploadLru(self.CAPACITY)
+        self._counters.add(held=-self._held)
+        self._held = 0
+        self._entries.clear()

@@ -283,15 +283,6 @@ def expand_word(word: Word, context: Optional[ExpansionContext] = None) -> List[
     return [text]
 
 
-def expand_words(words: List[Word], context: Optional[ExpansionContext] = None) -> List[str]:
-    """Expand a word list into a flat argument vector."""
-    context = context or ExpansionContext()
-    argv: List[str] = []
-    for word in words:
-        argv.extend(expand_word(word, context))
-    return argv
-
-
 def _expand_braces(text: str) -> List[str]:
     """Expand one level of ``{a..b}`` and ``{x,y,z}`` brace patterns."""
     range_match = _BRACE_RANGE_RE.search(text)
@@ -372,8 +363,8 @@ def pattern_matches(name: str, pattern: str) -> bool:
     """POSIX pathname-pattern match: case-sensitive, explicit-dot rule.
 
     Names starting with ``.`` are only matched by patterns that themselves
-    start with ``.``.  The single matching rule shared by the in-memory
-    filesystem and the pure helpers below.
+    start with ``.``.  The single matching rule, used by the in-memory
+    filesystem's :meth:`~repro.runtime.streams.VirtualFileSystem.glob`.
     """
     if name.startswith(".") and not pattern.startswith("."):
         return False
@@ -402,21 +393,4 @@ def expand_pathnames(
             result.extend(list(resolver(field)) or [field])
         else:
             result.append(field)
-    return result
-
-
-def glob_fields(fields: Iterable[str], names: Sequence[str]) -> List[str]:
-    """Apply pathname expansion to expanded fields against a name list.
-
-    Each field containing a glob metacharacter is matched against the
-    candidate file names (sorted); per POSIX, a pattern with no match stays
-    literal (see :func:`pattern_matches` for the dot rule).
-    """
-    result: List[str] = []
-    for field in fields:
-        if not field_has_glob(field):
-            result.append(field)
-            continue
-        matches = sorted(name for name in names if pattern_matches(name, field))
-        result.extend(matches or [field])
     return result

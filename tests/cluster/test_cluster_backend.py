@@ -163,6 +163,32 @@ def test_startup_timeout_is_a_clean_error():
         coordinator.start()
 
 
+def test_a_stale_worker_is_refused_at_registration():
+    import socket
+
+    from repro.cluster.protocol import (
+        MSG_REGISTER,
+        MSG_WELCOME,
+        PROTOCOL_VERSION,
+        recv_message,
+        send_message,
+    )
+
+    coordinator = ClusterCoordinator(ClusterOptions(heartbeat_interval=0.25))
+    replies = []
+    try:
+        for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION):
+            worker, served = socket.socketpair()
+            with worker:
+                send_message(worker, {"type": MSG_REGISTER, "version": version})
+                coordinator._register(served)
+                replies.append(recv_message(worker))
+    finally:
+        coordinator.shutdown()
+    assert replies == [None, {"type": MSG_WELCOME, "heartbeat_interval": 0.25}]
+    assert len(coordinator.workers) == 1
+
+
 def test_malformed_connect_address_is_a_clean_error():
     coordinator = ClusterCoordinator(ClusterOptions(connect="nonsense"))
     with pytest.raises(ExecutionError, match="HOST:PORT"):

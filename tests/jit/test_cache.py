@@ -3,6 +3,7 @@
 import pytest
 
 from repro.api import PashConfig
+from repro.api.config import StreamingConfig
 from repro.dfg.regions import (
     iter_region_words,
     referenced_parameters,
@@ -148,3 +149,13 @@ def test_config_digest_stable_and_sensitive():
     assert config_digest(PashConfig()) != config_digest(
         PashConfig(disabled_passes=("eager-relays",))
     )
+
+
+def test_configs_differing_only_in_spill_directory_share_one_digest(tmp_path):
+    base = PashConfig(width=4)
+    spilled = base.replace(streaming=StreamingConfig(spill_directory=str(tmp_path)))
+    assert spilled != base
+    assert config_digest(spilled) == config_digest(base)
+    assert config_digest(
+        base.replace(streaming=StreamingConfig(spill_directory=str(tmp_path), spill_threshold=8))
+    ) != config_digest(base)

@@ -73,7 +73,7 @@ def test_requests_on_one_socket_are_answered_in_order(make_daemon):
         f"unknown job id {1000 + n}" for n in range(8)
     ]
     assert pong["type"] == protocol.MSG_PONG
-    assert pong["protocol"] == protocol.SERVICE_PROTOCOL_VERSION == 5
+    assert pong["protocol"] == protocol.SERVICE_PROTOCOL_VERSION == 6
 
 
 def test_bad_frame_mid_connection_is_answered_then_closed(make_daemon):

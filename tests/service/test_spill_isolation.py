@@ -1,13 +1,15 @@
 """Spill-directory isolation under the shared service daemon.
 
-Before this PR a daemon whose config named one ``spill_directory`` pointed
-every concurrent job's eager buffers at the same path; the fix gives each
-job a private ``pash-job-<id>-*`` subdirectory (removed after the run) and
-hardens every spill-file creation site with ``os.makedirs(..., exist_ok=True)``
-so a configured-but-missing directory is created rather than crashed on.
+A daemon whose config names one ``spill_directory`` runs every job on that
+config as it is: each scheduler run spills under a private ``mkdtemp``
+directory of its own beneath it, removed after the run, so concurrent jobs
+never see each other's spill files.  Every spill-file creation site calls
+``os.makedirs(..., exist_ok=True)``, so a configured-but-missing directory
+is created rather than crashed on.
 """
 
 import os
+import tempfile
 import threading
 
 from repro.api import Pash, PashConfig
@@ -81,45 +83,29 @@ def test_concurrent_jobs_sharing_spill_directory_do_not_collide(
     assert leftovers == []
 
 
-def test_jobs_get_unique_spill_subdirectories(tmp_path, make_daemon):
+def test_a_spilling_job_leaves_the_spill_directory_empty(tmp_path, make_daemon, monkeypatch):
     shared = str(tmp_path / "shared-spill")
+    made = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        made.append(real_mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
     daemon = make_daemon(executors=1, config=spilling_config(shared))
-    seen = []
-    original = daemon._job_spill_directory
-
-    def spy(job):
-        job_config, spill_dir = original(job)
-        seen.append(spill_dir)
-        return job_config, spill_dir
-
-    daemon._job_spill_directory = spy
     from repro.service import ServiceClient
 
-    client = ServiceClient(daemon.endpoint, timeout=30.0)
-    for slot in range(3):
-        job = client.submit(SCRIPT, files={"in.txt": bulk_lines(f"job{slot}", 200)})
-        assert job["state"] == "done"
-    assert len(seen) == 3
-    assert len(set(seen)) == 3, "each job must spill somewhere private"
-    for path in seen:
-        assert os.path.dirname(path) == shared
-        assert not os.path.exists(path), "job spill dirs are removed after the run"
-
-
-def test_per_job_spill_directories_share_one_config_digest(tmp_path, make_daemon):
-    from repro.jit.cache import config_digest
-    from repro.service import ServiceClient
-
-    daemon = make_daemon(executors=1, config=spilling_config(str(tmp_path / "spill")))
     with ServiceClient(daemon.endpoint, timeout=30.0) as client:
-        client.submit(SCRIPT, files={"in.txt": ["warm"]})
-        misses = config_digest.cache_info().misses
-        for slot in range(20):
-            job = client.submit(SCRIPT, files={"in.txt": [f"job{slot}"]})
-            assert job["state"] == "done"
-    # Every job's config names its own spill directory; the digest ignores it,
-    # and so does the memo.
-    assert config_digest.cache_info().misses - misses <= 1
+        for slot in range(3):
+            lines = bulk_lines(f"job{slot}", 200)
+            job = client.submit(SCRIPT, files={"in.txt": lines})
+            assert job["stdout"] == sorted(line.upper() for line in lines)
+            nodes = job["report"]["metrics"]["nodes"]
+            assert sum(node["spilled_bytes"] for node in nodes) > 0
+    runs = [path for path in made if os.path.dirname(path) == shared]
+    assert len(runs) == 3, made  # one run directory per job, under the base
+    assert os.listdir(shared) == []
 
 
 def test_missing_configured_spill_directory_is_created_not_fatal(tmp_path):

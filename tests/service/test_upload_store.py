@@ -1,12 +1,13 @@
-"""A file a connection already uploaded travels as its digest (protocol 5).
+"""A file a connection already uploaded travels as its digest (protocol 6).
 
 What is pinned here: a repeated round on one connection sends no lines; a
-digest resolves only on the connection that uploaded it; a reference the
-daemon dropped is ``unknown-upload`` and the client resends that job once,
-inline; a file without a digest (a line holding ``\\n``) always goes inline;
-the digest names content, not a list object; a daemon that acknowledges
-nothing (protocol 4) never gets a reference; and a connection's store dies
-with it.
+digest resolves only on the connection that uploaded it, and a reference
+the store does not hold is ``unknown-upload``, never admitted; the reply
+that evicts an upload names it under ``dropped`` and the client uploads it
+again instead of sending a stale reference; a file without a digest (a line
+holding ``\\n``) always goes inline; the digest names content, not a list
+object; a daemon whose replies carry no ``dropped`` (protocol 4 or 5) never
+gets a reference; and a connection's store dies with it.
 """
 
 import gc
@@ -96,7 +97,7 @@ def test_a_reference_resolves_only_on_the_connection_that_uploaded_it(make_daemo
     digest = fingerprint(lines)[0]
     with protocol.connect(daemon.endpoint, 10.0) as first:
         reply = _submit(first, "sort a.txt", uploads={digest: lines}, refs={"a.txt": digest})
-        assert reply["stored"] == [digest]
+        assert reply["dropped"] == []
         assert reply["job"]["stdout"] == sorted(lines)
         reply = _submit(first, "sort a.txt", refs={"a.txt": digest})
         assert reply["job"]["stdout"] == sorted(lines)
@@ -104,7 +105,7 @@ def test_a_reference_resolves_only_on_the_connection_that_uploaded_it(make_daemo
         with protocol.connect(daemon.endpoint, 10.0) as second:
             reply = _submit(second, "sort a.txt", refs={"a.txt": digest})
             assert reply["code"] == protocol.ERR_UNKNOWN_UPLOAD
-            assert "stored" not in reply
+            assert "dropped" not in reply
         assert daemon.admission.stats.admitted == admitted  # never admitted
     with protocol.connect(daemon.endpoint, 10.0) as reconnected:
         reply = _submit(reconnected, "sort a.txt", refs={"a.txt": digest})
@@ -112,24 +113,41 @@ def test_a_reference_resolves_only_on_the_connection_that_uploaded_it(make_daemo
     assert daemon.stats()["uploads"]["misses"] == 2
 
 
-def test_eviction_past_the_cap_is_unknown_upload_then_one_inline_resend(
+def test_a_reference_its_connection_never_stored_is_unknown_upload(make_daemon):
+    daemon = make_daemon(executors=1)
+    digest = fingerprint(FILES["a.txt"])[0]
+    with protocol.connect(daemon.endpoint, 10.0) as sock:
+        reply = _submit(sock, "sort a.txt", refs={"a.txt": digest})
+    assert reply["code"] == protocol.ERR_UNKNOWN_UPLOAD and "dropped" not in reply
+    assert daemon.admission.stats.admitted == 0
+    assert daemon.stats()["uploads"]["misses"] == 1
+
+
+def test_the_evicting_reply_names_the_drop_and_the_next_submit_uploads_it(
     make_daemon, client_for, wire, monkeypatch
 ):
-    # The daemon keeps less than the client believes it does: its store
-    # holds one of the two files, the client's mirror both.
+    # Room for either file, not for both.
     size = fingerprint(FILES["a.txt"])[1]
     monkeypatch.setattr(UploadStore, "CAPACITY", size + 1)
+    digest_a, digest_b = (fingerprint(FILES[name])[0] for name in ("a.txt", "b.txt"))
     daemon = make_daemon(executors=1)
     client = client_for(daemon)
     for name in ("a.txt", "a.txt", "b.txt"):  # inline; uploaded; b evicts a
-        assert client.submit("sort " + name, files={name: FILES[name]})["state"] == "done"
+        job = client.submit("sort " + name, files={name: FILES[name]})
+        assert job["stdout"] == sorted(FILES[name])
+    (_, first), (uploaded, kept), (evicting, evicted) = wire
+    assert first["dropped"] == [] and kept["dropped"] == []
+    assert uploaded["uploads"] == {digest_a: FILES["a.txt"]}
+    assert evicting["uploads"] == {digest_b: FILES["b.txt"]}
+    assert evicted["dropped"] == [digest_a]
     del wire[:]
     job = client.submit("sort a.txt", files={"a.txt": FILES["a.txt"]})
     assert job["stdout"] == sorted(FILES["a.txt"])
-    (refused, reply), (resent, _) = wire
-    assert reply["code"] == protocol.ERR_UNKNOWN_UPLOAD
-    assert "uploads" not in refused and resent["uploads"] == {refused["refs"]["a.txt"]: FILES["a.txt"]}
-    assert daemon.stats()["uploads"]["misses"] == 1
+    ((sent, reply),) = wire
+    assert sent["refs"] == {"a.txt": digest_a}
+    assert sent["uploads"] == {digest_a: FILES["a.txt"]}
+    assert reply["dropped"] == [digest_b]
+    assert daemon.stats()["uploads"]["misses"] == 0
     client.close()
 
 
@@ -158,8 +176,9 @@ def test_a_list_changed_in_place_is_new_content(make_daemon, client_for, wire):
     client.close()
 
 
-def test_a_daemon_that_acknowledges_nothing_never_gets_a_reference():
-    """A protocol-4 daemon stands in: it answers every submit, stores nothing."""
+def _fake_daemon_receives(acknowledgement):
+    """The SUBMITs a stand-in daemon receives over three client submits; it
+    answers each with ``acknowledgement`` merged into a done job."""
     received = []
     listener = socket.create_server(("127.0.0.1", 0))
     accepted = []
@@ -174,7 +193,8 @@ def test_a_daemon_that_acknowledges_nothing_never_gets_a_reference():
                     return
                 received.append(message)
                 job = {"job_id": len(received), "state": "done", "stdout": []}
-                protocol.send_json_message(connection, {"type": protocol.MSG_JOB, "job": job})
+                reply = dict(acknowledgement, type=protocol.MSG_JOB, job=job)
+                protocol.send_json_message(connection, reply)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -187,6 +207,19 @@ def test_a_daemon_that_acknowledges_nothing_never_gets_a_reference():
     finally:
         listener.close()
     assert len(accepted) == 1 and len(received) == 3
+    return received
+
+
+def test_a_daemon_that_acknowledges_nothing_never_gets_a_reference():
+    """A protocol-4 daemon stands in: it answers every submit, stores nothing."""
+    received = _fake_daemon_receives({})
+    assert all(message["files"] == FILES for message in received)
+    assert not any("refs" in message or "uploads" in message for message in received)
+
+
+def test_a_protocol_5_daemon_never_gets_a_reference():
+    """Its replies acknowledge what it ``stored``; none names what it ``dropped``."""
+    received = _fake_daemon_receives({"stored": []})
     assert all(message["files"] == FILES for message in received)
     assert not any("refs" in message or "uploads" in message for message in received)
 

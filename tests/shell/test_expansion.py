@@ -5,10 +5,11 @@ import pytest
 from repro.shell.expansion import (
     ExpansionContext,
     ExpansionError,
+    expand_pathnames,
     expand_word,
-    expand_words,
     try_expand_word,
 )
+from repro.runtime.streams import VirtualFileSystem
 from repro.shell.lexer import tokenize
 
 
@@ -80,10 +81,10 @@ def test_unquoted_variable_is_field_split():
     assert expand_word(word("$files"), context) == ["a.txt", "b.txt"]
 
 
-def test_expand_words_flattens():
+def test_expand_word_over_a_word_list():
     context = ExpansionContext({"x": "1"})
     words = [word("grep"), word("$x"), word("{a,b}")]
-    assert expand_words(words, context) == ["grep", "1", "a", "b"]
+    assert [field for w in words for field in expand_word(w, context)] == ["grep", "1", "a", "b"]
 
 
 def test_context_copy_is_independent():
@@ -253,23 +254,26 @@ def test_word_may_glob():
     assert word_may_glob(word("$pattern"))  # the value may introduce a glob
 
 
-def test_glob_fields_matches_and_sorts():
-    from repro.shell.expansion import glob_fields
+def glob(text, names, context=None):
+    """``text`` expanded, then globbed against a filesystem holding ``names``."""
+    resolver = VirtualFileSystem({name: [] for name in names}).glob
+    parsed = word(text)
+    return expand_pathnames(parsed, expand_word(parsed, context), resolver)
 
+
+def test_expand_pathnames_matches_and_sorts():
     names = ["b.txt", "a.txt", "notes.md", ".hidden.txt"]
-    assert glob_fields(["*.txt"], names) == ["a.txt", "b.txt"]
-    assert glob_fields(["*.md", "keep"], names) == ["notes.md", "keep"]
+    assert glob("*.txt", names) == ["a.txt", "b.txt"]
+    split = ExpansionContext({"pattern": "*.md keep"})
+    assert glob("$pattern", names, split) == ["notes.md", "keep"]
 
 
-def test_glob_fields_no_match_stays_literal():
-    from repro.shell.expansion import glob_fields
+def test_expand_pathnames_no_match_stays_literal():
+    assert glob("*.zip", ["a.txt"]) == ["*.zip"]
+    assert glob("'*.txt'", ["a.txt"]) == ["*.txt"]  # quoting suppresses globbing
 
-    assert glob_fields(["*.zip"], ["a.txt"]) == ["*.zip"]
 
-
-def test_glob_fields_hidden_files_need_explicit_dot():
-    from repro.shell.expansion import glob_fields
-
+def test_expand_pathnames_hidden_files_need_explicit_dot():
     names = [".hidden.txt", "shown.txt"]
-    assert glob_fields(["*.txt"], names) == ["shown.txt"]
-    assert glob_fields([".*.txt"], names) == [".hidden.txt"]
+    assert glob("*.txt", names) == ["shown.txt"]
+    assert glob(".*.txt", names) == [".hidden.txt"]
