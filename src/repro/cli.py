@@ -36,7 +36,7 @@ from repro.api.artifact import SCRIPT_LEVEL_BACKENDS
 from repro.commands.base import CommandError
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.interpreter import InterpreterError
-from repro.runtime.streams import VirtualFileSystem, read_lines
+from repro.runtime.streams import VirtualFileSystem, read_lines, write_lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,12 +345,9 @@ def _submit(source: str, arguments: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    for line in job.get("stdout", []):
-        print(line)
+    write_lines(sys.stdout.buffer, job.get("stdout", []))
     for name, lines in (job.get("files") or {}).items():
-        with open(name, "w") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+        write_lines(name, lines)
     if arguments.report:
         jit = (job.get("report") or {}).get("jit") or {}
         if jit:
@@ -388,12 +385,9 @@ def _execute(compiled: CompiledScript, arguments: argparse.Namespace):
         stdin=stdin_lines,
     )
     result = compiled.execute(backend=arguments.execute, environment=environment)
-    for line in result.stdout:
-        print(line)
+    write_lines(sys.stdout.buffer, result.stdout)
     for name, lines in result.files.items():
-        with open(name, "w") as handle:
-            for line in lines:
-                handle.write(line + "\n")
+        write_lines(name, lines)
     return result
 
 

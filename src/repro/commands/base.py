@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 
@@ -23,6 +23,40 @@ BlockKernel = Callable[[List[BlockStream]], List[BlockStream]]
 #: Lines per encoded or re-joined slice: enough that the per-slice Python
 #: overhead vanishes, few enough that memory stays at one chunk plus slack.
 BLOCK_LINES = 4096
+
+#: The one stream codec: UTF-8, each byte that does not decode carried as a lone
+#: surrogate (PEP 383), so any bytes round-trip and valid UTF-8 reads as text.
+_CODEC = ("utf-8", "surrogateescape")
+
+
+def encode_text(text: str) -> bytes:
+    """A stream's text as its bytes, by the stream codec."""
+    return text.encode(*_CODEC)
+
+
+def decode_text(data: bytes) -> str:
+    """A stream's bytes as text, by the stream codec; total: no input raises."""
+    return data.decode(*_CODEC)
+
+
+def encode_block(lines: Sequence[str]) -> bytes:
+    """Frame lines as one *line block*: whole, ``\\n``-terminated lines."""
+    return encode_text("\n".join(lines) + "\n") if lines else b""
+
+
+def decode_block(block: bytes) -> List[str]:
+    """Inverse of :func:`encode_block` (tolerates a missing final newline); no
+    UTF-8 sequence holds ``0x0A``, so splitting the text splits the bytes."""
+    lines = decode_text(block).split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def iter_line_slices(lines: Iterable[str]) -> Iterator[List[str]]:
+    """Cut a stream into lists of at most ``BLOCK_LINES`` lines."""
+    iterator = iter(lines)
+    return iter(lambda: list(islice(iterator, BLOCK_LINES)), [])
 
 
 def lines_of_blocks(streams: Iterable[BlockStream]) -> List[bytes]:
@@ -57,7 +91,7 @@ def block_map_kernel(
 
     def apply(block: bytes) -> bytes:
         if on_text is not None and not block.isascii():
-            return "\n".join(on_text(block.decode("utf-8").split("\n")[:-1]) + [""]).encode("utf-8")
+            return encode_block(on_text(decode_block(block)))
         return b"\n".join(on_lines(block.split(b"\n")[:-1]) + [b""])
 
     return lambda streams: [map(apply, chain.from_iterable(streams))]

@@ -6,14 +6,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
+from functools import partial
 from typing import List
 
 from repro.commands.base import (
     CommandError,
     Stream,
     concat_streams,
+    encode_block,
     flag_value,
     has_flag,
+    iter_line_slices,
     split_flags,
     stream_kernel,
 )
@@ -66,7 +69,7 @@ def tac(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 
 def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``wc [-l] [-w] [-c]``: line/word/character counts — only those asked for."""
+    """``wc [-l] [-w] [-c|-m]``: line/word/byte counts — only those asked for."""
     data = concat_streams(inputs)
     want_lines = has_flag(arguments, "-l")
     want_words = has_flag(arguments, "-w")
@@ -79,8 +82,8 @@ def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
         fields.append(len(data))
     if want_words:
         fields.append(len("\n".join(data).split()))  # no line holds a newline to split on
-    if want_chars:
-        fields.append(sum(map(len, data)) + len(data))
+    if want_chars:  # bytes, as under ``LC_ALL=C``
+        fields.append(sum(map(len, map(encode_block, iter_line_slices(data)))))
     return [" ".join(map(str, fields))]
 
 
@@ -153,22 +156,16 @@ def dirname(arguments: List[str], inputs: List[Stream]) -> Stream:
 # ---------------------------------------------------------------------------
 
 
-def sha1sum(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """Hash the concatenated input stream."""
-    digest = hashlib.sha1()
-    for line in concat_streams(inputs):
-        digest.update(line.encode("utf-8", errors="replace"))
-        digest.update(b"\n")
+def _digest(algorithm: str, arguments: List[str], inputs: List[Stream]) -> Stream:
+    """``sha1sum``/``md5sum`` over stdin: the digest of the stream's bytes."""
+    digest = hashlib.new(algorithm)
+    for block in map(encode_block, iter_line_slices(concat_streams(inputs))):
+        digest.update(block)
     return [f"{digest.hexdigest()}  -"]
 
 
-def md5sum(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """MD5 of the concatenated input stream."""
-    digest = hashlib.md5()
-    for line in concat_streams(inputs):
-        digest.update(line.encode("utf-8", errors="replace"))
-        digest.update(b"\n")
-    return [f"{digest.hexdigest()}  -"]
+sha1sum = partial(_digest, "sha1")
+md5sum = partial(_digest, "md5")
 
 
 def diff_command(arguments: List[str], inputs: List[Stream]) -> Stream:

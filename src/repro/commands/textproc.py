@@ -22,6 +22,8 @@ from repro.commands.base import (
     Stream,
     block_map_kernel,
     concat_streams,
+    decode_text,
+    encode_text,
     flag_value,
     has_flag,
     split_flags,
@@ -144,7 +146,7 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
         if has_flag(options, "-w"):  # no word character on either side
             pattern_text = r"(?<!\w)(?:%s)(?!\w)" % pattern_text
         flags = re.IGNORECASE if has_flag(options, "-i") else 0
-        pattern = re.compile(pattern_text.encode("utf-8") if binary else pattern_text, flags)
+        pattern = re.compile(encode_text(pattern_text) if binary else pattern_text, flags)
     except re.error as exc:
         raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
     probe = pattern.fullmatch if has_flag(options, "-x") else pattern.search
@@ -208,6 +210,21 @@ _TR_CLASSES = {
 }
 
 
+#: One SET character: an octal ``\\NNN`` (at most ``\\377``, as GNU reads it),
+#: another escape, or the character itself.
+_TR_CHAR = re.compile(r"\\([0-3][0-7]{2}|[0-7]{1,2})|\\(.)|(.)", re.DOTALL)
+_TR_ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t", "v": "\v"}
+
+
+def _tr_char(text: str, index: int) -> Tuple[str, int]:
+    """The character a SET spells at ``index`` and the index past it (``\\NNN``
+    is the byte NNN as the stream codec decodes it on its own)."""
+    octal, escape, plain = (match := _TR_CHAR.match(text, index)).groups()
+    if octal:
+        return decode_text(bytes([int(octal, 8)])), match.end()
+    return _TR_ESCAPES.get(escape, escape) if escape else plain, match.end()
+
+
 @lru_cache(maxsize=256)
 def _expand_tr_set(text: str) -> str:
     """Expand character classes, ranges, and escapes in a tr SET."""
@@ -216,18 +233,12 @@ def _expand_tr_set(text: str) -> str:
     expanded: List[str] = []
     index = 0
     while index < len(text):
-        char = text[index]
-        if char == "\\" and index + 1 < len(text):
-            escape = text[index + 1]
-            expanded.append({"n": "\n", "t": "\t", "\\": "\\"}.get(escape, escape))
-            index += 2
-        elif index + 2 < len(text) and text[index + 1] == "-":
-            start, end = ord(char), ord(text[index + 2])
-            expanded.extend(chr(code) for code in range(start, end + 1))
-            index += 3
+        char, index = _tr_char(text, index)
+        if index + 1 < len(text) and text[index] == "-":
+            end, index = _tr_char(text, index + 1)
+            expanded.extend(map(chr, range(ord(char), ord(end) + 1)))
         else:
             expanded.append(char)
-            index += 1
     return "".join(expanded)
 
 
@@ -246,7 +257,7 @@ class _TrTable(dict):
 
 def _squeezer(squeezed: str, binary: bool):
     """``text -> text`` squeezing every run of a ``squeezed`` character to one."""
-    encode = (lambda text: text.encode("ascii")) if binary else (lambda text: text)
+    encode = encode_text if binary else (lambda text: text)
     if len(squeezed) > 1:
         pattern = r"([%s])\1+" % "".join(map(re.escape, squeezed))
         return partial(re.compile(encode(pattern)).sub, encode(r"\1"))
@@ -407,7 +418,7 @@ def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
     # selected field needs splitting.
     limit = slices[-1][1] if slices else 1
     if binary:
-        delimiter = delimiter.encode("utf-8")
+        delimiter = encode_text(delimiter)
     join = delimiter.join
     if len(slices) == 1:
         ((low, high),) = slices
@@ -635,10 +646,7 @@ def col(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def iconv(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``iconv -c``: drop non-ASCII characters (sufficient for the pipelines)."""
-    return [
-        line.encode("ascii", errors="ignore").decode("ascii")
-        for line in concat_streams(inputs)
-    ]
+    return [re.sub(r"[^\x00-\x7f]+", "", line) for line in concat_streams(inputs)]
 
 
 def strings(arguments: List[str], inputs: List[Stream]) -> Stream:

@@ -31,10 +31,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.api.config import PashConfig
 from repro.backend.shell_emitter import emit_parallel_script
-from repro.commands.base import Stream
+from repro.commands.base import Stream, decode_block
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
-from repro.engine.channels import decode_block, encode_lines
 from repro.engine.metrics import EngineMetrics
 from repro.engine.pool import WorkerPool
 from repro.engine.scheduler import ParallelScheduler
@@ -45,6 +44,7 @@ from repro.runtime.executor import (
     ExecutionError,
     ExecutionResult,
 )
+from repro.runtime.streams import read_lines, write_lines
 
 
 @dataclass
@@ -160,8 +160,7 @@ class ShellBackend(ExecutionBackend):
             # Background jobs get /dev/null as stdin under POSIX sh, so the
             # environment's stdin is passed as a real file instead.
             stdin_path = os.path.join(scratch, "pash_stdin.txt")
-            with open(stdin_path, "wb") as handle:
-                handle.write(encode_lines(environment.stdin))
+            write_lines(stdin_path, environment.stdin)
             script = emit_parallel_script(
                 graph, PashConfig(fifo_directory=scratch), stdin_path=stdin_path
             )
@@ -266,8 +265,7 @@ class ShellBackend(ExecutionBackend):
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            with open(path, "wb") as handle:
-                handle.write(encode_lines(lines))
+            write_lines(path, lines)
 
     def _read_back(
         self,
@@ -281,8 +279,7 @@ class ShellBackend(ExecutionBackend):
                 continue
             path = self._path(scratch, edge.name)
             try:
-                with open(path, "rb") as handle:
-                    lines = decode_block(handle.read())
+                lines = read_lines(path)
             except FileNotFoundError:
                 lines = []
             # The script itself applied any `>>` append against the

@@ -1,10 +1,11 @@
 """OS-pipe channels: the streams of the parallel execution engine.
 
 A :class:`Channel` wraps one ``os.pipe`` — the engine's realization of a DFG
-edge.  Framing is newline-delimited UTF-8 and the unit that moves is the
-*line block* — a ``bytes`` object of whole, ``\\n``-terminated lines
-(:func:`iter_line_blocks`, :func:`encode_block`, :func:`decode_block`) — so
-framing costs one C call per block, never one Python iteration per line.
+edge.  Framing is newline-delimited bytes, any bytes, and the unit that moves
+is the *line block* — a ``bytes`` object of whole, ``\\n``-terminated lines
+(:func:`iter_line_blocks`; :func:`encode_block` and :func:`decode_block` are
+the stream codec of :mod:`repro.commands.base`) — so framing costs one C call
+per block, never one Python iteration per line.
 Backpressure is the kernel's: a producer that outruns its consumer blocks in
 ``write(2)`` exactly like a process writing to a full FIFO, which is the
 behaviour PaSh's eager relays exist to mitigate (§5.2).
@@ -37,10 +38,10 @@ import tempfile
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Deque, Iterable, Iterator, List, Optional, Tuple, Union
 
-from repro.commands.base import BLOCK_LINES
+from repro.commands.base import decode_block, encode_block, iter_line_slices
 from repro.resilience import fault as fault_injection
 from repro.resilience.errors import wrap_capacity_error
 
@@ -53,24 +54,6 @@ DEFAULT_SPILL_THRESHOLD = 1 << 23
 
 class ChannelError(RuntimeError):
     """Raised on invalid channel operations (e.g. writing after close)."""
-
-
-def encode_block(lines: Sequence[str]) -> bytes:
-    """Frame lines as one *line block*: whole, ``\\n``-terminated UTF-8 lines."""
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
-def decode_block(block: bytes) -> List[str]:
-    """Inverse of :func:`encode_block` (tolerates a missing final newline).
-
-    Splitting after the decode equals splitting the bytes — UTF-8 never
-    holds ``0x0A`` inside a sequence — and the strict decode raises on
-    invalid input.
-    """
-    lines = block.decode("utf-8").split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
 
 
 def iter_line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
@@ -96,14 +79,8 @@ def iter_line_blocks(chunks: Iterable[bytes]) -> Iterator[bytes]:
         yield b"".join(carry)
 
 
-def iter_line_slices(lines: Iterable[str]) -> Iterator[List[str]]:
-    """Cut a stream into lists of at most ``BLOCK_LINES`` lines."""
-    iterator = iter(lines)
-    return iter(lambda: list(islice(iterator, BLOCK_LINES)), [])
-
-
 def encode_lines(lines: Iterable[str]) -> bytes:
-    """Frame a whole stream as newline-terminated UTF-8 bytes."""
+    """Frame a whole stream as newline-terminated bytes."""
     return b"".join(map(encode_block, iter_line_slices(lines)))
 
 
@@ -130,7 +107,7 @@ def iter_encoded_chunks(lines: Iterable[str], chunk_size: int = DEFAULT_CHUNK_SI
 
 
 def iter_decoded_lines(chunks: Iterable[bytes]) -> Iterator[str]:
-    """Decode framed chunks into lines, a line block at a time (UTF-8-safe)."""
+    """Decode framed chunks into lines, a line block at a time (never mid-sequence)."""
     return chain.from_iterable(map(decode_block, iter_line_blocks(chunks)))
 
 
@@ -298,7 +275,7 @@ class StoredStream:
     fraction of page-cache speed).  A graph input that is a real file is
     just its ``path``, and one part of a file-backed split is the byte
     range ``[start, end)`` of it (``end`` None = to the end of the file).
-    The bytes are newline-delimited UTF-8 but a piece may end anywhere;
+    The bytes are newline-delimited but a piece may end anywhere;
     consumers re-cut with :func:`iter_line_blocks`.
     """
 

@@ -207,9 +207,6 @@ class ParallelScheduler:
         pooled: Dict[int, object] = {}  # node_id -> PoolWorker
         reports: Dict[int, dict] = {}
         edge_values: Dict[int, Stream] = {}
-        #: (label, error) of a collected stream that would not decode: raised
-        #: once every report is in, after any worker's own failure.
-        undecodable: List[Tuple[str, UnicodeDecodeError]] = []
         failed = False  # a landed report carried an error: the run will raise
 
         def land(report: dict) -> None:
@@ -219,11 +216,8 @@ class ParallelScheduler:
             failed = failed or bool(report["error"])
             for edge_id, stored in report["outputs"].items():
                 try:
-                    if not (failed or undecodable):
+                    if not failed:
                         edge_values[edge_id] = stored.lines(streaming.spill_threshold)
-                except UnicodeDecodeError as exc:
-                    # A pass-through node never decoded what it forwarded.
-                    undecodable.append((report["metrics"]["label"], exc))
                 finally:
                     stored.unlink()
 
@@ -317,11 +311,6 @@ class ParallelScheduler:
                     f"{report['metrics']['label']}: {report['error']}" for report in failures
                 )
                 raise ExecutionError(f"{len(failures)} worker(s) failed: {detail}")
-            if undecodable:
-                label, exc = undecodable[0]
-                raise ExecutionError(
-                    f"1 worker(s) failed: {label}: UnicodeDecodeError: {exc}"
-                ) from exc
 
             for report in reports.values():
                 for span in report.get("spans") or ():

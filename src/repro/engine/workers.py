@@ -422,13 +422,6 @@ def _run_chunk_mode(
     return []
 
 
-def _valid_block(block: bytes) -> bytes:
-    """A block no kernel will decode still raises here on invalid UTF-8."""
-    if not block.isascii():
-        block.decode("utf-8")
-    return block
-
-
 def _run_batch_mode(
     plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
     registry: CommandRegistry, metrics: NodeMetrics,
@@ -442,7 +435,7 @@ def _run_batch_mode(
     kernel = block_kernel(node, registry)
 
     def evaluate(block: bytes) -> None:
-        batch = [[_valid_block(block)]] if kernel else decode_block(block)
+        batch = [[block]] if kernel else decode_block(block)
         started = time.perf_counter()
         if kernel:
             pieces = list(kernel(batch)[0])  # a kernel may be lazy: force it here
@@ -472,7 +465,7 @@ def _run_materialize_mode(
     host = host_command_available(node, plan.use_host_commands)
     kernel = None if host else block_kernel(node, registry)
     if kernel:
-        streams = [list(map(_valid_block, source.iter_blocks())) for source in sources]
+        streams = [list(source.iter_blocks()) for source in sources]
         started = time.perf_counter()
         outputs = kernel(streams)
         if isinstance(node, (CommandNode, FusedStage)) and len(sinks) > 1:

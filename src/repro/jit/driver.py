@@ -359,9 +359,9 @@ class JitDriver(ShellInterpreter):
                 except ValueError as exc:
                     if not auto:
                         raise
-                    # A kernel refusing its arguments or its input (bad
-                    # flags, invalid UTF-8) is an ExecutionError on the
-                    # pool; the planner's choice must not change the error.
+                    # A kernel refusing its arguments (bad flags) is an
+                    # ExecutionError on the pool; the planner's choice must
+                    # not change the error.
                     raise ExecutionError(f"{type(exc).__name__}: {exc}") from exc
 
         resilience = self.config.resilience

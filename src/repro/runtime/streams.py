@@ -3,27 +3,38 @@
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import BinaryIO, Dict, Iterable, List, Optional, Set, Union
+
+from repro.commands.base import decode_block, encode_block, iter_line_slices
 
 
 def read_lines(source: Union[str, Path, BinaryIO]) -> List[str]:
     """Read a real file (by name) or an open binary stream with the stream
-    model's framing: lines end at ``\\n``.
+    model's framing: bytes, decoded by the one codec, lines end at ``\\n``.
 
-    Every layer of this reproduction — encode/decode in the engine channels,
-    the emitted shell scripts, the worker-side file streaming — treats a
-    stream as newline-delimited UTF-8.  The VFS fallback and the CLIs must
-    split the same way (not ``str.splitlines`` or a text-mode read, which
-    also break on ``\\r``/``\\f``/… and fold ``\\r\\n``), or the interpreter
-    oracle, the parallel engine and the host ``sh`` would disagree on files
-    containing those characters.
+    Every layer frames a stream this way (:func:`~repro.commands.base.decode_block`).
+    ``str.splitlines`` or a text-mode read would also break on ``\\r``/``\\f``/…
+    and fold ``\\r\\n``, and the interpreter, the engine and the host ``sh``
+    would disagree on files containing those characters.
     """
-    from repro.engine.channels import decode_block  # deferred: the engine imports this module
-
     if isinstance(source, (str, Path)):
         return decode_block(Path(source).read_bytes())
     return decode_block(source.read())
+
+
+def write_lines(target: Union[str, Path, BinaryIO], lines: Iterable[str]) -> None:
+    """The mirror of :func:`read_lines`: ``lines`` through the codec into a file
+    (by name) or a binary stream such as ``sys.stdout.buffer``, whatever the
+    text layer's encoding; text printed before is flushed first."""
+    if isinstance(target, (str, Path)):
+        with open(target, "wb") as handle:
+            handle.writelines(map(encode_block, iter_line_slices(lines)))
+    else:
+        sys.stdout.flush()
+        target.writelines(map(encode_block, iter_line_slices(lines)))
+        target.flush()
 
 
 class VirtualFileSystem:

@@ -22,7 +22,7 @@ import weakref
 from typing import Any, Dict, List, Optional, Set
 
 from repro.resilience.retry import RetryPolicy, retry_call
-from repro.runtime.streams import read_lines
+from repro.runtime.streams import read_lines, write_lines
 from repro.service import protocol, uploads
 from repro.service.admission import ServiceBusy, ServiceError
 from repro.service.protocol import Address
@@ -357,13 +357,10 @@ def _print_job(job: Dict[str, Any], arguments: Any) -> int:
         return 0 if job.get("state") == "done" else 1
     state = job.get("state")
     if state == "done":
-        for line in job.get("stdout", []):
-            print(line)
+        write_lines(sys.stdout.buffer, job.get("stdout", []))
         if getattr(arguments, "write_files", False):
             for name, lines in (job.get("files") or {}).items():
-                with open(name, "w", encoding="utf-8") as handle:
-                    for line in lines:
-                        handle.write(line + "\n")
+                write_lines(name, lines)
         return 0
     print(
         f"pash-client: job {job.get('job_id')} {state}: "

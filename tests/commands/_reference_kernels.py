@@ -14,7 +14,7 @@ import re
 from itertools import groupby
 from typing import List, Tuple
 
-from repro.commands.base import CommandError, concat_streams, flag_value, has_flag, split_flags
+from repro.commands.base import CommandError, concat_streams, encode_block, flag_value, has_flag, split_flags
 from repro.commands.textproc import _cut_slices, _expand_tr_set
 
 Stream = List[str]
@@ -173,7 +173,7 @@ def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
     data = concat_streams(inputs)
     lines = len(data)
     words = sum(len(line.split()) for line in data)
-    characters = sum(len(line) + 1 for line in data)
+    characters = sum(len(encode_block([line])) for line in data)  # bytes, as under LC_ALL=C
 
     want_lines = has_flag(arguments, "-l")
     want_words = has_flag(arguments, "-w")

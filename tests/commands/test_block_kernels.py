@@ -45,6 +45,12 @@ def inputs_for(seed: int):
         "ties": random_lines(rng, 400),
         "one long line": ["x" * (1 << 20)],
         "multibyte": ["é", "e", "z", "É", "日本", "ÿ", "Ā", "~"],
+        # Bytes that are not UTF-8, as the codec escapes them: every kernel's
+        # non-ASCII fallback meets them.  No valid multibyte character sits
+        # beside one, where ``sort``'s byte order and code-point order part.
+        "escaped bytes": decode_block(
+            b"caf\xe9\nCAF\xe9 x\ncaf\n\xff\xfe\na\x80b\nab\xe6\x97\n\xe9\nz \xc3\nZ\n\xe9\n b\xa0p p\n"
+        ),
     }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.commands import misc
-from repro.commands.base import CommandError
+from repro.commands.base import CommandError, decode_block
 
 
 def test_cat_concatenates_in_order():
@@ -40,6 +40,20 @@ def test_wc_counts():
     lines, words, chars = misc.wc([], [["ab", "c"]])[0].split()
     assert (lines, words) == ("2", "2")
     assert int(chars) == 5  # "ab\n" + "c\n"
+
+
+def test_wc_c_and_m_count_bytes_as_under_lc_all_c():
+    lines = decode_block(b"caf\xc3\xa9\nabc\xe9\n")  # a valid and an escaped non-ASCII byte
+    assert misc.wc(["-c"], [lines]) == misc.wc(["-m"], [lines]) == ["11"]
+    assert misc.wc([], [lines]) == ["2 2 11"]
+
+
+def test_digests_hash_the_stream_bytes():
+    import hashlib
+
+    lines = decode_block(b"caf\xe9\nabc\n")
+    for command, algorithm in ((misc.sha1sum, hashlib.sha1), (misc.md5sum, hashlib.md5)):
+        assert command([], [lines]) == [algorithm(b"caf\xe9\nabc\n").hexdigest() + "  -"]
 
 
 def test_seq_forms():

@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from repro.commands import textproc
-from repro.commands.base import CommandError
+from repro.commands.base import CommandError, decode_text
 from repro.dfg.nodes import CommandNode
 from repro.engine.workers import host_command_available
 
@@ -127,6 +127,21 @@ def test_tr_punct_class_delete():
 
 def test_tr_empty_input():
     assert textproc.tr(["a", "b"], [[]]) == []
+
+
+@pytest.mark.parametrize(
+    "escaped, expected",
+    [("\\r", "\r"), ("\\f", "\f"), ("\\v", "\v"), ("\\a", "\a"), ("\\b", "\b"), ("\\n", "\n"),
+     ("\\t", "\t"), ("\\\\", "\\"), ("\\015", "\r"), ("\\0", "\x00"), ("\\101-\\103", "ABC"),
+     ("\\400", " 0"), ("\\351", decode_text(b"\xe9")), ("\\q", "q"), ("a\\", "a\\")],
+)
+def test_tr_sets_read_gnu_escapes(escaped, expected):
+    """``\\NNN`` is the byte NNN (at most ``\\377``), as the stream codec decodes it alone."""
+    assert textproc._expand_tr_set(escaped) == expected
+
+
+def test_tr_deletes_an_escaped_carriage_return():
+    assert textproc.tr(["-d", "\\r"], [["ar\r"]]) == textproc.tr(["-d", "\\015"], [["ar\r"]]) == ["ar"]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import pytest
 
 from repro import api
 from repro.api import Pash, PashConfig, StreamingConfig
+from repro.engine.channels import encode_block
 from repro.jit import PlanCache
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
@@ -192,6 +193,82 @@ def test_tr_squeeze_boundary(row, backend, chunk_size, tmp_path):
         script, config=config, environment=ExecutionEnvironment(filesystem=VirtualFileSystem(files))
     )
     assert result.stdout == expected, f"{row} on {backend}, chunk_size={chunk_size}"
+
+
+# ---------------------------------------------------------------------------
+# bytes-in-bytes-out: input that is not UTF-8 text prints what the host prints
+# ---------------------------------------------------------------------------
+
+#: Each ends in a newline: a lone ``\\351``, a NUL, CRLF line ends, and
+#: valid UTF-8 (where ``wc -c`` counts bytes, not characters).
+BYTES_INPUTS = {
+    "lone-351": b"caf\xe9 au lait\nabc xyz\ncaf\xe9 au lait\nzz\xe9\n",
+    "nul": b"a\x00b c\nabc\na\x00b c\nxyz\n",
+    "crlf": b"one two\r\nxyz three\r\none two\r\n\r\n\a\b \f\v\ttab\r\n",
+    "utf-8": b"caf\xc3\xa9 au lait\nabc xyz\n",
+    # Where an escaped lone byte meets a valid multibyte character, ``str``
+    # order (code points) is not byte order: GNU puts ``\\303x`` first.
+    "sort-gap": b"\xc3\xa9x\n\xc3x\n",
+}
+BYTES_SCRIPTS = {
+    "tr-sort": "cat in.txt | tr a-z A-Z | sort",
+    "cut": "cat in.txt | cut -d ' ' -f 1",
+    "sort-uniq-c": "cat in.txt | sort | uniq -c",
+    "tr-d-cr": "cat in.txt | tr -d '\\r'",
+    "tr-d-octal": "cat in.txt | tr -d '\\015\\351'",
+    "tr-escapes": "cat in.txt | tr '\\a\\b\\f\\v\\t\\101' 'abfvtZ'",
+    "wc-c": "cat in.txt | wc -c",
+    "head": "cat in.txt | head -n 2",
+    "md5sum": "cat in.txt | md5sum",
+    "grep-v": "cat in.txt | grep -v xyz",  # GNU grep reads a NUL as a binary file
+}
+#: A cluster or emitted-script run costs 0.5-1 s (workers and helpers
+#: start per run), so those two legs take the input the codec escapes only.
+BYTES_BACKENDS = {
+    "lone-351": ["interpreter", "parallel", "jit", "cluster", "shell"],
+    "nul": ["interpreter", "parallel", "jit"],
+    "crlf": ["interpreter", "parallel", "jit"],
+    "utf-8": ["interpreter", "parallel", "jit"],
+}
+BYTES_CASES = [
+    pytest.param(data, BYTES_SCRIPTS[row], backend, id=f"{data}-{row}-{backend}")
+    for data in BYTES_BACKENDS
+    for row in BYTES_SCRIPTS
+    for backend in BYTES_BACKENDS[data]
+    if not (data == "nul" and row == "grep-v")
+]
+BYTES_CASES += [
+    pytest.param(
+        "sort-gap", "cat in.txt | sort", backend, id=f"sort-gap-{backend}",
+        marks=pytest.mark.xfail(strict=True, reason="sort orders escaped bytes by code point"),
+    )
+    for backend in ("interpreter", "parallel")
+]
+
+
+def host_bytes(script, directory):
+    """What ``LC_ALL=C sh`` prints for ``script`` run in ``directory``."""
+    return subprocess.run(
+        ["sh", "-c", script], cwd=directory, env=dict(os.environ, LC_ALL="C"),
+        stdout=subprocess.PIPE, check=True,
+    ).stdout
+
+
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "mkfifo", "tr", "sort", "md5sum"))),
+                    reason="missing coreutils")
+@pytest.mark.parametrize("data, script, backend", BYTES_CASES)
+def test_bytes_in_the_same_bytes_out(data, script, backend, tmp_path, monkeypatch):
+    """Every backend prints exactly the bytes of the host's ``LC_ALL=C sh``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(BYTES_INPUTS[data])
+    config = PashConfig.paper_default(WIDTH, backend=backend)
+    if backend == "jit":
+        config = config.replace(jit_inner_backend="parallel")  # tiny input: pin the pool
+    result = api.run(
+        script, config=config,
+        environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
+    )
+    assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} over {data} on {backend}"
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,15 @@ import pytest
 from repro import api
 from repro.annotations.classes import PARALLELIZABLE_PURE, STATELESS
 from repro.annotations.library import KNOWN_AGGREGATORS
-from repro.api import PashConfig, StreamingConfig
+from repro.api import PashConfig, ResilienceConfig, StreamingConfig
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, FusedStage, RelayNode, SplitNode
-from repro.engine.channels import StoredStream, file_ranges
+from repro.engine.channels import StoredStream, encode_block, file_ranges
 from repro.engine.metrics import NodeMetrics
 from repro.engine.scheduler import ParallelScheduler
 from repro.engine.workers import INLINE_HANDOFF_BYTES, InputPort, OutputPort, WorkerPlan, run_node
+from repro.resilience.fault import SPILL_WRITE, FaultSpec
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
 from repro.transform.passes import FuseStagesPass, PassContext
@@ -288,14 +289,17 @@ def test_hand_built_negative_shapes(tmp_path, monkeypatch):
     assert (metrics.splits_ranged, metrics.cats_gathered, len(metrics.nodes)) == (1, 0, 3)
 
 
-def test_invalid_utf8_in_a_gathered_branch_names_its_producer(tmp_path, monkeypatch):
-    """A pass-through branch never decodes; the scheduler's one decode does."""
+def test_invalid_utf8_in_a_gathered_branch_is_the_bytes_the_interpreter_prints(tmp_path, monkeypatch):
+    """A pass-through branch never decodes; the scheduler's one decode is total."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "F.txt").write_bytes(b"fine\nalso fine\n\xff\xfe broken\nlast\n")
+    payload = b"fine\nalso fine\n\xff\xfe broken\nlast\n"
+    (tmp_path / "F.txt").write_bytes(payload)
     scheduler = ParallelScheduler(environment(), PashConfig(width=2))
-    with pytest.raises(ExecutionError) as excinfo:
-        scheduler.execute(hand_built(blocking_branches=True))
-    assert "relay[blocking]: UnicodeDecodeError" in str(excinfo.value)
+    result, metrics = scheduler.execute(hand_built(blocking_branches=True))
+    expected = DFGExecutor(environment()).execute(hand_built(blocking_branches=True)).files
+    assert result.files == expected
+    assert encode_block(result.files["out.txt"]) == payload
+    assert metrics.cats_gathered == 1
 
 
 @pytest.mark.parametrize("failing", [False, True])
@@ -303,13 +307,16 @@ def test_a_spilled_gathered_branch_leaves_no_file_behind(failing, tmp_path, monk
     monkeypatch.chdir(tmp_path)
     spill = tmp_path / "spill"
     good = b"".join(b"line %d of the file\n" % index for index in range(2000))
-    (tmp_path / "F.txt").write_bytes(good + (b"\xff broken\n" if failing else b"tail\n"))
+    (tmp_path / "F.txt").write_bytes(good + b"tail\n")
+    # The failing run's disk fills after its spill files hold 4 KB.
+    faults = (FaultSpec(SPILL_WRITE, after_bytes=4096),) if failing else ()
     config = PashConfig.paper_default(
-        2, backend="parallel", streaming=StreamingConfig(spill_threshold=64, spill_directory=str(spill))
+        2, backend="parallel", streaming=StreamingConfig(spill_threshold=64, spill_directory=str(spill)),
+        resilience=ResilienceConfig(faults=faults),
     )
     script = "cat F.txt | tr a-z A-Z > out.txt"
     if failing:
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="spill:write"):
             api.run(script, config=config, backend="parallel", environment=environment())
     else:
         result = api.run(script, config=config, backend="parallel", environment=environment())
@@ -472,11 +479,10 @@ def test_a_tail_aggregator_is_collected_and_gives_the_interpreters_bytes(
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("aggregator", sorted(TAILS))
-def test_invalid_utf8_under_a_tail_aggregator_is_the_same_error_as_before(
+def test_invalid_utf8_under_a_tail_aggregator_is_the_bytes_the_interpreter_prints(
     aggregator, backend, tmp_path, monkeypatch
 ):
-    """The text a merge worker's run gave before PR 19: the producer still
-    validates its own input, and is still the one named."""
+    """Bytes that are not UTF-8 reach the gathered merge, and leave it, unchanged."""
     monkeypatch.chdir(tmp_path)
     command, flag_sets, compiles = TAILS[aggregator]
     if backend == "jit" and not compiles:
@@ -486,13 +492,13 @@ def test_invalid_utf8_under_a_tail_aggregator_is_the_same_error_as_before(
     branches = [b"fine\nalso fine\n", b"a\nb\n", b"c\n"]
     branches[rng.randrange(3)] = b"ok\n\xff\xfe broken\nlast\n"
     write_branches(branches)
-    (tmp_path / "S.txt").write_bytes(b"a\nfine\n")  # valid: the error is the branch's
-    with pytest.raises(ExecutionError) as excinfo:
-        run_tail(aggregator, command, arguments, 3, backend)
-    assert str(excinfo.value) == (
-        f"1 worker(s) failed: {' '.join([command, *arguments])}: UnicodeDecodeError: "
-        "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"
-    ), f"seed={BASE_SEED} backend={backend} aggregator={aggregator}"
+    (tmp_path / "S.txt").write_bytes(b"a\nfine\n")
+    shape = (aggregator, command, arguments, 3, backend)
+    files, _ = run_tail(*shape)
+    expected, _ = run_tail(*shape, oracle=True)
+    assert {name: encode_block(lines) for name, lines in files.items()} == {
+        name: encode_block(lines) for name, lines in expected.items()
+    }, f"seed={BASE_SEED} backend={backend} aggregator={aggregator} arguments={arguments}"
 
 
 def test_a_failing_gathered_aggregator_is_reported_like_its_worker_was(tmp_path, monkeypatch):

@@ -31,7 +31,7 @@ from repro.engine.workers import InputSource
 from repro.resilience import fault
 from repro.resilience.errors import ResourceExhausted
 from repro.resilience.fault import SPILL_WRITE, FaultPlan, FaultSpec
-from repro.runtime.executor import ExecutionEnvironment, ExecutionError
+from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
@@ -47,6 +47,21 @@ def random_lines(rng: random.Random, count: int):
     ]
 
 
+def raw_bytes(rng: random.Random, count: int) -> bytes:
+    """Lines of bytes that are not UTF-8: lone ``0x80``-``0xff`` bytes, each
+    before an ASCII one so that no two form a valid sequence, and now and
+    then a multibyte sequence cut short at the end of a line."""
+    ascii_bytes = [b"a", b"Z", b" ", b"\t", b"\r", b"0"]
+    lone = [bytes([code]) + rng.choice(ascii_bytes) for code in range(0x80, 0x100)]
+    lines = [b"ok line", b"\xff\xfe bad"]
+    for _ in range(count):
+        line = b"".join(rng.choice(ascii_bytes + lone) for _ in range(rng.choice([0, 1, 3, 12])))
+        if rng.random() < 0.3:
+            line += rng.choice([b"\xe6", b"\xe6\x97", b"\xf0\x9f", b"\xf0\x9f\x99"])  # 日, 🙂 cut short
+        lines.append(line)
+    return b"".join(line + b"\n" for line in lines)
+
+
 def streams(seed: int):
     """Named adversarial streams for one seed."""
     rng = random.Random(seed)
@@ -58,6 +73,7 @@ def streams(seed: int):
         "many short": random_lines(rng, 6000),
         # The same for every seed, so only the first one pays for it.
         **({"one 1 MB line": ["é" * (1 << 19)]} if seed == BASE_SEED else {}),
+        "raw bytes": decode_block(raw_bytes(rng, 300)),
     }
 
 
@@ -178,6 +194,14 @@ def test_bytes_in_counts_encoded_bytes_on_every_source(tmp_path):
         assert (source.bytes_in, source.lines_in) == (expected, len(lines)), name
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_raw_bytes_round_trip_exactly(seed):
+    """Bytes in, the same bytes out: the codec escapes what does not decode."""
+    payload = raw_bytes(random.Random(seed), 300)
+    assert encode_block(decode_block(payload)) == payload, f"seed={seed}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize(
     "script",
     [
@@ -187,20 +211,23 @@ def test_bytes_in_counts_encoded_bytes_on_every_source(tmp_path):
         "cat bad.txt > out.txt",
     ],
 )
-def test_invalid_utf8_raises_on_both_backends(tmp_path, monkeypatch, script):
-    """The block kernels never decode, yet the inputs that raise are unchanged."""
+def test_bytes_that_are_not_utf8_print_the_same_on_both_backends(tmp_path, monkeypatch, script, seed):
+    """The block kernels never decode, the str commands do: both print the same bytes."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "bad.txt").write_bytes(b"ok line\n\xff\xfe bad\nok again\n")
+    payload = raw_bytes(random.Random(seed), 300)
+    (tmp_path / "bad.txt").write_bytes(payload)
     (tmp_path / "good.txt").write_bytes(b"ok fine\n")
 
-    def environment():
-        return ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True))
+    def printed(backend):
+        config = PashConfig.paper_default(2, backend=backend)
+        environment = ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True))
+        result = api.run(script, config=config, backend=backend, environment=environment)
+        return encode_block(result.stdout), {name: encode_block(lines) for name, lines in result.files.items()}
 
-    with pytest.raises(UnicodeDecodeError):
-        api.run(script, backend="interpreter", environment=environment())
-    config = PashConfig.paper_default(2, backend="parallel")
-    with pytest.raises(ExecutionError, match="UnicodeDecodeError"):
-        api.run(script, config=config, backend="parallel", environment=environment())
+    expected = printed("interpreter")
+    assert printed("parallel") == expected, f"seed={seed}"
+    if script == "cat bad.txt > out.txt":
+        assert expected == (b"", {"out.txt": payload})
 
 
 # ---------------------------------------------------------------------------

@@ -165,41 +165,6 @@ def test_a_worker_failing_while_the_coordinator_computes_raises_the_failure(
     assert occupancy(pool) == before
 
 
-def test_an_undecodable_branch_is_raised_once_every_report_is_in(rig, tmp_path):
-    scheduler, pool, spill, decoded = rig
-    # Both lanes pass invalid UTF-8 through a blocking relay, which never
-    # decodes — a relay is no command, so each keeps a worker.
-    (tmp_path / "F1.txt").write_bytes(b"fine\n\xff\xfe broken\n")
-    graph = two_lanes(lambda: RelayNode(blocking=True), CatNode())
-    with pytest.raises(ExecutionError) as excinfo:
-        scheduler(STALL).execute(graph)
-    assert str(excinfo.value) == (
-        "1 worker(s) failed: relay[blocking]: UnicodeDecodeError: "
-        "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
-    )
-    assert len(decoded) == 1  # the slow lane's file is not decoded, only removed
-    assert os.listdir(spill) == []
-    assert pool.stats()["busy"] == 0 and pool.stats()["idle"] == 2
-
-
-def test_an_undecodable_inline_branch_is_raised_once_every_report_is_in(rig, tmp_path):
-    scheduler, pool, spill, decoded = rig
-    before = warm(scheduler, pool, tmp_path)
-    decoded.clear()
-    # A plain ``cat`` forwards its bytes undecoded; the coordinator's lands first.
-    (tmp_path / "F1.txt").write_bytes(b"fine\n\xff\xfe broken\n")
-    graph = two_lanes(lambda: CommandNode(name="cat"), CatNode())
-    with pytest.raises(ExecutionError) as excinfo:
-        scheduler(STALL).execute(graph)
-    assert str(excinfo.value) == (
-        "1 worker(s) failed: cat: UnicodeDecodeError: "
-        "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
-    )
-    assert len(decoded) == 1  # the worker's file is not decoded, only removed
-    assert os.listdir(spill) == []
-    assert occupancy(pool) == before
-
-
 def test_a_worker_killed_mid_run_is_discarded_and_its_file_removed(rig, tmp_path, monkeypatch):
     scheduler, pool, spill, decoded = rig
     warm(scheduler, pool, tmp_path)

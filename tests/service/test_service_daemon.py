@@ -276,6 +276,44 @@ def test_uploads_are_framed_as_the_stream_model_frames_them(
     assert capsys.readouterr().out == expected
 
 
+def test_both_submit_doors_write_the_host_bytes_through_a_strict_stdout(make_daemon, tmp_path):
+    """``pash-compile --submit`` and ``pash-client submit --write-files`` print
+    and write a job's output through the stream codec: bytes that are not
+    UTF-8 come back as the host's ``sh`` writes them, whatever the text layer."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    import repro
+
+    if not shutil.which("sh"):
+        pytest.skip("requires a POSIX shell")
+    daemon = make_daemon(executors=1)
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    doors = {
+        "host": ["sh", "job.sh"],
+        "pash-compile": [sys.executable, "-m", "repro.cli", "job.sh", "--submit", daemon.endpoint],
+        "pash-client": [
+            sys.executable, "-m", "repro.service.client", "--connect", daemon.endpoint,
+            "submit", "job.sh", "--input", "in.txt", "--write-files",
+        ],
+    }
+    runs = {}
+    for name, command in doors.items():
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "in.txt").write_bytes(b"caf\xe9\nabc\n\x00nul\r\n")
+        (directory / "job.sh").write_text("cat in.txt | tr a-z A-Z | sort\ncat in.txt | sort > out.txt\n")
+        completed = subprocess.run(
+            command, cwd=directory, capture_output=True, timeout=60,
+            env=dict(os.environ, LC_ALL="C", PYTHONPATH=source, PYTHONIOENCODING="utf-8:strict"),
+        )
+        assert completed.returncode == 0, (name, completed.stderr)
+        runs[name] = completed.stdout, (directory / "out.txt").read_bytes()
+    assert runs["pash-compile"] == runs["pash-client"] == runs["host"]
+
+
 # ---------------------------------------------------------------------------
 # Shutdown: bounded, clean, waiters always wake
 # ---------------------------------------------------------------------------

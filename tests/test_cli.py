@@ -380,3 +380,40 @@ def test_stdin_is_framed_as_the_host_shell_frames_it(tmp_path):
             timeout=60,
         )
         assert ours.stdout == host.stdout
+
+
+#: A lone ``\351``, a NUL and a CRLF line, printed and written by one script.
+NOT_UTF8 = b"caf\xe9\nabc\n\x00nul\r\n"
+BYTES_SCRIPT = "cat in.txt | tr a-z A-Z | sort\ncat in.txt | tr a-z A-Z | sort > out.txt\n"
+
+
+def test_execute_prints_the_host_bytes_through_a_strict_stdout(tmp_path):
+    """``--execute`` writes stdout and files through the stream codec, so a
+    strict UTF-8 text layer never meets an escaped byte."""
+    import os
+    import shutil
+    import subprocess
+    import sys
+
+    import repro
+
+    if not shutil.which("sh"):
+        pytest.skip("requires a POSIX shell")
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    runs = {}
+    for name, command in (
+        ("host", ["sh", "job.sh"]),
+        ("pash", [sys.executable, "-m", "repro.cli", "job.sh", "--width", "2", "--execute", "parallel"]),
+    ):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "in.txt").write_bytes(NOT_UTF8)
+        (directory / "job.sh").write_text(BYTES_SCRIPT)
+        completed = subprocess.run(
+            command, cwd=directory, capture_output=True, timeout=60,
+            env=dict(os.environ, LC_ALL="C", PYTHONPATH=source, PYTHONIOENCODING="utf-8:strict"),
+        )
+        assert completed.returncode == 0, completed.stderr
+        runs[name] = completed.stdout, (directory / "out.txt").read_bytes()
+    assert runs["pash"] == runs["host"]
+    assert runs["host"][0] == b"\x00NUL\r\nABC\nCAF\xe9\n"
