@@ -79,22 +79,41 @@ def stream_kernel(on_lines: Callable[[List[bytes]], List[bytes]]) -> BlockKernel
     return lambda streams: [blocks_of_lines(on_lines(lines_of_blocks(streams)))]
 
 
-def block_map_kernel(
-    on_lines: Callable[[List[bytes]], List[bytes]],
-    on_text: Optional[Callable[[List[str]], List[str]]] = None,
-) -> BlockKernel:
-    """Block kernel of a stateless command: ``on_lines`` over each block's lines.
+@dataclass(frozen=True)
+class BlockMap:
+    """Block kernel of a stateless command: one line block in, one out.
 
-    With ``on_text`` the bytes face is only exact on ASCII data (characters
-    are bytes there); a block holding anything else is decoded for it.
+    ``on_block`` maps a whole block, ``on_lines`` (if set) the same over its lines.
+    ``on_text`` is the ``str`` face: unless ``exact``, the bytes face equals it
+    only on ASCII data, and a block holding anything else takes it.  A bytes
+    face maps ASCII to ASCII, so a fused chain checks its input once.
     """
 
-    def apply(block: bytes) -> bytes:
-        if on_text is not None and not block.isascii():
-            return encode_block(on_text(decode_block(block)))
-        return b"\n".join(on_lines(block.split(b"\n")[:-1]) + [b""])
+    on_block: Callable[[bytes], bytes]
+    on_text: Callable[[List[str]], List[str]]
+    exact: bool = False
+    on_lines: Optional[Callable[[List[bytes]], List[bytes]]] = None
 
-    return lambda streams: [map(apply, chain.from_iterable(streams))]
+    def apply(self, block: bytes) -> bytes:
+        if not self.exact and not block.isascii():
+            return encode_block(self.on_text(decode_block(block)))
+        return self.on_block(block)
+
+    def __call__(self, streams: List[BlockStream]) -> List[BlockStream]:
+        return [map(self.apply, chain.from_iterable(streams))]
+
+    def then(self, after: "BlockMap") -> "BlockMap":
+        """This map and then ``after``, as one map: two line maps share one split."""
+        first, second, exact = self, after, self.exact and after.exact
+        on_text = lambda lines: second.on_text(first.on_text(lines))  # noqa: E731
+        if first.on_lines and second.on_lines:
+            return block_map_kernel(lambda lines: second.on_lines(first.on_lines(lines)), on_text, exact)
+        return BlockMap(lambda block: second.on_block(first.on_block(block)), on_text, exact)
+
+
+def block_map_kernel(on_lines: Callable[[List[bytes]], List[bytes]], on_text, exact: bool = False) -> BlockMap:
+    """The :class:`BlockMap` of a stateless command that maps a block line by line."""
+    return BlockMap(lambda block: b"\n".join(on_lines(block.split(b"\n")[:-1]) + [b""]), on_text, exact, on_lines)
 
 
 @dataclass

@@ -38,11 +38,15 @@ def cat(arguments: List[str], inputs: List[Stream]) -> Stream:
     return data
 
 
+def _count_text(arguments: List[str]) -> str:
+    """The N of ``-n N`` (``-n -5`` is ``-5``), else of the obsolescent ``-N``, else 10."""
+    obsolescent = (argument[1:] for argument in arguments if argument[:1] == "-" and argument[1:].isdigit())
+    return flag_value(arguments, "-n") or next(obsolescent, "10")
+
+
 def head(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``head [-n N]`` (default 10)."""
-    count_text = flag_value(arguments, "-n", "10")
-    count = int(count_text) if count_text else 10
-    return concat_streams(inputs)[:count]
+    """``head [-n N | -N]`` (default 10)."""
+    return concat_streams(inputs)[: int(_count_text(arguments))]
 
 
 def head_block(arguments: List[str]):
@@ -51,16 +55,13 @@ def head_block(arguments: List[str]):
 
 
 def tail(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``tail [-n N]`` (default 10); supports the ``-n +K`` skip form."""
-    count_text = flag_value(arguments, "-n", "10") or "10"
+    """``tail [-n N | -N]`` (default 10; ``-n -N`` is ``-n N``); supports the ``-n +K`` skip form."""
+    count_text = _count_text(arguments)
     data = concat_streams(inputs)
     if count_text.startswith("+"):
-        start = int(count_text[1:])
-        return data[max(start - 1, 0):]
-    count = int(count_text)
-    if count == 0:
-        return []
-    return data[-count:]
+        return data[max(int(count_text[1:]) - 1, 0):]
+    count = abs(int(count_text))
+    return data[-count:] if count else []
 
 
 def tac(arguments: List[str], inputs: List[Stream]) -> Stream:

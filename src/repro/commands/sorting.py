@@ -37,6 +37,7 @@ def _sort_keys_function(arguments: List[str]):
     ignore_case = has_flag(arguments, "-f")
     dictionary = has_flag(arguments, "-d")
     key_spec = flag_value(arguments, "-k")
+    separator = flag_value(arguments, "-t")
     if not (numeric or ignore_case or dictionary or key_spec):
         return None  # sorted() then compares in C, with no key per line
     field_index = None
@@ -53,8 +54,8 @@ def _sort_keys_function(arguments: List[str]):
     def keys(lines: List[str]) -> list:
         texts = lines
         if field_index:
-            # POSIX sort keys run from the start of the field to end of line.
-            texts = [" ".join(line.split()[field_index - 1 :]) for line in texts]
+            # POSIX sort keys run from the start of the field to end of line (-t: fields end at each SEP).
+            texts = [(separator or " ").join(line.split(separator)[field_index - 1 :]) for line in texts]
         if dictionary:  # keeps ``isalnum`` (``\w`` less the underscore) and ``isspace``
             texts = [re.sub(r"[^\w\s]+|_+", "", text) for text in texts]
         if ignore_case:
@@ -132,7 +133,7 @@ def _merged_lines(streams: List[Stream], keys_of, reverse: bool, unique: bool) -
 
 
 def sort_command(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-m] [file...]``.
+    """``sort [-r] [-n] [-u] [-f] [-d] [-k SPEC] [-t SEP] [-m] [file...]``.
 
     Over two or more inputs (the gathered ``merge_sort`` of the parallel
     branches) the concatenation is a fresh list, which a plain sort then
@@ -166,20 +167,22 @@ def sort_block(arguments: List[str]):
 def _uniq_lines(arguments: List[str], data, template="%7d %s"):
     """:func:`uniq` over ``str`` lines, or ``bytes`` lines with a ``bytes`` template."""
     counting = has_flag(arguments, "-c")
-    only_duplicates = has_flag(arguments, "-d")
+    only_duplicates, only_unique = has_flag(arguments, "-d"), has_flag(arguments, "-u")
     key = type(template).lower if has_flag(arguments, "-i") else None
-    if not (counting or only_duplicates):
+    if not (counting or only_duplicates or only_unique):
         return [next(group) for _, group in groupby(data, key)]
     groups = [list(group) for _, group in groupby(data, key)]
     if only_duplicates:
         groups = [group for group in groups if len(group) > 1]
+    if only_unique:
+        groups = [group for group in groups if len(group) == 1]
     if counting:
         return [template % (len(group), group[0]) for group in groups]
     return [group[0] for group in groups]
 
 
 def uniq(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``uniq [-c] [-d] [-i]``: collapse adjacent duplicate lines."""
+    """``uniq [-c] [-d] [-u] [-i]``: collapse adjacent duplicate lines."""
     return _uniq_lines(arguments, concat_streams(inputs))
 
 

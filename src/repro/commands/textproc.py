@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from functools import lru_cache, partial
 from itertools import chain, filterfalse
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.commands.base import (
+    BlockMap,
     CommandError,
     Stream,
     block_map_kernel,
@@ -127,47 +129,105 @@ def bre_to_python(pattern: str) -> str:
     return "".join(out)
 
 
+#: What in a Python pattern may match a newline or see past a line's ends: a negated class, an
+#: escaped letter but ``\\w \\d \\S \\b``, a control character (a range end), ``(?s)``, lookarounds.
+_CROSSES_LINES = re.compile(r"\[\^|\\[^wdSb\W]|[\x00-\x0a]|\(\?")
+_SAMPLE_SHIFT, _DENSE_SHARE = 6, 4  # :func:`_scanner`'s sample, a 64th of a block, and a quarter
+
+
+def _scanner(locator, invert: bool, per_line):
+    """``block -> block`` keeping each line that holds a hit (``-v``: the others).
+
+    ``locator(block)`` maps a position to the first hit at or after it (-1: none).  The scan and
+    the line path break even near 18 % of lines holding a hit, and at 100 % the scan takes 3-4
+    times as long (``benchmarks/test_bench_micro_grep_scan.py``), so a block with a hit in over a
+    quarter of the lines of its first 64th goes ``per_line`` past it (at 12 % hits, 4 blocks in 221).
+    """
+
+    def scan(block: bytes) -> bytes:
+        locate, find, rfind = locator(block), block.find, block.rfind
+        pieces, kept, size = [], 0, len(block)
+        position, sample = locate(0), size >> _SAMPLE_SHIFT
+        while 0 <= position < size:
+            start, end = rfind(b"\n", 0, position) + 1, find(b"\n", position) + 1
+            pieces.append(block[kept:start] if invert else block[start:end])
+            if end > sample:
+                sample = size
+                if _DENSE_SHARE * len(pieces) > block.count(b"\n", 0, end):
+                    return b"".join(pieces + [per_line(block[end:])])
+            kept, position = end, locate(end)
+        return b"".join(pieces + [block[kept:]] if invert else pieces)
+
+    return scan
+
+
 @lru_cache(maxsize=256)
 def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
-    """A grep invocation, stated once for both faces: ``(pattern, select)``.
+    """A grep invocation, stated once for both faces: ``(pattern, probe, select, face)``.
 
     ``select`` keeps the matching (``-v``: the other) ``str`` lines of a list
-    (``bytes`` lines when ``binary``).  Cached: batch mode re-enters per chunk.
+    (``bytes`` lines when ``binary``).  ``face``, the bytes :class:`BlockMap`,
+    selects from the whole block in C (``bytes.find`` for a fixed string, else
+    an ``re.M`` search) unless the pattern may match a newline or anchors at
+    a line's start; it is exact on any block for a fixed string without ``-i``/``-w``.
     """
     options, operands = split_flags(arguments)
     if not operands:
         raise CommandError("grep requires a pattern")
+    unknown = set("".join(option[1:] for option in options if option != "-e")) - set("ivcoEFwxn")
+    if unknown or options.count("-e") > 1:
+        raise CommandError(f"grep: unsupported option(s) {' '.join(options)}")
     pattern_text = operands[0]
+    fixed = has_flag(options, "-F") or not set("\\[].*^$+?{}|()").intersection(pattern_text)  # either syntax
+    fold, whole_line, word = (has_flag(options, flag) for flag in ("-i", "-x", "-w"))
     try:
         if has_flag(options, "-F"):
             pattern_text = re.escape(pattern_text)
         elif not has_flag(options, "-E"):
             pattern_text = bre_to_python(pattern_text)
-        if has_flag(options, "-w"):  # no word character on either side
+        by_line = whole_line or pattern_text.startswith("^") or _CROSSES_LINES.search(pattern_text)
+        if word:  # no word character on either side
             pattern_text = r"(?<!\w)(?:%s)(?!\w)" % pattern_text
-        flags = re.IGNORECASE if has_flag(options, "-i") else 0
+        flags = re.IGNORECASE if fold else 0
         pattern = re.compile(encode_text(pattern_text) if binary else pattern_text, flags)
     except re.error as exc:
         raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
-    probe = pattern.fullmatch if has_flag(options, "-x") else pattern.search
-    keep = filterfalse if has_flag(options, "-v") else filter  # the loop runs in C
-    return pattern, lambda data: list(keep(probe, data))
+    probe = pattern.fullmatch if whole_line else pattern.search
+    keep = filterfalse if (invert := has_flag(options, "-v")) else filter  # the loop runs in C
+    select = lambda data: list(keep(probe, data))  # noqa: E731
+    if not binary:
+        return pattern, probe, select, None
+    on_text, exact = _grep_plan(arguments)[2], fixed and not (fold or word)
+    per_line = block_map_kernel(select, on_text, exact)
+    if by_line:
+        return pattern, probe, select, per_line
+    if fixed and not word:
+        needle = encode_text(operands[0]).lower() if fold else encode_text(operands[0])
+        locator = lambda block: partial((block.lower() if fold else block).find, needle)  # noqa: E731
+    else:
+        search = re.compile(pattern.pattern, flags | re.M).search
+        locator = lambda block: lambda at: hit.start() if (hit := search(block, at)) else -1  # noqa: E731
+    return pattern, probe, select, BlockMap(_scanner(locator, invert, per_line.on_block), on_text, exact)
 
 
 def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``grep [-i] [-v] [-c] [-o] [-E|-F] [-w] [-x] pattern [file...]``.
+    """``grep [-i] [-v] [-c] [-o] [-n] [-E|-F] [-w] [-x] pattern [file...]``.
 
     The pattern is a basic regular expression unless ``-E`` (extended) or
-    ``-F`` (a fixed string) is given.
+    ``-F`` (a fixed string) is given; any other option is refused.
     """
-    pattern, select = _grep_plan(tuple(arguments))
+    pattern, probe, select, _ = _grep_plan(tuple(arguments))
     data = concat_streams(inputs)
     if has_flag(arguments, "-c"):
         return [str(len(select(data)))]
-    if has_flag(arguments, "-o"):
-        invert = has_flag(arguments, "-v")  # then only the empty matches print, as they always did
-        return [m.group(0) for line in data for m in pattern.finditer(line) if not (invert and m.group(0))]
-    return select(data)
+    invert, numbered = has_flag(arguments, "-v"), has_flag(arguments, "-n")
+    if has_flag(arguments, "-o"):  # -v: then only the empty matches print, as they always did
+        found = [(n, m[0]) for n, line in enumerate(data, 1) for m in pattern.finditer(line) if not (invert and m[0])]
+    elif numbered:
+        found = [(n, line) for n, line in enumerate(data, 1) if (probe(line) is None) is invert]
+    else:
+        return select(data)
+    return ["%d:%s" % pair if numbered else pair[1] for pair in found]
 
 
 def egrep(arguments: List[str], inputs: List[Stream]) -> Stream:
@@ -181,18 +241,20 @@ def fgrep(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 
 def grep_block(arguments: List[str]):
-    """Block kernel of :func:`grep`: the same plan over each block's ``bytes`` lines.
+    """Block kernel of :func:`grep`: the plan's bytes face, block by block.
 
-    One ``search`` per line, never one over the block (``[^a]`` matches a
-    newline).  A ``bytes`` pattern equals the ``str`` one on ASCII data — a
-    block holding anything else is decoded — unless it is not ASCII itself or
-    holds ``\\s`` (``\\x1c``-``\\x1f`` for ``str``).  ``-c``/``-o`` change the output's shape.
+    A ``bytes`` pattern equals the ``str`` one on ASCII data unless it is not
+    ASCII itself or holds ``\\s`` (``\\x1c``-``\\x1f`` for ``str``).  ``-c``
+    counts the lines the face keeps; ``-o`` and ``-n`` change the output's shape.
     """
     options, operands = split_flags(arguments)
     pattern = operands[0] if operands else "\\s"
-    if set("".join(options)) - set("-ivEFwx") or not pattern.isascii() or "\\s" in pattern.lower():
+    if set("".join(options)) - set("-ivcEFwx") or not pattern.isascii() or "\\s" in pattern.lower():
         return None
-    return block_map_kernel(_grep_plan(tuple(arguments), True)[1], _grep_plan(tuple(arguments))[1])
+    face = _grep_plan(tuple(arguments), True)[3]
+    if not has_flag(options, "-c"):
+        return face
+    return lambda streams: [[b"%d\n" % sum(block.count(b"\n") for block in face(streams)[0])]]
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +406,14 @@ def tr(arguments: List[str], inputs: List[Stream]) -> Stream:
 def tr_block(arguments: List[str]):
     """Block kernel of :func:`tr`: the plan's ``bytes`` face, block by block.
 
-    A squeezed newline run that spans two blocks of the stream ends the first,
-    so the second drops its leading newline (``emitted`` is the carry).
+    A squeezed newline run that spans two blocks of the stream ends the first, so the second
+    drops its leading newline (``emitted`` is the carry); any other tr is a :class:`BlockMap`.
     """
     _, on_bytes, squeezes_newline = tr_plan(tuple(arguments))
     if on_bytes is None:
         return None
+    if not squeezes_newline:
+        return BlockMap(on_bytes, lambda lines: tr(arguments, [lines]), exact=True)
 
     def blocks(streams):
         emitted = False
@@ -368,12 +432,17 @@ def tr_block(arguments: List[str]):
 # ---------------------------------------------------------------------------
 
 
+_OPEN_END = 10 ** 9  # of a range such as ``2-``
+#: Possessive quantifiers (Python 3.11): the same matches, no backtracking state (README: `cpu_s` −11 %).
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+
+
 @lru_cache(maxsize=256)
-def _cut_slices(spec: str) -> Tuple[Tuple[int, int], ...]:
+def _cut_slices(spec: str, complement: bool = False) -> Tuple[Tuple[int, int], ...]:
     """A cut LIST such as ``1,3-5`` or ``2-`` as sorted, disjoint 0-based slices.
 
-    cut prints every selected position once, in input order, whatever the
-    order of the list — so overlapping and adjacent ranges merge.
+    cut prints every selected position once, in input order, whatever the order of
+    the list — so overlapping and adjacent ranges merge (``complement``: the others).
     """
     spans = []
     for piece in spec.split(","):
@@ -382,7 +451,7 @@ def _cut_slices(spec: str) -> Tuple[Tuple[int, int], ...]:
             continue
         start_text, dash, end_text = piece.partition("-")
         start = int(start_text) if start_text else 1
-        end = (int(end_text) if end_text else 10 ** 9) if dash else start
+        end = (int(end_text) if end_text else _OPEN_END) if dash else start
         spans.append((max(start, 1) - 1, end))
     slices: List[Tuple[int, int]] = []
     for low, high in sorted(spans):
@@ -392,33 +461,45 @@ def _cut_slices(spec: str) -> Tuple[Tuple[int, int], ...]:
             slices[-1] = (slices[-1][0], max(high, slices[-1][1]))
         else:
             slices.append((low, high))
+    if complement:
+        edges = [0] + [edge for span in slices for edge in span] + [_OPEN_END]
+        slices = [(low, high) for low, high in zip(edges[::2], edges[1::2]) if low < high]
     return tuple(slices)
 
 
-@lru_cache(maxsize=256)
-def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
-    """A cut invocation as ``lines -> lines`` over ``str`` (``binary``: ``bytes``) lines."""
-    char_spec = flag_value(arguments, "-c")
-    field_spec = flag_value(arguments, "-f")
-    delimiter = flag_value(arguments, "-d", "\t") or "\t"
-    if delimiter.startswith('"') and delimiter.endswith('"') and len(delimiter) >= 2:
-        delimiter = delimiter[1:-1]
-    if not (char_spec or field_spec):
-        raise CommandError("cut requires -c or -f")
+def _cut_options(arguments: Tuple[str, ...]) -> Dict[str, str]:
+    """cut's options as getopt reads them (``-sd,`` is ``-s -d ,``); any other is refused."""
+    import getopt  # here, not at import time: it loads gettext (1.8 ms), and only cut needs it
+    try:
+        pairs, _ = getopt.gnu_getopt(arguments, "c:d:f:s", ["complement", "only-delimited"])
+    except getopt.GetoptError as exc:
+        raise CommandError(f"cut: {exc}") from exc
+    return {flag.replace("--only-delimited", "-s"): value for flag, value in pairs}
 
-    slices = _cut_slices(char_spec or field_spec)
-    if char_spec:
-        if len(slices) == 1:
-            ((low, high),) = slices
-            return lambda data: [line[low:high] for line in data]
-        glue = (b"" if binary else "").join
-        return lambda data: [glue([line[low:high] for low, high in slices]) for line in data]
 
-    # A line without the delimiter passes whole; nothing past the last
-    # selected field needs splitting.
+def _fields_pattern(delimiter: str, low: int, high: int):
+    """``cut -f`` of fields ``low + 1`` to ``high`` as one pattern whose ``findall`` over a block
+    yields each output line: the fields, a line without the delimiter, or nothing (too few fields)."""
+    possessive, split = _POSSESSIVE, re.escape(delimiter)
+    field = "[^%s\\n]*%s" % (split, possessive)
+    more = "*" if high >= _OPEN_END else "{0,%d}" % (high - low - 1)
+    fields = "(?:%s%s)%s%s%s" % (field, split, more, possessive, field)
+    if low:  # past ``low`` fields; else at the line's start: all of it, or nothing
+        fields = "(?:(?:%s%s){%d})?%s((?<=%s)%s|%s(?=\\n)|)" % (field, split, low, possessive, split, fields, field)
+    return re.compile(("%s.*%s\\n" % (fields if low else "(%s)" % fields, possessive)).encode("ascii"))
+
+
+def _field_selector(delimiter, slices):
+    """``lines -> lines`` of ``cut -f`` on ``str`` or ``bytes`` lines: a line without the
+    delimiter passes whole, and nothing past the last selected field is split."""
     limit = slices[-1][1] if slices else 1
-    if binary:
-        delimiter = encode_text(delimiter)
+    if len(slices) == 1 and slices[0][0] == 0:  # a prefix: slice it off the line
+        if limit == 1:
+            return lambda data: [line.partition(delimiter)[0] for line in data]
+        return lambda data: [
+            line[: -len(fields[-1]) - len(delimiter)] if len(fields := line.split(delimiter, limit)) > limit else line
+            for line in data
+        ]
     join = delimiter.join
     if len(slices) == 1:
         ((low, high),) = slices
@@ -434,19 +515,58 @@ def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
     ]
 
 
+@lru_cache(maxsize=256)
+def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
+    """A cut invocation: ``(on_lines, face)``, ``on_lines`` over ``str`` (``binary``: ``bytes``) lines.
+
+    ``face`` is the bytes :class:`BlockMap`: one range of fields split on one
+    ASCII byte is one pattern over the block, ``-s`` a ``grep -F`` before it.
+    """
+    options = _cut_options(arguments)
+    char_spec, field_spec = options.get("-c"), options.get("-f")
+    delimiter = options.get("-d") or "\t"
+    if delimiter.startswith('"') and delimiter.endswith('"') and len(delimiter) >= 2:
+        delimiter = delimiter[1:-1]
+    if not (char_spec or field_spec):
+        raise CommandError("cut requires -c or -f")
+    only_delimited = "-s" in options
+    if only_delimited and char_spec:
+        raise CommandError("cut: -s applies to fields only")
+
+    slices = _cut_slices(char_spec or field_spec, "--complement" in options)
+    if char_spec and len(slices) == 1:
+        ((low, high),) = slices
+        on_lines = lambda data: [line[low:high] for line in data]  # noqa: E731
+    elif char_spec:
+        glue = (b"" if binary else "").join
+        on_lines = lambda data: [glue([line[low:high] for low, high in slices]) for line in data]  # noqa: E731
+    else:
+        separator = encode_text(delimiter) if binary else delimiter
+        fields_of = on_lines = _field_selector(separator, slices)
+        if only_delimited:
+            on_lines = lambda data: fields_of([line for line in data if separator in line])  # noqa: E731
+    if not binary:
+        return on_lines, None
+    on_text = _cut_plan(arguments)[0]
+    if char_spec or not (len(slices) == 1 and len(delimiter) == 1 and delimiter.isascii() and delimiter != "\n"):
+        return on_lines, block_map_kernel(on_lines, on_text, exact=not char_spec)
+    find_all = _fields_pattern(delimiter, *slices[0]).findall
+    face = BlockMap(lambda block: b"\n".join(found + [b""]) if (found := find_all(block)) else b"", on_text, True)
+    return on_lines, _grep_plan(("-F", delimiter), True)[3].then(face) if only_delimited else face
+
+
 def cut(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``cut -d DELIM -f LIST`` or ``cut -c LIST``."""
-    return _cut_plan(tuple(arguments))(concat_streams(inputs))
+    """``cut [-s] [--complement] -d DELIM -f LIST`` or ``cut [--complement] -c LIST``."""
+    return _cut_plan(tuple(arguments))[0](concat_streams(inputs))
 
 
 def cut_block(arguments: List[str]):
-    """Block kernel of :func:`cut`: the same plan over each block's ``bytes`` lines.
+    """Block kernel of :func:`cut`: the plan's bytes face.
 
     Fields split on the delimiter's bytes, which no UTF-8 sequence holds
-    part of; ``-c`` counts characters, so a non-ASCII block is decoded.
+    part of; ``-c`` counts characters, so a non-ASCII block takes the ``str`` face.
     """
-    on_text = _cut_plan(tuple(arguments)) if flag_value(arguments, "-c") else None
-    return block_map_kernel(_cut_plan(tuple(arguments), True), on_text)
+    return _cut_plan(tuple(arguments), True)[1]
 
 
 # ---------------------------------------------------------------------------

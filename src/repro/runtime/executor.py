@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.commands import CommandRegistry, standard_registry
-from repro.commands.base import BlockKernel, BlockStream, CommandError, Stream
+from repro.commands.base import BlockKernel, BlockMap, BlockStream, CommandError, Stream
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
@@ -84,15 +84,21 @@ def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKern
     ``len(outputs)`` for a split.  It is looked up on the registry's
     implementation object, so a replacement registered without ``block``
     takes the ``str`` path by itself; a fused stage has one only when every
-    member does.
+    member does, and adjacent stateless members map each block as one.
     """
     if isinstance(node, FusedStage):
         kernels = [block_kernel(member, registry) for member in node.nodes]
         if not all(kernels):
             return None
+        stages = kernels[:1]
+        for kernel in kernels[1:]:
+            if isinstance(kernel, BlockMap) and isinstance(stages[-1], BlockMap):
+                stages[-1] = stages[-1].then(kernel)
+            else:
+                stages.append(kernel)
 
         def fused(streams: List[BlockStream]) -> List[BlockStream]:
-            for kernel in kernels:
+            for kernel in stages:
                 streams = kernel(streams)
             return streams
 

@@ -321,12 +321,13 @@ def gets_copies(node: DFGNode) -> bool:
 
 
 def _uses_positional_offset(node: CommandNode) -> bool:
-    """True for head/tail invocations addressing absolute line positions."""
+    """True for head/tail invocations that count lines from an end of the whole input (``-n +2``, ``head -n -2``)."""
     if node.name not in ("head", "tail"):
         return False
-    return any(argument.lstrip("-n") .startswith("+") for argument in node.arguments) or any(
-        argument.startswith("+") for argument in node.arguments
-    )
+    arguments = [*node.arguments, ""]
+    counts = [argument[2:] or value for argument, value in zip(arguments, arguments[1:]) if argument[:2] == "-n"]
+    from_end = node.name == "head" and any(count[:1] == "-" for count in counts)
+    return from_end or any(count[:1] == "+" for count in counts + arguments)
 
 
 def _is_trivial_concatenation(graph: DataflowGraph, node: CommandNode) -> bool:

@@ -48,6 +48,15 @@ def inputs_for(seed: int):
         # Bytes that are not UTF-8, as the codec escapes them: every kernel's
         # non-ASCII fallback meets them.  No valid multibyte character sits
         # beside one, where ``sort``'s byte order and code-point order part.
+        # Block edges: at ``run_kernel``'s 64-byte blocks each 15-character
+        # line is a block's first, middle or last line.
+        "needle at block edges": [
+            "%s %09d" % ("apple" if index % 4 in (0, 3) else "pear.", index) for index in range(40)
+        ],
+        "needle twice in a line": ["apple apple z", "z apple b apple", "b", "appleapple", "z z apple"] * 9,
+        "needle on every line": ["apple", "Apple apple", " apple", "b apple b"] * 30,
+        "needle on no line": ["pear z", "b", "z z", "APPL E"] * 30,
+        "a block of empty lines": [""] * 200,
         "escaped bytes": decode_block(
             b"caf\xe9\nCAF\xe9 x\ncaf\n\xff\xfe\na\x80b\nab\xe6\x97\n\xe9\nz \xc3\nZ\n\xe9\n b\xa0p p\n"
         ),
@@ -77,14 +86,19 @@ KERNELS = {
         textproc.grep_block,
         textproc.grep,
         [["apple"], ["-v", "apple"], ["-i", "apple"], ["-iv", "b"], ["-x", "b"], ["-w", "z"],
-         ["-F", "2.5"], ["-E", "^(b|B)$"], ["[^a]"], ["^.$"], ["-i", "."], ["^$"]],
-        [["-c", "apple"], ["-o", "p+"], ["-n", "apple"], ["é"], ["\\s"], ["[^\\S]"], ["-A", "1", "x"], ["-e", "x"], []],
+         ["-F", "2.5"], ["-E", "^(b|B)$"], ["[^a]"], ["^.$"], ["-i", "."], ["^$"], ["-v", "^$"],
+         ["-c", "apple"], ["-vc", "apple"], ["-ic", "b"], ["-c", "[^a]"], ["-x", "apple"], ["-iw", "apple"],
+         ["-F", "z z"], ["p.*e"], ["-v", "p.*e"], ["-E", "a|z"], [""], ["-v", ""]],
+        [["-o", "p+"], ["-n", "apple"], ["é"], ["\\s"], ["[^\\S]"], ["-A", "1", "x"], ["-e", "x"], []],
     ),
     "cut": (
         textproc.cut_block,
         textproc.cut,
         [["-d", " ", "-f", "1"], ["-d", " ", "-f", "2-"], ["-d", " ", "-f", "1,3"], ["-f", "1"],
-         ["-d", "p", "-f", "2,3"], ["-d", "é", "-f", "1"], ["-c", "1-3"], ["-c", "2,4-"], ["-c1"]],
+         ["-d", "p", "-f", "2,3"], ["-d", "é", "-f", "1"], ["-d", "é", "-f", "1-2"], ["-c", "1-3"], ["-c", "2,4-"], ["-c1"],
+         ["-d", " ", "-f", "2"], ["-d", " ", "-f", "3"], ["-d", " ", "-f", "1-2"], ["-d", "p", "-f", "2-3"],
+         ["-s", "-d", " ", "-f", "1"], ["-s", "-d", " ", "-f", "2-"], ["-sd", "p", "-f", "1,2"],
+         ["--complement", "-d", " ", "-f", "1"], ["--complement", "-c", "2-3"]],
         [],
     ),
     "sort": (
@@ -129,6 +143,18 @@ def test_block_kernel_equals_its_str_twin(command, seed):
             halves = [lines[: len(lines) // 2], lines[len(lines) // 2 :]]
             expected = function(list(arguments), [list(half) for half in halves])
             assert run_kernel(kernel, halves) == [expected], context
+
+
+@pytest.mark.parametrize(
+    "arguments", [["apple"], ["-v", "apple"], ["-c", "apple"], ["-i", "APPLE"], ["-v", "p.*e"], ["-F", "-v", "z"]]
+)
+def test_grep_scan_hands_dense_hits_to_the_line_path(arguments):
+    """In one 64 KB block the hits turn dense part way: the block scan finds
+    the sparse ones, then hands the rest of the block to the per-line path."""
+    lines = ["pear %d" % index for index in range(300)] + ["apple %d z" % index for index in range(300)]
+    kernel = textproc.grep_block(arguments)
+    for data in (lines, lines[::-1]):
+        assert run_kernel(kernel, [data], chunk_size=1 << 16) == [textproc.grep(arguments, [data])]
 
 
 def test_every_registered_block_kernel_has_a_row():

@@ -272,6 +272,66 @@ def test_bytes_in_the_same_bytes_out(data, script, backend, tmp_path, monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# Block paths: grep and cut over whole line blocks print what the host prints
+# ---------------------------------------------------------------------------
+
+#: Lines without the delimiter, with empty fields, with fewer fields than a
+#: list, and the pattern at a line's ends, twice, and alone on a line.
+BLOCK_INPUTS = {
+    "text": (
+        b"light and dark here\n\nnodelimiter\na  b c d e f\nLight dark\nx light\n lead\n"
+        b"lightdarklight\ntrail \nLIGHT\nlight\naaaa\na\nlight light\n"
+    ) * 3,
+    "colons": b"a:2\nb:1\nc:3:x\nd:0\n",
+}
+BLOCK_SCRIPTS = [
+    ("text", "cat in.txt | grep light"),
+    ("text", "cat in.txt | grep -v light"),
+    ("text", "cat in.txt | grep -F -v 'a  b'"),
+    ("text", "cat in.txt | grep -i light"),
+    ("text", "cat in.txt | grep -c light"),
+    ("text", "cat in.txt | grep -x light"),
+    ("text", "cat in.txt | grep -w light"),
+    ("text", "cat in.txt | grep '^$'"),
+    ("text", "cat in.txt | grep -v '^$'"),
+    ("text", "cat in.txt | grep 'light.*dark'"),
+    ("text", "cat in.txt | grep '[^a]'"),  # may match a newline: the per-line path
+    ("text", "cat in.txt | cut -d ' ' -f 1"),
+    ("text", "cat in.txt | cut -d ' ' -f 2"),
+    ("text", "cat in.txt | cut -d ' ' -f 1-4"),
+    ("text", "cat in.txt | cut -d ' ' -f 1,3"),
+    ("text", "cat in.txt | cut -d ' ' -s -f 1"),
+    ("text", "cat in.txt | cut -d ' ' -s -f 2-3"),
+    ("text", "cat in.txt | cut --complement -d ' ' -f 1"),
+    ("text", "cat in.txt | tr A-Z a-z | grep -v dark | cut -d ' ' -f 1-2"),
+    ("text", "cat in.txt | head -1"),
+    ("text", "cat in.txt | tail -2"),
+    ("text", "cat in.txt | head -n -2"),  # all but the last two: never split
+    ("text", "cat in.txt | tail -n -2"),
+    ("text", "cat in.txt | sort | uniq -u"),
+    ("text", "cat in.txt | grep -n light"),
+    ("colons", "cat in.txt | sort -t : -k2"),
+]
+
+
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "grep", "cut", "sort"))), reason="missing coreutils")
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
+@pytest.mark.parametrize("data, script", BLOCK_SCRIPTS)
+def test_block_paths_match_the_host(data, script, backend, tmp_path, monkeypatch):
+    """Every backend, at 64-byte blocks, prints the bytes of ``LC_ALL=C sh``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(BLOCK_INPUTS[data])
+    config = PashConfig.paper_default(WIDTH, backend=backend).replace(streaming=StreamingConfig(chunk_size=64))
+    if backend == "jit":
+        config = config.replace(jit_inner_backend="parallel")  # tiny input: pin the pool
+    result = api.run(
+        script, config=config,
+        environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
+    )
+    assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} on {backend}"
+
+
+# ---------------------------------------------------------------------------
 # Mid-script assignments: visible to later regions on every backend
 # ---------------------------------------------------------------------------
 
