@@ -111,11 +111,13 @@ tr {
 | otherwise => (S, [stdin], [stdout])
 }
 uniq {
-| -d => (N, [stdin], [stdout])
-| -u => (N, [stdin], [stdout])
-| -D => (N, [stdin], [stdout])
-| -c => (P, [stdin], [stdout])
-| otherwise => (P, [stdin], [stdout])
+| -d => (N, [args[0:1]], [stdout])
+| -u => (N, [args[0:1]], [stdout])
+| -f => (N, [args[0:1]], [stdout])
+| -s => (N, [args[0:1]], [stdout])
+| -w => (N, [args[0:1]], [stdout])
+| -c => (P, [args[0:1]], [stdout])
+| otherwise => (P, [args[0:1]], [stdout])
 }
 wc {
 | otherwise => (P, [args[0:]], [stdout])
@@ -127,16 +129,25 @@ tail {
 | otherwise => (P, [args[0:]], [stdout])
 }
 paste {
+| -s => (N, [args[0:]], [stdout])
 | otherwise => (P, [args[0:]], [stdout])
 }
 grep {
+| -e /\ -c => (P, [args[0:]], [stdout])
+| -e /\ -n => (N, [args[0:]], [stdout])
+| -e => (S, [args[0:]], [stdout])
 | -c => (P, [args[1:]], [stdout])
 | -n => (N, [args[1:]], [stdout])
 | otherwise => (S, [args[1:]], [stdout])
 }
 sed {
 | -n => (E, [stdin], [stdout])
-| otherwise => (S, [stdin], [stdout])
+| -e => (S, [args[0:]], [stdout])
+| otherwise => (S, [args[1:]], [stdout])
+}
+xargs {
+| value -n = "1" => (S, [stdin], [stdout])
+| otherwise => (N, [stdin], [stdout])
 }
 sort {
 | -m => (N, [args[0:]], [stdout])
@@ -163,21 +174,15 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     # Stateless commands: pure map/filter over lines.
     stateless_names = [
         "basename",
-        "col",
-        "cut",
         "dirname",
-        "expand",
         "fmt",
-        "fold",
         "gunzip",
         "gzip",
         "head_stream",  # internal helper used by split pipelines
         "iconv",
         "nl_strip",
-        "rev",
         "tee_devnull",
         "unexpand",
-        "xargs",
         "url-extract",
         "word-stem",
         "html-to-text",
@@ -187,34 +192,14 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     ]
     for record in _stateless(stateless_names):
         add(record)
+    # Stateless filters whose operands are the files they read.
+    for name in ("col", "cut", "expand", "fold", "rev"):
+        add(simple_record(name, S, inputs=[IOSpec.args_slice(0)]))
 
     # grep's pattern operand is a configuration input replicated to all copies;
     # its only pure variant (-c) is merged by summing the partial counts.
     records["grep"].configuration_operands = (0,)
     records["grep"].aggregator = "sum"
-
-    # Options that consume the next argument as a value, so that values such
-    # as `head -n 10`'s count are never mistaken for file operands.
-    value_flags = {
-        "head": ("-n", "-c"),
-        "tail": ("-n", "-c"),
-        "cut": ("-d", "-f", "-c", "-b"),
-        "sort": ("-k", "-t", "-o", "-S", "--parallel"),
-        "grep": ("-e", "-m", "-A", "-B", "-C", "-f"),
-        "sed": ("-e",),
-        "fold": ("-w",),
-        "xargs": ("-n", "-I", "-P"),
-        "awk": ("-F", "-v"),
-        "uniq": ("-f", "-s", "-w"),
-        "join": ("-t", "-j", "-o"),
-        "paste": ("-d",),
-        "nl": ("-s", "-w"),
-        "comm": (),
-        "split": ("-l", "-n", "-b"),
-    }
-    for command, flags in value_flags.items():
-        if command in records:
-            records[command].value_flags = flags
 
     # Parallelizable pure commands with their aggregators.
     add(simple_record("tac", P, inputs=[IOSpec.args_slice(0)], aggregator="merge_tac"))
@@ -266,7 +251,6 @@ def _build_records() -> Dict[str, AnnotationRecord]:
         "kill",
         "touch",
         "tee",
-        "awk",
         "python",
         "node",
         "file",
@@ -284,6 +268,8 @@ def _build_records() -> Dict[str, AnnotationRecord]:
         "eval",
     ):
         add(simple_record(name, E))
+    # awk's program is its first operand; the files follow it.
+    add(simple_record("awk", E, inputs=[IOSpec.args_slice(1)]))
 
     return records
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.annotations.classes import ParallelizabilityClass
+from repro.commands.argv import ParsedArgv, parse_argv
 
 
 # ---------------------------------------------------------------------------
@@ -23,61 +24,27 @@ from repro.annotations.classes import ParallelizabilityClass
 class CommandInvocation:
     """A concrete command invocation: name plus expanded arguments.
 
-    Arguments are split into *options* (tokens starting with ``-``) and
-    *operands* (everything else), matching how the annotation language treats
-    flag arguments differently from file arguments.  ``value_flags`` lists the
-    options that consume the following argument (``head -n 10``), so that
-    value is not mistaken for a file operand.
+    Its options and operands are the command's one parse of its argv
+    (:func:`repro.commands.argv.parse_argv`), so a flag's value is never
+    mistaken for a file operand; an option outside the command's spec raises
+    :class:`~repro.commands.base.CommandError`.
     """
 
     name: str
     arguments: List[str] = field(default_factory=list)
-    value_flags: Tuple[str, ...] = ()
 
     @property
-    def options(self) -> List[str]:
-        """Arguments that look like flags."""
-        return [arg for arg in self.arguments if arg.startswith("-") and arg != "-"]
+    def argv(self) -> ParsedArgv:
+        return parse_argv(self.name, self.arguments)
 
-    @property
-    def operands(self) -> List[str]:
-        """Non-flag arguments (files, patterns, etc.), excluding flag values."""
-        operands: List[str] = []
-        skip_next = False
-        for argument in self.arguments:
-            if skip_next:
-                skip_next = False
-                continue
-            if argument.startswith("-") and argument != "-":
-                if argument in self.value_flags:
-                    skip_next = True
-                continue
-            operands.append(argument)
-        return operands
-
-    def has_option(self, flag: str) -> bool:
-        """True when ``flag`` appears, including inside combined short flags."""
-        if flag in self.options:
-            return True
-        if len(flag) == 2 and flag.startswith("-") and not flag.startswith("--"):
-            letter = flag[1]
-            for option in self.options:
-                if option.startswith("--"):
-                    continue
-                if letter in option[1:]:
-                    return True
-        return False
-
-    def option_value(self, flag: str) -> Optional[str]:
-        """Return the value following ``flag`` (``-f value`` or ``--f=value``)."""
-        for index, arg in enumerate(self.arguments):
-            if arg == flag:
-                if index + 1 < len(self.arguments):
-                    return self.arguments[index + 1]
-                return None
-            if arg.startswith(flag + "="):
-                return arg[len(flag) + 1 :]
-        return None
+    def input_operands(self, specs: Sequence["IOSpec"]) -> Tuple[List[str], List[str]]:
+        """The operands ``specs`` name as input files, and the arguments without
+        them: each is dropped by its position, so a pattern equal to a file name stays."""
+        argv = self.argv
+        chosen = [index for spec in specs for index in spec.operand_indices(len(argv.operands))]
+        dropped = {argv.positions[index] for index in chosen}
+        remaining = [argument for position, argument in enumerate(self.arguments) if position not in dropped]
+        return [argv.operands[index] for index in chosen], remaining
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +66,7 @@ class OptionPresent(Predicate):
     flag: str
 
     def matches(self, invocation: CommandInvocation) -> bool:
-        return invocation.has_option(self.flag)
+        return invocation.argv.has(self.flag)
 
 
 @dataclass
@@ -110,7 +77,7 @@ class OptionValueEquals(Predicate):
     value: str
 
     def matches(self, invocation: CommandInvocation) -> bool:
-        return invocation.option_value(self.flag) == self.value
+        return invocation.argv.value(self.flag) == self.value
 
 
 @dataclass
@@ -158,7 +125,7 @@ class NoOptions(Predicate):
     """Matches when the invocation carries no options at all."""
 
     def matches(self, invocation: CommandInvocation) -> bool:
-        return not invocation.options
+        return not invocation.argv.pairs
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +166,15 @@ class IOSpec:
     def args_slice(cls, start: Optional[int] = None, end: Optional[int] = None) -> "IOSpec":
         return cls("args", start=start, end=end)
 
-    def resolve(self, invocation: CommandInvocation) -> List[str]:
-        """Resolve the spec against an invocation's operands.
-
-        ``stdin``/``stdout`` resolve to the symbolic names ``"stdin"`` and
-        ``"stdout"``; argument references resolve to the operand strings.
-        """
-        if self.kind == "stdin":
-            return ["stdin"]
-        if self.kind == "stdout":
-            return ["stdout"]
-        operands = invocation.operands
+    def operand_indices(self, count: int) -> List[int]:
+        """The indices, among ``count`` operands, of the operands this spec names
+        (none for ``stdin``/``stdout``)."""
         if self.kind == "arg":
             assert self.index is not None
-            if self.index < len(operands):
-                return [operands[self.index]]
-            return []
+            return [self.index] if self.index < count else []
         if self.kind == "args":
-            return operands[self.start : self.end]
-        raise ValueError(f"unknown IOSpec kind {self.kind!r}")
+            return list(range(count))[self.start : self.end]
+        return []
 
     def __str__(self) -> str:
         if self.kind == "stdin":
@@ -272,13 +229,6 @@ class AnnotationRecord:
     #: Operand indices that are *configuration* inputs replicated to every
     #: parallel copy instead of being split (e.g. grep's pattern argument).
     configuration_operands: Tuple[int, ...] = ()
-    #: Options that consume the following argument as their value
-    #: (``head -n 10``); used to keep flag values out of the operand list.
-    value_flags: Tuple[str, ...] = ()
-
-    def invocation(self, name: str, arguments) -> CommandInvocation:
-        """Build an invocation that knows about this record's value flags."""
-        return CommandInvocation(name, list(arguments), value_flags=self.value_flags)
 
     def classify(self, invocation: CommandInvocation) -> Assignment:
         """Return the assignment of the first clause matching ``invocation``."""

@@ -137,10 +137,15 @@ class CommandImplementation:
     def run(self, arguments: Sequence[str], inputs: Sequence[Stream]) -> Stream:
         """Execute the command over ``inputs`` and return its output lines.
 
+        An option outside the command's spec raises :class:`CommandError`
+        here, for every command, whether or not its function reads it.
         The inputs are handed over uncopied and are read-only: a command
         builds its output in a list of its own (or returns an input as it
         is) and never changes a stream it was given.
         """
+        from repro.commands.argv import parse_argv  # argv imports this module
+
+        parse_argv(self.name, arguments)
         return self.function(list(arguments), list(inputs))
 
 
@@ -195,59 +200,6 @@ class CommandRegistry:
 
     def copy(self) -> "CommandRegistry":
         return CommandRegistry(self._implementations.values())
-
-
-# ---------------------------------------------------------------------------
-# Argument-parsing helpers shared by the implementations
-# ---------------------------------------------------------------------------
-
-
-def split_flags(arguments: Sequence[str]) -> (List[str], List[str]):  # type: ignore[valid-type]
-    """Split an argument vector into (options, operands)."""
-    options: List[str] = []
-    operands: List[str] = []
-    for argument in arguments:
-        if argument.startswith("-") and argument != "-":
-            options.append(argument)
-        else:
-            operands.append(argument)
-    return options, operands
-
-
-def flag_value(arguments: Sequence[str], flag: str, default: Optional[str] = None) -> Optional[str]:
-    """Return the value following ``flag`` (``-n 5`` or ``-n5`` or ``--n=5``)."""
-    args = list(arguments)
-    for index, argument in enumerate(args):
-        if argument == flag:
-            if index + 1 < len(args):
-                return args[index + 1]
-            return default
-        if argument.startswith(flag) and len(argument) > len(flag) and not flag.startswith("--"):
-            return argument[len(flag):]
-        if argument.startswith(flag + "="):
-            return argument[len(flag) + 1:]
-    return default
-
-
-def only_flags(arguments: Sequence[str], letters: str) -> bool:
-    """True when every argument is a cluster of short flags drawn from ``letters`` (no operand)."""
-    return all(len(arg) > 1 and arg[0] == "-" and not set(arg[1:]) - set(letters) for arg in arguments)
-
-
-def has_flag(arguments: Sequence[str], *flags: str) -> bool:
-    """True when any of ``flags`` appears (including combined short options)."""
-    short_letters = {flag[1] for flag in flags if len(flag) == 2 and flag[1] != "-"}
-    for argument in arguments:
-        if argument in flags:
-            return True
-        if (
-            argument.startswith("-")
-            and not argument.startswith("--")
-            and argument != "-"
-            and short_letters.intersection(argument[1:])
-        ):
-            return True
-    return False
 
 
 def concat_streams(streams: Sequence[Stream]) -> Stream:

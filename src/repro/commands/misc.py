@@ -9,17 +9,8 @@ import re
 from functools import partial
 from typing import List
 
-from repro.commands.base import (
-    CommandError,
-    Stream,
-    concat_streams,
-    encode_block,
-    flag_value,
-    has_flag,
-    iter_line_slices,
-    split_flags,
-    stream_kernel,
-)
+from repro.commands.argv import parse_argv
+from repro.commands.base import CommandError, Stream, concat_streams, encode_block, iter_line_slices, stream_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -29,24 +20,18 @@ from repro.commands.base import (
 
 def cat(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``cat [-n|-b]``: concatenate inputs, optionally numbering (non-blank) lines."""
-    data = concat_streams(inputs)
-    if has_flag(arguments, "-b"):
+    data, argv = concat_streams(inputs), parse_argv("cat", arguments)
+    if argv.has("-b"):
         numbers = itertools.count(1)
         return [f"{next(numbers):6d}\t{line}" if line else line for line in data]
-    if has_flag(arguments, "-n"):
+    if argv.has("-n"):
         return [f"{index:6d}\t{line}" for index, line in enumerate(data, start=1)]
     return data
 
 
-def _count_text(arguments: List[str]) -> str:
-    """The N of ``-n N`` (``-n -5`` is ``-5``), else of the obsolescent ``-N``, else 10."""
-    obsolescent = (argument[1:] for argument in arguments if argument[:1] == "-" and argument[1:].isdigit())
-    return flag_value(arguments, "-n") or next(obsolescent, "10")
-
-
 def head(arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``head [-n N | -N]`` (default 10)."""
-    return concat_streams(inputs)[: int(_count_text(arguments))]
+    """``head [-n N | -N]`` (default 10; ``-n -N``: all but the last N)."""
+    return concat_streams(inputs)[: int(parse_argv("head", arguments).value("-n", "10"))]
 
 
 def head_block(arguments: List[str]):
@@ -56,7 +41,7 @@ def head_block(arguments: List[str]):
 
 def tail(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``tail [-n N | -N]`` (default 10; ``-n -N`` is ``-n N``); supports the ``-n +K`` skip form."""
-    count_text = _count_text(arguments)
+    count_text = parse_argv("tail", arguments).value("-n", "10")
     data = concat_streams(inputs)
     if count_text.startswith("+"):
         return data[max(int(count_text[1:]) - 1, 0):]
@@ -71,10 +56,8 @@ def tac(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``wc [-l] [-w] [-c|-m]``: line/word/byte counts — only those asked for."""
-    data = concat_streams(inputs)
-    want_lines = has_flag(arguments, "-l")
-    want_words = has_flag(arguments, "-w")
-    want_chars = has_flag(arguments, "-c") or has_flag(arguments, "-m")
+    data, argv = concat_streams(inputs), parse_argv("wc", arguments)
+    want_lines, want_words, want_chars = argv.has("-l"), argv.has("-w"), argv.has("-c", "-m")
     if not (want_lines or want_words or want_chars):
         want_lines = want_words = want_chars = True
 
@@ -90,7 +73,8 @@ def wc(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def wc_block(arguments: List[str]):
     """Block kernel of :func:`wc` for ``-l`` alone: a line is a newline byte."""
-    if list(arguments) != ["-l"]:
+    argv = parse_argv("wc", arguments)
+    if argv.operands or argv.flags() != {"-l"}:
         return None
     return lambda streams: [[b"%d\n" % sum(block.count(b"\n") for stream in streams for block in stream)]]
 
@@ -121,13 +105,12 @@ def seq(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def echo(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``echo [-n] words...``."""
-    _, operands = split_flags(arguments)
-    return [" ".join(operands)]
+    return [" ".join(parse_argv("echo", arguments).operands)]
 
 
 def basename(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``basename path [suffix]`` or line-wise when reading a stream."""
-    _, operands = split_flags(arguments)
+    operands = parse_argv("basename", arguments).operands
     if operands:
         name = operands[0].rstrip("/").rsplit("/", 1)[-1]
         if len(operands) > 1 and name.endswith(operands[1]):
@@ -138,7 +121,7 @@ def basename(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def dirname(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``dirname path`` or line-wise when reading a stream."""
-    _, operands = split_flags(arguments)
+    operands = parse_argv("dirname", arguments).operands
 
     def compute(path: str) -> str:
         trimmed = path.rstrip("/")
@@ -275,8 +258,7 @@ def fetch_station(arguments: List[str], inputs: List[Stream]) -> Stream:
     """
     from repro.workloads.noaa import station_records
 
-    _, operands = split_flags(arguments)
-    identifiers = operands or concat_streams(inputs)
+    identifiers = parse_argv("fetch-station", arguments).operands or concat_streams(inputs)
     out: Stream = []
     for identifier in identifiers:
         out.extend(station_records(identifier))
@@ -287,8 +269,7 @@ def fetch_page(arguments: List[str], inputs: List[Stream]) -> Stream:
     """Stand-in for the page download stage of the web-indexing use case."""
     from repro.workloads.wikipedia import page_html
 
-    _, operands = split_flags(arguments)
-    identifiers = operands or concat_streams(inputs)
+    identifiers = parse_argv("fetch-page", arguments).operands or concat_streams(inputs)
     out: Stream = []
     for identifier in identifiers:
         out.extend(page_html(identifier))

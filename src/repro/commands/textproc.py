@@ -16,8 +16,9 @@ import string
 import sys
 from functools import lru_cache, partial
 from itertools import chain, filterfalse
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from repro.commands.argv import ParsedArgv, parse_argv
 from repro.commands.base import (
     BlockMap,
     CommandError,
@@ -26,9 +27,6 @@ from repro.commands.base import (
     concat_streams,
     decode_text,
     encode_text,
-    flag_value,
-    has_flag,
-    split_flags,
 )
 
 
@@ -161,6 +159,14 @@ def _scanner(locator, invert: bool, per_line):
     return scan
 
 
+def _grep_pattern(argv: ParsedArgv) -> str:
+    """grep's pattern: the value of ``-e`` (given once at most), else the first operand."""
+    patterns = argv.values("-e") or list(argv.operands[:1])
+    if len(patterns) != 1:
+        raise CommandError("grep requires one pattern" if patterns else "grep requires a pattern")
+    return patterns[0]
+
+
 @lru_cache(maxsize=256)
 def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     """A grep invocation, stated once for both faces: ``(pattern, probe, select, face)``.
@@ -171,19 +177,15 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     an ``re.M`` search) unless the pattern may match a newline or anchors at
     a line's start; it is exact on any block for a fixed string without ``-i``/``-w``.
     """
-    options, operands = split_flags(arguments)
-    if not operands:
-        raise CommandError("grep requires a pattern")
-    unknown = set("".join(option[1:] for option in options if option != "-e")) - set("ivcoEFwxn")
-    if unknown or options.count("-e") > 1:
-        raise CommandError(f"grep: unsupported option(s) {' '.join(options)}")
-    pattern_text = operands[0]
-    fixed = has_flag(options, "-F") or not set("\\[].*^$+?{}|()").intersection(pattern_text)  # either syntax
-    fold, whole_line, word = (has_flag(options, flag) for flag in ("-i", "-x", "-w"))
+    argv = parse_argv("grep", arguments)
+    source = _grep_pattern(argv)
+    fixed = argv.has("-F") or not set("\\[].*^$+?{}|()").intersection(source)  # either syntax
+    fold, whole_line, word = argv.has("-i"), argv.has("-x"), argv.has("-w")
+    pattern_text = source
     try:
-        if has_flag(options, "-F"):
+        if argv.has("-F"):
             pattern_text = re.escape(pattern_text)
-        elif not has_flag(options, "-E"):
+        elif not argv.has("-E"):
             pattern_text = bre_to_python(pattern_text)
         by_line = whole_line or pattern_text.startswith("^") or _CROSSES_LINES.search(pattern_text)
         if word:  # no word character on either side
@@ -193,7 +195,7 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     except re.error as exc:
         raise CommandError(f"grep: bad pattern {pattern_text!r}: {exc}") from exc
     probe = pattern.fullmatch if whole_line else pattern.search
-    keep = filterfalse if (invert := has_flag(options, "-v")) else filter  # the loop runs in C
+    keep = filterfalse if (invert := argv.has("-v")) else filter  # the loop runs in C
     select = lambda data: list(keep(probe, data))  # noqa: E731
     if not binary:
         return pattern, probe, select, None
@@ -202,7 +204,7 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
     if by_line:
         return pattern, probe, select, per_line
     if fixed and not word:
-        needle = encode_text(operands[0]).lower() if fold else encode_text(operands[0])
+        needle = encode_text(source).lower() if fold else encode_text(source)
         locator = lambda block: partial((block.lower() if fold else block).find, needle)  # noqa: E731
     else:
         search = re.compile(pattern.pattern, flags | re.M).search
@@ -217,11 +219,11 @@ def grep(arguments: List[str], inputs: List[Stream]) -> Stream:
     ``-F`` (a fixed string) is given; any other option is refused.
     """
     pattern, probe, select, _ = _grep_plan(tuple(arguments))
-    data = concat_streams(inputs)
-    if has_flag(arguments, "-c"):
+    data, argv = concat_streams(inputs), parse_argv("grep", arguments)
+    if argv.has("-c"):
         return [str(len(select(data)))]
-    invert, numbered = has_flag(arguments, "-v"), has_flag(arguments, "-n")
-    if has_flag(arguments, "-o"):  # -v: then only the empty matches print, as they always did
+    invert, numbered = argv.has("-v"), argv.has("-n")
+    if argv.has("-o"):  # -v: then only the empty matches print, as they always did
         found = [(n, m[0]) for n, line in enumerate(data, 1) for m in pattern.finditer(line) if not (invert and m[0])]
     elif numbered:
         found = [(n, line) for n, line in enumerate(data, 1) if (probe(line) is None) is invert]
@@ -247,12 +249,12 @@ def grep_block(arguments: List[str]):
     ASCII itself or holds ``\\s`` (``\\x1c``-``\\x1f`` for ``str``).  ``-c``
     counts the lines the face keeps; ``-o`` and ``-n`` change the output's shape.
     """
-    options, operands = split_flags(arguments)
-    pattern = operands[0] if operands else "\\s"
-    if set("".join(options)) - set("-ivcEFwx") or not pattern.isascii() or "\\s" in pattern.lower():
+    argv = parse_argv("grep", arguments)
+    pattern = _grep_pattern(argv)
+    if argv.has("-o", "-n") or not pattern.isascii() or "\\s" in pattern.lower():
         return None
     face = _grep_plan(tuple(arguments), True)[3]
-    if not has_flag(options, "-c"):
+    if not argv.has("-c"):
         return face
     return lambda streams: [[b"%d\n" % sum(block.count(b"\n") for block in face(streams)[0])]]
 
@@ -345,8 +347,8 @@ def tr_plan(arguments: Tuple[str, ...]):
     SET1 deleting or translating a newline (a block's last newline is the
     stream's implicit one, which the ``str`` face never sees).
     """
-    options, operands = split_flags(arguments)
-    delete, squeeze, complement = (has_flag(options, flag) for flag in ("-d", "-s", "-c"))
+    argv = parse_argv("tr", arguments)
+    operands, delete, squeeze, complement = argv.operands, argv.has("-d"), argv.has("-s"), argv.has("-c")
     set1 = _expand_tr_set(operands[0]) if operands else ""
     set2 = _expand_tr_set(operands[1]) if len(operands) > 1 else ""
     squeezed = (set2 or set1) if squeeze else ""
@@ -467,16 +469,6 @@ def _cut_slices(spec: str, complement: bool = False) -> Tuple[Tuple[int, int], .
     return tuple(slices)
 
 
-def _cut_options(arguments: Tuple[str, ...]) -> Dict[str, str]:
-    """cut's options as getopt reads them (``-sd,`` is ``-s -d ,``); any other is refused."""
-    import getopt  # here, not at import time: it loads gettext (1.8 ms), and only cut needs it
-    try:
-        pairs, _ = getopt.gnu_getopt(arguments, "c:d:f:s", ["complement", "only-delimited"])
-    except getopt.GetoptError as exc:
-        raise CommandError(f"cut: {exc}") from exc
-    return {flag.replace("--only-delimited", "-s"): value for flag, value in pairs}
-
-
 def _fields_pattern(delimiter: str, low: int, high: int):
     """``cut -f`` of fields ``low + 1`` to ``high`` as one pattern whose ``findall`` over a block
     yields each output line: the fields, a line without the delimiter, or nothing (too few fields)."""
@@ -522,18 +514,18 @@ def _cut_plan(arguments: Tuple[str, ...], binary: bool = False):
     ``face`` is the bytes :class:`BlockMap`: one range of fields split on one
     ASCII byte is one pattern over the block, ``-s`` a ``grep -F`` before it.
     """
-    options = _cut_options(arguments)
-    char_spec, field_spec = options.get("-c"), options.get("-f")
-    delimiter = options.get("-d") or "\t"
+    argv = parse_argv("cut", arguments)
+    char_spec, field_spec = argv.value("-c"), argv.value("-f")
+    delimiter = argv.value("-d") or "\t"
     if delimiter.startswith('"') and delimiter.endswith('"') and len(delimiter) >= 2:
         delimiter = delimiter[1:-1]
     if not (char_spec or field_spec):
         raise CommandError("cut requires -c or -f")
-    only_delimited = "-s" in options
+    only_delimited = argv.has("-s", "--only-delimited")
     if only_delimited and char_spec:
         raise CommandError("cut: -s applies to fields only")
 
-    slices = _cut_slices(char_spec or field_spec, "--complement" in options)
+    slices = _cut_slices(char_spec or field_spec, argv.has("--complement"))
     if char_spec and len(slices) == 1:
         ((low, high),) = slices
         on_lines = lambda data: [line[low:high] for line in data]  # noqa: E731
@@ -608,27 +600,12 @@ def _parse_sed_script(script: str):
 
 def sed(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``sed [-e] 's/pat/repl/[g]'`` (also ``y///`` and custom delimiters)."""
-    data = concat_streams(inputs)
-    scripts: List[str] = []
-    skip_next = False
-    operands_seen = 0
-    for index, argument in enumerate(arguments):
-        if skip_next:
-            scripts.append(argument)
-            skip_next = False
-            continue
-        if argument == "-e":
-            skip_next = True
-            continue
-        if argument.startswith("-"):
-            if argument == "-n":
-                raise CommandError("sed -n is not supported (side-effectful in PaSh)")
-            continue
-        if operands_seen == 0:
-            scripts.append(argument)
-            operands_seen += 1
-        # Remaining operands would be files; the executor resolves those into
-        # input streams, so they are ignored here.
+    data, argv = concat_streams(inputs), parse_argv("sed", arguments)
+    if argv.has("-n"):
+        raise CommandError("sed -n is not supported (side-effectful in PaSh)")
+    # Without -e the first operand is the script; the rest are files, which
+    # the executor has already resolved into the input streams.
+    scripts = argv.values("-e") or list(argv.operands[:1])
     if not scripts:
         raise CommandError("sed requires a script")
 
@@ -673,28 +650,10 @@ def awk(arguments: List[str], inputs: List[Stream]) -> Stream:
     The paper treats awk as unparallelizable; the implementation exists so
     that sequential baselines of the Unix50 pipelines still run in-process.
     """
-    separator = None
-    program = None
-    index = 0
-    while index < len(arguments):
-        argument = arguments[index]
-        if argument == "-F" and index + 1 < len(arguments):
-            separator = arguments[index + 1]
-            index += 2
-            continue
-        if argument.startswith("-F") and len(argument) > 2:
-            separator = argument[2:]
-            index += 1
-            continue
-        if argument.startswith("-") and argument != "-":
-            index += 1
-            continue
-        if program is None:
-            program = argument
-        index += 1
-    if program is None:
+    argv = parse_argv("awk", arguments)
+    if not argv.operands:
         raise CommandError("awk requires a program")
-    return _awk_printer(program, separator)(concat_streams(inputs))
+    return _awk_printer(argv.operands[0], argv.value("-F"))(concat_streams(inputs))
 
 
 @lru_cache(maxsize=256)
@@ -745,8 +704,7 @@ def _awk_printer(program: str, separator: Optional[str]):
 
 def fold(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``fold [-w N]``: wrap lines at N characters (default 80)."""
-    width_text = flag_value(arguments, "-w", "80")
-    width = int(width_text) if width_text else 80
+    width = int(parse_argv("fold", arguments).value("-w", "80"))
     data = concat_streams(inputs)
     # ``or``: an empty line stays one line.  Iterating a str yields its characters in C.
     if width == 1:
@@ -791,34 +749,19 @@ def gunzip(arguments: List[str], inputs: List[Stream]) -> Stream:
 def xargs(arguments: List[str], inputs: List[Stream]) -> Stream:
     """``xargs [-n N] command [args...]``.
 
-    Groups input lines into batches of N (default: all) and invokes the
-    wrapped command once per batch via the standard registry.  The wrapped
-    command receives the batch as extra operands and no stdin.
+    Groups the blank-separated words of the input (quotes are not read) into
+    batches of N (default: all) and invokes the wrapped command once per
+    batch via the standard registry.  The wrapped command receives the batch
+    as extra operands and no stdin.
     """
     from repro.commands.registry import standard_registry
 
-    batch_text = None
-    rest: List[str] = []
-    index = 0
-    while index < len(arguments):
-        argument = arguments[index]
-        if argument == "-n" and index + 1 < len(arguments):
-            batch_text = arguments[index + 1]
-            index += 2
-            continue
-        if argument.startswith("-n") and argument != "-n":
-            batch_text = argument[2:]
-            index += 1
-            continue
-        rest.append(argument)
-        index += 1
-    command_tokens = [token for token in rest if not (token.startswith("-") and token != "-")]
-    if not command_tokens:
+    argv = parse_argv("xargs", arguments)
+    if not argv.operands:
         raise CommandError("xargs requires a command")
-    command = command_tokens[0]
-    command_start = rest.index(command)
-    command_arguments = rest[command_start + 1 :]
-    data = concat_streams(inputs)
+    command, *command_arguments = argv.operands
+    batch_text = argv.value("-n")
+    data = [word for line in concat_streams(inputs) for word in line.split()]
     registry = standard_registry()
 
     if batch_text is None:

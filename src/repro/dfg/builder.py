@@ -17,7 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.annotations.library import AnnotationLibrary, standard_library
-from repro.annotations.model import CommandInvocation, IOSpec
+from repro.annotations.model import CommandInvocation
+from repro.commands.base import CommandError
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import CommandNode
@@ -152,8 +153,14 @@ class DFGBuilder:
         record = self.library.lookup(name)
         if record is None:
             raise UntranslatableRegion(f"command {name!r} has no annotation")
-        invocation = record.invocation(name, arguments)
-        assignment = record.classify(invocation)
+        invocation = CommandInvocation(name, arguments)
+        try:
+            assignment = record.classify(invocation)
+            # The node keeps the options plus any operands that were not converted
+            # into edges (e.g. grep's pattern, sed's script, head's count).
+            operand_inputs, kept_arguments = invocation.input_operands(assignment.inputs)
+        except CommandError as exc:  # an option outside the command's spec: refused, not guessed at
+            raise UntranslatableRegion(str(exc)) from exc
         parallelizability = assignment.parallelizability
         if parallelizability is ParallelizabilityClass.SIDE_EFFECTFUL:
             raise UntranslatableRegion(f"command {name!r} is side-effectful under these flags")
@@ -170,9 +177,8 @@ class DFGBuilder:
         # ------------------------------------------------------------------
         # Inputs
         # ------------------------------------------------------------------
-        operand_inputs = self._resolve_operand_inputs(assignment.inputs, invocation)
+        node.arguments = kept_arguments
         uses_stdin = any(spec.kind == "stdin" for spec in assignment.inputs)
-        consumed_operands: List[str] = list(operand_inputs)
 
         if operand_inputs:
             pipe_consumed = False
@@ -206,14 +212,6 @@ class DFGBuilder:
         elif uses_stdin or name not in GENERATOR_COMMANDS:
             edge = graph.add_edge(kind=EdgeKind.STDIN, name="stdin")
             graph.attach_input(node, edge)
-
-        # The node keeps the options plus any operands that were not converted
-        # into edges (e.g. grep's pattern, sed's script, head's count).
-        node.arguments = [
-            argument
-            for argument in arguments
-            if argument not in consumed_operands
-        ]
 
         # ------------------------------------------------------------------
         # Outputs
@@ -286,15 +284,6 @@ class DFGBuilder:
         if len(fields) != 1:
             raise UntranslatableRegion("redirection target expands to multiple fields")
         return fields[0]
-
-    @staticmethod
-    def _resolve_operand_inputs(specs: List[IOSpec], invocation: CommandInvocation) -> List[str]:
-        """Resolve argument-referencing input specs to operand strings."""
-        files: List[str] = []
-        for spec in specs:
-            if spec.kind in ("arg", "args"):
-                files.extend(spec.resolve(invocation))
-        return files
 
 
 def translate_script(

@@ -13,6 +13,7 @@ import re
 from typing import Callable, Dict, List, Sequence
 
 from repro.commands import misc, sorting, textproc
+from repro.commands.argv import parse_argv
 from repro.commands.base import Stream, concat_streams
 
 
@@ -58,9 +59,7 @@ def merge_uniq(streams: Sequence[Stream], arguments: Sequence[str]) -> Stream:
     ``-c`` the boundary counts must be summed.  Both cases only require
     looking at the last line of one chunk and the first line of the next.
     """
-    counting = "-c" in arguments or any(
-        arg.startswith("-") and not arg.startswith("--") and "c" in arg[1:] for arg in arguments
-    )
+    counting = parse_argv("uniq", arguments).has("-c")
     merged: Stream = []
     for stream in streams:
         for line in stream:

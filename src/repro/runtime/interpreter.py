@@ -389,18 +389,10 @@ class ShellInterpreter:
         context = self._context()
         library = shared_standard_library() if self._library is None else self._library
         record = library.lookup(name)
-        invocation = (
-            record.invocation(name, arguments)
-            if record is not None
-            else CommandInvocation(name, arguments)
-        )
-
         operand_files: List[str] = []
         if record is not None:
-            assignment = record.classify(invocation)
-            for spec in assignment.inputs:
-                if spec.kind in ("arg", "args"):
-                    operand_files.extend(spec.resolve(invocation))
+            invocation = CommandInvocation(name, arguments)
+            operand_files, remaining = invocation.input_operands(record.classify(invocation).inputs)
 
         input_redirect: Optional[str] = None
         for redirection in node.redirections:
@@ -408,9 +400,7 @@ class ShellInterpreter:
                 input_redirect = " ".join(expand_word(redirection.target, context))
 
         if operand_files:
-            inputs = [self._read_file(filename, stdin) for filename in operand_files]
-            remaining = [arg for arg in arguments if arg not in operand_files]
-            return inputs, remaining
+            return [self._read_file(filename, stdin) for filename in operand_files], remaining
         if input_redirect is not None:
             return [self._read_file(input_redirect, stdin)], arguments
         return [list(stdin)], arguments

@@ -251,36 +251,44 @@ def expand_word(word: Word, context: Optional[ExpansionContext] = None) -> List[
             return []
         return list(context.positional)
 
-    pieces: List[str] = []
+    # Field splitting splits only what an unquoted parameter or command
+    # substitution produced (POSIX 2.6.5): literal and quoted text joins the
+    # field being built, so `-d' '` is one field.  An expansion that leaves
+    # nothing opens no field (`for f in $UNSET` runs zero times) unless a
+    # quoted part (`""$X`) holds the empty field open.
+    fields: List[str] = []
+    current: Optional[str] = None  # the field being built, None before one opens
+    braces = False
     for part in word.parts:
         if isinstance(part, LiteralPart):
-            pieces.append(part.text)
+            value = part.text
+            braces = braces or (not part.quoted and "{" in value)
         elif isinstance(part, ParameterPart):
             value = context.lookup(part.name)
-            pieces.append(value)
         elif isinstance(part, CommandSubstitution):
             if context.command_runner is None:
                 raise ExpansionError("command substitution cannot be expanded statically")
-            value = context.command_runner(part.text)
             # POSIX strips every trailing newline from $(...) output.
-            pieces.append(value.rstrip("\n"))
+            value = context.command_runner(part.text).rstrip("\n")
         else:  # pragma: no cover - defensive
             raise ExpansionError(f"unsupported word part {part!r}")
-    text = "".join(pieces)
-
-    fully_quoted = all(
-        getattr(part, "quoted", False) for part in word.parts
-    )
-    if fully_quoted:
-        return [text]
-
-    # Some part is unquoted here, so the word is field-split — and an
-    # expansion that leaves nothing yields no field (`for f in $UNSET` runs
-    # zero times) unless a quoted part (`""$X`) holds the empty field open.
-    fields = [field for piece in _expand_braces(text) for field in piece.split()]
-    if fields or not any(getattr(part, "quoted", False) for part in word.parts):
-        return fields
-    return [text]
+        if part.quoted or isinstance(part, LiteralPart):
+            if value or part.quoted:
+                current = (current or "") + value
+            continue
+        for index, piece in enumerate(value.split()):
+            if (index or value[:1].isspace()) and current is not None:
+                fields.append(current)
+                current = None
+            current = (current or "") + piece
+        if value[-1:].isspace() and current is not None:
+            fields.append(current)
+            current = None
+    if current is not None:
+        fields.append(current)
+    if braces:
+        fields = [expanded for field in fields for expanded in _expand_braces(field)]
+    return fields
 
 
 def _expand_braces(text: str) -> List[str]:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from repro.commands.argv import parse_argv
+from repro.commands.base import CommandError
 from repro.dfg.nodes import (
     AggregatorNode,
     CatNode,
@@ -224,65 +226,33 @@ class CostModel:
     # ------------------------------------------------------------------
 
     def _refine(self, node: CommandNode, base: CommandCost) -> CommandCost:
-        """Adjust a base cost using the node's flags."""
-        arguments = node.arguments
-        if node.name == "xargs":
+        """Adjust a base cost using the node's flags, as the command reads them."""
+        argv = _argv(node)
+        if argv is None:
+            return base
+        if node.name == "xargs" and argv.operands[:1]:
             # xargs' cost is the wrapped command's cost (plus negligible glue).
-            wrapped = self._xargs_wrapped_command(arguments)
-            if wrapped is not None and wrapped in self.command_costs:
-                return self.command_costs[wrapped]
+            return self.command_costs.get(argv.operands[0], base)
         if node.name in ("head", "tail"):
-            count = _numeric_flag(arguments, "-n", default=10)
-            return replace(base, fixed_output_lines=count)
-        if node.name == "grep":
-            if "-c" in arguments:
-                return replace(base, fixed_output_lines=1, blocking=True)
-            if "-v" in arguments or any("v" in a[1:] for a in arguments if _short_flag(a)):
-                return replace(base, selectivity=max(1.0 - base.selectivity, 0.05))
-        if node.name == "uniq" and any("c" in a[1:] for a in arguments if _short_flag(a)):
-            return replace(base, selectivity=base.selectivity)
-        if node.name == "sort" and "-m" in arguments:
+            count = argv.value("-n", "10")
+            return replace(base, fixed_output_lines=int(count) if count.lstrip("+-").isdigit() else 10)
+        if node.name == "grep" and argv.has("-c"):
+            return replace(base, fixed_output_lines=1, blocking=True)
+        if node.name == "grep" and argv.has("-v"):
+            return replace(base, selectivity=max(1.0 - base.selectivity, 0.05))
+        if node.name == "sort" and argv.has("-m"):
             return replace(base, complexity="linear", blocking=False)
-        if node.name == "cat" and any("n" in a[1:] for a in arguments if _short_flag(a)):
+        if node.name == "cat" and argv.has("-n"):
             return replace(base, seconds_per_line=_CHEAP)
         return base
 
-    @staticmethod
-    def _xargs_wrapped_command(arguments) -> Optional[str]:
-        """The command an xargs invocation wraps, skipping -n and its value."""
-        index = 0
-        while index < len(arguments):
-            argument = arguments[index]
-            if argument == "-n":
-                index += 2
-                continue
-            if argument.startswith("-"):
-                index += 1
-                continue
-            if argument.isdigit():
-                index += 1
-                continue
-            return argument
+
+def _argv(node: CommandNode):
+    """The node's argv as its command reads it (None: the command refuses it)."""
+    try:
+        return parse_argv(node.name, node.arguments)
+    except CommandError:
         return None
-
-
-def _short_flag(argument: str) -> bool:
-    return argument.startswith("-") and not argument.startswith("--") and len(argument) > 1
-
-
-def _numeric_flag(arguments, flag: str, default: int) -> int:
-    for index, argument in enumerate(arguments):
-        if argument == flag and index + 1 < len(arguments):
-            try:
-                return int(arguments[index + 1])
-            except ValueError:
-                return default
-        if argument.startswith(flag) and argument != flag:
-            try:
-                return int(argument[len(flag):])
-            except ValueError:
-                continue
-    return default
 
 
 def default_cost_model() -> CostModel:
@@ -355,10 +325,10 @@ class _PythonCostModel(CostModel):
     """The second table's flag refinements, on top of the shared ones."""
 
     def _refine(self, node: CommandNode, base: CommandCost) -> CommandCost:
-        if node.name == "tr":
-            arguments = node.arguments
-            if arguments and arguments[-1] in ("\n", "\\n"):
-                if any(set("cs") & set(a[1:]) for a in arguments if _short_flag(a)):
+        argv = _argv(node)
+        if node.name == "tr" and argv is not None:
+            if argv.operands[-1:] in (("\n",), ("\\n",)):
+                if argv.has("-c", "-s"):
                     base = self.command_costs["tr -cs"]
                 base = replace(base, selectivity=_WORDS_PER_LINE)
             return base

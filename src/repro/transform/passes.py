@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type
 
 from repro.annotations.classes import ParallelizabilityClass
+from repro.commands.argv import parse_argv
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import AggregatorNode, CommandNode, DFGNode, FusedStage
 from repro.runtime.executor import node_streams_statelessly
@@ -324,10 +325,8 @@ def _uses_positional_offset(node: CommandNode) -> bool:
     """True for head/tail invocations that count lines from an end of the whole input (``-n +2``, ``head -n -2``)."""
     if node.name not in ("head", "tail"):
         return False
-    arguments = [*node.arguments, ""]
-    counts = [argument[2:] or value for argument, value in zip(arguments, arguments[1:]) if argument[:2] == "-n"]
-    from_end = node.name == "head" and any(count[:1] == "-" for count in counts)
-    return from_end or any(count[:1] == "+" for count in counts + arguments)
+    count = parse_argv(node.name, node.arguments).value("-n", "")
+    return count[:1] == ("-" if node.name == "head" else "+")
 
 
 def _is_trivial_concatenation(graph: DataflowGraph, node: CommandNode) -> bool:

@@ -12,6 +12,7 @@ from repro.annotations.dsl import (
     render_annotation,
 )
 from repro.annotations.model import CommandInvocation
+from repro.commands.argv import OptionSpec, declare_spec
 
 S = ParallelizabilityClass.STATELESS
 P = ParallelizabilityClass.PARALLELIZABLE_PURE
@@ -65,8 +66,12 @@ def test_value_predicate():
     record = parse_annotation(
         'x {\n| value -d = "," => (P, [stdin], [stdout])\n| otherwise => (S, [stdin], [stdout])\n}'
     )
-    assert record.parallelizability(CommandInvocation("x", ["-d", ","])) is P
-    assert record.parallelizability(CommandInvocation("x", ["-d", ";"])) is S
+    declare_spec("x", OptionSpec("d:"))  # without a spec, ``-d`` takes no value
+    try:
+        assert record.parallelizability(CommandInvocation("x", ["-d", ","])) is P
+        assert record.parallelizability(CommandInvocation("x", ["-d;"])) is S
+    finally:
+        declare_spec("x", None)
 
 
 def test_multiple_records():

@@ -1,8 +1,11 @@
 """Tests for the standard annotation library."""
 
+import pytest
+
 from repro.annotations.classes import ParallelizabilityClass
 from repro.annotations.library import KNOWN_AGGREGATORS, AnnotationLibrary, standard_library
-from repro.annotations.model import simple_record
+from repro.annotations.model import CommandInvocation, simple_record
+from repro.commands.base import CommandError
 from repro.runtime.aggregators import AGGREGATORS
 
 S = ParallelizabilityClass.STATELESS
@@ -40,10 +43,13 @@ def test_flags_change_class():
     assert library.classify("grep", ["-n", "foo"]) is N
     assert library.classify("sed", ["s/a/b/"]) is S
     assert library.classify("sed", ["-n", "1p"]) is E
-    # Partial `uniq -d/-u/-D` outputs cannot be boundary-merged by merge_uniq.
+    # Partial `uniq -d/-u` outputs cannot be boundary-merged by merge_uniq, nor
+    # `uniq -f/-s/-w` ones (a merged group prints its first line, compared in part).
     assert library.classify("uniq", []) is P
-    for flag in ("-d", "-u", "-D", "-cd"):
+    for flag in ("-d", "-u", "-cd", "-f1", "-s2", "-w3", "-cf1"):
         assert library.classify("uniq", [flag]) is N
+    with pytest.raises(CommandError):  # `uniq -D` is not implemented: refused
+        library.classify("uniq", ["-D"])
 
 
 def test_non_parallelizable_and_side_effectful():
@@ -106,10 +112,12 @@ def test_register_dsl():
     assert library.classify("mytool", []) is P
 
 
-def test_value_flags_present_for_head_and_cut():
+def test_option_values_are_never_file_operands():
     library = standard_library()
-    assert "-n" in library.lookup("head").value_flags
-    assert "-f" in library.lookup("cut").value_flags
+    for name, arguments in (("head", ["-n", "10", "f.txt"]), ("cut", ["-d", ",", "-f", "1", "f.txt"])):
+        invocation = CommandInvocation(name, arguments)
+        inputs = library.lookup(name).classify(invocation).inputs
+        assert invocation.input_operands(inputs) == (["f.txt"], arguments[:-1])
 
 
 def test_standard_library_parses_the_dsl_once_per_process(monkeypatch):
@@ -129,7 +137,6 @@ def test_mutating_one_standard_library_does_not_leak_into_the_next():
     grep = first.lookup("grep")
     grep.aggregator = "concat"
     grep.configuration_operands = ()
-    grep.value_flags = ()
     grep.clauses.clear()
     first.register(simple_record("sort", E))
     first.register(simple_record("mytool", P))
@@ -138,7 +145,6 @@ def test_mutating_one_standard_library_does_not_leak_into_the_next():
     assert second.lookup("grep") is not grep
     assert second.lookup("grep").aggregator == "sum"
     assert second.lookup("grep").configuration_operands == (0,)
-    assert "-e" in second.lookup("grep").value_flags
     assert second.classify("grep", ["-c", "x"]) is P
     assert second.classify("sort", []) is P
     assert "mytool" not in second

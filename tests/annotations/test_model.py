@@ -1,5 +1,7 @@
 """Tests for annotation records, clauses, predicates, and IO specs."""
 
+import pytest
+
 from repro.annotations.classes import ParallelizabilityClass
 from repro.annotations.model import (
     And,
@@ -17,6 +19,7 @@ from repro.annotations.model import (
     classify_invocation,
     simple_record,
 )
+from repro.commands.base import CommandError
 
 S = ParallelizabilityClass.STATELESS
 P = ParallelizabilityClass.PARALLELIZABLE_PURE
@@ -25,31 +28,36 @@ E = ParallelizabilityClass.SIDE_EFFECTFUL
 
 def test_invocation_splits_options_and_operands():
     invocation = CommandInvocation("grep", ["-i", "-v", "pattern", "file.txt"])
-    assert invocation.options == ["-i", "-v"]
-    assert invocation.operands == ["pattern", "file.txt"]
+    assert invocation.argv.pairs == (("-i", ""), ("-v", ""))
+    assert invocation.argv.operands == ("pattern", "file.txt")
 
 
 def test_invocation_combined_short_flags():
     invocation = CommandInvocation("grep", ["-iv", "pattern"])
-    assert invocation.has_option("-i")
-    assert invocation.has_option("-v")
-    assert not invocation.has_option("-c")
+    assert invocation.argv.has("-i")
+    assert invocation.argv.has("-v")
+    assert not invocation.argv.has("-c")
 
 
 def test_invocation_value_flags_not_operands():
-    invocation = CommandInvocation("head", ["-n", "10", "file.txt"], value_flags=("-n",))
-    assert invocation.operands == ["file.txt"]
+    invocation = CommandInvocation("head", ["-n", "10", "file.txt"])
+    assert invocation.argv.operands == ("file.txt",)
 
 
 def test_invocation_dash_is_an_operand():
     invocation = CommandInvocation("comm", ["-13", "dict.txt", "-"])
-    assert "-" in invocation.operands
+    assert "-" in invocation.argv.operands
 
 
 def test_option_value():
     invocation = CommandInvocation("sort", ["-k", "2", "file"])
-    assert invocation.option_value("-k") == "2"
-    assert invocation.option_value("-t") is None
+    assert invocation.argv.value("-k") == "2"
+    assert invocation.argv.value("-t") is None
+
+
+def test_an_option_outside_the_spec_is_refused():
+    with pytest.raises(CommandError, match="-o"):
+        CommandInvocation("sort", ["-o", "out.txt", "in.txt"]).argv
 
 
 def test_predicates():
@@ -72,17 +80,16 @@ def test_option_value_equals_predicate():
 
 def test_iospec_resolution():
     invocation = CommandInvocation("comm", ["-1", "a.txt", "b.txt"])
-    assert IOSpec.arg(0).resolve(invocation) == ["a.txt"]
-    assert IOSpec.arg(1).resolve(invocation) == ["b.txt"]
-    assert IOSpec.args_slice(1).resolve(invocation) == ["b.txt"]
-    assert IOSpec.args_slice(0).resolve(invocation) == ["a.txt", "b.txt"]
-    assert IOSpec.stdin().resolve(invocation) == ["stdin"]
-    assert IOSpec.stdout().resolve(invocation) == ["stdout"]
+    assert invocation.input_operands([IOSpec.arg(0)]) == (["a.txt"], ["-1", "b.txt"])
+    assert invocation.input_operands([IOSpec.arg(1)]) == (["b.txt"], ["-1", "a.txt"])
+    assert invocation.input_operands([IOSpec.args_slice(1)]) == (["b.txt"], ["-1", "a.txt"])
+    assert invocation.input_operands([IOSpec.args_slice(0)]) == (["a.txt", "b.txt"], ["-1"])
+    assert invocation.input_operands([IOSpec.stdin()]) == ([], ["-1", "a.txt", "b.txt"])
 
 
 def test_iospec_out_of_range_is_empty():
     invocation = CommandInvocation("sort", [])
-    assert IOSpec.arg(2).resolve(invocation) == []
+    assert invocation.input_operands([IOSpec.arg(2)]) == ([], [])
 
 
 def test_iospec_str():
@@ -120,8 +127,7 @@ def test_simple_record_defaults():
     assert [spec.kind for spec in assignment.outputs] == ["stdout"]
 
 
-def test_record_invocation_carries_value_flags():
-    record = simple_record("head", P)
-    record.value_flags = ("-n",)
-    invocation = record.invocation("head", ["-n", "5", "file"])
-    assert invocation.operands == ["file"]
+def test_input_operands_are_dropped_by_position():
+    """A pattern equal to a file name stays: the file goes, not every equal argument."""
+    assert CommandInvocation("grep", ["foo", "foo"]).input_operands([IOSpec.args_slice(1)]) == (["foo"], ["foo"])
+    assert CommandInvocation("head", ["-n", "5", "5"]).input_operands([IOSpec.args_slice(0)]) == (["5"], ["-n", "5"])

@@ -14,7 +14,8 @@ import re
 from itertools import groupby
 from typing import List, Tuple
 
-from repro.commands.base import CommandError, concat_streams, encode_block, flag_value, has_flag, split_flags
+from _reference_argv import flag_value, has_flag, split_flags
+from repro.commands.base import CommandError, concat_streams, encode_block
 from repro.commands.textproc import _cut_slices, _expand_tr_set
 
 Stream = List[str]

@@ -24,6 +24,7 @@ import pytest
 
 import _reference_kernels as reference
 from repro.commands import sorting, textproc
+from repro.annotations.model import CommandInvocation
 from repro.commands.base import CommandError
 from repro.engine.channels import encode_block
 
@@ -221,5 +222,5 @@ def test_sort_m_is_not_parallelized():
     assert library.classify("sort", ["-r", "a"]) is ParallelizabilityClass.PARALLELIZABLE_PURE
     assert library.aggregator_for("sort") == "merge_sort"
     # Built from the DSL, the record now carries sort's value flags: ``2`` is no file.
-    assert library.lookup("sort").invocation("sort", ["-k", "2", "a"]).operands == ["a"]
+    assert CommandInvocation("sort", ["-k", "2", "a"]).argv.operands == ("a",)
     assert sorting.sort_block(["-m"]) is None

@@ -62,10 +62,10 @@ COMMANDS = {
     "fold": (textproc.fold, reference.fold, None, [[], ["-w", "1"], ["-w", "7"], ["-w40"], ["-w", "80"]]),
     "nl": (sorting.nl, reference.nl, None, [[]]),
     "paste": (sorting.paste, reference.paste, None, [[], ["-d", ","], ["-s"], ["-s", "-d", " "], ["-d", "é"]]),
+    # Keys, folding and ``-u`` by key follow GNU now (ties compare whole lines,
+    # fields keep their leading blanks): those rows are held to the host below.
     "sort": (sorting.sort_command, reference.sort_command, sorting.sort_block,
-             [[], ["-r"], ["-u"], ["-m"], ["-n"], ["-rn"], ["-nu"], ["-nr", "-u"], ["-k2"], ["-k", "2n"],
-              ["-k2", "-r"], ["-k", "2,2nr"], ["-k9"], ["-f"], ["-fu"], ["-d"], ["-df"], ["-dfr"],
-              ["-dn"], ["-fn", "-k2"]]),
+             [[], ["-r"], ["-u"], ["-m"], ["-n"], ["-rn"]]),
     "grep": (textproc.grep, reference.grep, textproc.grep_block,
              [["apple"], ["-v", "apple"], ["-i", "apple"], ["-iv", "b"], ["-x", "b"], ["-w", "the"],
               ["-F", "2.5"], ["-F", "x]y"], ["-E", "^(b|B)$"], ["[^a]"], ["^.$"], ["^$"], ["-c", "p"],
@@ -78,8 +78,8 @@ COMMANDS = {
 }
 
 #: (command, arguments) rows whose semantics equal coreutils on ASCII input
-#: (our ``tr -c`` keeps newlines, ``sort -u``/``-f`` break ties differently,
-#: ``wc`` pads several columns: those rows have no host leg).
+#: (our ``tr -c`` keeps newlines and ``wc`` pads several columns: those rows
+#: have no host leg).
 HOST_ROWS = [
     ("tr", ["A-Z", "a-z"]), ("tr", [" ", "\\n"]), ("tr", ["-d", "aeiou"]), ("tr", ["-s", " "]),
     ("tr", ["-s", "\\n"]), ("tr", ["-s", "lp"]), ("tr", ["-s", "a-c", "x"]), ("tr", ["-cs", "A-Za-z", "\\n"]),
@@ -88,7 +88,12 @@ HOST_ROWS = [
     ("tr", ["-d", "]^\\\\-"]), ("tr", ["-s", "]^\\\\-"]),
     ("uniq", []), ("uniq", ["-c"]), ("uniq", ["-d"]), ("uniq", ["-i"]), ("uniq", ["-cd"]),
     ("wc", ["-l"]), ("fold", ["-w", "1"]), ("fold", ["-w", "7"]), ("fold", ["-w", "80"]),
-    ("sort", []), ("sort", ["-r"]), ("sort", ["-n"]), ("sort", ["-rn"]),
+    ("uniq", ["-f", "1"]), ("uniq", ["-s", "2"]), ("uniq", ["-w", "3"]), ("uniq", ["-c", "-f", "1", "-s", "1"]),
+    ("sort", []), ("sort", ["-r"]), ("sort", ["-n"]), ("sort", ["-rn"]), ("sort", ["-u"]), ("sort", ["-nu"]),
+    ("sort", ["-nr", "-u"]), ("sort", ["-k2"]), ("sort", ["-k", "2n"]), ("sort", ["-k2", "-r"]),
+    ("sort", ["-k", "2,2nr"]), ("sort", ["-k9"]), ("sort", ["-f"]), ("sort", ["-fu"]), ("sort", ["-d"]),
+    ("sort", ["-df"]), ("sort", ["-dfr"]), ("sort", ["-fn", "-k2"]), ("sort", ["-s", "-k2"]),
+    ("sort", ["-t", " ", "-k", "2,3"]), ("sort", ["-b", "-k2"]), ("sort", ["-k", "1,1", "-k", "2r"]),
     ("grep", ["apple"]), ("grep", ["-v", "apple"]), ("grep", ["-i", "apple"]), ("grep", ["-x", "b"]),
     ("grep", ["-F", "2.5"]), ("grep", ["-c", "p"]),
     ("cut", ["-d", " ", "-f", "1"]), ("cut", ["-d", " ", "-f", "2-"]), ("cut", ["-d", " ", "-f", "1,3"]),

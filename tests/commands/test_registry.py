@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.annotations.library import standard_library
 from repro.commands import CommandError, CommandRegistry, standard_registry
-from repro.commands.base import CommandImplementation, concat_streams, flag_value, has_flag
+from repro.commands.argv import parse_argv
+from repro.commands.base import CommandImplementation, concat_streams
 
 
 def test_standard_registry_contains_evaluation_commands():
@@ -62,18 +63,18 @@ def test_every_parallelizable_annotated_command_with_impl_is_runnable():
 # ---------------------------------------------------------------------------
 
 
-def test_has_flag_exact_and_combined():
-    assert has_flag(["-r", "-n"], "-n")
-    assert has_flag(["-rn"], "-n")
-    assert not has_flag(["--name"], "-n")
-    assert not has_flag(["value"], "-n")
+def test_parsed_argv_has_exact_and_clustered_flags():
+    assert parse_argv("sort", ["-r", "-n"]).has("-n")
+    assert parse_argv("sort", ["-rn"]).has("-n")
+    assert not parse_argv("no-spec", ["--name"]).has("-n")
+    assert not parse_argv("sort", ["value"]).has("-n")
 
 
-def test_flag_value_forms():
-    assert flag_value(["-n", "5"], "-n") == "5"
-    assert flag_value(["-n5"], "-n") == "5"
-    assert flag_value(["--width=3"], "--width") == "3"
-    assert flag_value(["-x"], "-n", default="7") == "7"
+def test_parsed_argv_value_forms():
+    assert parse_argv("head", ["-n", "5"]).value("-n") == "5"
+    assert parse_argv("head", ["-n5"]).value("-n") == "5"
+    assert parse_argv("sort", ["--parallel=3"]).value("--parallel") == "3"
+    assert parse_argv("head", []).value("-n", default="7") == "7"
 
 
 def test_concat_streams_order():

@@ -26,6 +26,7 @@ import pytest
 
 from repro import api
 from repro.api import Pash, PashConfig, StreamingConfig
+from repro.commands.base import CommandError
 from repro.engine.channels import encode_block
 from repro.jit import PlanCache
 from repro.runtime.executor import ExecutionEnvironment
@@ -329,6 +330,86 @@ def test_block_paths_match_the_host(data, script, backend, tmp_path, monkeypatch
         environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
     )
     assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} on {backend}"
+
+
+# ---------------------------------------------------------------------------
+# One reading of argv: each command's options as the host reads them
+# ---------------------------------------------------------------------------
+
+#: The input is written both to ``in.txt`` and to a file named ``foo``.
+ARGV_INPUTS = {
+    "nums": "".join("%d\n" % n for n in range(1, 41)).encode(),
+    "colons": b"a:2\nb:1\nc:3\n",
+    "ties": b"x:1\ny:1\nb:1\nB:1\nx:0\n",
+    "fields": b"x 1 a\ny 1 a\nz 2 b\nz  2 b\n",
+    "foo": b"foo bar\nbaz\nfoo\n",
+}
+ARGV_SCRIPTS = [
+    ("colons", "cat in.txt | sort -rt: -k2"),  # a value inside a cluster
+    ("colons", "cat in.txt | sort -k2 -t :"),
+    ("ties", "cat in.txt | sort -t: -k2"),  # equal keys: whole lines decide
+    ("ties", "cat in.txt | sort -rt: -k2"),
+    ("ties", "cat in.txt | sort -st: -k2"),  # -s: equal keys keep their order
+    ("ties", "cat in.txt | sort -f"),
+    ("ties", "cat in.txt | sort -ut: -k2"),
+    ("fields", "cat in.txt | uniq -f 1"),
+    ("fields", "cat in.txt | uniq -s 2"),
+    ("fields", "cat in.txt | uniq -c -f 1"),
+    ("fields", "cat in.txt | uniq -w 1"),
+    ("fields", "cat in.txt | cut -d' ' -f2"),  # the quoted blank is part of -d's word
+    ("fields", "cut -d' ' -f 3 in.txt"),  # a file operand of cut is read
+    ("fields", "uniq -c in.txt"),  # ... and of uniq
+    ("colons", "paste -d ',:' in.txt in.txt in.txt"),  # paste's delimiters take turns
+    ("colons", "paste -s -d '\\t-' in.txt"),
+    ("nums", "cat in.txt | xargs -n 3 echo"),  # batches of words, never split across lanes
+    ("nums", "cat in.txt | xargs echo"),
+    ("nums", "cat in.txt | head -5"),
+    ("nums", "cat in.txt | tail +38"),
+    ("foo", "grep foo foo"),  # the file goes, the equal pattern stays
+    ("foo", "cat foo | grep -c foo"),
+    ("foo", "grep -e foo in.txt"),
+    ("foo", "sed -e s/foo/X/ foo"),
+]
+#: Flags the line model cannot honour (a partial last line) or that are not
+#: implemented: refused with ``CommandError`` on every backend, never ignored.
+ARGV_REFUSED = [
+    "cat in.txt | head -c 5",
+    "cat in.txt | tail -c 5",
+    "cat in.txt | fold -sw 3",
+    "cat in.txt | sort -n -o out.txt",
+    "join -t, in.txt in.txt",
+    "cat in.txt | nl -ba",
+    "cat in.txt | uniq -D",
+]
+
+
+def run_argv_row(data, script, backend, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(ARGV_INPUTS[data])
+    (tmp_path / "foo").write_bytes(ARGV_INPUTS[data])
+    config = PashConfig.paper_default(WIDTH, backend=backend)
+    if backend == "jit":
+        config = config.replace(jit_inner_backend="parallel")  # tiny input: pin the pool
+    return api.run(
+        script, config=config,
+        environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
+    )
+
+
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "sort", "uniq", "cut", "grep", "sed"))),
+                    reason="missing coreutils")
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
+@pytest.mark.parametrize("data, script", ARGV_SCRIPTS)
+def test_argv_is_read_as_the_host_reads_it(data, script, backend, tmp_path, monkeypatch):
+    result = run_argv_row(data, script, backend, tmp_path, monkeypatch)
+    assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} on {backend}"
+
+
+@pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
+@pytest.mark.parametrize("script", ARGV_REFUSED)
+def test_a_flag_outside_the_spec_is_refused(script, backend, tmp_path, monkeypatch):
+    with pytest.raises(CommandError):
+        run_argv_row("nums", script, backend, tmp_path, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ def test_unquoted_variable_is_field_split():
     assert expand_word(word("$files"), context) == ["a.txt", "b.txt"]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("-d' '", ["-d "]),  # a quoted blank joins the literal before it
+        ('a"  "b', ["a  b"]),
+        ('x"$V"y', ["x1 2y"]),  # a quoted expansion is not split
+        ("x$V", ["x1", "2"]),  # an unquoted one is: its first piece joins the literal
+        ("$V'z'", ["1", "2z"]),
+        ("$E$V", ["1", "2"]),
+        ("a${P}b", ["a", "1", "b"]),  # blanks around the value end and start fields
+        ("'-d'$V", ["-d1", "2"]),
+    ],
+)
+def test_field_splitting_splits_only_what_an_expansion_produced(text, expected):
+    context = ExpansionContext({"V": "1 2", "E": "", "P": " 1 "})
+    assert expand_word(word(text), context) == expected
+
+
 def test_expand_word_over_a_word_list():
     context = ExpansionContext({"x": "1"})
     words = [word("grep"), word("$x"), word("{a,b}")]
