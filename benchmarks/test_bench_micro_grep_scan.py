@@ -7,7 +7,9 @@ hit, the line path per line, so the scan wins on sparse hits and loses on
 dense ones.  The face samples the first 64th of a block and hands a dense
 block to the line path (``textproc._SAMPLE_SHIFT``/``_DENSE_SHARE``); this
 prints the three costs per 64 KB block at each share of lines holding a
-hit, which is where those constants come from.
+hit, which is where those constants come from.  ``-w`` finds candidates
+without its leading lookbehind (which would hide the literal prefix sre
+searches by) and confirms each candidate's line.
 """
 
 import random
@@ -43,7 +45,7 @@ def test_bench_micro_grep_scan(benchmark, monkeypatch):
 
     def sweep():
         rows = []
-        for arguments in (["zq"], ["-v", "zq"], ["q.x"], ["-v", "q.x"]):
+        for arguments in (["zq"], ["-v", "zq"], ["q.x"], ["-v", "q.x"], ["-w", "zqyx"]):
             face = textproc.grep_block(arguments)
             line_path = block_map_kernel(textproc._grep_plan(tuple(arguments), True)[2], None, True).on_block
             for density, block in blocks.items():

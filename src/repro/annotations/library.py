@@ -218,8 +218,10 @@ def _build_records() -> Dict[str, AnnotationRecord]:
     records["tail"].aggregator = "merge_tail"
 
     # Non-parallelizable pure commands.
-    for name in ("sha1sum", "sha256sum", "md5sum", "cksum", "sum", "b2sum"):
+    for name in ("cksum", "sum"):
         add(simple_record(name, N))
+    for name in ("sha1sum", "sha256sum", "md5sum", "b2sum"):  # one ``HASH  NAME`` line per file
+        add(simple_record(name, N, inputs=[IOSpec("files", start=0)]))
     add(
         simple_record(
             "diff", N, inputs=[IOSpec.arg(0), IOSpec.arg(1)], outputs=[IOSpec.stdout()]

@@ -39,10 +39,15 @@ class CommandInvocation:
 
     def input_operands(self, specs: Sequence["IOSpec"]) -> Tuple[List[str], List[str]]:
         """The operands ``specs`` name as input files, and the arguments without
-        them: each is dropped by its position, so a pattern equal to a file name stays."""
+        them (but ``files``): each is dropped by its position, so a pattern equal
+        to a file name stays."""
         argv = self.argv
         chosen = [index for spec in specs for index in spec.operand_indices(len(argv.operands))]
-        dropped = {argv.positions[index] for index in chosen}
+        dropped = {
+            argv.positions[index]
+            for spec in specs if spec.kind != "files"
+            for index in spec.operand_indices(len(argv.operands))
+        }
         remaining = [argument for position, argument in enumerate(self.arguments) if position not in dropped]
         return [argv.operands[index] for index in chosen], remaining
 
@@ -138,8 +143,10 @@ class IOSpec:
     """A symbolic reference to one of a command's inputs or outputs.
 
     ``kind`` is one of ``stdin``, ``stdout``, ``arg`` (single operand index),
-    or ``args`` (an operand slice).  Indices refer to *operands*, i.e. the
-    non-flag arguments, mirroring the paper's ``args[i]`` notation.
+    ``args`` (an operand slice) or ``files`` (an operand slice whose names
+    stay in the argument vector: ``md5sum`` prints them).  Indices refer to
+    *operands*, i.e. the non-flag arguments, mirroring the paper's
+    ``args[i]`` notation.
     """
 
     kind: str
@@ -172,7 +179,7 @@ class IOSpec:
         if self.kind == "arg":
             assert self.index is not None
             return [self.index] if self.index < count else []
-        if self.kind == "args":
+        if self.kind in ("args", "files"):
             return list(range(count))[self.start : self.end]
         return []
 

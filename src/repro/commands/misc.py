@@ -141,11 +141,16 @@ def dirname(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 
 def _digest(algorithm: str, arguments: List[str], inputs: List[Stream]) -> Stream:
-    """``sha1sum``/``md5sum`` over stdin: the digest of the stream's bytes."""
-    digest = hashlib.new(algorithm)
-    for block in map(encode_block, iter_line_slices(concat_streams(inputs))):
-        digest.update(block)
-    return [f"{digest.hexdigest()}  -"]
+    """``sha1sum``/``md5sum [FILE...]``: ``HASH  NAME`` per input, each the digest of
+    its bytes; the inputs are the file operands (``-`` and none: stdin)."""
+    names = parse_argv(algorithm + "sum", arguments).operands or ["-"]
+    lines = []
+    for name, stream in zip(names, inputs):
+        digest = hashlib.new(algorithm)
+        for block in map(encode_block, iter_line_slices(stream)):
+            digest.update(block)
+        lines.append(f"{digest.hexdigest()}  {name}")
+    return lines
 
 
 sha1sum = partial(_digest, "sha1")

@@ -1,8 +1,8 @@
 """Text-processing commands: grep, tr, cut, sed, awk subset, and friends.
 
 The grep/sed/tr paths are the engine's inner loop: under the parallel
-backend's batch mode a stateless command is re-invoked once per arriving
-chunk, so anything done per *call* (compiling the pattern, parsing the sed
+backend's ``str`` adapter a stateless command is re-invoked once per arriving
+block, so anything done per *call* (compiling the pattern, parsing the sed
 script, building the tr translation table) used to repeat thousands of times
 per stream.  Those derivations are one cached *plan* per argument vector
 (bounded ``lru_cache``) that the ``str`` function and the ``bytes`` block
@@ -188,8 +188,11 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
         elif not argv.has("-E"):
             pattern_text = bre_to_python(pattern_text)
         by_line = whole_line or pattern_text.startswith("^") or _CROSSES_LINES.search(pattern_text)
-        if word:  # no word character on either side
-            pattern_text = r"(?<!\w)(?:%s)(?!\w)" % pattern_text
+        # -w: no word character on either side.  A leading lookbehind hides the
+        # literal prefix sre searches a block by, so the block scan finds
+        # candidates without it and confirms each line with the exact pattern.
+        candidate = r"(?:%s)(?!\w)" % pattern_text if word else pattern_text
+        pattern_text = r"(?<!\w)" + candidate if word else pattern_text
         flags = re.IGNORECASE if fold else 0
         pattern = re.compile(encode_text(pattern_text) if binary else pattern_text, flags)
     except re.error as exc:
@@ -207,9 +210,21 @@ def _grep_plan(arguments: Tuple[str, ...], binary: bool = False):
         needle = encode_text(source).lower() if fold else encode_text(source)
         locator = lambda block: partial((block.lower() if fold else block).find, needle)  # noqa: E731
     else:
-        search = re.compile(pattern.pattern, flags | re.M).search
-        locator = lambda block: lambda at: hit.start() if (hit := search(block, at)) else -1  # noqa: E731
+        search = re.compile(encode_text(candidate), flags | re.M).search
+        locator = lambda block: partial(_locate, search, pattern.search if word else None, block)  # noqa: E731
     return pattern, probe, select, BlockMap(_scanner(locator, invert, per_line.on_block), on_text, exact)
+
+
+def _locate(search, confirm, block: bytes, at: int) -> int:
+    """The first ``search`` hit at or after ``at`` whose line ``confirm`` matches too (-1: none)."""
+    while hit := search(block, at):
+        if confirm is None:
+            return hit.start()
+        start, end = block.rfind(b"\n", 0, hit.start()) + 1, block.find(b"\n", hit.start())
+        if confirm(block, start, end):
+            return hit.start()
+        at = end + 1
+    return -1
 
 
 def grep(arguments: List[str], inputs: List[Stream]) -> Stream:

@@ -24,8 +24,8 @@ class NodeMetrics:
     kind: str
     pid: int
     wall_seconds: float = 0.0
-    #: Seconds inside the node's own evaluation (registry/aggregator calls);
-    #: ``wall_seconds - compute_seconds`` is time spent streaming/waiting.
+    #: ``wall_seconds`` less the time the node's sources spent reading and its
+    #: sinks spent writing: what its kernel took, for every node kind.
     compute_seconds: float = 0.0
     #: True when this node ran on a reused pool worker instead of a fresh
     #: process.
@@ -168,7 +168,7 @@ class EngineMetrics:
 
     @property
     def total_compute_seconds(self) -> float:
-        """Sum of per-node evaluation time (the rest of node wall is streaming)."""
+        """Sum of per-node kernel time (the rest of node wall is waiting on edges)."""
         return sum(node.compute_seconds for node in self.nodes)
 
     def to_dict(self) -> Dict[str, Any]:

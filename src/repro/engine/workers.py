@@ -2,45 +2,29 @@
 
 Every DFG node is executed by :func:`run_node`: open the input sources
 (eager pumps on fan-in edges, direct pipe reads everywhere else, stored
-streams for what is already materialized), evaluate the node, write the
+streams for what is already materialized), run the node's kernel, write the
 outputs.  It raises on failure and runs wherever its caller is — the cluster
 coordinator calls it inline for the nodes it keeps, the scheduler for its
 inline lane.  :func:`execute_plan` is its process wrapper, the body of a
 persistent pool worker (:mod:`repro.engine.pool`), a dedicated fork or a
-``pash-worker`` task.
-Command nodes either exec the real host binary (when enabled and available)
-or run the registry's pure-Python implementation — either way in a separate
-process, so parallel branches genuinely overlap.
+``pash-worker`` task, so parallel branches genuinely overlap.
 
 The data plane is *streaming*, not materialize-then-forward, and its unit is
 the *line block* — ``bytes`` holding whole ``\\n``-terminated lines, re-cut
 from whatever the file or pipe delivered by
-:func:`repro.engine.channels.iter_line_blocks`.  No loop here touches a line.
-Each node runs in one of three modes, picked by :func:`execution_mode`:
-
-* ``chunks`` — pure pass-through nodes (relays, concatenations) forward each
-  block from their inputs to their outputs without decoding it; memory use
-  is one block.
-* ``batches`` — stateless commands and fused stateless chains (per the
-  Table-1 annotation classes; see
-  :func:`repro.runtime.executor.node_streams_statelessly`) are evaluated one
-  block at a time, which is bit-identical to whole-stream evaluation by the
-  same property that makes them parallelizable; memory use is one block.
-  A :class:`~repro.dfg.nodes.FusedStage` runs its whole command chain over
-  each block in-process — no pipe, pump, or re-framing between members.
-* ``materialize`` — everything else (sort-likes, fused chains that end in
-  one, aggregators, splits, host commands) still needs the whole stream,
-  and a fused chain's kernels compose over it; the eager pumps that feed it
-  buffer at most ``spill_threshold`` bytes in memory and spill the rest to
-  disk, so the *channel* layer stays bounded even here.  A node with several
-  outputs (a split) writes them concurrently, one thread per sink, and each
-  sink sees EOF when its own stream is done: written in turn, branch *k+1*
-  would wait for branch *k*'s consumer and the branches would run in series.
-
-In the last two modes the node's kernel receives the blocks themselves when
-:func:`repro.runtime.executor.block_kernel` finds a bytes kernel for its
-command and flags, and the decoded ``List[str]`` otherwise — the path is
-chosen by what the node is, never by a setting.
+:func:`repro.engine.channels.iter_line_blocks`.  No loop here touches a line
+and nothing here decodes: every node has one body,
+``kernel([source.iter_blocks() for source in sources])`` written to the sinks,
+where the kernel is :func:`repro.runtime.executor.block_kernel` — a cat or
+relay concatenates (a blocking one stages the whole stream in a spill buffer
+first), a command with a bytes twin runs it, a host binary gets the bytes,
+and any other node runs through the ``str`` adapter, per block when it is
+stateless.  A kernel reads its inputs as lazily as its semantics allow, so a
+stateless node holds one block and a sort-like one the stream (its pumps
+still spill).  A node with several outputs (a split) writes them
+concurrently, one thread per sink, and each sink sees EOF when its own
+stream is done: written in turn, branch *k+1* would wait for branch *k*'s
+consumer and the branches would run in series.
 
 Workers never raise: every outcome, including failure, is delivered to the
 scheduler as a report on the shared queue, and all owned file descriptors are
@@ -55,39 +39,28 @@ from __future__ import annotations
 
 import os
 import shutil
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.api.config import StreamingConfig
 from repro.commands import standard_registry
-from repro.commands.base import CommandRegistry, Stream
-from repro.dfg.elision import is_plain_cat
-from repro.dfg.nodes import CatNode, CommandNode, DFGNode, FusedStage, RelayNode
+from repro.commands.base import CommandRegistry
+from repro.dfg.nodes import CommandNode, DFGNode
 from repro.engine.channels import (
     ChannelReader,
     ChannelWriter,
     EagerPump,
     SpillBuffer,
     StoredStream,
-    decode_block,
-    encode_block,
-    encode_lines,
     iter_line_blocks,
-    iter_line_slices,
 )
 from repro.engine.metrics import NodeMetrics
 from repro.obs.tracer import TraceContext, record_worker_span
 from repro.resilience import fault as fault_injection
 from repro.resilience.fault import FaultPlan
-from repro.runtime.executor import (
-    block_kernel,
-    evaluate_node,
-    node_streams_statelessly,
-)
+from repro.runtime.executor import block_kernel
 
 #: The largest collected stream that rides inline in its worker's report; a
 #: larger one is handed off as a file of the run's directory.  One pipe
@@ -171,45 +144,20 @@ def host_command_available(node: DFGNode, use_host_commands: bool) -> bool:
     )
 
 
-def execution_mode(plan: WorkerPlan) -> str:
-    """Pick the streaming mode for this plan: chunks, batches, or materialize."""
-    node = plan.node
-    if host_command_available(node, plan.use_host_commands):
-        return "materialize"
-    if isinstance(node, (CatNode, RelayNode)) or is_plain_cat(node):
-        return "chunks"
-    if node_streams_statelessly(node):
-        return "batches"
-    return "materialize"
-
-
-def _run_host_command(node: CommandNode, inputs: List[Stream]) -> Stream:
-    """Execute the node as a real subprocess (input via stdin, LC_ALL=C)."""
-    argv = [node.name] + list(node.arguments)
-    payload = encode_lines(inputs[0]) if inputs else b""
-    environment = dict(os.environ, LC_ALL="C")
-    completed = subprocess.run(
-        argv, input=payload, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=environment
-    )
-    if completed.returncode != 0:
-        detail = completed.stderr.decode("utf-8", "replace").strip()
-        raise RuntimeError(f"host command {node.name!r} exited {completed.returncode}: {detail}")
-    return decode_block(completed.stdout)
-
-
 # ---------------------------------------------------------------------------
 # Input sources
 # ---------------------------------------------------------------------------
 
 
 class InputSource:
-    """Counted consumption of one input port.
+    """Counted, timed consumption of one input port.
 
     ``chunks`` delivers the port's bytes — a pipe read directly, an eager
     pump's buffer, a stored stream — and the source counts the bytes and
-    lines that flowed through, so the worker's report stays accurate without
-    a second pass over the data.  ``buffer`` is the pump's spill buffer when
-    there is one (its counters join the node's).
+    lines that flowed through, and the seconds spent waiting for them, so
+    the worker's report stays accurate without a second pass over the data.
+    ``buffer`` is the pump's spill buffer when there is one (its counters
+    join the node's).
     """
 
     def __init__(self, chunks: Iterable[bytes], buffer: Optional[SpillBuffer] = None) -> None:
@@ -217,9 +165,10 @@ class InputSource:
         self.buffer = buffer
         self.bytes_in = 0
         self.lines_in = 0
+        self.read_seconds = 0.0
 
     def iter_blocks(self) -> Iterator[bytes]:
-        """The stream as line blocks, counted — the unit every mode consumes.
+        """The stream as line blocks, counted — the unit every kernel consumes.
 
         Built on :func:`repro.engine.channels.iter_line_blocks`, so the
         split/carry (UTF-8-safe across chunk boundaries, final newline
@@ -227,17 +176,19 @@ class InputSource:
         """
 
         def counted() -> Iterator[bytes]:
-            for chunk in self.chunks:
+            chunks = iter(self.chunks)
+            while True:
+                started = time.perf_counter()
+                chunk = next(chunks, None)
+                self.read_seconds += time.perf_counter() - started
+                if chunk is None:
+                    return
                 self.bytes_in += len(chunk)
                 yield chunk
 
         for block in iter_line_blocks(counted()):
             self.lines_in += block.count(b"\n")
             yield block
-
-    def lines(self) -> List[str]:
-        """Materialize the whole stream as decoded lines (counted)."""
-        return list(chain.from_iterable(map(decode_block, self.iter_blocks())))
 
 
 def _open_sources(plan: WorkerPlan) -> List[InputSource]:
@@ -277,22 +228,21 @@ def _open_sources(plan: WorkerPlan) -> List[InputSource]:
 
 
 class OutputSink:
-    """Uniform, counted production API over one output port."""
+    """Uniform, counted, timed production API over one output port."""
 
     bytes_out = 0
     lines_out = 0
+    write_seconds = 0.0
 
-    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
-        """Write one line block (``lines`` = its line count, when known)."""
+    def write_chunk(self, data: bytes) -> None:
+        """Write one line block."""
         raise NotImplementedError
 
-    def write(self, output: Union[bytes, List[str]]) -> None:
-        """Write a kernel's output: a line block as is, a line list encoded."""
-        if isinstance(output, bytes):
-            self.write_chunk(output)
-        else:
-            for batch in iter_line_slices(output):
-                self.write_chunk(encode_block(batch), len(batch))
+    def write(self, block: bytes) -> None:
+        """Write one line block of a kernel's output, timed."""
+        started = time.perf_counter()
+        self.write_chunk(block)
+        self.write_seconds += time.perf_counter() - started
 
     def finish(self) -> None:
         """Flush and close the destination (EOF downstream)."""
@@ -321,11 +271,11 @@ class ChannelSink(OutputSink):
     def lines_out(self) -> int:  # type: ignore[override]
         return self.writer.lines_written
 
-    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
+    def write_chunk(self, data: bytes) -> None:
         if self.dead:
             return
         try:
-            self.writer.write_chunk(data, lines)
+            self.writer.write_chunk(data)
         except BrokenPipeError:
             self.dead = True
             self.writer.abandon()
@@ -360,9 +310,9 @@ class ReportSink(OutputSink):
         self.bytes_out = 0
         self.lines_out = 0
 
-    def write_chunk(self, data: bytes, lines: Optional[int] = None) -> None:
+    def write_chunk(self, data: bytes) -> None:
         self.bytes_out += len(data)
-        self.lines_out += data.count(b"\n") if lines is None else lines
+        self.lines_out += data.count(b"\n")
         self.buffer.append(data)
 
     def abandon(self) -> None:
@@ -380,115 +330,8 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
 
 
 # ---------------------------------------------------------------------------
-# Streaming node bodies
+# The node runner and its process wrapper
 # ---------------------------------------------------------------------------
-
-
-def _concatenated_blocks(sources: List[InputSource]) -> Iterator[bytes]:
-    """Concatenate the sources' streams, block-granular.
-
-    Every block ends in a newline, so `cat a b` never merges a's last line
-    with b's first — the line-level concatenation the interpreter performs.
-    """
-    return chain.from_iterable(source.iter_blocks() for source in sources)
-
-
-def _run_chunk_mode(
-    plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink]
-) -> List[SpillBuffer]:
-    """Forward raw chunks input→output; returns any staging buffers used."""
-    node = plan.node
-    if isinstance(node, (CatNode, RelayNode)) and len(plan.outputs) != 1:
-        # Parity with the interpreter's arity check: relays and cats produce
-        # exactly one stream (command nodes replicate, these do not).
-        raise RuntimeError(
-            f"node {node.label()} produced 1 streams for "
-            f"{len(plan.outputs)} output edges"
-        )
-    if isinstance(node, RelayNode) and node.blocking:
-        # Blocking-eager semantics (Fig. 6): absorb the whole stream before
-        # forwarding anything — through a bounded buffer, not a list.
-        stage = SpillBuffer(plan.streaming.spill_threshold, plan.streaming.spill_directory)
-        for chunk in _concatenated_blocks(sources):
-            stage.append(chunk)
-        stage.close()
-        for chunk in stage:
-            for sink in sinks:
-                sink.write_chunk(chunk)
-        return [stage]
-    for chunk in _concatenated_blocks(sources):
-        for sink in sinks:
-            sink.write_chunk(chunk)
-    return []
-
-
-def _run_batch_mode(
-    plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
-    registry: CommandRegistry, metrics: NodeMetrics,
-) -> None:
-    """Evaluate a stateless command (or fused chain) one line block at a time.
-
-    The unit handed to the kernel is the block itself when the node has a
-    block kernel (every member of a fused chain must), else its decoded lines.
-    """
-    node = plan.node
-    kernel = block_kernel(node, registry)
-
-    def evaluate(block: bytes) -> None:
-        batch = [[block]] if kernel else decode_block(block)
-        started = time.perf_counter()
-        if kernel:
-            pieces = list(kernel(batch)[0])  # a kernel may be lazy: force it here
-        else:
-            pieces = [evaluate_node(node, [batch], registry)[0]]
-        metrics.compute_seconds += time.perf_counter() - started
-        for piece in pieces:
-            for sink in sinks:
-                sink.write(piece)
-
-    saw_input = False
-    for block in sources[0].iter_blocks():
-        saw_input = True
-        evaluate(block)
-    if not saw_input:
-        # Preserve exact interpreter behaviour for empty streams even if a
-        # command's annotation overstates its statelessness.
-        evaluate(b"")
-
-
-def _run_materialize_mode(
-    plan: WorkerPlan, sources: List[InputSource], sinks: List[OutputSink],
-    registry: CommandRegistry, metrics: NodeMetrics,
-) -> None:
-    """Whole-stream evaluation for nodes that need all their input at once."""
-    node = plan.node
-    host = host_command_available(node, plan.use_host_commands)
-    kernel = None if host else block_kernel(node, registry)
-    if kernel:
-        streams = [list(source.iter_blocks()) for source in sources]
-        started = time.perf_counter()
-        outputs = kernel(streams)
-        if isinstance(node, (CommandNode, FusedStage)) and len(sinks) > 1:
-            # A command's one stream is replicated over its output edges.
-            outputs = [list(outputs[0])] * len(sinks)
-    else:
-        inputs: List[Stream] = [source.lines() for source in sources]
-        started = time.perf_counter()
-        if host:
-            metrics.host_command = True
-            outputs = [_run_host_command(node, inputs)]
-        else:
-            outputs = evaluate_node(node, inputs, registry)
-        outputs = [[lines] for lines in outputs]
-    metrics.compute_seconds = time.perf_counter() - started
-    # Mirror the interpreter's arity check: a mismatch must be a loud
-    # error, not silently-empty downstream edges.
-    if len(outputs) != len(plan.outputs):
-        raise RuntimeError(
-            f"node {node.label()} produced {len(outputs)} streams for "
-            f"{len(plan.outputs)} output edges"
-        )
-    _write_outputs(sinks, outputs)
 
 
 def _write_outputs(sinks: List[OutputSink], streams: list) -> None:
@@ -518,37 +361,41 @@ def _write_outputs(sinks: List[OutputSink], streams: list) -> None:
         raise errors[0]
 
 
-# ---------------------------------------------------------------------------
-# The node runner and its process wrapper
-# ---------------------------------------------------------------------------
-
-
 def run_node(plan: WorkerPlan, metrics: NodeMetrics) -> Dict[int, StoredStream]:
     """Evaluate the plan's node in this process; raises when it fails.
 
-    Opens the sources and sinks, picks the mode, runs the node and finishes
-    the sinks.  Returns every collected output edge (a port without ``fd``)
-    as a stored stream; on failure the partial ones are abandoned, so no
-    spill file outlives the error.  ``metrics`` is filled either way.
+    Opens the sources and sinks, writes the node's kernel over the sources'
+    blocks to the sinks and finishes them.  Returns every collected output
+    edge (a port without ``fd``) as a stored stream; on failure the partial
+    ones are abandoned, so no spill file outlives the error.  ``metrics`` is
+    filled either way: ``compute_seconds`` is the wall time less what the
+    sources spent reading and the sinks spent writing.
     """
     started = time.perf_counter()
     sources: List[InputSource] = []
     sinks: List[OutputSink] = []
     staging: List[SpillBuffer] = []
+
+    def stage() -> SpillBuffer:
+        staging.append(SpillBuffer(plan.streaming.spill_threshold, plan.streaming.spill_directory))
+        return staging[-1]
+
     try:
         sources = _open_sources(plan)
         sinks = _open_sinks(plan)
         # The standard registry is not shipped with a plan: re-created here.
         registry = standard_registry() if plan.registry is None else plan.registry
-        mode = execution_mode(plan)
-        if mode == "chunks":
-            staging = _run_chunk_mode(plan, sources, sinks)
-        elif mode == "batches":
-            _run_batch_mode(plan, sources, sinks, registry, metrics)
-        else:
-            _run_materialize_mode(plan, sources, sinks, registry, metrics)
-        for sink in sinks:
-            sink.finish()
+        metrics.host_command = host_command_available(plan.node, plan.use_host_commands)
+        kernel = block_kernel(plan.node, registry, metrics.host_command, stage)
+        outputs = kernel([source.iter_blocks() for source in sources])
+        # The interpreter's arity check: a mismatch is a loud error, not
+        # silently-empty downstream edges.
+        if len(outputs) != len(sinks):
+            raise RuntimeError(
+                f"node {plan.node.label()} produced {len(outputs)} streams for "
+                f"{len(sinks)} output edges"
+            )
+        _write_outputs(sinks, outputs)
         return {
             port.edge_id: sink.buffer.store()
             for port, sink in zip(plan.outputs, sinks)
@@ -579,6 +426,8 @@ def run_node(plan: WorkerPlan, metrics: NodeMetrics) -> Dict[int, StoredStream]:
         metrics.spilled_bytes = sum(buffer.spilled_bytes for buffer in buffers)
         metrics.spill_events = sum(buffer.spill_events for buffer in buffers)
         metrics.wall_seconds = time.perf_counter() - started
+        waited = sum(source.read_seconds for source in sources) + sum(sink.write_seconds for sink in sinks)
+        metrics.compute_seconds = max(0.0, metrics.wall_seconds - waited)
 
 
 def node_report(

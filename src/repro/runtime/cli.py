@@ -14,8 +14,10 @@ threshold in memory, the rest in a spill file the buffer removes.
 * ``split`` — cut stdin into contiguous line-aligned byte ranges
   (:func:`~repro.engine.channels.file_ranges`), one per output file: in
   place over a regular file, after spooling anything else to a spill file.
-* ``agg`` — apply a named aggregator to the given partial-output files
-  (FIFOs in an emitted script: read through a ``ChannelReader``, never seeked).
+* ``agg`` — run a named aggregator's node kernel
+  (:func:`~repro.runtime.executor.block_kernel`) over the given partial-output
+  files (FIFOs in an emitted script: read through a ``ChannelReader``, never
+  seeked); ``merge_sort`` merges the bytes, the others take the ``str`` adapter.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ import stat
 import sys
 from typing import Iterable, List
 
+from repro.commands import standard_registry
+from repro.dfg.nodes import AggregatorNode
 from repro.engine.channels import (
     ChannelReader,
     EagerPump,
     SpillBuffer,
     StoredStream,
-    encode_lines,
     file_ranges,
+    iter_line_blocks,
 )
-from repro.runtime.aggregators import apply_aggregator
+from repro.runtime.executor import block_kernel
 
 
 def _stdin_reader() -> ChannelReader:
@@ -99,8 +103,9 @@ def run_agg(arguments: argparse.Namespace) -> int:
         token for token in arguments.inputs if token.startswith("-") and token != "-"
     ] + list(getattr(arguments, "command_flags", []))
     # Inputs are FIFOs in an emitted script: read, never seek.
-    streams = [ChannelReader(os.open(path, os.O_RDONLY)).read_lines() for path in paths]
-    _write_chunks([encode_lines(apply_aggregator(arguments.name, streams, flags))])
+    streams = [iter_line_blocks(ChannelReader(os.open(path, os.O_RDONLY)).iter_chunks()) for path in paths]
+    kernel = block_kernel(AggregatorNode(aggregator=arguments.name, command_arguments=flags), standard_registry())
+    _write_chunks(kernel(streams)[0])
     return 0
 
 

@@ -8,12 +8,26 @@ graph must produce exactly the same graph outputs as the unoptimized graph.
 
 from __future__ import annotations
 
+import os
+import subprocess
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.annotations.classes import ParallelizabilityClass
 from repro.commands import CommandRegistry, standard_registry
-from repro.commands.base import BlockKernel, BlockMap, BlockStream, CommandError, Stream
+from repro.commands.base import (
+    BlockKernel,
+    BlockMap,
+    BlockStream,
+    CommandError,
+    Stream,
+    decode_block,
+    encode_block,
+    iter_line_slices,
+)
+from repro.dfg.elision import is_plain_cat
 from repro.dfg.edges import Edge, EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
@@ -75,19 +89,44 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
     raise ExecutionError(f"cannot execute node of kind {node.kind!r}")
 
 
-def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKernel]:
-    """The node's bytes kernel, or None when evaluating it needs ``str`` lines.
+def block_kernel(
+    node: DFGNode,
+    registry: CommandRegistry,
+    host: bool = False,
+    stage: Optional[Callable] = None,
+) -> BlockKernel:
+    """The node's kernel over line blocks; every node has one.
 
-    A kernel maps the input streams, each an iterable of line blocks, to the
-    produced streams — one for a command or aggregator (the caller
-    replicates it over output edges as :func:`evaluate_node` does),
-    ``len(outputs)`` for a split.  It is looked up on the registry's
-    implementation object, so a replacement registered without ``block``
-    takes the ``str`` path by itself; a fused stage has one only when every
-    member does, and adjacent stateless members map each block as one.
+    A kernel maps the input streams, each an iterable of line blocks, to one
+    produced stream per output edge (a command's one stream is replicated
+    over its edges, as :func:`evaluate_node` does).  Cats and relays
+    concatenate their inputs (a blocking relay stages all of it first, in a
+    buffer from ``stage``); ``host`` runs the command's binary.  Otherwise it
+    is the registry's bytes twin where one exists, else :func:`_str_kernel`,
+    which decodes, calls :func:`evaluate_node` and encodes.
+    """
+    if host:
+        kernel = _host_kernel(node)
+    elif isinstance(node, (CatNode, RelayNode)) or is_plain_cat(node):
+        if isinstance(node, RelayNode) and node.blocking:
+            return partial(_staged, stage)
+        return lambda streams: [chain.from_iterable(streams)]
+    else:
+        kernel = _twin(node, registry) or _str_kernel(node, registry)
+    if isinstance(node, (CommandNode, FusedStage)) and len(node.outputs) > 1:
+        return lambda streams: [list(kernel(streams)[0])] * len(node.outputs)
+    return kernel
+
+
+def _twin(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKernel]:
+    """The bytes twin of the node's ``str`` semantics, or None.
+
+    It is looked up on the registry's implementation object, so a replacement
+    registered without ``block`` has none; a fused stage has one only when
+    every member does, and adjacent stateless members map each block as one.
     """
     if isinstance(node, FusedStage):
-        kernels = [block_kernel(member, registry) for member in node.nodes]
+        kernels = [_twin(member, registry) for member in node.nodes]
         if not all(kernels):
             return None
         stages = kernels[:1]
@@ -117,6 +156,60 @@ def block_kernel(node: DFGNode, registry: CommandRegistry) -> Optional[BlockKern
     return None
 
 
+def _str_kernel(node: DFGNode, registry: CommandRegistry) -> BlockKernel:
+    """:func:`evaluate_node` between a decode and an encode.
+
+    Per line block for a node that streams statelessly (and once on ``[]``
+    when no block arrives), over the whole stream otherwise.
+    """
+    if node_streams_statelessly(node):
+
+        def per_block(blocks: BlockStream) -> Iterator[bytes]:
+            empty = True
+            for block in blocks:
+                empty = False
+                yield encode_block(evaluate_node(node, [decode_block(block)], registry)[0])
+            if empty:
+                yield encode_block(evaluate_node(node, [[]], registry)[0])
+
+        return lambda streams: [per_block(chain.from_iterable(streams))]
+
+    def whole(streams: List[BlockStream]) -> List[BlockStream]:
+        inputs = [list(chain.from_iterable(map(decode_block, stream))) for stream in streams]
+        outputs = evaluate_node(node, inputs, registry)
+        return [map(encode_block, iter_line_slices(output)) for output in outputs]
+
+    return whole
+
+
+def _staged(stage: Optional[Callable], streams: List[BlockStream]) -> List[BlockStream]:
+    """A blocking relay (Fig. 6): the whole stream, absorbed before the first block leaves."""
+    if stage is None:
+        from repro.engine.channels import SpillBuffer as stage  # the engine imports this module
+    buffer = stage()
+    for block in chain.from_iterable(streams):
+        buffer.append(block)
+    buffer.close()
+    return [buffer]
+
+
+def _host_kernel(node: CommandNode) -> BlockKernel:
+    """The command's host binary under ``LC_ALL=C``: the blocks on its stdin, its stdout back."""
+
+    def run(streams: List[BlockStream]) -> List[BlockStream]:
+        completed = subprocess.run(
+            [node.name, *node.arguments], input=b"".join(chain.from_iterable(streams)),
+            capture_output=True, env=dict(os.environ, LC_ALL="C"),
+        )
+        if completed.returncode and completed.stderr:  # `grep` finding nothing exits 1, silently
+            detail = completed.stderr.decode("utf-8", "replace").strip()
+            raise RuntimeError(f"host command {node.name!r} exited {completed.returncode}: {detail}")
+        out = completed.stdout
+        return [[out + b"\n" if out and not out.endswith(b"\n") else out]]
+
+    return run
+
+
 def node_streams_statelessly(node: DFGNode) -> bool:
     """True when the node may be evaluated over line batches incrementally.
 
@@ -129,9 +222,9 @@ def node_streams_statelessly(node: DFGNode) -> bool:
     command name, and is restricted to the single-data-input shape where the
     batch order is unambiguous.
 
-    The parallel engine's workers use this to process stateless commands
-    chunk-by-chunk instead of list-at-once, which is what keeps the hot
-    path's memory bounded for larger-than-RAM streams.
+    :func:`block_kernel`'s ``str`` adapter uses this to evaluate a node one
+    line block at a time instead of list-at-once, which is what keeps the
+    hot path's memory bounded for larger-than-RAM streams.
     """
     if isinstance(node, FusedStage):
         # A chain streams when every member does; one closed by a pure tail

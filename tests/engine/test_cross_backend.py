@@ -293,6 +293,10 @@ BLOCK_SCRIPTS = [
     ("text", "cat in.txt | grep -c light"),
     ("text", "cat in.txt | grep -x light"),
     ("text", "cat in.txt | grep -w light"),
+    ("text", "cat in.txt | grep -vw light"),
+    ("text", "cat in.txt | grep -iw light"),
+    ("text", "cat in.txt | grep -w 'l.ght'"),
+    ("text", "cat in.txt | grep -cw dark"),
     ("text", "cat in.txt | grep '^$'"),
     ("text", "cat in.txt | grep -v '^$'"),
     ("text", "cat in.txt | grep 'light.*dark'"),
@@ -332,6 +336,28 @@ def test_block_paths_match_the_host(data, script, backend, tmp_path, monkeypatch
     assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} on {backend}"
 
 
+HOST_SCRIPTS = [
+    (b"b a\nA c\nlight x\n", "cat in.txt | tr a-z A-Z"),
+    (b"b a\nA c\nlight x\nno final newline", "cat in.txt | sort"),
+    (b"b a\nA c\nlight x\nno final newline", "cat in.txt | cut -d ' ' -f 1"),
+    (b"b a\nA c\nlight x\nlight without newline", "cat in.txt | grep light"),
+]
+
+
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "tr", "sort", "cut", "grep"))), reason="missing coreutils")
+@pytest.mark.parametrize("data, script", HOST_SCRIPTS)
+def test_host_binaries_print_what_the_host_prints(data, script, tmp_path, monkeypatch):
+    """``use_host_commands``: a command node's binary gets the blocks and hands back bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.txt").write_bytes(data)
+    config = PashConfig.paper_default(WIDTH, backend="parallel").replace(use_host_commands=True)
+    result = api.run(
+        script, config=config,
+        environment=ExecutionEnvironment(filesystem=VirtualFileSystem(allow_real_files=True)),
+    )
+    assert encode_block(result.stdout) == host_bytes(script, tmp_path), script
+
+
 # ---------------------------------------------------------------------------
 # One reading of argv: each command's options as the host reads them
 # ---------------------------------------------------------------------------
@@ -369,6 +395,9 @@ ARGV_SCRIPTS = [
     ("foo", "cat foo | grep -c foo"),
     ("foo", "grep -e foo in.txt"),
     ("foo", "sed -e s/foo/X/ foo"),
+    ("foo", "md5sum foo"),  # each file operand hashed and named
+    ("colons", "md5sum in.txt foo"),
+    ("nums", "cat in.txt | sha1sum foo -"),
 ]
 #: Flags the line model cannot honour (a partial last line) or that are not
 #: implemented: refused with ``CommandError`` on every backend, never ignored.
@@ -396,7 +425,7 @@ def run_argv_row(data, script, backend, tmp_path, monkeypatch):
     )
 
 
-@pytest.mark.skipif(not all(map(shutil.which, ("sh", "sort", "uniq", "cut", "grep", "sed"))),
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "sort", "uniq", "cut", "grep", "sed", "md5sum", "sha1sum"))),
                     reason="missing coreutils")
 @pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
 @pytest.mark.parametrize("data, script", ARGV_SCRIPTS)

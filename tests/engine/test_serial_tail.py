@@ -18,6 +18,7 @@ pass the ``spill:write`` point, which the coordinator's small output never
 reaches.  The coordinator's lane is made slow by wrapping ``run_node``.
 """
 
+import gc
 import os
 import pathlib
 import sys
@@ -219,11 +220,15 @@ def test_the_coordinator_closes_no_descriptor_it_does_not_own(rig, tmp_path, mon
     real_close, run_inline = os.close, ParallelScheduler._run_inline
 
     def watched(self, plan):
+        # No collection in the window: the finalizer of an earlier test's dead
+        # ``multiprocessing`` process closes its pipe fds through ``os.close``.
+        gc.disable()
         monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or real_close(fd))
         try:
             return run_inline(self, plan)
         finally:
             monkeypatch.setattr(os, "close", real_close)
+            gc.enable()
 
     monkeypatch.setattr(ParallelScheduler, "_run_inline", watched)
     graph = two_lanes(lambda: CommandNode(name="tr", arguments=["a-z", "A-Z"]), CatNode())
