@@ -41,15 +41,14 @@ class CommandInvocation:
         """The operands ``specs`` name as input files, and the arguments without
         them (but ``files``): each is dropped by its position, so a pattern equal
         to a file name stays."""
-        argv = self.argv
-        chosen = [index for spec in specs for index in spec.operand_indices(len(argv.operands))]
-        dropped = {
-            argv.positions[index]
-            for spec in specs if spec.kind != "files"
-            for index in spec.operand_indices(len(argv.operands))
-        }
+        argv, chosen, dropped = self.argv, [], set()
+        for spec in specs:
+            for index in spec.operand_indices(len(argv.operands)):
+                chosen.append(argv.operands[index])
+                if spec.kind != "files":
+                    dropped.add(argv.positions[index])
         remaining = [argument for position, argument in enumerate(self.arguments) if position not in dropped]
-        return [argv.operands[index] for index in chosen], remaining
+        return chosen, remaining
 
 
 # ---------------------------------------------------------------------------

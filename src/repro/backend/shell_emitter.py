@@ -22,7 +22,9 @@ import sys
 from typing import Dict, List, Optional
 
 import repro
+from repro.annotations.library import shared_standard_library
 from repro.api.config import PashConfig
+from repro.commands.argv import parse_argv
 from repro.dfg.edges import EdgeKind
 from repro.dfg.graph import DataflowGraph
 from repro.dfg.nodes import (
@@ -154,6 +156,8 @@ def _emit_node(
 
     if isinstance(node, CommandNode):
         base = _command_text(node)
+        if _names_its_files(node):  # `md5sum a -`: only `-` reads a stream
+            inputs = [fifo_names[edge] for edge in node.inputs if graph.edges[edge].kind is not EdgeKind.FILE]
         if len(inputs) == 0:
             return f"{base}{output_redirect}"
         if len(inputs) == 1:
@@ -193,6 +197,13 @@ def _emit_node(
         )
 
     raise ValueError(f"cannot emit node of kind {node.kind!r}")
+
+
+def _names_its_files(node: CommandNode) -> bool:
+    """Whether the argv names the inputs: operands read as ``files`` stay in it (``md5sum`` prints them)."""
+    record = shared_standard_library().lookup(node.name)
+    specs = [spec for clause in (record.clauses if record else []) for spec in clause.assignment.inputs]
+    return any(spec.kind == "files" for spec in specs) and bool(parse_argv(node.name, node.arguments).operands)
 
 
 def _command_text(node: CommandNode) -> str:

@@ -13,7 +13,7 @@ Execution reuses the engine's worker body verbatim: every task becomes a
 :class:`~repro.engine.channels.SpillBuffer` under the task's
 ``spill_threshold``, so a task's inputs never sit in memory whole) and whose
 outputs are collected, and :func:`~repro.engine.workers.execute_plan` runs
-it — same registry, same batch-mode streaming, same counters, same span
+it — same registry, same one node body, same counters, same span
 recording — so a node produces the same bytes here as on the single-host
 scheduler by construction.  The outputs come back as stored streams too,
 which this module cuts into frames for the socket; the task's directory,

@@ -22,9 +22,10 @@ and any other node runs through the ``str`` adapter, per block when it is
 stateless.  A kernel reads its inputs as lazily as its semantics allow, so a
 stateless node holds one block and a sort-like one the stream (its pumps
 still spill).  A node with several outputs (a split) writes them
-concurrently, one thread per sink, and each sink sees EOF when its own
+concurrently, one thread per stream, and each sink sees EOF when its own
 stream is done: written in turn, branch *k+1* would wait for branch *k*'s
-consumer and the branches would run in series.
+consumer and the branches would run in series.  A command's replicated
+output is one stream, each block written to all its sinks in turn.
 
 Workers never raise: every outcome, including failure, is delivered to the
 scheduler as a report on the shared queue, and all owned file descriptors are
@@ -272,19 +273,16 @@ class ChannelSink(OutputSink):
         return self.writer.lines_written
 
     def write_chunk(self, data: bytes) -> None:
-        if self.dead:
-            return
-        try:
-            self.writer.write_chunk(data)
-        except BrokenPipeError:
-            self.dead = True
-            self.writer.abandon()
+        self._unless_dead(self.writer.write_chunk, data)
 
     def finish(self) -> None:
+        self._unless_dead(self.writer.close)
+
+    def _unless_dead(self, action, *arguments) -> None:
         if self.dead:
             return
         try:
-            self.writer.close()
+            action(*arguments)
         except BrokenPipeError:
             self.dead = True
             self.writer.abandon()
@@ -307,8 +305,6 @@ class ReportSink(OutputSink):
         self.buffer = SpillBuffer(
             min(streaming.spill_threshold, INLINE_HANDOFF_BYTES), streaming.spill_directory
         )
-        self.bytes_out = 0
-        self.lines_out = 0
 
     def write_chunk(self, data: bytes) -> None:
         self.bytes_out += len(data)
@@ -320,13 +316,10 @@ class ReportSink(OutputSink):
 
 
 def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
-    sinks: List[OutputSink] = []
-    for port in plan.outputs:
-        if port.fd is not None:
-            sinks.append(ChannelSink(port.fd, plan.streaming.chunk_size))
-        else:
-            sinks.append(ReportSink(plan.streaming))
-    return sinks
+    return [
+        ReportSink(plan.streaming) if port.fd is None else ChannelSink(port.fd, plan.streaming.chunk_size)
+        for port in plan.outputs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +328,33 @@ def _open_sinks(plan: WorkerPlan) -> List[OutputSink]:
 
 
 def _write_outputs(sinks: List[OutputSink], streams: list) -> None:
-    """Write each stream to its sink and finish it, all sinks at once.
+    """Write each stream to its sinks and finish them, all streams at once.
 
-    One writer thread per extra sink (``os.write`` drops the GIL); the
-    first failure is re-raised once every thread is done.
+    A stream on several edges (a command's replicated output) is one object:
+    each block goes to all its sinks as it is produced.  One writer thread per
+    extra stream (``os.write`` drops the GIL); the first failure is re-raised
+    once every thread is done.
     """
     errors: List[BaseException] = []
+    groups: Dict[int, tuple] = {}
+    for sink, stream in zip(sinks, streams):
+        groups.setdefault(id(stream), (stream, []))[1].append(sink)
 
-    def drain(sink: OutputSink, stream) -> None:
+    def drain(stream, targets: List[OutputSink]) -> None:
         try:
             for piece in stream:
-                sink.write(piece)
-            sink.finish()
+                for sink in targets:
+                    sink.write(piece)
+            for sink in targets:
+                sink.finish()
         except BaseException as exc:  # noqa: BLE001 - re-raised by the node
             errors.append(exc)
 
-    threads = [threading.Thread(target=drain, args=pair) for pair in zip(sinks[1:], streams[1:])]
+    pairs = list(groups.values())
+    threads = [threading.Thread(target=drain, args=pair) for pair in pairs[1:]]
     for thread in threads:
         thread.start()
-    for pair in zip(sinks[:1], streams):
+    for pair in pairs[:1]:
         drain(*pair)
     for thread in threads:
         thread.join()

@@ -90,16 +90,13 @@ def evaluate_node(node: DFGNode, inputs: List[Stream], registry: CommandRegistry
 
 
 def block_kernel(
-    node: DFGNode,
-    registry: CommandRegistry,
-    host: bool = False,
-    stage: Optional[Callable] = None,
+    node: DFGNode, registry: CommandRegistry, host: bool = False, stage: Optional[Callable] = None
 ) -> BlockKernel:
     """The node's kernel over line blocks; every node has one.
 
     A kernel maps the input streams, each an iterable of line blocks, to one
-    produced stream per output edge (a command's one stream is replicated
-    over its edges, as :func:`evaluate_node` does).  Cats and relays
+    produced stream per output edge (a command's one stream, the same object,
+    on each of its edges, as :func:`evaluate_node` does).  Cats and relays
     concatenate their inputs (a blocking relay stages all of it first, in a
     buffer from ``stage``); ``host`` runs the command's binary.  Otherwise it
     is the registry's bytes twin where one exists, else :func:`_str_kernel`,
@@ -109,12 +106,14 @@ def block_kernel(
         kernel = _host_kernel(node)
     elif isinstance(node, (CatNode, RelayNode)) or is_plain_cat(node):
         if isinstance(node, RelayNode) and node.blocking:
+            if stage is None:
+                raise ExecutionError("a blocking relay needs a staging buffer")
             return partial(_staged, stage)
         return lambda streams: [chain.from_iterable(streams)]
     else:
         kernel = _twin(node, registry) or _str_kernel(node, registry)
     if isinstance(node, (CommandNode, FusedStage)) and len(node.outputs) > 1:
-        return lambda streams: [list(kernel(streams)[0])] * len(node.outputs)
+        return lambda streams: kernel(streams)[:1] * len(node.outputs)
     return kernel
 
 
@@ -164,13 +163,9 @@ def _str_kernel(node: DFGNode, registry: CommandRegistry) -> BlockKernel:
     """
     if node_streams_statelessly(node):
 
-        def per_block(blocks: BlockStream) -> Iterator[bytes]:
-            empty = True
-            for block in blocks:
-                empty = False
+        def per_block(blocks: Iterator[bytes]) -> Iterator[bytes]:
+            for block in chain([next(blocks, b"")], blocks):  # no block at all: one call on []
                 yield encode_block(evaluate_node(node, [decode_block(block)], registry)[0])
-            if empty:
-                yield encode_block(evaluate_node(node, [[]], registry)[0])
 
         return lambda streams: [per_block(chain.from_iterable(streams))]
 
@@ -182,10 +177,8 @@ def _str_kernel(node: DFGNode, registry: CommandRegistry) -> BlockKernel:
     return whole
 
 
-def _staged(stage: Optional[Callable], streams: List[BlockStream]) -> List[BlockStream]:
+def _staged(stage: Callable, streams: List[BlockStream]) -> List[BlockStream]:
     """A blocking relay (Fig. 6): the whole stream, absorbed before the first block leaves."""
-    if stage is None:
-        from repro.engine.channels import SpillBuffer as stage  # the engine imports this module
     buffer = stage()
     for block in chain.from_iterable(streams):
         buffer.append(block)
@@ -201,7 +194,9 @@ def _host_kernel(node: CommandNode) -> BlockKernel:
             [node.name, *node.arguments], input=b"".join(chain.from_iterable(streams)),
             capture_output=True, env=dict(os.environ, LC_ALL="C"),
         )
-        if completed.returncode and completed.stderr:  # `grep` finding nothing exits 1, silently
+        # `grep` finding nothing exits 1, silently: the one non-zero success.
+        found_nothing = node.name == "grep" and completed.returncode == 1 and not completed.stderr
+        if completed.returncode and not found_nothing:
             detail = completed.stderr.decode("utf-8", "replace").strip()
             raise RuntimeError(f"host command {node.name!r} exited {completed.returncode}: {detail}")
         out = completed.stdout
@@ -291,7 +286,7 @@ class DFGExecutor:
 
         for node in graph.topological_order():
             inputs = [self._edge_value(graph.edge(edge_id), edge_values) for edge_id in node.inputs]
-            outputs = self._run_node(node, inputs)
+            outputs = evaluate_node(node, inputs, self.environment.registry)
             if len(outputs) != len(node.outputs):
                 raise ExecutionError(
                     f"node {node.label()} produced {len(outputs)} streams for "
@@ -302,7 +297,7 @@ class DFGExecutor:
 
         for edge in graph.output_edges():
             stream = edge_values.get(edge.edge_id, self._edge_value(edge, edge_values))
-            self._deliver_output(edge, stream, result)
+            deliver_output(edge, stream, result, self.environment.filesystem)
         return result
 
     # ------------------------------------------------------------------
@@ -313,12 +308,6 @@ class DFGExecutor:
         if edge.source is not None:
             raise ExecutionError(f"edge {edge.edge_id} read before being produced")
         return resolve_graph_input(edge, self.environment)
-
-    def _run_node(self, node: DFGNode, inputs: List[Stream]) -> List[Stream]:
-        return evaluate_node(node, inputs, self.environment.registry)
-
-    def _deliver_output(self, edge: Edge, stream: Stream, result: ExecutionResult) -> None:
-        deliver_output(edge, stream, result, self.environment.filesystem)
 
 
 def resolve_graph_input(edge: Edge, environment: ExecutionEnvironment) -> Stream:

@@ -18,10 +18,10 @@ import pytest
 
 from repro.commands import misc, sorting, standard_registry, textproc
 from repro.commands.base import CommandError, CommandImplementation
-from repro.dfg.nodes import CommandNode, FusedStage
+from repro.dfg.nodes import AggregatorNode, CommandNode, FusedStage, SplitNode
 from repro.engine.channels import decode_block, iter_encoded_chunks
 from repro.runtime import aggregators
-from repro.runtime.executor import block_kernel
+from repro.runtime.executor import _twin, block_kernel
 from repro.runtime.split import split_block, split_stream
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
@@ -207,21 +207,36 @@ def test_merge_sort_combiner_law(runs, arguments, seed):
 def test_block_kernel_lookup_follows_the_node_and_the_registry():
     """Every node has a kernel; the twin is the registry's, composed across a fused stage.
 
-    Which nodes run through the ``str`` adapter (no twin, refused arguments, a
-    mixed stage, an aggregator without a twin) and that it equals
-    ``evaluate_node`` is the law in ``tests/engine/test_node_kernels.py``.
+    A node without a twin (``_twin`` is None) runs through the ``str`` adapter;
+    that the adapter equals ``evaluate_node`` is the law in
+    ``tests/engine/test_node_kernels.py``.
     """
     registry = standard_registry()
     tr = CommandNode(name="tr", arguments=["A-Z", "a-z"])
+    sed = CommandNode(name="sed", arguments=["s/a/b/"])
+    assert _twin(tr, registry) is not None
+    assert _twin(sed, registry) is None
+    assert _twin(FusedStage(nodes=[tr, tr]), registry) is not None
+    assert _twin(FusedStage(nodes=[tr, sed]), registry) is None  # every member
     # pash-bench grep_stream's fused stage never decodes: every member has a kernel.
     grep = CommandNode(name="grep", arguments=["-v", "lights"])
     cut = CommandNode(name="cut", arguments=["-d", " ", "-f", "1-4"])
+    assert _twin(FusedStage(nodes=[tr, grep, cut]), registry) is not None
     chain = block_kernel(FusedStage(nodes=[tr, grep, cut]), registry)
     assert run_kernel(chain, [["The LIGHTS are on now ok", "A b C d E f", "É x"]]) == [["a b c d", "É x"]]
+    # Arguments a factory cannot take leave the error to the str face, where it is reported.
+    for name, arguments in [("grep", ["-E", "("]), ("grep", ["\\("]), ("grep", ["-E", "(?u)x"]), ("cut", [])]:
+        assert _twin(CommandNode(name=name, arguments=arguments), registry) is None
+    assert _twin(AggregatorNode(aggregator="merge_sort"), registry) is not None
+    assert _twin(AggregatorNode(aggregator="merge_sort", command_arguments=["-n"]), registry) is None
+    assert _twin(AggregatorNode(aggregator="merge_uniq"), registry) is None
+    assert _twin(SplitNode(inputs=[0], outputs=[1, 2]), registry) is not None
+    assert _twin(SplitNode(inputs=[0, 3], outputs=[1, 2]), registry) is None  # str path raises
 
-    # A user-registered replacement without ``block`` is run as registered.
+    # A user-registered replacement without ``block`` has no twin and is run as registered.
     custom = registry.copy()
     custom.register(CommandImplementation("tr", lambda arguments, inputs: ["custom"]))
+    assert _twin(tr, custom) is None
     assert run_kernel(block_kernel(tr, custom), [["x"]]) == [["custom"]]
 
     fused = block_kernel(FusedStage(nodes=[tr, CommandNode(name="tr", arguments=["-d", "l"])]), registry)

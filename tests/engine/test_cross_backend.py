@@ -434,6 +434,18 @@ def test_argv_is_read_as_the_host_reads_it(data, script, backend, tmp_path, monk
     assert encode_block(result.stdout) == host_bytes(script, tmp_path), f"{script!r} on {backend}"
 
 
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "mkfifo", "md5sum", "sha1sum", "cat"))),
+                    reason="missing coreutils")
+@pytest.mark.parametrize("data, script", [
+    ("foo", "md5sum foo"), ("colons", "md5sum in.txt foo"), ("nums", "cat in.txt | sha1sum foo -"),
+    ("foo", "md5sum < foo"), ("nums", "cat in.txt | md5sum"),
+])
+def test_the_emitted_script_hashes_each_file_once(data, script, tmp_path, monkeypatch):
+    """The argv of ``md5sum a b`` names its files: the emitted job is not handed them again."""
+    result = run_argv_row(data, script, "shell", tmp_path, monkeypatch)
+    assert encode_block(result.stdout) == host_bytes(script, tmp_path), script
+
+
 @pytest.mark.parametrize("backend", ["interpreter", "parallel", "jit"])
 @pytest.mark.parametrize("script", ARGV_REFUSED)
 def test_a_flag_outside_the_spec_is_refused(script, backend, tmp_path, monkeypatch):

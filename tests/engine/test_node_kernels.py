@@ -21,6 +21,7 @@ carries the seed that reproduces it.
 import importlib.util
 import os
 import random
+import shutil
 from pathlib import Path
 
 import pytest
@@ -32,9 +33,9 @@ from repro.commands import standard_registry
 from repro.dfg.nodes import AggregatorNode, CatNode, CommandNode, FusedStage, RelayNode, SplitNode
 from repro.engine.channels import StoredStream, decode_block, encode_block
 from repro.engine.metrics import NodeMetrics
-from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
+from repro.engine.workers import InputPort, OutputPort, WorkerPlan, _write_outputs, run_node
 from repro.runtime.aggregators import AGGREGATORS
-from repro.runtime.executor import evaluate_node
+from repro.runtime.executor import block_kernel, evaluate_node
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
 SEEDS = [BASE_SEED + offset for offset in range(2)]
@@ -195,3 +196,50 @@ def test_the_law_covers_every_node_kind():
     assert any(isinstance(node, RelayNode) and node.blocking for node in nodes)
     assert any(isinstance(node, RelayNode) and node.eager and not node.blocking for node in nodes)
     assert any(isinstance(node, CommandNode) and node.name == "cat" for node in nodes)  # a plain cat
+
+
+def test_a_replicated_stream_reaches_every_sink_block_by_block():
+    """A command's output edges share one stream: each block goes to every sink
+    before the next is made, so a stateless node with two outputs holds one block."""
+    events = []
+
+    class Sink:
+        def __init__(self, name):
+            self.name = name
+
+        def write(self, block):
+            events.append((self.name, block))
+
+        def finish(self):
+            events.append((self.name, "EOF"))
+
+    def blocks():
+        for block in (b"A\n", b"B\n"):
+            events.append(("made", block))
+            yield block
+
+    node = CommandNode(name="tr", arguments=["A-Z", "a-z"], parallelizability_class=S, inputs=[0], outputs=[1, 2])
+    streams = block_kernel(node, REGISTRY)([blocks()])
+    assert streams[0] is streams[1]
+    _write_outputs([Sink("one"), Sink("two")], streams)
+    assert events == [("made", b"A\n"), ("one", b"a\n"), ("two", b"a\n"), ("made", b"B\n"),
+                      ("one", b"b\n"), ("two", b"b\n"), ("one", "EOF"), ("two", "EOF")]
+
+
+@pytest.mark.skipif(not all(map(shutil.which, ("sh", "grep"))), reason="missing coreutils")
+@pytest.mark.parametrize("name, arguments, error", [
+    ("sh", ["-c", "kill -KILL $$"], "exited -9"),  # killed by a signal, nothing on stderr
+    ("sh", ["-c", "printf partial; exit 3"], "exited 3"),  # a silent failure
+    ("grep", ["-E", "("], "exited 2"),
+    ("sh", ["-c", "exit 1"], "exited 1"),  # only grep's 1 means success
+])
+def test_a_failed_host_binary_fails_the_node(name, arguments, error):
+    node = CommandNode(name=name, arguments=arguments, inputs=[0], outputs=[1])
+    with pytest.raises(RuntimeError, match=error):
+        block_kernel(node, REGISTRY, host=True)([[b"x\n"]])
+
+
+@pytest.mark.skipif(shutil.which("grep") is None, reason="missing coreutils")
+def test_a_host_grep_that_finds_nothing_succeeds():
+    node = CommandNode(name="grep", arguments=["light"], inputs=[0], outputs=[1])
+    assert [list(stream) for stream in block_kernel(node, REGISTRY, host=True)([[b"dark\n"]])] == [[b""]]
