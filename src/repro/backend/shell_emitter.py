@@ -156,8 +156,9 @@ def _emit_node(
 
     if isinstance(node, CommandNode):
         base = _command_text(node)
-        if _names_its_files(node):  # `md5sum a -`: only `-` reads a stream
-            inputs = [fifo_names[edge] for edge in node.inputs if graph.edges[edge].kind is not EdgeKind.FILE]
+        operands = _file_operands(node)
+        if operands:  # `md5sum a -`: only `-` reads a stream (the operands are the inputs, in order)
+            inputs = [fifo_names[edge] for operand, edge in zip(operands, node.inputs) if operand == "-"]
         if len(inputs) == 0:
             return f"{base}{output_redirect}"
         if len(inputs) == 1:
@@ -199,11 +200,11 @@ def _emit_node(
     raise ValueError(f"cannot emit node of kind {node.kind!r}")
 
 
-def _names_its_files(node: CommandNode) -> bool:
-    """Whether the argv names the inputs: operands read as ``files`` stay in it (``md5sum`` prints them)."""
+def _file_operands(node: CommandNode) -> List[str]:
+    """The argv's operands when they name the inputs: operands read as ``files`` stay in it (``md5sum`` prints them)."""
     record = shared_standard_library().lookup(node.name)
     specs = [spec for clause in (record.clauses if record else []) for spec in clause.assignment.inputs]
-    return any(spec.kind == "files" for spec in specs) and bool(parse_argv(node.name, node.arguments).operands)
+    return parse_argv(node.name, node.arguments).operands if any(spec.kind == "files" for spec in specs) else []
 
 
 def _command_text(node: CommandNode) -> str:

@@ -7,12 +7,11 @@ so it runs byte-identically on any host that can see its input stream.  This
 package turns that property into a second execution tier above the
 single-host scheduler:
 
-* :mod:`repro.cluster.protocol` — the wire format: length-prefixed pickled
-  control messages plus chunk frames (the exact framing of
-  :mod:`repro.engine.channels`) for cross-host edge streams,
+* :mod:`repro.cluster.protocol` — the wire format: :mod:`repro.wire`'s JSON
+  frames, each block of a cross-host edge stream in a raw frame of its own,
 * :mod:`repro.cluster.worker` — the ``pash-worker`` client process: connect,
-  register, receive pickled node plans, execute them with the engine's own
-  :func:`repro.engine.workers.execute_plan`, stream the results home,
+  register, receive nodes in their JSON form, execute them with the engine's
+  own :func:`repro.engine.workers.execute_plan`, stream the results home,
 * :mod:`repro.cluster.coordinator` — the :class:`ClusterCoordinator` that
   shards a graph across registered workers (stateless nodes remote,
   stateful/aggregation nodes local), monitors heartbeats, requeues tasks

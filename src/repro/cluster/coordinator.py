@@ -11,18 +11,18 @@ Sharding policy (the location-independence argument, §4.2 of the paper):
   workers.
 * **coordinator-local** — everything else: splits, concatenations,
   aggregators, relays, lone sort-likes, and any node when the environment
-  carries a custom (unpicklable) command registry.  Stateful nodes need
-  the whole stream and sit at fan-in points whose inputs already live
-  here, so keeping them local avoids a round trip that buys nothing.
+  carries a custom command registry (a worker runs the standard one).
+  Stateful nodes need the whole stream and sit at fan-in points whose
+  inputs already live here, so keeping them local avoids a round trip.
 
 Execution materializes every edge in a coordinator-side :class:`EdgeStore`
 as a :class:`~repro.engine.channels.StoredStream` (bytes, or past the spill
 threshold a file) and walks the graph as a ready-set task queue: local nodes
 run inline through the engine's node runner,
 :func:`repro.engine.workers.run_node`, over those stored streams — the same
-modes, block kernels and counters as a pool worker — and remote-eligible
-nodes are pickled to an idle worker with their input streams as chunk
-frames.  Nothing is decoded between the seed and the delivery.  Because
+block kernels and counters as a pool worker — and a remote-eligible node
+goes to an idle worker in its JSON form, its input streams as chunk frames.
+Nothing is decoded between the seed and the delivery.  Because
 a task's inputs are fully materialized *before* dispatch, tasks are
 idempotent: when a worker dies (socket EOF or heartbeat timeout) its
 in-flight task is requeued to another worker and produces the same bytes.
@@ -32,7 +32,8 @@ once, on the first RESULT — so a requeue can never duplicate data.
 Failure semantics: a worker that *reports* an execution error fails the run
 cleanly (:class:`~repro.runtime.executor.ExecutionError`, surfaced like any
 backend failure); a worker that *dies* triggers requeue; losing every worker
-with remote tasks still pending fails cleanly; and the whole run is bounded
+with remote tasks still pending fails cleanly; a peer whose first frame is
+not a JSON REGISTER of this version is closed; and the whole run is bounded
 by ``report_timeout_seconds`` — no outcome hangs.
 """
 
@@ -63,28 +64,27 @@ from repro.cluster.protocol import (
     MSG_WELCOME,
     PROTOCOL_VERSION,
     MessageSocket,
-    recv_message,
     send_edge_stream,
 )
 from repro.api.config import ClusterOptions, PashConfig, StreamingConfig
-from repro.commands.base import Stream
 from repro.commands.registry import standard_registry
 from repro.dfg.graph import DataflowGraph
+from repro.dfg.json_form import node_to_json
 from repro.dfg.nodes import DFGNode, FusedStage
 from repro.engine.api import EngineResult, ExecutionBackend
 from repro.engine.channels import SpillBuffer, StoredStream
 from repro.engine.metrics import EngineMetrics, NodeMetrics
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, run_node
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, SpanRecord, Tracer
 from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
     ExecutionResult,
-    deliver_output,
+    deliver_outputs,
     node_streams_statelessly,
     resolve_graph_input,
 )
-from repro.wire import ProtocolError, parse_address
+from repro.wire import ProtocolError, parse_address, recv_frame
 
 _worker_ids = itertools.count(1)
 
@@ -207,9 +207,10 @@ class ClusterCoordinator:
         self.config = PashConfig.coerce(config)
         self.options = options or self.config.cluster
         self.tracer = tracer or NULL_TRACER
-        #: Shipped with every task message (chaos testing; None = no
-        #: injection).  Each worker re-arms its own pristine copy.
-        self._faults = self.config.resilience.fault_plan()
+        #: Shipped with every task message as ``to_dict()`` (chaos testing;
+        #: None = no injection).  Each worker arms its own pristine copy.
+        faults = self.config.resilience.fault_plan()
+        self._faults = faults.to_dict() if faults is not None else None
         self.workers: List[ClusterWorkerHandle] = []
         self.processes: List[subprocess.Popen] = []
         self.address: Optional[Tuple[str, int]] = None
@@ -294,7 +295,7 @@ class ClusterCoordinator:
     def _register(self, sock: socket.socket) -> None:
         sock.settimeout(10.0)
         try:
-            message = recv_message(sock)
+            message = recv_frame(sock)
         except (ProtocolError, OSError):
             sock.close()
             return
@@ -371,7 +372,7 @@ class ClusterCoordinator:
         metrics = EngineMetrics(backend="cluster")
         result = ExecutionResult()
         if not graph.nodes:
-            self._deliver(graph, {}, environment, result)
+            deliver_outputs(graph, {}, environment, result)
             metrics.elapsed_seconds = time.perf_counter() - started
             return result, metrics
         if not self._started:
@@ -387,15 +388,14 @@ class ClusterCoordinator:
             ):
                 # Captured inside engine:run so remote worker spans (shipped
                 # home through RESULT reports) parent under it, like the pool.
-                worker_trace = self.tracer.context()
-                run.run(worker_trace)
-            # The one decode of the run: graph outputs, for deliver_output.
+                run.run(self.tracer.current_id())
+            # The one decode of the run: graph outputs, for deliver_outputs.
             values = {
                 edge.edge_id: run.store.lines(edge.edge_id)
                 for edge in graph.output_edges()
                 if run.store.has(edge.edge_id)
             }
-            self._deliver(graph, values, environment, result)
+            deliver_outputs(graph, values, environment, result)
             result.edge_values.update(values)
         finally:
             run.close()
@@ -403,18 +403,6 @@ class ClusterCoordinator:
         metrics.elapsed_seconds = time.perf_counter() - started
         return result, metrics
 
-    def _deliver(
-        self,
-        graph: DataflowGraph,
-        values: Dict[int, Stream],
-        environment: ExecutionEnvironment,
-        result: ExecutionResult,
-    ) -> None:
-        for edge in graph.output_edges():
-            stream = values.get(edge.edge_id)
-            if stream is None:
-                stream = resolve_graph_input(edge, environment) if edge.source is None else []
-            deliver_output(edge, stream, result, environment.filesystem)
 
 
 class _GraphRun:
@@ -435,8 +423,8 @@ class _GraphRun:
         self.environment = environment
         self.metrics = metrics
         self.store = EdgeStore(self.config.streaming)
-        #: Custom registries cannot be pickled to a remote process; the run
-        #: degrades to coordinator-local execution (still correct, not wide).
+        #: A worker runs the standard registry; a custom one keeps the run
+        #: coordinator-local (still correct, not wide).
         self.remote_ok = environment.registry is standard_registry()
         self.ready_local: Deque[int] = deque()
         self.ready_remote: Deque[int] = deque()
@@ -471,7 +459,7 @@ class _GraphRun:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, worker_trace) -> None:
+    def run(self, trace_parent: Optional[str]) -> None:
         self._seed()
         deadline = time.monotonic() + self.config.report_timeout_seconds
         total = len(self.graph.nodes)
@@ -480,7 +468,7 @@ class _GraphRun:
                 self._run_local(self.ready_local.popleft())
             while self.ready_remote and self._idle_worker() is not None:
                 node_id = self.ready_remote.popleft()
-                self._dispatch(self._idle_worker(), node_id, worker_trace)
+                self._dispatch(self._idle_worker(), node_id, trace_parent)
             if len(self.done) >= total:
                 break
             if self.ready_local:
@@ -539,7 +527,9 @@ class _GraphRun:
                 return handle
         return None
 
-    def _dispatch(self, handle: ClusterWorkerHandle, node_id: int, worker_trace) -> None:
+    def _dispatch(
+        self, handle: ClusterWorkerHandle, node_id: int, trace_parent: Optional[str]
+    ) -> None:
         node = self.graph.node(node_id)
         sinks = {edge_id: self.store.buffer() for edge_id in node.outputs}
         handle.task = node_id
@@ -549,13 +539,13 @@ class _GraphRun:
                 {
                     "type": MSG_TASK,
                     "task_id": node_id,
-                    "node": node,
+                    "node": node_to_json(node),
                     "inputs": list(node.inputs),
                     "outputs": list(node.outputs),
                     "use_host_commands": self.config.use_host_commands,
                     "chunk_size": self.config.streaming.chunk_size,
                     "spill_threshold": self.config.streaming.spill_threshold,
-                    "trace": worker_trace,
+                    "trace": trace_parent,
                     "faults": self.coordinator._faults,
                 }
             )
@@ -612,7 +602,9 @@ class _GraphRun:
         if task is None or task.handle is not handle:
             return  # stale traffic from a requeued or completed task
         if kind == MSG_CHUNK:
-            task.sinks[message["edge_id"]].append(message["data"])
+            sink = task.sinks.get(message.get("edge_id"))
+            if sink is not None:
+                sink.append(message["data"])
             return
         if kind == MSG_EDGE_END:
             return  # commit happens atomically at RESULT time
@@ -636,7 +628,8 @@ class _GraphRun:
             )
         for edge_id, sink in task.sinks.items():
             self.store.put(edge_id, sink.store())
-        for span in report.get("spans") or ():
+        for row in report.get("spans") or ():
+            span = SpanRecord.from_dict(row)
             span.set(cluster_worker=handle.worker_id)
             self.tracer.record(span)
         self.metrics.remote_tasks += 1

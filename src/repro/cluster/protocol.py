@@ -1,18 +1,17 @@
 """The coordinator/worker wire protocol.
 
-Every message is one :mod:`repro.wire` frame (4-byte length prefix, size
-cap) whose body is a pickled dict.
-
-Control messages (REGISTER, WELCOME, TASK, RESULT, HEARTBEAT, SHUTDOWN)
-are small dicts; bulk data never rides inside them.  Cross-host DFG edges
-travel instead as a sequence of CHUNK messages whose ``data`` payloads are
-the pieces of a :class:`repro.engine.channels.StoredStream`
-(newline-delimited UTF-8, cut by :meth:`StoredStream.blocks`), terminated by
-one EDGE_END — so the cluster data plane reuses the engine's framing rather
-than inventing a second one.  Each side appends the pieces it receives to a
-:class:`~repro.engine.channels.SpillBuffer` and hands that off as the edge's
-stored stream, so a stream moves in bounded memory on both sides of the
-socket and is never decoded on the way.
+Every message is one :mod:`repro.wire` JSON frame, sent and read by the same
+functions as the service tier's, so a peer that sends anything else (a
+serialised Python object, random bytes) is refused at its first frame and
+nothing it sent is evaluated.  Control messages are small dicts: a TASK
+carries its node's JSON form (:mod:`repro.dfg.json_form`), the trace parent
+id and the fault plan's ``to_dict()``, a RESULT the node's report with its
+spans as ``SpanRecord.to_dict()`` rows.  Bulk data never rides in them: an
+edge travels as CHUNKs — a JSON header and then one raw frame holding one
+block of its :class:`~repro.engine.channels.StoredStream` — ended by one
+EDGE_END.  Each side appends the blocks to a
+:class:`~repro.engine.channels.SpillBuffer`, so a stream moves in bounded
+memory on both sides of the socket and is never decoded on the way.
 
 Message flow for one worker and one task::
 
@@ -25,71 +24,56 @@ Message flow for one worker and one task::
                                                     (executes the node)
         <-  CHUNK* / EDGE_END per output edge
         <-  RESULT {task_id, report}           (the coordinator commits)
-
-Pickle is safe here in the same sense as the worker pool's plan queue: both
-endpoints are the same codebase, started by the same user, on an address the
-user chose — the protocol is an internal process boundary, not a public
-network service.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
 import threading
 from typing import Any, Dict, Iterable, Optional
 
-from repro.wire import Codec, recv_frame, send_frame
+from repro.wire import recv_bytes, recv_frame, send_frame
 
 #: Bumped on any incompatible message-shape change; checked at registration.
 #: Version 2: no ACK after a commit, and REGISTER, WELCOME and HEARTBEAT
-#: carry only what their receiver reads.
-PROTOCOL_VERSION = 2
+#: carry only what their receiver reads.  Version 3: JSON bodies, a TASK's
+#: node in its JSON form, and a CHUNK's block in a raw frame of its own.
+PROTOCOL_VERSION = 3
 
 # -- message types -----------------------------------------------------------
 MSG_REGISTER = "register"  # worker -> coordinator: {version}
 MSG_WELCOME = "welcome"  # coordinator -> worker: {heartbeat_interval}
 MSG_HEARTBEAT = "heartbeat"  # worker -> coordinator: liveness beacon
-MSG_TASK = "task"  # coordinator -> worker: one pickled node plan
-MSG_CHUNK = "chunk"  # either direction: one framed byte chunk of an edge
+MSG_TASK = "task"  # coordinator -> worker: one node, in its JSON form
+MSG_CHUNK = "chunk"  # either direction: a header, then one raw block of an edge
 MSG_EDGE_END = "edge-end"  # either direction: the edge's stream is complete
 MSG_RESULT = "result"  # worker -> coordinator: the node's execution report
 MSG_SHUTDOWN = "shutdown"  # coordinator -> worker: exit cleanly
-
-PICKLE_CODEC = Codec(
-    encode=lambda message: pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL),
-    decode=pickle.loads,
-)
-
-
-def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Write one length-prefixed pickled message."""
-    send_frame(sock, message, PICKLE_CODEC)
-
-
-def recv_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one pickled message; None on clean EOF."""
-    return recv_frame(sock, PICKLE_CODEC)
 
 
 class MessageSocket:
     """One protocol endpoint: locked sends, single-reader receives.
 
     The send lock lets a worker's heartbeat thread interleave safely with
-    task-result streaming on the same connection; receiving stays
-    single-threaded by construction (one receiver loop per connection).
+    task-result streaming on the same connection — a CHUNK's two frames go
+    out under one hold of it; receiving stays single-threaded by
+    construction (one receiver loop per connection).  A received CHUNK
+    carries its block as ``bytes`` under ``"data"``.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._send_lock = threading.Lock()
 
-    def send(self, message: Dict[str, Any]) -> None:
+    def send(self, message: Dict[str, Any], data: Optional[bytes] = None) -> None:
         with self._send_lock:
-            send_message(self.sock, message)
+            send_frame(self.sock, message, data)
 
     def recv(self) -> Optional[Dict[str, Any]]:
-        return recv_message(self.sock)
+        message = recv_frame(self.sock)
+        if message is not None and message["type"] == MSG_CHUNK:
+            message["data"] = recv_bytes(self.sock)
+        return message
 
     def close(self) -> None:
         try:
@@ -106,10 +90,8 @@ def send_edge_stream(
     channel: MessageSocket, task_id: int, edge_id: int, frames: Iterable[bytes]
 ) -> None:
     """Stream one edge as CHUNK messages terminated by EDGE_END."""
+    header = {"type": MSG_CHUNK, "task_id": task_id, "edge_id": edge_id}
     for frame in frames:
-        if not frame:
-            continue
-        channel.send(
-            {"type": MSG_CHUNK, "task_id": task_id, "edge_id": edge_id, "data": frame}
-        )
+        if frame:
+            channel.send(header, frame)
     channel.send({"type": MSG_EDGE_END, "task_id": task_id, "edge_id": edge_id})

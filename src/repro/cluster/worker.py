@@ -7,12 +7,13 @@ A worker is a small state machine around one coordinator connection::
              + RESULT } ...
         -> SHUTDOWN (exit 0) | connection lost (exit 1)
 
-Execution reuses the engine's worker body verbatim: every task becomes a
-:class:`~repro.engine.workers.WorkerPlan` whose inputs are stored streams
-(each inbound CHUNK is appended to a
+Execution reuses the engine's worker body verbatim: every task's node is
+read from its JSON form (a TASK without one ends the worker like a
+malformed frame) into a :class:`~repro.engine.workers.WorkerPlan` whose
+inputs are stored streams (each inbound CHUNK is appended to a
 :class:`~repro.engine.channels.SpillBuffer` under the task's
-``spill_threshold``, so a task's inputs never sit in memory whole) and whose
-outputs are collected, and :func:`~repro.engine.workers.execute_plan` runs
+``spill_threshold``, so a task's inputs never sit in memory whole) and
+whose outputs are collected, and :func:`~repro.engine.workers.execute_plan` runs
 it — same registry, same one node body, same counters, same span
 recording — so a node produces the same bytes here as on the single-host
 scheduler by construction.  The outputs come back as stored streams too,
@@ -33,6 +34,7 @@ import socket
 import sys
 import tempfile
 import threading
+from queue import SimpleQueue
 from typing import Any, Dict, List, Optional
 
 from repro.api.config import StreamingConfig
@@ -49,6 +51,7 @@ from repro.cluster.protocol import (
     MessageSocket,
     send_edge_stream,
 )
+from repro.dfg.json_form import node_from_json
 from repro.engine.channels import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_SPILL_THRESHOLD,
@@ -56,19 +59,10 @@ from repro.engine.channels import (
     StoredStream,
 )
 from repro.engine.workers import InputPort, OutputPort, WorkerPlan, execute_plan
+from repro.obs.tracer import TraceContext
 from repro.resilience import fault as fault_injection
 from repro.resilience.retry import RetryPolicy, retry_call
 from repro.wire import ProtocolError, parse_address
-
-
-class _ReportBox:
-    """The queue shim :func:`execute_plan` reports into (single plan, no IPC)."""
-
-    def __init__(self) -> None:
-        self.report: Optional[Dict[str, Any]] = None
-
-    def put(self, report: Dict[str, Any]) -> None:
-        self.report = report
 
 
 class _PendingTask:
@@ -132,9 +126,10 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
     message = task.message
     task_id = message["task_id"]
     chunk_size = message.get("chunk_size") or DEFAULT_CHUNK_SIZE
+    trace, faults = message.get("trace"), message.get("faults")
     try:
         plan = WorkerPlan(
-            node=message["node"],
+            node=node_from_json(message["node"]),
             inputs=[
                 InputPort(edge_id, stream=task.inputs[edge_id].store())
                 for edge_id in message["inputs"]
@@ -144,13 +139,14 @@ def _execute_task(channel: MessageSocket, task: _PendingTask) -> None:
             use_host_commands=bool(message.get("use_host_commands")),
             streaming=StreamingConfig(chunk_size, task.spill_threshold, task.directory),
             run_token=task_id,
-            trace=message.get("trace"),
-            faults=message.get("faults"),
+            trace=TraceContext(trace) if trace is not None else None,
+            faults=fault_injection.FaultPlan.from_dict(faults) if faults is not None else None,
         )
-        box = _ReportBox()
-        execute_plan(plan, box)
-        report = box.report or {"node_id": plan.node.node_id, "error": "no report"}
+        box: SimpleQueue = SimpleQueue()
+        execute_plan(plan, box)  # reports exactly once, never raises
+        report = box.get()
         outputs = report.pop("outputs", {})
+        report["spans"] = [span.to_dict() for span in report.get("spans", ())]
         if not report.get("error"):
             for edge_id in message["outputs"]:
                 stored = outputs.get(edge_id, StoredStream())
@@ -219,7 +215,7 @@ def run_worker(address: str, retry_seconds: float = 10.0) -> int:
                     _execute_task(channel, task)
                 continue
             # Unknown message types are ignored for forward compatibility.
-    except (OSError, ProtocolError) as exc:
+    except (OSError, ProtocolError, ValueError) as exc:  # ValueError: a TASK not in its JSON form
         print(f"pash-worker: connection error: {exc}", file=sys.stderr)
         return 1
     finally:

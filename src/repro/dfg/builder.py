@@ -180,31 +180,33 @@ class DFGBuilder:
         node.arguments = kept_arguments
         uses_stdin = any(spec.kind == "stdin" for spec in assignment.inputs)
 
+        if input_redirect is not None and incoming is not None:
+            raise UntranslatableRegion(
+                f"command {name!r} has both a pipe input and an input redirection"
+            )
         if operand_inputs:
-            pipe_consumed = False
             for filename in operand_inputs:
                 if filename == "-":
-                    # The conventional "-" operand names the command's stdin.
-                    if incoming is not None and not pipe_consumed:
-                        graph.attach_input(node, incoming)
-                        pipe_consumed = True
+                    # The conventional "-" operand names the command's stdin:
+                    # the pipe or the ``<`` target, read by the first "-".
+                    if incoming is not None:
+                        edge, incoming = incoming, None
+                    elif input_redirect is not None:
+                        edge = graph.add_edge(kind=EdgeKind.FILE, name=input_redirect)
+                        input_redirect = None
                     else:
                         edge = graph.add_edge(kind=EdgeKind.STDIN, name="stdin")
-                        graph.attach_input(node, edge)
+                    graph.attach_input(node, edge)
                     continue
                 edge = graph.add_edge(kind=EdgeKind.FILE, name=filename)
                 graph.attach_input(node, edge)
             # Mid-pipeline commands that read only files ignore the incoming
             # pipe; that would silently drop data, so reject such regions.
-            if incoming is not None and not pipe_consumed:
+            if incoming is not None:
                 raise UntranslatableRegion(
                     f"command {name!r} reads file operands while consuming a pipe"
                 )
         elif input_redirect is not None:
-            if incoming is not None:
-                raise UntranslatableRegion(
-                    f"command {name!r} has both a pipe input and an input redirection"
-                )
             edge = graph.add_edge(kind=EdgeKind.FILE, name=input_redirect)
             graph.attach_input(node, edge)
         elif incoming is not None:

@@ -9,7 +9,7 @@ fan-in requires explicit ``cat`` nodes, mirroring the paper's model.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -38,8 +38,6 @@ class Edge:
     target: Optional[int] = None
     #: Marks edges appended to the graph output via ``>>`` redirections.
     append: bool = False
-    #: Free-form metadata (used by the simulator for sizes, by tests for tags).
-    metadata: dict = field(default_factory=dict)
 
     @property
     def is_graph_input(self) -> bool:

@@ -38,7 +38,7 @@ environment up front and handed to the workers as stored streams
 (:class:`~repro.engine.channels.StoredStream`: an on-disk file by its path,
 anything else as its bytes); graph-output edges come back the same way in
 the worker reports, are decoded here — the one decode of a graph output —
-and delivered through the same :func:`repro.runtime.executor.deliver_output`
+and delivered through the same :func:`repro.runtime.executor.deliver_outputs`
 path as the interpreter, so the two backends are observationally identical.
 """
 
@@ -79,7 +79,7 @@ from repro.runtime.executor import (
     ExecutionEnvironment,
     ExecutionError,
     ExecutionResult,
-    deliver_output,
+    deliver_outputs,
     evaluate_node,
     resolve_graph_input,
 )
@@ -129,7 +129,7 @@ class ParallelScheduler:
         result = ExecutionResult()
 
         if not graph.nodes:
-            self._deliver(graph, {}, result)
+            deliver_outputs(graph, {}, self.environment, result)
             metrics.elapsed_seconds = time.perf_counter() - started
             return result, metrics
 
@@ -356,7 +356,7 @@ class ParallelScheduler:
             shutil.rmtree(run_spill_directory, ignore_errors=True)
 
         with self.tracer.span("scheduler:deliver", "scheduler"):
-            self._deliver(graph, edge_values, result)
+            deliver_outputs(graph, edge_values, self.environment, result)
         result.edge_values.update(edge_values)
         metrics.elapsed_seconds = time.perf_counter() - started
         return result, metrics
@@ -590,17 +590,6 @@ class ParallelScheduler:
 
     # -- delivery ------------------------------------------------------------
 
-    def _deliver(
-        self,
-        graph: DataflowGraph,
-        edge_values: Dict[int, Stream],
-        result: ExecutionResult,
-    ) -> None:
-        for edge in graph.output_edges():
-            stream = edge_values.get(edge.edge_id)
-            if stream is None:
-                stream = resolve_graph_input(edge, self.environment) if edge.source is None else []
-            deliver_output(edge, stream, result, self.environment.filesystem)
 
 
 def execute_graph_parallel(

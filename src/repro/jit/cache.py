@@ -32,13 +32,14 @@ Two cache classes share this keying:
   owns by default.  Thread-safe: the service daemon shares one instance
   across executor threads.
 * :class:`DiskPlanCache` — the LRU plus a **persistent disk tier**: every
-  successfully compiled plan is also pickled to a cache directory, so a
-  popular one-liner compiles once per fleet, not once per process.  Disk
-  entries carry :func:`cache_version`; a version mismatch (new release, new
-  plan format) invalidates the file on first touch.  Corrupt or truncated
-  files are never fatal: the lookup falls back to a fresh compile and the
-  bad file is removed (and negative-cached in memory if removal fails), so
-  one crashed writer cannot poison the fleet.
+  successfully compiled plan is also written to a cache directory as JSON,
+  so a popular one-liner compiles once per fleet, not once per process.
+  Disk entries carry :func:`cache_version`; a version mismatch (new
+  release, new plan format) invalidates the file on first touch.  Corrupt,
+  truncated or foreign files are never fatal and never evaluated: the
+  lookup falls back to a fresh compile and the bad file is removed (and
+  negative-cached in memory if removal fails), so one crashed writer cannot
+  poison the fleet.
 """
 
 from __future__ import annotations
@@ -47,22 +48,23 @@ import functools
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
+from repro.dfg.json_form import from_json, to_json
 from repro.dfg.regions import RegionFacts, region_facts
 from repro.shell.parser import parse
+from repro.transform.pipeline import OptimizationReport
 
 #: (fingerprint, referenced-binding values, config digest, width)
 PlanKey = Tuple[str, Tuple[Tuple[str, Optional[str]], ...], str, int]
 
-#: Bumped on any incompatible change to the pickled disk-entry layout
-#: (2: the key gained the width).
-PLAN_FORMAT_VERSION = 2
+#: Bumped on any incompatible change to the disk-entry layout (2: the key
+#: gained the width; 3: JSON files).
+PLAN_FORMAT_VERSION = 3
 
 
 def cache_version() -> str:
@@ -84,7 +86,6 @@ class CompiledPlan:
     graph: Any  # DataflowGraph (kept untyped to avoid an import cycle)
     report: Any  # OptimizationReport
     fingerprint: str
-    compile_seconds: float = 0.0
     #: How many times this plan has been executed (1 = compile run only).
     executions: int = 0
     #: On a sequential (width 1) plan: the region planner's latest decision
@@ -137,21 +138,12 @@ class CacheStats:
     disk_writes: int = 0
     #: Files discarded for a cache-version mismatch.
     disk_stale: int = 0
-    #: Files discarded as corrupt/truncated/unreadable (read side), plus
-    #: entries that could not be pickled or written (write side).
+    #: Files discarded as corrupt/truncated/unreadable/foreign (read side),
+    #: plus entries that could not be serialised or written (write side).
     disk_errors: int = 0
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "negative_hits": self.negative_hits,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_writes": self.disk_writes,
-            "disk_stale": self.disk_stale,
-            "disk_errors": self.disk_errors,
-        }
+        return asdict(self)
 
 
 class PlanCache:
@@ -220,19 +212,20 @@ class PlanCache:
 class DiskPlanCache(PlanCache):
     """The in-memory LRU backed by a persistent on-disk tier.
 
-    ``directory`` holds one pickled file per plan, named by a hash of the
-    full :data:`PlanKey`; the payload stores the key itself, so a hash
-    collision reads as a miss, never as a wrong plan.  Only successful
-    compilations persist — negative entries (compiler refusals) stay
-    memory-only, since refusal is cheap to rediscover and may be
+    ``directory`` holds one JSON file per plan (version, key, fingerprint,
+    the graph's :mod:`~repro.dfg.json_form` and the optimization report),
+    named by a hash of the key's JSON text, which the file stores too, so a
+    hash collision reads as a miss, never as a wrong plan.  ``decided`` and
+    negative entries (compiler refusals) stay memory-only, the latter
+    since refusal is cheap to rediscover and may be
     version-specific in ways the digest cannot see.
 
     Failure policy (exercised by ``tests/service/test_plan_cache_faults.py``):
-    any unreadable, truncated, stale-versioned, or wrong-keyed file is
-    treated as a miss, deleted best-effort, and — if deletion fails —
-    remembered in an in-memory poison set so the broken file is read at
-    most once per process.  The caller then compiles fresh and ``put``
-    rewrites the entry atomically (temp file + ``os.replace``).
+    any unreadable, truncated, stale-versioned, or malformed file is treated
+    as a miss, deleted best-effort, and — if deletion fails — remembered in
+    an in-memory poison set so the broken file is read at most once per
+    process.  The caller then compiles fresh and ``put`` rewrites the entry
+    atomically (temp file + ``os.replace``).
     """
 
     def __init__(
@@ -250,7 +243,7 @@ class DiskPlanCache(PlanCache):
     # ------------------------------------------------------------------
 
     def _path(self, key: PlanKey) -> str:
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:40]
+        digest = hashlib.sha256(json.dumps(key).encode("ascii")).hexdigest()[:40]
         return os.path.join(self.directory, f"{digest}.plan")
 
     def _discard(self, path: str) -> None:
@@ -265,54 +258,55 @@ class DiskPlanCache(PlanCache):
     def get(self, key: PlanKey) -> Optional[PlanEntry]:
         with self._lock:
             entry = super().get(key)
-            if entry is not None:
-                return entry
             path = self._path(key)
-            if path in self._poisoned:
-                return None
+            if entry is not None or path in self._poisoned:
+                return entry
             try:
-                with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
+                with open(path, encoding="utf-8") as handle:
+                    payload = json.load(handle)
+                if payload["version"] != self.version:
+                    entry = None
+                elif payload["key"] != json.dumps(key):
+                    return None  # a filename-hash collision: left for its owner
+                else:
+                    entry = CompiledPlan(
+                        graph=from_json(payload["graph"]),
+                        report=OptimizationReport.from_dict(payload["report"]),
+                        fingerprint=payload["fingerprint"],
+                    )
             except FileNotFoundError:
                 return None
             except Exception:
-                # Corrupt, truncated, or unreadable: fall back to a fresh
-                # compile; drop the file so it is not re-parsed forever.
+                # Corrupt, truncated, unreadable or of a foreign shape: fall
+                # back to a fresh compile; drop the file so it is not re-read.
                 self.stats.disk_errors += 1
                 self._discard(path)
                 return None
-            if not isinstance(payload, dict) or payload.get("version") != self.version:
+            if entry is None:
                 self.stats.disk_stale += 1
                 self._discard(path)
                 return None
-            if payload.get("key") != key or not isinstance(
-                payload.get("entry"), CompiledPlan
-            ):
-                # A filename-hash collision or a foreign payload shape:
-                # miss, and leave collision files for their real owner.
-                if not isinstance(payload.get("entry"), CompiledPlan):
-                    self.stats.disk_errors += 1
-                    self._discard(path)
-                return None
-            entry = payload["entry"]
             self.stats.disk_hits += 1
             PlanCache.put(self, key, entry)  # promote; no disk re-write
             return entry
 
     def put(self, key: PlanKey, entry: PlanEntry) -> None:
         super().put(key, entry)
-        if not isinstance(entry, CompiledPlan):
+        if isinstance(entry, FailedPlan):
             return  # negative entries stay memory-only
         path = self._path(key)
-        payload = {"version": self.version, "key": key, "entry": entry}
         try:
+            text = json.dumps({
+                "version": self.version, "key": json.dumps(key), "fingerprint": entry.fingerprint,
+                "graph": to_json(entry.graph), "report": entry.report.to_dict(),
+            })
             os.makedirs(self.directory, exist_ok=True)
             handle, staging = tempfile.mkstemp(
                 prefix=".plan-", suffix=".tmp", dir=self.directory
             )
             try:
-                with os.fdopen(handle, "wb") as stream:
-                    pickle.dump(payload, stream, protocol=pickle.HIGHEST_PROTOCOL)
+                with os.fdopen(handle, "w", encoding="ascii") as stream:
+                    stream.write(text)
                 os.replace(staging, path)  # atomic: readers never see a torn file
             except BaseException:
                 try:
@@ -321,8 +315,8 @@ class DiskPlanCache(PlanCache):
                     pass
                 raise
         except Exception:
-            # Unpicklable graph or unwritable directory: the memory tier
-            # still serves this process; persistence just degrades.
+            # A graph with no JSON form or an unwritable directory: the
+            # memory tier still serves this process; persistence degrades.
             self.stats.disk_errors += 1
             return
         self._poisoned.discard(path)

@@ -419,7 +419,6 @@ class JitDriver(ShellInterpreter):
             graph=graph,
             report=opt_report,
             fingerprint=occurrence.facts.fingerprint,
-            compile_seconds=seconds,
         )
         occurrence.compile_seconds += seconds
         occurrence.plans[width] = entry

@@ -50,10 +50,7 @@ class RegionOutcome:
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable flat-JSON schema: exactly the dataclass fields."""
-        return {
-            outcome_field.name: getattr(self, outcome_field.name)
-            for outcome_field in dataclasses.fields(self)
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass

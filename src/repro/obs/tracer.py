@@ -12,11 +12,11 @@ Design constraints, in order:
   tracer's :meth:`Tracer.span` returns a shared singleton context manager
   (no allocation, one attribute check), and worker processes skip the span
   path entirely when their plan carries no :class:`TraceContext`.
-* **pickle-safe across process boundaries.**  :class:`SpanRecord` and
-  :class:`TraceContext` are plain dataclasses of scalars; worker processes
-  ship their spans back to the scheduler inside the existing report-queue
-  payload (the same SCM-RIGHTS-adjacent plumbing the pool uses for plans),
-  and the parent absorbs them with :meth:`Tracer.extend`.
+* **plain data across process boundaries.**  :class:`SpanRecord` and
+  :class:`TraceContext` are plain dataclasses of scalars; pool workers ship
+  their spans back inside the existing report-queue payload, cluster
+  workers as ``to_dict()`` rows in their JSON RESULT, and the parent
+  absorbs them with :meth:`Tracer.record`/:meth:`Tracer.extend`.
 * **one clock story.**  Span *start* timestamps are wall-clock
   (``time.time_ns``, shared across every process on the machine, so spans
   from different pids land on one timeline); *durations* are monotonic
@@ -36,7 +36,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 #: Wall-clock microseconds; one timeline shared by every process on the host.
@@ -99,17 +99,7 @@ class SpanRecord:
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable flat-JSON schema (the JSONL exporter's row)."""
-        return {
-            "name": self.name,
-            "category": self.category,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "pid": self.pid,
-            "tid": self.tid,
-            "start_us": self.start_us,
-            "duration_us": self.duration_us,
-            "attributes": dict(self.attributes),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SpanRecord":

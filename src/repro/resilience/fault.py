@@ -40,7 +40,7 @@ import random
 import signal
 import threading
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 POOL_WORKER_EXEC = "pool:worker-exec"
@@ -102,15 +102,7 @@ class FaultSpec:
             raise ValueError("FaultSpec counters must be non-negative")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "point": self.point,
-            "mode": self.mode,
-            "after_bytes": self.after_bytes,
-            "max_fires": self.max_fires,
-            "probability": self.probability,
-            "errno_name": self.errno_name,
-            "delay_seconds": self.delay_seconds,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, values: Mapping[str, Any]) -> "FaultSpec":

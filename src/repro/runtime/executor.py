@@ -295,9 +295,7 @@ class DFGExecutor:
             for edge_id, stream in zip(node.outputs, outputs):
                 edge_values[edge_id] = stream
 
-        for edge in graph.output_edges():
-            stream = edge_values.get(edge.edge_id, self._edge_value(edge, edge_values))
-            deliver_output(edge, stream, result, self.environment.filesystem)
+        deliver_outputs(graph, edge_values, self.environment, result)
         return result
 
     # ------------------------------------------------------------------
@@ -327,26 +325,33 @@ def resolve_graph_input(edge: Edge, environment: ExecutionEnvironment) -> Stream
     return []
 
 
-def deliver_output(
-    edge: Edge, stream: Stream, result: ExecutionResult, filesystem: VirtualFileSystem
+def deliver_outputs(
+    graph: DataflowGraph,
+    values: Dict[int, Stream],
+    environment: ExecutionEnvironment,
+    result: ExecutionResult,
 ) -> None:
-    """Route one graph-output stream to stdout or the filesystem.
+    """Route every graph-output stream to stdout or the filesystem.
 
-    Shared by the in-process executor and the parallel engine so that every
-    backend delivers outputs with identical semantics.  The stream is handed
+    Shared by every backend so that each delivers outputs with identical
+    semantics; an output without a value in ``values`` is a graph input
+    passed through (resolved here) or an empty stream.  A stream is handed
     over, not copied: the first stdout stream becomes ``result.stdout`` and a
     written file holds the list it was given, which ``result.files`` shares
     with the filesystem.
     """
-    if edge.kind is EdgeKind.STDIN:
-        # A graph whose only edge is stdin (degenerate); nothing to do.
-        return
-    if edge.kind is EdgeKind.FILE:
-        if edge.append:
-            filesystem.append(edge.name or "", stream)
-        else:
-            filesystem.write(edge.name or "", stream)
-        result.files[edge.name or ""] = filesystem.read(edge.name or "")
-        return
-    # Never extended in place: the list may be an input or a file's.
-    result.stdout = result.stdout + stream if result.stdout else stream
+    filesystem = environment.filesystem
+    for edge in graph.output_edges():
+        if edge.kind is EdgeKind.STDIN:
+            continue  # a graph whose only edge is stdin (degenerate)
+        stream = values.get(edge.edge_id)
+        if stream is None:
+            stream = resolve_graph_input(edge, environment) if edge.source is None else []
+        if edge.kind is EdgeKind.FILE:
+            if edge.append:
+                filesystem.append(edge.name or "", stream)
+            else:
+                filesystem.write(edge.name or "", stream)
+            result.files[edge.name or ""] = filesystem.read(edge.name or "")
+        else:  # never extended in place: the list may be an input or a file's
+            result.stdout = result.stdout + stream if result.stdout else stream

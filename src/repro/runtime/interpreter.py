@@ -399,10 +399,10 @@ class ShellInterpreter:
             if redirection.operator == "<" and redirection.target is not None:
                 input_redirect = " ".join(expand_word(redirection.target, context))
 
+        if input_redirect is not None:  # the "-" operands read it too
+            stdin = self._read_file(input_redirect, stdin)
         if operand_files:
             return [self._read_file(filename, stdin) for filename in operand_files], remaining
-        if input_redirect is not None:
-            return [self._read_file(input_redirect, stdin)], arguments
         return [list(stdin)], arguments
 
     def _read_file(self, filename: str, stdin: Stream) -> Stream:

@@ -63,12 +63,11 @@ from repro.resilience.supervisor import supervise
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
 from repro.service import protocol, telemetry
-from repro.service.protocol import ProtocolError, recv_json_message, send_json_message
 from repro.service.admission import AdmissionController, ServiceBusy, ServiceError
 from repro.service.jobs import Job, JobState, JobTable
 from repro.service.uploads import UploadCounters, UploadStore
 from repro.shell.expansion import ExpansionError
-from repro.wire import is_loopback_host
+from repro.wire import ProtocolError, is_loopback_host, recv_frame, send_frame
 
 
 def _is_lines(value: Any) -> bool:
@@ -370,9 +369,9 @@ class PashServiceDaemon:
             connection.settimeout(protocol.IDLE_TIMEOUT_SECONDS)
             while not self._stopping.is_set():
                 try:
-                    message = recv_json_message(connection)
+                    message = recv_frame(connection)
                 except ProtocolError as exc:
-                    send_json_message(
+                    send_frame(
                         connection,
                         protocol.error_response(protocol.ERR_BAD_REQUEST, str(exc)),
                     )
@@ -380,7 +379,7 @@ class PashServiceDaemon:
                 if message is None:
                     break
                 response, shutdown_after = self._handle(message, store)
-                send_json_message(connection, response)
+                send_frame(connection, response)
         except (OSError, ProtocolError):
             pass  # the client vanished or idled out; its job (if any) keeps running
         finally:

@@ -1,13 +1,9 @@
 """The client/daemon wire protocol of the service tier.
 
 Framing is :mod:`repro.wire`'s — a 4-byte big-endian length prefix and one
-size-capped frame (``send_frame``/``recv_frame``) — and the body codec is
-**UTF-8 JSON, not pickle**.  The cluster tier can justify pickle because
-both endpoints are the same codebase started by the same user (an internal
-process boundary);
-``pash-serve`` is a *tenant-facing* service with an advertised isolation
-model, and unpickling client bytes would hand any connecting client
-arbitrary code execution in the daemon.  Every payload here is a dict of
+size-capped **UTF-8 JSON** body, read and written by ``recv_frame`` and
+``send_frame`` as on the cluster tier.  ``pash-serve`` is a *tenant-facing*
+service with an advertised isolation model: every payload here is a dict of
 strings, numbers, and lists, so JSON loses nothing and a malicious frame
 can at worst be a parse error — answered as ``bad-request``, never
 executed.  On top of the framing the service speaks request/response over
@@ -68,28 +64,18 @@ typed ``timeout`` error (carrying the job snapshot) instead of a hang.
 
 from __future__ import annotations
 
-import json
 import socket
 from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.service.admission import ServiceBusy, ServiceError
-from repro.wire import (
-    MAX_MESSAGE_BYTES,
-    Codec,
-    ProtocolError,
-    parse_address,
-    recv_frame,
-    send_frame,
-)
+from repro.wire import MAX_MESSAGE_BYTES, ProtocolError, parse_address, recv_frame, send_frame
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
     "ProtocolError",
     "SERVICE_PROTOCOL_VERSION",
-    "recv_json_message",
     "request",
     "raise_for_error",
-    "send_json_message",
 ]
 
 #: Bumped on any incompatible message-shape change; reported by PING.
@@ -161,43 +147,6 @@ def resolve_address(address: Address) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# JSON framing
-# ---------------------------------------------------------------------------
-
-
-def _encode_json(message: Dict[str, Any]) -> bytes:
-    try:
-        return json.dumps(message, separators=(",", ":")).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"message is not JSON-serializable: {exc}") from exc
-
-
-def _decode_json(payload: bytes) -> Any:
-    try:
-        return json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
-
-
-_JSON_CODEC = Codec(encode=_encode_json, decode=_decode_json)
-
-
-def send_json_message(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Write one length-prefixed UTF-8 JSON message."""
-    send_frame(sock, message, _JSON_CODEC)
-
-
-def recv_json_message(sock: socket.socket) -> Optional[Dict[str, Any]]:
-    """Read one message; None on clean EOF (the peer closed the connection).
-
-    The body is parsed as JSON only — a frame that is not valid JSON (for
-    example a pickle, or random bytes) raises :class:`ProtocolError` and is
-    never evaluated.
-    """
-    return recv_frame(sock, _JSON_CODEC)
-
-
-# ---------------------------------------------------------------------------
 # Round trips
 # ---------------------------------------------------------------------------
 
@@ -227,8 +176,8 @@ def exchange(
     """
     try:
         sock.settimeout(timeout)
-        send_json_message(sock, message)
-        response = recv_json_message(sock)
+        send_frame(sock, message)
+        response = recv_frame(sock)
     except ProtocolError as exc:
         raise ServiceError(f"malformed response from pash-serve: {exc}") from exc
     except OSError as exc:

@@ -63,12 +63,10 @@ class OptimizationReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """Stable JSON schema: the dataclass fields plus ``parallelized_count``."""
-        payload: Dict[str, Any] = {
-            report_field.name: getattr(self, report_field.name)
-            for report_field in dataclasses.fields(self)
-        }
-        payload["parallelized_commands"] = list(self.parallelized_commands)
-        payload["skipped_commands"] = list(self.skipped_commands)
-        payload["pass_seconds"] = dict(self.pass_seconds)
-        payload["parallelized_count"] = self.parallelized_count
-        return payload
+        return dict(dataclasses.asdict(self), parallelized_count=self.parallelized_count)
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "OptimizationReport":
+        """The report :meth:`to_dict` wrote (``parallelized_count`` is derived)."""
+        names = {report_field.name for report_field in dataclasses.fields(cls)}
+        return cls(**{name: value for name, value in payload.items() if name in names})

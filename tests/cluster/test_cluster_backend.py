@@ -170,9 +170,8 @@ def test_a_stale_worker_is_refused_at_registration():
         MSG_REGISTER,
         MSG_WELCOME,
         PROTOCOL_VERSION,
-        recv_message,
-        send_message,
     )
+    from repro.wire import recv_frame, send_frame
 
     coordinator = ClusterCoordinator(ClusterOptions(heartbeat_interval=0.25))
     replies = []
@@ -180,9 +179,9 @@ def test_a_stale_worker_is_refused_at_registration():
         for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION):
             worker, served = socket.socketpair()
             with worker:
-                send_message(worker, {"type": MSG_REGISTER, "version": version})
+                send_frame(worker, {"type": MSG_REGISTER, "version": version})
                 coordinator._register(served)
-                replies.append(recv_message(worker))
+                replies.append(recv_frame(worker))
     finally:
         coordinator.shutdown()
     assert replies == [None, {"type": MSG_WELCOME, "heartbeat_interval": 0.25}]
@@ -295,8 +294,8 @@ class _RecordingChannel:
     def __init__(self):
         self.sent = []
 
-    def send(self, message):
-        self.sent.append(message)
+    def send(self, message, data=None):
+        self.sent.append(message if data is None else dict(message, data=data))
 
     def close(self):
         pass
@@ -346,6 +345,7 @@ def test_worker_buffers_task_inputs_in_bounded_memory():
     """Inbound CHUNKs go to a spill buffer under the task's threshold."""
     from repro.cluster.protocol import MSG_CHUNK, MSG_EDGE_END, MSG_RESULT, MSG_TASK
     from repro.cluster.worker import _execute_task, _PendingTask
+    from repro.dfg.json_form import node_to_json
 
     graph = DFGBuilder().build_from_script("cat a.txt | grep foo")
     node = next(node for node in graph.nodes.values() if node.label() == "grep foo")
@@ -355,7 +355,7 @@ def test_worker_buffers_task_inputs_in_bounded_memory():
         {
             "type": MSG_TASK,
             "task_id": 9,
-            "node": node,
+            "node": node_to_json(node),
             "inputs": list(node.inputs),
             "outputs": list(node.outputs),
             "chunk_size": 16,

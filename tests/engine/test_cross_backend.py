@@ -398,6 +398,9 @@ ARGV_SCRIPTS = [
     ("foo", "md5sum foo"),  # each file operand hashed and named
     ("colons", "md5sum in.txt foo"),
     ("nums", "cat in.txt | sha1sum foo -"),
+    ("foo", "sort - < foo"),  # "-" reads the "<" target
+    ("foo", "md5sum - < foo"),
+    ("colons", "md5sum in.txt - < foo"),
 ]
 #: Flags the line model cannot honour (a partial last line) or that are not
 #: implemented: refused with ``CommandError`` on every backend, never ignored.
@@ -439,6 +442,7 @@ def test_argv_is_read_as_the_host_reads_it(data, script, backend, tmp_path, monk
 @pytest.mark.parametrize("data, script", [
     ("foo", "md5sum foo"), ("colons", "md5sum in.txt foo"), ("nums", "cat in.txt | sha1sum foo -"),
     ("foo", "md5sum < foo"), ("nums", "cat in.txt | md5sum"),
+    ("foo", "sort - < foo"), ("foo", "md5sum - < foo"), ("colons", "md5sum in.txt - < foo"),
 ])
 def test_the_emitted_script_hashes_each_file_once(data, script, tmp_path, monkeypatch):
     """The argv of ``md5sum a b`` names its files: the emitted job is not handed them again."""

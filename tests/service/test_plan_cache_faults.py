@@ -4,16 +4,21 @@ The disk tier's contract: a bad file — corrupted, truncated, written by a
 different release, or hash-colliding — is **never fatal and never wrong**.
 Every failure mode reads as a miss, the offender is removed (or poisoned in
 memory when removal is impossible), and the next fresh compile re-persists
-a good entry.  The end-to-end tests drive a real :class:`JitDriver` over a
+a good entry.  Entries are JSON files; one that holds anything else — a
+pickle whose loading would run code included — is a corrupt file, never
+evaluated.  The end-to-end tests drive a real :class:`JitDriver` over a
 sabotaged cache directory and assert byte-identical output either way.
 """
 
 import glob
+import json
 import os
 import pickle
 import threading
 
 from repro.api import PashConfig
+from repro.dfg.builder import DFGBuilder
+from repro.dfg.json_form import to_json
 from repro.engine.api import ExecutionEnvironment
 from repro.jit.cache import (
     PLAN_FORMAT_VERSION,
@@ -25,18 +30,39 @@ from repro.jit.cache import (
 )
 from repro.jit.driver import JitDriver
 from repro.runtime.streams import VirtualFileSystem
+from repro.transform.pipeline import OptimizationReport
 
 KEY = ("cat a.txt | sort", (("x", "1"),), "0123456789abcdef")
 OTHER_KEY = ("cat b.txt | sort", (), "fedcba9876543210")
 
 
 def make_plan(fingerprint="cat a.txt | sort"):
-    # ``graph`` is untyped in CompiledPlan; a plain dict round-trips pickle.
-    return CompiledPlan(graph={"nodes": 3}, report=None, fingerprint=fingerprint)
+    graph = DFGBuilder().build_from_script("cat a.txt | sort")
+    return CompiledPlan(graph=graph, report=OptimizationReport(), fingerprint=fingerprint)
 
 
 def plan_files(directory):
     return sorted(glob.glob(os.path.join(directory, "*.plan")))
+
+
+def write_entry(path, version, key, graph=None):
+    """A cache file as :class:`DiskPlanCache` writes one, with chosen fields."""
+    plan = make_plan()
+    payload = {"version": version, "key": json.dumps(key), "fingerprint": plan.fingerprint,
+               "graph": to_json(plan.graph) if graph is None else graph,
+               "report": plan.report.to_dict()}
+    with open(path, "w") as handle:
+        json.dump(payload, handle)
+
+
+class _Marker:
+    """Loading a pickle of this creates ``path``: code run by the loader."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +80,8 @@ def test_round_trip_across_instances(tmp_path):
     entry = second.get(KEY)
     assert isinstance(entry, CompiledPlan)
     assert entry.fingerprint == "cat a.txt | sort"
+    assert entry.graph.describe() == make_plan().graph.describe()
+    assert entry.report == OptimizationReport()
     assert second.stats.disk_hits == 1
     # Promoted into memory: the next get is a pure memory hit.
     second.get(KEY)
@@ -66,7 +94,7 @@ def test_corrupted_file_reads_as_miss_and_is_removed(tmp_path):
     cache.put(KEY, make_plan())
     path = plan_files(str(tmp_path))[0]
     with open(path, "wb") as handle:
-        handle.write(b"\x00garbage that is not a pickle\xff")
+        handle.write(b"\x00garbage that is not JSON\xff")
 
     fresh = DiskPlanCache(str(tmp_path))
     assert fresh.get(KEY) is None
@@ -94,9 +122,7 @@ def test_truncated_file_reads_as_miss_and_is_removed(tmp_path):
 def test_stale_cache_version_invalidates_on_first_touch(tmp_path):
     cache = DiskPlanCache(str(tmp_path))
     path = cache._path(KEY)
-    payload = {"version": "0.0.1+plan0", "key": KEY, "entry": make_plan()}
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
+    write_entry(path, "0.0.1+plan0", KEY)
 
     assert cache.get(KEY) is None
     assert cache.stats.disk_stale == 1
@@ -109,9 +135,7 @@ def test_hash_collision_reads_as_miss_without_deleting(tmp_path):
     cache = DiskPlanCache(str(tmp_path))
     path = cache._path(KEY)
     # Simulate a filename collision: the payload belongs to a different key.
-    payload = {"version": cache.version, "key": OTHER_KEY, "entry": make_plan()}
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
+    write_entry(path, cache.version, OTHER_KEY)
 
     assert cache.get(KEY) is None
     assert os.path.exists(path), "a collision file belongs to its real owner"
@@ -121,11 +145,33 @@ def test_hash_collision_reads_as_miss_without_deleting(tmp_path):
 def test_foreign_payload_shape_is_discarded(tmp_path):
     cache = DiskPlanCache(str(tmp_path))
     path = cache._path(KEY)
-    with open(path, "wb") as handle:
-        pickle.dump({"version": cache.version, "key": KEY, "entry": "junk"}, handle)
+    write_entry(path, cache.version, KEY, graph="junk")
     assert cache.get(KEY) is None
     assert cache.stats.disk_errors == 1
     assert not os.path.exists(path)
+
+
+def test_a_dangling_edge_in_an_entry_is_discarded(tmp_path):
+    cache = DiskPlanCache(str(tmp_path))
+    path = cache._path(KEY)
+    graph = to_json(make_plan().graph)
+    graph["edges"][0]["target"] = 99
+    write_entry(path, cache.version, KEY, graph=graph)
+    assert cache.get(KEY) is None
+    assert cache.stats.disk_errors == 1
+    assert not os.path.exists(path)
+
+
+def test_a_pickled_entry_is_never_loaded(tmp_path):
+    marker = tmp_path / "marker"
+    cache = DiskPlanCache(str(tmp_path / "plans"))
+    path = cache._path(KEY)
+    with open(path, "wb") as handle:
+        handle.write(pickle.dumps({"version": cache.version, "key": KEY, "entry": _Marker(marker)}))
+    assert cache.get(KEY) is None
+    assert cache.stats.disk_errors == 1
+    assert not os.path.exists(path)
+    assert not marker.exists()
 
 
 def test_negative_entries_stay_memory_only(tmp_path):
@@ -137,10 +183,10 @@ def test_negative_entries_stay_memory_only(tmp_path):
     assert DiskPlanCache(str(tmp_path)).get(KEY) is None  # but never persisted
 
 
-def test_unpicklable_plan_degrades_to_memory_tier(tmp_path):
+def test_a_plan_without_a_json_form_degrades_to_memory_tier(tmp_path):
     cache = DiskPlanCache(str(tmp_path))
     poisoned = CompiledPlan(
-        graph=lambda: None, report=None, fingerprint="f"  # lambdas don't pickle
+        graph=lambda: None, report=OptimizationReport(), fingerprint="f"  # not a graph
     )
     cache.put(KEY, poisoned)
     assert cache.stats.disk_errors == 1
@@ -233,7 +279,7 @@ def test_driver_recompiles_after_cache_directory_corruption(tmp_path):
     # Sabotage every plan file; the next run compiles fresh — same bytes out.
     for path in plan_files(cache_dir):
         with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+            handle.write(b"not JSON")
     rebuilt, rebuilt_cache = run_once(cache_dir)
     assert rebuilt.stdout == EXPECTED
     assert rebuilt.jit.regions_compiled >= 1
@@ -253,11 +299,11 @@ def test_driver_survives_stale_version_fleet_upgrade(tmp_path):
 
     # Rewrite every entry as if an older release had produced it.
     for path in plan_files(cache_dir):
-        with open(path, "rb") as handle:
-            payload = pickle.load(handle)
+        with open(path) as handle:
+            payload = json.load(handle)
         payload["version"] = "0.0.1+plan0"
-        with open(path, "wb") as handle:
-            pickle.dump(payload, handle)
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
 
     upgraded, upgraded_cache = run_once(cache_dir)
     assert upgraded.stdout == EXPECTED

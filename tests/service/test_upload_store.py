@@ -20,6 +20,7 @@ import pytest
 
 from repro.service import ServiceClient, protocol
 from repro.service.uploads import UploadStore, fingerprint
+from repro.wire import recv_frame, send_frame
 
 FILES = {
     "a.txt": ["banana", "apple", "cherry"],
@@ -188,13 +189,13 @@ def _fake_daemon_receives(acknowledgement):
         accepted.append(connection)
         with connection:
             while True:
-                message = protocol.recv_json_message(connection)
+                message = recv_frame(connection)
                 if message is None:
                     return
                 received.append(message)
                 job = {"job_id": len(received), "state": "done", "stdout": []}
                 reply = dict(acknowledgement, type=protocol.MSG_JOB, job=job)
-                protocol.send_json_message(connection, reply)
+                send_frame(connection, reply)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
