@@ -1,39 +1,24 @@
-"""EXP-ENGINE — measured wall-clock speedup of the parallel engine.
+"""EXP-ENGINE — the parallel engine overlaps a latency-bound stage, by wall clock.
 
-Every other benchmark regenerates the paper's numbers through the
-discrete-event simulator; this one runs the same dataflow graphs for real on
-``repro.engine`` and times them.  Three workloads:
+grep carries a fixed per-line cost (the stand-in for the paper's complex-NFA
+grep, whose real cost is ~0.24 ms/line per Table 2).  A width-4 graph
+overlaps the four workers' stage latency, so the engine must beat the
+interpreter on any machine: concurrency, not core count, is what is bought.
 
-* *latency-bound* — grep with a fixed per-line cost (the stand-in for the
-  paper's complex-NFA grep, whose real cost is ~0.24 ms/line per Table 2).
-  A width-4 graph overlaps the four workers' stage latency, so the engine
-  must beat the interpreter on any machine — concurrency, not core count,
-  is what's being bought.
-* *CPU-bound* — the Table-2 ``sort`` one-liner over an in-memory corpus.
-  Here the speedup depends on the cores actually available, so the
-  assertion only applies on multi-core machines; the measurement is always
-  printed.
-* *spawn-bound* — a batch of short Table-2-style pipelines run back to back
-  through one session.  This is where the persistent worker pool, stage
-  fusion, relay elision, and direct (pump-free) edges pay; the per-run
-  time is recorded and the runs must reuse the warm pool (zero spawns).
-
-Run with ``--bench-json`` to persist the measurements (see conftest).
+A wall-clock gate, so it is not in tier-1: CI's ``bench-smoke`` job runs it
+(``PYTHONPATH=src python -m pytest -q -s benchmarks/test_bench_engine_parallel.py``).
+The CPU-bound sort is pash-bench's ``sort_cpu``, and the warm-pool batch's
+counts are ``tests/engine/test_warm_batch.py``.
 """
 
 import time
 
-from conftest import print_header
-
 from repro import api
-from repro.api import Pash, PashConfig
+from repro.api import PashConfig
 from repro.commands import standard_registry
-from repro.evaluation.harness import measured_speedup
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.simulator.machine import usable_cores
-from repro.workloads import text
-from repro.workloads.oneliners import get_one_liner
+from paper.workloads import text
 
 WIDTH = 4
 LINES_PER_CHUNK = 300
@@ -64,176 +49,25 @@ def _environment():
     )
 
 
-def _run_latency_workload():
+def test_bench_engine_latency_bound_speedup():
     chunks = " ".join(f"in{index}.txt" for index in range(WIDTH))
     script = f"cat {chunks} | grep the > out.txt"
-    config = PashConfig.paper_default(WIDTH)
-
     interpreter = api.run(script, backend="interpreter", environment=_environment())
     parallel = api.run(
-        script, config=config, backend="parallel", environment=_environment()
+        script, config=PashConfig.paper_default(WIDTH), backend="parallel", environment=_environment()
     )
-    return interpreter, parallel
-
-
-def test_bench_engine_latency_bound_speedup(benchmark, bench_record):
-    interpreter, parallel = benchmark.pedantic(_run_latency_workload, rounds=1, iterations=1)
     speedup = interpreter.elapsed_seconds / parallel.elapsed_seconds
 
-    print_header("Engine — latency-bound grep, measured wall clock")
+    print(f"\nEXP-ENGINE — latency-bound grep at width {WIDTH}, measured wall clock")
     print(f"{'backend':<14}{'seconds':<10}{'workers':<9}{'bytes moved'}")
     print(f"{'interpreter':<14}{interpreter.elapsed_seconds:<10.3f}{1:<9}{'-'}")
     print(
         f"{'parallel':<14}{parallel.elapsed_seconds:<10.3f}"
         f"{parallel.metrics.worker_count:<9}{parallel.metrics.total_bytes_moved}"
     )
-    print(f"speedup: {speedup:.2f}x at width {WIDTH}")
+    print(f"speedup: {speedup:.2f}x")
 
-    bench_record(
-        "engine_latency_bound_grep",
-        width=WIDTH,
-        interpreter_seconds=round(interpreter.elapsed_seconds, 4),
-        parallel_seconds=round(parallel.elapsed_seconds, 4),
-        speedup=round(speedup, 3),
-        processes_spawned=parallel.metrics.processes_spawned,
-        processes_reused=parallel.metrics.processes_reused,
-    )
     assert parallel.output_of("out.txt") == interpreter.output_of("out.txt")
-    assert parallel.metrics.worker_count >= 2
     # Width-4 stage latency overlaps across worker processes regardless of
     # core count; the engine must clearly beat sequential evaluation.
     assert speedup > 1.3
-
-
-def _run_cpu_workload():
-    static = measured_speedup(get_one_liner("sort"), width=WIDTH, lines=60_000)
-    adaptive = measured_speedup(
-        get_one_liner("sort"),
-        width=WIDTH,
-        lines=60_000,
-        config=PashConfig.paper_default(min(WIDTH, usable_cores())),
-    )
-    return static, adaptive
-
-
-def test_bench_engine_cpu_bound_sort(benchmark, bench_record):
-    """Static width vs width clamped to the cores actually available.
-
-    The seed baseline showed a 0.11x *slowdown* at static width 4 on a
-    1-core box: the fan-out's splitting/aggregation overhead bought no
-    parallelism.  Asking for ``min(WIDTH, usable_cores())`` — what the
-    ``jit`` planner does for itself — keeps the graph (near-)sequential on
-    starved machines and the slowdown disappears, while on ≥4-core
-    machines it is the static width and the numbers are unchanged.
-    """
-    (static_run, adaptive_run) = benchmark.pedantic(
-        _run_cpu_workload, rounds=1, iterations=1
-    )
-    baseline, parallel, speedup = static_run
-    adaptive_baseline, adaptive, adaptive_speedup = adaptive_run
-    cores = usable_cores()
-
-    bench_record(
-        "engine_cpu_bound_sort",
-        width=WIDTH,
-        interpreter_seconds=round(baseline.elapsed_seconds, 4),
-        parallel_seconds=round(parallel.elapsed_seconds, 4),
-        speedup=round(speedup, 3),
-        adaptive_seconds=round(adaptive.elapsed_seconds, 4),
-        adaptive_speedup=round(adaptive_speedup, 3),
-        usable_cores=cores,
-    )
-
-    print_header("Engine — Table-2 sort one-liner, measured wall clock")
-    print(f"{'backend':<18}{'seconds':<10}{'workers'}")
-    print(f"{'interpreter':<18}{baseline.elapsed_seconds:<10.3f}{1}")
-    print(
-        f"{'parallel':<18}{parallel.elapsed_seconds:<10.3f}{parallel.metrics.worker_count}"
-    )
-    print(
-        f"{'adaptive-width':<18}{adaptive.elapsed_seconds:<10.3f}"
-        f"{adaptive.metrics.worker_count}"
-    )
-    print(f"static speedup: {speedup:.2f}x, adaptive: {adaptive_speedup:.2f}x "
-          f"at width {WIDTH} ({cores} usable cores)")
-
-    assert baseline.output_lines == parallel.output_lines
-    assert adaptive_baseline.output_lines == adaptive.output_lines
-    assert parallel.metrics.worker_count >= 2
-    if cores >= WIDTH:
-        # With the width's worth of cores the parallel engine must win and
-        # the clamp must not get in its way.
-        assert speedup > 1.0
-        assert adaptive_speedup > 1.0
-    else:
-        # Core-starved: the clamp must recover (most of) the static fan-out's
-        # overhead — this is the BENCH_engine.json 0.11x fix, gated.
-        assert adaptive_speedup > speedup
-
-
-# ---------------------------------------------------------------------------
-# Spawn-bound: many short pipelines through the pooled, fused engine path
-# ---------------------------------------------------------------------------
-
-SHORT_RUNS = 8
-SHORT_SCRIPT = "cat in0.txt in1.txt in2.txt in3.txt | grep the | tr A-Z a-z > out.txt"
-
-
-def _short_environment():
-    files = {f"in{i}.txt": text.text_lines(LINES_PER_CHUNK, seed=i) for i in range(4)}
-    return ExecutionEnvironment(filesystem=VirtualFileSystem(files))
-
-
-def _run_spawn_workload():
-    compiled = Pash(PashConfig.paper_default(WIDTH)).compile(SHORT_SCRIPT)
-    expected = api.run(SHORT_SCRIPT, backend="interpreter", environment=_short_environment())
-
-    # Warm-up: pay the pool's startup once, outside the timed window.
-    compiled.execute(backend="parallel", environment=_short_environment())
-
-    environments = [_short_environment() for _ in range(SHORT_RUNS)]
-    started = time.perf_counter()
-    results = [
-        compiled.execute(backend="parallel", environment=environment)
-        for environment in environments
-    ]
-    return expected, time.perf_counter() - started, results
-
-
-def test_bench_engine_short_pipeline_batch(benchmark, bench_record):
-    """Per-run time of short pipelines on the persistent pool with fused stages."""
-    expected, seconds, results = benchmark.pedantic(
-        _run_spawn_workload, rounds=1, iterations=1
-    )
-    spawned = sum(result.metrics.processes_spawned for result in results)
-    reused = sum(result.metrics.processes_reused for result in results)
-    metrics = results[-1].metrics
-
-    print_header("Engine — spawn-bound short pipelines, pooled + fused")
-    print(f"{'seconds':<10}{'spawned':<9}{'reused':<8}{'per-run ms'}")
-    print(f"{seconds:<10.3f}{spawned:<9}{reused:<8}{seconds / SHORT_RUNS * 1000:.1f}")
-    print(
-        f"fused {metrics.commands_fused} commands into {metrics.stages_fused} stages, "
-        f"elided {metrics.relays_elided} relays, {metrics.edges_direct} direct edges"
-    )
-
-    bench_record(
-        "engine_short_pipeline_batch",
-        width=WIDTH,
-        runs=SHORT_RUNS,
-        pooled_seconds=round(seconds, 4),
-        per_run_ms=round(seconds / SHORT_RUNS * 1000, 2),
-        processes_spawned=spawned,
-        processes_reused=reused,
-        stages_fused=metrics.stages_fused,
-        commands_fused=metrics.commands_fused,
-        relays_elided=metrics.relays_elided,
-        edges_direct=metrics.edges_direct,
-    )
-
-    for result in results:
-        assert result.output_of("out.txt") == expected.output_of("out.txt")
-    # Stage fusion must be doing real work on this shape (grep|tr chains)...
-    assert metrics.stages_fused >= WIDTH
-    # ...and the pooled runs must not be re-forking the graph every time.
-    assert spawned == 0 and reused > 0

@@ -13,12 +13,13 @@ complex-NFA grep, ~0.24 ms/line per Table 2), so the width-4 plan overlaps
 the four workers' stage latency and the engine must beat the interpreter on
 any machine — concurrency, not core count, is what's being bought.
 
-Run with ``--bench-json`` to persist the measurements (see conftest).
+A wall-clock gate, so it is not in tier-1: CI's ``bench-smoke`` job runs it.
+The driver's counts on this loop (one compile, three cache hits, no
+fallback, workers underneath) are
+``tests/jit/test_driver.py::test_a_loop_on_the_pool_compiles_once_and_runs_on_workers``.
 """
 
 import time
-
-from conftest import print_header
 
 from repro.api import PashConfig
 from repro.commands import standard_registry
@@ -26,7 +27,7 @@ from repro.jit import JitDriver
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
+from paper.workloads import text
 
 WIDTH = 4
 ROUNDS = 4
@@ -90,20 +91,13 @@ def _run_jit():
     return time.perf_counter() - started, result
 
 
-def _run_workload():
+def test_bench_jit_loop_speedup():
     baseline_seconds, baseline_stdout = _run_baseline()
     jit_seconds, jit_result = _run_jit()
-    return baseline_seconds, baseline_stdout, jit_seconds, jit_result
-
-
-def test_bench_jit_loop_speedup(benchmark, bench_record):
-    baseline_seconds, baseline_stdout, jit_seconds, jit_result = benchmark.pedantic(
-        _run_workload, rounds=1, iterations=1
-    )
     speedup = baseline_seconds / jit_seconds
     report = jit_result.jit
 
-    print_header("JIT — loop-heavy dynamic script, measured wall clock")
+    print("\nJIT — loop-heavy dynamic script, measured wall clock")
     print(f"{'mode':<22}{'seconds':<10}{'regions':<9}{'workers'}")
     print(f"{'interpreter':<22}{baseline_seconds:<10.3f}{'-':<9}{1}")
     print(
@@ -117,30 +111,7 @@ def test_bench_jit_loop_speedup(benchmark, bench_record):
         f"{jit_result.metrics.processes_reused} workers reused)"
     )
 
-    bench_record(
-        "jit_loop_heavy_script",
-        width=WIDTH,
-        rounds=ROUNDS,
-        interpreter_seconds=round(baseline_seconds, 4),
-        jit_seconds=round(jit_seconds, 4),
-        speedup=round(speedup, 3),
-        regions_seen=report.regions_seen,
-        regions_compiled=report.regions_compiled,
-        cache_hits=report.cache_hits,
-        fallbacks=report.fallbacks,
-        compile_seconds=round(report.compile_seconds, 4),
-        processes_spawned=jit_result.metrics.processes_spawned,
-        processes_reused=jit_result.metrics.processes_reused,
-    )
-
-    # Correctness first: byte-identical to the baseline interpreter.
     assert jit_result.stdout == baseline_stdout
-    # The JIT must actually orchestrate: one compile, cache hits on 2+.
-    assert report.regions_compiled >= 1
-    assert report.cache_hits == ROUNDS - 1
-    assert report.fallbacks == 0
-    # Real OS-level concurrency underneath.
-    assert jit_result.metrics.worker_count >= 2
     # The acceptance bar: ≥ 1.5x lower wall clock than the baseline
     # interpreter on this multi-iteration script (latency-bound, so core
     # count does not gate it).

@@ -10,12 +10,15 @@ prints the three costs per 64 KB block at each share of lines holding a
 hit, which is where those constants come from.  ``-w`` finds candidates
 without its leading lookbehind (which would hide the literal prefix sre
 searches by) and confirms each candidate's line.
+
+A wall-clock gate, so it is not in tier-1: CI's ``bench-smoke`` job runs it.
+That the sampled face and the scan-every-hit face equal the line path at
+each density is ``tests/commands/test_block_kernels.py``'s
+``test_grep_scan_equals_the_line_path_at_every_hit_density``.
 """
 
 import random
 import timeit
-
-from conftest import print_header
 
 from repro.commands import textproc
 from repro.commands.base import block_map_kernel
@@ -39,27 +42,22 @@ def best_us(function, block):
     return min(timeit.repeat(lambda: function(block), number=10, repeat=5)) / 10 * 1e6
 
 
-def test_bench_micro_grep_scan(benchmark, monkeypatch):
+def test_bench_micro_grep_scan(monkeypatch):
     rng = random.Random(5)
     blocks = {density: block_at(density, rng) for density in DENSITIES}
 
-    def sweep():
-        rows = []
-        for arguments in (["zq"], ["-v", "zq"], ["q.x"], ["-v", "q.x"], ["-w", "zqyx"]):
-            face = textproc.grep_block(arguments)
-            line_path = block_map_kernel(textproc._grep_plan(tuple(arguments), True)[2], None, True).on_block
-            for density, block in blocks.items():
-                sampled = best_us(face.on_block, block)
-                with monkeypatch.context() as patch:
-                    patch.setattr(textproc, "_DENSE_SHARE", 0)  # never dense: scan every hit
-                    scanned = best_us(face.on_block, block)
-                    assert face.on_block(block) == line_path(block)
-                assert face.on_block(block) == line_path(block)
-                rows.append((" ".join(arguments), density, best_us(line_path, block), scanned, sampled))
-        return rows
+    rows = []
+    for arguments in (["zq"], ["-v", "zq"], ["q.x"], ["-v", "q.x"], ["-w", "zqyx"]):
+        face = textproc.grep_block(arguments)
+        line_path = block_map_kernel(textproc._grep_plan(tuple(arguments), True)[2], None, True).on_block
+        for density, block in blocks.items():
+            sampled = best_us(face.on_block, block)
+            with monkeypatch.context() as patch:
+                patch.setattr(textproc, "_DENSE_SHARE", 0)  # never dense: scan every hit
+                scanned = best_us(face.on_block, block)
+            rows.append((" ".join(arguments), density, best_us(line_path, block), scanned, sampled))
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_header("Micro-benchmark — grep block scan vs line path, µs per 64 KB block")
+    print("\nMicro-benchmark — grep block scan vs line path, µs per 64 KB block")
     print(f"{'grep':<10}{'hits':>6}{'lines':>9}{'scan':>9}{'sampled':>9}")
     for arguments, density, lines, scanned, sampled in rows:
         print(f"{arguments:<10}{density:>6.2f}{lines:>9.0f}{scanned:>9.0f}{sampled:>9.0f}")

@@ -19,21 +19,18 @@ prediction that is wrong *where it matters* fails.
 The 1M-line column costs about a minute (``wf`` alone runs 10-15 s per
 shape there), so a plain ``pytest`` run stops at 100k lines;
 ``PASH_BENCH_FULL=1`` — which the CI ``bench-smoke`` job sets — sweeps to 1M.
-
-Run with ``--bench-json`` to persist the measurements (see conftest).
+A wall-clock gate, so it is not in tier-1: only that job runs it.
 """
 
 import os
 import random
 import time
 
-from conftest import print_header
-
 from repro.api import PashConfig
 from repro.jit import JitDriver
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
+from paper.workloads import text
 
 WIDTH = 2
 SIZES = (1_000, 10_000, 100_000, 1_000_000)
@@ -65,7 +62,7 @@ def _run(script: str, config: PashConfig):
     return time.perf_counter() - started, result.output_of("out.txt"), result.jit
 
 
-def test_bench_planner_breakeven(bench_record, tmp_path, monkeypatch):
+def test_bench_planner_breakeven(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # Width 1 leaves the planner no candidate: the sequential graph, in-process.
     in_process = PashConfig.paper_default(1)
@@ -74,7 +71,7 @@ def test_bench_planner_breakeven(bench_record, tmp_path, monkeypatch):
     _write_input(SIZES[0])
     _run(SCRIPTS["wf"], pooled)  # grow the shared pool before timing
 
-    print_header("EXP-PLANNER — predicted and measured seconds of both shapes, and the pick")
+    print("\nEXP-PLANNER — predicted and measured seconds of both shapes, and the pick")
     print(
         f"{'region':<10}{'lines':>9}{'seq pred':>10}{'seq meas':>10}"
         f"{'par pred':>10}{'par meas':>10}{'pick':>6}{'regret':>8}"
@@ -122,15 +119,6 @@ def test_bench_planner_breakeven(bench_record, tmp_path, monkeypatch):
                 f"{outcome.width:>6}{regret:>8.2f}"
             )
 
-    bench_record(
-        "planner_breakeven",
-        width=WIDTH,
-        usable_cores=len(os.sched_getaffinity(0)),
-        full_sweep=FULL,
-        regret_bound=REGRET_BOUND,
-        worst_regret=max(row["regret"] for row in rows),
-        rows=rows,
-    )
     for row in rows:
         assert row["regret"] <= REGRET_BOUND, (
             f"{row['region']} at {row['lines']} lines: the planner picked width {row['pick']}, "

@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/emit_and_run.py
+    PYTHONPATH=src:benchmarks python examples/emit_and_run.py
 
 This example demonstrates the back-end in its intended habitat: the compiled
 script uses named pipes, background jobs, ``sort -m`` aggregation, and the
@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.api import Pash, PashConfig
-from repro.workloads import text
+from paper.workloads import text
 
 
 def main() -> None:

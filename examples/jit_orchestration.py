@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/jit_orchestration.py
+    PYTHONPATH=src:benchmarks python examples/jit_orchestration.py
 
 The script below mixes a ``for`` loop over a glob, a runtime variable, a
 command substitution, and a conditional — every one a reason the AOT path
@@ -16,7 +16,7 @@ from repro.api import PashConfig, run
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
+from paper.workloads import text
 
 WIDTH = 4
 

@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/parallel_engine.py
+    PYTHONPATH=src:benchmarks python examples/parallel_engine.py
 
 Demonstrates the unified backend API of :mod:`repro.engine`:
 
@@ -22,7 +22,7 @@ import shutil
 from repro.api import Pash, PashConfig
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
+from paper.workloads import text
 
 SCRIPT = "cat part0.txt part1.txt part2.txt part3.txt | tr A-Z a-z | grep light | sort > out.txt"
 WIDTH = 4

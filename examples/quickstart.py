@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/quickstart.py
+    PYTHONPATH=src:benchmarks python examples/quickstart.py
 
 The example follows PaSh's flow end to end:
 
@@ -19,7 +19,7 @@ from repro.api import Pash, PashConfig
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
+from paper.workloads import text
 
 SCRIPT = (
     "cat part0.txt part1.txt part2.txt part3.txt"

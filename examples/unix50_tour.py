@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/unix50_tour.py
+    PYTHONPATH=src:benchmarks python examples/unix50_tour.py
 
 For a handful of representative pipelines this example shows what PaSh does
 (or refuses to do), checks output equivalence on a small corpus, and reports
@@ -11,11 +11,11 @@ the simulated speedup at 16x parallelism for the whole 34-pipeline corpus.
 """
 
 from repro.api import Pash, PashConfig
-from repro.evaluation.figures import figure8_series, figure8_summary
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads.unix50 import get_pipeline
+from paper.figures import figure8_series, figure8_summary
+from paper.workloads.unix50 import get_pipeline
 
 SHOWCASE = [0, 11, 13, 2]  # word frequencies, numeric extremes, awk, tiny head
 WIDTH = 4

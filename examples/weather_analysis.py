@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/weather_analysis.py
+    PYTHONPATH=src:benchmarks python examples/weather_analysis.py
 
 The network fetch of the original script is replaced by a synthetic dataset
 and a ``fetch-station`` stand-in command (see DESIGN.md); the pipeline
@@ -13,11 +13,11 @@ the 999 sentinels, and take the maximum per year.
 """
 
 from repro.api import Pash, PashConfig
-from repro.evaluation.usecases import noaa_usecase
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import noaa
+from paper.usecases import noaa_usecase
+from paper.workloads import noaa
 
 YEARS = [2015, 2016, 2017]
 STATIONS = 8

@@ -3,7 +3,7 @@
 
 Run with::
 
-    python examples/web_indexing.py
+    PYTHONPATH=src:benchmarks python examples/web_indexing.py
 
 The pipeline mixes POSIX utilities with custom commands written "in other
 languages" (here: Python implementations registered under their own names:
@@ -14,11 +14,11 @@ data-parallelize the bulk of the work.
 
 from repro.annotations.library import standard_library
 from repro.api import Pash, PashConfig
-from repro.evaluation.usecases import wikipedia_usecase
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import wikipedia
+from paper.usecases import wikipedia_usecase
+from paper.workloads import wikipedia
 
 PAGES = 16
 WIDTH = 4

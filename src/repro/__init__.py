@@ -15,9 +15,11 @@ it is built from:
 * :mod:`repro.runtime` — eager relays, split, aggregators, and the in-process
   executor used for correctness checking,
 * :mod:`repro.commands` — pure-Python UNIX command implementations,
-* :mod:`repro.simulator` — the performance model behind the evaluation,
-* :mod:`repro.workloads` and :mod:`repro.evaluation` — benchmark scripts,
-  synthetic datasets, and the table/figure harnesses.
+* :mod:`repro.simulator` — the performance model behind the evaluation.
+
+The paper's §6 evaluation (its scripts, synthetic datasets and the
+table/figure harnesses) measures this package and is not part of it: it is
+the ``paper`` package under ``benchmarks/``.
 
 Quick start::
 

@@ -8,11 +8,13 @@ This package provides:
   guarded by flag predicates, mapping an invocation to its class and its
   input/output sequence,
 * :mod:`repro.annotations.dsl` — a parser for the textual annotation language
-  of Appendix A,
+  of Appendix A, and
 * :mod:`repro.annotations.library` — the standard annotation library covering
   the POSIX and GNU Coreutils commands used by the evaluation, plus the
-  map/aggregate pairs PaSh ships for commands in the pure class, and
-* :mod:`repro.annotations.study` — the parallelizability study behind Table 1.
+  map/aggregate pairs PaSh ships for commands in the pure class.
+
+The parallelizability study behind Table 1 measures this library; it lives
+with the rest of the paper's evaluation, in ``benchmarks/paper/study.py``.
 """
 
 from repro.annotations.classes import ParallelizabilityClass
@@ -25,7 +27,6 @@ from repro.annotations.model import (
 )
 from repro.annotations.dsl import AnnotationParseError, parse_annotation, parse_annotations
 from repro.annotations.library import AnnotationLibrary, standard_library
-from repro.annotations.study import ParallelizabilityStudy, standard_study
 
 __all__ = [
     "AnnotationLibrary",
@@ -35,10 +36,8 @@ __all__ = [
     "CommandInvocation",
     "IOSpec",
     "ParallelizabilityClass",
-    "ParallelizabilityStudy",
     "classify_invocation",
     "parse_annotation",
     "parse_annotations",
     "standard_library",
-    "standard_study",
 ]

@@ -609,7 +609,7 @@ class _GraphRun:
         if kind == MSG_EDGE_END:
             return  # commit happens atomically at RESULT time
         if kind == MSG_RESULT:
-            self._finish_remote(handle, task_id, task, message["report"])
+            self._finish_remote(handle, task_id, task, message.get("report"))
 
     def _finish_remote(
         self,
@@ -620,20 +620,26 @@ class _GraphRun:
     ) -> None:
         del self.inflight[node_id]
         handle.task = None
-        if report.get("error"):
+        try:
+            failure = report.get("error")
+            if not failure:  # a report is a peer's JSON: read all of it before committing any
+                spans = [SpanRecord.from_dict(row) for row in report.get("spans") or ()]
+                node_metrics = NodeMetrics.from_dict(report["metrics"])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            failure = f"malformed RESULT ({type(exc).__name__}: {exc})"
+        if failure:
             task.abandon()
             raise ExecutionError(
                 f"cluster worker {handle.worker_id} failed on "
-                f"{task.node.label()}: {report['error']}"
+                f"{task.node.label()}: {failure}"
             )
         for edge_id, sink in task.sinks.items():
             self.store.put(edge_id, sink.store())
-        for row in report.get("spans") or ():
-            span = SpanRecord.from_dict(row)
+        for span in spans:
             span.set(cluster_worker=handle.worker_id)
             self.tracer.record(span)
         self.metrics.remote_tasks += 1
-        self.metrics.nodes.append(NodeMetrics.from_dict(report["metrics"]))
+        self.metrics.nodes.append(node_metrics)
         self._complete(node_id)
 
     # -- completion ----------------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import re
+import zlib
 from functools import partial
 from typing import List
 
@@ -253,6 +255,57 @@ def trigrams(arguments: List[str], inputs: List[Stream]) -> Stream:
     ]
 
 
+def _seeded(identifier: str) -> random.Random:
+    """A generator seeded by ``identifier`` alone: ``hash()`` of a ``str`` is
+    salted per process, so a remote worker would print other data."""
+    return random.Random(zlib.crc32(identifier.encode("utf-8", "surrogateescape")))
+
+
+def station_records(identifier: str, records: int = 365) -> List[str]:
+    """Fixed-width daily records of one station archive, what ``fetch-station`` prints.
+
+    Characters 88-91 (1-based) hold the temperature in tenths of a degree,
+    occasionally the ``0999`` sentinel for missing data, and 92 a flag: the
+    slice Fig. 1's ``cut -c 88-92`` reads.
+    """
+    rng = _seeded(identifier)
+    lines = []
+    for day in range(records):
+        temperature = rng.randrange(0, 450)
+        body = "0999" if rng.random() < 0.02 else f"{temperature:04d}"
+        prefix = f"{identifier:<60.60}day{day:04d}".ljust(87, "x")
+        lines.append(prefix + body + "1" + "trailing-data")
+    return lines
+
+
+_TOPICS = [
+    "operating systems", "dataflow", "parallel computing", "shell scripting",
+    "compilers", "databases", "networking", "file systems", "scheduling",
+    "distributed systems", "stream processing", "text indexing",
+]
+
+_SENTENCES = [
+    "The {topic} article discusses the history and design of {topic}.",
+    "Researchers studying {topic} have published extensively at systems venues.",
+    "A common technique in {topic} is pipeline composition and parallel execution.",
+    "See also the related article on <a href='https://example.org/wiki/{slug}'>{topic}</a>.",
+    "Performance of {topic} improved dramatically with data parallelism.",
+]
+
+
+def page_html(identifier: str, paragraphs: int = 30) -> List[str]:
+    """The HTML of one page identifier (or URL), what ``fetch-page`` prints."""
+    rng = _seeded(identifier)
+    slug = identifier.rsplit("/", 1)[-1]
+    lines = [f"<html><head><title>{slug}</title></head><body>"]
+    for _ in range(paragraphs):
+        topic = rng.choice(_TOPICS)
+        sentence = rng.choice(_SENTENCES).format(topic=topic, slug=slug.replace(" ", "-"))
+        lines.append(f"<p>{sentence}</p>")
+    lines.append("</body></html>")
+    return lines
+
+
 def fetch_station(arguments: List[str], inputs: List[Stream]) -> Stream:
     """Stand-in for ``curl`` in the NOAA pipeline (§6.3).
 
@@ -261,8 +314,6 @@ def fetch_station(arguments: List[str], inputs: List[Stream]) -> Stream:
     substitution keeps the pipeline's DFG identical while removing the
     network dependency.
     """
-    from repro.workloads.noaa import station_records
-
     identifiers = parse_argv("fetch-station", arguments).operands or concat_streams(inputs)
     out: Stream = []
     for identifier in identifiers:
@@ -272,8 +323,6 @@ def fetch_station(arguments: List[str], inputs: List[Stream]) -> Stream:
 
 def fetch_page(arguments: List[str], inputs: List[Stream]) -> Stream:
     """Stand-in for the page download stage of the web-indexing use case."""
-    from repro.workloads.wikipedia import page_html
-
     identifiers = parse_argv("fetch-page", arguments).operands or concat_streams(inputs)
     out: Stream = []
     for identifier in identifiers:

@@ -94,13 +94,8 @@ def export_jsonl(spans: Iterable[SpanRecord], destination: Union[str, TextIO]) -
 
 
 def span_summary(spans: Iterable[SpanRecord]) -> Dict[str, Any]:
-    """A flat, scalar-only digest of a span set.
-
-    The shape is ``bench_record``-compatible (string keys, scalar values),
-    so benchmarks can log span summaries straight into ``BENCH_engine.json``::
-
-        bench_record("my_benchmark", wall=..., **span_summary(result.spans))
-    """
+    """A flat, scalar-only digest of a span set (string keys, scalar values):
+    the ``spans`` section of a :class:`~repro.obs.report.RunReport`."""
     total = 0
     per_category_us: Dict[str, int] = {}
     per_category_count: Dict[str, int] = {}

@@ -245,8 +245,9 @@ def fire(point: str, nbytes: int = 0) -> bool:
     """The hook every fault point calls.
 
     With no plan installed this is one global load and a ``None`` check —
-    cheap enough for per-chunk call sites (see
-    ``benchmarks/test_bench_resilience_overhead.py``).
+    cheap enough for per-chunk call sites (pash-bench's
+    ``resilience.null_hook_ns`` prices it, and CI holds what a ``script_mix``
+    unit's hooks cost under 2 % of its wall clock).
     """
     plan = _ACTIVE
     if plan is None:

@@ -341,6 +341,59 @@ def test_a_lost_workers_partial_output_is_never_visible(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize(
+    "report",
+    [
+        {"error": None},  # no metrics
+        {"error": None, "metrics": {"node_id": 1}, "spans": [{"category": "worker"}]},  # a span without a name
+        {"error": None, "metrics": {"no_such_field": 1}},
+        ["not", "a", "report"],
+        None,
+    ],
+    ids=["no-metrics", "nameless-span", "unknown-metric", "a-list", "missing"],
+)
+def test_a_malformed_result_fails_the_run_naming_the_worker(tmp_path, report):
+    """A RESULT is a peer's JSON: a shape the coordinator cannot read is the
+    worker's failure, with the task abandoned as on a reported error."""
+    from repro.cluster.coordinator import ClusterWorkerHandle, _GraphRun
+    from repro.cluster.protocol import MSG_CHUNK, MSG_RESULT
+    from repro.engine.metrics import EngineMetrics
+
+    config = PashConfig(
+        streaming=StreamingConfig(spill_threshold=4, spill_directory=str(tmp_path))
+    )
+    coordinator = ClusterCoordinator(config=config)
+    graph = DFGBuilder().build_from_script("cat a.txt | grep foo")
+    metrics = EngineMetrics(backend="cluster")
+    run = _GraphRun(coordinator, graph, env(), metrics)
+    try:
+        run._seed()
+        while run.ready_local:
+            run._run_local(run.ready_local.popleft())
+        node_id = run.ready_remote.popleft()
+        (edge_id,) = graph.node(node_id).outputs
+        handle = ClusterWorkerHandle(worker_id=7, channel=_RecordingChannel())
+        coordinator.workers.append(handle)
+        run._dispatch(handle, node_id, None)
+        before = set(os.listdir(run.store.directory))
+        run._handle_message(
+            handle, {"type": MSG_CHUNK, "task_id": node_id, "edge_id": edge_id, "data": b"apple foo\n"}
+        )
+        message = {"type": MSG_RESULT, "task_id": node_id}
+        if report is not None:
+            message["report"] = report
+        expected = r"cluster worker 7 failed on \S+: malformed RESULT \((Attribute|Key|Type|Value)Error: "
+        with pytest.raises(ExecutionError, match=expected):
+            run._handle_message(handle, message)
+        assert node_id not in run.inflight and handle.task is None
+        assert not run.store.has(edge_id)  # nothing of the attempt was committed
+        assert set(os.listdir(run.store.directory)) == before  # its spilled chunk went with it
+        assert metrics.remote_tasks == 0 and metrics.nodes == []
+    finally:
+        run.close()
+    assert os.listdir(tmp_path) == []
+
+
 def test_worker_buffers_task_inputs_in_bounded_memory():
     """Inbound CHUNKs go to a spill buffer under the task's threshold."""
     from repro.cluster.protocol import MSG_CHUNK, MSG_EDGE_END, MSG_RESULT, MSG_TASK

@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.commands import misc, sorting, standard_registry, textproc
-from repro.commands.base import CommandError, CommandImplementation
+from repro.commands.base import CommandError, CommandImplementation, block_map_kernel
 from repro.dfg.nodes import AggregatorNode, CommandNode, FusedStage, SplitNode
 from repro.engine.channels import decode_block, iter_encoded_chunks
 from repro.runtime import aggregators
@@ -159,6 +159,28 @@ def test_grep_scan_hands_dense_hits_to_the_line_path(arguments):
     kernel = textproc.grep_block(arguments)
     for data in (lines, lines[::-1]):
         assert run_kernel(kernel, [data], chunk_size=1 << 16) == [textproc.grep(arguments, [data])]
+
+
+@pytest.mark.parametrize("arguments", [["zq"], ["-v", "zq"], ["q.x"], ["-v", "q.x"], ["-w", "zqyx"]])
+def test_grep_scan_equals_the_line_path_at_every_hit_density(arguments, monkeypatch):
+    """A 64 KB block whose lines end in a hit at a given share: the sampled
+    face, and the face made to scan every hit, both equal the per-line path."""
+    rng = random.Random(5)
+    words = [word.encode() for word in "the quick brown fox jumps over lazy dog dark".split()]
+    face = textproc.grep_block(arguments)
+    line_path = block_map_kernel(textproc._grep_plan(tuple(arguments), True)[2], None, True).on_block
+    for density in (0.0, 0.1, 0.25, 0.5, 1.0):
+        lines, size = [], 0
+        while size < 1 << 16:
+            line = b" ".join(rng.choice(words) for _ in range(rng.randint(4, 10)))
+            lines.append(line + (b" zqyx" if rng.random() < density else b""))
+            size += len(lines[-1]) + 1
+        block = b"\n".join(lines) + b"\n"
+        expected = line_path(block)
+        assert face.on_block(block) == expected, (arguments, density)
+        with monkeypatch.context() as patch:
+            patch.setattr(textproc, "_DENSE_SHARE", 0)  # never dense: scan every hit
+            assert face.on_block(block) == expected, (arguments, density)
 
 
 def test_every_registered_block_kernel_has_a_row():

@@ -29,7 +29,7 @@ import pytest
 import _reference_kernels as reference
 from repro.commands import misc, sorting, standard_registry, textproc
 from repro.engine.channels import decode_block, encode_block
-from repro.workloads.text import text_lines
+from paper.workloads.text import text_lines
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
 SEEDS = [BASE_SEED, BASE_SEED + 1]

@@ -15,8 +15,8 @@ import pytest
 
 from repro.commands import standard_registry, textproc
 from repro.commands.base import CommandError
-from repro.workloads.oneliners import ONE_LINERS
-from repro.workloads.unix50 import UNIX50_PIPELINES
+from paper.workloads.oneliners import ONE_LINERS
+from paper.workloads.unix50 import UNIX50_PIPELINES
 
 LINES = [
     "abcdefghij", "x.{7,}", "aa", "a{2}", "a+", "aaa", "b", "ab", "a?b", "a|b", "(a)", "aa(a)",

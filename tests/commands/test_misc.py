@@ -1,5 +1,9 @@
 """Tests for cat/head/tail/tac/wc/seq/hashing and the custom use-case commands."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.commands import misc
@@ -160,3 +164,28 @@ def test_fetch_page_produces_html():
     lines = misc.fetch_page(["https://example.org/wiki/page-1"], [])
     assert lines[0].startswith("<html>")
     assert lines[-1].endswith("</html>")
+
+
+def test_station_records_fixed_width_temperature_field():
+    records = misc.station_records("2015/station", records=10)
+    assert len(records) == 10
+    for record in records:
+        assert record[87:91].isdigit()
+    assert misc.station_records("x") != misc.station_records("y")
+
+
+def test_fetched_data_is_the_same_in_every_process():
+    """A cluster worker is another interpreter: its ``str`` hashes are salted
+    differently, so what it fetches must not depend on them."""
+    station, page = "2015/x", "https://example.org/wiki/p"
+    probe = f"from repro.commands import misc; print(misc.station_records({station!r}), misc.page_html({page!r}))"
+    source = os.path.join(os.path.dirname(misc.__file__), os.pardir, os.pardir)
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.path.abspath(source)},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert printed == {f"{misc.station_records(station)} {misc.page_html(page)}\n"}

@@ -32,7 +32,7 @@ from repro.jit import PlanCache
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads.oneliners import ONE_LINERS, get_one_liner
+from paper.workloads.oneliners import ONE_LINERS, get_one_liner
 
 WIDTH = 2
 LINES = 240

@@ -307,6 +307,52 @@ def test_spill_metrics_surface_per_node():
     assert "spilled" in result.metrics.summary()
 
 
+#: A corpus 100x the spill threshold, as the engine's 100 MB streaming
+#: measurement had it against 1 MB.
+CORPUS_THRESHOLD = 16 * 1024
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """An on-disk corpus of 100 thresholds and its interpreter oracle."""
+    path = tmp_path_factory.mktemp("streaming") / "big.txt"
+    with open(path, "w") as handle:
+        index = 0
+        while handle.tell() < 100 * CORPUS_THRESHOLD:
+            handle.write(
+                f"record {index:09d} the quick brown fox jumps over the lazy dog {index % 97:02d}\n"
+            )
+            index += 1
+    script = f"cat {path} | tr a-z A-Z | grep FOX > out.txt"
+    oracle = api.run(script, backend="interpreter", environment=_disk_environment())
+    return script, os.path.getsize(path), oracle.output_of("out.txt")
+
+
+def test_a_streamed_corpus_stays_bounded_and_spills_through_disk(corpus):
+    """Every stage streaming (no split): no buffer holds more than the
+    threshold, and the overflow, most of the input, went through disk."""
+    script, size, expected = corpus
+    config = PashConfig(
+        width=2,
+        disabled_passes=("split-insertion",),
+        streaming=StreamingConfig(spill_threshold=CORPUS_THRESHOLD),
+    )
+    result = api.run(script, config=config, backend="parallel", environment=_disk_environment())
+    assert result.output_of("out.txt") == expected
+    assert size >= 50 * CORPUS_THRESHOLD
+    assert result.metrics.peak_buffered_bytes <= CORPUS_THRESHOLD
+    assert result.metrics.total_spilled_bytes > size // 2
+    assert result.metrics.total_spill_events > 0
+
+
+def test_a_split_corpus_stays_bounded_and_byte_identical(corpus):
+    script, _, expected = corpus
+    config = PashConfig.paper_default(2, streaming=StreamingConfig(spill_threshold=CORPUS_THRESHOLD))
+    result = api.run(script, config=config, backend="parallel", environment=_disk_environment())
+    assert result.output_of("out.txt") == expected
+    assert result.metrics.peak_buffered_bytes <= CORPUS_THRESHOLD
+
+
 # ---------------------------------------------------------------------------
 # Cross-backend equivalence with streaming knobs turned all the way down
 # ---------------------------------------------------------------------------

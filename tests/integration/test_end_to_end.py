@@ -4,14 +4,14 @@ import pytest
 
 from repro.api import Pash, PashConfig, optimize
 from repro.dfg.builder import translate_script
-from repro.evaluation.harness import check_benchmark_correctness
-from repro.evaluation.usecases import noaa_correctness, wikipedia_correctness
 from repro.runtime.executor import DFGExecutor, ExecutionEnvironment
 from repro.runtime.interpreter import ShellInterpreter
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads import text
-from repro.workloads.oneliners import ONE_LINERS
-from repro.workloads.unix50 import UNIX50_PIPELINES
+from paper.harness import check_benchmark_correctness
+from paper.usecases import noaa_correctness, wikipedia_correctness
+from paper.workloads import text
+from paper.workloads.oneliners import ONE_LINERS
+from paper.workloads.unix50 import UNIX50_PIPELINES
 
 
 def run_both_ways(script, files, width=4, config=None):

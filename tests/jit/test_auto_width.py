@@ -32,8 +32,8 @@ from repro.service.telemetry import fold_job
 from repro.simulator.machine import MachineModel
 from repro.simulator.simulate import simulate_graph
 from repro.transform import planner
-from repro.workloads.oneliners import ONE_LINERS
-from repro.workloads.unix50 import UNIX50_PIPELINES
+from paper.workloads.oneliners import ONE_LINERS
+from paper.workloads.unix50 import UNIX50_PIPELINES
 
 BASE_SEED = int(os.environ.get("PASH_TEST_SEED", "20210426"))
 WIDTH = 2

@@ -228,6 +228,24 @@ def test_pash_session_routes_jit_with_pool():
     assert result.metrics.processes_reused > 0
 
 
+def test_a_loop_on_the_pool_compiles_once_and_runs_on_workers():
+    """A loop over four inputs at width 4: iterations 2+ are cache hits, and
+    every iteration runs on the worker pool, not in the driver."""
+    files = {"in%d.txt" % index: dataset()["in.txt"][index::4] for index in range(4)}
+    script = (
+        "for round in 1 2 3 4; do\n"
+        "  cat in0.txt in1.txt in2.txt in3.txt | grep light | sort | head -n 40\n"
+        "done\n"
+    )
+    config = PashConfig.paper_default(4, jit_inner_backend="parallel")
+    result = driver(config=config, files=files).run(script)
+    assert result.stdout == baseline(script, files=files)
+    assert result.jit.regions_compiled >= 1
+    assert result.jit.cache_hits == 3
+    assert result.jit.fallbacks == 0
+    assert result.metrics.worker_count >= 2
+
+
 def test_compiled_script_execute_jit_bypasses_rejection():
     files = {"in.txt": ["light a", "dark b"]}
     source = "x=dynamic\ngrep light in.txt\necho $x"

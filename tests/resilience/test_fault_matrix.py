@@ -30,7 +30,7 @@ from repro.resilience.fault import (
 )
 from repro.runtime.executor import ExecutionEnvironment, ExecutionError
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads.oneliners import get_one_liner
+from paper.workloads.oneliners import get_one_liner
 
 WIDTH = 2
 LINES = 120

@@ -209,7 +209,7 @@ def test_xargs_with_custom_command():
 
 
 def test_fig1_style_noaa_loop_runs():
-    from repro.workloads import noaa
+    from paper.workloads import noaa
 
     dataset = noaa.yearly_dataset(years=[2015], stations=4)
     shell = ShellInterpreter(filesystem=VirtualFileSystem(dataset))

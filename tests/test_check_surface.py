@@ -72,6 +72,36 @@ def test_only_obs_and_service_import_the_metrics_registry():
         "from repro.obs.metrics import MetricsRegistry",
         "def f():\n    from repro.obs import metrics as m",
     ):
-        assert check_surface.imports_registry(ast.parse(spelling)), spelling
+        assert check_surface.imports(ast.parse(spelling), check_surface.REGISTRY), spelling
     for spelling in ("from repro.obs.tracer import Tracer", "from repro.engine import metrics"):
-        assert not check_surface.imports_registry(ast.parse(spelling)), spelling
+        assert not check_surface.imports(ast.parse(spelling), check_surface.REGISTRY), spelling
+
+
+def test_src_imports_nothing_of_the_paper_harness(tmp_path, monkeypatch):
+    """The §6 evaluation measures the system from benchmarks/paper: no module
+    under src/ imports it, under its name there or the ones it had in src/."""
+    assert check_surface.harness_importers() == []
+    for spelling, package in (
+        ("import paper.workloads", ""),
+        ("from paper.figures import figure7_series", ""),
+        ("def f():\n    from repro.workloads.noaa import station_records", ""),
+        ("from repro.evaluation import harness", ""),
+        ("from repro.annotations import study", ""),
+        ("from .study import standard_study", "repro.annotations"),
+    ):
+        assert check_surface.imports(ast.parse(spelling), check_surface.HARNESS, package), spelling
+    for spelling, package in (
+        ("from repro.annotations import library", ""),
+        ("from .library import standard_library", "repro.annotations"),
+        ("import paperwork", ""),
+    ):
+        assert not check_surface.imports(ast.parse(spelling), check_surface.HARNESS, package), spelling
+
+    # The two imports the tree had while the harness lived in src/.
+    commands, annotations = tmp_path / "repro" / "commands", tmp_path / "repro" / "annotations"
+    commands.mkdir(parents=True)
+    annotations.mkdir()
+    (commands / "misc.py").write_text("def fetch():\n    from repro.workloads.noaa import station_records\n")
+    (annotations / "__init__.py").write_text("from repro.annotations.study import standard_study\n")
+    monkeypatch.setattr(check_surface, "SOURCE", tmp_path)
+    assert check_surface.harness_importers() == ["repro/annotations/__init__.py", "repro/commands/misc.py"]

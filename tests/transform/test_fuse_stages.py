@@ -15,7 +15,7 @@ from repro.dfg.nodes import (
 )
 from repro.runtime.executor import ExecutionEnvironment
 from repro.runtime.streams import VirtualFileSystem
-from repro.workloads.oneliners import ONE_LINERS
+from paper.workloads.oneliners import ONE_LINERS
 
 WIDTH = 4
 

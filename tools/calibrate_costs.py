@@ -16,7 +16,8 @@ every candidate value, the worst regret of the planner's picks.  It changes
 nothing and always exits 0: CI runs it report-only, a builder reads it
 before editing the tables.
 
-Usage: ``PYTHONPATH=src python tools/calibrate_costs.py [--lines N] [--repeats N]``
+Usage: ``PYTHONPATH=src:benchmarks python tools/calibrate_costs.py [--lines N] [--repeats N]``
+(``benchmarks`` holds the ``paper`` package, whose text generator it reads).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from repro.simulator.costs import (
 )
 from repro.simulator.machine import MachineModel
 from repro.transform.planner import plan_region
-from repro.workloads.text import text_lines
+from paper.workloads.text import text_lines
 
 #: Arguments each measured kernel runs with (a typical invocation).
 KERNEL_ARGUMENTS: Dict[str, List[str]] = {

@@ -12,10 +12,16 @@ Measures, from the source tree alone (``ast``, nothing is imported):
   command line (the six entry points), so a new flag is a reviewed decision
   like a new field.
 
-One layering rule rides along (:func:`registry_importers`): only modules
-under ``repro/obs/`` and ``repro/service/`` may import ``repro.obs.metrics``
-— the daemon owns the one registry and everything below it counts on its own
-objects, so an import anywhere else is a second count of something.
+Two layering rules ride along:
+
+* :func:`registry_importers` — only modules under ``repro/obs/`` and
+  ``repro/service/`` may import ``repro.obs.metrics``: the daemon owns the
+  one registry and everything below it counts on its own objects, so an
+  import anywhere else is a second count of something;
+* :func:`harness_importers` — no module under ``src/`` imports the paper's
+  §6 harness (``paper``, in ``benchmarks/``) or the names it had while it
+  lived in ``src/``: the evaluation measures the system and is not part of
+  it, so ``src_lines`` counts the system alone.
 
 The numbers are compared with the committed baseline ``tools/surface.json``:
 the check fails when any of them *grows* (or a new options class or
@@ -34,12 +40,14 @@ import ast
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src"
 BASELINE = Path(__file__).resolve().with_name("surface.json")
 PUBLIC_PACKAGES = ("repro", "repro.api", "repro.engine", "repro.transform", "repro.backend")
+REGISTRY = ("repro.obs.metrics",)
+HARNESS = ("paper", "repro.evaluation", "repro.workloads", "repro.annotations.study")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -88,29 +96,45 @@ def measure() -> Dict[str, Any]:
     }
 
 
-def imports_registry(tree: ast.AST) -> bool:
-    """Whether a module's AST imports ``repro.obs.metrics`` in any spelling."""
+def imports(tree: ast.AST, modules: Sequence[str], package: str = "") -> bool:
+    """Whether a module's AST imports one of ``modules`` or a submodule of
+    one, in any spelling; ``package`` resolves relative imports."""
+
+    def named(name: str) -> bool:
+        return any(name == module or name.startswith(module + ".") for module in modules)
+
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(alias.name == "repro.obs.metrics" for alias in node.names):
+            if any(named(alias.name) for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if node.module == "repro.obs.metrics":
-                return True
-            if node.module == "repro.obs" and any(a.name == "metrics" for a in node.names):
+            parent = package.rsplit(".", node.level - 1)[0] if node.level else ""
+            module = ".".join(filter(None, (parent, node.module)))
+            if named(module) or any(named(f"{module}.{alias.name}") for alias in node.names):
                 return True
     return False
 
 
+def _importers(modules: Sequence[str], allowed: Sequence[str] = ()) -> List[str]:
+    package = SOURCE / "repro"
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        parts = path.relative_to(SOURCE).with_suffix("").parts
+        if parts[1] in allowed:
+            continue
+        if imports(ast.parse(path.read_text()), modules, ".".join(parts[:-1])):
+            found.append(str(path.relative_to(SOURCE)))
+    return found
+
+
 def registry_importers() -> List[str]:
     """Modules outside ``repro/obs`` and ``repro/service`` importing the registry."""
-    package = SOURCE / "repro"
-    return [
-        str(path.relative_to(SOURCE))
-        for path in sorted(package.rglob("*.py"))
-        if path.relative_to(package).parts[0] not in ("obs", "service")
-        and imports_registry(ast.parse(path.read_text()))
-    ]
+    return _importers(REGISTRY, allowed=("obs", "service"))
+
+
+def harness_importers() -> List[str]:
+    """Modules under ``src/`` importing the paper harness."""
+    return _importers(HARNESS)
 
 
 def growth(current: Dict[str, Any], baseline: Dict[str, Any]) -> List[str]:
@@ -149,7 +173,10 @@ def main(argv: List[str]) -> int:
     importers = registry_importers()
     for module in importers:
         print(f"{module} imports repro.obs.metrics: only the daemon views it", file=sys.stderr)
-    return 1 if problems or importers else 0
+    harness = harness_importers()
+    for module in harness:
+        print(f"{module} imports the paper harness: src/ is the system alone", file=sys.stderr)
+    return 1 if problems or importers or harness else 0
 
 
 if __name__ == "__main__":
